@@ -2,10 +2,12 @@
 product-BMO norm.
 
 The strong maximal function scans every grid-aligned (wrap-aware) arc
-rectangle; dyadic variants scan the cubes of chosen shifted lattices.
-Small grids use a direct block scan whose arithmetic is reproducible bit
-for bit against naive double loops; larger grids switch to a windowed
-scan (prefix sums plus a sliding maximum) that agrees to rounding.
+rectangle one window shape at a time: the mean of every window, then per
+cell the largest mean of a window containing it.  Up to 256 cells the
+means come from one gather per shape, reduced like a naive block mean and
+so bit-reproducible against a loop over rectangles; larger grids take
+them from prefix sums, which agree to rounding.  The bi-parameter dyadic
+maximal function gathers its rectangles the same way at every size.
 
 The product-BMO norm is a maximum over a finite family of shapes, each a
 union of cells; on the discrete mesh every such union is admissible
@@ -25,7 +27,7 @@ from .dyadic import DyadicCube, DyadicSystem
 from .errors import DegenerateInputError, ParameterError, ShapeError
 from .fracops import frac_integral
 from .grid import GridFunction, inner_product
-from .haar import haar_function, level_average, level_difference
+from .haar import haar_function, haar_matrix, level_average, level_difference
 from .weights import ProductWeight, Weight
 
 __all__ = [
@@ -43,31 +45,49 @@ __all__ = [
     "strong_maximal",
 ]
 
-# grids up to this many cells use the direct block scan (bit-reproducible)
-_DIRECT_SCAN_CELLS = 256
+# up to this many cells, gather every window (bit-exact; work ~ cells**3)
+_GATHER_CELLS = 256
 
 
 # -- strong maximal function ----------------------------------------------
 
 
-def _all_arcs(n):
-    for width in range(1, n):
-        for start in range(n):
-            yield start, width
-    yield 0, n
+def _arc_count(n: int, width: int) -> int:
+    """Starts 0 .. count-1 of the width-``width`` arcs on Z_n: every start,
+    except that the full circle counts once."""
+    return n if width < n else 1
 
 
-def _strong_maximal_direct(a: np.ndarray) -> np.ndarray:
+def _gathered_means(a: np.ndarray):
+    """Window means by one gather per shape, reduced like a naive block
+    ``mean()`` so that the bits match a loop over rectangles."""
     n1, n2 = a.shape
-    out = np.zeros_like(a)
-    for s1, w1 in _all_arcs(n1):
-        rows = [(s1 + j) % n1 for j in range(w1)]
-        for s2, w2 in _all_arcs(n2):
-            cols = [(s2 + j) % n2 for j in range(w2)]
-            m = a[np.ix_(rows, cols)].mean()
-            sub = out[np.ix_(rows, cols)]
-            out[np.ix_(rows, cols)] = np.maximum(sub, m)
-    return out
+
+    def means(w1, w2):
+        r = (np.arange(_arc_count(n1, w1))[:, None] + np.arange(w1)) % n1
+        c = (np.arange(_arc_count(n2, w2))[:, None] + np.arange(w2)) % n2
+        return a[r[:, None, :, None], c[None, :, None, :]].mean(axis=(2, 3))
+
+    return means
+
+
+def _prefix_sum_means(a: np.ndarray):
+    """Window means from doubled 2-D prefix sums (agree to rounding)."""
+    n1, n2 = a.shape
+    S = np.zeros((2 * n1 + 1, 2 * n2 + 1))
+    S[1:, 1:] = np.tile(a, (2, 2)).cumsum(axis=0).cumsum(axis=1)
+
+    def means(w1, w2):
+        k1, k2 = _arc_count(n1, w1), _arc_count(n2, w2)
+        sums = (
+            S[w1 : w1 + k1, w2 : w2 + k2]
+            - S[:k1, w2 : w2 + k2]
+            - S[w1 : w1 + k1, :k2]
+            + S[:k1, :k2]
+        )
+        return sums / (w1 * w2)
+
+    return means
 
 
 def _window_max_containing(scores: np.ndarray, w1: int, w2: int) -> np.ndarray:
@@ -82,33 +102,21 @@ def _window_max_containing(scores: np.ndarray, w1: int, w2: int) -> np.ndarray:
     return np.roll(centered, (d1, d2), axis=(0, 1))
 
 
-def _strong_maximal_windowed(a: np.ndarray) -> np.ndarray:
-    n1, n2 = a.shape
-    S = np.zeros((2 * n1 + 1, 2 * n2 + 1))
-    S[1:, 1:] = np.tile(a, (2, 2)).cumsum(axis=0).cumsum(axis=1)
-    out = np.zeros_like(a)
-    for w1 in range(1, n1 + 1):
-        for w2 in range(1, n2 + 1):
-            sums = (
-                S[w1 : w1 + n1, w2 : w2 + n2]
-                - S[:n1, w2 : w2 + n2]
-                - S[w1 : w1 + n1, :n2]
-                + S[:n1, :n2]
-            )
-            means = sums / (w1 * w2)
-            np.maximum(out, _window_max_containing(means, w1, w2), out=out)
-    return out
-
-
 def strong_maximal(f: GridFunction) -> GridFunction:
     """Exact max over all grid-aligned rectangles of the rectangle average
     of |f|, evaluated at every cell the rectangle covers."""
     if f.ndim != 2:
         raise ShapeError("strong maximal needs a two-axis function")
     a = np.abs(f.values)
-    if a.size <= _DIRECT_SCAN_CELLS:
-        return f.with_values(_strong_maximal_direct(a))
-    return f.with_values(_strong_maximal_windowed(a))
+    n1, n2 = a.shape
+    means = _gathered_means(a) if a.size <= _GATHER_CELLS else _prefix_sum_means(a)
+    out = np.zeros_like(a)
+    for w1 in range(1, n1 + 1):
+        for w2 in range(1, n2 + 1):
+            # a full-circle side has one start, whose window holds every cell
+            scores = np.broadcast_to(means(w1, w2), a.shape)
+            np.maximum(out, _window_max_containing(scores, w1, w2), out=out)
+    return f.with_values(out)
 
 
 # -- dyadic maximal functions ---------------------------------------------
@@ -123,36 +131,34 @@ def _system_pair(systems) -> Tuple[DyadicSystem, Optional[DyadicSystem]]:
     raise ParameterError("systems must be a DyadicSystem or a pair of them")
 
 
-def _axis_max_of_averages(f: GridFunction, system: DyadicSystem, axis_index):
+def _level_max(f: GridFunction, system: DyadicSystem, axis_index, scale):
+    """Max over levels k of ``scale(k)`` times the level-k average of |f|."""
     a = f.with_values(np.abs(f.values))
     out = None
     for k in range(system.axis.level + 1):
-        vals = level_average(a, system, k, axis_index).values
+        vals = scale(k) * level_average(a, system, k, axis_index).values
         out = vals if out is None else np.maximum(out, vals)
     return out
 
 
-def _dyadic_rect_direct(a: np.ndarray, sys1: DyadicSystem, sys2: DyadicSystem):
+def _cubes(system: DyadicSystem, k: int):
+    """Cells of the level-k cubes (row m is cube m) and each cell's cube."""
+    n = system.axis.n_cells
+    cells = (system.offset_cells + np.arange(n).reshape(1 << k, n >> k)) % n
+    owner = ((np.arange(n) - system.offset_cells) % n) // (n >> k)
+    return cells, owner
+
+
+def _dyadic_rect_maximal(a: np.ndarray, sys1: DyadicSystem, sys2: DyadicSystem):
+    """Each cell takes the max mean of its own rectangle per level pair; the
+    block means are reduced like a naive ``mean()`` over each rectangle."""
     out = np.zeros_like(a)
     for k1 in range(sys1.axis.level + 1):
-        for m1 in range(1 << k1):
-            rows = DyadicCube(sys1, k1, m1).cells().tolist()
-            for k2 in range(sys2.axis.level + 1):
-                for m2 in range(1 << k2):
-                    cols = DyadicCube(sys2, k2, m2).cells().tolist()
-                    m = a[np.ix_(rows, cols)].mean()
-                    sub = out[np.ix_(rows, cols)]
-                    out[np.ix_(rows, cols)] = np.maximum(sub, m)
-    return out
-
-
-def _dyadic_rect_compose(f: GridFunction, sys1: DyadicSystem, sys2: DyadicSystem):
-    a = f.with_values(np.abs(f.values))
-    out = np.zeros_like(a.values)
-    for k1 in range(sys1.axis.level + 1):
-        g = level_average(a, sys1, k1, axis_index=1)
+        rows, owner1 = _cubes(sys1, k1)
         for k2 in range(sys2.axis.level + 1):
-            np.maximum(out, level_average(g, sys2, k2, axis_index=2).values, out=out)
+            cols, owner2 = _cubes(sys2, k2)
+            means = a[rows[:, None, :, None], cols[None, :, None, :]].mean(axis=(2, 3))
+            np.maximum(out, means[owner1[:, None], owner2[None, :]], out=out)
     return out
 
 
@@ -166,19 +172,16 @@ def dyadic_maximal(f: GridFunction, systems, mode: str) -> GridFunction:
     if f.ndim != 2:
         raise ShapeError("dyadic maximal needs a two-axis function")
     first, second = _system_pair(systems)
-    if mode == "axis1":
-        return f.with_values(_axis_max_of_averages(f, first, 1))
-    if mode == "axis2":
-        system = second if second is not None else first
-        return f.with_values(_axis_max_of_averages(f, system, 2))
+    if mode in ("axis1", "axis2"):
+        axis_index = 1 if mode == "axis1" else 2
+        system = first if mode == "axis1" or second is None else second
+        return f.with_values(_level_max(f, system, axis_index, lambda k: 1.0))
     if mode == "biparameter":
         if second is None:
             raise ParameterError("biparameter mode needs a pair of systems")
         if first.axis != f.axes[0] or second.axis != f.axes[1]:
             raise ShapeError("system axes do not match the function axes")
-        if f.values.size <= _DIRECT_SCAN_CELLS:
-            return f.with_values(_dyadic_rect_direct(np.abs(f.values), first, second))
-        return f.with_values(_dyadic_rect_compose(f, first, second))
+        return f.with_values(_dyadic_rect_maximal(np.abs(f.values), first, second))
     raise ParameterError(f"unknown mode {mode!r}")
 
 
@@ -193,13 +196,10 @@ def frac_maximal(
     lam = float(lam)
     if not 0.0 < lam < 1.0:
         raise ParameterError(f"lam must lie in (0, 1), got {lam}")
-    a = f.with_values(np.abs(f.values))
-    out = None
-    for k in range(system.axis.level + 1):
-        # |I|**(1-lam) * average = 2**(k*(lam-1)) * level-k average
-        vals = 2.0 ** (k * (lam - 1.0)) * level_average(a, system, k, axis_index).values
-        out = vals if out is None else np.maximum(out, vals)
-    return f.with_values(out)
+    # |I|**(1-lam) * average = 2**(k*(lam-1)) * level-k average
+    return f.with_values(
+        _level_max(f, system, axis_index, lambda k: 2.0 ** (k * (lam - 1.0)))
+    )
 
 
 def frac_maximal_domination(f: GridFunction, system: DyadicSystem, lam: float) -> float:
@@ -425,8 +425,6 @@ def bmo_prod_rect_norm(b: GridFunction, w: ProductWeight, systems) -> float:
     W = w.evaluate()
     if W.axes != b.axes:
         raise ShapeError("weight axes do not match the function axes")
-    from .haar import haar_matrix
-
     n1, n2 = system1.axis.n_cells, system2.axis.n_cells
     L1, L2 = system1.axis.level, system2.axis.level
     h1, h2 = system1.axis.h, system2.axis.h

@@ -678,11 +678,14 @@ def _thread_cap() -> int:
 
 
 def _run_one(name: str, config: ExperimentConfig):
+    """Run one suite; an error it raises becomes one failing record."""
     try:
         return _SUITE_FUNCTIONS[name](config)
-    except DyadicaError as exc:
+    except (DyadicaError, MemoryError, FloatingPointError, np.linalg.LinAlgError) as exc:
+        print(f"{name}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        kind = "contract-error" if isinstance(exc, DyadicaError) else "crash"
         record = CheckRecord(
-            name=f"{name}-contract-error",
+            name=f"{name}-{kind}",
             anchor=f"error-{type(exc).__name__}",
             value=1.0,
             threshold=0.0,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -251,28 +252,32 @@ def _gamma_ratio(gamma: float, max_den: int = 64):
     return None
 
 
-def _within_threshold(dist_cells: int, L: int, level_j: int, depth: int,
-                      gamma: float) -> bool:
-    """Exact test of  dist_cells * 2**-L  <=  2**(-level_j - depth*gamma)."""
+@lru_cache(maxsize=4096)
+def _threshold_cells(L: int, level_j: int, depth: int, gamma: float):
+    """Largest integer t with  t * 2**-L <= 2**(-level_j - depth*gamma): for
+    gamma = a/b the integer b-th root of 2**(b*(L - level_j) - a*depth);
+    ``None`` when gamma has no small rational form."""
     ratio = _gamma_ratio(gamma)
-    if ratio is not None:
-        a, b = ratio
-        return int(dist_cells) ** b <= 1 << (b * (L - level_j) - a * depth)
-    return dist_cells * 2.0 ** (-L) <= 2.0 ** (-level_j - depth * gamma)
+    if ratio is None:
+        return None
+    a, b = ratio
+    exp = b * (L - level_j) - a * depth
+    bound = 1 << exp
+    t = round(2.0 ** (exp / b))  # a float guess, corrected exactly below
+    while t**b > bound:
+        t -= 1
+    while (t + 1) ** b <= bound:
+        t += 1
+    return t
 
 
-def _within_threshold_arr(dist_cells: np.ndarray, L: int, level_j: int,
-                          depth: int, gamma: float) -> np.ndarray:
-    ratio = _gamma_ratio(gamma)
-    if ratio is not None:
-        a, b = ratio
-        exp = b * (L - level_j) - a * depth
-        if b * L < 62 and exp < 62:
-            d = dist_cells.astype(np.int64)
-            return d ** b <= np.int64(1) << np.int64(exp)
-        dd = dist_cells.astype(float)
-        return b * np.log2(np.maximum(dd, 0.5)) <= float(exp)
-    return dist_cells * 2.0 ** (-L) <= 2.0 ** (-level_j - depth * gamma)
+def _within_threshold(dist_cells, L: int, level_j: int, depth: int, gamma: float):
+    """Test of  dist_cells * 2**-L  <=  2**(-level_j - depth*gamma)  for one
+    integer distance or an array; exact whenever gamma is a small rational."""
+    t = _threshold_cells(L, level_j, depth, gamma)
+    if t is None:
+        return dist_cells * 2.0 ** (-L) <= 2.0 ** (-level_j - depth * gamma)
+    return dist_cells <= t
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +305,7 @@ def bad_mask(system: DyadicSystem, level: int, params: GoodParams) -> np.ndarray
         touches = (smod == 0) | (emod == 0) | ((e // spacing) > (s // spacing))
         dist = np.minimum(smod, spacing - emod)
         dist = np.where(touches, 0, dist)
-        bad |= _within_threshold_arr(dist, L, kj, level - kj, params.gamma)
+        bad |= _within_threshold(dist, L, kj, level - kj, params.gamma)
     return bad
 
 

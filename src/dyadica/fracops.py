@@ -22,7 +22,6 @@ from .dyadic import (
     DyadicSystem,
     GoodParams,
     _within_threshold,
-    _within_threshold_arr,
     ancestor,
     bad_mask,
     contains,
@@ -45,7 +44,7 @@ from .grid import (
     kernel_matrix,
     l2_norm,
 )
-from .haar import haar_function, haar_matrix
+from .haar import basis_column, haar_function, haar_matrix, level_average
 
 __all__ = [
     "RepresentationReport",
@@ -246,8 +245,6 @@ def apply_shift(
     H = haar_matrix(system)
     cf = system.axis.h * (H.T @ f.values)
     out = np.zeros_like(cf)
-    from .haar import basis_column
-
     for (I, J, _K), a in table.entries.items():
         out[basis_column(J)] += a * cf[basis_column(I)]
     return grid_function(H @ out, system.axis)
@@ -269,14 +266,11 @@ def domination_ratio(f: GridFunction, lam: float, system: DyadicSystem) -> float
     av = np.abs(f.values)
     if not np.any(av > 0.0):
         raise DegenerateInputError("domination_ratio needs a non-zero input")
-    from .haar import _average_along
-
-    L = system.axis.level
+    a = f.with_values(av)
     majorant = np.zeros_like(av)
-    for k in range(L + 1):
-        avg = _average_along(av, 0, system.offset_cells, k)
-        majorant += 2.0 ** (k * (lam - 1.0)) * avg
-    smoothed = frac_integral(f.with_values(av), lam).values
+    for k in range(system.axis.level + 1):
+        majorant += 2.0 ** (k * (lam - 1.0)) * level_average(a, system, k).values
+    smoothed = frac_integral(a, lam).values
     return float(np.max(majorant / smoothed))
 
 
@@ -358,7 +352,7 @@ def _scan_system(
             d1 = (sJ - sI - wI) % n
             d2 = (sI - sJ - wJ) % n
             gap = np.minimum(d1, d2)
-            within = _within_threshold_arr(gap, L, kJ, depth, params.gamma)
+            within = _within_threshold(gap, L, kJ, depth, params.gamma)
 
             masks = {
                 "shallow_in": contained & (depth <= params.r),

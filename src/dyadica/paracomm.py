@@ -20,6 +20,7 @@ from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
+from .analysis import bmo_prod_rect_norm, mixed_norm
 from .dyadic import DyadicCube, DyadicSystem, ancestor
 from .errors import ContractError, ParameterError, ShapeError, SystemMismatchError
 from .fracops import ShiftCoefficientTable, partial_frac_integral
@@ -443,8 +444,6 @@ def bloom_experiment(config: BloomConfig) -> BloomReport:
     discretization varies.  Samples whose restricted symbol norm vanishes
     are skipped and counted.
     """
-    from .analysis import bmo_prod_rect_norm, mixed_norm
-
     q1 = exponent_solve(config.p1, config.lam1).q
     q2 = exponent_solve(config.p2, config.lam2).q
     nb = 1 << config.base_level

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dyadica.analysis import (
     OmegaFamily,
-    _dyadic_rect_compose,
-    _strong_maximal_windowed,
+    _gathered_means,
+    _prefix_sum_means,
     bmo_prod_norm,
     default_omega_family,
     duality_check,
@@ -94,13 +96,31 @@ def test_strong_maximal_homogeneous():
     assert np.array_equal(m2.values, 2.0 * m1.values)
 
 
-def test_strong_maximal_windowed_agrees_with_direct():
+@settings(max_examples=10, deadline=None)
+@given(
+    levels=st.tuples(st.integers(1, 7), st.integers(1, 7)).filter(
+        lambda ls: sum(ls) <= 8
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(levels=(4, 4), seed=0)
+def test_strong_maximal_matches_brute_force_bitwise_all_shapes(levels, seed):
+    # every power-of-two shape that takes the gathered means (<= 256 cells)
+    ax1, ax2 = build_axis(levels[0]), build_axis(levels[1])
+    f = rand_f(np.random.default_rng(seed), ax1, ax2)
+    assert np.array_equal(strong_maximal(f).values, strong_maximal_brute(f.values))
+
+
+def test_strong_maximal_prefix_sums_agree_with_gather():
     axis = build_axis(4)
     rng = np.random.default_rng(3)
-    f = rand_f(rng, axis, axis)
-    direct = strong_maximal(f).values
-    fast = _strong_maximal_windowed(np.abs(f.values))
-    assert np.max(np.abs(fast - direct)) <= 1e-12 * np.max(direct)
+    a = np.abs(rng.normal(size=(16, 16)))
+    gathered, prefix = _gathered_means(a), _prefix_sum_means(a)
+    for w1 in range(1, 17):
+        for w2 in range(1, 17):
+            g, p = gathered(w1, w2), prefix(w1, w2)
+            assert g.shape == p.shape
+            assert np.max(np.abs(p - g)) <= 1e-12 * np.max(g)
 
 
 def test_strong_maximal_rejects_one_axis():
@@ -144,14 +164,25 @@ def test_dyadic_maximal_biparameter_matches_brute_force_bitwise():
         assert np.array_equal(mine, ref)
 
 
-def test_dyadic_maximal_compose_agrees_with_direct():
-    axis = build_axis(3)
-    rng = np.random.default_rng(6)
-    f = rand_f(rng, axis, axis)
-    pair = (DyadicSystem(axis, 1), DyadicSystem(axis, 4))
-    direct = dyadic_maximal(f, pair, "biparameter").values
-    fast = _dyadic_rect_compose(f, *pair)
-    assert np.max(np.abs(fast - direct)) <= 1e-12 * np.max(direct)
+@settings(max_examples=15, deadline=None)
+@given(
+    levels=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    offsets=st.tuples(st.integers(0, 63), st.integers(0, 63)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(levels=(4, 4), offsets=(13, 6), seed=0)
+@example(levels=(6, 6), offsets=(37, 5), seed=1)
+@example(levels=(2, 6), offsets=(3, 50), seed=2)
+def test_dyadic_maximal_biparameter_matches_brute_force_all_sizes(
+    levels, offsets, seed
+):
+    # both sides of 256 cells, where an earlier design switched algorithms
+    ax1, ax2 = build_axis(levels[0]), build_axis(levels[1])
+    off1, off2 = offsets[0] % ax1.n_cells, offsets[1] % ax2.n_cells
+    f = rand_f(np.random.default_rng(seed), ax1, ax2)
+    pair = (DyadicSystem(ax1, off1), DyadicSystem(ax2, off2))
+    mine = dyadic_maximal(f, pair, "biparameter").values
+    assert np.array_equal(mine, dyadic_rect_maximal_brute(f.values, off1, off2))
 
 
 def test_dyadic_maximal_mode_validation():

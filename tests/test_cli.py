@@ -1,5 +1,6 @@
 """Tests for config loading, suite orchestration, and report emission."""
 
+import csv
 import json
 
 import pytest
@@ -207,6 +208,27 @@ def test_contract_error_becomes_failing_record(tmp_path, monkeypatch):
     assert not outcome.records[0].passed
     report = json.loads(outcome.report_path.read_text(encoding="utf-8"))
     assert report["checks"][0]["pass"] is False
+
+
+def test_numerical_crash_keeps_the_other_suites(tmp_path, monkeypatch):
+    def crashing(config):
+        raise FloatingPointError("overflow encountered in power")
+
+    monkeypatch.setitem(cli._SUITE_FUNCTIONS, "norms", crashing)
+    config = ExperimentConfig(
+        suite="all", seed=9, levels=(3,), samples=2, out=str(tmp_path)
+    )
+    outcome = run_suite(config)
+    assert outcome.exit_code == 1
+    report = json.loads(outcome.report_path.read_text(encoding="utf-8"))
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert [(c["name"], c["paper_anchor"]) for c in failed] == [
+        ("norms-crash", "error-FloatingPointError")
+    ]
+    assert len(report["checks"]) > 1
+    with outcome.samples_path.open(encoding="utf-8") as fh:
+        sampled = {row["suite"] for row in csv.DictReader(fh)}
+    assert sampled == set(cli.SUITES) - {"norms"}
 
 
 def test_strict_mode_promotes_stability_warnings(tmp_path, monkeypatch):

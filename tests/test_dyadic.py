@@ -185,6 +185,18 @@ def test_goodness_census_third_gamma():
             assert mine[m] == ref
 
 
+@pytest.mark.parametrize("gamma", (7 / 16, dyadic.default_gamma(0.3), 1 / 3, 5 / 17))
+def test_bad_mask_agrees_with_is_good_every_cube(gamma):
+    # 7/16 and 5/13 compare powers past 2**62 from L = 4 and L = 5 on
+    for r in (2, 5):
+        params = dyadic.GoodParams(r=r, gamma=gamma)
+        for L in range(1, 11):
+            sys = dyadic.DyadicSystem(grid.build_axis(L), 0)
+            for k in range(L + 1):
+                good = [dyadic.is_good(sys.cube(k, m), params) for m in range(1 << k)]
+                assert (~dyadic.bad_mask(sys, k, params)).tolist() == good
+
+
 def test_goodness_monotone_in_r():
     sys = offset0(7)
     for m in range(128):

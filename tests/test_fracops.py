@@ -383,6 +383,33 @@ def test_representation_class_profiles_sane(rng):
     assert all(v > 0 for v in rep.class_constants.values())
 
 
+@pytest.mark.parametrize("gamma", (7 / 16, dyadic.default_gamma(0.3), 1 / 3, 5 / 17))
+def test_scan_system_classes_agree_with_classify_pair(gamma):
+    # the vectorized class scan counts exactly the pairs classify_pair tags
+    # r = 5 leaves both near and out pairs with a good smaller cube
+    params = dyadic.GoodParams(r=5, gamma=gamma)
+    for L in (7, 8):
+        n = 1 << L
+        sys = dyadic.DyadicSystem(grid.build_axis(L), 21 % n)
+        counts = {tag: 0 for tag in ("out", "near", "shallow_in", "deep_in")}
+        profiles = {tag: {} for tag in counts}
+        ones = np.ones(n)
+        fracops._scan_system(
+            sys, 0.5, params, profiles, counts, {}, ones, ones, np.ones((n, n))
+        )
+        want = dict.fromkeys(counts, 0)
+        for kI in range(L):
+            for mI in range(1 << kI):
+                I = sys.cube(kI, mI)
+                if not dyadic.is_good(I, params):
+                    continue
+                for kJ in range(kI + 1):
+                    for mJ in range(1 << kJ):
+                        J = sys.cube(kJ, mJ)
+                        want[fracops.classify_pair(I, J, params).tag] += 1
+        assert counts == want
+
+
 def test_representation_coefficients_match_scalar_op(rng):
     # the vectorized scan and the scalar shift_coefficient agree
     sys = dyadic.DyadicSystem(grid.build_axis(4), 11)
