@@ -25,9 +25,9 @@ from scipy.ndimage import maximum_filter
 
 from .dyadic import DyadicCube, DyadicSystem
 from .errors import DegenerateInputError, ParameterError, ShapeError
-from .fracops import frac_integral
+from .fracops import _frac_scales, frac_integral
 from .grid import GridFunction, inner_product
-from .haar import haar_function, haar_matrix, level_average, level_difference
+from .haar import expectation_stack, haar_function, haar_matrix, rectangle_table
 from .weights import ProductWeight, Weight
 
 __all__ = [
@@ -131,14 +131,11 @@ def _system_pair(systems) -> Tuple[DyadicSystem, Optional[DyadicSystem]]:
     raise ParameterError("systems must be a DyadicSystem or a pair of them")
 
 
-def _level_max(f: GridFunction, system: DyadicSystem, axis_index, scale):
-    """Max over levels k of ``scale(k)`` times the level-k average of |f|."""
-    a = f.with_values(np.abs(f.values))
-    out = None
-    for k in range(system.axis.level + 1):
-        vals = scale(k) * level_average(a, system, k, axis_index).values
-        out = vals if out is None else np.maximum(out, vals)
-    return out
+def _level_max(f: GridFunction, system: DyadicSystem, axis_index, scales):
+    """Max over levels k of ``scales[k]`` (or a scalar) times the level-k
+    average of |f|."""
+    stack = expectation_stack(f.with_values(np.abs(f.values)), system, axis_index)
+    return (np.reshape(scales, (-1,) + (1,) * f.ndim) * stack).max(axis=0)
 
 
 def _cubes(system: DyadicSystem, k: int):
@@ -175,7 +172,7 @@ def dyadic_maximal(f: GridFunction, systems, mode: str) -> GridFunction:
     if mode in ("axis1", "axis2"):
         axis_index = 1 if mode == "axis1" else 2
         system = first if mode == "axis1" or second is None else second
-        return f.with_values(_level_max(f, system, axis_index, lambda k: 1.0))
+        return f.with_values(_level_max(f, system, axis_index, 1.0))
     if mode == "biparameter":
         if second is None:
             raise ParameterError("biparameter mode needs a pair of systems")
@@ -196,10 +193,8 @@ def frac_maximal(
     lam = float(lam)
     if not 0.0 < lam < 1.0:
         raise ParameterError(f"lam must lie in (0, 1), got {lam}")
-    # |I|**(1-lam) * average = 2**(k*(lam-1)) * level-k average
-    return f.with_values(
-        _level_max(f, system, axis_index, lambda k: 2.0 ** (k * (lam - 1.0)))
-    )
+    scales = _frac_scales(lam, system.axis.level)
+    return f.with_values(_level_max(f, system, axis_index, scales))
 
 
 def frac_maximal_domination(f: GridFunction, system: DyadicSystem, lam: float) -> float:
@@ -227,34 +222,25 @@ def square_function(f: GridFunction, systems, mode: str) -> GridFunction:
     Modes: ``"sole"`` (one-axis), ``"axis1"``/``"axis2"`` (one parameter of
     a two-axis function), ``"rect"`` (both parameters jointly).
     """
+    first, second = _system_pair(systems)
     if mode == "sole":
         if f.ndim != 1:
             raise ShapeError("sole mode needs a one-axis function")
-        system = systems if isinstance(systems, DyadicSystem) else _system_pair(systems)[0]
-        acc = np.zeros_like(f.values)
-        for k in range(system.axis.level):
-            acc += level_difference(f, system, k).values ** 2
-        return f.with_values(np.sqrt(acc))
-    if f.ndim != 2:
+        system, axis_index = first, None
+    elif f.ndim != 2:
         raise ShapeError(f"mode {mode!r} needs a two-axis function")
-    first, second = _system_pair(systems)
-    if mode in ("axis1", "axis2"):
+    elif mode in ("axis1", "axis2"):
         axis_index = 1 if mode == "axis1" else 2
         system = first if mode == "axis1" or second is None else second
-        acc = np.zeros_like(f.values)
-        for k in range(system.axis.level):
-            acc += level_difference(f, system, k, axis_index).values ** 2
-        return f.with_values(np.sqrt(acc))
-    if mode == "rect":
+    elif mode == "rect":
         if second is None:
             raise ParameterError("rect mode needs a pair of systems")
-        acc = np.zeros_like(f.values)
-        for k1 in range(first.axis.level):
-            d1 = level_difference(f, first, k1, axis_index=1)
-            for k2 in range(second.axis.level):
-                acc += level_difference(d1, second, k2, axis_index=2).values ** 2
-        return f.with_values(np.sqrt(acc))
-    raise ParameterError(f"unknown mode {mode!r}")
+        diffs = np.diff(np.diff(rectangle_table(f, first, second), axis=0), axis=1)
+        return f.with_values(np.sqrt((diffs**2).sum(axis=(0, 1))))
+    else:
+        raise ParameterError(f"unknown mode {mode!r}")
+    diffs = np.diff(expectation_stack(f, system, axis_index), axis=0)
+    return f.with_values(np.sqrt((diffs**2).sum(axis=0)))
 
 
 # -- mixed norms ----------------------------------------------------------
@@ -409,7 +395,7 @@ def bmo_prod_norm(
 
 def bmo_prod_rect_norm(b: GridFunction, w: ProductWeight, systems) -> float:
     """Product-BMO lower bound over single-rectangle shapes plus the full
-    square, computed with prefix sums.
+    square, with the weight's rectangle means read from its rectangle table.
 
     Fast equivalent of :func:`bmo_prod_norm` with the default shape family;
     containment reduces to index arithmetic because descendants of a cube
@@ -427,69 +413,42 @@ def bmo_prod_rect_norm(b: GridFunction, w: ProductWeight, systems) -> float:
         raise ShapeError("weight axes do not match the function axes")
     n1, n2 = system1.axis.n_cells, system2.axis.n_cells
     L1, L2 = system1.axis.level, system2.axis.level
-    h1, h2 = system1.axis.h, system2.axis.h
-    wv = W.values
-    Fc = h1 * h2 * (haar_matrix(system1).T @ b.values @ haar_matrix(system2))
+    vol = system1.axis.h * system2.axis.h
+    Fc = vol * (haar_matrix(system1).T @ b.values @ haar_matrix(system2))
+    # rectangle weight means in cube-index order: the table at first cells
+    WT = np.roll(
+        rectangle_table(W, system1, system2),
+        (-system1.offset_cells, -system2.offset_cells),
+        axis=(2, 3),
+    )
 
-    # doubled 2-D prefix sums of the weight for wrap-aware block sums
-    SW = np.zeros((2 * n1 + 1, 2 * n2 + 1))
-    SW[1:, 1:] = np.tile(wv, (2, 2)).cumsum(axis=0).cumsum(axis=1)
+    def wmean(k1, k2):
+        return WT[k1, k2, :: n1 >> k1, :: n2 >> k2]
 
-    def block_sums(starts1, w1, starts2, w2):
-        a = starts1[:, None]
-        c = starts2[None, :]
-        return (
-            SW[a + w1, c + w2] - SW[a, c + w2] - SW[a + w1, c] + SW[a, c]
-        )
-
-    def starts(system, k):
-        n = system.axis.n_cells
-        return (system.offset_cells + np.arange(1 << k) * (n >> k)) % n
-
-    # per level pair: coefficient**2 / rectangle weight mean, then 2-D
-    # prefix sums over cube indices for contiguous-range queries
-    prefix = {}
-    for k1 in range(L1):
-        w1 = n1 >> k1
-        cols1 = (1 << k1) + np.arange(1 << k1)
-        for k2 in range(L2):
-            w2 = n2 >> k2
-            cols2 = (1 << k2) + np.arange(1 << k2)
-            coef = Fc[np.ix_(cols1, cols2)]
-            wmean = block_sums(starts(system1, k1), w1, starts(system2, k2), w2) / (
-                w1 * w2
-            )
-            T = coef * coef / wmean
-            P = np.zeros((T.shape[0] + 1, T.shape[1] + 1))
-            P[1:, 1:] = T.cumsum(axis=0).cumsum(axis=1)
-            prefix[(k1, k2)] = P
-
-    vol = h1 * h2
-
-    def range_total(a1, m01, a2, m02):
-        total = 0.0
-        for k1 in range(a1, L1):
-            lo1, hi1 = m01 << (k1 - a1), (m01 + 1) << (k1 - a1)
-            for k2 in range(a2, L2):
-                lo2, hi2 = m02 << (k2 - a2), (m02 + 1) << (k2 - a2)
-                P = prefix[(k1, k2)]
-                total += P[hi1, hi2] - P[lo1, hi2] - P[hi1, lo2] + P[lo1, lo2]
-        return total
-
+    # per level pair and cube pair: coefficient**2 / rectangle weight mean
+    energy = {
+        (k1, k2): Fc[1 << k1 : 2 << k1, 1 << k2 : 2 << k2] ** 2 / wmean(k1, k2)
+        for k1 in range(L1)
+        for k2 in range(L2)
+    }
     best = 0.0
     for a1 in range(L1):
-        s1 = starts(system1, a1)
         for a2 in range(L2):
-            s2 = starts(system2, a2)
-            w_omega = vol * block_sums(s1, n1 >> a1, s2, n2 >> a2)
-            for m01 in range(1 << a1):
-                for m02 in range(1 << a2):
-                    total = range_total(a1, m01, a2, m02)
-                    if total > 0.0:
-                        best = max(best, np.sqrt(total / w_omega[m01, m02]))
-    full_total = sum(float(P[-1, -1]) for P in prefix.values())
+            # descendants of the level-a cube m sit in one contiguous block
+            # of 2**(k - a) cubes at every finer level k
+            total = np.zeros((1 << a1, 1 << a2))
+            for k1 in range(a1, L1):
+                for k2 in range(a2, L2):
+                    blocks = energy[(k1, k2)].reshape(
+                        1 << a1, 1 << (k1 - a1), 1 << a2, 1 << (k2 - a2)
+                    )
+                    total += blocks.sum(axis=(1, 3))
+            w_omega = 2.0 ** -(a1 + a2) * wmean(a1, a2)
+            ratio = np.where(total > 0.0, total / w_omega, 0.0)
+            best = max(best, float(np.sqrt(ratio.max())))
+    full_total = sum(float(T.sum()) for T in energy.values())
     if full_total > 0.0:
-        best = max(best, np.sqrt(full_total / (vol * wv.sum())))
+        best = max(best, np.sqrt(full_total / W.values.mean()))
     return float(best)
 
 

@@ -44,7 +44,7 @@ from .grid import (
     kernel_matrix,
     l2_norm,
 )
-from .haar import basis_column, haar_function, haar_matrix, level_average
+from .haar import basis_column, expectation_stack, haar_function, haar_matrix
 
 __all__ = [
     "RepresentationReport",
@@ -253,6 +253,11 @@ def apply_shift(
 # -- pointwise domination -------------------------------------------------
 
 
+def _frac_scales(lam: float, level: int) -> np.ndarray:
+    """``|I|**(1 - lam) = 2**(k*(lam - 1))`` for levels k = 0 .. ``level``."""
+    return np.array([2.0 ** (k * (lam - 1.0)) for k in range(level + 1)])
+
+
 def domination_ratio(f: GridFunction, lam: float, system: DyadicSystem) -> float:
     """Grid maximum of the scale-sum majorant against the smoothed |f|.
 
@@ -267,9 +272,8 @@ def domination_ratio(f: GridFunction, lam: float, system: DyadicSystem) -> float
     if not np.any(av > 0.0):
         raise DegenerateInputError("domination_ratio needs a non-zero input")
     a = f.with_values(av)
-    majorant = np.zeros_like(av)
-    for k in range(system.axis.level + 1):
-        majorant += 2.0 ** (k * (lam - 1.0)) * level_average(a, system, k).values
+    stack = expectation_stack(a, system)
+    majorant = (_frac_scales(lam, system.axis.level)[:, None] * stack).sum(axis=0)
     smoothed = frac_integral(a, lam).values
     return float(np.max(majorant / smoothed))
 

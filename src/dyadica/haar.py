@@ -3,10 +3,16 @@
 Every shifted lattice carries an orthonormal basis of cell space: the
 constant function together with one L2-normalized Haar step per cube that
 still has children on the mesh.  This module exposes that basis (as
-functions and as a change-of-basis matrix), the full coefficient expansion
-with explicit mean bookkeeping, and the averaging / difference / block
-operators of martingale calculus.  On two-axis functions every operator
-acts in one variable at a time; rectangle blocks compose the two factors.
+functions and as a change-of-basis matrix) and the full coefficient
+expansion with explicit mean bookkeeping.
+
+Martingale calculus rests on one primitive: the conditional-expectation
+stack E_0 .. E_L of a function along one axis, built with one roll and one
+reshape-mean per level.  Level averages and differences read one or two
+levels of it; composed over the two axes it is the rectangle table
+T[k1, k2], whose slices (averages) and consecutive differences (martingale
+differences) every multiscale quantity reads.  Block operators restrict a
+difference to one cube, or to one rectangle by composing the two factors.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .grid import GridFunction, grid_function
 __all__ = [
     "HaarCoefficientMap",
     "average_project",
+    "expectation_stack",
     "haar_expand",
     "haar_function",
     "haar_matrix",
@@ -32,6 +39,7 @@ __all__ = [
     "martingale_block",
     "partial_pairing",
     "rect_block",
+    "rectangle_table",
 ]
 
 
@@ -123,18 +131,42 @@ def _axis_position(f: GridFunction, system: DyadicSystem, axis_index) -> int:
 # -- averaging and differences --------------------------------------------
 
 
-def _average_along(vals: np.ndarray, pos: int, offset: int, level: int) -> np.ndarray:
-    """Replace values by their averages over the level-``level`` cubes of the
-    lattice shifted by ``offset`` cells, along array axis ``pos``."""
-    v = np.moveaxis(vals, pos, 0)
+def _stack(vals: np.ndarray, pos: int, offset: int, levels: range) -> np.ndarray:
+    """``E_k`` along array axis ``pos`` for ``k`` in ``levels``, stacked on a
+    new leading axis: one roll to put the lattice's first cube at cell 0,
+    one reshape-mean per level, one roll back.  Each level is reduced as a
+    lone level would be, so its bits do not depend on ``levels``."""
+    v = np.roll(np.moveaxis(vals, pos, 0), -offset, axis=0)
     n = v.shape[0]
-    v = np.roll(v, -offset, axis=0)
-    width = n >> level
-    blocks = v.reshape((1 << level, width) + v.shape[1:])
-    means = blocks.mean(axis=1, keepdims=True)
-    out = np.broadcast_to(means, blocks.shape).reshape(v.shape)
-    out = np.roll(out, offset, axis=0)
-    return np.moveaxis(out, 0, pos)
+    out = np.empty((len(levels),) + v.shape)
+    for i, level in enumerate(levels):
+        shape = (1 << level, n >> level) + v.shape[1:]
+        out[i].reshape(shape)[...] = v.reshape(shape).mean(axis=1, keepdims=True)
+    return np.moveaxis(np.roll(out, offset, axis=1), 1, pos + 1)
+
+
+def expectation_stack(
+    f: GridFunction, system: DyadicSystem, axis_index=None
+) -> np.ndarray:
+    """Every conditional expectation of ``f`` in one variable: entry ``k``
+    of the ``(L + 1,) + f.values.shape`` result is, bit for bit,
+    ``level_average(f, system, k, axis_index).values``; consecutive
+    differences along the first axis are the martingale differences."""
+    pos = _axis_position(f, system, axis_index)
+    return _stack(f.values, pos, system.offset_cells, range(system.axis.level + 1))
+
+
+def rectangle_table(
+    f: GridFunction, system1: DyadicSystem, system2: DyadicSystem
+) -> np.ndarray:
+    """Rectangle averages of a two-axis function at every level pair:
+    ``T[k1, k2]`` is the level-``k1`` average in the first variable, then
+    the level-``k2`` average in the second, bit for bit the nested
+    :func:`level_average` calls; shape ``(L1 + 1, L2 + 1, n1, n2)``."""
+    first = expectation_stack(f, system1, 1)
+    _axis_position(f, system2, 2)
+    both = _stack(first, 2, system2.offset_cells, range(system2.axis.level + 1))
+    return np.ascontiguousarray(both.swapaxes(0, 1))
 
 
 def level_average(
@@ -149,7 +181,8 @@ def level_average(
         raise ResolutionError(
             f"level {level} outside [0, {system.axis.level}]"
         )
-    return f.with_values(_average_along(f.values, pos, system.offset_cells, level))
+    (avg,) = _stack(f.values, pos, system.offset_cells, range(level, level + 1))
+    return f.with_values(avg)
 
 
 def level_difference(
@@ -163,9 +196,7 @@ def level_difference(
         raise ResolutionError(
             f"difference level {level} outside [0, {system.axis.level})"
         )
-    off = system.offset_cells
-    fine = _average_along(f.values, pos, off, level + 1)
-    coarse = _average_along(f.values, pos, off, level)
+    coarse, fine = _stack(f.values, pos, system.offset_cells, range(level, level + 2))
     return f.with_values(fine - coarse)
 
 

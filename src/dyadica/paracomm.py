@@ -11,6 +11,13 @@ commutator combination, because every shift annihilates functions that
 are constant along its axis; that is why the expansion of the iterated
 shift commutator needs only the eight difference-carrying tags plus one
 explicit leftover term assembled from rectangle averages of the symbol.
+
+Everything multiscale here reads the rectangle tables of the factors
+(:func:`dyadica.haar.rectangle_table`): per axis a tag takes the level-k
+average A = T[k] or the difference D = T[k + 1] - T[k], a part is the sum
+over level pairs of the product of the two factors' slices, and the mean
+bucket and the leftover read the table's edges and entries.  A call that
+needs several parts builds each factor's table once.
 """
 
 from __future__ import annotations
@@ -20,12 +27,12 @@ from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
-from .analysis import bmo_prod_rect_norm, mixed_norm
+from .analysis import _system_pair, bmo_prod_rect_norm, mixed_norm
 from .dyadic import DyadicCube, DyadicSystem, ancestor
 from .errors import ContractError, ParameterError, ShapeError, SystemMismatchError
 from .fracops import ShiftCoefficientTable, partial_frac_integral
 from .grid import GridFunction, build_axis, grid_function
-from .haar import basis_column, haar_matrix, level_average, level_difference
+from .haar import basis_column, expectation_stack, haar_matrix, rectangle_table
 from .weights import apq_characteristic, bloom_weight, exponent_solve, power_weight
 
 __all__ = [
@@ -60,26 +67,40 @@ _TAG_KINDS = {
 PARAPRODUCT_TAGS = tuple(_TAG_KINDS)
 
 
-def _require_shared_axes(b: GridFunction, f: GridFunction, sys1, sys2):
+def _shared_pair(b: GridFunction, f: GridFunction, systems):
+    """The system pair of a bilinear form in (b, f), checked against both
+    factors' grids."""
+    sys1, sys2 = _system_pair(systems)
+    if sys2 is None:
+        raise ParameterError("paraproducts need a pair of dyadic systems")
     if b.ndim != 2 or f.ndim != 2:
         raise ShapeError("paraproducts need two-axis functions")
     if b.axes != f.axes:
         raise ShapeError("factors live on different grids")
     if sys1.axis != b.axes[0] or sys2.axis != b.axes[1]:
         raise SystemMismatchError("system axes do not match the function axes")
+    return sys1, sys2
 
 
-def _system_pair(systems) -> Tuple[DyadicSystem, DyadicSystem]:
-    pair = tuple(systems)
-    if len(pair) != 2 or not all(isinstance(s, DyadicSystem) for s in pair):
-        raise ParameterError("systems must be a pair of dyadic systems")
-    return pair
+def _scale_parts(g: GridFunction, sys1: DyadicSystem, sys2: DyadicSystem):
+    """The rectangle table of ``g`` and its four tagged slices: per axis,
+    ``A`` is the level-k average and ``D`` the level-k difference, for
+    k = 0 .. L - 1, indexed ``[k1, k2]``."""
+    T = rectangle_table(g, sys1, sys2)
+    A1, D1 = T[:-1], np.diff(T, axis=0)
+    parts = {
+        ("A", "A"): A1[:, :-1],
+        ("A", "D"): np.diff(A1, axis=1),
+        ("D", "A"): D1[:, :-1],
+        ("D", "D"): np.diff(D1, axis=1),
+    }
+    return T, parts
 
 
-def _axis_op(g: GridFunction, system: DyadicSystem, kind: str, k: int, axis_index: int):
-    if kind == "D":
-        return level_difference(g, system, k, axis_index)
-    return level_average(g, system, k, axis_index)
+def _tag_sum(tag: str, parts_b, parts_f) -> np.ndarray:
+    """Sum over both scales of the product of the tagged slices."""
+    kind_b, kind_f = _TAG_KINDS[tag]
+    return (parts_b[kind_b] * parts_f[kind_f]).sum(axis=(0, 1))
 
 
 def paraproduct(tag: str, b: GridFunction, f: GridFunction, systems) -> GridFunction:
@@ -90,49 +111,26 @@ def paraproduct(tag: str, b: GridFunction, f: GridFunction, systems) -> GridFunc
     """
     if tag not in _TAG_KINDS:
         raise ParameterError(f"unknown paraproduct tag {tag!r}")
-    sys1, sys2 = _system_pair(systems)
-    _require_shared_axes(b, f, sys1, sys2)
-    (b1, b2), (f1, f2) = _TAG_KINDS[tag]
-    acc = np.zeros_like(b.values)
-    for k1 in range(sys1.axis.level):
-        b_k1 = _axis_op(b, sys1, b1, k1, 1)
-        f_k1 = _axis_op(f, sys1, f1, k1, 1)
-        for k2 in range(sys2.axis.level):
-            acc += (
-                _axis_op(b_k1, sys2, b2, k2, 2).values
-                * _axis_op(f_k1, sys2, f2, k2, 2).values
-            )
-    return b.with_values(acc)
+    sys1, sys2 = _shared_pair(b, f, systems)
+    _, parts_b = _scale_parts(b, sys1, sys2)
+    _, parts_f = _scale_parts(f, sys1, sys2)
+    return b.with_values(_tag_sum(tag, parts_b, parts_f))
 
 
-def _mean_corrections(b, f, sys1, sys2) -> GridFunction:
-    """Cross products involving a whole-torus average in some axis.
+def _mean_corrections(Tb: np.ndarray, Tf: np.ndarray) -> np.ndarray:
+    """Cross products involving a whole-torus average in some axis, from
+    the rectangle tables of the two factors.
 
-    Seven terms: three with the second-axis averages of both factors,
-    three with the first-axis averages, and the product of the two grand
-    means; together they close the nine-part identity on the torus.
+    Seven terms: three along the row ``T[:, 0]`` (second-axis averages of
+    both factors), three along the column ``T[0, :]`` (first-axis
+    averages), and the product of the two grand means; together they close
+    the nine-part identity on the torus.
     """
-    acc = np.zeros_like(b.values)
-    b2, f2 = level_average(b, sys2, 0, 2), level_average(f, sys2, 0, 2)
-    for k1 in range(sys1.axis.level):
-        db, df = level_difference(b2, sys1, k1, 1).values, level_difference(
-            f2, sys1, k1, 1
-        ).values
-        ab, af = level_average(b2, sys1, k1, 1).values, level_average(
-            f2, sys1, k1, 1
-        ).values
-        acc += db * df + db * af + ab * df
-    b1, f1 = level_average(b, sys1, 0, 1), level_average(f, sys1, 0, 1)
-    for k2 in range(sys2.axis.level):
-        db, df = level_difference(b1, sys2, k2, 2).values, level_difference(
-            f1, sys2, k2, 2
-        ).values
-        ab, af = level_average(b1, sys2, k2, 2).values, level_average(
-            f1, sys2, k2, 2
-        ).values
-        acc += db * df + db * af + ab * df
-    acc += b.values.mean() * f.values.mean()
-    return b.with_values(acc)
+    acc = np.zeros(Tb.shape[2:])
+    for rb, rf in ((Tb[:, 0], Tf[:, 0]), (Tb[0, :], Tf[0, :])):
+        db, df = np.diff(rb, axis=0), np.diff(rf, axis=0)
+        acc += (db * df + db * rf[:-1] + rb[:-1] * df).sum(axis=0)
+    return acc + Tb[0, 0] * Tf[0, 0]
 
 
 @dataclass(frozen=True)
@@ -146,10 +144,14 @@ class DecompositionReport:
 
 def decompose_product(b: GridFunction, f: GridFunction, systems) -> DecompositionReport:
     """Split b*f into the nine tagged parts plus the mean bucket; exact."""
-    sys1, sys2 = _system_pair(systems)
-    _require_shared_axes(b, f, sys1, sys2)
-    parts = {tag: paraproduct(tag, b, f, systems) for tag in PARAPRODUCT_TAGS}
-    parts["mean"] = _mean_corrections(b, f, sys1, sys2)
+    sys1, sys2 = _shared_pair(b, f, systems)
+    Tb, parts_b = _scale_parts(b, sys1, sys2)
+    Tf, parts_f = _scale_parts(f, sys1, sys2)
+    parts = {
+        tag: b.with_values(_tag_sum(tag, parts_b, parts_f))
+        for tag in PARAPRODUCT_TAGS
+    }
+    parts["mean"] = b.with_values(_mean_corrections(Tb, Tf))
     total = sum(p.values for p in parts.values())
     residual = float(np.max(np.abs(b.values * f.values - total)))
     return DecompositionReport(parts=parts, residual=residual)
@@ -212,11 +214,8 @@ def telescope_terms(
     if depth < 0 or ancestor(I, depth) != K:
         raise ContractError(f"{I} is not contained in {K}")
     cells = I.cells()
-    terms = []
-    for r in range(1, depth + 1):
-        diff = level_difference(b, system, I.level - r)
-        terms.append(float(diff.values[cells].mean()))
-    return tuple(terms)
+    diffs = np.diff(expectation_stack(b, system), axis=0)
+    return tuple(float(diffs[I.level - r][cells].mean()) for r in range(1, depth + 1))
 
 
 # -- shift-level commutator expansion -------------------------------------
@@ -244,21 +243,15 @@ class CommutatorExpansion:
     residual: float
 
 
-def _leftover_term(b, f, table1, table2, sys1, sys2) -> GridFunction:
-    """Quadruple sum with the alternating rectangle averages of b.
+def _leftover_term(Tb, f, table1, table2, sys1, sys2) -> np.ndarray:
+    """Quadruple sum with the alternating rectangle averages of b, read
+    from its rectangle table ``Tb`` at each rectangle's start cells.
 
     For each source/target pair of each axis shift, the symbol enters only
     through -<b>_{IxS} + <b>_{IxT} + <b>_{JxS} - <b>_{JxT}."""
     H1, H2 = haar_matrix(sys1), haar_matrix(sys2)
     h1, h2 = sys1.axis.h, sys2.axis.h
     Fc = h1 * h2 * (H1.T @ f.values @ H2)
-    L1, L2 = sys1.axis.level, sys2.axis.level
-    # rectangle averages of b for every level pair, indexed by start cells
-    avg = {}
-    for k1 in range(L1 + 1):
-        g = level_average(b, sys1, k1, 1)
-        for k2 in range(L2 + 1):
-            avg[(k1, k2)] = level_average(g, sys2, k2, 2).values
 
     def triples(table):
         out = []
@@ -272,14 +265,14 @@ def _leftover_term(b, f, table1, table2, sys1, sys2) -> GridFunction:
     Ecoef = np.zeros((sys1.axis.n_cells, sys2.axis.n_cells))
     for a1, colI, colJ, kI, cI, kJ, cJ in t1:
         for a2, colS, colT, kS, cS, kT, cT in t2:
-            b_is = avg[(kI, kS)][cI, cS]
-            b_it = avg[(kI, kT)][cI, cT]
-            b_js = avg[(kJ, kS)][cJ, cS]
-            b_jt = avg[(kJ, kT)][cJ, cT]
+            b_is = Tb[kI, kS, cI, cS]
+            b_it = Tb[kI, kT, cI, cT]
+            b_js = Tb[kJ, kS, cJ, cS]
+            b_jt = Tb[kJ, kT, cJ, cT]
             Ecoef[colJ, colT] += (
                 a1 * a2 * (-b_is + b_it + b_js - b_jt) * Fc[colI, colS]
             )
-    return b.with_values(H1 @ Ecoef @ H2.T)
+    return H1 @ Ecoef @ H2.T
 
 
 def shift_commutator_expand(
@@ -296,8 +289,7 @@ def shift_commutator_expand(
     directly computed commutator (a finite identity, so the residual is
     rounding noise).
     """
-    sys1, sys2 = _system_pair(systems)
-    _require_shared_axes(b, f, sys1, sys2)
+    sys1, sys2 = _shared_pair(b, f, systems)
     i, j, lam1, table1 = shift1
     s, t, lam2, table2 = shift2
     if (i, j) != (table1.i, table1.j) or (s, t) != (table2.i, table2.j):
@@ -316,23 +308,26 @@ def shift_commutator_expand(
     def mul(g):
         return b.with_values(b.values * g.values)
 
-    pair = (sys1, sys2)
     direct = (
         s1(mul(s2(f))).values
         - s1(s2(mul(f))).values
         - mul(s2(s1(f))).values
         + s2(mul(s1(f))).values
     )
-    s2f, s1f, s2s1f = s2(f), s1(f), s2(s1(f))
+    Tb, parts_b = _scale_parts(b, sys1, sys2)
+    # one table per factor that the four commutator terms pair with b
+    parts_s2f, parts_f, parts_s2s1f, parts_s1f = (
+        _scale_parts(g, sys1, sys2)[1] for g in (s2(f), f, s2(s1(f)), s1(f))
+    )
     groups = {}
     for tag in PARAPRODUCT_TAGS[:-1]:  # A1..A8; the W group is the leftover
         groups[tag] = b.with_values(
-            s1(paraproduct(tag, b, s2f, pair)).values
-            - s1(s2(paraproduct(tag, b, f, pair))).values
-            - paraproduct(tag, b, s2s1f, pair).values
-            + s2(paraproduct(tag, b, s1f, pair)).values
+            M1 @ _tag_sum(tag, parts_b, parts_s2f)
+            - M1 @ (_tag_sum(tag, parts_b, parts_f) @ M2.T)
+            - _tag_sum(tag, parts_b, parts_s2s1f)
+            + _tag_sum(tag, parts_b, parts_s1f) @ M2.T
         )
-    e_term = _leftover_term(b, f, table1, table2, sys1, sys2)
+    e_term = b.with_values(_leftover_term(Tb, f, table1, table2, sys1, sys2))
     total = e_term.values + sum(g.values for g in groups.values())
     residual = float(np.max(np.abs(direct - total)))
     return CommutatorExpansion(

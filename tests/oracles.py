@@ -66,23 +66,34 @@ def pair_integral_quad(width, delta, lam, wrap=True, tol=1e-11):
 
 
 def power_cell_average_quad(level, cell, alpha, center, tol=1e-11):
-    """Cell average of d(x, center)**alpha by adaptive quadrature."""
+    """Cell average of d(x, center)**alpha by adaptive quadrature.
+
+    The cell is cut at the singular points center + k and at the kinks
+    center + 1/2 + k.  A piece that ends at a singular point s is the
+    integral of |x - s|**alpha, which QUADPACK's algebraic endpoint weight
+    (``weight="alg"``) takes exactly; plain adaptive quadrature does not
+    converge there for negative alpha.
+    """
     n = 1 << level
     h = 1.0 / n
     a, b = cell * h, (cell + 1) * h
-    pts = []
-    for k in (-1, 0, 1):
-        for s in (center, center + 0.5):
-            t = s + k
-            if a < t < b:
-                pts.append(t)
+    singular = [center + k for k in (-1, 0, 1)]
+    kinks = [center + 0.5 + k for k in (-1, 0, 1)]
+    edges = sorted({a, b} | {t for t in singular + kinks if a < t < b})
 
     def f(x):
         return torus_dist(x - center) ** alpha
 
-    val, _ = integrate.quad(f, a, b, points=sorted(set(pts)) or None,
-                            limit=200, epsabs=tol, epsrel=tol)
-    return val / h
+    total = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        if lo in singular or hi in singular:
+            wvar = (alpha if lo in singular else 0.0, alpha if hi in singular else 0.0)
+            val, _ = integrate.quad(lambda x: 1.0, lo, hi, weight="alg", wvar=wvar,
+                                    epsabs=tol, epsrel=tol)
+        else:
+            val, _ = integrate.quad(f, lo, hi, limit=200, epsabs=tol, epsrel=tol)
+        total += val
+    return total / h
 
 
 # ---------------------------------------------------------------------------
@@ -334,3 +345,86 @@ def martingale_diff_brute(values, n, level, index, offset_cells):
         for c in part:
             out[c] = pm - cube_mean
     return out
+
+
+# ---------------------------------------------------------------------------
+# paraproducts (the nested loop over scales, one average per level)
+
+
+def level_average_brute(values, axis, level, offset_cells):
+    """Level-`level` conditional expectation along array `axis`, one cube of
+    the shifted lattice at a time."""
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    n = v.shape[0]
+    out = np.empty_like(v)
+    for m in range(1 << level):
+        cells = cube_cells(n, level, m, offset_cells)
+        out[cells] = v[cells].mean(axis=0)
+    return np.moveaxis(out, 0, axis)
+
+
+def level_difference_brute(values, axis, level, offset_cells):
+    return level_average_brute(values, axis, level + 1, offset_cells) - (
+        level_average_brute(values, axis, level, offset_cells)
+    )
+
+
+# per tag: (left factor, right factor) scale kinds per axis, D = difference,
+# A = average at the summation level
+PARAPRODUCT_KINDS = {
+    "A1": (("D", "D"), ("D", "D")),
+    "A2": (("D", "D"), ("A", "D")),
+    "A3": (("D", "D"), ("D", "A")),
+    "A4": (("D", "D"), ("A", "A")),
+    "A5": (("A", "D"), ("D", "D")),
+    "A6": (("A", "D"), ("D", "A")),
+    "A7": (("D", "A"), ("D", "D")),
+    "A8": (("D", "A"), ("A", "D")),
+    "W": (("A", "A"), ("D", "D")),
+}
+
+
+def _scale_op(values, axis, kind, level, offset_cells):
+    if kind == "D":
+        return level_difference_brute(values, axis, level, offset_cells)
+    return level_average_brute(values, axis, level, offset_cells)
+
+
+def paraproduct_brute(tag, b, f, offset1, offset2):
+    """Tagged paraproduct of two cell tables: the sum over both scales of
+    the product of the tagged scale components, accumulated level pair by
+    level pair."""
+    b, f = np.asarray(b, dtype=float), np.asarray(f, dtype=float)
+    L1, L2 = b.shape[0].bit_length() - 1, b.shape[1].bit_length() - 1
+    (b1, b2), (f1, f2) = PARAPRODUCT_KINDS[tag]
+    acc = np.zeros_like(b)
+    for k1 in range(L1):
+        b_k1 = _scale_op(b, 0, b1, k1, offset1)
+        f_k1 = _scale_op(f, 0, f1, k1, offset1)
+        for k2 in range(L2):
+            acc += _scale_op(b_k1, 1, b2, k2, offset2) * _scale_op(
+                f_k1, 1, f2, k2, offset2
+            )
+    return acc
+
+
+def mean_corrections_brute(b, f, offset1, offset2):
+    """Mean bucket of the product split: the cross products with a
+    whole-torus average in some axis, plus the product of the grand means."""
+    b, f = np.asarray(b, dtype=float), np.asarray(f, dtype=float)
+    L1, L2 = b.shape[0].bit_length() - 1, b.shape[1].bit_length() - 1
+    acc = np.zeros_like(b)
+    for axis, (offset, other), levels in (
+        (0, (offset1, offset2), L1),
+        (1, (offset2, offset1), L2),
+    ):
+        bm = level_average_brute(b, 1 - axis, 0, other)
+        fm = level_average_brute(f, 1 - axis, 0, other)
+        for k in range(levels):
+            db = level_difference_brute(bm, axis, k, offset)
+            df = level_difference_brute(fm, axis, k, offset)
+            ab = level_average_brute(bm, axis, k, offset)
+            af = level_average_brute(fm, axis, k, offset)
+            acc += db * df + db * af + ab * df
+    acc += b.mean() * f.mean()
+    return acc

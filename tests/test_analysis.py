@@ -28,7 +28,7 @@ from dyadica.grid import (
     l2_norm,
     tabulate_midpoint,
 )
-from dyadica.haar import haar_function, level_average
+from dyadica.haar import haar_function, level_average, level_difference
 from dyadica.weights import ProductWeight, Weight, power_weight
 
 from oracles import bmo_prod_brute, dyadic_rect_maximal_brute, strong_maximal_brute
@@ -295,6 +295,26 @@ def test_square_function_axis_mode_plancherel():
     f = f - level_average(f, sys1, 0, axis_index=1)
     s = square_function(f, sys1, "axis1")
     assert abs(l2_norm(s) - l2_norm(f)) <= 1e-12 * l2_norm(f)
+
+
+def test_square_function_axis_and_rect_match_level_difference_loops():
+    ax1, ax2 = build_axis(4), build_axis(3)
+    sys1, sys2 = DyadicSystem(ax1, 5), DyadicSystem(ax2, 7)
+    f = rand_f(np.random.default_rng(12), ax1, ax2)
+    scale = float(np.max(np.abs(f.values)))
+    for mode, axis_index, system in (("axis1", 1, sys1), ("axis2", 2, sys2)):
+        acc = np.zeros_like(f.values)
+        for k in range(system.axis.level):
+            acc += level_difference(f, system, k, axis_index).values ** 2
+        s = square_function(f, (sys1, sys2), mode).values
+        assert np.max(np.abs(s - np.sqrt(acc))) <= 1e-13 * scale
+    acc = np.zeros_like(f.values)
+    for k1 in range(ax1.level):
+        d1 = level_difference(f, sys1, k1, axis_index=1)
+        for k2 in range(ax2.level):
+            acc += level_difference(d1, sys2, k2, axis_index=2).values ** 2
+    s = square_function(f, (sys1, sys2), "rect").values
+    assert np.max(np.abs(s - np.sqrt(acc))) <= 1e-13 * scale
 
 
 def test_square_function_l2_contraction():

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -333,3 +337,24 @@ def test_main_reports_config_errors(tmp_path, capsys):
     code = main(["norms", "--config", str(bad), "--seed", "1"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_command(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "dyadica", *args],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    proc = run("--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "usage" in proc.stdout
+    # the exit code of main() is the process's
+    assert run("norms", "--config", str(tmp_path / "absent.json")).returncode == 2

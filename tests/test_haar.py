@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyadica import dyadic, errors, grid, haar
@@ -228,6 +228,41 @@ def test_level_average_endpoints(rng):
 
 # ---------------------------------------------------------------------------
 # martingale blocks
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(0, 63),
+    st.integers(0, 63),
+    st.integers(0, 2**32 - 1),
+)
+@example(6, 6, 63, 63, 0)
+@example(6, 2, 1, 3, 1)
+def test_stack_and_table_match_nested_level_average_bitwise(L1, L2, o1, o2, seed):
+    a1, a2 = grid.build_axis(L1), grid.build_axis(L2)
+    s1 = dyadic.DyadicSystem(a1, o1 % a1.n_cells)
+    s2 = dyadic.DyadicSystem(a2, o2 % a2.n_cells)
+    vals = np.random.default_rng(seed).normal(size=(a1.n_cells, a2.n_cells))
+    f = grid.grid_function(vals, a1, a2)
+    for axis_index, s in ((1, s1), (2, s2)):
+        stack = haar.expectation_stack(f, s, axis_index)
+        assert stack.shape == (s.axis.level + 1,) + vals.shape
+        for k in range(s.axis.level + 1):
+            ref = haar.level_average(f, s, k, axis_index).values
+            assert np.array_equal(stack[k], ref)
+    row = grid.grid_function(vals[:, 0], a1)
+    stack = haar.expectation_stack(row, s1)
+    for k in range(L1 + 1):
+        assert np.array_equal(stack[k], haar.level_average(row, s1, k).values)
+    table = haar.rectangle_table(f, s1, s2)
+    assert table.shape == (L1 + 1, L2 + 1) + vals.shape
+    for k1 in range(L1 + 1):
+        g = haar.level_average(f, s1, k1, axis_index=1)
+        for k2 in range(L2 + 1):
+            ref = haar.level_average(g, s2, k2, axis_index=2).values
+            assert np.array_equal(table[k1, k2], ref)
 
 
 def test_block_depth0_matches_oracle(rng):

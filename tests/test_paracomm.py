@@ -3,7 +3,7 @@ shift-level commutator expansion, and the ratio experiment."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyadica.dyadic import DyadicCube, DyadicSystem, ancestor
@@ -32,6 +32,8 @@ from dyadica.paracomm import (
     shift_commutator_expand,
     telescope_terms,
 )
+
+from oracles import mean_corrections_brute, paraproduct_brute
 
 
 def system_pair(level, off1=0, off2=0):
@@ -64,6 +66,10 @@ def test_paraproduct_validation():
         paraproduct("A9", f, f, (s1, s2))
     with pytest.raises(ParameterError):
         paraproduct("A1", f, f, (s1,))
+    with pytest.raises(ParameterError):
+        paraproduct("A1", f, f, s1)
+    with pytest.raises(ParameterError):
+        decompose_product(f, f, s1)
     one_axis = grid_function(np.ones(8), s1.axis)
     with pytest.raises(ShapeError):
         paraproduct("A1", one_axis, one_axis, (s1, s2))
@@ -117,6 +123,33 @@ def test_paraproduct_bilinear():
             - 3.0 * paraproduct(tag, b2, f, (s1, s2)).values
         )
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.integers(0, 31),
+    st.integers(0, 31),
+    st.integers(0, 2**32 - 1),
+)
+@example(5, 5, 31, 31, 0)
+@example(1, 5, 1, 30, 1)
+def test_paraproducts_match_nested_loop_reference(L1, L2, off1, off2, seed):
+    s1 = DyadicSystem(build_axis(L1), off1 % (1 << L1))
+    s2 = DyadicSystem(build_axis(L2), off2 % (1 << L2))
+    rng = np.random.default_rng(seed)
+    b, f = rand_f(rng, s1, s2), rand_f(rng, s1, s2)
+    scale = float(np.max(np.abs(b.values)) * np.max(np.abs(f.values)))
+    o1, o2 = s1.offset_cells, s2.offset_cells
+    parts = decompose_product(b, f, (s1, s2)).parts
+    for tag in PARAPRODUCT_TAGS:
+        ref = paraproduct_brute(tag, b.values, f.values, o1, o2)
+        assert np.max(np.abs(parts[tag].values - ref)) <= 1e-13 * scale
+        single = paraproduct(tag, b, f, (s1, s2)).values
+        assert np.max(np.abs(single - ref)) <= 1e-13 * scale
+    ref = mean_corrections_brute(b.values, f.values, o1, o2)
+    assert np.max(np.abs(parts["mean"].values - ref)) <= 1e-13 * scale
 
 
 # -- product decomposition ------------------------------------------------
