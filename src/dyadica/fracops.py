@@ -8,6 +8,10 @@ coefficients, the four-way positional classification of cube pairs,
 coefficient tables for shift operators with the canonical size bound, the
 pointwise domination scan, and a verification harness that checks the
 bilinear expansion identity and measures per-class coefficient constants.
+
+The harness does the offset-free work (Haar-basis kernel matrix, goodness,
+pair classes) once, on the offset-0 lattice; each system adds only its
+column of Haar coefficients (see :func:`verify_representation`).
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .errors import (
     SystemMismatchError,
 )
 from .grid import (
+    Axis,
     GridFunction,
     _check_lambda,
     grid_function,
@@ -301,80 +306,71 @@ def _int_bit_length(x: np.ndarray) -> np.ndarray:
     return np.frexp(x.astype(float))[1]
 
 
-def _scan_system(
-    system: DyadicSystem,
+_TAGS = ("out", "near", "shallow_in", "deep_in")
+
+
+def _scan_lattice(
+    axis: Axis,
     lam: float,
     params: GoodParams,
-    profiles: Dict[str, Dict[Tuple[int, int], float]],
-    counts: Dict[str, int],
-    energies: Dict[Tuple[int, int], float],
-    cf: np.ndarray,
-    cg: np.ndarray,
     M: np.ndarray,
-) -> None:
-    """Accumulate class profiles, counts and energies from every ordered
-    cube pair of one system (vectorized per level pair)."""
-    L = system.axis.level
-    n = system.axis.n_cells
-    good = [~bad_mask(system, k, params) for k in range(L)]
+    CF: np.ndarray,
+    CG: np.ndarray,
+) -> Tuple[dict, Dict[str, int], dict]:
+    """Class profiles and counts of the offset-0 lattice, and depth-pair
+    energies of a batch of systems, one level-pair block at a time.
+
+    ``M`` is the kernel in the Haar basis, ``CF``/``CG`` hold one column of
+    Haar coefficients per system.  The energy of depth pair (i, j) sums
+    ``|cg_J M_JI cf_I|`` over systems and over the cube pairs (I, J) lying i
+    and j levels below their join; classes count and profile size-ordered
+    pairs whose smaller cube is good.
+    """
+    L = axis.level
+    n = axis.n_cells
+    width = (L + 1) ** 2
+    energy = np.zeros(width)
+    counts = np.zeros(len(_TAGS), dtype=np.int64)
+    peaks = np.zeros(len(_TAGS) * width)
+    aF, aG = np.abs(CF), np.abs(CG)
+    lattice = DyadicSystem(axis, 0)
 
     for kI in range(L):
         wI = n >> kI
-        mI = np.arange(1 << kI)
+        a = np.arange(1 << kI)  # I index, along block columns
+        good_I = ~bad_mask(lattice, kI, params)
+        colI = slice(1 << kI, 2 << kI)
         for kJ in range(L):
             wJ = n >> kJ
-            mJ = np.arange(1 << kJ)
-            A, B = np.meshgrid(mI, mJ, indexing="ij")
-            A = A.ravel()
-            B = B.ravel()
+            b = np.arange(1 << kJ)[:, None]  # J index, along block rows
+            colJ = slice(1 << kJ, 2 << kJ)
             lo = min(kI, kJ)
-            x = (A >> (kI - lo)) ^ (B >> (kJ - lo))
+            x = (a >> (kI - lo)) ^ (b >> (kJ - lo))
             kK = lo - _int_bit_length(x)
-            i = kI - kK
-            j = kJ - kK
-
-            colI = (1 << kI) + A
-            colJ = (1 << kJ) + B
-            raw = M[colJ, colI]
-            contrib = np.abs(cg[colJ] * raw * cf[colI])
-            flat = i * (L + 1) + j
-            sums = np.bincount(flat, weights=contrib, minlength=(L + 1) ** 2)
-            for idx in np.nonzero(sums)[0]:
-                key = (int(idx) // (L + 1), int(idx) % (L + 1))
-                energies[key] = energies.get(key, 0.0) + float(sums[idx])
+            flat = (kI - kK) * (L + 1) + (kJ - kK)
+            raw = np.abs(M[colJ, colI])
+            contrib = raw * (aG[colJ] @ aF[colI].T)
+            energy += np.bincount(flat.ravel(), contrib.ravel(), minlength=width)
 
             if kI < kJ:
                 continue  # classes are measured on size-ordered pairs only
 
-            good_I = good[kI][A]
-            contained = x == 0
             depth = kI - kJ
-            normalized = np.abs(raw) * 2.0 ** (0.5 * (kI + kJ)) * 2.0 ** (-lam * kK)
-
-            sI = (system.offset_cells + A * wI) % n
-            sJ = (system.offset_cells + B * wJ) % n
-            d1 = (sJ - sI - wI) % n
-            d2 = (sI - sJ - wJ) % n
-            gap = np.minimum(d1, d2)
+            normalized = raw * 2.0 ** (0.5 * (kI + kJ)) * 2.0 ** (-lam * kK)
+            gap = np.minimum((b * wJ - a * wI - wI) % n, (a * wI - b * wJ - wJ) % n)
             within = _within_threshold(gap, L, kJ, depth, params.gamma)
+            # index into _TAGS: out 0, near 1, shallow_in 2, deep_in 3
+            tag = np.where(x == 0, 2 + int(depth > params.r), within.astype(int))
+            sel = np.broadcast_to(good_I, tag.shape)
+            counts += np.bincount(tag[sel], minlength=len(_TAGS))
+            np.maximum.at(peaks, tag[sel] * width + flat[sel], normalized[sel])
 
-            masks = {
-                "shallow_in": contained & (depth <= params.r),
-                "deep_in": contained & (depth > params.r),
-                "near": ~contained & within,
-                "out": ~contained & ~within,
-            }
-            for tag, mask in masks.items():
-                sel = mask & good_I
-                if not np.any(sel):
-                    continue
-                counts[tag] += int(sel.sum())
-                prof = profiles[tag]
-                for key in {(int(a), int(b)) for a, b in zip(i[sel], j[sel])}:
-                    block = sel & (i == key[0]) & (j == key[1])
-                    val = float(normalized[block].max())
-                    if val > prof.get(key, 0.0):
-                        prof[key] = val
+    profiles = {tag: {} for tag in _TAGS}
+    for idx in np.nonzero(peaks)[0]:
+        t, label = divmod(int(idx), width)
+        profiles[_TAGS[t]][divmod(label, L + 1)] = float(peaks[idx])
+    energies = {divmod(int(idx), L + 1): float(energy[idx]) for idx in np.nonzero(energy)[0]}
+    return profiles, dict(zip(_TAGS, counts.tolist())), energies
 
 
 def verify_representation(
@@ -393,6 +389,13 @@ def verify_representation(
     per-depth-pair energy split, and for every positional class the largest
     normalized coefficient over pairs whose smaller cube is good (classes
     out and deep_in weighted by ``2**(max(i,j)/2)`` to expose their decay).
+
+    Offset o shifts cells cyclically, ``H_o[(c + o) mod n] = H_0[c]``, and
+    the kernel matrix G is circulant, so ``M = H_o.T G H_o`` is the offset-0
+    M and goodness and classes ignore o: M, class profiles and counts come
+    from the offset-0 lattice, exact up to rounding (counts times the number
+    of systems).  Each system's coefficients ``h H_0.T f[(c + o) mod n]``
+    come from one batched product.  Systems are validated before any work.
     """
     _check_lambda(lam)
     if len(f.axes) != 1 or len(g.axes) != 1 or f.axes != g.axes:
@@ -405,36 +408,24 @@ def verify_representation(
             "verify_representation needs mean-zero inputs; subtract the cell "
             "mean (f - f.mean()) before calling"
         )
-
     axis = f.axes[0]
-    G = kernel_matrix(axis, lam)
-    lhs = inner_product(g, frac_integral(f, lam))
+    systems = list(systems)
+    if any(system.axis != axis for system in systems):
+        raise SystemMismatchError("system axis does not match the functions")
 
-    residuals = []
-    relatives = []
-    profiles: Dict[str, Dict[Tuple[int, int], float]] = {
-        "out": {},
-        "near": {},
-        "shallow_in": {},
-        "deep_in": {},
-    }
-    counts = {tag: 0 for tag in profiles}
-    energies: Dict[Tuple[int, int], float] = {}
-
-    n_systems = 0
-    for system in systems:
-        if system.axis != axis:
-            raise SystemMismatchError("system axis does not match the functions")
-        n_systems += 1
-        H = haar_matrix(system)
-        M = H.T @ G @ H
-        cf = axis.h * (H.T @ f.values)
-        cg = axis.h * (H.T @ g.values)
-        total = float(cg[1:] @ M[1:, 1:] @ cf[1:])
-        res = abs(lhs - total)
-        residuals.append(res)
-        relatives.append(res / scale)
-        _scan_system(system, lam, params, profiles, counts, energies, cf, cg, M)
+    residuals, energies = np.zeros(0), {}
+    profiles, counts = {tag: {} for tag in _TAGS}, dict.fromkeys(_TAGS, 0)
+    if systems:
+        n = axis.n_cells
+        H = haar_matrix(DyadicSystem(axis, 0))
+        M = H.T @ kernel_matrix(axis, lam) @ H
+        cells = (np.arange(n)[:, None] + [s.offset_cells for s in systems]) % n
+        CF = axis.h * (H.T @ f.values[cells])
+        CG = axis.h * (H.T @ g.values[cells])
+        lhs = inner_product(g, frac_integral(f, lam))
+        residuals = np.abs(lhs - (CG[1:] * (M[1:, 1:] @ CF[1:])).sum(axis=0))
+        profiles, counts, energies = _scan_lattice(axis, lam, params, M, CF, CG)
+        counts = {tag: c * len(systems) for tag, c in counts.items()}
 
     constants = {}
     for tag, prof in profiles.items():
@@ -450,11 +441,11 @@ def verify_representation(
     return RepresentationReport(
         lam=lam,
         params=params,
-        n_systems=n_systems,
-        residuals=tuple(residuals),
-        relative_residuals=tuple(relatives),
+        n_systems=len(systems),
+        residuals=tuple(residuals.tolist()),
+        relative_residuals=tuple((residuals / scale).tolist()),
         pair_energies=energies,
-        class_profiles={tag: dict(prof) for tag, prof in profiles.items()},
+        class_profiles=profiles,
         class_constants=constants,
         class_counts=counts,
     )

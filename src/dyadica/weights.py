@@ -60,7 +60,11 @@ class Weight:
 
     def power(self, exponent: float) -> "Weight":
         """Entrywise power (the discrete surrogate for pointwise powers)."""
-        return Weight(self.base.with_values(self.values**exponent))
+        with np.errstate(over="ignore"):
+            vals = self.values**exponent
+        if not np.all(np.isfinite(vals)):
+            raise ParameterError(f"w**{exponent!r} is not finite: the power overflows")
+        return Weight(self.base.with_values(vals))
 
 
 @dataclass(frozen=True)

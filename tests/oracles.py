@@ -8,7 +8,10 @@ by a different route than the package takes:
   of the closed-form second antiderivative;
 * weight characteristics and maximal functions use naive double/quadruple
   loops over explicit index sets instead of prefix sums or factorizations;
-* goodness uses exact rational arithmetic over all (I, J) pairs.
+* goodness uses exact rational arithmetic over all (I, J) pairs;
+* the representation scan builds every lattice's own Haar matrix and
+  Haar-basis kernel matrix and scans its cube pairs system by system,
+  instead of once on the offset-0 lattice.
 
 Keep it slow and obvious.
 """
@@ -19,6 +22,11 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
+
+from dyadica.dyadic import _within_threshold, bad_mask
+from dyadica.fracops import RepresentationReport, frac_integral
+from dyadica.grid import inner_product, kernel_matrix, l2_norm
+from dyadica.haar import haar_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -428,3 +436,125 @@ def mean_corrections_brute(b, f, offset1, offset2):
             acc += db * df + db * af + ab * df
     acc += b.mean() * f.mean()
     return acc
+
+
+# ---------------------------------------------------------------------------
+# representation identity
+
+
+def _scan_system_brute(system, lam, params, profiles, counts, energies, cf, cg, M):
+    """Accumulate class profiles, counts and energies from every ordered
+    cube pair of one system (vectorized per level pair)."""
+    L = system.axis.level
+    n = system.axis.n_cells
+    good = [~bad_mask(system, k, params) for k in range(L)]
+
+    for kI in range(L):
+        wI = n >> kI
+        mI = np.arange(1 << kI)
+        for kJ in range(L):
+            wJ = n >> kJ
+            mJ = np.arange(1 << kJ)
+            A, B = np.meshgrid(mI, mJ, indexing="ij")
+            A = A.ravel()
+            B = B.ravel()
+            lo = min(kI, kJ)
+            x = (A >> (kI - lo)) ^ (B >> (kJ - lo))
+            kK = lo - np.frexp(x.astype(float))[1]
+            i = kI - kK
+            j = kJ - kK
+
+            colI = (1 << kI) + A
+            colJ = (1 << kJ) + B
+            raw = M[colJ, colI]
+            contrib = np.abs(cg[colJ] * raw * cf[colI])
+            flat = i * (L + 1) + j
+            sums = np.bincount(flat, weights=contrib, minlength=(L + 1) ** 2)
+            for idx in np.nonzero(sums)[0]:
+                key = (int(idx) // (L + 1), int(idx) % (L + 1))
+                energies[key] = energies.get(key, 0.0) + float(sums[idx])
+
+            if kI < kJ:
+                continue  # classes are measured on size-ordered pairs only
+
+            good_I = good[kI][A]
+            contained = x == 0
+            depth = kI - kJ
+            normalized = np.abs(raw) * 2.0 ** (0.5 * (kI + kJ)) * 2.0 ** (-lam * kK)
+
+            sI = (system.offset_cells + A * wI) % n
+            sJ = (system.offset_cells + B * wJ) % n
+            d1 = (sJ - sI - wI) % n
+            d2 = (sI - sJ - wJ) % n
+            gap = np.minimum(d1, d2)
+            within = _within_threshold(gap, L, kJ, depth, params.gamma)
+
+            masks = {
+                "shallow_in": contained & (depth <= params.r),
+                "deep_in": contained & (depth > params.r),
+                "near": ~contained & within,
+                "out": ~contained & ~within,
+            }
+            for tag, mask in masks.items():
+                sel = mask & good_I
+                if not np.any(sel):
+                    continue
+                counts[tag] += int(sel.sum())
+                prof = profiles[tag]
+                for key in {(int(a), int(b)) for a, b in zip(i[sel], j[sel])}:
+                    block = sel & (i == key[0]) & (j == key[1])
+                    val = float(normalized[block].max())
+                    if val > prof.get(key, 0.0):
+                        prof[key] = val
+
+
+def verify_representation_brute(f, g, lam, params, systems):
+    """The representation report system by system: each lattice gets its own
+    Haar matrix H, its own ``M = H.T G H``, its own coefficients and its own
+    class scan, and the per-system results are accumulated."""
+    axis = f.axes[0]
+    scale = max(l2_norm(f) * l2_norm(g), 1e-300)
+    G = kernel_matrix(axis, lam)
+    lhs = inner_product(g, frac_integral(f, lam))
+
+    residuals = []
+    relatives = []
+    profiles = {"out": {}, "near": {}, "shallow_in": {}, "deep_in": {}}
+    counts = {tag: 0 for tag in profiles}
+    energies = {}
+
+    n_systems = 0
+    for system in systems:
+        n_systems += 1
+        H = haar_matrix(system)
+        M = H.T @ G @ H
+        cf = axis.h * (H.T @ f.values)
+        cg = axis.h * (H.T @ g.values)
+        total = float(cg[1:] @ M[1:, 1:] @ cf[1:])
+        res = abs(lhs - total)
+        residuals.append(res)
+        relatives.append(res / scale)
+        _scan_system_brute(system, lam, params, profiles, counts, energies, cf, cg, M)
+
+    constants = {}
+    for tag, prof in profiles.items():
+        if not prof:
+            continue
+        if tag in ("out", "deep_in"):
+            constants[tag] = max(
+                v * 2.0 ** (0.5 * max(i, j)) for (i, j), v in prof.items()
+            )
+        else:
+            constants[tag] = max(prof.values())
+
+    return RepresentationReport(
+        lam=lam,
+        params=params,
+        n_systems=n_systems,
+        residuals=tuple(residuals),
+        relative_residuals=tuple(relatives),
+        pair_energies=energies,
+        class_profiles=profiles,
+        class_constants=constants,
+        class_counts=counts,
+    )

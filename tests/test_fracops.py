@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dyadica import dyadic, errors, fracops, grid, haar
 
@@ -345,6 +347,99 @@ def test_representation_empty_systems(rng):
     assert rep.residuals == ()
 
 
+def test_representation_validates_every_system_before_any_work(rng, monkeypatch):
+    ax = grid.build_axis(4)
+    f = mean_zero(rng, 16, ax)
+    systems = [dyadic.DyadicSystem(ax, off) for off in (0, 3, 9)] + [offset0(5)]
+
+    def no_work(*args):
+        raise AssertionError("matrix work started before the systems were validated")
+
+    monkeypatch.setattr(fracops, "kernel_matrix", no_work)
+    monkeypatch.setattr(fracops, "haar_matrix", no_work)
+    with pytest.raises(errors.SystemMismatchError):
+        fracops.verify_representation(f, f, 0.5, dyadic.GoodParams(), systems)
+
+
+@pytest.mark.parametrize("lam", (0.3, 0.7))
+def test_haar_basis_kernel_and_goodness_are_offset_invariant(lam):
+    # a lattice offset permutes cells cyclically and the kernel is
+    # circulant, so H.T G H and the goodness flags do not see the offset
+    ax = grid.build_axis(8)
+    G = grid.kernel_matrix(ax, lam)
+    base = offset0(8)
+    H0 = haar.haar_matrix(base)
+    M0 = H0.T @ G @ H0
+    for off in (1, 5, 77, 200):
+        sys = dyadic.DyadicSystem(ax, off)
+        H = haar.haar_matrix(sys)
+        assert np.max(np.abs(H.T @ G @ H - M0)) <= 1e-14 * np.max(np.abs(M0))
+        for params in (dyadic.GoodParams(3, dyadic.default_gamma(lam)),
+                       dyadic.GoodParams(4, 7 / 16)):
+            for level in range(ax.level + 1):
+                assert np.array_equal(
+                    dyadic.bad_mask(sys, level, params),
+                    dyadic.bad_mask(base, level, params),
+                )
+
+
+def _assert_close_maps(got, want, rel):
+    # an entry that vanishes in exact arithmetic is rounding noise of the
+    # map's largest entry, so it is compared at 1e-14 of that entry; at L=3
+    # the depth-(1, 0) contained profile can hold only halves of the whole
+    # circle, whose coefficients cancel by symmetry
+    assert set(got) == set(want)
+    floor = 1e-14 * max(want.values(), default=0.0)
+    for key, value in want.items():
+        assert abs(got[key] - value) <= max(rel * abs(value), floor)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(3, 7),
+    st.sampled_from((0.3, 0.5, 0.7)),
+    st.sampled_from((7 / 16, dyadic.default_gamma(0.3), 1 / 3)),
+    st.integers(1, 4),
+    st.sampled_from(("subset", "duplicates", "lone", "generator", "empty")),
+    st.integers(0, 2**32 - 1),
+)
+@example(7, 0.5, 7 / 16, 3, "duplicates", 11)
+@example(7, 0.3, dyadic.default_gamma(0.3), 1, "generator", 12)
+def test_representation_matches_per_system_reference(L, lam, gamma, r, kind, seed):
+    # the offset-0 scan with batched coefficients reports what the
+    # system-by-system loop reports
+    ax = grid.build_axis(L)
+    n = ax.n_cells
+    rng = np.random.default_rng(seed)
+    f, g = mean_zero(rng, n, ax), mean_zero(rng, n, ax)
+    params = dyadic.GoodParams(r, gamma)
+    subset = rng.choice(n, size=int(rng.integers(1, min(n, 12) + 1)), replace=False)
+    offsets = {
+        "subset": subset,
+        "duplicates": np.concatenate([subset, subset[:3], [subset[0]]]),
+        "lone": [int(rng.integers(1, n))],
+        "generator": subset,
+        "empty": [],
+    }[kind]
+
+    def make():
+        return (dyadic.DyadicSystem(ax, int(off)) for off in offsets)
+
+    got = fracops.verify_representation(
+        f, g, lam, params, make() if kind == "generator" else list(make())
+    )
+    want = oracles.verify_representation_brute(f, g, lam, params, make())
+    assert got.class_counts == want.class_counts
+    assert set(got.class_profiles) == set(want.class_profiles)
+    for tag, prof in want.class_profiles.items():
+        _assert_close_maps(got.class_profiles[tag], prof, 1e-12)
+    _assert_close_maps(got.class_constants, want.class_constants, 1e-12)
+    _assert_close_maps(got.pair_energies, want.pair_energies, 1e-12)
+    assert got.n_systems == want.n_systems == len(offsets)
+    assert len(got.residuals) == len(got.relative_residuals) == len(want.residuals)
+    assert all(rel <= 1e-12 for rel in got.relative_residuals)
+
+
 def test_representation_rejects_nonzero_mean():
     ax = grid.build_axis(4)
     f = grid.constant_function(1.0, ax)
@@ -391,11 +486,9 @@ def test_scan_system_classes_agree_with_classify_pair(gamma):
     for L in (7, 8):
         n = 1 << L
         sys = dyadic.DyadicSystem(grid.build_axis(L), 21 % n)
-        counts = {tag: 0 for tag in ("out", "near", "shallow_in", "deep_in")}
-        profiles = {tag: {} for tag in counts}
-        ones = np.ones(n)
-        fracops._scan_system(
-            sys, 0.5, params, profiles, counts, {}, ones, ones, np.ones((n, n))
+        ones = np.ones((n, 1))
+        _, counts, _ = fracops._scan_lattice(
+            sys.axis, 0.5, params, np.ones((n, n)), ones, ones
         )
         want = dict.fromkeys(counts, 0)
         for kI in range(L):

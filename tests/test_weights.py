@@ -53,6 +53,13 @@ def test_weight_power_is_entrywise():
     assert np.array_equal(w.power(-2.0).values, w.values**-2.0)
 
 
+def test_weight_power_overflow_names_the_exponent():
+    axis = build_axis(3)
+    w = Weight(grid_function(np.full(8, 1e10), axis))
+    with pytest.raises(ParameterError, match=r"w\*\*40\.0 is not finite"):
+        w.power(40.0)
+
+
 def test_product_weight_evaluates_to_outer_product():
     ax1, ax2 = build_axis(2), build_axis(3)
     rng = np.random.default_rng(1)
