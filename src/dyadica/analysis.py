@@ -3,11 +3,13 @@ product-BMO norm.
 
 The strong maximal function scans every grid-aligned (wrap-aware) arc
 rectangle one window shape at a time: the mean of every window, then per
-cell the largest mean of a window containing it.  Up to 256 cells the
-means come from one gather per shape, reduced like a naive block mean and
-so bit-reproducible against a loop over rectangles; larger grids take
-them from prefix sums, which agree to rounding.  The bi-parameter dyadic
-maximal function gathers its rectangles the same way at every size.
+cell the largest mean of a window containing it, by a running max that
+doubles its span per shift.  Up to 256 cells the means come from one
+gather per shape, reduced like a naive block mean and so bit-reproducible
+against a loop over rectangles; larger grids carry the window sums of |f|
+across widths, which agree to rounding and keep one-cell windows exact.
+The bi-parameter dyadic maximal function gathers its rectangles the same
+way at every size.
 
 The product-BMO norm is a maximum over a finite family of shapes, each a
 union of cells; on the discrete mesh every such union is admissible
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from .dyadic import DyadicCube, DyadicSystem
 from .errors import DegenerateInputError, ParameterError, ShapeError
@@ -59,47 +60,55 @@ def _arc_count(n: int, width: int) -> int:
 
 
 def _gathered_means(a: np.ndarray):
-    """Window means by one gather per shape, reduced like a naive block
-    ``mean()`` so that the bits match a loop over rectangles."""
+    """Per row width, the window means of every column width, by one gather
+    per shape reduced like a naive block ``mean()`` (the bits of a loop over
+    rectangles)."""
     n1, n2 = a.shape
 
-    def means(w1, w2):
-        r = (np.arange(_arc_count(n1, w1))[:, None] + np.arange(w1)) % n1
-        c = (np.arange(_arc_count(n2, w2))[:, None] + np.arange(w2)) % n2
-        return a[r[:, None, :, None], c[None, :, None, :]].mean(axis=(2, 3))
+    def arcs(n, w):
+        return (np.arange(_arc_count(n, w))[:, None] + np.arange(w)) % n
 
-    return means
+    for w1 in range(1, n1 + 1):
+        r = arcs(n1, w1)[:, None, :, None]
+        cols = (arcs(n2, w2)[None, :, None, :] for w2 in range(1, n2 + 1))
+        yield [a[r, c].mean(axis=(2, 3)) for c in cols]
 
 
-def _prefix_sum_means(a: np.ndarray):
-    """Window means from doubled 2-D prefix sums (agree to rounding)."""
+def _carried_means(a: np.ndarray):
+    """Per row width, the window means of every column width (read each row
+    before the next: it reads the running sums), from window sums carried
+    across widths: all terms are >= 0, so the relative error is about
+    (w1 + w2) * eps at most, and a one-cell window is exact."""
     n1, n2 = a.shape
-    S = np.zeros((2 * n1 + 1, 2 * n2 + 1))
-    S[1:, 1:] = np.tile(a, (2, 2)).cumsum(axis=0).cumsum(axis=1)
 
-    def means(w1, w2):
-        k1, k2 = _arc_count(n1, w1), _arc_count(n2, w2)
-        sums = (
-            S[w1 : w1 + k1, w2 : w2 + k2]
-            - S[:k1, w2 : w2 + k2]
-            - S[w1 : w1 + k1, :k2]
-            + S[:k1, :k2]
-        )
-        return sums / (w1 * w2)
+    def row(R, w1):
+        C = np.zeros_like(a)  # C[s1, s2]: the window with lower corner (s1, s2)
+        for w2 in range(1, n2 + 1):
+            C += _shifted(R, 1 - w2, 1)
+            yield C[: _arc_count(n1, w1), : _arc_count(n2, w2)] / (w1 * w2)
 
-    return means
+    R = np.zeros_like(a)  # R[s1]: rows s1 .. s1 + w1 - 1 summed
+    for w1 in range(1, n1 + 1):
+        R += _shifted(a, 1 - w1, 0)
+        yield row(R, w1)
 
 
-def _window_max_containing(scores: np.ndarray, w1: int, w2: int) -> np.ndarray:
-    """Per cell, the max score over windows of shape (w1, w2) containing it.
+def _shifted(m: np.ndarray, s: int, axis: int) -> np.ndarray:
+    """``out[x] = m[x - s]`` along ``axis`` with wrap-around: ``np.roll``
+    without its overhead."""
+    s %= m.shape[axis]
+    lead = (slice(None),) * axis
+    return np.concatenate((m[lead + (slice(-s, None),)], m[lead + (slice(-s),)]), axis)
 
-    ``scores[s1, s2]`` belongs to the window with lower corner (s1, s2); the
-    windows containing cell x start in ``[x - w + 1, x]`` along each axis.
-    """
-    centered = maximum_filter(scores, size=(w1, w2), mode="wrap")
-    d1 = (w1 - 1) - w1 // 2
-    d2 = (w2 - 1) - w2 // 2
-    return np.roll(centered, (d1, d2), axis=(0, 1))
+
+def _trailing_max(m: np.ndarray, w: int, axis: int) -> np.ndarray:
+    """``out[x] = max m[x - w + 1 .. x]`` along ``axis`` with wrap-around: the
+    span doubles per shift, and overlapping spans change no bits."""
+    span = 1
+    while span < w:
+        m = np.maximum(m, _shifted(m, min(span, w - span), axis))
+        span = min(2 * span, w)
+    return m
 
 
 def strong_maximal(f: GridFunction) -> GridFunction:
@@ -108,14 +117,16 @@ def strong_maximal(f: GridFunction) -> GridFunction:
     if f.ndim != 2:
         raise ShapeError("strong maximal needs a two-axis function")
     a = np.abs(f.values)
-    n1, n2 = a.shape
-    means = _gathered_means(a) if a.size <= _GATHER_CELLS else _prefix_sum_means(a)
+    means_by_row_width = _gathered_means if a.size <= _GATHER_CELLS else _carried_means
     out = np.zeros_like(a)
-    for w1 in range(1, n1 + 1):
-        for w2 in range(1, n2 + 1):
-            # a full-circle side has one start, whose window holds every cell
-            scores = np.broadcast_to(means(w1, w2), a.shape)
-            np.maximum(out, _window_max_containing(scores, w1, w2), out=out)
+    for w1, row_means in enumerate(means_by_row_width(a), 1):
+        # spread each window's mean over its cells: along the second axis per
+        # shape, along the first once per row width (the max commutes with it)
+        rows = np.zeros_like(a)
+        for w2, means in enumerate(row_means, 1):
+            scores = np.broadcast_to(means, a.shape)
+            np.maximum(rows, _trailing_max(scores, w2, 1), out=rows)
+        np.maximum(out, _trailing_max(rows, w1, 0), out=out)
     return f.with_values(out)
 
 

@@ -170,8 +170,12 @@ def bloom_weight(mu1: Weight, sigma1: Weight, mu2: Weight, sigma2: Weight) -> Pr
 FamilySelector = Union[str, Iterable[DyadicSystem]]
 
 
-def _family_batches(axis: Axis, family: FamilySelector):
-    """Yield (starts, width) batches of arcs; starts are cell indices."""
+def _family_means(axis: Axis, family: FamilySelector, *tables: np.ndarray):
+    """Yield, per batch of family arcs, each table's arc means.  Every arc
+    is summed cell by cell in order, so the bits match a per-arc loop (a
+    plain ``mean`` would not: numpy regroups sums of eight or more terms).
+    Intervals carry the sums from width w to w + 1: same cells, same order.
+    """
     n = axis.n_cells
     if isinstance(family, str):
         if family != "intervals":
@@ -179,8 +183,11 @@ def _family_batches(axis: Axis, family: FamilySelector):
                 f"unknown cube family {family!r}; use 'intervals' or systems"
             )
         starts = np.arange(n)
+        sums = [np.zeros(n) for _ in tables]
         for width in range(1, n + 1):
-            yield starts, width
+            cells = (starts + width - 1) % n
+            sums = [acc + v[cells] for acc, v in zip(sums, tables)]
+            yield [acc / width for acc in sums]
         return
     seen_any = False
     for system in family:
@@ -190,7 +197,7 @@ def _family_batches(axis: Axis, family: FamilySelector):
         for level in range(axis.level + 1):
             width = n >> level
             starts = (system.offset_cells + np.arange(1 << level) * width) % n
-            yield starts, width
+            yield [_arc_mean_batch(v, starts, width) for v in tables]
     if not seen_any:
         raise ParameterError("empty cube family")
 
@@ -202,13 +209,7 @@ def _family_label(family: FamilySelector) -> str:
 
 
 def _arc_mean_batch(v: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
-    """Wrap-aware arc means, one per start, summed in cell order.
-
-    The accumulation runs cell by cell (vectorized over the starts), so every
-    arc is summed in exactly the order of a direct per-arc loop and results
-    are reproducible bit for bit.  A plain ``mean(axis=1)`` would not be:
-    numpy's reductions regroup sums of eight or more terms.
-    """
+    """Wrap-aware arc means, one per start, summed in cell order."""
     n = v.size
     acc = np.zeros(starts.shape, dtype=float)
     for k in range(width):
@@ -221,9 +222,7 @@ def _char_over_family(
 ) -> float:
     """Exact max over the family of mean(num) * mean(den)**den_exp."""
     best = -np.inf
-    for starts, width in _family_batches(axis, family):
-        mn = _arc_mean_batch(num, starts, width)
-        md = _arc_mean_batch(den, starts, width)
+    for mn, md in _family_means(axis, family, num, den):
         best = max(best, float(np.max(mn * md**den_exp)))
     return best
 

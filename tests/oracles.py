@@ -157,6 +157,37 @@ def apq_brute(values, p, q, arcs=None):
     return best
 
 
+def arc_mean_batch(v, starts, width):
+    """One width's arc means, each re-summed from scratch cell by cell in
+    order, vectorized over the starts (the per-width batch)."""
+    n = v.size
+    acc = np.zeros(starts.shape, dtype=float)
+    for k in range(width):
+        acc = acc + v[(starts + k) % n]
+    return acc / width
+
+
+def char_over_family_batches(num, den, den_exp, offsets=None):
+    """Max of mean(num) * mean(den)**den_exp over every arc (``offsets``
+    None) or over the cubes of the lattices with these offsets, one
+    per-width batch of arcs at a time."""
+    n = len(num)
+    if offsets is None:
+        batches = [(np.arange(n), width) for width in range(1, n + 1)]
+    else:
+        batches = [
+            ((o + np.arange(1 << k) * (n >> k)) % n, n >> k)
+            for o in offsets
+            for k in range(n.bit_length())
+        ]
+    best = -np.inf
+    for starts, width in batches:
+        mn = arc_mean_batch(num, starts, width)
+        md = arc_mean_batch(den, starts, width)
+        best = max(best, float(np.max(mn * md**den_exp)))
+    return best
+
+
 def product_ap_brute(values1, values2, p, arcs1=None, arcs2=None):
     """A_p characteristic of the tensor weight over all arc rectangles."""
     v1 = np.asarray(values1, dtype=float)
@@ -192,6 +223,12 @@ def strong_maximal_brute(values):
             sub = out[np.ix_(rows, cols)]
             out[np.ix_(rows, cols)] = np.maximum(sub, m)
     return out
+
+
+def trailing_max_brute(m, w, axis):
+    """``out[x] = max m[x - w + 1 .. x]`` along ``axis`` with wrap-around,
+    as the max of every shifted copy."""
+    return np.max([np.roll(m, t, axis) for t in range(w)], axis=0)
 
 
 def dyadic_rect_maximal_brute(values, offset1, offset2):

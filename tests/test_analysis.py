@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from dyadica.analysis import (
     OmegaFamily,
+    _carried_means,
     _gathered_means,
-    _prefix_sum_means,
+    _trailing_max,
     bmo_prod_norm,
     default_omega_family,
     duality_check,
@@ -31,7 +32,12 @@ from dyadica.grid import (
 from dyadica.haar import haar_function, level_average, level_difference
 from dyadica.weights import ProductWeight, Weight, power_weight
 
-from oracles import bmo_prod_brute, dyadic_rect_maximal_brute, strong_maximal_brute
+from oracles import (
+    bmo_prod_brute,
+    dyadic_rect_maximal_brute,
+    strong_maximal_brute,
+    trailing_max_brute,
+)
 
 
 def rand_f(rng, ax1, ax2=None, spread=1.0):
@@ -111,16 +117,58 @@ def test_strong_maximal_matches_brute_force_bitwise_all_shapes(levels, seed):
     assert np.array_equal(strong_maximal(f).values, strong_maximal_brute(f.values))
 
 
-def test_strong_maximal_prefix_sums_agree_with_gather():
-    axis = build_axis(4)
+def test_strong_maximal_carried_sums_agree_with_gather():
     rng = np.random.default_rng(3)
     a = np.abs(rng.normal(size=(16, 16)))
-    gathered, prefix = _gathered_means(a), _prefix_sum_means(a)
-    for w1 in range(1, 17):
-        for w2 in range(1, 17):
-            g, p = gathered(w1, w2), prefix(w1, w2)
-            assert g.shape == p.shape
-            assert np.max(np.abs(p - g)) <= 1e-12 * np.max(g)
+    rows = zip(_gathered_means(a), _carried_means(a))
+    for w1, (gathered, carried) in enumerate(rows, 1):
+        for w2, (g, c) in enumerate(zip(gathered, carried), 1):
+            assert g.shape == c.shape, (w1, w2)
+            assert np.max(np.abs(c - g)) <= 1e-12 * np.max(g)
+
+
+def test_strong_maximal_deficit_is_zero_on_64x64():
+    # carried window sums of |f| >= 0 reproduce every one-cell window exactly,
+    # so the maximal function never drops below |f|
+    axis = build_axis(6)
+    f = rand_f(np.random.default_rng(4), axis, axis)
+    assert np.max(np.abs(f.values) - strong_maximal(f).values) <= 0.0
+
+
+def test_strong_maximal_above_gather_size_matches_per_shape_spread():
+    # 16 x 32 takes the carried means; spreading each shape's means on its
+    # own, along both axes, must give the same bits as the per-row-width
+    # spread (the oracle itself is too slow at this size)
+    ax1, ax2 = build_axis(4), build_axis(5)
+    f = rand_f(np.random.default_rng(5), ax1, ax2)
+    a = np.abs(f.values)
+    want = np.zeros_like(a)
+    for w1, row_means in enumerate(_carried_means(a), 1):
+        for w2, means in enumerate(row_means, 1):
+            scores = np.broadcast_to(means, a.shape)
+            spread = trailing_max_brute(trailing_max_brute(scores, w2, 1), w1, 0)
+            np.maximum(want, spread, out=want)
+    assert np.array_equal(strong_maximal(f).values, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    axis_index=st.sampled_from([0, 1]),
+    repeat_axis=st.sampled_from([None, 0, 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=(1, 5), axis_index=0, repeat_axis=None, seed=0)
+@example(shape=(6, 1), axis_index=1, repeat_axis=None, seed=0)
+@example(shape=(8, 8), axis_index=1, repeat_axis=1, seed=0)
+def test_trailing_max_matches_rolled_max(shape, axis_index, repeat_axis, seed):
+    m = np.random.default_rng(seed).normal(size=shape)
+    if repeat_axis is not None:
+        # a read-only view repeating one line, as a full-circle side gives
+        m = np.broadcast_to(m[:1] if repeat_axis == 0 else m[:, :1], shape)
+    for w in range(1, shape[axis_index] + 1):
+        got = _trailing_max(m, w, axis_index)
+        assert np.array_equal(got, trailing_max_brute(m, w, axis_index)), w
 
 
 def test_strong_maximal_rejects_one_axis():

@@ -339,10 +339,30 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_python_dash_m_runs_the_command(tmp_path):
+def _src_env():
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: a cold import of the package must not
+    # pay for it
+    code = "import dyadica, sys; print([m for m in sys.modules if m.startswith('scipy')])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_python_dash_m_runs_the_command(tmp_path):
+    env = _src_env()
 
     def run(*args):
         return subprocess.run(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyadica.dyadic import DyadicSystem
@@ -10,6 +10,7 @@ from dyadica.weights import (
     ExponentTriple,
     ProductWeight,
     Weight,
+    _family_means,
     ap_characteristic,
     apq_characteristic,
     bloom_weight,
@@ -19,7 +20,14 @@ from dyadica.weights import (
     product_ap_characteristic,
 )
 
-from oracles import ap_brute, apq_brute, power_cell_average_quad, product_ap_brute
+from oracles import (
+    ap_brute,
+    apq_brute,
+    arc_mean_batch,
+    char_over_family_batches,
+    power_cell_average_quad,
+    product_ap_brute,
+)
 
 
 def random_weight(axis, rng, low=0.2, high=5.0):
@@ -166,6 +174,45 @@ def test_ap_characteristic_matches_brute_force_bitwise():
         for _ in range(5):
             w = random_weight(axis, rng)
             assert ap_characteristic(w, p) == ap_brute(w.values, p)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    level=st.integers(1, 10),
+    p=st.sampled_from([4.0 / 3.0, 2.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(level=8, p=2.0, seed=0)
+@example(level=10, p=3.0, seed=0)
+def test_characteristics_match_per_width_batches_bitwise(level, p, seed):
+    # the per-width batches re-sum every arc (O(n**3) for intervals, about
+    # 25 s at L = 10), so intervals are compared up to L = 8 here and their
+    # carried means at L = 10 by the next test
+    axis = build_axis(level)
+    rng = np.random.default_rng(seed)
+    w = random_weight(axis, rng)
+    offsets = [0, int(rng.integers(axis.n_cells))]
+    families = [([DyadicSystem(axis, o) for o in offsets], offsets)]
+    if level <= 8:
+        families.append(("intervals", None))
+    p_dual, q = p / (p - 1.0), 2.0 * p
+    v = w.values
+    for family, offs in families:
+        want_ap = char_over_family_batches(v, v ** (1.0 - p_dual), p - 1.0, offs)
+        assert ap_characteristic(w, p, family) == want_ap
+        want_apq = char_over_family_batches(v**q, v ** (-p_dual), q / p_dual, offs)
+        assert apq_characteristic(w, p, q, family) == want_apq
+
+
+@pytest.mark.parametrize("level", [1, 5, 8, 10])
+def test_interval_means_carried_across_widths_match_per_width_batches(level):
+    axis = build_axis(level)
+    n = axis.n_cells
+    v = np.random.default_rng(level).uniform(0.2, 5.0, n)
+    widths = {1, 2, 3, 7, 8, 9, n // 2 + 1, n - 1, n} & set(range(1, n + 1))
+    for width, (means,) in enumerate(_family_means(axis, "intervals", v), 1):
+        if n <= 32 or width in widths:
+            assert np.array_equal(means, arc_mean_batch(v, np.arange(n), width)), width
 
 
 def test_ap_characteristic_power_profile_matches_brute_force():
