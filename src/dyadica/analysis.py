@@ -27,8 +27,8 @@ import numpy as np
 from .dyadic import DyadicCube, DyadicSystem
 from .errors import DegenerateInputError, ParameterError, ShapeError
 from .fracops import _frac_scales, frac_integral
-from .grid import GridFunction, inner_product
-from .haar import expectation_stack, haar_function, haar_matrix, rectangle_table
+from .grid import GridFunction, _shifted, inner_product
+from .haar import expectation_stack, haar_analyze, haar_function, rectangle_table
 from .weights import ProductWeight, Weight
 
 __all__ = [
@@ -91,14 +91,6 @@ def _carried_means(a: np.ndarray):
     for w1 in range(1, n1 + 1):
         R += _shifted(a, 1 - w1, 0)
         yield row(R, w1)
-
-
-def _shifted(m: np.ndarray, s: int, axis: int) -> np.ndarray:
-    """``out[x] = m[x - s]`` along ``axis`` with wrap-around: ``np.roll``
-    without its overhead."""
-    s %= m.shape[axis]
-    lead = (slice(None),) * axis
-    return np.concatenate((m[lead + (slice(-s, None),)], m[lead + (slice(-s),)]), axis)
 
 
 def _trailing_max(m: np.ndarray, w: int, axis: int) -> np.ndarray:
@@ -408,9 +400,10 @@ def bmo_prod_rect_norm(b: GridFunction, w: ProductWeight, systems) -> float:
     """Product-BMO lower bound over single-rectangle shapes plus the full
     square, with the weight's rectangle means read from its rectangle table.
 
-    Fast equivalent of :func:`bmo_prod_norm` with the default shape family;
-    containment reduces to index arithmetic because descendants of a cube
-    occupy a contiguous index range at every finer level.
+    Fast equivalent of :func:`bmo_prod_norm` with the default shape family:
+    the energy inside each rectangle is the sum over its descendants, and
+    those sums are carried from fine levels to coarse ones, O(L1 * L2)
+    pairwise sums in all.
     """
     if b.ndim != 2:
         raise ShapeError("product BMO needs a two-axis function")
@@ -424,40 +417,34 @@ def bmo_prod_rect_norm(b: GridFunction, w: ProductWeight, systems) -> float:
         raise ShapeError("weight axes do not match the function axes")
     n1, n2 = system1.axis.n_cells, system2.axis.n_cells
     L1, L2 = system1.axis.level, system2.axis.level
-    vol = system1.axis.h * system2.axis.h
-    Fc = vol * (haar_matrix(system1).T @ b.values @ haar_matrix(system2))
+    Fc = haar_analyze(haar_analyze(b.values, system1, 0), system2, 1)
     # rectangle weight means in cube-index order: the table at first cells
-    WT = np.roll(
-        rectangle_table(W, system1, system2),
-        (-system1.offset_cells, -system2.offset_cells),
-        axis=(2, 3),
-    )
+    WT = rectangle_table(W, system1, system2)
+    WT = _shifted(_shifted(WT, -system1.offset_cells, 2), -system2.offset_cells, 3)
 
     def wmean(k1, k2):
         return WT[k1, k2, :: n1 >> k1, :: n2 >> k2]
 
-    # per level pair and cube pair: coefficient**2 / rectangle weight mean
-    energy = {
-        (k1, k2): Fc[1 << k1 : 2 << k1, 1 << k2 : 2 << k2] ** 2 / wmean(k1, k2)
-        for k1 in range(L1)
-        for k2 in range(L2)
-    }
+    def energy(k1, k2):  # coefficient**2 / weight mean per level-(k1, k2) rectangle
+        return Fc[1 << k1 : 2 << k1, 1 << k2 : 2 << k2] ** 2 / wmean(k1, k2)
+
+    # The energy below each level-(a1, a2) rectangle, carried from fine to
+    # coarse levels: along the second axis within a first-axis level, then
+    # along the first.  Cube m has children 2m and 2m + 1; every term is >= 0.
+    below = [None] * L2  # per a2: level a1 + 1 of the first axis, then level a1
     best = 0.0
-    for a1 in range(L1):
-        for a2 in range(L2):
-            # descendants of the level-a cube m sit in one contiguous block
-            # of 2**(k - a) cubes at every finer level k
-            total = np.zeros((1 << a1, 1 << a2))
-            for k1 in range(a1, L1):
-                for k2 in range(a2, L2):
-                    blocks = energy[(k1, k2)].reshape(
-                        1 << a1, 1 << (k1 - a1), 1 << a2, 1 << (k2 - a2)
-                    )
-                    total += blocks.sum(axis=(1, 3))
+    for a1 in range(L1 - 1, -1, -1):
+        row = None  # level a1 of the first axis, levels >= a2 of the second
+        for a2 in range(L2 - 1, -1, -1):
+            e = energy(a1, a2)
+            row = e if row is None else e + (row[:, ::2] + row[:, 1::2])
+            finer = below[a2]
+            total = row if finer is None else row + (finer[::2] + finer[1::2])
+            below[a2] = total
             w_omega = 2.0 ** -(a1 + a2) * wmean(a1, a2)
             ratio = np.where(total > 0.0, total / w_omega, 0.0)
             best = max(best, float(np.sqrt(ratio.max())))
-    full_total = sum(float(T.sum()) for T in energy.values())
+    full_total = float(below[0][0, 0])
     if full_total > 0.0:
         best = max(best, np.sqrt(full_total / W.values.mean()))
     return float(best)

@@ -49,7 +49,8 @@ from .grid import (
     kernel_matrix,
     l2_norm,
 )
-from .haar import basis_column, expectation_stack, haar_function, haar_matrix
+from .haar import basis_column, expectation_stack, haar_function
+from .haar import haar_analyze, haar_synthesize
 
 __all__ = [
     "RepresentationReport",
@@ -247,12 +248,11 @@ def apply_shift(
             f"table is for depths ({table.i}, {table.j}), not ({i}, {j})"
         )
     table.validate()
-    H = haar_matrix(system)
-    cf = system.axis.h * (H.T @ f.values)
+    cf = haar_analyze(f.values, system)
     out = np.zeros_like(cf)
     for (I, J, _K), a in table.entries.items():
         out[basis_column(J)] += a * cf[basis_column(I)]
-    return grid_function(H @ out, system.axis)
+    return grid_function(haar_synthesize(out, system), system.axis)
 
 
 # -- pointwise domination -------------------------------------------------
@@ -417,11 +417,12 @@ def verify_representation(
     profiles, counts = {tag: {} for tag in _TAGS}, dict.fromkeys(_TAGS, 0)
     if systems:
         n = axis.n_cells
-        H = haar_matrix(DyadicSystem(axis, 0))
-        M = H.T @ kernel_matrix(axis, lam) @ H
+        lattice = DyadicSystem(axis, 0)
+        M = haar_analyze(haar_analyze(kernel_matrix(axis, lam), lattice, 0), lattice, 1)
+        M *= n * n
         cells = (np.arange(n)[:, None] + [s.offset_cells for s in systems]) % n
-        CF = axis.h * (H.T @ f.values[cells])
-        CG = axis.h * (H.T @ g.values[cells])
+        CF = haar_analyze(f.values[cells], lattice)
+        CG = haar_analyze(g.values[cells], lattice)
         lhs = inner_product(g, frac_integral(f, lam))
         residuals = np.abs(lhs - (CG[1:] * (M[1:, 1:] @ CF[1:])).sum(axis=0))
         profiles, counts, energies = _scan_lattice(axis, lam, params, M, CF, CG)

@@ -150,6 +150,14 @@ def constant_function(value: float, *axes: Axis) -> GridFunction:
     return GridFunction(tuple(axes), np.full(shape, float(value)))
 
 
+def _shifted(m: np.ndarray, s: int, axis: int) -> np.ndarray:
+    """``out[x] = m[x - s]`` along ``axis`` with wrap-around: ``np.roll``
+    without its overhead."""
+    s %= m.shape[axis]
+    lead = (slice(None),) * axis
+    return np.concatenate((m[lead + (slice(-s, None),)], m[lead + (slice(-s),)]), axis)
+
+
 def midpoints(axis: Axis) -> np.ndarray:
     """Cell midpoints of an axis."""
     return (np.arange(axis.n_cells) + 0.5) * axis.h
@@ -313,8 +321,8 @@ def kernel_profile(axis: Axis, lam: float) -> np.ndarray:
 def kernel_matrix(axis: Axis, lam: float) -> np.ndarray:
     """Full cell-interaction matrix ``G[a, b] = g[(a - b) mod n]``.
 
-    Dense and cached; intended for levels where ``2**L`` by ``2**L`` fits
-    comfortably (all verification suites run at ``L <= 10``).
+    Dense and cached: ``8 * 4**L`` bytes, 128 MiB at ``L = 12`` and 2 GiB
+    at ``MAX_LEVEL``.
     """
     g = kernel_profile(axis, lam)
     n = axis.n_cells

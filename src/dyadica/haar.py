@@ -2,9 +2,12 @@
 
 Every shifted lattice carries an orthonormal basis of cell space: the
 constant function together with one L2-normalized Haar step per cube that
-still has children on the mesh.  This module exposes that basis (as
-functions and as a change-of-basis matrix) and the full coefficient
-expansion with explicit mean bookkeeping.
+still has children on the mesh.  This module exposes that basis as
+functions and through one transform pair along an array axis,
+:func:`haar_analyze` and its inverse :func:`haar_synthesize`: Mallat's
+pyramid, one pairwise sum and one difference per level, O(n) per line.
+Coefficient tables are arrays in :func:`basis_column` order per axis;
+:func:`haar_matrix`, the synthesized identity, is the dense reference.
 
 Martingale calculus rests on one primitive: the conditional-expectation
 stack E_0 .. E_L of a function along one axis, built with one roll and one
@@ -19,21 +22,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .dyadic import DyadicCube, DyadicSystem
 from .errors import ParameterError, ResolutionError, ShapeError, SystemMismatchError
-from .grid import GridFunction, grid_function
+from .grid import GridFunction, _shifted, grid_function
 
 __all__ = [
     "HaarCoefficientMap",
     "average_project",
     "expectation_stack",
+    "haar_analyze",
     "haar_expand",
     "haar_function",
     "haar_matrix",
+    "haar_synthesize",
     "level_average",
     "level_difference",
     "martingale_block",
@@ -73,9 +78,61 @@ def basis_column(cube: DyadicCube) -> int:
     """Column of :func:`haar_matrix` holding the Haar step of ``cube``.
 
     Column 0 is the constant; the cube at level ``k``, index ``m`` sits at
-    column ``2**k + m``.
+    column ``2**k + m``.  This is heap order: column ``j``'s children sit at
+    columns ``2j`` and ``2j + 1``.
     """
     return (1 << cube.level) + cube.index
+
+
+def _along(a, system: DyadicSystem, pos: int):
+    """``a`` as floats, its shape before and after array axis ``pos`` and the
+    index prefix that reaches that axis; the axis must hold one entry per
+    cell of ``system``."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[pos] != system.axis.n_cells:
+        raise ShapeError(f"axis {pos} has {a.shape[pos]} entries, not {system.axis.n_cells}")
+    return a, a.shape[:pos], a.shape[pos + 1 :], (slice(None),) * pos
+
+
+def haar_analyze(values, system: DyadicSystem, pos: int = 0) -> np.ndarray:
+    """Haar coefficients of cell values along array axis ``pos``: the
+    product ``h * H.T @ values`` with ``H = haar_matrix(system)``, in
+    :func:`basis_column` order, without forming ``H``.
+
+    Level by level from the finest, each pair of sibling cube sums gives
+    its parent's sum and, scaled, the parent's coefficient."""
+    v, lead, trail, at = _along(values, system, pos)
+    if system.offset_cells:
+        v = _shifted(v, -system.offset_cells, pos)  # the first cube at cell 0
+    h = system.axis.h
+    out = np.empty(v.shape)
+    for k in range(system.axis.level - 1, -1, -1):
+        pairs = v.reshape(lead + (1 << k, 2) + trail)
+        left, right = pairs[at + (slice(None), 0)], pairs[at + (slice(None), 1)]
+        out[at + (slice(1 << k, 2 << k),)] = h * 2.0 ** (k / 2.0) * (left - right)
+        v = left + right
+    out[at + (slice(0, 1),)] = h * v
+    return out
+
+
+def haar_synthesize(coeffs, system: DyadicSystem, pos: int = 0) -> np.ndarray:
+    """Cell values of a Haar coefficient table along array axis ``pos``:
+    the product ``H @ coeffs`` with ``H = haar_matrix(system)``, without
+    forming ``H``; the inverse of :func:`haar_analyze`.
+
+    Level by level from the coarsest, each cube's value splits into its
+    children's, plus and minus its scaled coefficient."""
+    c, lead, trail, at = _along(coeffs, system, pos)
+    a = c[at + (slice(0, 1),)]
+    for k in range(system.axis.level):
+        d = 2.0 ** (k / 2.0) * c[at + (slice(1 << k, 2 << k),)]
+        pairs = np.empty(lead + (1 << k, 2) + trail)
+        pairs[at + (slice(None), 0)] = a + d
+        pairs[at + (slice(None), 1)] = a - d
+        a = pairs.reshape(lead + (2 << k,) + trail)
+    if system.offset_cells:
+        a = _shifted(a, system.offset_cells, pos)
+    return a
 
 
 @lru_cache(maxsize=64)
@@ -84,21 +141,10 @@ def haar_matrix(system: DyadicSystem) -> np.ndarray:
     every Haar step of ``system``, in :func:`basis_column` order.
 
     Orthonormal with respect to the cell-volume weighted inner product:
-    ``h * H.T @ H = identity``.
+    ``h * H.T @ H = identity``.  The dense reference for the transform pair;
+    the library itself never multiplies by it.
     """
-    n = system.axis.n_cells
-    H = np.zeros((n, n))
-    H[:, 0] = 1.0
-    for level in range(system.axis.level):
-        width = n >> level
-        half = width >> 1
-        scale = 2.0 ** (level / 2.0)
-        for index in range(1 << level):
-            start = (system.offset_cells + index * width) % n
-            cells = (start + np.arange(width)) % n
-            col = (1 << level) + index
-            H[cells[:half], col] = scale
-            H[cells[half:], col] = -scale
+    H = haar_synthesize(np.eye(system.axis.n_cells), system)
     H.setflags(write=False)
     return H
 
@@ -264,57 +310,35 @@ def partial_pairing(f: GridFunction, cube: DyadicCube, axis_index) -> GridFuncti
 # -- coefficient expansion ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HaarCoefficientMap:
     """Complete orthonormal expansion of a grid function.
 
-    ``entries`` holds the pure Haar coefficients, keyed by cube in the
-    one-axis case and by ``(cube1, cube2)`` rectangle in the two-axis case.
-    ``mean`` is the coefficient against the normalized constant; for
-    two-axis functions ``axis_mean_entries`` carries the mixed terms
-    (constant in one variable, Haar step in the other), keyed by the cube of
-    the non-averaged variable.
+    ``coeffs`` is indexed by :func:`basis_column` along each axis: entry 0
+    is the coefficient against the normalized constant, and the entry of a
+    cube (of a ``(cube1, cube2)`` rectangle for two axes) is its Haar
+    coefficient.  For two axes, row 0 and column 0 carry the mixed terms
+    (constant in one variable, Haar step in the other).
     """
 
     systems: Tuple[DyadicSystem, ...]
-    entries: Mapping
-    mean: float
-    axis_mean_entries: Tuple[Mapping, ...] = ()
+    coeffs: np.ndarray
 
-    def _coeff_table(self) -> np.ndarray:
-        if len(self.systems) == 1:
-            n = self.systems[0].axis.n_cells
-            c = np.zeros(n)
-            c[0] = self.mean
-            for cube, val in self.entries.items():
-                c[basis_column(cube)] = val
-            return c
-        n1 = self.systems[0].axis.n_cells
-        n2 = self.systems[1].axis.n_cells
-        c = np.zeros((n1, n2))
-        c[0, 0] = self.mean
-        mean1, mean2 = self.axis_mean_entries
-        for cube, val in mean1.items():
-            c[0, basis_column(cube)] = val
-        for cube, val in mean2.items():
-            c[basis_column(cube), 0] = val
-        for (cube1, cube2), val in self.entries.items():
-            c[basis_column(cube1), basis_column(cube2)] = val
-        return c
+    @property
+    def mean(self) -> float:
+        """The coefficient against the normalized constant."""
+        return float(self.coeffs[(0,) * self.coeffs.ndim])
 
     def reconstruct(self) -> GridFunction:
         """Resum the expansion; exact up to roundoff."""
-        c = self._coeff_table()
-        if len(self.systems) == 1:
-            vals = haar_matrix(self.systems[0]) @ c
-            return grid_function(vals, self.systems[0].axis)
-        H1 = haar_matrix(self.systems[0])
-        H2 = haar_matrix(self.systems[1])
-        return grid_function(H1 @ c @ H2.T, self.systems[0].axis, self.systems[1].axis)
+        vals = self.coeffs
+        for pos, system in enumerate(self.systems):
+            vals = haar_synthesize(vals, system, pos)
+        return grid_function(vals, *(system.axis for system in self.systems))
 
     def energy(self) -> float:
         """Total squared coefficient mass (equals the squared L2 norm)."""
-        return float(np.sum(self._coeff_table() ** 2))
+        return float(np.sum(self.coeffs**2))
 
 
 def haar_expand(
@@ -322,43 +346,15 @@ def haar_expand(
     system1: DyadicSystem,
     system2: Optional[DyadicSystem] = None,
 ) -> HaarCoefficientMap:
-    """Expand ``f`` over the Haar bases of the given system(s), with the
-    constant directions tracked as explicit mean entries."""
-    if system2 is None:
-        if len(f.axes) != 1:
-            raise ShapeError("two-axis function needs a system per axis")
-        if f.axes[0] != system1.axis:
-            raise SystemMismatchError("function axis does not match the system")
-        c = f.axes[0].h * (haar_matrix(system1).T @ f.values)
-        entries = {}
-        for level in range(f.axes[0].level):
-            for index in range(1 << level):
-                entries[system1.cube(level, index)] = float(c[(1 << level) + index])
-        return HaarCoefficientMap((system1,), entries, float(c[0]))
-
-    if len(f.axes) != 2:
-        raise ShapeError("one-axis function takes a single system")
-    if f.axes[0] != system1.axis or f.axes[1] != system2.axis:
+    """Expand ``f`` over the Haar bases of the given system(s), constant
+    directions included."""
+    systems = (system1,) if system2 is None else (system1, system2)
+    if len(f.axes) != len(systems):
+        raise ShapeError(f"a {len(f.axes)}-axis function takes one system per axis")
+    if f.axes != tuple(system.axis for system in systems):
         raise SystemMismatchError("function axes do not match the systems")
-    vol = f.axes[0].h * f.axes[1].h
-    C = vol * (haar_matrix(system1).T @ f.values @ haar_matrix(system2))
-    entries = {}
-    mean1 = {}
-    mean2 = {}
-    cubes1 = [
-        system1.cube(k, m) for k in range(f.axes[0].level) for m in range(1 << k)
-    ]
-    cubes2 = [
-        system2.cube(k, m) for k in range(f.axes[1].level) for m in range(1 << k)
-    ]
-    for cube2 in cubes2:
-        mean1[cube2] = float(C[0, basis_column(cube2)])
-    for cube1 in cubes1:
-        mean2[cube1] = float(C[basis_column(cube1), 0])
-    for cube1 in cubes1:
-        row = basis_column(cube1)
-        for cube2 in cubes2:
-            entries[(cube1, cube2)] = float(C[row, basis_column(cube2)])
-    return HaarCoefficientMap(
-        (system1, system2), entries, float(C[0, 0]), (mean1, mean2)
-    )
+    coeffs = f.values
+    for pos, system in enumerate(systems):
+        coeffs = haar_analyze(coeffs, system, pos)
+    coeffs.setflags(write=False)
+    return HaarCoefficientMap(systems, coeffs)

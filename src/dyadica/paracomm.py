@@ -32,7 +32,8 @@ from .dyadic import DyadicCube, DyadicSystem, ancestor
 from .errors import ContractError, ParameterError, ShapeError, SystemMismatchError
 from .fracops import ShiftCoefficientTable, partial_frac_integral
 from .grid import GridFunction, build_axis, grid_function
-from .haar import basis_column, expectation_stack, haar_matrix, rectangle_table
+from .haar import basis_column, expectation_stack, rectangle_table
+from .haar import haar_analyze, haar_synthesize
 from .weights import apq_characteristic, bloom_weight, exponent_solve, power_weight
 
 __all__ = [
@@ -229,8 +230,7 @@ def _shift_matrix(system: DyadicSystem, table: ShiftCoefficientTable) -> np.ndar
     C = np.zeros((n, n))
     for (I, J, _K), a in table.entries.items():
         C[basis_column(J), basis_column(I)] += a
-    H = haar_matrix(system)
-    return system.axis.h * (H @ C @ H.T)
+    return system.axis.h * haar_synthesize(haar_synthesize(C, system, 0), system, 1)
 
 
 @dataclass(frozen=True)
@@ -249,9 +249,7 @@ def _leftover_term(Tb, f, table1, table2, sys1, sys2) -> np.ndarray:
 
     For each source/target pair of each axis shift, the symbol enters only
     through -<b>_{IxS} + <b>_{IxT} + <b>_{JxS} - <b>_{JxT}."""
-    H1, H2 = haar_matrix(sys1), haar_matrix(sys2)
-    h1, h2 = sys1.axis.h, sys2.axis.h
-    Fc = h1 * h2 * (H1.T @ f.values @ H2)
+    Fc = haar_analyze(haar_analyze(f.values, sys1, 0), sys2, 1)
 
     def triples(table):
         out = []
@@ -272,7 +270,7 @@ def _leftover_term(Tb, f, table1, table2, sys1, sys2) -> np.ndarray:
             Ecoef[colJ, colT] += (
                 a1 * a2 * (-b_is + b_it + b_js - b_jt) * Fc[colI, colS]
             )
-    return H1 @ Ecoef @ H2.T
+    return haar_synthesize(haar_synthesize(Ecoef, sys1, 0), sys2, 1)
 
 
 def shift_commutator_expand(
@@ -315,18 +313,20 @@ def shift_commutator_expand(
         + s2(mul(s1(f))).values
     )
     Tb, parts_b = _scale_parts(b, sys1, sys2)
-    # one table per factor that the four commutator terms pair with b
-    parts_s2f, parts_f, parts_s2s1f, parts_s1f = (
-        _scale_parts(g, sys1, sys2)[1] for g in (s2(f), f, s2(s1(f)), s1(f))
-    )
-    groups = {}
-    for tag in PARAPRODUCT_TAGS[:-1]:  # A1..A8; the W group is the leftover
-        groups[tag] = b.with_values(
-            M1 @ _tag_sum(tag, parts_b, parts_s2f)
-            - M1 @ (_tag_sum(tag, parts_b, parts_f) @ M2.T)
-            - _tag_sum(tag, parts_b, parts_s2s1f)
-            + _tag_sum(tag, parts_b, parts_s1f) @ M2.T
-        )
+    sums = dict.fromkeys(PARAPRODUCT_TAGS[:-1], 0.0)  # A1..A8; W is the leftover
+    # each commutator term: the factor it pairs with b, then its signed outer
+    # shifts; one factor's table is alive at a time
+    for g, outer in (
+        (s2(f), lambda x: M1 @ x),
+        (f, lambda x: -(M1 @ (x @ M2.T))),
+        (s2(s1(f)), np.negative),
+        (s1(f), lambda x: x @ M2.T),
+    ):
+        parts_g = _scale_parts(g, sys1, sys2)[1]
+        for tag in sums:
+            sums[tag] = sums[tag] + outer(_tag_sum(tag, parts_b, parts_g))
+        del parts_g
+    groups = {tag: b.with_values(total) for tag, total in sums.items()}
     e_term = b.with_values(_leftover_term(Tb, f, table1, table2, sys1, sys2))
     total = e_term.values + sum(g.values for g in groups.values())
     residual = float(np.max(np.abs(direct - total)))
@@ -404,7 +404,7 @@ def _coarse_sample(rng, nb: int, kind: int):
     noise, indicator tensors, and a symbol aligned with the sample f.
     """
     Lb = nb.bit_length() - 1
-    H = haar_matrix(DyadicSystem(build_axis(Lb), 0))
+    lattice = DyadicSystem(build_axis(Lb), 0)
     col_level = np.zeros(nb, dtype=int)
     for k in range(Lb):
         col_level[(1 << k) : (2 << k)] = k
@@ -420,13 +420,13 @@ def _coarse_sample(rng, nb: int, kind: int):
     else:
         fvals = rng.normal(size=(nb, nb))
     if kind == 2:
-        Fc = H.T @ fvals @ H / (nb * nb)
+        Fc = haar_analyze(haar_analyze(fvals, lattice, 0), lattice, 1)
         C = np.sign(Fc) * np.outer(decay, decay)
     else:
         C = rng.standard_t(df=2, size=(nb, nb)) * np.outer(decay, decay)
     C[0, :] = 0.0
     C[:, 0] = 0.0  # keep only the rectangle part of the symbol
-    bvals = H @ C @ H.T
+    bvals = haar_synthesize(haar_synthesize(C, lattice, 0), lattice, 1)
     return bvals, fvals
 
 
@@ -441,11 +441,19 @@ def bloom_experiment(config: BloomConfig) -> BloomReport:
     """
     q1 = exponent_solve(config.p1, config.lam1).q
     q2 = exponent_solve(config.p2, config.lam2).q
+    if any(level < config.base_level for level in config.levels):
+        raise ParameterError("levels must be at least the base level")
     nb = 1 << config.base_level
+    # a sample's seed does not involve the level: draw each once
+    samples = [
+        [
+            _coarse_sample(np.random.default_rng((config.seed, qi, idx)), nb, idx % 3)
+            for idx in range(config.n_samples)
+        ]
+        for qi in range(len(config.weight_quads))
+    ]
     level_results = []
     for level in config.levels:
-        if level < config.base_level:
-            raise ParameterError("levels must be at least the base level")
         axis = build_axis(level)
         factor = axis.n_cells // nb
         pair = (DyadicSystem(axis, 0), DyadicSystem(axis, 0))
@@ -463,9 +471,7 @@ def bloom_experiment(config: BloomConfig) -> BloomReport:
             w_den1, w_den2 = sg1.power(q1), sg2.power(q2)
             ratios = []
             skipped = 0
-            for idx in range(config.n_samples):
-                rng = np.random.default_rng((config.seed, qi, idx))
-                bvals, fvals = _coarse_sample(rng, nb, idx % 3)
+            for bvals, fvals in samples[qi]:
                 bfun = grid_function(_refine(bvals, factor), axis, axis)
                 ffun = grid_function(_refine(fvals, factor), axis, axis)
                 bmo = bmo_prod_rect_norm(bfun, nu, pair)

@@ -499,13 +499,18 @@ def test_bmo_prod_rect_norm_matches_mask_path():
     from dyadica.analysis import bmo_prod_rect_norm
 
     rng = np.random.default_rng(18)
-    for level, off1, off2 in ((3, 2, 5), (4, 7, 0)):
-        axis = build_axis(level)
-        pair = (DyadicSystem(axis, off1), DyadicSystem(axis, off2))
-        b = rand_f(rng, axis, axis)
+    for (L1, off1), (L2, off2) in (
+        ((3, 2), (3, 5)),
+        ((4, 7), (4, 0)),
+        ((2, 1), (4, 9)),
+        ((4, 3), (3, 6)),
+    ):
+        ax1, ax2 = build_axis(L1), build_axis(L2)
+        pair = (DyadicSystem(ax1, off1), DyadicSystem(ax2, off2))
+        b = rand_f(rng, ax1, ax2)
         w = ProductWeight(
-            Weight(grid_function(rng.uniform(0.5, 2.0, axis.n_cells), axis)),
-            Weight(grid_function(rng.uniform(0.5, 2.0, axis.n_cells), axis)),
+            Weight(grid_function(rng.uniform(0.5, 2.0, ax1.n_cells), ax1)),
+            Weight(grid_function(rng.uniform(0.5, 2.0, ax2.n_cells), ax2)),
         )
         slow = bmo_prod_norm(b, w, pair, default_omega_family(*pair))
         fast = bmo_prod_rect_norm(b, w, pair)

@@ -250,7 +250,8 @@ def test_apply_shift_diagonal(rng):
     cin = haar.haar_expand(f, sys)
     cout = haar.haar_expand(out, sys)
     for K, a in entries.items():
-        assert cout.entries[K[0]] == pytest.approx(a * cin.entries[K[0]], abs=1e-13)
+        col = haar.basis_column(K[0])
+        assert cout.coeffs[col] == pytest.approx(a * cin.coeffs[col], abs=1e-13)
     assert cout.mean == pytest.approx(0.0, abs=1e-13)
 
 
@@ -356,7 +357,7 @@ def test_representation_validates_every_system_before_any_work(rng, monkeypatch)
         raise AssertionError("matrix work started before the systems were validated")
 
     monkeypatch.setattr(fracops, "kernel_matrix", no_work)
-    monkeypatch.setattr(fracops, "haar_matrix", no_work)
+    monkeypatch.setattr(fracops, "haar_analyze", no_work)
     with pytest.raises(errors.SystemMismatchError):
         fracops.verify_representation(f, f, 0.5, dyadic.GoodParams(), systems)
 

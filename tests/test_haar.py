@@ -68,14 +68,60 @@ def test_haar_matrix_orthonormal():
 
 
 def test_haar_matrix_columns_match_functions():
-    sys = dyadic.DyadicSystem(grid.build_axis(4), 6)
-    H = haar.haar_matrix(sys)
-    assert np.array_equal(H[:, 0], np.ones(16))
-    for k in range(4):
-        for m in range(1 << k):
-            cube = sys.cube(k, m)
-            col = haar.basis_column(cube)
-            assert np.array_equal(H[:, col], haar.haar_function(cube).values)
+    for L, off in [(4, 6), (1, 0), (1, 1), (7, 100)]:
+        sys = dyadic.DyadicSystem(grid.build_axis(L), off)
+        H = haar.haar_matrix(sys)
+        assert np.array_equal(H[:, 0], np.ones(1 << L))
+        for k in range(L):
+            for m in range(1 << k):
+                cube = sys.cube(k, m)
+                col = haar.basis_column(cube)
+                assert np.array_equal(H[:, col], haar.haar_function(cube).values)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    L=st.integers(1, 10),
+    off=st.integers(0, (1 << 10) - 1),
+    two_axis=st.booleans(),
+    pos=st.integers(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(L=10, off=1023, two_axis=True, pos=1, seed=0)
+@example(L=1, off=1, two_axis=False, pos=0, seed=1)
+def test_transform_pair_matches_dense_haar_matrix(L, off, two_axis, pos, seed):
+    n = 1 << L
+    sys = dyadic.DyadicSystem(grid.build_axis(L), off % n)
+    if not two_axis:
+        pos = 0
+    shape = ((n, 3) if pos == 0 else (5, n)) if two_axis else (n,)
+    x = np.random.default_rng(seed).standard_normal(shape)
+    kept = x.copy()
+    x.setflags(write=False)
+    # the uncached dense reference: L=10 matrices would crowd the cache
+    H = haar.haar_matrix.__wrapped__(sys)
+    h = sys.axis.h
+    if pos == 0:
+        want_a, want_s = h * (H.T @ x), H @ x
+    else:
+        want_a, want_s = h * (x @ H), x @ H.T
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    coeffs = haar.haar_analyze(x, sys, pos)
+    assert close(coeffs, want_a)
+    assert close(haar.haar_synthesize(x, sys, pos), want_s)
+    assert close(haar.haar_synthesize(coeffs, sys, pos), x)
+    assert np.array_equal(x, kept)
+
+
+def test_transform_rejects_length_mismatch():
+    sys = offset0(3)
+    with pytest.raises(errors.ShapeError):
+        haar.haar_analyze(np.zeros((8, 4)), sys, 1)
+    with pytest.raises(errors.ShapeError):
+        haar.haar_synthesize(np.zeros(16), sys)
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +132,10 @@ def test_expand_single_step():
     sys = dyadic.DyadicSystem(grid.build_axis(5), 7)
     K = sys.cube(2, 3)
     cmap = haar.haar_expand(haar.haar_function(K), sys)
-    assert abs(cmap.entries[K] - 1.0) < 1e-14
+    col = haar.basis_column(K)
+    assert abs(cmap.coeffs[col] - 1.0) < 1e-14
     assert cmap.mean == 0.0
-    others = [v for c, v in cmap.entries.items() if c != K]
+    others = np.delete(cmap.coeffs, [0, col])
     assert np.max(np.abs(others)) < 1e-14
 
 
@@ -96,7 +143,7 @@ def test_expand_constant():
     sys = offset0(4)
     cmap = haar.haar_expand(grid.constant_function(1.0, sys.axis), sys)
     assert abs(cmap.mean - 1.0) < 1e-14
-    assert all(abs(v) < 1e-14 for v in cmap.entries.values())
+    assert all(abs(v) < 1e-14 for v in cmap.coeffs[1:])
 
 
 def test_expand_plancherel_and_reconstruction(rng):
@@ -157,12 +204,14 @@ def test_bi_expand_tensor_step():
         sys2.axis,
     )
     cmap = haar.haar_expand(f, sys1, sys2)
-    assert abs(cmap.entries[(I, J)] - 1.0) < 1e-14
+    row, col = haar.basis_column(I), haar.basis_column(J)
+    assert abs(cmap.coeffs[row, col] - 1.0) < 1e-14
     assert cmap.mean == 0.0
-    rest = [v for key, v in cmap.entries.items() if key != (I, J)]
+    rest = cmap.coeffs[1:, 1:].copy()
+    rest[row - 1, col - 1] = 0.0
     assert np.max(np.abs(rest)) < 1e-13
-    assert all(abs(v) < 1e-13 for v in cmap.axis_mean_entries[0].values())
-    assert all(abs(v) < 1e-13 for v in cmap.axis_mean_entries[1].values())
+    assert all(abs(v) < 1e-13 for v in cmap.coeffs[0, 1:])
+    assert all(abs(v) < 1e-13 for v in cmap.coeffs[1:, 0])
 
 
 def test_bi_expand_constant_in_first_axis(rng):
@@ -172,9 +221,9 @@ def test_bi_expand_constant_in_first_axis(rng):
     f = grid.grid_function(np.outer(np.ones(8), g), sys1.axis, sys2.axis)
     cmap = haar.haar_expand(f, sys1, sys2)
     # everything lives in the axis-1 mean entries (+ grand mean)
-    assert np.max(np.abs(list(cmap.entries.values()))) < 1e-13
-    assert np.max(np.abs(list(cmap.axis_mean_entries[1].values()))) < 1e-13
-    energy = cmap.mean**2 + sum(v**2 for v in cmap.axis_mean_entries[0].values())
+    assert np.max(np.abs(cmap.coeffs[1:, 1:])) < 1e-13
+    assert np.max(np.abs(cmap.coeffs[1:, 0])) < 1e-13
+    energy = cmap.mean**2 + sum(v**2 for v in cmap.coeffs[0, 1:])
     assert abs(energy - grid.l2_norm(f) ** 2) < 1e-12
 
 
@@ -397,7 +446,7 @@ def test_partial_pairing_fubini(rng):
     J = sys2.cube(1, 0)
     once = haar.partial_pairing(f, I, axis_index=1)
     twice = grid.inner_product(once, haar.haar_function(J))
-    assert abs(twice - cmap.entries[(I, J)]) < 1e-13
+    assert abs(twice - cmap.coeffs[haar.basis_column(I), haar.basis_column(J)]) < 1e-13
 
 
 def test_partial_pairing_needs_two_axes():
