@@ -2,14 +2,16 @@
 product-BMO norm.
 
 The strong maximal function scans every grid-aligned (wrap-aware) arc
-rectangle one window shape at a time: the mean of every window, then per
-cell the largest mean of a window containing it, by a running max that
-doubles its span per shift.  Up to 256 cells the means come from one
-gather per shape, reduced like a naive block mean and so bit-reproducible
-against a loop over rectangles; larger grids carry the window sums of |f|
-across widths, which agree to rounding and keep one-cell windows exact.
-The bi-parameter dyadic maximal function gathers its rectangles the same
-way at every size.
+rectangle: the mean of every window, then per cell the largest mean of a
+window containing it, spread along the second axis sixteen column widths
+at a time and along the first by a running max that doubles its span per
+shift.  Up to 256 cells the means come from one view of the wrapped grid:
+per shape, its windows are copied into one contiguous block, the layout a
+gather of every rectangle would give, and reduced like a naive block mean,
+so they are bit-reproducible against a loop over rectangles.  Larger grids
+carry the window sums of |f| across widths, which agree to rounding and
+keep one-cell windows exact.  The bi-parameter dyadic maximal function
+gathers its rectangles at every size.
 
 The product-BMO norm is a maximum over a finite family of shapes, each a
 union of cells; on the discrete mesh every such union is admissible
@@ -19,6 +21,7 @@ lower bound for the full supremum and is monotone in the family.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -46,8 +49,11 @@ __all__ = [
     "strong_maximal",
 ]
 
-# up to this many cells, gather every window (bit-exact; work ~ cells**3)
+# up to this many cells, copy out every window (bit-exact; about cells**3 / 4
+# values copied per call, one block copy per window shape)
 _GATHER_CELLS = 256
+# widths spread together: holds this many window-mean arrays at once
+_SPREAD_CHUNK = 16
 
 
 # -- strong maximal function ----------------------------------------------
@@ -60,18 +66,22 @@ def _arc_count(n: int, width: int) -> int:
 
 
 def _gathered_means(a: np.ndarray):
-    """Per row width, the window means of every column width, by one gather
-    per shape reduced like a naive block ``mean()`` (the bits of a loop over
+    """Per row width, the window means of every column width: each shape's
+    windows copied out of one view of the wrapped grid into a contiguous
+    block and reduced like a naive block ``mean()`` (the bits of a loop over
     rectangles)."""
     n1, n2 = a.shape
-
-    def arcs(n, w):
-        return (np.arange(_arc_count(n, w))[:, None] + np.arange(w)) % n
-
+    wrapped = np.concatenate((a, a[: n1 - 1]), 0)
+    wrapped = np.concatenate((wrapped, wrapped[:, : n2 - 1]), 1)
+    # windows[s1, s2, i, j] = a[(s1 + i) % n1, (s2 + j) % n2]
+    windows = np.lib.stride_tricks.sliding_window_view(wrapped, (n1, n2))
     for w1 in range(1, n1 + 1):
-        r = arcs(n1, w1)[:, None, :, None]
-        cols = (arcs(n2, w2)[None, :, None, :] for w2 in range(1, n2 + 1))
-        yield [a[r, c].mean(axis=(2, 3)) for c in cols]
+        rows = windows[: _arc_count(n1, w1), :, :w1]
+        # each copy is C-ordered, as a gather is, and freed once reduced
+        yield [
+            rows[:, : _arc_count(n2, w2), :, :w2].copy().mean(axis=(2, 3))
+            for w2 in range(1, n2 + 1)
+        ]
 
 
 def _carried_means(a: np.ndarray):
@@ -103,6 +113,27 @@ def _trailing_max(m: np.ndarray, w: int, axis: int) -> np.ndarray:
     return m
 
 
+def _widest_containing(means, axis: int, shape) -> np.ndarray:
+    """Per cell, the largest ``means[w - 1][s]`` over the windows ``s .. s +
+    w - 1`` along ``axis`` that contain it, wrap-around; ``means`` may be a
+    generator in width order.  Per chunk of widths, from its widest width
+    down, the running max over widths above ``t`` is shifted by ``t``; the
+    shifts below the chunk's narrowest width take the chunk's max at once.
+    Max is exact, so the order changes no bits."""
+    out = np.zeros(shape)
+    means = iter(means)
+    lo = 1  # the chunk's narrowest width
+    while chunk := list(itertools.islice(means, _SPREAD_CHUNK)):
+        wider = np.zeros(shape)
+        for t in range(lo + len(chunk) - 2, lo - 1, -1):
+            np.maximum(wider, chunk[t + 1 - lo], out=wider)
+            np.maximum(out, _shifted(wider, t, axis), out=out)
+        np.maximum(wider, chunk[0], out=wider)
+        np.maximum(out, _trailing_max(wider, lo, axis), out=out)
+        lo += len(chunk)
+    return out
+
+
 def strong_maximal(f: GridFunction) -> GridFunction:
     """Exact max over all grid-aligned rectangles of the rectangle average
     of |f|, evaluated at every cell the rectangle covers."""
@@ -112,12 +143,9 @@ def strong_maximal(f: GridFunction) -> GridFunction:
     means_by_row_width = _gathered_means if a.size <= _GATHER_CELLS else _carried_means
     out = np.zeros_like(a)
     for w1, row_means in enumerate(means_by_row_width(a), 1):
-        # spread each window's mean over its cells: along the second axis per
-        # shape, along the first once per row width (the max commutes with it)
-        rows = np.zeros_like(a)
-        for w2, means in enumerate(row_means, 1):
-            scores = np.broadcast_to(means, a.shape)
-            np.maximum(rows, _trailing_max(scores, w2, 1), out=rows)
+        # spread each window's mean over its cells: along the second axis for
+        # every column width, then along the first once (the max commutes)
+        rows = _widest_containing(row_means, 1, a.shape)
         np.maximum(out, _trailing_max(rows, w1, 0), out=out)
     return f.with_values(out)
 
@@ -415,18 +443,34 @@ def bmo_prod_rect_norm(b: GridFunction, w: ProductWeight, systems) -> float:
     W = w.evaluate()
     if W.axes != b.axes:
         raise ShapeError("weight axes do not match the function axes")
+    weight_means = _rect_weight_means(W, system1, system2)
+    return _bmo_prod_rect(b.values, weight_means, system1, system2)
+
+
+def _rect_weight_means(W: GridFunction, system1: DyadicSystem, system2: DyadicSystem):
+    """The weight's means over the rectangles that carry coefficients,
+    ``means[k1][k2][m1, m2]`` in cube-index order (read off the rectangle
+    table at first cells), and its mean over the whole square: everything
+    :func:`_bmo_prod_rect` reads of the weight."""
     n1, n2 = system1.axis.n_cells, system2.axis.n_cells
-    L1, L2 = system1.axis.level, system2.axis.level
-    Fc = haar_analyze(haar_analyze(b.values, system1, 0), system2, 1)
-    # rectangle weight means in cube-index order: the table at first cells
     WT = rectangle_table(W, system1, system2)
     WT = _shifted(_shifted(WT, -system1.offset_cells, 2), -system2.offset_cells, 3)
+    means = [
+        [WT[k1, k2, :: n1 >> k1, :: n2 >> k2].copy() for k2 in range(system2.axis.level)]
+        for k1 in range(system1.axis.level)
+    ]
+    return means, W.values.mean()
 
-    def wmean(k1, k2):
-        return WT[k1, k2, :: n1 >> k1, :: n2 >> k2]
+
+def _bmo_prod_rect(B: np.ndarray, weight_means, system1, system2) -> float:
+    """:func:`bmo_prod_rect_norm` of the values ``B`` against a weight given
+    by its :func:`_rect_weight_means`; the caller has checked the axes."""
+    wmean, full_mean = weight_means
+    L1, L2 = system1.axis.level, system2.axis.level
+    Fc = haar_analyze(haar_analyze(B, system1, 0), system2, 1)
 
     def energy(k1, k2):  # coefficient**2 / weight mean per level-(k1, k2) rectangle
-        return Fc[1 << k1 : 2 << k1, 1 << k2 : 2 << k2] ** 2 / wmean(k1, k2)
+        return Fc[1 << k1 : 2 << k1, 1 << k2 : 2 << k2] ** 2 / wmean[k1][k2]
 
     # The energy below each level-(a1, a2) rectangle, carried from fine to
     # coarse levels: along the second axis within a first-axis level, then
@@ -441,12 +485,12 @@ def bmo_prod_rect_norm(b: GridFunction, w: ProductWeight, systems) -> float:
             finer = below[a2]
             total = row if finer is None else row + (finer[::2] + finer[1::2])
             below[a2] = total
-            w_omega = 2.0 ** -(a1 + a2) * wmean(a1, a2)
+            w_omega = 2.0 ** -(a1 + a2) * wmean[a1][a2]
             ratio = np.where(total > 0.0, total / w_omega, 0.0)
             best = max(best, float(np.sqrt(ratio.max())))
     full_total = float(below[0][0, 0])
     if full_total > 0.0:
-        best = max(best, np.sqrt(full_total / W.values.mean()))
+        best = max(best, np.sqrt(full_total / full_mean))
     return float(best)
 
 

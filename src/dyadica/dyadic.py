@@ -245,7 +245,7 @@ def boundary_distance(I: DyadicCube, J: DyadicCube) -> float:
 # the power-law threshold  dist <= 2**-kj * (2**-depth)**gamma
 
 
-def _gamma_ratio(gamma: float, max_den: int = 64):
+def _gamma_ratio(gamma: float, max_den: int = 256):
     frac = Fraction(gamma).limit_denominator(max_den)
     if abs(float(frac) - gamma) < 1e-12:
         return frac.numerator, frac.denominator

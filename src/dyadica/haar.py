@@ -10,12 +10,13 @@ Coefficient tables are arrays in :func:`basis_column` order per axis;
 :func:`haar_matrix`, the synthesized identity, is the dense reference.
 
 Martingale calculus rests on one primitive: the conditional-expectation
-stack E_0 .. E_L of a function along one axis, built with one roll and one
-reshape-mean per level.  Level averages and differences read one or two
-levels of it; composed over the two axes it is the rectangle table
-T[k1, k2], whose slices (averages) and consecutive differences (martingale
-differences) every multiscale quantity reads.  Block operators restrict a
-difference to one cube, or to one rectangle by composing the two factors.
+stack E_0 .. E_L of a function along one axis, built with one cyclic shift
+and one reshape and block sum per level.  Level averages and differences
+read one or two levels of it; composed over the two axes it is the
+rectangle table T[k1, k2], whose slices (averages) and consecutive
+differences (martingale differences) every multiscale quantity reads.
+Block operators restrict a difference to one cube, or to one rectangle by
+composing the two factors.
 """
 
 from __future__ import annotations
@@ -179,16 +180,22 @@ def _axis_position(f: GridFunction, system: DyadicSystem, axis_index) -> int:
 
 def _stack(vals: np.ndarray, pos: int, offset: int, levels: range) -> np.ndarray:
     """``E_k`` along array axis ``pos`` for ``k`` in ``levels``, stacked on a
-    new leading axis: one roll to put the lattice's first cube at cell 0,
-    one reshape-mean per level, one roll back.  Each level is reduced as a
-    lone level would be, so its bits do not depend on ``levels``."""
-    v = np.roll(np.moveaxis(vals, pos, 0), -offset, axis=0)
+    new leading axis: one cyclic shift to put the lattice's first cube at
+    cell 0, one reshape and block sum per level, one shift back (no shifts
+    at offset 0).  Each level is reduced as a lone level would be, so its
+    bits do not depend on ``levels``."""
+    v = np.moveaxis(vals, pos, 0)
+    if offset:
+        v = _shifted(v, -offset, 0)
     n = v.shape[0]
     out = np.empty((len(levels),) + v.shape)
     for i, level in enumerate(levels):
         shape = (1 << level, n >> level) + v.shape[1:]
-        out[i].reshape(shape)[...] = v.reshape(shape).mean(axis=1, keepdims=True)
-    return np.moveaxis(np.roll(out, offset, axis=1), 1, pos + 1)
+        sums = np.add.reduce(v.reshape(shape), axis=1, keepdims=True)
+        out[i].reshape(shape)[...] = sums / (n >> level)
+    if offset:
+        out = _shifted(out, offset, 1)
+    return np.moveaxis(out, 1, pos + 1)
 
 
 def expectation_stack(

@@ -27,7 +27,7 @@ from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
-from .analysis import _system_pair, bmo_prod_rect_norm, mixed_norm
+from .analysis import _bmo_prod_rect, _rect_weight_means, _system_pair, mixed_norm
 from .dyadic import DyadicCube, DyadicSystem, ancestor
 from .errors import ContractError, ParameterError, ShapeError, SystemMismatchError
 from .fracops import ShiftCoefficientTable, partial_frac_integral
@@ -466,7 +466,8 @@ def bloom_experiment(config: BloomConfig) -> BloomReport:
                 apq_characteristic(mu2, config.p2, q2),
                 apq_characteristic(sg2, config.p2, q2),
             )
-            nu = bloom_weight(mu1, sg1, mu2, sg2)
+            nu = bloom_weight(mu1, sg1, mu2, sg2).evaluate()
+            nu_means = _rect_weight_means(nu, *pair)  # read by every sample
             w_num1, w_num2 = mu1.power(config.p1), mu2.power(config.p2)
             w_den1, w_den2 = sg1.power(q1), sg2.power(q2)
             ratios = []
@@ -474,7 +475,7 @@ def bloom_experiment(config: BloomConfig) -> BloomReport:
             for bvals, fvals in samples[qi]:
                 bfun = grid_function(_refine(bvals, factor), axis, axis)
                 ffun = grid_function(_refine(fvals, factor), axis, axis)
-                bmo = bmo_prod_rect_norm(bfun, nu, pair)
+                bmo = _bmo_prod_rect(bfun.values, nu_means, *pair)
                 if bmo <= 0.0:
                     skipped += 1
                     continue

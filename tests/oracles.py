@@ -408,6 +408,19 @@ def level_average_brute(values, axis, level, offset_cells):
     return np.moveaxis(out, 0, axis)
 
 
+def expectation_stack_reference(vals, pos, offset, levels):
+    """``E_k`` along array axis ``pos`` for ``k`` in ``levels``, stacked on a
+    new leading axis, by ``np.roll`` and a reshape-``mean`` per level: the
+    layout whose bits the library's stack keeps."""
+    v = np.roll(np.moveaxis(vals, pos, 0), -offset, axis=0)
+    n = v.shape[0]
+    out = np.empty((len(levels),) + v.shape)
+    for i, level in enumerate(levels):
+        shape = (1 << level, n >> level) + v.shape[1:]
+        out[i].reshape(shape)[...] = v.reshape(shape).mean(axis=1, keepdims=True)
+    return np.moveaxis(np.roll(out, offset, axis=1), 1, pos + 1)
+
+
 def level_difference_brute(values, axis, level, offset_cells):
     return level_average_brute(values, axis, level + 1, offset_cells) - (
         level_average_brute(values, axis, level, offset_cells)

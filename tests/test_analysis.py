@@ -8,6 +8,7 @@ from dyadica.analysis import (
     _carried_means,
     _gathered_means,
     _trailing_max,
+    _widest_containing,
     bmo_prod_norm,
     default_omega_family,
     duality_check,
@@ -22,6 +23,7 @@ from dyadica.dyadic import DyadicCube, DyadicSystem
 from dyadica.errors import DegenerateInputError, ParameterError, ShapeError
 from dyadica.fracops import frac_integral
 from dyadica.grid import (
+    Axis,
     build_axis,
     constant_function,
     grid_function,
@@ -117,6 +119,18 @@ def test_strong_maximal_matches_brute_force_bitwise_all_shapes(levels, seed):
     assert np.array_equal(strong_maximal(f).values, strong_maximal_brute(f.values))
 
 
+@pytest.mark.parametrize("levels", ((0, 8), (8, 0), (4, 4)))
+def test_strong_maximal_matches_brute_force_at_view_edges(levels):
+    # 1 x 256 and 256 x 1 are the thinnest grids of the wrapped-grid view,
+    # and GridFunction keeps its values read-only
+    f = grid_function(
+        np.random.default_rng(sum(levels)).normal(size=[1 << k for k in levels]),
+        *(Axis(k) for k in levels),
+    )
+    assert not f.values.flags.writeable
+    assert np.array_equal(strong_maximal(f).values, strong_maximal_brute(f.values))
+
+
 def test_strong_maximal_carried_sums_agree_with_gather():
     rng = np.random.default_rng(3)
     a = np.abs(rng.normal(size=(16, 16)))
@@ -169,6 +183,29 @@ def test_trailing_max_matches_rolled_max(shape, axis_index, repeat_axis, seed):
     for w in range(1, shape[axis_index] + 1):
         got = _trailing_max(m, w, axis_index)
         assert np.array_equal(got, trailing_max_brute(m, w, axis_index)), w
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    other=st.integers(1, 6),
+    axis_index=st.sampled_from([0, 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=5, other=1, axis_index=1, seed=0)
+@example(n=33, other=3, axis_index=0, seed=0)
+def test_widest_containing_matches_per_width_rolled_max(n, other, axis_index, seed):
+    # up to 40 widths: two full chunks of widths and a partial one
+    shape = (n, other) if axis_index == 0 else (other, n)
+    rng = np.random.default_rng(seed)
+    means = [rng.uniform(size=shape) for _ in range(n)]
+    # the full-width means have one start, broadcast like the window means
+    means[-1] = means[-1][:1] if axis_index == 0 else means[-1][:, :1]
+    want = np.zeros(shape)
+    for w, m in enumerate(means, 1):
+        scores = np.broadcast_to(m, shape)
+        np.maximum(want, trailing_max_brute(scores, w, axis_index), out=want)
+    assert np.array_equal(_widest_containing(iter(means), axis_index, shape), want)
 
 
 def test_strong_maximal_rejects_one_axis():
@@ -530,6 +567,25 @@ def test_bmo_prod_validation():
         bmo_prod_norm(constant_function(1.0, axis), w, pair)
     with pytest.raises(ParameterError):
         bmo_prod_norm(b, w, pair[0])
+
+
+def test_bmo_prod_rect_norm_validation():
+    from dyadica.analysis import bmo_prod_rect_norm
+
+    ax3, ax4 = build_axis(3), build_axis(4)
+    pair = (DyadicSystem(ax3, 0), DyadicSystem(ax3, 0))
+    b = constant_function(1.0, ax3, ax3)
+    for other in ((ax4, ax4), (ax3, ax4), (ax4, ax3)):
+        w = ProductWeight(*(ones_weight(ax) for ax in other))
+        with pytest.raises(ShapeError):
+            bmo_prod_rect_norm(b, w, pair)
+    w = ProductWeight(ones_weight(ax3), ones_weight(ax3))
+    with pytest.raises(ShapeError):
+        bmo_prod_rect_norm(constant_function(1.0, ax3), w, pair)
+    with pytest.raises(ShapeError):
+        bmo_prod_rect_norm(b, w, (DyadicSystem(ax4, 0), pair[1]))
+    with pytest.raises(ParameterError):
+        bmo_prod_rect_norm(b, w, pair[0])
 
 
 # -- duality --------------------------------------------------------------

@@ -185,9 +185,12 @@ def test_goodness_census_third_gamma():
             assert mine[m] == ref
 
 
-@pytest.mark.parametrize("gamma", (7 / 16, dyadic.default_gamma(0.3), 1 / 3, 5 / 17))
+@pytest.mark.parametrize(
+    "gamma", (7 / 16, dyadic.default_gamma(0.3), 1 / 3, 5 / 17, dyadic.default_gamma(0.37))
+)
 def test_bad_mask_agrees_with_is_good_every_cube(gamma):
-    # 7/16 and 5/13 compare powers past 2**62 from L = 4 and L = 5 on
+    # 7/16 and 5/13 compare powers past 2**62 from L = 4 and L = 5 on;
+    # default_gamma(0.37) = 50/137 needs the largest denominator cap
     for r in (2, 5):
         params = dyadic.GoodParams(r=r, gamma=gamma)
         for L in range(1, 11):
@@ -195,6 +198,11 @@ def test_bad_mask_agrees_with_is_good_every_cube(gamma):
             for k in range(L + 1):
                 good = [dyadic.is_good(sys.cube(k, m), params) for m in range(1 << k)]
                 assert (~dyadic.bad_mask(sys, k, params)).tolist() == good
+
+
+def test_default_gamma_takes_the_exact_threshold():
+    for lam, ratio in ((0.3, (5, 13)), (0.37, (50, 137)), (0.5, (1, 3))):
+        assert dyadic._gamma_ratio(dyadic.default_gamma(lam)) == ratio
 
 
 def test_goodness_monotone_in_r():

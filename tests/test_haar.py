@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -312,6 +314,24 @@ def test_stack_and_table_match_nested_level_average_bitwise(L1, L2, o1, o2, seed
         for k2 in range(L2 + 1):
             ref = haar.level_average(g, s2, k2, axis_index=2).values
             assert np.array_equal(table[k1, k2], ref)
+
+
+@pytest.mark.parametrize("pos", (0, 1))
+@pytest.mark.parametrize("other", (1, 3, 16))
+@pytest.mark.parametrize("n", (16, 64, 256))
+def test_stack_matches_rolled_mean_bitwise(n, other, pos):
+    # numpy picks its summation order from the layout of the shifted copy,
+    # so every offset kind (none, one cell, all but one) is checked
+    shape = (n, other) if pos == 0 else (other, n)
+    vals = np.random.default_rng(n + other + pos).normal(size=shape)
+    L = n.bit_length() - 1
+    # a stack of two, as rectangle_table passes the first axis's stack
+    cases = ((vals, pos), (np.stack((vals, -vals)), pos + 1))
+    for (v, p), offset in itertools.product(cases, (0, 1, n - 1)):
+        for levels in (range(L + 1), range(L, L + 1), range(0, 1), range(1, L)):
+            got = haar._stack(v, p, offset, levels)
+            want = oracles.expectation_stack_reference(v, p, offset, levels)
+            assert np.array_equal(got, want), (v.ndim, offset, levels)
 
 
 def test_block_depth0_matches_oracle(rng):

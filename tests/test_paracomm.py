@@ -439,6 +439,44 @@ def test_bloom_experiment_draws_each_sample_once(monkeypatch):
     assert len(report.levels) == 3
 
 
+def test_bloom_experiment_bmo_matches_public_norm_bitwise(monkeypatch):
+    # the weight's rectangle means are built once per (level, quad) and
+    # shared by the samples; each sample's norm must keep the public bits
+    import dyadica.paracomm as paracomm
+    from dyadica.analysis import bmo_prod_rect_norm
+    from dyadica.weights import bloom_weight, power_weight
+
+    seen, builds = [], []
+    norm, build = paracomm._bmo_prod_rect, paracomm._rect_weight_means
+
+    def recorded(B, weight_means, *pair):
+        value = norm(B, weight_means, *pair)
+        seen.append((B, pair, value))
+        return value
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(paracomm, "_bmo_prod_rect", recorded)
+    monkeypatch.setattr(paracomm, "_rect_weight_means", counted)
+    config = BloomConfig(
+        levels=(3, 4),
+        n_samples=3,
+        weight_quads=(
+            ((0.2, 0.5), (-0.15, 0.25), (0.15, 0.75), (0.0, 0.5)),
+            ((0.1, 0.0), (0.1, 0.5), (-0.1, 0.3), (0.15, 0.7)),
+        ),
+    )
+    bloom_experiment(config)
+    assert len(builds) == 2 * 2 and len(seen) == 2 * 2 * 3
+    for i, (B, pair, value) in enumerate(seen):
+        quad = config.weight_quads[i // 3 % 2]
+        axis = pair[0].axis
+        nu = bloom_weight(*(power_weight(axis, a, c) for a, c in quad))
+        assert value == bmo_prod_rect_norm(grid_function(B, axis, axis), nu, pair)
+
+
 def test_bloom_experiment_rejects_levels_below_base():
     with pytest.raises(ParameterError):
         bloom_experiment(BloomConfig(levels=(2,)))
