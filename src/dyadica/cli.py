@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -95,19 +95,12 @@ class ExperimentConfig:
     format: str = "json"
 
 
-_CONFIG_FIELDS = (
-    "suite",
-    "seed",
-    "levels",
-    "lambdas",
-    "exponents",
-    "weights",
-    "r",
-    "gamma",
-    "samples",
-    "out",
-    "format",
-)
+_CONFIG_FIELDS = tuple(field.name for field in fields(ExperimentConfig))
+_DEFAULTS = {
+    field.name: field.default
+    for field in fields(ExperimentConfig)
+    if field.default is not MISSING
+}
 
 
 def _fail(name: str, why: str):
@@ -118,6 +111,7 @@ def _config_from_mapping(data: Mapping) -> ExperimentConfig:
     for key in data:
         if key not in _CONFIG_FIELDS:
             raise ConfigurationError(f"unknown field {key!r}")
+    data = {**_DEFAULTS, **data}
     suite = data.get("suite")
     if suite not in SUITES + ("all",):
         _fail("suite", f"must be one of {SUITES + ('all',)}, got {suite!r}")
@@ -127,21 +121,21 @@ def _config_from_mapping(data: Mapping) -> ExperimentConfig:
     if isinstance(seed, bool) or not isinstance(seed, int):
         _fail("seed", f"must be an integer, got {seed!r}")
 
-    levels = tuple(data.get("levels", (6,)))
+    levels = tuple(data["levels"])
     if not levels:
         _fail("levels", "must be non-empty")
     for idx, lv in enumerate(levels):
         if isinstance(lv, bool) or not isinstance(lv, int) or not 1 <= lv <= 14:
             _fail(f"levels[{idx}]", f"must be an integer in [1, 14], got {lv!r}")
 
-    lambdas = tuple(float(x) for x in data.get("lambdas", (0.5,)))
+    lambdas = tuple(float(x) for x in data["lambdas"])
     if not lambdas:
         _fail("lambdas", "must be non-empty")
     for idx, lam in enumerate(lambdas):
         if not 0.0 < lam < 1.0:
             _fail(f"lambdas[{idx}]", f"must lie in (0, 1), got {lam!r}")
 
-    exponents = tuple(tuple(float(v) for v in pair) for pair in data.get("exponents", ((4.0 / 3.0, 0.5),)))
+    exponents = tuple(tuple(float(v) for v in pair) for pair in data["exponents"])
     if not exponents:
         _fail("exponents", "must be non-empty")
     for idx, pair in enumerate(exponents):
@@ -152,7 +146,7 @@ def _config_from_mapping(data: Mapping) -> ExperimentConfig:
         except DyadicaError as exc:
             _fail(f"exponents[{idx}]", str(exc))
 
-    weights = tuple(tuple(float(v) for v in pair) for pair in data.get("weights", ((0.3, 0.5), (-0.25, 0.25))))
+    weights = tuple(tuple(float(v) for v in pair) for pair in data["weights"])
     if not weights:
         _fail("weights", "must be non-empty")
     for idx, pair in enumerate(weights):
@@ -164,22 +158,22 @@ def _config_from_mapping(data: Mapping) -> ExperimentConfig:
         if not 0.0 <= center < 1.0:
             _fail(f"weights[{idx}]", f"center must lie in [0, 1), got {center!r}")
 
-    r = data.get("r", 3)
+    r = data["r"]
     if isinstance(r, bool) or not isinstance(r, int) or r < 1:
         _fail("r", f"must be a positive integer, got {r!r}")
-    gamma = data.get("gamma")
+    gamma = data["gamma"]
     if gamma is not None:
         gamma = float(gamma)
         if not 0.0 < gamma < 0.5:
             _fail("gamma", f"must lie in (0, 1/2), got {gamma!r}")
 
-    samples = data.get("samples", 20)
+    samples = data["samples"]
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
         _fail("samples", f"must be a positive integer, got {samples!r}")
-    out = data.get("out", "reports")
+    out = data["out"]
     if not isinstance(out, str) or not out:
         _fail("out", f"must be a non-empty path string, got {out!r}")
-    fmt = data.get("format", "json")
+    fmt = data["format"]
     if fmt not in ("json", "csv"):
         _fail("format", f"must be 'json' or 'csv', got {fmt!r}")
 
@@ -218,21 +212,14 @@ def load_config(path) -> ExperimentConfig:
     return _config_from_mapping(data)
 
 
+def _plain(value):
+    """Tuples as (nested) lists, for JSON."""
+    return [_plain(v) for v in value] if isinstance(value, (tuple, list)) else value
+
+
 def config_to_dict(config: ExperimentConfig) -> Dict:
     """JSON-ready mapping; ``load`` of a dump reproduces the config."""
-    return {
-        "suite": config.suite,
-        "seed": config.seed,
-        "levels": list(config.levels),
-        "lambdas": list(config.lambdas),
-        "exponents": [list(p) for p in config.exponents],
-        "weights": [list(p) for p in config.weights],
-        "r": config.r,
-        "gamma": config.gamma,
-        "samples": config.samples,
-        "out": config.out,
-        "format": config.format,
-    }
+    return {name: _plain(getattr(config, name)) for name in _CONFIG_FIELDS}
 
 
 # -- records and reports --------------------------------------------------
@@ -248,6 +235,13 @@ class CheckRecord:
     threshold: float
     passed: bool
     hard: bool = True
+
+
+def _check(
+    name: str, anchor: str, value: float, threshold: float, hard: bool = True
+) -> CheckRecord:
+    """A record that passes when ``value <= threshold`` (NaN fails)."""
+    return CheckRecord(name, anchor, value, threshold, value <= threshold, hard)
 
 
 def _record_dict(record: CheckRecord) -> Dict:
@@ -338,21 +332,19 @@ def _suite_haar_verify(config: ExperimentConfig):
                 worst_tel = max(worst_tel, tel)
                 rows.append(("haar-verify", f"L{level}-off{off}-s{s}", res))
         records.append(
-            CheckRecord(
-                name=f"haar-verify-reconstruction-L{level}",
-                anchor="haar-orthonormal-expansion",
-                value=worst_recon,
-                threshold=1e-12,
-                passed=worst_recon <= 1e-12,
+            _check(
+                f"haar-verify-reconstruction-L{level}",
+                "haar-orthonormal-expansion",
+                worst_recon,
+                1e-12,
             )
         )
         records.append(
-            CheckRecord(
-                name=f"haar-verify-telescoping-L{level}",
-                anchor="martingale-telescoping",
-                value=worst_tel,
-                threshold=1e-12,
-                passed=worst_tel <= 1e-12,
+            _check(
+                f"haar-verify-telescoping-L{level}",
+                "martingale-telescoping",
+                worst_tel,
+                1e-12,
             )
         )
     return records, rows
@@ -385,22 +377,20 @@ def _suite_represent(config: ExperimentConfig):
             worst = max(worst, rel)
             rows.append(("represent", f"lam{lam:g}-s{s}", rel))
         records.append(
-            CheckRecord(
-                name=f"represent-identity-lam{lam:g}",
-                anchor="fractional-representation-identity",
-                value=worst,
-                threshold=1e-8,
-                passed=worst <= 1e-8,
+            _check(
+                f"represent-identity-lam{lam:g}",
+                "fractional-representation-identity",
+                worst,
+                1e-8,
             )
         )
     frac = subtracted / total_inputs if total_inputs else 0.0
     records.append(
-        CheckRecord(
-            name="represent-mean-subtraction",
-            anchor="input-normalization",
-            value=frac,
-            threshold=1.0,
-            passed=frac <= 1.0,
+        _check(
+            "represent-mean-subtraction",
+            "input-normalization",
+            frac,
+            1.0,
             hard=False,
         )
     )
@@ -433,30 +423,22 @@ def _suite_weights(config: ExperimentConfig):
         split = ap_characteristic(w, p0) * ap_characteristic(partner, p0)
         factorization = max(factorization, abs(joint - split) / split)
     records.append(
-        CheckRecord(
-            name="weights-characteristic-deficit",
-            anchor="characteristic-lower-bound",
-            value=deficit,
-            threshold=1e-12,
-            passed=deficit <= 1e-12,
+        _check(
+            "weights-characteristic-deficit",
+            "characteristic-lower-bound",
+            deficit,
+            1e-12,
         )
     )
     records.append(
-        CheckRecord(
-            name="weights-duality-identity",
-            anchor="characteristic-duality",
-            value=duality,
-            threshold=1e-10,
-            passed=duality <= 1e-10,
-        )
+        _check("weights-duality-identity", "characteristic-duality", duality, 1e-10)
     )
     records.append(
-        CheckRecord(
-            name="weights-tensor-factorization",
-            anchor="tensor-factorization",
-            value=factorization,
-            threshold=1e-12,
-            passed=factorization <= 1e-12,
+        _check(
+            "weights-tensor-factorization",
+            "tensor-factorization",
+            factorization,
+            1e-12,
         )
     )
     return records, rows
@@ -489,21 +471,14 @@ def _suite_norms(config: ExperimentConfig):
             gap = float(np.max(np.abs(g.values) - m.values))
             deficit = max(deficit, max(0.0, gap))
     records.append(
-        CheckRecord(
-            name="norms-square-energy",
-            anchor="square-function-energy",
-            value=plancherel,
-            threshold=1e-12,
-            passed=plancherel <= 1e-12,
-        )
+        _check("norms-square-energy", "square-function-energy", plancherel, 1e-12)
     )
     records.append(
-        CheckRecord(
-            name="norms-maximal-domination-deficit",
-            anchor="maximal-pointwise-domination",
-            value=deficit,
-            threshold=1e-12,
-            passed=deficit <= 1e-12,
+        _check(
+            "norms-maximal-domination-deficit",
+            "maximal-pointwise-domination",
+            deficit,
+            1e-12,
         )
     )
 
@@ -519,12 +494,11 @@ def _suite_norms(config: ExperimentConfig):
         rows.append(("norms", f"L{level}-frac-domination", ratio))
     variation = (max(ratios) - min(ratios)) / min(ratios)
     records.append(
-        CheckRecord(
-            name="norms-frac-domination-variation",
-            anchor="fractional-maximal-domination",
-            value=variation,
-            threshold=0.2,
-            passed=variation <= 0.2,
+        _check(
+            "norms-frac-domination-variation",
+            "fractional-maximal-domination",
+            variation,
+            0.2,
             hard=False,
         )
     )
@@ -549,13 +523,7 @@ def _suite_decompose(config: ExperimentConfig):
             worst = max(worst, rel)
             rows.append(("decompose", f"L{per}x{per}-s{s}", rel))
     records.append(
-        CheckRecord(
-            name="decompose-product-residual",
-            anchor="nine-term-product-split",
-            value=worst,
-            threshold=1e-12,
-            passed=worst <= 1e-12,
-        )
+        _check("decompose-product-residual", "nine-term-product-split", worst, 1e-12)
     )
     return records, rows
 
@@ -590,12 +558,11 @@ def _suite_commutator(config: ExperimentConfig):
                     ("commutator", f"L{per}x{per}-c{ci}-s{s}", expansion.residual)
                 )
     records.append(
-        CheckRecord(
-            name="commutator-expansion-residual",
-            anchor="shift-commutator-expansion",
-            value=worst,
-            threshold=1e-10,
-            passed=worst <= 1e-10,
+        _check(
+            "commutator-expansion-residual",
+            "shift-commutator-expansion",
+            worst,
+            1e-10,
         )
     )
     return records, rows
@@ -622,22 +589,20 @@ def _suite_bloom(config: ExperimentConfig):
         low = min(maxima)
         variation = (max(maxima) - low) / low if low > 0.0 else float(max(maxima) > 0.0)
         records.append(
-            CheckRecord(
-                name=f"bloom-ratio-variation-quad{qi}",
-                anchor="two-weight-ratio-stability",
-                value=variation,
-                threshold=0.5,
-                passed=variation <= 0.5,
+            _check(
+                f"bloom-ratio-variation-quad{qi}",
+                "two-weight-ratio-stability",
+                variation,
+                0.5,
                 hard=False,
             )
         )
     records.append(
-        CheckRecord(
-            name="bloom-characteristic-budget",
-            anchor="characteristic-budget",
-            value=worst_char,
-            threshold=10.0,
-            passed=worst_char <= 10.0,
+        _check(
+            "bloom-characteristic-budget",
+            "characteristic-budget",
+            worst_char,
+            10.0,
             hard=False,
         )
     )
@@ -684,14 +649,8 @@ def _run_one(name: str, config: ExperimentConfig):
     except (DyadicaError, MemoryError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"{name}: {type(exc).__name__}: {exc}", file=sys.stderr)
         kind = "contract-error" if isinstance(exc, DyadicaError) else "crash"
-        record = CheckRecord(
-            name=f"{name}-{kind}",
-            anchor=f"error-{type(exc).__name__}",
-            value=1.0,
-            threshold=0.0,
-            passed=False,
-        )
-        return [record], []
+        # one error raised against none allowed
+        return [_check(f"{name}-{kind}", f"error-{type(exc).__name__}", 1.0, 0.0)], []
 
 
 def run_suite(config: ExperimentConfig, strict: bool = False) -> SuiteOutcome:

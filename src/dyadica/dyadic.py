@@ -356,12 +356,11 @@ def estimate_pgood(axis: Axis, params: GoodParams, level_k: int, trials: int,
         offsets = np.arange(n)
     else:
         offsets = np.random.default_rng(seed).integers(0, n, size=trials)
-    hits = 0
-    for off in offsets:
-        system = DyadicSystem(axis, int(off))
-        m = ((ref_cell - int(off)) % n) >> (axis.level - level_k)
-        if is_good(DyadicCube(system, level_k, m), params):
-            hits += 1
+    # goodness is offset-relative: one census of the offset-0 lattice serves
+    # every offset, read at the index of the cube holding ref_cell
+    bad = bad_mask(DyadicSystem(axis, 0), level_k, params)
+    index = ((ref_cell - offsets) % n) >> (axis.level - level_k)
+    hits = int(np.count_nonzero(~bad[index]))
     count = len(offsets)
     p = hits / count
     half = 0.0 if exhaustive else 1.96 * sqrt(max(p * (1.0 - p), 0.0) / count)

@@ -9,6 +9,10 @@ coefficient tables for shift operators with the canonical size bound, the
 pointwise domination scan, and a verification harness that checks the
 bilinear expansion identity and measures per-class coefficient constants.
 
+A shift table is one array with a row per cube K in heap order, so
+applying a shift is analyze, one contraction along the array axis,
+synthesize (see :class:`ShiftCoefficientTable`).
+
 The harness does the offset-free work (Haar-basis kernel matrix, goodness,
 pair classes) once, on the offset-0 lattice; each system adds only its
 column of Haar coefficients (see :func:`verify_representation`).
@@ -26,7 +30,6 @@ from .dyadic import (
     DyadicSystem,
     GoodParams,
     _within_threshold,
-    ancestor,
     bad_mask,
     contains,
     cube_distance_cells,
@@ -49,7 +52,7 @@ from .grid import (
     kernel_matrix,
     l2_norm,
 )
-from .haar import basis_column, expectation_stack, haar_function
+from .haar import expectation_stack, haar_function
 from .haar import haar_analyze, haar_synthesize
 
 __all__ = [
@@ -185,28 +188,53 @@ def classify_pair(I: DyadicCube, J: DyadicCube, params: GoodParams) -> SigmaClas
 # -- shift operators ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _row_bounds(i: int, j: int, lam: float, rows: int) -> np.ndarray:
+    """The size bound ``(|I| |J|)**(1/2) / |K|**lam`` of each table row,
+    computed once per level of K; row 0 holds no cube and gets bound 0."""
+    levels = _int_bit_length(np.arange(rows)) - 1  # -1 for row 0
+    per_level = [
+        2.0 ** (-0.5 * (k + i) - 0.5 * (k + j) + lam * k) for k in range(levels[-1] + 1)
+    ]
+    return np.array([0.0] + per_level)[levels + 1]
+
+
+@dataclass(frozen=True, eq=False)
 class ShiftCoefficientTable:
-    """Coefficients of a depth-(i, j) shift operator: entries map cube
-    triples ``(I, J, K)`` with I at depth i and J at depth j below K to the
-    coefficient multiplying the I-coefficient into the J direction."""
+    """Coefficients of a depth-(i, j) shift operator, one row per cube K in
+    heap order (:func:`~dyadica.haar.basis_column`): ``coeffs[c, dJ, dI]``
+    routes the Haar coefficient at column ``(c << i) + dI``, a cube I lying
+    i levels below the K at column ``c``, into column ``(c << j) + dJ``, a
+    cube J lying j levels below it.  On an L-level axis the shape is
+    ``(2**(L - max(i, j)), 2**j, 2**i)``; row 0 is not a cube and holds 0.
+    The array is a read-only copy."""
 
     i: int
     j: int
     lam: float
-    entries: Mapping[Tuple[DyadicCube, DyadicCube, DyadicCube], float]
+    coeffs: np.ndarray
 
-    def validate(self) -> None:
-        for (I, J, K), a in self.entries.items():
-            if ancestor(I, self.i) != K or ancestor(J, self.j) != K:
-                raise InvariantError(
-                    f"triple ({I}, {J}, {K}) does not match depths ({self.i}, {self.j})"
-                )
-            bound = 2.0 ** (-0.5 * I.level - 0.5 * J.level + self.lam * K.level)
-            if abs(a) > bound * (1.0 + 1e-12):
-                raise InvariantError(
-                    f"coefficient {a} exceeds the size bound {bound} at {K}"
-                )
+    def __post_init__(self):
+        if self.i < 0 or self.j < 0:
+            raise ParameterError("shift depths must be non-negative")
+        coeffs = np.array(self.coeffs, dtype=float)
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def validate(self, system: DyadicSystem) -> None:
+        """Check the shape against the level of ``system``'s axis and every
+        coefficient against its size bound (a NaN fails)."""
+        L = system.axis.level
+        shape = (1 << max(L - max(self.i, self.j), 0), 1 << self.j, 1 << self.i)
+        if self.coeffs.shape != shape:
+            raise InvariantError(f"table shape {self.coeffs.shape} is not {shape}")
+        bound = _row_bounds(self.i, self.j, self.lam, shape[0])[:, None, None]
+        over = ~(np.abs(self.coeffs) <= bound * (1.0 + 1e-12))
+        if over.any():
+            c, dJ, dI = np.argwhere(over)[0]
+            raise InvariantError(
+                f"coefficient {self.coeffs[c, dJ, dI]} exceeds the size bound "
+                f"{bound[c, 0, 0]} at table row {c}"
+            )
 
 
 def maximal_table(
@@ -215,20 +243,24 @@ def maximal_table(
     """The extremal admissible table: every coefficient sits at its size
     bound ``(|I| |J|)**(1/2) / |K|**lam``."""
     _check_lambda(lam)
-    if i < 0 or j < 0:
-        raise ParameterError("shift depths must be non-negative")
     L = system.axis.level
-    entries = {}
-    for kK in range(L - max(i, j)):
-        a = 2.0 ** (-0.5 * (kK + i) - 0.5 * (kK + j) + lam * kK)
-        for mK in range(1 << kK):
-            K = system.cube(kK, mK)
-            for dI in range(1 << i):
-                I = system.cube(kK + i, (mK << i) + dI)
-                for dJ in range(1 << j):
-                    J = system.cube(kK + j, (mK << j) + dJ)
-                    entries[(I, J, K)] = a
-    return ShiftCoefficientTable(i, j, lam, entries)
+    if not (0 <= i <= L and 0 <= j <= L):
+        raise ParameterError(f"shift depths ({i}, {j}) must lie in [0, {L}]")
+    rows = 1 << (L - max(i, j))
+    bound = _row_bounds(i, j, lam, rows)[:, None, None]
+    return ShiftCoefficientTable(i, j, lam, np.broadcast_to(bound, (rows, 1 << j, 1 << i)))
+
+
+def _route(table: ShiftCoefficientTable, coeffs: np.ndarray, pos: int = 0) -> np.ndarray:
+    """Haar coefficients along array axis ``pos`` routed through a table:
+    in heap order all rows' sources are one slice, and so are their targets."""
+    i, j, rows = table.i, table.j, table.coeffs.shape[0]
+    x = np.moveaxis(coeffs, pos, 0)
+    src = x[1 << i : rows << i].reshape((rows - 1, 1 << i) + x.shape[1:])
+    out = np.zeros_like(x)
+    routed = np.einsum("cji,ci...->cj...", table.coeffs[1:], src)
+    out[1 << j : rows << j] = routed.reshape(((rows - 1) << j,) + x.shape[1:])
+    return np.moveaxis(out, 0, pos)
 
 
 def apply_shift(
@@ -247,12 +279,9 @@ def apply_shift(
         raise ContractError(
             f"table is for depths ({table.i}, {table.j}), not ({i}, {j})"
         )
-    table.validate()
-    cf = haar_analyze(f.values, system)
-    out = np.zeros_like(cf)
-    for (I, J, _K), a in table.entries.items():
-        out[basis_column(J)] += a * cf[basis_column(I)]
-    return grid_function(haar_synthesize(out, system), system.axis)
+    table.validate(system)
+    routed = _route(table, haar_analyze(f.values, system))
+    return grid_function(haar_synthesize(routed, system), system.axis)
 
 
 # -- pointwise domination -------------------------------------------------

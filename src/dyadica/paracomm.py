@@ -17,7 +17,10 @@ Everything multiscale here reads the rectangle tables of the factors
 average A = T[k] or the difference D = T[k + 1] - T[k], a part is the sum
 over level pairs of the product of the two factors' slices, and the mean
 bucket and the leftover read the table's edges and entries.  A call that
-needs several parts builds each factor's table once.
+needs several parts builds each factor's table once.  Shift coefficient
+tables are heap-ordered arrays (:class:`dyadica.fracops.ShiftCoefficientTable`):
+a shift's matrix is the shift applied to the identity, and the leftover
+reads the symbol's averages for every pair of table entries in one gather.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ import numpy as np
 from .analysis import _bmo_prod_rect, _rect_weight_means, _system_pair, mixed_norm
 from .dyadic import DyadicCube, DyadicSystem, ancestor
 from .errors import ContractError, ParameterError, ShapeError, SystemMismatchError
-from .fracops import ShiftCoefficientTable, partial_frac_integral
+from .fracops import ShiftCoefficientTable, _int_bit_length, _route, partial_frac_integral
 from .grid import GridFunction, build_axis, grid_function
-from .haar import basis_column, expectation_stack, rectangle_table
+from .haar import expectation_stack, rectangle_table
 from .haar import haar_analyze, haar_synthesize
 from .weights import apq_characteristic, bloom_weight, exponent_solve, power_weight
 
@@ -223,14 +226,11 @@ def telescope_terms(
 
 
 def _shift_matrix(system: DyadicSystem, table: ShiftCoefficientTable) -> np.ndarray:
-    """Dense matrix of the shift: routes each source-cube coefficient into
-    its target-cube direction with the tabulated weight."""
-    table.validate()
-    n = system.axis.n_cells
-    C = np.zeros((n, n))
-    for (I, J, _K), a in table.entries.items():
-        C[basis_column(J), basis_column(I)] += a
-    return system.axis.h * haar_synthesize(haar_synthesize(C, system, 0), system, 1)
+    """Dense matrix of the shift: the shift applied to every cell's
+    indicator, one column each."""
+    table.validate(system)
+    routed = _route(table, haar_analyze(np.eye(system.axis.n_cells), system))
+    return haar_synthesize(routed, system)
 
 
 @dataclass(frozen=True)
@@ -243,33 +243,45 @@ class CommutatorExpansion:
     residual: float
 
 
+def _table_cubes(table: ShiftCoefficientTable, system: DyadicSystem, depth: int, axes):
+    """Heap column, level and start cell of the cube ``depth`` levels below
+    each table row's K: one row per K and ``2**depth`` columns, placed on
+    the array axes ``axes`` of six."""
+    rows = table.coeffs.shape[0]
+    shape = [1] * 6
+    shape[axes[0]], shape[axes[1]] = rows - 1, 1 << depth
+    col = np.arange(1 << depth, rows << depth).reshape(shape)
+    level = _int_bit_length(col) - 1
+    n = system.axis.n_cells
+    cell = (system.offset_cells + (col - (1 << level)) * (n >> level)) % n
+    return col, level, cell
+
+
 def _leftover_term(Tb, f, table1, table2, sys1, sys2) -> np.ndarray:
     """Quadruple sum with the alternating rectangle averages of b, read
     from its rectangle table ``Tb`` at each rectangle's start cells.
 
     For each source/target pair of each axis shift, the symbol enters only
-    through -<b>_{IxS} + <b>_{IxT} + <b>_{JxS} - <b>_{JxT}."""
+    through -<b>_{IxS} + <b>_{IxT} + <b>_{JxS} - <b>_{JxT}.  Every entry
+    pair is one element of arrays on the axes (K1, dJ, dI, K2, dT, dS); a
+    target sums over its sources dI, dS."""
     Fc = haar_analyze(haar_analyze(f.values, sys1, 0), sys2, 1)
+    I = _table_cubes(table1, sys1, table1.i, (0, 2))
+    J = _table_cubes(table1, sys1, table1.j, (0, 1))
+    S = _table_cubes(table2, sys2, table2.i, (3, 5))
+    T = _table_cubes(table2, sys2, table2.j, (3, 4))
 
-    def triples(table):
-        out = []
-        for (I, J, _K), a in table.entries.items():
-            out.append(
-                (a, basis_column(I), basis_column(J), I.level, I.start_cell, J.level, J.start_cell)
-            )
-        return out
+    def avg(X, Y):
+        return Tb[X[1], Y[1], X[2], Y[2]]
 
-    t1, t2 = triples(table1), triples(table2)
-    Ecoef = np.zeros((sys1.axis.n_cells, sys2.axis.n_cells))
-    for a1, colI, colJ, kI, cI, kJ, cJ in t1:
-        for a2, colS, colT, kS, cS, kT, cT in t2:
-            b_is = Tb[kI, kS, cI, cS]
-            b_it = Tb[kI, kT, cI, cT]
-            b_js = Tb[kJ, kS, cJ, cS]
-            b_jt = Tb[kJ, kT, cJ, cT]
-            Ecoef[colJ, colT] += (
-                a1 * a2 * (-b_is + b_it + b_js - b_jt) * Fc[colI, colS]
-            )
+    a = table1.coeffs[1:, :, :, None, None, None] * table2.coeffs[1:]
+    terms = a * (-avg(I, S) + avg(I, T) + avg(J, S) - avg(J, T)) * Fc[I[0], S[0]]
+    rows1, rows2 = table1.coeffs.shape[0], table2.coeffs.shape[0]
+    j, t = table1.j, table2.j
+    Ecoef = np.zeros_like(Fc)
+    Ecoef[1 << j : rows1 << j, 1 << t : rows2 << t] = terms.sum(axis=(2, 5)).reshape(
+        (rows1 - 1) << j, (rows2 - 1) << t
+    )
     return haar_synthesize(haar_synthesize(Ecoef, sys1, 0), sys2, 1)
 
 
@@ -405,10 +417,7 @@ def _coarse_sample(rng, nb: int, kind: int):
     """
     Lb = nb.bit_length() - 1
     lattice = DyadicSystem(build_axis(Lb), 0)
-    col_level = np.zeros(nb, dtype=int)
-    for k in range(Lb):
-        col_level[(1 << k) : (2 << k)] = k
-    decay = 2.0 ** (-0.5 * col_level)
+    decay = 2.0 ** (-0.5 * (_int_bit_length(np.arange(nb)) - 1))
     if kind == 1:
         s1, w1 = rng.integers(nb), rng.integers(1, nb)
         s2, w2 = rng.integers(nb), rng.integers(1, nb)

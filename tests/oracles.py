@@ -11,7 +11,10 @@ by a different route than the package takes:
 * goodness uses exact rational arithmetic over all (I, J) pairs;
 * the representation scan builds every lattice's own Haar matrix and
   Haar-basis kernel matrix and scans its cube pairs system by system,
-  instead of once on the offset-0 lattice.
+  instead of once on the offset-0 lattice;
+* shift tables are walked entry by entry as ``DyadicCube`` triples, with
+  the geometry of ``start_cell`` and ``basis_column``, instead of routed
+  along an array axis.
 
 Keep it slow and obvious.
 """
@@ -23,10 +26,10 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate
 
-from dyadica.dyadic import _within_threshold, bad_mask
+from dyadica.dyadic import DyadicCube, DyadicSystem, _within_threshold, bad_mask, is_good
 from dyadica.fracops import RepresentationReport, frac_integral
 from dyadica.grid import inner_product, kernel_matrix, l2_norm
-from dyadica.haar import haar_matrix
+from dyadica.haar import basis_column, haar_matrix, haar_synthesize
 
 
 # ---------------------------------------------------------------------------
@@ -608,3 +611,99 @@ def verify_representation_brute(f, g, lam, params, systems):
         class_constants=constants,
         class_counts=counts,
     )
+
+
+# ---------------------------------------------------------------------------
+# shift tables, one cube triple at a time
+
+
+def shift_entries(table, system):
+    """The ``(I, J, K, a)`` entries of a heap-ordered shift table: row c is
+    the cube K at Haar column c, and ``coeffs[c, dJ, dI]`` the coefficient
+    of the I ``dI``-th and the J ``dJ``-th below K."""
+    for c in range(1, table.coeffs.shape[0]):
+        kK = c.bit_length() - 1
+        K = system.cube(kK, c - (1 << kK))
+        for dI in range(1 << table.i):
+            I = system.cube(kK + table.i, (K.index << table.i) + dI)
+            for dJ in range(1 << table.j):
+                J = system.cube(kK + table.j, (K.index << table.j) + dJ)
+                yield I, J, K, float(table.coeffs[c, dJ, dI])
+
+
+def maximal_entries_brute(system, i, j, lam):
+    """The maximal table as a mapping of cube triples to their size bound."""
+    L = system.axis.level
+    entries = {}
+    for kK in range(L - max(i, j)):
+        a = 2.0 ** (-0.5 * (kK + i) - 0.5 * (kK + j) + lam * kK)
+        for mK in range(1 << kK):
+            K = system.cube(kK, mK)
+            for dI in range(1 << i):
+                I = system.cube(kK + i, (mK << i) + dI)
+                for dJ in range(1 << j):
+                    J = system.cube(kK + j, (mK << j) + dJ)
+                    entries[(I, J, K)] = a
+    return entries
+
+
+def route_brute(table, system, cf):
+    """Each entry adds its coefficient times the I Haar coefficient into
+    the J direction."""
+    out = np.zeros_like(cf)
+    for I, J, _K, a in shift_entries(table, system):
+        out[basis_column(J)] += a * cf[basis_column(I)]
+    return out
+
+
+def apply_shift_brute(values, system, table):
+    """The shift of a table applied to cell values through the dense Haar
+    matrix: ``H route(h H.T v)``."""
+    H = haar_matrix(system)
+    return H @ route_brute(table, system, system.axis.h * H.T @ values)
+
+
+def shift_matrix_brute(system, table):
+    """Dense matrix of the shift, one entry per table coefficient placed
+    at its (J, I) Haar columns, then synthesized along both axes."""
+    n = system.axis.n_cells
+    C = np.zeros((n, n))
+    for I, J, _K, a in shift_entries(table, system):
+        C[basis_column(J), basis_column(I)] += a
+    return system.axis.h * haar_synthesize(haar_synthesize(C, system, 0), system, 1)
+
+
+def leftover_term_brute(Tb, f_values, table1, table2, sys1, sys2):
+    """Leftover term of the shift commutator expansion, one pair of table
+    entries at a time, the symbol read from its rectangle table ``Tb`` at
+    each rectangle's start cells."""
+    Fc = sys1.axis.h * sys2.axis.h * (haar_matrix(sys1).T @ f_values @ haar_matrix(sys2))
+    Ecoef = np.zeros_like(Fc)
+    for I, J, _K, a1 in shift_entries(table1, sys1):
+        cI, cJ = I.start_cell, J.start_cell
+        for S, T, _V, a2 in shift_entries(table2, sys2):
+            cS, cT = S.start_cell, T.start_cell
+            b_is = Tb[I.level, S.level, cI, cS]
+            b_it = Tb[I.level, T.level, cI, cT]
+            b_js = Tb[J.level, S.level, cJ, cS]
+            b_jt = Tb[J.level, T.level, cJ, cT]
+            Ecoef[basis_column(J), basis_column(T)] += (
+                a1 * a2 * (-b_is + b_it + b_js - b_jt) * Fc[basis_column(I), basis_column(S)]
+            )
+    return haar_matrix(sys1) @ Ecoef @ haar_matrix(sys2).T
+
+
+# ---------------------------------------------------------------------------
+# goodness census
+
+
+def pgood_brute(axis, params, level_k, offsets, ref_cell):
+    """Number of offsets whose level-``level_k`` cube holding ``ref_cell``
+    is good, one system and one cube at a time."""
+    n = axis.n_cells
+    hits = 0
+    for off in offsets:
+        system = DyadicSystem(axis, int(off))
+        m = ((ref_cell - int(off)) % n) >> (axis.level - level_k)
+        hits += is_good(DyadicCube(system, level_k, m), params)
+    return hits

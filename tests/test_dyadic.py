@@ -288,6 +288,32 @@ def test_pgood_monte_carlo_halfwidth():
     assert est.halfwidth > 0.0
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(4, 9),
+    st.integers(1, 3),
+    st.sampled_from([0.25, 31 / 64, dyadic.default_gamma(0.37), 0.1 * np.pi]),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.integers(1, 600),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_pgood_matches_per_offset_is_good_loop(L, r, gamma, ref_point, trials, seed, data):
+    ax = grid.build_axis(L)
+    params = dyadic.GoodParams(r=r, gamma=gamma)
+    level_k = data.draw(st.integers(r, L))
+    est = dyadic.estimate_pgood(ax, params, level_k, trials, seed, ref_point)
+    n = ax.n_cells
+    if trials >= n:
+        offsets = np.arange(n)
+    else:
+        offsets = np.random.default_rng(seed).integers(0, n, size=trials)
+    ref_cell = int((ref_point % 1.0) * n) % n
+    hits = oracles.pgood_brute(ax, params, level_k, offsets, ref_cell)
+    assert est.trials == len(offsets)
+    assert est.estimate == hits / len(offsets)
+
+
 # ---------------------------------------------------------------------------
 # majorant check
 

@@ -33,7 +33,16 @@ from dyadica.paracomm import (
     telescope_terms,
 )
 
-from oracles import mean_corrections_brute, paraproduct_brute
+from oracles import (
+    apply_shift_brute,
+    leftover_term_brute,
+    maximal_entries_brute,
+    mean_corrections_brute,
+    paraproduct_brute,
+    route_brute,
+    shift_entries,
+    shift_matrix_brute,
+)
 
 
 def system_pair(level, off1=0, off2=0):
@@ -285,8 +294,79 @@ def test_shift_matrix_agrees_with_apply_shift():
     table = maximal_table(s, 1, 0, 0.5)
     v = np.random.default_rng(11).normal(size=16)
     M = _shift_matrix(s, table)
-    direct = apply_shift(grid_function(v, s.axis), s, 1, 0, 0.5, table).values
+    direct = apply_shift_brute(v, s, table)
     assert np.allclose(M @ v, direct, atol=1e-12)
+
+
+def random_table(rng, system, i, j, lam):
+    """A table with every coefficient drawn inside its size bound."""
+    bound = maximal_table(system, i, j, lam).coeffs
+    draw = rng.uniform(-1.0, 1.0, bound.shape)
+    return ShiftCoefficientTable(i, j, lam, bound * draw)
+
+
+def within(got, want, rel):
+    scale = np.max(np.abs(want), initial=0.0)
+    return np.max(np.abs(got - want), initial=0.0) <= rel * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.integers(2, 6),
+    st.tuples(*[st.integers(0, 2)] * 4),
+    st.integers(0, 63),
+    st.integers(0, 63),
+    st.integers(0, 2**32 - 1),
+)
+@example(6, 6, (2, 2, 2, 1), 63, 17, 0)
+@example(2, 3, (2, 1, 1, 0), 3, 5, 1)  # the first axis has no cube K
+def test_shift_tables_match_entry_oracles(L1, L2, depths, off1, off2, seed):
+    from dyadica.fracops import _route
+    from dyadica.haar import rectangle_table
+    from dyadica.paracomm import _leftover_term, _shift_matrix
+
+    s1 = DyadicSystem(build_axis(L1), off1 % (1 << L1))
+    s2 = DyadicSystem(build_axis(L2), off2 % (1 << L2))
+    rng = np.random.default_rng(seed)
+    t1 = random_table(rng, s1, *depths[:2], 0.3)
+    t2 = random_table(rng, s2, *depths[2:], 0.6)
+    for system, table in ((s1, t1), (s2, t2)):
+        i, j, lam = table.i, table.j, table.lam
+        maximal = maximal_table(system, i, j, lam)
+        assert not maximal.coeffs[0].any()
+        got = {(I, J, K): a for I, J, K, a in shift_entries(maximal, system)}
+        assert got == maximal_entries_brute(system, i, j, lam)
+        assert np.array_equal(
+            _shift_matrix(system, table), shift_matrix_brute(system, table)
+        )
+        n = system.axis.n_cells
+        v = rng.normal(size=n)
+        assert within(_route(table, v), route_brute(table, system, v), 1e-13)
+        got = apply_shift(grid_function(v, system.axis), system, i, j, lam, table)
+        assert within(got.values, apply_shift_brute(v, system, table), 1e-13)
+        X = rng.normal(size=(n, 3))
+        assert within(_route(table, X.T, 1), route_brute(table, system, X).T, 1e-13)
+
+        # the layout admits no mismatched triple; shape and bound are checked
+        finer = DyadicSystem(build_axis(system.axis.level + 1), 0)
+        bad = np.array(table.coeffs)
+        if bad.shape[0] > 1:
+            bad[-1, -1, -1] = 1.5 * maximal.coeffs[-1, -1, -1]
+        else:
+            bad[0, 0, 0] = 1e-300  # row 0 is no cube
+        for coeffs in (
+            maximal_table(finer, i, j, lam).coeffs,
+            np.swapaxes(table.coeffs, 1, 2) if i != j else table.coeffs[:, :, :0],
+            bad,
+        ):
+            with pytest.raises(InvariantError):
+                ShiftCoefficientTable(i, j, lam, coeffs).validate(system)
+
+    b, f = rand_f(rng, s1, s2), rand_f(rng, s1, s2)
+    Tb = rectangle_table(b, s1, s2)
+    got = _leftover_term(Tb, f, t1, t2, s1, s2)
+    assert within(got, leftover_term_brute(Tb, f.values, t1, t2, s1, s2), 1e-13)
 
 
 def test_shift_expansion_residual_is_rounding_noise():
@@ -327,8 +407,8 @@ def test_shift_expansion_empty_tables():
     s1, s2 = system_pair(3)
     rng = np.random.default_rng(14)
     b, f = rand_f(rng, s1, s2), rand_f(rng, s1, s2)
-    t1 = ShiftCoefficientTable(1, 0, 0.5, {})
-    t2 = ShiftCoefficientTable(0, 0, 0.5, {})
+    t1 = ShiftCoefficientTable(1, 0, 0.5, np.zeros((4, 1, 2)))
+    t2 = ShiftCoefficientTable(0, 0, 0.5, np.zeros((8, 1, 1)))
     expansion = shift_commutator_expand(
         b, f, (1, 0, 0.5, t1), (0, 0, 0.5, t2), (s1, s2)
     )
@@ -369,7 +449,9 @@ def test_shift_expansion_contract_checks():
     with pytest.raises(ContractError):
         shift_commutator_expand(b, f, (1, 0, 0.25, t1), (0, 0, 0.5, t2), (s1, s2))
     K = s2.cube(1, 0)
-    oversized = ShiftCoefficientTable(0, 0, 0.5, {(K, K, K): 99.0})
+    coeffs = np.zeros((8, 1, 1))
+    coeffs[basis_column(K)] = 99.0
+    oversized = ShiftCoefficientTable(0, 0, 0.5, coeffs)
     with pytest.raises(InvariantError):
         shift_commutator_expand(
             b, f, (1, 0, 0.5, t1), (0, 0, 0.5, oversized), (s1, s2)
