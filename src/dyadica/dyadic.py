@@ -343,9 +343,9 @@ def estimate_pgood(axis: Axis, params: GoodParams, level_k: int, trials: int,
     estimate is then exact and the halfwidth zero); otherwise offsets are
     sampled and a binomial 95% halfwidth is reported.
     """
-    if level_k < params.r:
+    if not params.r <= level_k <= axis.level:
         raise ContractError(
-            f"level_k must be >= r = {params.r} for goodness to be nontrivial"
+            f"level_k must lie in [r, L] = [{params.r}, {axis.level}]"
         )
     if trials < 1:
         raise ContractError("trials must be >= 1")

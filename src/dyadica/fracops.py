@@ -52,7 +52,7 @@ from .grid import (
     kernel_matrix,
     l2_norm,
 )
-from .haar import expectation_stack, haar_function
+from .haar import column_cubes, expectation_stack, haar_function
 from .haar import haar_analyze, haar_synthesize
 
 __all__ = [
@@ -188,10 +188,10 @@ def classify_pair(I: DyadicCube, J: DyadicCube, params: GoodParams) -> SigmaClas
 # -- shift operators ------------------------------------------------------
 
 
-def _row_bounds(i: int, j: int, lam: float, rows: int) -> np.ndarray:
+def _row_bounds(i: int, j: int, lam: float, system: DyadicSystem, rows: int) -> np.ndarray:
     """The size bound ``(|I| |J|)**(1/2) / |K|**lam`` of each table row,
     computed once per level of K; row 0 holds no cube and gets bound 0."""
-    levels = _int_bit_length(np.arange(rows)) - 1  # -1 for row 0
+    levels, _ = column_cubes(np.arange(rows), system)  # -1 for row 0
     per_level = [
         2.0 ** (-0.5 * (k + i) - 0.5 * (k + j) + lam * k) for k in range(levels[-1] + 1)
     ]
@@ -227,7 +227,7 @@ class ShiftCoefficientTable:
         shape = (1 << max(L - max(self.i, self.j), 0), 1 << self.j, 1 << self.i)
         if self.coeffs.shape != shape:
             raise InvariantError(f"table shape {self.coeffs.shape} is not {shape}")
-        bound = _row_bounds(self.i, self.j, self.lam, shape[0])[:, None, None]
+        bound = _row_bounds(self.i, self.j, self.lam, system, shape[0])[:, None, None]
         over = ~(np.abs(self.coeffs) <= bound * (1.0 + 1e-12))
         if over.any():
             c, dJ, dI = np.argwhere(over)[0]
@@ -247,20 +247,19 @@ def maximal_table(
     if not (0 <= i <= L and 0 <= j <= L):
         raise ParameterError(f"shift depths ({i}, {j}) must lie in [0, {L}]")
     rows = 1 << (L - max(i, j))
-    bound = _row_bounds(i, j, lam, rows)[:, None, None]
+    bound = _row_bounds(i, j, lam, system, rows)[:, None, None]
     return ShiftCoefficientTable(i, j, lam, np.broadcast_to(bound, (rows, 1 << j, 1 << i)))
 
 
-def _route(table: ShiftCoefficientTable, coeffs: np.ndarray, pos: int = 0) -> np.ndarray:
-    """Haar coefficients along array axis ``pos`` routed through a table:
-    in heap order all rows' sources are one slice, and so are their targets."""
+def _route(table: ShiftCoefficientTable, coeffs: np.ndarray) -> np.ndarray:
+    """Haar coefficients along array axis 0 routed through a table: in heap
+    order all rows' sources are one slice, and so are their targets."""
     i, j, rows = table.i, table.j, table.coeffs.shape[0]
-    x = np.moveaxis(coeffs, pos, 0)
-    src = x[1 << i : rows << i].reshape((rows - 1, 1 << i) + x.shape[1:])
-    out = np.zeros_like(x)
+    src = coeffs[1 << i : rows << i].reshape((rows - 1, 1 << i) + coeffs.shape[1:])
+    out = np.zeros_like(coeffs)
     routed = np.einsum("cji,ci...->cj...", table.coeffs[1:], src)
-    out[1 << j : rows << j] = routed.reshape(((rows - 1) << j,) + x.shape[1:])
-    return np.moveaxis(out, 0, pos)
+    out[1 << j : rows << j] = routed.reshape(((rows - 1) << j,) + coeffs.shape[1:])
+    return out
 
 
 def apply_shift(
@@ -330,11 +329,6 @@ class RepresentationReport:
     class_counts: Mapping[str, int]
 
 
-def _int_bit_length(x: np.ndarray) -> np.ndarray:
-    """Vectorized bit length of non-negative integers (exact below 2**53)."""
-    return np.frexp(x.astype(float))[1]
-
-
 _TAGS = ("out", "near", "shallow_in", "deep_in")
 
 
@@ -375,7 +369,7 @@ def _scan_lattice(
             colJ = slice(1 << kJ, 2 << kJ)
             lo = min(kI, kJ)
             x = (a >> (kI - lo)) ^ (b >> (kJ - lo))
-            kK = lo - _int_bit_length(x)
+            kK = lo - np.frexp(x.astype(float))[1]  # x's bit length
             flat = (kI - kK) * (L + 1) + (kJ - kK)
             raw = np.abs(M[colJ, colI])
             contrib = raw * (aG[colJ] @ aF[colI].T)

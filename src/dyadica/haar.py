@@ -6,7 +6,8 @@ still has children on the mesh.  This module exposes that basis as
 functions and through one transform pair along an array axis,
 :func:`haar_analyze` and its inverse :func:`haar_synthesize`: Mallat's
 pyramid, one pairwise sum and one difference per level, O(n) per line.
-Coefficient tables are arrays in :func:`basis_column` order per axis;
+Coefficient tables are arrays in :func:`basis_column` order per axis
+(:func:`column_cubes` decodes columns back to cubes);
 :func:`haar_matrix`, the synthesized identity, is the dense reference.
 
 Martingale calculus rests on one primitive: the conditional-expectation
@@ -83,6 +84,17 @@ def basis_column(cube: DyadicCube) -> int:
     columns ``2j`` and ``2j + 1``.
     """
     return (1 << cube.level) + cube.index
+
+
+def column_cubes(cols, system: DyadicSystem) -> Tuple[np.ndarray, np.ndarray]:
+    """Level and start cell of the cube at each Haar column in ``cols``:
+    :func:`basis_column` inverted, elementwise.  Column 0, the constant,
+    gets level -1 and the start cell of the whole axis."""
+    cols = np.asarray(cols, dtype=np.int64)
+    level = np.frexp(cols.astype(float))[1] - 1  # exact below 2**53
+    k = np.maximum(level, 0)
+    n = system.axis.n_cells
+    return level, (system.offset_cells + (cols - (1 << k)) * (n >> k)) % n
 
 
 def _along(a, system: DyadicSystem, pos: int):

@@ -33,9 +33,9 @@ import numpy as np
 from .analysis import _bmo_prod_rect, _rect_weight_means, _system_pair, mixed_norm
 from .dyadic import DyadicCube, DyadicSystem, ancestor
 from .errors import ContractError, ParameterError, ShapeError, SystemMismatchError
-from .fracops import ShiftCoefficientTable, _int_bit_length, _route, partial_frac_integral
+from .fracops import ShiftCoefficientTable, _route, partial_frac_integral
 from .grid import GridFunction, build_axis, grid_function
-from .haar import expectation_stack, rectangle_table
+from .haar import column_cubes, expectation_stack, rectangle_table
 from .haar import haar_analyze, haar_synthesize
 from .weights import apq_characteristic, bloom_weight, exponent_solve, power_weight
 
@@ -251,10 +251,7 @@ def _table_cubes(table: ShiftCoefficientTable, system: DyadicSystem, depth: int,
     shape = [1] * 6
     shape[axes[0]], shape[axes[1]] = rows - 1, 1 << depth
     col = np.arange(1 << depth, rows << depth).reshape(shape)
-    level = _int_bit_length(col) - 1
-    n = system.axis.n_cells
-    cell = (system.offset_cells + (col - (1 << level)) * (n >> level)) % n
-    return col, level, cell
+    return (col,) + column_cubes(col, system)
 
 
 def _leftover_term(Tb, f, table1, table2, sys1, sys2) -> np.ndarray:
@@ -417,7 +414,7 @@ def _coarse_sample(rng, nb: int, kind: int):
     """
     Lb = nb.bit_length() - 1
     lattice = DyadicSystem(build_axis(Lb), 0)
-    decay = 2.0 ** (-0.5 * (_int_bit_length(np.arange(nb)) - 1))
+    decay = 2.0 ** (-0.5 * column_cubes(np.arange(nb), lattice)[0])
     if kind == 1:
         s1, w1 = rng.integers(nb), rng.integers(1, nb)
         s2, w2 = rng.integers(nb), rng.integers(1, nb)

@@ -679,9 +679,10 @@ def leftover_term_brute(Tb, f_values, table1, table2, sys1, sys2):
     each rectangle's start cells."""
     Fc = sys1.axis.h * sys2.axis.h * (haar_matrix(sys1).T @ f_values @ haar_matrix(sys2))
     Ecoef = np.zeros_like(Fc)
+    entries2 = list(shift_entries(table2, sys2))
     for I, J, _K, a1 in shift_entries(table1, sys1):
         cI, cJ = I.start_cell, J.start_cell
-        for S, T, _V, a2 in shift_entries(table2, sys2):
+        for S, T, _V, a2 in entries2:
             cS, cT = S.start_cell, T.start_cell
             b_is = Tb[I.level, S.level, cI, cS]
             b_it = Tb[I.level, T.level, cI, cT]

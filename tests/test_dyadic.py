@@ -288,6 +288,14 @@ def test_pgood_monte_carlo_halfwidth():
     assert est.halfwidth > 0.0
 
 
+def test_pgood_contract_errors():
+    ax = grid.build_axis(6)
+    params = dyadic.GoodParams(r=3, gamma=0.25)
+    for level_k, trials in ((2, 8), (7, 8), (5, 0)):  # below r, above L, no trials
+        with pytest.raises(ContractError):
+            dyadic.estimate_pgood(ax, params, level_k, trials=trials, seed=0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(4, 9),

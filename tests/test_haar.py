@@ -81,6 +81,18 @@ def test_haar_matrix_columns_match_functions():
                 assert np.array_equal(H[:, col], haar.haar_function(cube).values)
 
 
+def test_column_cubes_inverts_basis_column():
+    for L, off in [(4, 6), (1, 0), (1, 1), (7, 100)]:
+        sys = dyadic.DyadicSystem(grid.build_axis(L), off)
+        level, cell = haar.column_cubes(np.arange(1 << L), sys)
+        assert (level[0], cell[0]) == (-1, off)
+        for k in range(L):
+            for m in range(1 << k):
+                cube = sys.cube(k, m)
+                col = haar.basis_column(cube)
+                assert (level[col], cell[col]) == (k, cube.start_cell)
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     L=st.integers(1, 10),

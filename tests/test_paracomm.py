@@ -346,7 +346,7 @@ def test_shift_tables_match_entry_oracles(L1, L2, depths, off1, off2, seed):
         got = apply_shift(grid_function(v, system.axis), system, i, j, lam, table)
         assert within(got.values, apply_shift_brute(v, system, table), 1e-13)
         X = rng.normal(size=(n, 3))
-        assert within(_route(table, X.T, 1), route_brute(table, system, X).T, 1e-13)
+        assert within(_route(table, X), route_brute(table, system, X), 1e-13)
 
         # the layout admits no mismatched triple; shape and bound are checked
         finer = DyadicSystem(build_axis(system.axis.level + 1), 0)
