@@ -27,10 +27,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .dyadic import DyadicCube, DyadicSystem
+from .dyadic import DyadicSystem
 from .errors import DegenerateInputError, ParameterError, ShapeError
 from .fracops import _frac_scales, frac_integral
-from .grid import GridFunction, _shifted, inner_product
+from .grid import GridFunction, _check_lambda, _shifted, inner_product
 from .haar import expectation_stack, haar_analyze, haar_function, rectangle_table
 from .weights import ProductWeight, Weight
 
@@ -221,10 +221,7 @@ def frac_maximal(
     Acts along one axis; pointwise dominated by the smoothing operator of
     the same order applied to |f| (see :func:`frac_maximal_domination`).
     """
-    lam = float(lam)
-    if not 0.0 < lam < 1.0:
-        raise ParameterError(f"lam must lie in (0, 1), got {lam}")
-    scales = _frac_scales(lam, system.axis.level)
+    scales = _frac_scales(_check_lambda(lam), system.axis.level)
     return f.with_values(_level_max(f, system, axis_index, scales))
 
 
@@ -329,6 +326,11 @@ class OmegaFamily:
         return OmegaFamily(self.shapes + tuple(extra))
 
 
+def _carrying_cubes(system: DyadicSystem):
+    """The cubes of ``system`` that carry a Haar step, coarse to fine."""
+    return [c for k in range(system.axis.level) for c in system.cubes_at_level(k)]
+
+
 def _rect_mask(n1, n2, rows, cols):
     mask = np.zeros((n1, n2), dtype=bool)
     mask[np.ix_(rows, cols)] = True
@@ -344,14 +346,8 @@ def default_omega_family(
     """Every coefficient-carrying rectangle of the pair, the full square,
     and optionally some two-rectangle unions (random, reproducible)."""
     n1, n2 = system1.axis.n_cells, system2.axis.n_cells
-    rects = []
-    for k1 in range(system1.axis.level):
-        for m1 in range(1 << k1):
-            rows = DyadicCube(system1, k1, m1).cells()
-            for k2 in range(system2.axis.level):
-                for m2 in range(1 << k2):
-                    cols = DyadicCube(system2, k2, m2).cells()
-                    rects.append((rows, cols))
+    cols = [J.cells() for J in _carrying_cubes(system2)]
+    rects = [(I.cells(), c) for I in _carrying_cubes(system1) for c in cols]
     shapes = [_rect_mask(n1, n2, rows, cols) for rows, cols in rects]
     shapes.append(np.ones((n1, n2), dtype=bool))
     rng = np.random.default_rng(seed)
@@ -368,20 +364,32 @@ def _haar_rectangles(b: GridFunction, weight_vals, system1, system2):
     B = b.values
     h1, h2 = system1.axis.h, system2.axis.h
     out = []
-    for k1 in range(system1.axis.level):
-        for m1 in range(1 << k1):
-            I = DyadicCube(system1, k1, m1)
-            rows = I.cells().tolist()
-            hv1 = haar_function(I).values
-            for k2 in range(system2.axis.level):
-                for m2 in range(1 << k2):
-                    J = DyadicCube(system2, k2, m2)
-                    cols = J.cells().tolist()
-                    hv2 = haar_function(J).values
-                    coef = h1 * h2 * (hv1 @ B @ hv2)
-                    wmean = weight_vals[np.ix_(rows, cols)].mean()
-                    out.append((rows, cols, coef, wmean))
+    columns = [
+        (J.cells().tolist(), haar_function(J).values) for J in _carrying_cubes(system2)
+    ]
+    for I in _carrying_cubes(system1):
+        rows, hv1 = I.cells().tolist(), haar_function(I).values
+        for cols, hv2 in columns:
+            coef = h1 * h2 * (hv1 @ B @ hv2)
+            wmean = weight_vals[np.ix_(rows, cols)].mean()
+            out.append((rows, cols, coef, wmean))
     return out
+
+
+def _bmo_inputs(b: GridFunction, w: ProductWeight, systems):
+    """The system pair of a product-BMO norm and the evaluated weight,
+    both checked against the grid of ``b``."""
+    if b.ndim != 2:
+        raise ShapeError("product BMO needs a two-axis function")
+    system1, system2 = _system_pair(systems)
+    if system2 is None:
+        raise ParameterError("product BMO needs a pair of systems")
+    if system1.axis != b.axes[0] or system2.axis != b.axes[1]:
+        raise ShapeError("system axes do not match the function axes")
+    W = w.evaluate()
+    if W.axes != b.axes:
+        raise ShapeError("weight axes do not match the function axes")
+    return system1, system2, W
 
 
 def bmo_prod_norm(
@@ -396,18 +404,9 @@ def bmo_prod_norm(
     rectangles inside the shape, of coefficient**2 / rectangle weight mean.
     Monotone nondecreasing under family enlargement.
     """
-    if b.ndim != 2:
-        raise ShapeError("product BMO needs a two-axis function")
-    system1, system2 = _system_pair(systems)
-    if system2 is None:
-        raise ParameterError("product BMO needs a pair of systems")
-    if system1.axis != b.axes[0] or system2.axis != b.axes[1]:
-        raise ShapeError("system axes do not match the function axes")
+    system1, system2, W = _bmo_inputs(b, w, systems)
     if family is None:
         family = default_omega_family(system1, system2)
-    W = w.evaluate()
-    if W.axes != b.axes:
-        raise ShapeError("weight axes do not match the function axes")
     wv = W.values
     vol = system1.axis.h * system2.axis.h
     rects = _haar_rectangles(b, wv, system1, system2)
@@ -433,16 +432,7 @@ def bmo_prod_rect_norm(b: GridFunction, w: ProductWeight, systems) -> float:
     those sums are carried from fine levels to coarse ones, O(L1 * L2)
     pairwise sums in all.
     """
-    if b.ndim != 2:
-        raise ShapeError("product BMO needs a two-axis function")
-    system1, system2 = _system_pair(systems)
-    if system2 is None:
-        raise ParameterError("product BMO needs a pair of systems")
-    if system1.axis != b.axes[0] or system2.axis != b.axes[1]:
-        raise ShapeError("system axes do not match the function axes")
-    W = w.evaluate()
-    if W.axes != b.axes:
-        raise ShapeError("weight axes do not match the function axes")
+    system1, system2, W = _bmo_inputs(b, w, systems)
     weight_means = _rect_weight_means(W, system1, system2)
     return _bmo_prod_rect(b.values, weight_means, system1, system2)
 

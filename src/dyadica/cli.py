@@ -107,6 +107,18 @@ def _fail(name: str, why: str):
     raise ConfigurationError(f"invalid field {name!r}: {why}")
 
 
+def _parse(name: str, convert, value):
+    """``convert(value)``; a value of the wrong JSON type fails the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        _fail(name, f"has the wrong type: {value!r}")
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
 def _config_from_mapping(data: Mapping) -> ExperimentConfig:
     for key in data:
         if key not in _CONFIG_FIELDS:
@@ -121,21 +133,21 @@ def _config_from_mapping(data: Mapping) -> ExperimentConfig:
     if isinstance(seed, bool) or not isinstance(seed, int):
         _fail("seed", f"must be an integer, got {seed!r}")
 
-    levels = tuple(data["levels"])
+    levels = _parse("levels", tuple, data["levels"])
     if not levels:
         _fail("levels", "must be non-empty")
     for idx, lv in enumerate(levels):
         if isinstance(lv, bool) or not isinstance(lv, int) or not 1 <= lv <= 14:
             _fail(f"levels[{idx}]", f"must be an integer in [1, 14], got {lv!r}")
 
-    lambdas = tuple(float(x) for x in data["lambdas"])
+    lambdas = _parse("lambdas", _floats, data["lambdas"])
     if not lambdas:
         _fail("lambdas", "must be non-empty")
     for idx, lam in enumerate(lambdas):
         if not 0.0 < lam < 1.0:
             _fail(f"lambdas[{idx}]", f"must lie in (0, 1), got {lam!r}")
 
-    exponents = tuple(tuple(float(v) for v in pair) for pair in data["exponents"])
+    exponents = _parse("exponents", lambda v: tuple(map(_floats, v)), data["exponents"])
     if not exponents:
         _fail("exponents", "must be non-empty")
     for idx, pair in enumerate(exponents):
@@ -146,7 +158,7 @@ def _config_from_mapping(data: Mapping) -> ExperimentConfig:
         except DyadicaError as exc:
             _fail(f"exponents[{idx}]", str(exc))
 
-    weights = tuple(tuple(float(v) for v in pair) for pair in data["weights"])
+    weights = _parse("weights", lambda v: tuple(map(_floats, v)), data["weights"])
     if not weights:
         _fail("weights", "must be non-empty")
     for idx, pair in enumerate(weights):
@@ -163,7 +175,7 @@ def _config_from_mapping(data: Mapping) -> ExperimentConfig:
         _fail("r", f"must be a positive integer, got {r!r}")
     gamma = data["gamma"]
     if gamma is not None:
-        gamma = float(gamma)
+        gamma = _parse("gamma", float, gamma)
         if not 0.0 < gamma < 0.5:
             _fail("gamma", f"must lie in (0, 1/2), got {gamma!r}")
 
@@ -550,9 +562,7 @@ def _suite_commutator(config: ExperimentConfig):
                 shape = (axis.n_cells, axis.n_cells)
                 b = grid_function(rng.normal(size=shape), axis, axis)
                 f = grid_function(rng.normal(size=shape), axis, axis)
-                expansion = shift_commutator_expand(
-                    b, f, (i, j, lam1, t1), (s_, t_, lam2, t2), (s1, s2)
-                )
+                expansion = shift_commutator_expand(b, f, t1, t2, (s1, s2))
                 worst = max(worst, expansion.residual)
                 rows.append(
                     ("commutator", f"L{per}x{per}-c{ci}-s{s}", expansion.residual)

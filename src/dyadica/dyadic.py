@@ -19,6 +19,10 @@ All distances are computed in integer cell units, and the power-law
 threshold comparison is done in exact integer arithmetic whenever ``gamma``
 is (within 1e-12) a small rational, so boundary ties are classified
 deterministically.
+
+Each rule has one home, for one cube or an index array alike: goodness is
+``_bad``, the level of a join ``_join_level``, the gap between arcs
+``_arc_gap_cells`` and the power-law threshold ``_within_threshold``.
 """
 
 from __future__ import annotations
@@ -181,9 +185,7 @@ def contains(outer: DyadicCube, inner: DyadicCube) -> bool:
     """Whether ``inner`` is a (weak) descendant of ``outer``."""
     if outer.system != inner.system:
         raise SystemMismatchError("containment requires a shared system")
-    if outer.level > inner.level:
-        return False
-    return (inner.index >> (inner.level - outer.level)) == outer.index
+    return bool(outer.level == _join_level(outer.level, outer.index, inner.level, inner.index))
 
 
 def join(I: DyadicCube, J: DyadicCube) -> DyadicCube:
@@ -193,11 +195,17 @@ def join(I: DyadicCube, J: DyadicCube) -> DyadicCube:
     """
     if I.system != J.system:
         raise SystemMismatchError("join requires cubes from one system")
-    if I.level < J.level:
-        I, J = J, I
-    a = I.index >> (I.level - J.level)
-    up = (a ^ J.index).bit_length()
-    return DyadicCube(I.system, J.level - up, J.index >> up)
+    k = int(_join_level(I.level, I.index, J.level, J.index))
+    return DyadicCube(I.system, k, I.index >> (I.level - k))
+
+
+def _join_level(level_a: int, a, level_b: int, b):
+    """Level of the smallest cube holding the level-``level_a`` cube ``a``
+    and the level-``level_b`` cube ``b`` of one lattice (indices are ints
+    or broadcasting integer arrays)."""
+    lo = min(level_a, level_b)
+    x = (a >> (level_a - lo)) ^ (b >> (level_b - lo))
+    return lo - np.frexp(x)[1]  # frexp's exponent is x's bit length
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +236,9 @@ def boundary_distance_cells(I: DyadicCube, J: DyadicCube) -> int:
     if I.axis != J.axis:
         raise SystemMismatchError("distance requires cubes on one axis")
     n = I.axis.n_cells
-    s, w = I.start_cell, I.width_cells
-    best = n
-    for p in (J.start_cell, (J.start_cell + J.width_cells) % n):
-        if (p - s) % n <= w:
-            return 0
-        best = min(best, (p - (s + w)) % n, (s - p) % n)
-    return best
+    ends = (J.start_cell, (J.start_cell + J.width_cells) % n)
+    # an endpoint is an arc of width 0; one at I's closing end has gap 0
+    return min(_arc_gap_cells(n, I.start_cell, I.width_cells, p, 0) for p in ends)
 
 
 def boundary_distance(I: DyadicCube, J: DyadicCube) -> float:
@@ -284,46 +288,36 @@ def _within_threshold(dist_cells, L: int, level_j: int, depth: int, gamma: float
 # goodness
 
 
-def bad_mask(system: DyadicSystem, level: int, params: GoodParams) -> np.ndarray:
-    """Boolean badness flags for every index at one level (vectorized).
+def _bad(axis: Axis, level: int, index, params: GoodParams):
+    """Badness of the level-``level`` cubes at ``index`` (an int or an
+    integer array) of any system of ``axis``.
 
     For each larger-cube level ``kJ`` the union of boundaries is the coarse
     sub-lattice of spacing ``2**(L - kJ)`` cells (in offset-relative
     coordinates), so the scan works on lattice distances directly.
     """
-    L = system.axis.level
-    n = system.axis.n_cells
-    w = n >> level
-    m = np.arange(1 << level)
-    s = m * w          # offset-relative start, in cells
-    e = s + w          # offset-relative end
-    bad = np.zeros(len(m), dtype=bool)
+    n = axis.n_cells
+    s = index * (n >> level)  # offset-relative start, in cells
+    e = s + (n >> level)      # offset-relative end
+    bad = np.zeros(np.shape(index), dtype=bool)
     for kj in range(0, level - params.r + 1):
         spacing = n >> kj
         smod = s % spacing
         emod = e % spacing
         touches = (smod == 0) | (emod == 0) | ((e // spacing) > (s // spacing))
-        dist = np.minimum(smod, spacing - emod)
-        dist = np.where(touches, 0, dist)
-        bad |= _within_threshold(dist, L, kj, level - kj, params.gamma)
+        dist = np.where(touches, 0, np.minimum(smod, spacing - emod))
+        bad |= _within_threshold(dist, axis.level, kj, level - kj, params.gamma)
     return bad
+
+
+def bad_mask(system: DyadicSystem, level: int, params: GoodParams) -> np.ndarray:
+    """Boolean badness flags for every index at one level (vectorized)."""
+    return _bad(system.axis, level, np.arange(1 << level), params)
 
 
 def is_good(cube: DyadicCube, params: GoodParams) -> bool:
     """Exact goodness of a single cube (see the module docstring)."""
-    L = cube.axis.level
-    n = cube.axis.n_cells
-    s = cube.index * cube.width_cells
-    e = s + cube.width_cells
-    for kj in range(0, cube.level - params.r + 1):
-        spacing = n >> kj
-        touches = (s % spacing == 0) or (e % spacing == 0) or (
-            e // spacing > s // spacing
-        )
-        dist = 0 if touches else min(s % spacing, spacing - e % spacing)
-        if _within_threshold(dist, L, kj, cube.level - kj, params.gamma):
-            return False
-    return True
+    return not _bad(cube.axis, cube.level, cube.index, params)
 
 
 @dataclass(frozen=True)
@@ -401,11 +395,9 @@ def majorant_check(I: DyadicCube, J: DyadicCube, params: GoodParams,
         raise ContractError("requires side(I) <= side(J); swap the arguments")
     if not is_good(I, params):
         raise ContractError("majorant check requires a good smaller cube")
-    dist = cube_distance_cells(I, J)
-    overlap = ((J.start_cell - I.start_cell) % I.axis.n_cells < I.width_cells
-               or (I.start_cell - J.start_cell) % I.axis.n_cells < J.width_cells)
-    if overlap:
+    if contains(J, I):  # cubes of one system are nested or disjoint
         raise ContractError("majorant check requires disjoint cubes")
+    dist = cube_distance_cells(I, J)
     gamma = default_gamma(lam)
     K = join(I, J)
     L = I.axis.level

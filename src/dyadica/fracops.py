@@ -15,7 +15,9 @@ synthesize (see :class:`ShiftCoefficientTable`).
 
 The harness does the offset-free work (Haar-basis kernel matrix, goodness,
 pair classes) once, on the offset-0 lattice; each system adds only its
-column of Haar coefficients (see :func:`verify_representation`).
+column of Haar coefficients (see :func:`verify_representation`).  One
+function, ``_pair_class``, classes one pair (:func:`classify_pair`) or a
+block of pairs (the scan).
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from .dyadic import (
     DyadicCube,
     DyadicSystem,
     GoodParams,
+    _join_level,
     _within_threshold,
     bad_mask,
-    contains,
-    cube_distance_cells,
     join,
 )
 from .errors import (
@@ -161,6 +162,9 @@ class SigmaClass:
     transposed: bool = False
 
 
+_TAGS = ("out", "near", "shallow_in", "deep_in")
+
+
 def classify_pair(I: DyadicCube, J: DyadicCube, params: GoodParams) -> SigmaClass:
     """Exactly one of the four positional classes for a size-ordered pair.
 
@@ -174,15 +178,22 @@ def classify_pair(I: DyadicCube, J: DyadicCube, params: GoodParams) -> SigmaClas
             "classify_pair expects len(I) <= len(J); swap the pair and "
             "record the transposed tag"
         )
-    depth = I.level - J.level
-    if contains(J, I):
-        tag = "shallow_in" if depth <= params.r else "deep_in"
-        return SigmaClass(tag)
-    dist = cube_distance_cells(I, J)
-    L = I.axis.level
-    if _within_threshold(dist, L, J.level, depth, params.gamma):
-        return SigmaClass("near")
-    return SigmaClass("out")
+    kK = _join_level(I.level, I.index, J.level, J.index)
+    tag = _pair_class(I.axis, I.level, I.index, J.level, J.index, kK, params)
+    return SigmaClass(_TAGS[int(tag)])
+
+
+def _pair_class(axis: Axis, kI: int, a, kJ: int, b, kK, params: GoodParams):
+    """``_TAGS`` index of the pairs of level-kI cubes ``a`` and level-kJ cubes
+    ``b`` (``kI >= kJ``; offset-relative indices, ints or arrays) of one
+    lattice whose join lies at level ``kK``.  Such cubes are nested or
+    disjoint, so the gap needs no intersection test."""
+    n = axis.n_cells
+    wI, wJ = n >> kI, n >> kJ
+    depth = kI - kJ
+    gap = np.minimum((b * wJ - a * wI - wI) % n, (a * wI - b * wJ - wJ) % n)
+    near = _within_threshold(gap, axis.level, kJ, depth, params.gamma)
+    return np.where(kK == kJ, 2 + int(depth > params.r), near.astype(int))
 
 
 # -- shift operators ------------------------------------------------------
@@ -263,21 +274,12 @@ def _route(table: ShiftCoefficientTable, coeffs: np.ndarray) -> np.ndarray:
 
 
 def apply_shift(
-    f: GridFunction,
-    system: DyadicSystem,
-    i: int,
-    j: int,
-    lam: float,
-    table: ShiftCoefficientTable,
+    f: GridFunction, system: DyadicSystem, table: ShiftCoefficientTable
 ) -> GridFunction:
     """Apply the shift operator of a coefficient table: each entry routes
     the I Haar coefficient of ``f`` into the J Haar direction."""
     if len(f.axes) != 1 or f.axes[0] != system.axis:
         raise ShapeError("apply_shift needs a one-axis function on the system axis")
-    if (i, j) != (table.i, table.j):
-        raise ContractError(
-            f"table is for depths ({table.i}, {table.j}), not ({i}, {j})"
-        )
     table.validate(system)
     routed = _route(table, haar_analyze(f.values, system))
     return grid_function(haar_synthesize(routed, system), system.axis)
@@ -329,9 +331,6 @@ class RepresentationReport:
     class_counts: Mapping[str, int]
 
 
-_TAGS = ("out", "near", "shallow_in", "deep_in")
-
-
 def _scan_lattice(
     axis: Axis,
     lam: float,
@@ -350,7 +349,6 @@ def _scan_lattice(
     pairs whose smaller cube is good.
     """
     L = axis.level
-    n = axis.n_cells
     width = (L + 1) ** 2
     energy = np.zeros(width)
     counts = np.zeros(len(_TAGS), dtype=np.int64)
@@ -359,17 +357,13 @@ def _scan_lattice(
     lattice = DyadicSystem(axis, 0)
 
     for kI in range(L):
-        wI = n >> kI
         a = np.arange(1 << kI)  # I index, along block columns
         good_I = ~bad_mask(lattice, kI, params)
         colI = slice(1 << kI, 2 << kI)
         for kJ in range(L):
-            wJ = n >> kJ
             b = np.arange(1 << kJ)[:, None]  # J index, along block rows
             colJ = slice(1 << kJ, 2 << kJ)
-            lo = min(kI, kJ)
-            x = (a >> (kI - lo)) ^ (b >> (kJ - lo))
-            kK = lo - np.frexp(x.astype(float))[1]  # x's bit length
+            kK = _join_level(kI, a, kJ, b)
             flat = (kI - kK) * (L + 1) + (kJ - kK)
             raw = np.abs(M[colJ, colI])
             contrib = raw * (aG[colJ] @ aF[colI].T)
@@ -378,12 +372,8 @@ def _scan_lattice(
             if kI < kJ:
                 continue  # classes are measured on size-ordered pairs only
 
-            depth = kI - kJ
             normalized = raw * 2.0 ** (0.5 * (kI + kJ)) * 2.0 ** (-lam * kK)
-            gap = np.minimum((b * wJ - a * wI - wI) % n, (a * wI - b * wJ - wJ) % n)
-            within = _within_threshold(gap, L, kJ, depth, params.gamma)
-            # index into _TAGS: out 0, near 1, shallow_in 2, deep_in 3
-            tag = np.where(x == 0, 2 + int(depth > params.r), within.astype(int))
+            tag = _pair_class(axis, kI, a, kJ, b, kK, params)
             sel = np.broadcast_to(good_I, tag.shape)
             counts += np.bincount(tag[sel], minlength=len(_TAGS))
             np.maximum.at(peaks, tag[sel] * width + flat[sel], normalized[sel])
@@ -424,9 +414,7 @@ def verify_representation(
     if len(f.axes) != 1 or len(g.axes) != 1 or f.axes != g.axes:
         raise ShapeError("verify_representation needs one-axis functions on one axis")
     scale = max(l2_norm(f) * l2_norm(g), 1e-300)
-    if abs(f.mean()) > 1e-12 * max(l2_norm(f), 1e-300) or abs(g.mean()) > 1e-12 * max(
-        l2_norm(g), 1e-300
-    ):
+    if any(abs(h.mean()) > 1e-12 * max(l2_norm(h), 1e-300) for h in (f, g)):
         raise ContractError(
             "verify_representation needs mean-zero inputs; subtract the cell "
             "mean (f - f.mean()) before calling"

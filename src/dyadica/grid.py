@@ -244,6 +244,16 @@ def _antider_torus(u, lam):
     return out
 
 
+def _second_difference(antider, delta, h, lam):
+    """The three-term formula above for the second antiderivative
+    ``antider`` of a kernel and cells of width ``h``."""
+    return (
+        antider(abs(delta + h), lam)
+        - 2.0 * antider(abs(delta), lam)
+        + antider(abs(delta - h), lam)
+    )
+
+
 def line_pair_integral(width: float, separation: float, lam: float) -> float:
     """Exact ``iint |x - y|**(-lam)`` over two width-``width`` intervals.
 
@@ -255,12 +265,7 @@ def line_pair_integral(width: float, separation: float, lam: float) -> float:
     w = float(width)
     if w <= 0.0:
         raise ParameterError(f"width must be positive, got {width}")
-    d = abs(float(separation))
-    return float(
-        _antider_line(d + w, lam)
-        - 2.0 * _antider_line(d, lam)
-        + _antider_line(abs(d - w), lam)
-    )
+    return float(_second_difference(_antider_line, abs(float(separation)), w, lam))
 
 
 def kernel_cell_integral(axis: Axis, cell_a: int, cell_b: int, lam: float) -> float:
@@ -280,39 +285,24 @@ def kernel_cell_integral(axis: Axis, cell_a: int, cell_b: int, lam: float) -> fl
         ``iint_{A x B} d(x, y)**(-lam) dx dy``, strictly positive and
         symmetric in the two cells.
     """
-    lam = _check_lambda(lam)
     n = axis.n_cells
     a = int(cell_a)
     b = int(cell_b)
     if not (0 <= a < n and 0 <= b < n):
         raise ParameterError(f"cell indices must lie in [0, {n}), got {a}, {b}")
-    m = (a - b) % n
-    if m > n // 2:
-        m -= n
-    h = axis.h
-    delta = m * h
-    val = (
-        _antider_torus(abs(delta + h), lam)
-        - 2.0 * _antider_torus(abs(delta), lam)
-        + _antider_torus(abs(delta - h), lam)
-    )
-    return float(val)
+    return float(kernel_profile(axis, float(lam))[(a - b) % n])  # checks lam
 
 
 @lru_cache(maxsize=64)
 def kernel_profile(axis: Axis, lam: float) -> np.ndarray:
-    """Circulant profile ``g[m] = kernel_cell_integral(axis, m, 0, lam)``."""
+    """Circulant profile ``g[m]``, the kernel's integral over cells m and 0;
+    :func:`kernel_cell_integral` reads every cell pair's value here."""
     lam = _check_lambda(lam)
     n = axis.n_cells
     h = axis.h
     m = np.arange(n)
     m = np.where(m > n // 2, m - n, m)
-    delta = m * h
-    g = (
-        _antider_torus(np.abs(delta + h), lam)
-        - 2.0 * _antider_torus(np.abs(delta), lam)
-        + _antider_torus(np.abs(delta - h), lam)
-    )
+    g = _second_difference(_antider_torus, m * h, h, lam)
     g.setflags(write=False)
     return g
 

@@ -21,10 +21,14 @@ needs several parts builds each factor's table once.  Shift coefficient
 tables are heap-ordered arrays (:class:`dyadica.fracops.ShiftCoefficientTable`):
 a shift's matrix is the shift applied to the identity, and the leftover
 reads the symbol's averages for every pair of table entries in one gather.
+The four terms of the iterated commutator are written once, in
+``_commutator_terms``, for both commutators and the paraproduct groups.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
@@ -164,6 +168,25 @@ def decompose_product(b: GridFunction, f: GridFunction, systems) -> Decompositio
 # -- commutators with the positive smoothing operators --------------------
 
 
+def _commutator_terms(t1, t2):
+    """The iterated commutator
+    ``[T1, [b, T2]] f = T1(b T2 f) - T1 T2 (b f) - b T2 T1 f + T2 (b T1 f)``
+    as four (signed outer, inner) operator pairs: term = outer(b * inner(f))."""
+    return (
+        (t1, t2),
+        (lambda x: -t1(t2(x)), lambda x: x),
+        (lambda x: -x, lambda x: t2(t1(x))),
+        (t2, t1),
+    )
+
+
+def _iterated_commutator(b, f, t1, t2):
+    """``[T1, [b, T2]] f``, the terms of :func:`_commutator_terms` summed in
+    order (``b``, ``f`` and the operators' values are functions or arrays)."""
+    terms = (outer(b * inner(f)) for outer, inner in _commutator_terms(t1, t2))
+    return functools.reduce(operator.add, terms)
+
+
 def commutator(b: GridFunction, f: GridFunction, recipe: Mapping) -> GridFunction:
     """Inner commutator [b, T2]f or iterated commutator [T1, [b, T2]]f,
     where Ti is the order-lam_i smoothing operator on axis i.
@@ -182,23 +205,12 @@ def commutator(b: GridFunction, f: GridFunction, recipe: Mapping) -> GridFunctio
         )
     if keys == {"iterated"}:
         lam1, lam2 = (float(v) for v in recipe["iterated"])
-
-        def i1(g):
-            return partial_frac_integral(g, lam1, 1)
-
-        def i2(g):
-            return partial_frac_integral(g, lam2, 2)
-
-        def mul(g):
-            return b.with_values(b.values * g.values)
-
-        out = (
-            i1(mul(i2(f))).values
-            - i1(i2(mul(f))).values
-            - mul(i2(i1(f))).values
-            + i2(mul(i1(f))).values
+        return _iterated_commutator(
+            b,
+            f,
+            lambda g: partial_frac_integral(g, lam1, 1),
+            lambda g: partial_frac_integral(g, lam2, 2),
         )
-        return b.with_values(out)
     raise ParameterError("recipe must be {'inner': lam2} or {'iterated': (lam1, lam2)}")
 
 
@@ -285,8 +297,8 @@ def _leftover_term(Tb, f, table1, table2, sys1, sys2) -> np.ndarray:
 def shift_commutator_expand(
     b: GridFunction,
     f: GridFunction,
-    shift1: Tuple[int, int, float, ShiftCoefficientTable],
-    shift2: Tuple[int, int, float, ShiftCoefficientTable],
+    table1: ShiftCoefficientTable,
+    table2: ShiftCoefficientTable,
     systems,
 ) -> CommutatorExpansion:
     """Expand the iterated commutator of two axis shifts with b.
@@ -297,41 +309,22 @@ def shift_commutator_expand(
     rounding noise).
     """
     sys1, sys2 = _shared_pair(b, f, systems)
-    i, j, lam1, table1 = shift1
-    s, t, lam2, table2 = shift2
-    if (i, j) != (table1.i, table1.j) or (s, t) != (table2.i, table2.j):
-        raise ContractError("shift depths do not match their tables")
-    if (lam1, lam2) != (table1.lam, table2.lam):
-        raise ContractError("shift orders do not match their tables")
     M1 = _shift_matrix(sys1, table1)
     M2 = _shift_matrix(sys2, table2)
 
-    def s1(g):
-        return g.with_values(M1 @ g.values)
+    def s1(x):
+        return M1 @ x
 
-    def s2(g):
-        return g.with_values(g.values @ M2.T)
+    def s2(x):
+        return x @ M2.T
 
-    def mul(g):
-        return b.with_values(b.values * g.values)
-
-    direct = (
-        s1(mul(s2(f))).values
-        - s1(s2(mul(f))).values
-        - mul(s2(s1(f))).values
-        + s2(mul(s1(f))).values
-    )
+    direct = _iterated_commutator(b.values, f.values, s1, s2)
     Tb, parts_b = _scale_parts(b, sys1, sys2)
     sums = dict.fromkeys(PARAPRODUCT_TAGS[:-1], 0.0)  # A1..A8; W is the leftover
-    # each commutator term: the factor it pairs with b, then its signed outer
-    # shifts; one factor's table is alive at a time
-    for g, outer in (
-        (s2(f), lambda x: M1 @ x),
-        (f, lambda x: -(M1 @ (x @ M2.T))),
-        (s2(s1(f)), np.negative),
-        (s1(f), lambda x: x @ M2.T),
-    ):
-        parts_g = _scale_parts(g, sys1, sys2)[1]
+    # each commutator term with b's product replaced by every tag's
+    # paraproduct; one factor's table is alive at a time
+    for outer, inner in _commutator_terms(s1, s2):
+        parts_g = _scale_parts(f.with_values(inner(f.values)), sys1, sys2)[1]
         for tag in sums:
             sums[tag] = sums[tag] + outer(_tag_sum(tag, parts_b, parts_g))
         del parts_g

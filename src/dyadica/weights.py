@@ -3,10 +3,11 @@
 Weights are strictly positive one-axis cell tables.  Characteristics are
 exact maxima over a finite cube family — either every grid-aligned arc of
 the axis or the cubes of chosen shifted lattices; the finite-family value
-is a lower bound for the continuum supremum.  Negative powers are taken
-entrywise on the cell averages, the standard discrete surrogate.  The
-module also solves the smoothing-exponent relation and builds the
-two-weight ratio used by the commutator experiments.
+is a lower bound for the continuum supremum; both families read one carry
+of arc sums (``_family_means``).  Negative powers are taken entrywise on
+the cell averages, the standard discrete surrogate.  The module also
+solves the smoothing-exponent relation and builds the two-weight ratio
+used by the commutator experiments.
 """
 
 from __future__ import annotations
@@ -170,51 +171,45 @@ def bloom_weight(mu1: Weight, sigma1: Weight, mu2: Weight, sigma2: Weight) -> Pr
 FamilySelector = Union[str, Iterable[DyadicSystem]]
 
 
+def _systems(family: FamilySelector):
+    """A family name as it is, and systems as a tuple, taken where a family
+    enters: a generator of systems can be read only once."""
+    return family if isinstance(family, str) else tuple(family)
+
+
 def _family_means(axis: Axis, family: FamilySelector, *tables: np.ndarray):
     """Yield, per batch of family arcs, each table's arc means.  Every arc
     is summed cell by cell in order, so the bits match a per-arc loop (a
     plain ``mean`` would not: numpy regroups sums of eight or more terms).
-    Intervals carry the sums from width w to w + 1: same cells, same order.
+    The sums of the arcs at every start are carried from width w to w + 1:
+    same cells, same order.  Intervals read every width, a system the
+    widths of its cubes at its lattice's starts, one batch per level.
     """
     n = axis.n_cells
-    if isinstance(family, str):
-        if family != "intervals":
-            raise ParameterError(
-                f"unknown cube family {family!r}; use 'intervals' or systems"
-            )
-        starts = np.arange(n)
-        sums = [np.zeros(n) for _ in tables]
-        for width in range(1, n + 1):
-            cells = (starts + width - 1) % n
-            sums = [acc + v[cells] for acc, v in zip(sums, tables)]
-            yield [acc / width for acc in sums]
-        return
-    seen_any = False
-    for system in family:
-        seen_any = True
-        if system.axis != axis:
-            raise ShapeError("cube-family system lives on a different axis")
-        for level in range(axis.level + 1):
-            width = n >> level
-            starts = (system.offset_cells + np.arange(1 << level) * width) % n
-            yield [_arc_mean_batch(v, starts, width) for v in tables]
-    if not seen_any:
+    systems = None if family == "intervals" else _systems(family)
+    if isinstance(systems, str):
+        raise ParameterError(f"unknown cube family {family!r}; use 'intervals' or systems")
+    if systems == ():
         raise ParameterError("empty cube family")
+    if any(system.axis != axis for system in systems or ()):
+        raise ShapeError("cube-family system lives on a different axis")
+    starts = np.arange(n)
+    sums = [np.zeros(n) for _ in tables]
+    for width in range(1, n + 1):
+        cells = (starts + width - 1) % n
+        sums = [acc + v[cells] for acc, v in zip(sums, tables)]
+        if systems is None:
+            yield [acc / width for acc in sums]
+        elif width & (width - 1) == 0:
+            for system in systems:
+                cubes = (system.offset_cells + np.arange(0, n, width)) % n
+                yield [acc[cubes] / width for acc in sums]
 
 
 def _family_label(family: FamilySelector) -> str:
     if isinstance(family, str):
         return family
     return "dyadic[" + ",".join(str(s.offset_cells) for s in family) + "]"
-
-
-def _arc_mean_batch(v: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
-    """Wrap-aware arc means, one per start, summed in cell order."""
-    n = v.size
-    acc = np.zeros(starts.shape, dtype=float)
-    for k in range(width):
-        acc = acc + v[(starts + k) % n]
-    return acc / width
 
 
 def _char_over_family(
@@ -266,6 +261,7 @@ def product_ap_characteristic(
     For tensor weights both the means and the maximum factorize exactly over
     the two axes, so this is the product of the per-factor characteristics.
     """
+    family = _systems(family)
     return ap_characteristic(pw.factor1, p, family) * ap_characteristic(
         pw.factor2, p, family
     )
@@ -294,6 +290,7 @@ def derived_class_check(
         raise ParameterError(f"need q > p, got p={p}, q={q}")
     p_dual = p / (p - 1.0)
     q_dual = q / (q - 1.0)
+    family = _systems(family)
     return DerivedClassReport(
         p=p,
         q=q,

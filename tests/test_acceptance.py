@@ -352,7 +352,7 @@ def test_criterion_07_commutator_expansion():
             b = grid.grid_function(rng.standard_normal((16, 16)), ax, ax)
             f = grid.grid_function(rng.standard_normal((16, 16)), ax, ax)
             expansion = paracomm.shift_commutator_expand(
-                b, f, (i, j, lam1, table1), (s, t, lam2, table2), (sys1, sys2)
+                b, f, table1, table2, (sys1, sys2)
             )
             worst = max(worst, expansion.residual)
     elapsed = time.perf_counter() - start

@@ -89,6 +89,24 @@ def test_config_validation_errors(tmp_path):
             load_config(path)
 
 
+@pytest.mark.parametrize(
+    "field, value, needle",
+    [
+        ("levels", 6, "levels"),
+        ("lambdas", "ab", "lambdas"),
+        ("exponents", [1.5], "exponents"),
+        ("weights", [["a", 0.5]], "weights"),
+        ("gamma", "x", "gamma"),
+    ],
+)
+def test_config_field_of_wrong_type_exits_2(tmp_path, capsys, field, value, needle):
+    path = write_config(tmp_path, {"suite": "norms", "seed": 1, field: value})
+    with pytest.raises(ConfigurationError, match=needle):
+        load_config(path)
+    assert main(["norms", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_parse_error_reports_the_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"suite": "norms",\n  seed: 1}', encoding="utf-8")

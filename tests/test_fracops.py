@@ -233,7 +233,7 @@ def test_apply_shift_zero_table():
     sys = offset0(4)
     table = fracops.ShiftCoefficientTable(0, 0, 0.5, np.zeros((16, 1, 1)))
     f = grid.grid_function(np.arange(16.0), sys.axis)
-    out = fracops.apply_shift(f, sys, 0, 0, 0.5, table)
+    out = fracops.apply_shift(f, sys, table)
     assert np.max(np.abs(out.values)) == 0.0
 
 
@@ -246,7 +246,7 @@ def test_apply_shift_diagonal(rng):
             K = sys.cube(k, m)
             coeffs[haar.basis_column(K)] = 0.5 * 2.0 ** (-k * (1 - 0.5))
     table = fracops.ShiftCoefficientTable(0, 0, 0.5, coeffs)
-    out = fracops.apply_shift(f, sys, 0, 0, 0.5, table)
+    out = fracops.apply_shift(f, sys, table)
     cin = haar.haar_expand(f, sys)
     cout = haar.haar_expand(out, sys)
     for col in range(1, 16):
@@ -263,15 +263,7 @@ def test_apply_shift_bound_violation():
     table = fracops.ShiftCoefficientTable(0, 0, 0.5, coeffs)
     f = grid.constant_function(1.0, sys.axis)
     with pytest.raises(errors.InvariantError):
-        fracops.apply_shift(f, sys, 0, 0, 0.5, table)
-
-
-def test_apply_shift_depth_mismatch():
-    sys = offset0(4)
-    table = fracops.maximal_table(sys, 1, 0, 0.5)
-    f = grid.constant_function(1.0, sys.axis)
-    with pytest.raises(errors.ContractError):
-        fracops.apply_shift(f, sys, 0, 0, 0.5, table)
+        fracops.apply_shift(f, sys, table)
 
 
 def test_maximal_table_is_admissible_and_dominated(rng):
@@ -282,7 +274,7 @@ def test_maximal_table_is_admissible_and_dominated(rng):
     for (i, j) in [(0, 0), (1, 1), (2, 1), (0, 2)]:
         table = fracops.maximal_table(sys, i, j, 0.5)
         table.validate(sys)
-        out = fracops.apply_shift(f, sys, i, j, 0.5, table)
+        out = fracops.apply_shift(f, sys, table)
         ratio = np.max(np.abs(out.values) / dom)
         assert np.isfinite(ratio)
         assert ratio < 16.0

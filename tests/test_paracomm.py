@@ -343,7 +343,7 @@ def test_shift_tables_match_entry_oracles(L1, L2, depths, off1, off2, seed):
         n = system.axis.n_cells
         v = rng.normal(size=n)
         assert within(_route(table, v), route_brute(table, system, v), 1e-13)
-        got = apply_shift(grid_function(v, system.axis), system, i, j, lam, table)
+        got = apply_shift(grid_function(v, system.axis), system, table)
         assert within(got.values, apply_shift_brute(v, system, table), 1e-13)
         X = rng.normal(size=(n, 3))
         assert within(_route(table, X), route_brute(table, system, X), 1e-13)
@@ -381,9 +381,7 @@ def test_shift_expansion_residual_is_rounding_noise():
         b, f = rand_f(rng, s1, s2), rand_f(rng, s1, s2)
         t1 = maximal_table(s1, i, j, 0.3)
         t2 = maximal_table(s2, s_, t_, 0.6)
-        expansion = shift_commutator_expand(
-            b, f, (i, j, 0.3, t1), (s_, t_, 0.6, t2), (s1, s2)
-        )
+        expansion = shift_commutator_expand(b, f, t1, t2, (s1, s2))
         assert expansion.residual <= 1e-10
         assert set(expansion.paraproduct_terms) == set(PARAPRODUCT_TAGS[:-1])
 
@@ -394,9 +392,7 @@ def test_shift_expansion_constant_symbol():
     b = constant_function(1.25, s1.axis, s2.axis)
     t1 = maximal_table(s1, 1, 1, 0.5)
     t2 = maximal_table(s2, 0, 1, 0.5)
-    expansion = shift_commutator_expand(
-        b, f, (1, 1, 0.5, t1), (0, 1, 0.5, t2), (s1, s2)
-    )
+    expansion = shift_commutator_expand(b, f, t1, t2, (s1, s2))
     assert expansion.residual <= 1e-12
     assert np.max(np.abs(expansion.e_term.values)) <= 1e-12
     for g in expansion.paraproduct_terms.values():
@@ -409,9 +405,7 @@ def test_shift_expansion_empty_tables():
     b, f = rand_f(rng, s1, s2), rand_f(rng, s1, s2)
     t1 = ShiftCoefficientTable(1, 0, 0.5, np.zeros((4, 1, 2)))
     t2 = ShiftCoefficientTable(0, 0, 0.5, np.zeros((8, 1, 1)))
-    expansion = shift_commutator_expand(
-        b, f, (1, 0, 0.5, t1), (0, 0, 0.5, t2), (s1, s2)
-    )
+    expansion = shift_commutator_expand(b, f, t1, t2, (s1, s2))
     assert expansion.residual == 0.0
     assert np.all(expansion.e_term.values == 0.0)
 
@@ -428,9 +422,7 @@ def test_shift_expansion_holds_one_factor_table_at_a_time():
     t2 = maximal_table(s2, 0, 0, 0.5)
     tracemalloc.start()
     try:
-        expansion = shift_commutator_expand(
-            b, f, (0, 0, 0.5, t1), (0, 0, 0.5, t2), (s1, s2)
-        )
+        expansion = shift_commutator_expand(b, f, t1, t2, (s1, s2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -443,19 +435,12 @@ def test_shift_expansion_contract_checks():
     rng = np.random.default_rng(15)
     b, f = rand_f(rng, s1, s2), rand_f(rng, s1, s2)
     t1 = maximal_table(s1, 1, 0, 0.5)
-    t2 = maximal_table(s2, 0, 0, 0.5)
-    with pytest.raises(ContractError):
-        shift_commutator_expand(b, f, (0, 0, 0.5, t1), (0, 0, 0.5, t2), (s1, s2))
-    with pytest.raises(ContractError):
-        shift_commutator_expand(b, f, (1, 0, 0.25, t1), (0, 0, 0.5, t2), (s1, s2))
     K = s2.cube(1, 0)
     coeffs = np.zeros((8, 1, 1))
     coeffs[basis_column(K)] = 99.0
     oversized = ShiftCoefficientTable(0, 0, 0.5, coeffs)
     with pytest.raises(InvariantError):
-        shift_commutator_expand(
-            b, f, (1, 0, 0.5, t1), (0, 0, 0.5, oversized), (s1, s2)
-        )
+        shift_commutator_expand(b, f, t1, oversized, (s1, s2))
 
 
 # -- ratio experiment -----------------------------------------------------

@@ -337,6 +337,22 @@ def test_derived_class_check_echoes_dyadic_family():
     assert abs(report.q_power - 1.0) <= 1e-12
 
 
+def test_cube_family_may_be_a_generator():
+    # a generator can be read once; each entry point reads its family once
+    axis = build_axis(5)
+    w = power_weight(axis, 0.25, 0.5)
+    offsets = (0, 11)
+    systems = [DyadicSystem(axis, o) for o in offsets]
+    want = derived_class_check(w, 2.0, 3.0, family=systems)
+    got = derived_class_check(w, 2.0, 3.0, family=(DyadicSystem(axis, o) for o in offsets))
+    assert got == want
+    assert got.family == "dyadic[0,11]"
+    pw = ProductWeight(w, w)
+    assert product_ap_characteristic(
+        pw, 2.0, (DyadicSystem(axis, o) for o in offsets)
+    ) == product_ap_characteristic(pw, 2.0, systems)
+
+
 def test_derived_class_check_validates_exponents():
     axis = build_axis(3)
     w = Weight(constant_function(1.0, axis))
