@@ -4,229 +4,26 @@ Cell-average function calculus, shifted dyadic lattices with goodness
 bookkeeping, Haar/martingale decompositions, exact power-kernel operators,
 Muckenhoupt weights, mixed norms, bi-parameter paraproducts and iterated
 commutators — together with the verification suites that exercise them.
+
+Each module's ``__all__`` is its public API; the package exports the union
+of those lists and nothing else.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigurationError,
-    ContractError,
-    DegenerateInputError,
-    DyadicaError,
-    InfeasibleExponentError,
-    InvariantError,
-    LevelUnderflowError,
-    ParameterError,
-    ResolutionError,
-    ShapeError,
-    SystemMismatchError,
-)
-from .grid import (
-    Axis,
-    GridFunction,
-    build_axis,
-    constant_function,
-    grid_function,
-    inner_product,
-    kernel_cell_integral,
-    l2_norm,
-    line_pair_integral,
-    tabulate_midpoint,
-)
-from .dyadic import (
-    DyadicCube,
-    DyadicSystem,
-    GoodParams,
-    bad_mask,
-    boundary_distance,
-    cube_distance,
-    default_gamma,
-    enumerate_systems,
-    estimate_pgood,
-    is_good,
-    join,
-    majorant_check,
-    sample_system,
-)
-from .haar import (
-    HaarCoefficientMap,
-    average_project,
-    expectation_stack,
-    haar_expand,
-    haar_function,
-    haar_matrix,
-    level_average,
-    level_difference,
-    martingale_block,
-    partial_pairing,
-    rect_block,
-    rectangle_table,
-)
-from .fracops import (
-    RepresentationReport,
-    ShiftCoefficientTable,
-    SigmaClass,
-    apply_shift,
-    classify_pair,
-    concentric_indicator_pairing,
-    domination_ratio,
-    frac_integral,
-    maximal_table,
-    partial_frac_integral,
-    shift_coefficient,
-    verify_representation,
-)
-from .weights import (
-    DerivedClassReport,
-    ExponentTriple,
-    ProductWeight,
-    Weight,
-    ap_characteristic,
-    apq_characteristic,
-    bloom_weight,
-    derived_class_check,
-    exponent_solve,
-    power_weight,
-    product_ap_characteristic,
-)
-from .analysis import (
-    DualityReport,
-    OmegaFamily,
-    bmo_prod_norm,
-    bmo_prod_rect_norm,
-    default_omega_family,
-    duality_check,
-    dyadic_maximal,
-    frac_maximal,
-    frac_maximal_domination,
-    mixed_norm,
-    square_function,
-    strong_maximal,
-)
-from .paracomm import (
-    PARAPRODUCT_TAGS,
-    BloomConfig,
-    BloomLevelResult,
-    BloomQuadResult,
-    BloomReport,
-    CommutatorExpansion,
-    DecompositionReport,
-    bloom_experiment,
-    commutator,
-    decompose_product,
-    paraproduct,
-    shift_commutator_expand,
-    telescope_terms,
-)
-from .cli import (
-    ExperimentConfig,
-    SuiteOutcome,
-    emit_report,
-    load_config,
-    main,
-    run_suite,
-)
+from . import analysis, cli, dyadic, errors, fracops, grid, haar, paracomm, weights
+from .errors import *  # noqa: F401,F403
+from .grid import *  # noqa: F401,F403
+from .dyadic import *  # noqa: F401,F403
+from .haar import *  # noqa: F401,F403
+from .fracops import *  # noqa: F401,F403
+from .weights import *  # noqa: F401,F403
+from .analysis import *  # noqa: F401,F403
+from .paracomm import *  # noqa: F401,F403
+from .cli import *  # noqa: F401,F403
 
 __all__ = [
-    "__version__",
-    "Axis",
-    "GridFunction",
-    "build_axis",
-    "constant_function",
-    "grid_function",
-    "inner_product",
-    "kernel_cell_integral",
-    "l2_norm",
-    "line_pair_integral",
-    "tabulate_midpoint",
-    "DyadicCube",
-    "DyadicSystem",
-    "GoodParams",
-    "bad_mask",
-    "boundary_distance",
-    "cube_distance",
-    "default_gamma",
-    "enumerate_systems",
-    "estimate_pgood",
-    "is_good",
-    "join",
-    "majorant_check",
-    "sample_system",
-    "HaarCoefficientMap",
-    "average_project",
-    "expectation_stack",
-    "haar_expand",
-    "haar_function",
-    "haar_matrix",
-    "level_average",
-    "level_difference",
-    "martingale_block",
-    "partial_pairing",
-    "rect_block",
-    "rectangle_table",
-    "RepresentationReport",
-    "ShiftCoefficientTable",
-    "SigmaClass",
-    "apply_shift",
-    "classify_pair",
-    "concentric_indicator_pairing",
-    "domination_ratio",
-    "frac_integral",
-    "maximal_table",
-    "partial_frac_integral",
-    "shift_coefficient",
-    "verify_representation",
-    "DerivedClassReport",
-    "ExponentTriple",
-    "ProductWeight",
-    "Weight",
-    "ap_characteristic",
-    "apq_characteristic",
-    "bloom_weight",
-    "derived_class_check",
-    "exponent_solve",
-    "power_weight",
-    "product_ap_characteristic",
-    "DualityReport",
-    "OmegaFamily",
-    "bmo_prod_norm",
-    "bmo_prod_rect_norm",
-    "default_omega_family",
-    "duality_check",
-    "dyadic_maximal",
-    "frac_maximal",
-    "frac_maximal_domination",
-    "mixed_norm",
-    "square_function",
-    "strong_maximal",
-    "PARAPRODUCT_TAGS",
-    "BloomConfig",
-    "BloomLevelResult",
-    "BloomQuadResult",
-    "BloomReport",
-    "CommutatorExpansion",
-    "DecompositionReport",
-    "bloom_experiment",
-    "commutator",
-    "decompose_product",
-    "paraproduct",
-    "shift_commutator_expand",
-    "telescope_terms",
-    "ExperimentConfig",
-    "SuiteOutcome",
-    "emit_report",
-    "load_config",
-    "main",
-    "run_suite",
-    "DyadicaError",
-    "ConfigurationError",
-    "ContractError",
-    "DegenerateInputError",
-    "InfeasibleExponentError",
-    "InvariantError",
-    "LevelUnderflowError",
-    "ParameterError",
-    "ResolutionError",
-    "ShapeError",
-    "SystemMismatchError",
+    name
+    for module in (errors, grid, dyadic, haar, fracops, weights, analysis, paracomm, cli)
+    for name in module.__all__
 ]

@@ -35,7 +35,7 @@ from .analysis import (
 from .dyadic import DyadicSystem, GoodParams, default_gamma
 from .errors import ConfigurationError, DyadicaError
 from .fracops import maximal_table, verify_representation
-from .grid import build_axis, grid_function, l2_norm, tabulate_midpoint
+from .grid import _check_lambda, build_axis, grid_function, l2_norm, tabulate_midpoint
 from .haar import haar_expand, level_average, level_difference
 from .paracomm import (
     BloomConfig,
@@ -63,17 +63,6 @@ __all__ = [
     "main",
     "run_suite",
 ]
-
-SUITES = (
-    "bloom",
-    "commutator",
-    "decompose",
-    "haar-verify",
-    "norms",
-    "represent",
-    "weights",
-)
-
 
 # -- configuration --------------------------------------------------------
 
@@ -115,6 +104,15 @@ def _parse(name: str, convert, value):
         _fail(name, f"has the wrong type: {value!r}")
 
 
+def _checked(name: str, rule, *args):
+    """``rule(*args)`` for the library's own check of a value; a
+    :class:`DyadicaError` it raises fails the field."""
+    try:
+        rule(*args)
+    except DyadicaError as exc:
+        _fail(name, str(exc))
+
+
 def _floats(values) -> tuple:
     return tuple(float(v) for v in values)
 
@@ -137,15 +135,13 @@ def _config_from_mapping(data: Mapping) -> ExperimentConfig:
     if not levels:
         _fail("levels", "must be non-empty")
     for idx, lv in enumerate(levels):
-        if isinstance(lv, bool) or not isinstance(lv, int) or not 1 <= lv <= 14:
-            _fail(f"levels[{idx}]", f"must be an integer in [1, 14], got {lv!r}")
+        _checked(f"levels[{idx}]", build_axis, lv)
 
     lambdas = _parse("lambdas", _floats, data["lambdas"])
     if not lambdas:
         _fail("lambdas", "must be non-empty")
     for idx, lam in enumerate(lambdas):
-        if not 0.0 < lam < 1.0:
-            _fail(f"lambdas[{idx}]", f"must lie in (0, 1), got {lam!r}")
+        _checked(f"lambdas[{idx}]", _check_lambda, lam)
 
     exponents = _parse("exponents", lambda v: tuple(map(_floats, v)), data["exponents"])
     if not exponents:
@@ -153,10 +149,7 @@ def _config_from_mapping(data: Mapping) -> ExperimentConfig:
     for idx, pair in enumerate(exponents):
         if len(pair) != 2:
             _fail(f"exponents[{idx}]", f"must be a [p, lambda] pair, got {pair!r}")
-        try:
-            exponent_solve(pair[0], pair[1])
-        except DyadicaError as exc:
-            _fail(f"exponents[{idx}]", str(exc))
+        _checked(f"exponents[{idx}]", exponent_solve, *pair)
 
     weights = _parse("weights", lambda v: tuple(map(_floats, v)), data["weights"])
     if not weights:
@@ -171,13 +164,11 @@ def _config_from_mapping(data: Mapping) -> ExperimentConfig:
             _fail(f"weights[{idx}]", f"center must lie in [0, 1), got {center!r}")
 
     r = data["r"]
-    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
-        _fail("r", f"must be a positive integer, got {r!r}")
+    _checked("r", GoodParams, r)
     gamma = data["gamma"]
     if gamma is not None:
         gamma = _parse("gamma", float, gamma)
-        if not 0.0 < gamma < 0.5:
-            _fail("gamma", f"must lie in (0, 1/2), got {gamma!r}")
+        _checked("gamma", GoodParams, r, gamma)
 
     samples = data["samples"]
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
@@ -581,7 +572,9 @@ def _suite_commutator(config: ExperimentConfig):
 def _suite_bloom(config: ExperimentConfig):
     records, rows = [], []
     p, lam = config.exponents[0]
+    top = max(5, _per_axis(max(config.levels)))  # levels 3..5 up to --level 8
     bloom = BloomConfig(
+        levels=tuple(range(BloomConfig.base_level, top + 1)),
         p1=p, p2=p, lam1=lam, lam2=lam,
         n_samples=min(config.samples, 10),
         seed=config.seed,
@@ -628,6 +621,7 @@ _SUITE_FUNCTIONS = {
     "represent": _suite_represent,
     "weights": _suite_weights,
 }
+SUITES = tuple(_SUITE_FUNCTIONS)  # _suite_rng seeds from the position
 
 
 # -- orchestration --------------------------------------------------------

@@ -42,6 +42,20 @@ from .errors import (
 )
 from .grid import Axis, GridFunction
 
+__all__ = [
+    "DyadicCube",
+    "DyadicSystem",
+    "GoodParams",
+    "bad_mask",
+    "default_gamma",
+    "enumerate_systems",
+    "estimate_pgood",
+    "is_good",
+    "join",
+    "majorant_check",
+    "sample_system",
+]
+
 
 @dataclass(frozen=True)
 class DyadicSystem:
@@ -130,8 +144,9 @@ class GoodParams:
     gamma: float = 0.25
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ParameterError(f"r must be a positive integer, got {self.r}")
+        r = self.r
+        if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
+            raise ParameterError(f"r must be a positive integer, got {r!r}")
         if not 0.0 < self.gamma < 0.5:
             raise ParameterError(f"gamma must lie in (0, 1/2), got {self.gamma}")
 
@@ -227,10 +242,6 @@ def cube_distance_cells(I: DyadicCube, J: DyadicCube) -> int:
     )
 
 
-def cube_distance(I: DyadicCube, J: DyadicCube) -> float:
-    return cube_distance_cells(I, J) * I.axis.h
-
-
 def boundary_distance_cells(I: DyadicCube, J: DyadicCube) -> int:
     """dist(closure(I), endpoint set of J) in cells, torus metric."""
     if I.axis != J.axis:
@@ -239,10 +250,6 @@ def boundary_distance_cells(I: DyadicCube, J: DyadicCube) -> int:
     ends = (J.start_cell, (J.start_cell + J.width_cells) % n)
     # an endpoint is an arc of width 0; one at I's closing end has gap 0
     return min(_arc_gap_cells(n, I.start_cell, I.width_cells, p, 0) for p in ends)
-
-
-def boundary_distance(I: DyadicCube, J: DyadicCube) -> float:
-    return boundary_distance_cells(I, J) * I.axis.h
 
 
 # ---------------------------------------------------------------------------

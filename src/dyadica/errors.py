@@ -6,6 +6,20 @@ contract violations the operations distinguish: bad configuration values,
 mismatched grids, out-of-range parameters, and broken caller preconditions.
 """
 
+__all__ = [
+    "ConfigurationError",
+    "ContractError",
+    "DegenerateInputError",
+    "DyadicaError",
+    "InfeasibleExponentError",
+    "InvariantError",
+    "LevelUnderflowError",
+    "ParameterError",
+    "ResolutionError",
+    "ShapeError",
+    "SystemMismatchError",
+]
+
 
 class DyadicaError(Exception):
     """Base class for all errors raised by dyadica."""

@@ -17,8 +17,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, ParameterError, ShapeError
+
+__all__ = [
+    "Axis",
+    "GridFunction",
+    "build_axis",
+    "constant_function",
+    "grid_function",
+    "inner_product",
+    "kernel_cell_integral",
+    "l2_norm",
+    "line_pair_integral",
+    "tabulate_midpoint",
+]
 
 MAX_LEVEL = 14
 
@@ -312,11 +326,12 @@ def kernel_matrix(axis: Axis, lam: float) -> np.ndarray:
     """Full cell-interaction matrix ``G[a, b] = g[(a - b) mod n]``.
 
     Dense and cached: ``8 * 4**L`` bytes, 128 MiB at ``L = 12`` and 2 GiB
-    at ``MAX_LEVEL``.
+    at ``MAX_LEVEL``.  Row ``a`` is ``g[a], g[a-1], ..., g[a-n+1]`` (mod n), a
+    reversed window of the doubled profile: no n-by-n index array is built.
     """
     g = kernel_profile(axis, lam)
     n = axis.n_cells
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    mat = g[idx]
+    windows = sliding_window_view(np.concatenate((g, g))[1:], n)
+    mat = np.ascontiguousarray(windows[:, ::-1])
     mat.setflags(write=False)
     return mat

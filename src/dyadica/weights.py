@@ -13,13 +13,13 @@ used by the commutator experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from .dyadic import DyadicSystem
 from .errors import InfeasibleExponentError, ParameterError, ShapeError
-from .grid import Axis, GridFunction, grid_function
+from .grid import Axis, GridFunction, _check_lambda, grid_function
 
 __all__ = [
     "DerivedClassReport",
@@ -83,6 +83,15 @@ class ProductWeight:
         )
 
 
+def _check_exponents(p: float, q: Optional[float] = None) -> None:
+    """The hypotheses on the exponents: p > 1 and, when q is given, q > p
+    (a NaN fails both)."""
+    if not p > 1.0:
+        raise ParameterError(f"p must exceed 1, got {p}")
+    if q is not None and not q > p:
+        raise ParameterError(f"need q > p, got p={p}, q={q}")
+
+
 @dataclass(frozen=True)
 class ExponentTriple:
     """Exponent pair tied to a smoothing order: 1/q = lam - 1 + 1/p."""
@@ -92,10 +101,8 @@ class ExponentTriple:
     lam: float
 
     def __post_init__(self):
-        if not (1.0 < self.p < self.q):
-            raise ParameterError(f"need 1 < p < q, got p={self.p}, q={self.q}")
-        if not 0.0 < self.lam < 1.0:
-            raise ParameterError(f"lam must lie in (0, 1), got {self.lam}")
+        _check_exponents(self.p, self.q)
+        _check_lambda(self.lam)
         residual = abs(1.0 / self.q + 1.0 - 1.0 / self.p - self.lam)
         if residual > 1e-12:
             raise ParameterError(
@@ -112,10 +119,8 @@ def exponent_solve(p: float, lam: float) -> ExponentTriple:
     InfeasibleExponentError
         If the solved q is not a finite exponent larger than p.
     """
-    if p <= 1.0:
-        raise ParameterError(f"p must exceed 1, got {p}")
-    if not 0.0 < lam < 1.0:
-        raise ParameterError(f"lam must lie in (0, 1), got {lam}")
+    _check_exponents(p)
+    _check_lambda(lam)
     inv_q = lam - 1.0 + 1.0 / p
     if inv_q <= 0.0:
         raise InfeasibleExponentError(
@@ -232,8 +237,7 @@ def ap_characteristic(w: Weight, p: float, family: FamilySelector = "intervals")
     are reproducible bit for bit against a direct computation written the
     textbook way (see also :func:`apq_characteristic`).
     """
-    if p <= 1.0:
-        raise ParameterError(f"p must exceed 1, got {p}")
+    _check_exponents(p)
     p_dual = p / (p - 1.0)
     dual = w.values ** (1.0 - p_dual)
     return _char_over_family(w.values, dual, p - 1.0, w.axis, family)
@@ -243,10 +247,7 @@ def apq_characteristic(
     w: Weight, p: float, q: float, family: FamilySelector = "intervals"
 ) -> float:
     """Exact maximum over the family of mean(w**q) * mean(w**(-p'))**(q/p')."""
-    if p <= 1.0:
-        raise ParameterError(f"p must exceed 1, got {p}")
-    if q <= p:
-        raise ParameterError(f"need q > p, got p={p}, q={q}")
+    _check_exponents(p, q)
     p_dual = p / (p - 1.0)
     num = w.values**q
     den = w.values ** (-p_dual)
@@ -284,10 +285,7 @@ def derived_class_check(
     w: Weight, p: float, q: float, family: FamilySelector = "intervals"
 ) -> DerivedClassReport:
     """Characteristics of the three derived weights w**q, w**(-p'), w**(-q')."""
-    if p <= 1.0:
-        raise ParameterError(f"p must exceed 1, got {p}")
-    if q <= p:
-        raise ParameterError(f"need q > p, got p={p}, q={q}")
+    _check_exponents(p, q)
     p_dual = p / (p - 1.0)
     q_dual = q / (q - 1.0)
     family = _systems(family)

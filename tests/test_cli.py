@@ -302,6 +302,19 @@ def test_parallel_and_serial_runs_agree(tmp_path, monkeypatch):
     assert blobs[0][2] == 0
 
 
+def test_bloom_suite_follows_the_level(tmp_path):
+    # two-axis budget: levels 3 .. max(5, level // 2 + 1)
+    config = ExperimentConfig(
+        suite="bloom", seed=1, levels=(12,), samples=2, out=str(tmp_path)
+    )
+    outcome = run_suite(config)
+    with outcome.samples_path.open(encoding="utf-8") as fh:
+        labels = [row["sample"] for row in csv.DictReader(fh)]
+    assert list(dict.fromkeys(label.split("-")[0] for label in labels)) == [
+        "L3", "L4", "L5", "L6", "L7"
+    ]
+
+
 # -- command line ---------------------------------------------------------
 
 

@@ -145,6 +145,14 @@ def test_nesting_property(data):
 # goodness
 
 
+def test_good_params_r_must_be_a_positive_integer():
+    # a float r would fail later inside the scan, and True would act as r = 1
+    for r in (1.5, True, 0, "3"):
+        with pytest.raises(ParameterError, match="r must be a positive integer"):
+            dyadic.GoodParams(r)
+    assert dyadic.GoodParams(np.int64(2)).r == 2
+
+
 def test_coarse_cubes_are_good():
     params = dyadic.GoodParams(r=3, gamma=0.25)
     sys = offset0(5)

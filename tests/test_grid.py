@@ -197,3 +197,14 @@ def test_kernel_matrix_is_circulant_and_symmetric():
     g = grid.kernel_profile(ax, 0.5)
     assert G[5, 2] == g[3]
     assert G[2, 5] == g[(2 - 5) % 16]
+
+
+def test_kernel_matrix_entries_read_the_profile():
+    for level in (1, 2, 3, 6, 9):
+        ax = grid.build_axis(level)
+        n = ax.n_cells
+        a, b = np.indices((n, n))
+        for lam in (0.3, 0.5, 0.95):
+            G = grid.kernel_matrix(ax, lam)
+            assert G.shape == (n, n) and not G.flags.writeable
+            assert np.array_equal(G, grid.kernel_profile(ax, lam)[(a - b) % n])
