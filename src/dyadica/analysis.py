@@ -288,7 +288,7 @@ def mixed_norm(
     """
     if f.ndim != 2:
         raise ShapeError("mixed norm needs a two-axis function")
-    if p1 < 1.0 or p2 < 1.0:
+    if not (p1 >= 1.0 and p2 >= 1.0):
         raise ParameterError(f"exponents must be >= 1, got p1={p1}, p2={p2}")
     ax1, ax2 = f.axes
     for w, ax, name in ((w1, ax1, "w1"), (w2, ax2, "w2")):

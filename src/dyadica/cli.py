@@ -128,8 +128,8 @@ def _config_from_mapping(data: Mapping) -> ExperimentConfig:
     if "seed" not in data:
         _fail("seed", "a seed is mandatory")
     seed = data["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        _fail("seed", f"must be an integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        _fail("seed", f"must be a non-negative integer, got {seed!r}")
 
     levels = _parse("levels", tuple, data["levels"])
     if not levels:

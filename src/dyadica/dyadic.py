@@ -71,15 +71,6 @@ class DyadicSystem:
                 f"got {self.offset_cells}"
             )
 
-    @property
-    def offset(self) -> float:
-        return self.offset_cells * self.axis.h
-
-    @property
-    def level_count(self) -> int:
-        """Number of cube levels, 0 .. L inclusive."""
-        return self.axis.level + 1
-
     def cube(self, level: int, index: int) -> "DyadicCube":
         return DyadicCube(self, level, index)
 

@@ -1,13 +1,15 @@
 """Power-kernel smoothing operators and their Haar-coefficient anatomy.
 
 The smoothing operator convolves against the periodic kernel d(x-y)**-lam
-exactly at cell resolution (the kernel matrix holds exact cell-pair
-integrals).  On top of it this module provides the coefficient machinery
-used to analyse the operator in a shifted lattice: raw and normalized Haar
-coefficients, the four-way positional classification of cube pairs,
-coefficient tables for shift operators with the canonical size bound, the
-pointwise domination scan, and a verification harness that checks the
-bilinear expansion identity and measures per-class coefficient constants.
+exactly at cell resolution: ``_smooth`` is its one home, a circular
+convolution with the kernel profile of exact cell-pair integrals, and the
+dense kernel matrix is read only by the representation harness.  On top
+of it this module provides the coefficient machinery used to analyse the
+operator in a shifted lattice: raw and normalized Haar coefficients, the
+four-way positional classification of cube pairs, coefficient tables for
+shift operators with the canonical size bound, the pointwise domination
+scan, and a verification harness that checks the bilinear expansion
+identity and measures per-class coefficient constants.
 
 A shift table is one array with a row per cube K in heap order, so
 applying a shift is analyze, one contraction along the array axis,
@@ -51,6 +53,7 @@ from .grid import (
     grid_function,
     inner_product,
     kernel_matrix,
+    kernel_profile,
     l2_norm,
 )
 from .haar import column_cubes, expectation_stack, haar_function
@@ -75,20 +78,30 @@ __all__ = [
 # -- the smoothing operator ----------------------------------------------
 
 
+def _smooth(values: np.ndarray, axis: Axis, lam: float, pos: int = 0) -> np.ndarray:
+    """``(G @ values) / h`` along array axis ``pos``, with ``G`` the
+    circulant cell-pair kernel matrix: one circular convolution of
+    ``values`` with :func:`~dyadica.grid.kernel_profile`, G never formed."""
+    n = axis.n_cells
+    shape = [1] * values.ndim
+    shape[pos] = n // 2 + 1
+    spectrum = np.fft.rfft(kernel_profile(axis, lam)).reshape(shape)
+    conv = np.fft.irfft(np.fft.rfft(values, axis=pos) * spectrum, n=n, axis=pos)
+    return conv / axis.h
+
+
 def frac_integral(f: GridFunction, lam: float) -> GridFunction:
     """Apply the periodic power-kernel smoothing operator.
 
     Output cells hold exact cell averages of the operator applied to the
     piecewise-constant input: ``(G @ values) / h`` with ``G`` the cell-pair
-    kernel integral matrix.
+    kernel integral matrix (see :func:`_smooth`).
     """
     _check_lambda(lam)
     if len(f.axes) != 1:
         raise ShapeError("frac_integral acts on one-axis functions; "
                          "use partial_frac_integral for two axes")
-    axis = f.axes[0]
-    G = kernel_matrix(axis, lam)
-    return f.with_values((G @ f.values) / axis.h)
+    return f.with_values(_smooth(f.values, f.axes[0], lam))
 
 
 def partial_frac_integral(f: GridFunction, lam: float, axis_index: int) -> GridFunction:
@@ -99,12 +112,7 @@ def partial_frac_integral(f: GridFunction, lam: float, axis_index: int) -> GridF
     if axis_index not in (1, 2):
         raise ParameterError(f"axis_index must be 1 or 2, got {axis_index!r}")
     axis = f.axes[axis_index - 1]
-    G = kernel_matrix(axis, lam)
-    if axis_index == 1:
-        vals = (G @ f.values) / axis.h
-    else:
-        vals = (f.values @ G) / axis.h
-    return f.with_values(vals)
+    return f.with_values(_smooth(f.values, axis, lam, axis_index - 1))
 
 
 # -- coefficients ---------------------------------------------------------
@@ -121,8 +129,8 @@ def shift_coefficient(I: DyadicCube, J: DyadicCube, lam: float) -> Tuple[float, 
     _check_lambda(lam)
     if I.system != J.system:
         raise SystemMismatchError("shift_coefficient requires cubes of one system")
-    G = kernel_matrix(I.axis, lam)
-    raw = float(haar_function(J).values @ G @ haar_function(I).values)
+    smoothed = _smooth(haar_function(I).values, I.axis, lam) * I.axis.h
+    raw = float(haar_function(J).values @ smoothed)
     K = join(I, J)
     normalized = raw * 2.0 ** (0.5 * I.level + 0.5 * J.level - lam * K.level)
     return raw, normalized
@@ -141,8 +149,7 @@ def concentric_indicator_pairing(I: DyadicCube, extra_cells: int, lam: float) ->
     n = I.axis.n_cells
     if I.width_cells + 2 * extra_cells > n:
         raise ParameterError("widened arc exceeds the torus")
-    G = kernel_matrix(I.axis, lam)
-    smoothed = G @ haar_function(I).values
+    smoothed = _smooth(haar_function(I).values, I.axis, lam) * I.axis.h
     cells = (I.start_cell - extra_cells + np.arange(I.width_cells + 2 * extra_cells)) % n
     return float(smoothed[cells].sum())
 
@@ -155,11 +162,9 @@ class SigmaClass:
     """Positional class of an ordered cube pair (smaller-or-equal cube
     first): ``out`` (disjoint, separated beyond the goodness threshold),
     ``near`` (disjoint, close), ``shallow_in`` (contained, depth <= r),
-    ``deep_in`` (contained, depth > r).  ``transposed`` records that the
-    caller swapped a pair to restore the size order."""
+    ``deep_in`` (contained, depth > r)."""
 
     tag: str
-    transposed: bool = False
 
 
 _TAGS = ("out", "near", "shallow_in", "deep_in")
@@ -175,8 +180,7 @@ def classify_pair(I: DyadicCube, J: DyadicCube, params: GoodParams) -> SigmaClas
         raise SystemMismatchError("classify_pair requires cubes of one system")
     if I.level < J.level:
         raise ContractError(
-            "classify_pair expects len(I) <= len(J); swap the pair and "
-            "record the transposed tag"
+            "classify_pair expects len(I) <= len(J); swap the pair"
         )
     kK = _join_level(I.level, I.index, J.level, J.index)
     tag = _pair_class(I.axis, I.level, I.index, J.level, J.index, kK, params)

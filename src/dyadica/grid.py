@@ -146,9 +146,6 @@ class GridFunction:
     def __neg__(self):
         return self.with_values(-self.values)
 
-    def abs(self) -> "GridFunction":
-        return self.with_values(np.abs(self.values))
-
     def mean(self) -> float:
         """Integral over the torus (equals the plain average of the table)."""
         return float(np.mean(self.values))
@@ -323,7 +320,9 @@ def kernel_profile(axis: Axis, lam: float) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def kernel_matrix(axis: Axis, lam: float) -> np.ndarray:
-    """Full cell-interaction matrix ``G[a, b] = g[(a - b) mod n]``.
+    """Full cell-interaction matrix ``G[a, b] = g[(a - b) mod n]``, the
+    dense reference of the smoothing operator; its one library reader is
+    the Haar-basis kernel of :func:`dyadica.fracops.verify_representation`.
 
     Dense and cached: ``8 * 4**L`` bytes, 128 MiB at ``L = 12`` and 2 GiB
     at ``MAX_LEVEL``.  Row ``a`` is ``g[a], g[a-1], ..., g[a-n+1]`` (mod n), a

@@ -37,7 +37,7 @@ import numpy as np
 from .analysis import _bmo_prod_rect, _rect_weight_means, _system_pair, mixed_norm
 from .dyadic import DyadicCube, DyadicSystem, ancestor
 from .errors import ContractError, ParameterError, ShapeError, SystemMismatchError
-from .fracops import ShiftCoefficientTable, _route, partial_frac_integral
+from .fracops import ShiftCoefficientTable, _route, _smooth
 from .grid import GridFunction, build_axis, grid_function
 from .haar import column_cubes, expectation_stack, rectangle_table
 from .haar import haar_analyze, haar_synthesize
@@ -182,7 +182,7 @@ def _commutator_terms(t1, t2):
 
 def _iterated_commutator(b, f, t1, t2):
     """``[T1, [b, T2]] f``, the terms of :func:`_commutator_terms` summed in
-    order (``b``, ``f`` and the operators' values are functions or arrays)."""
+    order (``b``, ``f`` and the operators' values are arrays)."""
     terms = (outer(b * inner(f)) for outer, inner in _commutator_terms(t1, t2))
     return functools.reduce(operator.add, terms)
 
@@ -196,21 +196,17 @@ def commutator(b: GridFunction, f: GridFunction, recipe: Mapping) -> GridFunctio
     if b.ndim != 2 or f.ndim != 2 or b.axes != f.axes:
         raise ShapeError("commutator needs two-axis functions on one grid")
     keys = set(recipe)
+
+    def smoothing(pos, lam):
+        return lambda x: _smooth(x, b.axes[pos], float(lam), pos)
+
     if keys == {"inner"}:
-        lam2 = float(recipe["inner"])
-        bf = b.with_values(b.values * f.values)
-        return b.with_values(
-            b.values * partial_frac_integral(f, lam2, 2).values
-            - partial_frac_integral(bf, lam2, 2).values
-        )
+        t2 = smoothing(1, recipe["inner"])
+        return b.with_values(b.values * t2(f.values) - t2(b.values * f.values))
     if keys == {"iterated"}:
-        lam1, lam2 = (float(v) for v in recipe["iterated"])
-        return _iterated_commutator(
-            b,
-            f,
-            lambda g: partial_frac_integral(g, lam1, 1),
-            lambda g: partial_frac_integral(g, lam2, 2),
-        )
+        lam1, lam2 = recipe["iterated"]
+        t1, t2 = smoothing(0, lam1), smoothing(1, lam2)
+        return b.with_values(_iterated_commutator(b.values, f.values, t1, t2))
     raise ParameterError("recipe must be {'inner': lam2} or {'iterated': (lam1, lam2)}")
 
 
@@ -394,8 +390,6 @@ class BloomReport:
 
 
 def _refine(base: np.ndarray, factor: int) -> np.ndarray:
-    if factor == 1:
-        return base.copy()
     return np.kron(base, np.ones((factor, factor)))
 
 

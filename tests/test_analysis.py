@@ -465,6 +465,8 @@ def test_mixed_norm_validation():
         mixed_norm(f, 0.5, 2.0)
     with pytest.raises(ParameterError):
         mixed_norm(f, 2.0, 0.99)
+    with pytest.raises(ParameterError):
+        mixed_norm(f, float("nan"), 2.0)
     with pytest.raises(ShapeError):
         mixed_norm(constant_function(1.0, axis), 2.0, 2.0)
     with pytest.raises(ShapeError):

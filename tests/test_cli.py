@@ -75,6 +75,7 @@ def test_config_validation_errors(tmp_path):
         ({"suite": "nope", "seed": 1}, "suite"),
         ({"suite": "norms"}, "seed"),
         ({"suite": "norms", "seed": True}, "seed"),
+        ({"suite": "norms", "seed": -1}, "seed"),
         ({"suite": "norms", "seed": 1, "levels": [4, 20]}, r"levels\[1\]"),
         ({"suite": "norms", "seed": 1, "lambdas": [1.5]}, r"lambdas\[0\]"),
         ({"suite": "norms", "seed": 1, "weights": [[1.5, 0.0]]}, r"weights\[0\]"),

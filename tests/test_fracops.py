@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dyadica import dyadic, errors, fracops, grid, haar
+from dyadica import analysis, dyadic, errors, fracops, grid, haar, paracomm
 
 import oracles
 
@@ -101,6 +101,54 @@ def test_partial_needs_two_axes():
     ax = grid.build_axis(3)
     with pytest.raises(errors.ShapeError):
         fracops.partial_frac_integral(grid.constant_function(1.0, ax), 0.5, 1)
+
+
+@pytest.mark.parametrize("L", (1, 2, 5, 8))
+@pytest.mark.parametrize("lam", (0.3, 0.5, 0.95))
+def test_smoothing_is_one_operator_bit_for_bit(rng, L, lam):
+    ax = grid.build_axis(L)
+    n = ax.n_cells
+    f = grid.grid_function(rng.standard_normal((n, n)), ax, ax)
+    along2 = fracops.partial_frac_integral(f, lam, 2).values
+    transposed = fracops.partial_frac_integral(f.with_values(f.values.T), lam, 1)
+    assert np.array_equal(along2, transposed.values.T)
+    along1 = fracops.partial_frac_integral(f, lam, 1).values
+    columns = [
+        fracops.frac_integral(grid.grid_function(f.values[:, c], ax), lam).values
+        for c in range(n)
+    ]
+    assert np.array_equal(along1, np.stack(columns, axis=1))
+
+
+def test_no_operator_path_forms_the_kernel_matrix(rng, monkeypatch):
+    def dense(*args):
+        raise AssertionError("an operator path formed the dense kernel matrix")
+
+    monkeypatch.setattr(fracops, "kernel_matrix", dense)
+    monkeypatch.setattr(grid, "kernel_matrix", dense)
+    ax = grid.build_axis(4)
+    sys = offset0(4)
+    one = grid.grid_function(rng.standard_normal(16), ax)
+    b, f = (grid.grid_function(rng.standard_normal((16, 16)), ax, ax) for _ in range(2))
+    fracops.frac_integral(one, 0.5)
+    fracops.partial_frac_integral(f, 0.5, 1)
+    fracops.partial_frac_integral(f, 0.5, 2)
+    paracomm.commutator(b, f, {"inner": 0.4})
+    paracomm.commutator(b, f, {"iterated": (0.3, 0.6)})
+    fracops.concentric_indicator_pairing(sys.cube(2, 1), 1, 0.5)
+    fracops.shift_coefficient(sys.cube(3, 2), sys.cube(1, 0), 0.5)
+    analysis.frac_maximal_domination(one, sys, 0.5)
+    fracops.domination_ratio(one, 0.5, sys)
+
+
+@pytest.mark.parametrize("lam", (0.05, 0.5, 0.95))
+def test_frac_integral_matches_the_dense_kernel_matrix(rng, lam):
+    for L in range(1, 13):
+        ax = grid.build_axis(L)
+        v = rng.standard_normal(ax.n_cells)
+        got = fracops.frac_integral(grid.grid_function(v, ax), lam).values
+        want = grid.kernel_matrix(ax, lam) @ v / ax.h
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
