@@ -2,10 +2,12 @@
 
 The smoothing operator convolves against the periodic kernel d(x-y)**-lam
 exactly at cell resolution: ``_smooth`` is its one home, a circular
-convolution with the kernel profile of exact cell-pair integrals, and the
-dense kernel matrix is read only by the representation harness.  On top
-of it this module provides the coefficient machinery used to analyse the
-operator in a shifted lattice: raw and normalized Haar coefficients, the
+convolution with the kernel profile of exact cell-pair integrals, and no
+library path forms the dense kernel matrix, the representation harness
+included: it reads the kernel in the Haar basis from L smoothed Haar
+steps, one per level (see :func:`_kernel_block`).  On top of it this
+module provides the coefficient machinery used to analyse the operator
+in a shifted lattice: raw and normalized Haar coefficients, the
 four-way positional classification of cube pairs, coefficient tables for
 shift operators with the canonical size bound, the pointwise domination
 scan, and a verification harness that checks the bilinear expansion
@@ -15,7 +17,7 @@ A shift table is one array with a row per cube K in heap order, so
 applying a shift is analyze, one contraction along the array axis,
 synthesize (see :class:`ShiftCoefficientTable`).
 
-The harness does the offset-free work (Haar-basis kernel matrix, goodness,
+The harness does the offset-free work (Haar-basis kernel columns, goodness,
 pair classes) once, on the offset-0 lattice; each system adds only its
 column of Haar coefficients (see :func:`verify_representation`).  One
 function, ``_pair_class``, classes one pair (:func:`classify_pair`) or a
@@ -25,9 +27,11 @@ block of pairs (the scan).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dyadic import (
     DyadicCube,
@@ -52,7 +56,6 @@ from .grid import (
     _check_lambda,
     grid_function,
     inner_product,
-    kernel_matrix,
     kernel_profile,
     l2_norm,
 )
@@ -78,6 +81,15 @@ __all__ = [
 # -- the smoothing operator ----------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _kernel_spectrum(axis: Axis, lam: float) -> np.ndarray:
+    """``rfft`` of :func:`~dyadica.grid.kernel_profile`, cached per
+    (axis, lambda) and read-only."""
+    spectrum = np.fft.rfft(kernel_profile(axis, lam))
+    spectrum.setflags(write=False)
+    return spectrum
+
+
 def _smooth(values: np.ndarray, axis: Axis, lam: float, pos: int = 0) -> np.ndarray:
     """``(G @ values) / h`` along array axis ``pos``, with ``G`` the
     circulant cell-pair kernel matrix: one circular convolution of
@@ -85,7 +97,7 @@ def _smooth(values: np.ndarray, axis: Axis, lam: float, pos: int = 0) -> np.ndar
     n = axis.n_cells
     shape = [1] * values.ndim
     shape[pos] = n // 2 + 1
-    spectrum = np.fft.rfft(kernel_profile(axis, lam)).reshape(shape)
+    spectrum = _kernel_spectrum(axis, lam).reshape(shape)
     conv = np.fft.irfft(np.fft.rfft(values, axis=pos) * spectrum, n=n, axis=pos)
     return conv / axis.h
 
@@ -335,22 +347,65 @@ class RepresentationReport:
     class_counts: Mapping[str, int]
 
 
+def _kernel_columns(axis: Axis, lam: float) -> np.ndarray:
+    """Columns ``C[:, k]`` of the Haar-basis kernel ``M = H.T G H`` of the
+    offset-0 lattice at the first cube of each level k = 0 .. L-1: the
+    smoothing operator applied to those L Haar steps, analyzed."""
+    L = axis.level
+    lattice = DyadicSystem(axis, 0)
+    first = np.zeros((axis.n_cells, L))
+    first[1 << np.arange(L), np.arange(L)] = 1.0
+    return haar_analyze(_smooth(haar_synthesize(first, lattice), axis, lam), lattice)
+
+
+def _level_windows(C: np.ndarray) -> list:
+    """Per level k, the windows ``W[l, b, j] = c[l, (b + 1 + j) mod 2**k]``
+    over the level-k rows of the kernel columns ``C``
+    (:func:`_kernel_columns`), stored as one doubled line ``c[l]`` per
+    column: about 2nL floats over all levels, every block a view of them."""
+    windows = []
+    for k in range(C.shape[1]):
+        c = C[1 << k : 2 << k].T
+        windows.append(sliding_window_view(np.concatenate((c, c), axis=1)[:, 1:], 1 << k, axis=1))
+    return windows
+
+
+def _kernel_block(windows: list, kI: int, kJ: int) -> np.ndarray:
+    """Block ``M[(kJ, b), (kI, a)]`` of the Haar-basis kernel, a read-only
+    view of the level windows of its columns (:func:`_level_windows`).
+
+    For ``kI <= kJ`` a circulant G shifts both cubes by ``a`` level-kI
+    widths, so the entry is ``C[2**kJ + (b - a s) mod 2**kJ, kI]`` with
+    ``s = 2**(kJ - kI)``: row b reads ``c[b], c[b - s], c[b - 2s], ...`` of
+    that column's level-kJ rows c, every s-th entry of a reversed window.
+    G is symmetric, so a block with ``kI > kJ`` is the transpose of its
+    mirror (the non-standard form of Beylkin, Coifman and Rokhlin)."""
+    if kI > kJ:
+        return _kernel_block(windows, kJ, kI).T
+    return windows[kJ][kI, :, (1 << kJ) - 1 :: -(1 << (kJ - kI))]
+
+
 def _scan_lattice(
     axis: Axis,
     lam: float,
     params: GoodParams,
-    M: np.ndarray,
+    C: np.ndarray,
     CF: np.ndarray,
     CG: np.ndarray,
-) -> Tuple[dict, Dict[str, int], dict]:
+) -> Tuple[dict, Dict[str, int], dict, np.ndarray]:
     """Class profiles and counts of the offset-0 lattice, and depth-pair
-    energies of a batch of systems, one level-pair block at a time.
+    energies and Haar-side pairings of a batch of systems, one level-pair
+    block at a time.
 
-    ``M`` is the kernel in the Haar basis, ``CF``/``CG`` hold one column of
-    Haar coefficients per system.  The energy of depth pair (i, j) sums
-    ``|cg_J M_JI cf_I|`` over systems and over the cube pairs (I, J) lying i
-    and j levels below their join; classes count and profile size-ordered
-    pairs whose smaller cube is good.
+    ``C`` holds the kernel's Haar-basis columns (:func:`_kernel_columns`),
+    ``CF``/``CG`` one column of Haar coefficients per system.  The energy of
+    depth pair (i, j) sums ``|cg_J M_JI cf_I|`` over systems and over the
+    cube pairs (I, J) lying i and j levels below their join; the pairing of
+    a system is ``cg . M cf`` over the Haar steps, summed from the same
+    blocks.  Classes count and profile size-ordered pairs whose smaller
+    cube is good; a profile keeps an entry only above ``1e-12`` of its
+    class's largest, since smaller ones are rounding noise of entries that
+    vanish in exact arithmetic.
     """
     L = axis.level
     width = (L + 1) ** 2
@@ -358,6 +413,8 @@ def _scan_lattice(
     counts = np.zeros(len(_TAGS), dtype=np.int64)
     peaks = np.zeros(len(_TAGS) * width)
     aF, aG = np.abs(CF), np.abs(CG)
+    MCF = np.zeros(CF.shape)
+    windows = _level_windows(C)
     lattice = DyadicSystem(axis, 0)
 
     for kI in range(L):
@@ -369,7 +426,9 @@ def _scan_lattice(
             colJ = slice(1 << kJ, 2 << kJ)
             kK = _join_level(kI, a, kJ, b)
             flat = (kI - kK) * (L + 1) + (kJ - kK)
-            raw = np.abs(M[colJ, colI])
+            block = _kernel_block(windows, kI, kJ)
+            MCF[colJ] += block @ CF[colI]
+            raw = np.abs(block)
             contrib = raw * (aG[colJ] @ aF[colI].T)
             energy += np.bincount(flat.ravel(), contrib.ravel(), minlength=width)
 
@@ -382,12 +441,14 @@ def _scan_lattice(
             counts += np.bincount(tag[sel], minlength=len(_TAGS))
             np.maximum.at(peaks, tag[sel] * width + flat[sel], normalized[sel])
 
+    peaks = peaks.reshape(len(_TAGS), width)
+    kept = peaks > 1e-12 * peaks.max(axis=1, keepdims=True)
     profiles = {tag: {} for tag in _TAGS}
-    for idx in np.nonzero(peaks)[0]:
-        t, label = divmod(int(idx), width)
-        profiles[_TAGS[t]][divmod(label, L + 1)] = float(peaks[idx])
+    for t, label in zip(*np.nonzero(kept)):
+        profiles[_TAGS[t]][divmod(int(label), L + 1)] = float(peaks[t, label])
     energies = {divmod(int(idx), L + 1): float(energy[idx]) for idx in np.nonzero(energy)[0]}
-    return profiles, dict(zip(_TAGS, counts.tolist())), energies
+    pairings = (CG[1:] * MCF[1:]).sum(axis=0)
+    return profiles, dict(zip(_TAGS, counts.tolist())), energies, pairings
 
 
 def verify_representation(
@@ -408,11 +469,14 @@ def verify_representation(
     out and deep_in weighted by ``2**(max(i,j)/2)`` to expose their decay).
 
     Offset o shifts cells cyclically, ``H_o[(c + o) mod n] = H_0[c]``, and
-    the kernel matrix G is circulant, so ``M = H_o.T G H_o`` is the offset-0
-    M and goodness and classes ignore o: M, class profiles and counts come
-    from the offset-0 lattice, exact up to rounding (counts times the number
-    of systems).  Each system's coefficients ``h H_0.T f[(c + o) mod n]``
-    come from one batched product.  Systems are validated before any work.
+    the kernel is circulant, so the Haar-basis kernel ``H_o.T G H_o`` does
+    not depend on o, and neither do goodness and classes: the kernel, class
+    profiles and counts come from the offset-0 lattice, exact up to
+    rounding (counts times the number of systems).  That kernel is never
+    formed: its L columns at the first cube of each level hold every entry
+    (:func:`_kernel_block`), and the scan reads it block by block.  Each
+    system's coefficients ``h H_0.T f[(c + o) mod n]`` come from one batched
+    transform.  Systems are validated before any work.
     """
     _check_lambda(lam)
     if len(f.axes) != 1 or len(g.axes) != 1 or f.axes != g.axes:
@@ -433,14 +497,12 @@ def verify_representation(
     if systems:
         n = axis.n_cells
         lattice = DyadicSystem(axis, 0)
-        M = haar_analyze(haar_analyze(kernel_matrix(axis, lam), lattice, 0), lattice, 1)
-        M *= n * n
         cells = (np.arange(n)[:, None] + [s.offset_cells for s in systems]) % n
         CF = haar_analyze(f.values[cells], lattice)
         CG = haar_analyze(g.values[cells], lattice)
-        lhs = inner_product(g, frac_integral(f, lam))
-        residuals = np.abs(lhs - (CG[1:] * (M[1:, 1:] @ CF[1:])).sum(axis=0))
-        profiles, counts, energies = _scan_lattice(axis, lam, params, M, CF, CG)
+        C = _kernel_columns(axis, lam)
+        profiles, counts, energies, pairings = _scan_lattice(axis, lam, params, C, CF, CG)
+        residuals = np.abs(inner_product(g, frac_integral(f, lam)) - pairings)
         counts = {tag: c * len(systems) for tag, c in counts.items()}
 
     constants = {}

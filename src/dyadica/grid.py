@@ -307,12 +307,16 @@ def kernel_cell_integral(axis: Axis, cell_a: int, cell_b: int, lam: float) -> fl
 @lru_cache(maxsize=64)
 def kernel_profile(axis: Axis, lam: float) -> np.ndarray:
     """Circulant profile ``g[m]``, the kernel's integral over cells m and 0;
-    :func:`kernel_cell_integral` reads every cell pair's value here."""
+    :func:`kernel_cell_integral` reads every cell pair's value here.
+
+    Even by construction: ``g[m]`` is evaluated at the wrapped cell distance
+    ``min(m, n - m)``, so ``g[m] == g[n - m]`` bit for bit and
+    :func:`kernel_matrix` is exactly symmetric."""
     lam = _check_lambda(lam)
     n = axis.n_cells
     h = axis.h
     m = np.arange(n)
-    m = np.where(m > n // 2, m - n, m)
+    m = np.minimum(m, n - m)
     g = _second_difference(_antider_torus, m * h, h, lam)
     g.setflags(write=False)
     return g
@@ -321,8 +325,10 @@ def kernel_profile(axis: Axis, lam: float) -> np.ndarray:
 @lru_cache(maxsize=16)
 def kernel_matrix(axis: Axis, lam: float) -> np.ndarray:
     """Full cell-interaction matrix ``G[a, b] = g[(a - b) mod n]``, the
-    dense reference of the smoothing operator; its one library reader is
-    the Haar-basis kernel of :func:`dyadica.fracops.verify_representation`.
+    dense reference of the smoothing operator.  No library path reads it:
+    the operator and the Haar-basis kernel of
+    :func:`dyadica.fracops.verify_representation` both go through the
+    profile's circular convolution, and tests compare them against ``G``.
 
     Dense and cached: ``8 * 4**L`` bytes, 128 MiB at ``L = 12`` and 2 GiB
     at ``MAX_LEVEL``.  Row ``a`` is ``g[a], g[a-1], ..., g[a-n+1]`` (mod n), a

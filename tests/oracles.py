@@ -589,6 +589,12 @@ def verify_representation_brute(f, g, lam, params, systems):
         relatives.append(res / scale)
         _scan_system_brute(system, lam, params, profiles, counts, energies, cf, cg, M)
 
+    # an entry at most 1e-12 of its class's largest is rounding noise of a
+    # coefficient that vanishes in exact arithmetic
+    for tag, prof in profiles.items():
+        top = max(prof.values(), default=0.0)
+        profiles[tag] = {key: v for key, v in prof.items() if v > 1e-12 * top}
+
     constants = {}
     for tag, prof in profiles.items():
         if not prof:

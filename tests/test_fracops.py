@@ -124,7 +124,7 @@ def test_no_operator_path_forms_the_kernel_matrix(rng, monkeypatch):
     def dense(*args):
         raise AssertionError("an operator path formed the dense kernel matrix")
 
-    monkeypatch.setattr(fracops, "kernel_matrix", dense)
+    assert not hasattr(fracops, "kernel_matrix")
     monkeypatch.setattr(grid, "kernel_matrix", dense)
     ax = grid.build_axis(4)
     sys = offset0(4)
@@ -139,6 +139,20 @@ def test_no_operator_path_forms_the_kernel_matrix(rng, monkeypatch):
     fracops.shift_coefficient(sys.cube(3, 2), sys.cube(1, 0), 0.5)
     analysis.frac_maximal_domination(one, sys, 0.5)
     fracops.domination_ratio(one, 0.5, sys)
+    mean_free = one - one.mean()
+    fracops.verify_representation(mean_free, mean_free, 0.5, dyadic.GoodParams(), [sys])
+
+
+@pytest.mark.parametrize("L", (1, 4, 9, 12))
+@pytest.mark.parametrize("lam", (0.05, 0.5, 0.95))
+def test_smoothing_reads_a_cached_read_only_spectrum(rng, L, lam):
+    ax = grid.build_axis(L)
+    v = rng.standard_normal((ax.n_cells, 3))
+    spectrum = np.fft.rfft(grid.kernel_profile(ax, lam))
+    want = np.fft.irfft(np.fft.rfft(v, axis=0) * spectrum[:, None], n=ax.n_cells, axis=0)
+    assert np.array_equal(fracops._smooth(v, ax, lam), want / ax.h)
+    assert fracops._kernel_spectrum(ax, lam) is fracops._kernel_spectrum(ax, lam)
+    assert not fracops._kernel_spectrum(ax, lam).flags.writeable
 
 
 @pytest.mark.parametrize("lam", (0.05, 0.5, 0.95))
@@ -398,7 +412,7 @@ def test_representation_validates_every_system_before_any_work(rng, monkeypatch)
     def no_work(*args):
         raise AssertionError("matrix work started before the systems were validated")
 
-    monkeypatch.setattr(fracops, "kernel_matrix", no_work)
+    monkeypatch.setattr(fracops, "_smooth", no_work)
     monkeypatch.setattr(fracops, "haar_analyze", no_work)
     with pytest.raises(errors.SystemMismatchError):
         fracops.verify_representation(f, f, 0.5, dyadic.GoodParams(), systems)
@@ -424,6 +438,38 @@ def test_haar_basis_kernel_and_goodness_are_offset_invariant(lam):
                     dyadic.bad_mask(sys, level, params),
                     dyadic.bad_mask(base, level, params),
                 )
+
+
+@pytest.mark.parametrize("lam", (0.05, 0.5, 0.95))
+def test_haar_kernel_blocks_match_the_dense_haar_basis_kernel(lam):
+    # every level-pair block read from the L columns equals H.T G H; blocks
+    # that vanish in exact arithmetic hold rounding noise on both sides, so
+    # the bound is relative to the kernel's largest entry
+    for L in (1, 2, 3, 6, 9):
+        ax = grid.build_axis(L)
+        H = haar.haar_matrix(offset0(L))
+        M = H.T @ grid.kernel_matrix(ax, lam) @ H
+        C = fracops._kernel_columns(ax, lam)
+        assert C.shape == (ax.n_cells, L)
+        windows = fracops._level_windows(C)
+        for kI in range(L):
+            for kJ in range(L):
+                block = fracops._kernel_block(windows, kI, kJ)
+                want = M[1 << kJ : 2 << kJ, 1 << kI : 2 << kI]
+                assert block.shape == want.shape
+                assert np.max(np.abs(block - want)) <= 1e-13 * np.max(np.abs(M))
+
+
+@pytest.mark.parametrize("lam", (0.3, 0.5, 0.7))
+def test_class_profiles_drop_rounding_noise_keys(rng, lam):
+    # at L=3 the depth-(1, 0) contained pairs are the whole circle and its
+    # halves, whose coefficients cancel by symmetry: no profile key
+    ax = grid.build_axis(3)
+    f = mean_zero(rng, 8, ax)
+    params = dyadic.GoodParams(2, 7 / 16)
+    rep = fracops.verify_representation(f, f, lam, params, [offset0(3)])
+    assert (0, 0) in rep.class_profiles["shallow_in"]
+    assert (1, 0) not in rep.class_profiles["shallow_in"]
 
 
 def _assert_close_maps(got, want, rel):
@@ -530,8 +576,8 @@ def test_scan_system_classes_agree_with_classify_pair(gamma):
         n = 1 << L
         sys = dyadic.DyadicSystem(grid.build_axis(L), 21 % n)
         ones = np.ones((n, 1))
-        _, counts, _ = fracops._scan_lattice(
-            sys.axis, 0.5, params, np.ones((n, n)), ones, ones
+        _, counts, _, _ = fracops._scan_lattice(
+            sys.axis, 0.5, params, np.ones((n, L)), ones, ones
         )
         want = dict.fromkeys(counts, 0)
         for kI in range(L):

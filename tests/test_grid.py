@@ -208,3 +208,19 @@ def test_kernel_matrix_entries_read_the_profile():
             G = grid.kernel_matrix(ax, lam)
             assert G.shape == (n, n) and not G.flags.writeable
             assert np.array_equal(G, grid.kernel_profile(ax, lam)[(a - b) % n])
+
+
+@pytest.mark.parametrize("lam", (0.05, 0.3, 0.5, 0.95))
+def test_kernel_profile_is_even_bit_for_bit(lam):
+    # g[m] and g[n - m] are one evaluation, at the wrapped cell distance
+    for level in range(1, 13):
+        g = grid.kernel_profile(grid.build_axis(level), lam)
+        assert np.array_equal(g[1:], g[1:][::-1])
+
+
+def test_kernel_matrix_equals_its_transpose_bit_for_bit():
+    for level in range(1, 10):
+        ax = grid.build_axis(level)
+        for lam in (0.05, 0.5, 0.95):
+            G = grid.kernel_matrix(ax, lam)
+            assert np.array_equal(G, G.T)
