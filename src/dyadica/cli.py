@@ -43,14 +43,7 @@ from .paracomm import (
     decompose_product,
     shift_commutator_expand,
 )
-from .weights import (
-    ProductWeight,
-    apq_characteristic,
-    exponent_solve,
-    power_weight,
-    product_ap_characteristic,
-    ap_characteristic,
-)
+from .weights import apq_characteristic, exponent_solve, power_weight
 
 __all__ = [
     "SUITES",
@@ -407,7 +400,6 @@ def _suite_weights(config: ExperimentConfig):
     built = [power_weight(axis, a, c) for a, c in config.weights]
     deficit = 0.0
     duality = 0.0
-    factorization = 0.0
     for wi, w in enumerate(built):
         for p, lam in config.exponents:
             q = exponent_solve(p, lam).q
@@ -419,12 +411,6 @@ def _suite_weights(config: ExperimentConfig):
             target = char ** (p_dual / q)
             duality = max(duality, abs(dual_char - target) / target)
             rows.append(("weights", f"w{wi}-p{p:g}-char", char))
-        partner = built[(wi + 1) % len(built)]
-        pw = ProductWeight(w, partner)
-        p0 = config.exponents[0][0] + 1.0  # a classical exponent above 1
-        joint = product_ap_characteristic(pw, p0)
-        split = ap_characteristic(w, p0) * ap_characteristic(partner, p0)
-        factorization = max(factorization, abs(joint - split) / split)
     records.append(
         _check(
             "weights-characteristic-deficit",
@@ -435,14 +421,6 @@ def _suite_weights(config: ExperimentConfig):
     )
     records.append(
         _check("weights-duality-identity", "characteristic-duality", duality, 1e-10)
-    )
-    records.append(
-        _check(
-            "weights-tensor-factorization",
-            "tensor-factorization",
-            factorization,
-            1e-12,
-        )
     )
     return records, rows
 

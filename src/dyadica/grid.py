@@ -269,8 +269,9 @@ def line_pair_integral(width: float, separation: float, lam: float) -> float:
     """Exact ``iint |x - y|**(-lam)`` over two width-``width`` intervals.
 
     The intervals live on the real line (no wrap) with centers separated by
-    ``separation``.  Used internally for non-wrapping cell pairs and handy
-    for closed-form cross-checks.
+    ``separation``.  No library code calls it: it is a closed-form
+    cross-check, equal to :func:`kernel_cell_integral` for cell pairs whose
+    integral never wraps.
     """
     lam = _check_lambda(lam)
     w = float(width)

@@ -459,7 +459,7 @@ def bloom_experiment(config: BloomConfig) -> BloomReport:
                 apq_characteristic(mu2, config.p2, q2),
                 apq_characteristic(sg2, config.p2, q2),
             )
-            nu = bloom_weight(mu1, sg1, mu2, sg2).evaluate()
+            nu = bloom_weight(mu1, sg1, mu2, sg2)
             nu_means = _rect_weight_means(nu, *pair)  # read by every sample
             w_num1, w_num2 = mu1.power(config.p1), mu2.power(config.p2)
             w_den1, w_den2 = sg1.power(q1), sg2.power(q2)

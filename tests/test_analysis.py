@@ -7,6 +7,7 @@ from dyadica.analysis import (
     OmegaFamily,
     _carried_means,
     _gathered_means,
+    _rect_weight_means,
     _trailing_max,
     _widest_containing,
     bmo_prod_norm,
@@ -36,6 +37,7 @@ from dyadica.weights import ProductWeight, Weight, power_weight
 
 from oracles import (
     bmo_prod_brute,
+    cube_cells,
     dyadic_rect_maximal_brute,
     strong_maximal_brute,
     trailing_max_brute,
@@ -588,6 +590,39 @@ def test_bmo_prod_rect_norm_validation():
         bmo_prod_rect_norm(b, w, (DyadicSystem(ax4, 0), pair[1]))
     with pytest.raises(ParameterError):
         bmo_prod_rect_norm(b, w, pair[0])
+
+
+@pytest.mark.parametrize("powers", [False, True])
+def test_rect_weight_means_match_brute_rectangle_means(powers):
+    # the tensor weight's rectangle means, as products of its factors' cube
+    # means, against cube-by-cube means of the full n1 x n2 weight
+    rng = np.random.default_rng(21)
+    for L1, L2 in ((2, 4), (6, 2), (3, 3)):
+        ax1, ax2 = build_axis(L1), build_axis(L2)
+        n1, n2 = ax1.n_cells, ax2.n_cells
+        if powers:
+            w = ProductWeight(power_weight(ax1, -0.4, 0.3), power_weight(ax2, 0.5, 0.8))
+        else:
+            w = ProductWeight(
+                Weight(grid_function(rng.uniform(0.1, 10.0, n1), ax1)),
+                Weight(grid_function(rng.uniform(0.1, 10.0, n2), ax2)),
+            )
+        W = np.outer(w.factor1.values, w.factor2.values)
+        for off1, off2 in ((0, 0), (1, n2 - 1), (n1 - 1, 1)):
+            pair = (DyadicSystem(ax1, off1), DyadicSystem(ax2, off2))
+            means, full = _rect_weight_means(w, *pair)
+            assert abs(full - W.mean()) <= 1e-14 * W.mean()
+            assert len(means) == L1 and all(len(row) == L2 for row in means)
+            for k1 in range(L1):
+                for k2 in range(L2):
+                    got = means[k1][k2]
+                    assert got.shape == (1 << k1, 1 << k2)
+                    for m1 in range(1 << k1):
+                        rows = cube_cells(n1, k1, m1, off1)
+                        for m2 in range(1 << k2):
+                            cols = cube_cells(n2, k2, m2, off2)
+                            ref = W[np.ix_(rows, cols)].mean()
+                            assert abs(got[m1, m2] - ref) <= 1e-14 * ref
 
 
 # -- duality --------------------------------------------------------------

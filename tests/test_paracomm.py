@@ -544,6 +544,26 @@ def test_bloom_experiment_bmo_matches_public_norm_bitwise(monkeypatch):
         assert value == bmo_prod_rect_norm(grid_function(B, axis, axis), nu, pair)
 
 
+def test_bloom_and_rect_norm_never_form_the_weight(monkeypatch):
+    # Bloom's weight is a tensor product: its rectangle means come from the
+    # factors' cube means, with no n1 x n2 weight and no table of it
+    import dyadica.analysis as analysis
+    from dyadica.weights import ProductWeight, power_weight
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the weight was formed on the grid")
+
+    monkeypatch.setattr(analysis, "rectangle_table", refuse)
+    monkeypatch.setattr(ProductWeight, "evaluate", refuse)
+    report = bloom_experiment(BloomConfig(levels=(3, 4), n_samples=3))
+    assert len(report.levels) == 2
+    ax1, ax2 = build_axis(3), build_axis(4)
+    pair = (DyadicSystem(ax1, 5), DyadicSystem(ax2, 3))
+    b = grid_function(np.random.default_rng(4).normal(size=(8, 16)), ax1, ax2)
+    w = ProductWeight(power_weight(ax1, 0.3, 0.2), power_weight(ax2, -0.2, 0.6))
+    assert analysis.bmo_prod_rect_norm(b, w, pair) > 0.0
+
+
 def test_bloom_experiment_rejects_levels_below_base():
     with pytest.raises(ParameterError):
         bloom_experiment(BloomConfig(levels=(2,)))
