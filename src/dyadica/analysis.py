@@ -31,7 +31,8 @@ from .dyadic import DyadicSystem
 from .errors import DegenerateInputError, ParameterError, ShapeError
 from .fracops import _frac_scales, frac_integral
 from .grid import GridFunction, _check_lambda, _shifted, inner_product
-from .haar import expectation_stack, haar_analyze, haar_function, rectangle_table
+from .haar import _chain_sum, _cube_means, _pyramid, _scale_views, column_cubes
+from .haar import expectation_stack, haar_analyze, haar_function
 from .weights import ProductWeight, Weight
 
 __all__ = [
@@ -263,8 +264,8 @@ def square_function(f: GridFunction, systems, mode: str) -> GridFunction:
     elif mode == "rect":
         if second is None:
             raise ParameterError("rect mode needs a pair of systems")
-        diffs = np.diff(np.diff(rectangle_table(f, first, second), axis=0), axis=1)
-        return f.with_values(np.sqrt((diffs**2).sum(axis=(0, 1))))
+        diffs = _scale_views(_pyramid(f.values, first, second))[("D", "D")]
+        return f.with_values(np.sqrt(_chain_sum(diffs**2, first, second)))
     else:
         raise ParameterError(f"unknown mode {mode!r}")
     diffs = np.diff(expectation_stack(f, system, axis_index), axis=0)
@@ -427,9 +428,8 @@ def bmo_prod_rect_norm(b: GridFunction, w: ProductWeight, systems) -> float:
     square, with the weight's rectangle means taken from its factors.
 
     Fast equivalent of :func:`bmo_prod_norm` with the default shape family:
-    the energy inside each rectangle is the sum over its descendants, and
-    those sums are carried from fine levels to coarse ones, O(L1 * L2)
-    pairwise sums in all.
+    the energy inside each rectangle is the sum over its descendants,
+    carried from fine levels to coarse ones by one heap sweep per axis.
     """
     system1, system2 = _bmo_inputs(b, w, systems)
     weight_means = _rect_weight_means(w, system1, system2)
@@ -437,48 +437,34 @@ def bmo_prod_rect_norm(b: GridFunction, w: ProductWeight, systems) -> float:
 
 
 def _rect_weight_means(w: ProductWeight, system1: DyadicSystem, system2: DyadicSystem):
-    """The weight's means over the rectangles that carry coefficients,
-    ``means[k1][k2][m1, m2]`` in cube-index order, and its mean over the
-    whole square: everything :func:`_bmo_prod_rect` reads of the weight.
-    The weight is a tensor product, so each is a product of cube means."""
-    m1, m2 = (
-        [factor.values[_cubes(system, k)[0]].mean(axis=1) for k in range(system.axis.level)]
-        for factor, system in ((w.factor1, system1), (w.factor2, system2))
+    """The weight's means over every dyadic rectangle, ``W[c1, c2]`` at
+    heap columns (row and column 0 zero), and its mean over the whole
+    square: everything :func:`_bmo_prod_rect` reads of the weight.  The
+    weight is a tensor product, so each is a product of cube means."""
+    W = np.outer(
+        _cube_means(w.factor1.values, system1, 0), _cube_means(w.factor2.values, system2, 0)
     )
-    means = [[np.outer(a, c) for c in m2] for a in m1]
-    return means, w.factor1.values.mean() * w.factor2.values.mean()
+    return W, w.factor1.values.mean() * w.factor2.values.mean()
 
 
 def _bmo_prod_rect(B: np.ndarray, weight_means, system1, system2) -> float:
     """:func:`bmo_prod_rect_norm` of the values ``B`` against a weight given
     by its :func:`_rect_weight_means`; the caller has checked the axes."""
-    wmean, full_mean = weight_means
-    L1, L2 = system1.axis.level, system2.axis.level
+    W, full_mean = weight_means
     Fc = haar_analyze(haar_analyze(B, system1, 0), system2, 1)
-
-    def energy(k1, k2):  # coefficient**2 / weight mean per level-(k1, k2) rectangle
-        return Fc[1 << k1 : 2 << k1, 1 << k2 : 2 << k2] ** 2 / wmean[k1][k2]
-
-    # The energy below each level-(a1, a2) rectangle, carried from fine to
-    # coarse levels: along the second axis within a first-axis level, then
-    # along the first.  Cube m has children 2m and 2m + 1; every term is >= 0.
-    below = [None] * L2  # per a2: level a1 + 1 of the first axis, then level a1
-    best = 0.0
-    for a1 in range(L1 - 1, -1, -1):
-        row = None  # level a1 of the first axis, levels >= a2 of the second
-        for a2 in range(L2 - 1, -1, -1):
-            e = energy(a1, a2)
-            row = e if row is None else e + (row[:, ::2] + row[:, 1::2])
-            finer = below[a2]
-            total = row if finer is None else row + (finer[::2] + finer[1::2])
-            below[a2] = total
-            w_omega = 2.0 ** -(a1 + a2) * wmean[a1][a2]
-            ratio = np.where(total > 0.0, total / w_omega, 0.0)
-            best = max(best, float(np.sqrt(ratio.max())))
-    full_total = float(below[0][0, 0])
-    if full_total > 0.0:
-        best = max(best, np.sqrt(full_total / full_mean))
-    return float(best)
+    W = W[1 : Fc.shape[0], 1 : Fc.shape[1]]
+    # coefficient**2 / weight mean per rectangle (heap column c at row c - 1),
+    # carried to every ancestor: along the second axis, then the first, from
+    # fine to coarse.  Cube c has children 2c and 2c + 1; every term is >= 0.
+    S = Fc[1:, 1:] ** 2 / W
+    for pos, system in ((1, system2), (0, system1)):
+        v = np.moveaxis(S, pos, 0)
+        for k in range(system.axis.level - 2, -1, -1):
+            c = 1 << k
+            v[c - 1 : 2 * c - 1] += v[2 * c - 1 : 4 * c - 1 : 2] + v[2 * c : 4 * c - 1 : 2]
+    levels = (column_cubes(np.arange(1, s.axis.n_cells), s)[0] for s in (system1, system2))
+    w_omega = np.outer(*(2.0**-k for k in levels)) * W  # exact scaling
+    return float(np.sqrt(max(np.max(S / w_omega), S[0, 0] / full_mean)))
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,14 @@ Coefficient tables are arrays in :func:`basis_column` order per axis
 (:func:`column_cubes` decodes columns back to cubes);
 :func:`haar_matrix`, the synthesized identity, is the dense reference.
 
-Martingale calculus rests on one primitive: the conditional-expectation
-stack E_0 .. E_L of a function along one axis, built with one cyclic shift
-and one reshape and block sum per level.  Level averages and differences
-read one or two levels of it; composed over the two axes it is the
-rectangle table T[k1, k2], whose slices (averages) and consecutive
-differences (martingale differences) every multiscale quantity reads.
-Block operators restrict a difference to one cube, or to one rectangle by
-composing the two factors.
+Martingale calculus rests on one primitive: block means along one axis,
+one cyclic shift and one reshape and block sum per level.  Spread over the
+cells they are the conditional-expectation stack E_0 .. E_L; one per cube
+in :func:`basis_column` order, over two axes, they are the rectangle
+pyramid R[c1, c2] of 4 n1 n2 means.  Its scale views read a column's
+parent (average) or step from it (difference); a chain sum turns
+heap-indexed products back into cell values.  Block operators restrict a
+difference to one cube, or to one rectangle by composing the factors.
 """
 
 from __future__ import annotations
@@ -227,11 +227,63 @@ def rectangle_table(
     """Rectangle averages of a two-axis function at every level pair:
     ``T[k1, k2]`` is the level-``k1`` average in the first variable, then
     the level-``k2`` average in the second, bit for bit the nested
-    :func:`level_average` calls; shape ``(L1 + 1, L2 + 1, n1, n2)``."""
+    :func:`level_average` calls; shape ``(L1 + 1, L2 + 1, n1, n2)``.  No
+    library path reads it: it is the reference for :func:`_pyramid`."""
     first = expectation_stack(f, system1, 1)
     _axis_position(f, system2, 2)
     both = _stack(first, 2, system2.offset_cells, range(system2.axis.level + 1))
     return np.ascontiguousarray(both.swapaxes(0, 1))
+
+
+def _cube_means(vals: np.ndarray, system: DyadicSystem, pos: int) -> np.ndarray:
+    """Cube means along array axis ``pos``, one per :func:`basis_column`:
+    that axis grows to ``2n`` entries, entry 0 (no cube) zero.  Each level
+    is reduced as :func:`_stack` reduces it, so the bits are its bits."""
+    v = np.moveaxis(vals, pos, 0)
+    if system.offset_cells:
+        v = _shifted(v, -system.offset_cells, 0)
+    n = v.shape[0]
+    out = np.zeros((2 * n,) + v.shape[1:])
+    for level in range(system.axis.level + 1):
+        blocks = v.reshape((1 << level, n >> level) + v.shape[1:])
+        out[1 << level : 2 << level] = np.add.reduce(blocks, axis=1) / (n >> level)
+    return np.moveaxis(out, 0, pos)
+
+
+def _pyramid(vals: np.ndarray, system1: DyadicSystem, system2: DyadicSystem) -> np.ndarray:
+    """``R[c1, c2]``, the mean over the rectangle at heap columns ``c1``,
+    ``c2`` (row and column 0 zero): :func:`rectangle_table` at the
+    rectangle's start cells, bit for bit."""
+    return _cube_means(_cube_means(vals, system1, 0), system2, 1)
+
+
+def _scale_views(R: np.ndarray) -> dict:
+    """The four scale views of a pyramid, keyed (first axis, second axis):
+    per axis, ``A`` at column ``c`` is the parent's mean ``R[c >> 1]`` and
+    ``D`` is ``R[c] - R[c >> 1]``.  Column 1's parent is the zero column 0,
+    so the whole-axis mean enters as a ``D``."""
+    up1, up2 = (np.arange(size) >> 1 for size in R.shape)
+    A1 = R[up1]
+    D1 = R - A1
+    return {
+        ("A", "A"): A1[:, up2],
+        ("A", "D"): A1 - A1[:, up2],
+        ("D", "A"): D1[:, up2],
+        ("D", "D"): D1 - D1[:, up2],
+    }
+
+
+def _chain_sum(P: np.ndarray, system1, system2, first: int = 2) -> np.ndarray:
+    """Cell values of a heap-indexed table ``P[..., c1, c2]``: each cell sums
+    ``P`` over the columns ``>= first`` of the rectangles holding it, first
+    axis then second, coarse to fine.  ``P`` is overwritten."""
+    for pos, system in ((P.ndim - 2, system1), (P.ndim - 1, system2)):
+        v = np.moveaxis(P, pos, 0)
+        for k in range(first.bit_length(), system.axis.level + 1):
+            v[1 << k : 2 << k] += np.repeat(v[1 << (k - 1) : 1 << k], 2, axis=0)
+        cells = _shifted(v[system.axis.n_cells :], system.offset_cells, 0)
+        P = np.moveaxis(cells, 0, pos)
+    return P
 
 
 def level_average(

@@ -12,16 +12,16 @@ are constant along its axis; that is why the expansion of the iterated
 shift commutator needs only the eight difference-carrying tags plus one
 explicit leftover term assembled from rectangle averages of the symbol.
 
-Everything multiscale here reads the rectangle tables of the factors
-(:func:`dyadica.haar.rectangle_table`): per axis a tag takes the level-k
-average A = T[k] or the difference D = T[k + 1] - T[k], a part is the sum
-over level pairs of the product of the two factors' slices, and the mean
-bucket and the leftover read the table's edges and entries.  A call that
-needs several parts builds each factor's table once.  Shift coefficient
-tables are heap-ordered arrays (:class:`dyadica.fracops.ShiftCoefficientTable`):
-a shift's matrix is the shift applied to the identity, and the leftover
-reads the symbol's averages for every pair of table entries in one gather.
-The four terms of the iterated commutator are written once, in
+Everything multiscale here reads each factor's rectangle pyramid R[c1, c2]
+of means at heap columns (:func:`dyadica.haar._pyramid`): per axis a tag
+takes the parent's mean R[c >> 1] (A) or the step R[c] - R[c >> 1] (D),
+and a part is the chain sum over columns >= 2 of the two views' product.
+Column 1 holds the whole-axis mean, so the mean bucket is the chain sum
+of all products on row and column 1.  Shift coefficient tables are
+heap-ordered arrays (:class:`dyadica.fracops.ShiftCoefficientTable`): a
+shift's matrix is the shift applied to the identity, and the leftover
+reads b's pyramid for every pair of table entries in one gather.  The
+four terms of the iterated commutator are written once, in
 ``_commutator_terms``, for both commutators and the paraproduct groups.
 """
 
@@ -39,7 +39,7 @@ from .dyadic import DyadicCube, DyadicSystem, ancestor
 from .errors import ContractError, ParameterError, ShapeError, SystemMismatchError
 from .fracops import ShiftCoefficientTable, _route, _smooth
 from .grid import GridFunction, build_axis, grid_function
-from .haar import column_cubes, expectation_stack, rectangle_table
+from .haar import _chain_sum, _pyramid, _scale_views, column_cubes, expectation_stack
 from .haar import haar_analyze, haar_synthesize
 from .weights import apq_characteristic, bloom_weight, exponent_solve, power_weight
 
@@ -90,25 +90,11 @@ def _shared_pair(b: GridFunction, f: GridFunction, systems):
     return sys1, sys2
 
 
-def _scale_parts(g: GridFunction, sys1: DyadicSystem, sys2: DyadicSystem):
-    """The rectangle table of ``g`` and its four tagged slices: per axis,
-    ``A`` is the level-k average and ``D`` the level-k difference, for
-    k = 0 .. L - 1, indexed ``[k1, k2]``."""
-    T = rectangle_table(g, sys1, sys2)
-    A1, D1 = T[:-1], np.diff(T, axis=0)
-    parts = {
-        ("A", "A"): A1[:, :-1],
-        ("A", "D"): np.diff(A1, axis=1),
-        ("D", "A"): D1[:, :-1],
-        ("D", "D"): np.diff(D1, axis=1),
-    }
-    return T, parts
-
-
-def _tag_sum(tag: str, parts_b, parts_f) -> np.ndarray:
-    """Sum over both scales of the product of the tagged slices."""
-    kind_b, kind_f = _TAG_KINDS[tag]
-    return (parts_b[kind_b] * parts_f[kind_f]).sum(axis=(0, 1))
+def _products(views_b, g: np.ndarray, sys1, sys2, tags) -> np.ndarray:
+    """Per tag in ``tags``, the product of its view of b with its view of
+    the rectangle pyramid of ``g``, stacked on a leading axis."""
+    views_g = _scale_views(_pyramid(g, sys1, sys2))
+    return np.stack([views_b[kb] * views_g[kg] for kb, kg in map(_TAG_KINDS.get, tags)])
 
 
 def paraproduct(tag: str, b: GridFunction, f: GridFunction, systems) -> GridFunction:
@@ -120,25 +106,9 @@ def paraproduct(tag: str, b: GridFunction, f: GridFunction, systems) -> GridFunc
     if tag not in _TAG_KINDS:
         raise ParameterError(f"unknown paraproduct tag {tag!r}")
     sys1, sys2 = _shared_pair(b, f, systems)
-    _, parts_b = _scale_parts(b, sys1, sys2)
-    _, parts_f = _scale_parts(f, sys1, sys2)
-    return b.with_values(_tag_sum(tag, parts_b, parts_f))
-
-
-def _mean_corrections(Tb: np.ndarray, Tf: np.ndarray) -> np.ndarray:
-    """Cross products involving a whole-torus average in some axis, from
-    the rectangle tables of the two factors.
-
-    Seven terms: three along the row ``T[:, 0]`` (second-axis averages of
-    both factors), three along the column ``T[0, :]`` (first-axis
-    averages), and the product of the two grand means; together they close
-    the nine-part identity on the torus.
-    """
-    acc = np.zeros(Tb.shape[2:])
-    for rb, rf in ((Tb[:, 0], Tf[:, 0]), (Tb[0, :], Tf[0, :])):
-        db, df = np.diff(rb, axis=0), np.diff(rf, axis=0)
-        acc += (db * df + db * rf[:-1] + rb[:-1] * df).sum(axis=0)
-    return acc + Tb[0, 0] * Tf[0, 0]
+    views_b = _scale_views(_pyramid(b.values, sys1, sys2))
+    P = _products(views_b, f.values, sys1, sys2, (tag,))
+    return b.with_values(_chain_sum(P, sys1, sys2)[0])
 
 
 @dataclass(frozen=True)
@@ -153,13 +123,12 @@ class DecompositionReport:
 def decompose_product(b: GridFunction, f: GridFunction, systems) -> DecompositionReport:
     """Split b*f into the nine tagged parts plus the mean bucket; exact."""
     sys1, sys2 = _shared_pair(b, f, systems)
-    Tb, parts_b = _scale_parts(b, sys1, sys2)
-    Tf, parts_f = _scale_parts(f, sys1, sys2)
-    parts = {
-        tag: b.with_values(_tag_sum(tag, parts_b, parts_f))
-        for tag in PARAPRODUCT_TAGS
-    }
-    parts["mean"] = b.with_values(_mean_corrections(Tb, Tf))
+    views_b = _scale_views(_pyramid(b.values, sys1, sys2))
+    P = _products(views_b, f.values, sys1, sys2, PARAPRODUCT_TAGS)
+    edges = P.sum(axis=0)
+    edges[2:, 2:] = 0.0  # row and column 1: a whole-axis mean on some axis
+    parts = dict(zip(PARAPRODUCT_TAGS, map(b.with_values, _chain_sum(P, sys1, sys2))))
+    parts["mean"] = b.with_values(_chain_sum(edges, sys1, sys2, first=1))
     total = sum(p.values for p in parts.values())
     residual = float(np.max(np.abs(b.values * f.values - total)))
     return DecompositionReport(parts=parts, residual=residual)
@@ -251,36 +220,30 @@ class CommutatorExpansion:
     residual: float
 
 
-def _table_cubes(table: ShiftCoefficientTable, system: DyadicSystem, depth: int, axes):
-    """Heap column, level and start cell of the cube ``depth`` levels below
-    each table row's K: one row per K and ``2**depth`` columns, placed on
-    the array axes ``axes`` of six."""
+def _table_cubes(table: ShiftCoefficientTable, depth: int, axes) -> np.ndarray:
+    """Heap columns of the cubes ``depth`` levels below each table row's K,
+    one row per K, placed on the array axes ``axes`` of six."""
     rows = table.coeffs.shape[0]
     shape = [1] * 6
     shape[axes[0]], shape[axes[1]] = rows - 1, 1 << depth
-    col = np.arange(1 << depth, rows << depth).reshape(shape)
-    return (col,) + column_cubes(col, system)
+    return np.arange(1 << depth, rows << depth).reshape(shape)
 
 
-def _leftover_term(Tb, f, table1, table2, sys1, sys2) -> np.ndarray:
+def _leftover_term(Rb, f, table1, table2, sys1, sys2) -> np.ndarray:
     """Quadruple sum with the alternating rectangle averages of b, read
-    from its rectangle table ``Tb`` at each rectangle's start cells.
+    from its rectangle pyramid ``Rb`` at heap columns.
 
     For each source/target pair of each axis shift, the symbol enters only
     through -<b>_{IxS} + <b>_{IxT} + <b>_{JxS} - <b>_{JxT}.  Every entry
     pair is one element of arrays on the axes (K1, dJ, dI, K2, dT, dS); a
     target sums over its sources dI, dS."""
     Fc = haar_analyze(haar_analyze(f.values, sys1, 0), sys2, 1)
-    I = _table_cubes(table1, sys1, table1.i, (0, 2))
-    J = _table_cubes(table1, sys1, table1.j, (0, 1))
-    S = _table_cubes(table2, sys2, table2.i, (3, 5))
-    T = _table_cubes(table2, sys2, table2.j, (3, 4))
-
-    def avg(X, Y):
-        return Tb[X[1], Y[1], X[2], Y[2]]
-
+    I = _table_cubes(table1, table1.i, (0, 2))
+    J = _table_cubes(table1, table1.j, (0, 1))
+    S = _table_cubes(table2, table2.i, (3, 5))
+    T = _table_cubes(table2, table2.j, (3, 4))
     a = table1.coeffs[1:, :, :, None, None, None] * table2.coeffs[1:]
-    terms = a * (-avg(I, S) + avg(I, T) + avg(J, S) - avg(J, T)) * Fc[I[0], S[0]]
+    terms = a * (-Rb[I, S] + Rb[I, T] + Rb[J, S] - Rb[J, T]) * Fc[I, S]
     rows1, rows2 = table1.coeffs.shape[0], table2.coeffs.shape[0]
     j, t = table1.j, table2.j
     Ecoef = np.zeros_like(Fc)
@@ -315,17 +278,16 @@ def shift_commutator_expand(
         return x @ M2.T
 
     direct = _iterated_commutator(b.values, f.values, s1, s2)
-    Tb, parts_b = _scale_parts(b, sys1, sys2)
-    sums = dict.fromkeys(PARAPRODUCT_TAGS[:-1], 0.0)  # A1..A8; W is the leftover
-    # each commutator term with b's product replaced by every tag's
-    # paraproduct; one factor's table is alive at a time
+    Rb = _pyramid(b.values, sys1, sys2)
+    views_b = _scale_views(Rb)
+    tags = PARAPRODUCT_TAGS[:-1]  # A1..A8; W is the leftover
+    # per commutator term, b's product replaced by the eight tags' parts
+    sums = 0.0
     for outer, inner in _commutator_terms(s1, s2):
-        parts_g = _scale_parts(f.with_values(inner(f.values)), sys1, sys2)[1]
-        for tag in sums:
-            sums[tag] = sums[tag] + outer(_tag_sum(tag, parts_b, parts_g))
-        del parts_g
-    groups = {tag: b.with_values(total) for tag, total in sums.items()}
-    e_term = b.with_values(_leftover_term(Tb, f, table1, table2, sys1, sys2))
+        P = _products(views_b, inner(f.values), sys1, sys2, tags)
+        sums = sums + outer(_chain_sum(P, sys1, sys2))
+    groups = dict(zip(tags, map(b.with_values, sums)))
+    e_term = b.with_values(_leftover_term(Rb, f, table1, table2, sys1, sys2))
     total = e_term.values + sum(g.values for g in groups.values())
     residual = float(np.max(np.abs(direct - total)))
     return CommutatorExpansion(

@@ -612,10 +612,10 @@ def test_rect_weight_means_match_brute_rectangle_means(powers):
             pair = (DyadicSystem(ax1, off1), DyadicSystem(ax2, off2))
             means, full = _rect_weight_means(w, *pair)
             assert abs(full - W.mean()) <= 1e-14 * W.mean()
-            assert len(means) == L1 and all(len(row) == L2 for row in means)
+            assert means.shape == (2 * n1, 2 * n2)
             for k1 in range(L1):
                 for k2 in range(L2):
-                    got = means[k1][k2]
+                    got = means[1 << k1 : 2 << k1, 1 << k2 : 2 << k2]
                     assert got.shape == (1 << k1, 1 << k2)
                     for m1 in range(1 << k1):
                         rows = cube_cells(n1, k1, m1, off1)

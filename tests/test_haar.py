@@ -328,6 +328,37 @@ def test_stack_and_table_match_nested_level_average_bitwise(L1, L2, o1, o2, seed
             assert np.array_equal(table[k1, k2], ref)
 
 
+def _offset(kind, n):
+    return {"zero": 0, "one": 1 % n, "last": n - 1, "half": n // 2}[kind]
+
+
+@settings(max_examples=28, deadline=None)
+@given(
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.sampled_from(("zero", "one", "last", "half")),
+    st.sampled_from(("zero", "one", "last", "half")),
+    st.integers(0, 2**32 - 1),
+)
+@example(7, 7, "last", "half", 0)
+@example(1, 7, "one", "last", 1)
+def test_pyramid_matches_rectangle_table_at_start_cells(L1, L2, kind1, kind2, seed):
+    # numpy picks its summation order from the layout, so the pyramid's
+    # block sums must be taken as the rectangle table takes them
+    a1, a2 = grid.build_axis(L1), grid.build_axis(L2)
+    s1 = dyadic.DyadicSystem(a1, _offset(kind1, a1.n_cells))
+    s2 = dyadic.DyadicSystem(a2, _offset(kind2, a2.n_cells))
+    vals = np.random.default_rng(seed).normal(size=(a1.n_cells, a2.n_cells))
+    R = haar._pyramid(vals, s1, s2)
+    assert R.shape == (2 * a1.n_cells, 2 * a2.n_cells)
+    assert not R[0].any() and not R[:, 0].any()
+    T = haar.rectangle_table(grid.grid_function(vals, a1, a2), s1, s2)
+    level1, start1 = haar.column_cubes(np.arange(1, 2 * a1.n_cells), s1)
+    level2, start2 = haar.column_cubes(np.arange(1, 2 * a2.n_cells), s2)
+    want = T[level1[:, None], level2, start1[:, None], start2]
+    assert np.array_equal(R[1:, 1:], want)
+
+
 @pytest.mark.parametrize("pos", (0, 1))
 @pytest.mark.parametrize("other", (1, 3, 16))
 @pytest.mark.parametrize("n", (16, 64, 256))

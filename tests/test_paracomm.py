@@ -323,7 +323,7 @@ def within(got, want, rel):
 @example(2, 3, (2, 1, 1, 0), 3, 5, 1)  # the first axis has no cube K
 def test_shift_tables_match_entry_oracles(L1, L2, depths, off1, off2, seed):
     from dyadica.fracops import _route
-    from dyadica.haar import rectangle_table
+    from dyadica.haar import _pyramid, rectangle_table
     from dyadica.paracomm import _leftover_term, _shift_matrix
 
     s1 = DyadicSystem(build_axis(L1), off1 % (1 << L1))
@@ -365,8 +365,32 @@ def test_shift_tables_match_entry_oracles(L1, L2, depths, off1, off2, seed):
 
     b, f = rand_f(rng, s1, s2), rand_f(rng, s1, s2)
     Tb = rectangle_table(b, s1, s2)
-    got = _leftover_term(Tb, f, t1, t2, s1, s2)
+    got = _leftover_term(_pyramid(b.values, s1, s2), f, t1, t2, s1, s2)
     assert within(got, leftover_term_brute(Tb, f.values, t1, t2, s1, s2), 1e-13)
+
+
+def test_two_axis_multiscale_memory_is_linear_in_cells():
+    # each factor's rectangle pyramid holds 4 n1 n2 floats; an (L1 + 1)
+    # (L2 + 1) n1 n2 rectangle table at 7 levels per axis would hold 64
+    import tracemalloc
+
+    s1, s2 = system_pair(7, 3, 127)
+    rng = np.random.default_rng(7)
+    b, f = rand_f(rng, s1, s2), rand_f(rng, s1, s2)
+    t1, t2 = random_table(rng, s1, 1, 0, 0.5), random_table(rng, s2, 0, 1, 0.5)
+    budget = 200 * 8 * b.values.size
+    for run in (
+        lambda: decompose_product(b, f, (s1, s2)),
+        lambda: paraproduct("A6", b, f, (s1, s2)),
+        lambda: shift_commutator_expand(b, f, t1, t2, (s1, s2)),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, (peak / (8 * b.values.size))
 
 
 def test_shift_expansion_residual_is_rounding_noise():
@@ -553,7 +577,7 @@ def test_bloom_and_rect_norm_never_form_the_weight(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the weight was formed on the grid")
 
-    monkeypatch.setattr(analysis, "rectangle_table", refuse)
+    monkeypatch.setattr(analysis, "_pyramid", refuse)
     monkeypatch.setattr(ProductWeight, "evaluate", refuse)
     report = bloom_experiment(BloomConfig(levels=(3, 4), n_samples=3))
     assert len(report.levels) == 2
