@@ -28,11 +28,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .dyadic import DyadicSystem
-from .errors import DegenerateInputError, ParameterError, ShapeError
+from .errors import DegenerateInputError, ParameterError, ShapeError, SystemMismatchError
 from .fracops import _frac_scales, frac_integral
 from .grid import GridFunction, _check_lambda, _shifted, inner_product
-from .haar import _chain_sum, _cube_means, _pyramid, _scale_views, column_cubes
-from .haar import expectation_stack, haar_analyze, haar_function
+from .haar import _axis_position, _chain_sum, _cube_means, _pyramid, column_cubes
+from .haar import haar_analyze, haar_function
 from .weights import ProductWeight, Weight
 
 __all__ = [
@@ -164,10 +164,12 @@ def _system_pair(systems) -> Tuple[DyadicSystem, Optional[DyadicSystem]]:
 
 
 def _level_max(f: GridFunction, system: DyadicSystem, axis_index, scales):
-    """Max over levels k of ``scales[k]`` (or a scalar) times the level-k
-    average of |f|."""
-    stack = expectation_stack(f.with_values(np.abs(f.values)), system, axis_index)
-    return (np.reshape(scales, (-1,) + (1,) * f.ndim) * stack).max(axis=0)
+    """Max over levels k of the level-k average of |f| times its scale: each
+    heap column's cube mean times ``scales`` there, chain max from column 1."""
+    pos = _axis_position(f, system, axis_index)
+    means = _cube_means(np.abs(f.values), system, pos)
+    np.moveaxis(means, pos, -1)[..., 1:] *= scales
+    return _chain_sum(means, ((pos, system),), first=1, op=np.maximum)
 
 
 def _cubes(system: DyadicSystem, k: int):
@@ -249,27 +251,30 @@ def square_function(f: GridFunction, systems, mode: str) -> GridFunction:
     """Pointwise l2 aggregate of martingale differences.
 
     Modes: ``"sole"`` (one-axis), ``"axis1"``/``"axis2"`` (one parameter of
-    a two-axis function), ``"rect"`` (both parameters jointly).
+    a two-axis function), ``"rect"`` (both parameters jointly).  Each takes
+    the cube means along its axes (the pyramid for ``"rect"``), one parent
+    step per axis, and the chain sum of the squares from column 2.
     """
     first, second = _system_pair(systems)
-    if mode == "sole":
-        if f.ndim != 1:
-            raise ShapeError("sole mode needs a one-axis function")
-        system, axis_index = first, None
-    elif f.ndim != 2:
-        raise ShapeError(f"mode {mode!r} needs a two-axis function")
-    elif mode in ("axis1", "axis2"):
-        axis_index = 1 if mode == "axis1" else 2
-        system = first if mode == "axis1" or second is None else second
-    elif mode == "rect":
-        if second is None:
-            raise ParameterError("rect mode needs a pair of systems")
-        diffs = _scale_views(_pyramid(f.values, first, second))[("D", "D")]
-        return f.with_values(np.sqrt(_chain_sum(diffs**2, first, second)))
-    else:
-        raise ParameterError(f"unknown mode {mode!r}")
-    diffs = np.diff(expectation_stack(f, system, axis_index), axis=0)
-    return f.with_values(np.sqrt((diffs**2).sum(axis=0)))
+    axes = {
+        "sole": ((0, first),),
+        "axis1": ((0, first),),
+        "axis2": ((1, first if second is None else second),),
+        "rect": ((0, first), (1, second)),
+    }.get(mode)
+    if f.ndim != (1 if mode == "sole" else 2):
+        raise ShapeError(f"mode {mode!r} does not fit a {f.ndim}-axis function")
+    if axes is None or axes[-1][1] is None:
+        raise ParameterError(f"mode {mode!r} is unknown or needs a pair of systems")
+    if any(f.axes[pos] != system.axis for pos, system in axes):
+        raise SystemMismatchError("system axes do not match the function axes")
+    (pos, system), *_ = axes
+    diffs = (
+        _pyramid(f.values, first, second) if mode == "rect" else _cube_means(f.values, system, pos)
+    )
+    for pos, _ in axes:
+        diffs = diffs - np.take(diffs, np.arange(diffs.shape[pos]) >> 1, axis=pos)
+    return f.with_values(np.sqrt(_chain_sum(diffs**2, axes)))
 
 
 # -- mixed norms ----------------------------------------------------------

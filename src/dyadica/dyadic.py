@@ -233,16 +233,6 @@ def cube_distance_cells(I: DyadicCube, J: DyadicCube) -> int:
     )
 
 
-def boundary_distance_cells(I: DyadicCube, J: DyadicCube) -> int:
-    """dist(closure(I), endpoint set of J) in cells, torus metric."""
-    if I.axis != J.axis:
-        raise SystemMismatchError("distance requires cubes on one axis")
-    n = I.axis.n_cells
-    ends = (J.start_cell, (J.start_cell + J.width_cells) % n)
-    # an endpoint is an arc of width 0; one at I's closing end has gap 0
-    return min(_arc_gap_cells(n, I.start_cell, I.width_cells, p, 0) for p in ends)
-
-
 # ---------------------------------------------------------------------------
 # the power-law threshold  dist <= 2**-kj * (2**-depth)**gamma
 

@@ -59,7 +59,7 @@ from .grid import (
     kernel_profile,
     l2_norm,
 )
-from .haar import column_cubes, expectation_stack, haar_function
+from .haar import _chain_sum, _cube_means, column_cubes, haar_function
 from .haar import haar_analyze, haar_synthesize
 
 __all__ = [
@@ -305,8 +305,9 @@ def apply_shift(
 
 
 def _frac_scales(lam: float, level: int) -> np.ndarray:
-    """``|I|**(1 - lam) = 2**(k*(lam - 1))`` for levels k = 0 .. ``level``."""
-    return np.array([2.0 ** (k * (lam - 1.0)) for k in range(level + 1)])
+    """``|I|**(1 - lam) = 2**(k*(lam - 1))`` at each heap column c >= 1, I its level-k cube."""
+    per_level = [2.0 ** (k * (lam - 1.0)) for k in range(level + 1)]
+    return np.repeat(per_level, 1 << np.arange(level + 1))
 
 
 def domination_ratio(f: GridFunction, lam: float, system: DyadicSystem) -> float:
@@ -322,10 +323,10 @@ def domination_ratio(f: GridFunction, lam: float, system: DyadicSystem) -> float
     av = np.abs(f.values)
     if not np.any(av > 0.0):
         raise DegenerateInputError("domination_ratio needs a non-zero input")
-    a = f.with_values(av)
-    stack = expectation_stack(a, system)
-    majorant = (_frac_scales(lam, system.axis.level)[:, None] * stack).sum(axis=0)
-    smoothed = frac_integral(a, lam).values
+    means = _cube_means(av, system, 0)
+    means[1:] *= _frac_scales(lam, system.axis.level)
+    majorant = _chain_sum(means, ((0, system),), first=1)
+    smoothed = frac_integral(f.with_values(av), lam).values
     return float(np.max(majorant / smoothed))
 
 

@@ -11,13 +11,14 @@ Coefficient tables are arrays in :func:`basis_column` order per axis
 :func:`haar_matrix`, the synthesized identity, is the dense reference.
 
 Martingale calculus rests on one primitive: block means along one axis,
-one cyclic shift and one reshape and block sum per level.  Spread over the
-cells they are the conditional-expectation stack E_0 .. E_L; one per cube
-in :func:`basis_column` order, over two axes, they are the rectangle
-pyramid R[c1, c2] of 4 n1 n2 means.  Its scale views read a column's
-parent (average) or step from it (difference); a chain sum turns
-heap-indexed products back into cell values.  Block operators restrict a
-difference to one cube, or to one rectangle by composing the factors.
+one cyclic shift and one reshape and block sum per level.  One per cube in
+:func:`basis_column` order they are the engine every library path reads:
+2n cube means per axis, over two axes the pyramid R[c1, c2] of 4 n1 n2
+means; a column's step from its parent is a martingale difference, and a
+chain sum (or max) folds each cell's columns into its value.  Spread over
+the cells they are the expectation stack E_0 .. E_L behind the public level
+operators.  Block operators restrict a difference to one cube, or to one
+rectangle by composing the factors.
 """
 
 from __future__ import annotations
@@ -273,14 +274,15 @@ def _scale_views(R: np.ndarray) -> dict:
     }
 
 
-def _chain_sum(P: np.ndarray, system1, system2, first: int = 2) -> np.ndarray:
-    """Cell values of a heap-indexed table ``P[..., c1, c2]``: each cell sums
-    ``P`` over the columns ``>= first`` of the rectangles holding it, first
-    axis then second, coarse to fine.  ``P`` is overwritten."""
-    for pos, system in ((P.ndim - 2, system1), (P.ndim - 1, system2)):
+def _chain_sum(P: np.ndarray, axes, first: int = 2, op=np.add) -> np.ndarray:
+    """Cell values of ``P``, heap-indexed along each (array axis, system) in
+    ``axes``: per axis, coarse to fine, each cell folds with ``op`` (``np.add``
+    or ``np.maximum``) ``P`` at its cubes' columns ``>= first``.  Overwrites ``P``."""
+    for pos, system in axes:
         v = np.moveaxis(P, pos, 0)
         for k in range(first.bit_length(), system.axis.level + 1):
-            v[1 << k : 2 << k] += np.repeat(v[1 << (k - 1) : 1 << k], 2, axis=0)
+            fine = v[1 << k : 2 << k]
+            op(fine, np.repeat(v[1 << (k - 1) : 1 << k], 2, axis=0), out=fine)
         cells = _shifted(v[system.axis.n_cells :], system.offset_cells, 0)
         P = np.moveaxis(cells, 0, pos)
     return P

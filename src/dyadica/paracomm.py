@@ -39,7 +39,7 @@ from .dyadic import DyadicCube, DyadicSystem, ancestor
 from .errors import ContractError, ParameterError, ShapeError, SystemMismatchError
 from .fracops import ShiftCoefficientTable, _route, _smooth
 from .grid import GridFunction, build_axis, grid_function
-from .haar import _chain_sum, _pyramid, _scale_views, column_cubes, expectation_stack
+from .haar import _chain_sum, _cube_means, _pyramid, _scale_views, basis_column, column_cubes
 from .haar import haar_analyze, haar_synthesize
 from .weights import apq_characteristic, bloom_weight, exponent_solve, power_weight
 
@@ -108,7 +108,7 @@ def paraproduct(tag: str, b: GridFunction, f: GridFunction, systems) -> GridFunc
     sys1, sys2 = _shared_pair(b, f, systems)
     views_b = _scale_views(_pyramid(b.values, sys1, sys2))
     P = _products(views_b, f.values, sys1, sys2, (tag,))
-    return b.with_values(_chain_sum(P, sys1, sys2)[0])
+    return b.with_values(_chain_sum(P, ((-2, sys1), (-1, sys2)))[0])
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,9 @@ def decompose_product(b: GridFunction, f: GridFunction, systems) -> Decompositio
     P = _products(views_b, f.values, sys1, sys2, PARAPRODUCT_TAGS)
     edges = P.sum(axis=0)
     edges[2:, 2:] = 0.0  # row and column 1: a whole-axis mean on some axis
-    parts = dict(zip(PARAPRODUCT_TAGS, map(b.with_values, _chain_sum(P, sys1, sys2))))
-    parts["mean"] = b.with_values(_chain_sum(edges, sys1, sys2, first=1))
+    axes = ((-2, sys1), (-1, sys2))
+    parts = dict(zip(PARAPRODUCT_TAGS, map(b.with_values, _chain_sum(P, axes))))
+    parts["mean"] = b.with_values(_chain_sum(edges, axes, first=1))
     total = sum(p.values for p in parts.values())
     residual = float(np.max(np.abs(b.values * f.values - total)))
     return DecompositionReport(parts=parts, residual=residual)
@@ -194,9 +195,9 @@ def telescope_terms(
     depth = I.level - K.level
     if depth < 0 or ancestor(I, depth) != K:
         raise ContractError(f"{I} is not contained in {K}")
-    cells = I.cells()
-    diffs = np.diff(expectation_stack(b, system), axis=0)
-    return tuple(float(diffs[I.level - r][cells].mean()) for r in range(1, depth + 1))
+    R = _cube_means(b.values, system, 0)
+    c = basis_column(I)
+    return tuple(float(R[c >> (r - 1)] - R[c >> r]) for r in range(1, depth + 1))
 
 
 # -- shift-level commutator expansion -------------------------------------
@@ -285,7 +286,7 @@ def shift_commutator_expand(
     sums = 0.0
     for outer, inner in _commutator_terms(s1, s2):
         P = _products(views_b, inner(f.values), sys1, sys2, tags)
-        sums = sums + outer(_chain_sum(P, sys1, sys2))
+        sums = sums + outer(_chain_sum(P, ((-2, sys1), (-1, sys2))))
     groups = dict(zip(tags, map(b.with_values, sums)))
     e_term = b.with_values(_leftover_term(Rb, f, table1, table2, sys1, sys2))
     total = e_term.values + sum(g.values for g in groups.values())

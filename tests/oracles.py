@@ -21,6 +21,7 @@ Keep it slow and obvious.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -422,6 +423,36 @@ def expectation_stack_reference(vals, pos, offset, levels):
         shape = (1 << level, n >> level) + v.shape[1:]
         out[i].reshape(shape)[...] = v.reshape(shape).mean(axis=1, keepdims=True)
     return np.moveaxis(np.roll(out, offset, axis=1), 1, pos + 1)
+
+
+def square_function_reference(vals, axes):
+    """Square function of ``vals`` along one or two ``(array axis, offset)``
+    pairs by the stack formulas: the reference stack along each pair in
+    turn (for two, the rectangle table with the second pair's levels
+    leading), consecutive differences along every level axis, then the
+    squares summed over the first pair's levels and then the second's,
+    each coarse to fine."""
+    table = vals
+    for pos, offset in axes:
+        L = vals.shape[pos].bit_length() - 1
+        at = table.ndim - vals.ndim + pos
+        table = expectation_stack_reference(table, at, offset, range(L + 1))
+    for j in reversed(range(len(axes))):
+        table = np.diff(table, axis=j)
+    squares = table**2
+    for j in reversed(range(len(axes))):
+        squares = functools.reduce(np.add, np.moveaxis(squares, j, 0))
+    return np.sqrt(squares)
+
+
+def level_scale_reference(vals, pos, offset, scales, op):
+    """``op`` (``np.add`` or ``np.maximum``) folded coarse to fine over the
+    levels k of ``scales[k]`` (or a scalar) times E_k along array axis
+    ``pos``: the dyadic and fractional maximal functions and the scale-sum
+    majorant by the stack formulas."""
+    L = vals.shape[pos].bit_length() - 1
+    stack = expectation_stack_reference(vals, pos, offset, range(L + 1))
+    return functools.reduce(op, np.reshape(scales, (-1,) + (1,) * vals.ndim) * stack)
 
 
 def level_difference_brute(values, axis, level, offset_cells):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,8 +23,8 @@ from dyadica.analysis import (
     strong_maximal,
 )
 from dyadica.dyadic import DyadicCube, DyadicSystem
-from dyadica.errors import DegenerateInputError, ParameterError, ShapeError
-from dyadica.fracops import frac_integral
+from dyadica.errors import DegenerateInputError, ParameterError, ShapeError, SystemMismatchError
+from dyadica.fracops import domination_ratio, frac_integral
 from dyadica.grid import (
     Axis,
     build_axis,
@@ -39,6 +41,8 @@ from oracles import (
     bmo_prod_brute,
     cube_cells,
     dyadic_rect_maximal_brute,
+    level_scale_reference,
+    square_function_reference,
     strong_maximal_brute,
     trailing_max_brute,
 )
@@ -425,6 +429,49 @@ def test_square_function_mode_validation():
         square_function(two, system, "rect")
     with pytest.raises(ParameterError):
         square_function(two, (system, system), "spiral")
+    wide = grid_function(np.ones((8, 16)), axis, build_axis(4))
+    for level in (4, 3):  # each pair misses one axis of the 8 x 16 grid
+        pair = (DyadicSystem(build_axis(level), 0),) * 2
+        with pytest.raises(SystemMismatchError):
+            square_function(wide, pair, "rect")
+
+
+def _offsets(n):
+    return sorted({0, 1, n // 2, n - 1})
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_one_axis_multiscale_paths_match_stack_formulas_bitwise(L):
+    axis = build_axis(L)
+    f = rand_f(np.random.default_rng(L), axis)
+    a = np.abs(f.values)
+    for offset, lam in itertools.product(_offsets(axis.n_cells), (0.3, 0.75)):
+        system = DyadicSystem(axis, offset)
+        want = square_function_reference(f.values, ((0, offset),))
+        assert np.array_equal(square_function(f, system, "sole").values, want)
+        scales = np.array([2.0 ** (k * (lam - 1.0)) for k in range(L + 1)])
+        want = level_scale_reference(a, 0, offset, scales, np.maximum)
+        assert np.array_equal(frac_maximal(f, system, lam).values, want)
+        majorant = level_scale_reference(a, 0, offset, scales, np.add)
+        want = np.max(majorant / frac_integral(f.with_values(a), lam).values)
+        assert domination_ratio(f, lam, system) == want
+
+
+@pytest.mark.parametrize("L2", range(1, 7))
+@pytest.mark.parametrize("L1", range(1, 7))
+def test_two_axis_multiscale_paths_match_stack_formulas_bitwise(L1, L2):
+    ax1, ax2 = build_axis(L1), build_axis(L2)
+    f = rand_f(np.random.default_rng(8 * L1 + L2), ax1, ax2)
+    offsets = zip(_offsets(ax1.n_cells), reversed(_offsets(ax2.n_cells)))
+    for o1, o2 in offsets:
+        pair = (DyadicSystem(ax1, o1), DyadicSystem(ax2, o2))
+        want = square_function_reference(f.values, ((0, o1), (1, o2)))
+        assert np.array_equal(square_function(f, pair, "rect").values, want)
+        for mode, pos, offset in (("axis1", 0, o1), ("axis2", 1, o2)):
+            want = square_function_reference(f.values, ((pos, offset),))
+            assert np.array_equal(square_function(f, pair, mode).values, want)
+            want = level_scale_reference(np.abs(f.values), pos, offset, 1.0, np.maximum)
+            assert np.array_equal(dyadic_maximal(f, pair, mode).values, want)
 
 
 # -- mixed norms ----------------------------------------------------------

@@ -233,9 +233,10 @@ def test_contract_error_becomes_failing_record(tmp_path, monkeypatch):
     assert report["checks"][0]["pass"] is False
 
 
-def test_numerical_crash_keeps_the_other_suites(tmp_path, monkeypatch):
+@pytest.mark.parametrize("error", (FloatingPointError, ValueError))
+def test_numerical_crash_keeps_the_other_suites(tmp_path, monkeypatch, error):
     def crashing(config):
-        raise FloatingPointError("overflow encountered in power")
+        raise error("overflow encountered in power")
 
     monkeypatch.setitem(cli._SUITE_FUNCTIONS, "norms", crashing)
     config = ExperimentConfig(
@@ -246,7 +247,7 @@ def test_numerical_crash_keeps_the_other_suites(tmp_path, monkeypatch):
     report = json.loads(outcome.report_path.read_text(encoding="utf-8"))
     failed = [c for c in report["checks"] if not c["pass"]]
     assert [(c["name"], c["paper_anchor"]) for c in failed] == [
-        ("norms-crash", "error-FloatingPointError")
+        ("norms-crash", f"error-{error.__name__}")
     ]
     assert len(report["checks"]) > 1
     with outcome.samples_path.open(encoding="utf-8") as fh:

@@ -423,19 +423,3 @@ def test_cube_distance_wraps():
     c = sys.cube(4, 8)
     assert dyadic.cube_distance_cells(a, c) == 7
 
-
-def test_boundary_distance_matches_oracle():
-    sys5 = dyadic.DyadicSystem(grid.build_axis(4), 5)
-    sys2 = dyadic.DyadicSystem(grid.build_axis(4), 2)
-    n = 16
-    for kI in (2, 3, 4):
-        for mI in range(1 << kI):
-            I = sys5.cube(kI, mI)
-            for kJ in (0, 1, 2):
-                for mJ in range(1 << kJ):
-                    J = sys2.cube(kJ, mJ)
-                    ref = oracles.boundary_dist_cells(
-                        n, I.start_cell, I.width_cells, J.start_cell,
-                        J.width_cells,
-                    )
-                    assert dyadic.boundary_distance_cells(I, J) == ref
