@@ -300,10 +300,21 @@ def mixed_norm(
     for w, ax, name in ((w1, ax1, "w1"), (w2, ax2, "w2")):
         if w is not None and w.axis != ax:
             raise ShapeError(f"{name} lives on the wrong axis")
+    return float(_mixed_norms(f.values, f.axes, p1, p2, w1, w2))
+
+
+def _mixed_norms(V: np.ndarray, axes, p1, p2, w1, w2) -> np.ndarray:
+    """:func:`mixed_norm` of each value table on the last two axes of ``V``,
+    one norm per table (a 0-d array for one table); the caller has checked
+    the exponents and the weights' axes."""
+    ax1, ax2 = axes
     d1 = np.ones(ax1.n_cells) if w1 is None else w1.values
     d2 = np.ones(ax2.n_cells) if w2 is None else w2.values
-    inner = ((np.abs(f.values) ** p1 * d1[:, None]).sum(axis=0) * ax1.h) ** (1.0 / p1)
-    return float(((inner**p2 * d2).sum() * ax2.h) ** (1.0 / p2))
+    inner = ((np.abs(V) ** p1 * d1[:, None]).sum(axis=-2) * ax1.h) ** (1.0 / p1)
+    outer = (inner**p2 * d2).sum(axis=-1) * ax2.h
+    # the last root per table, as a scalar: numpy's power over a vector may
+    # round the last bit differently from its power of one scalar
+    return np.reshape([t ** (1.0 / p2) for t in np.ravel(outer)], np.shape(outer))
 
 
 # -- restricted product BMO -----------------------------------------------
@@ -438,7 +449,7 @@ def bmo_prod_rect_norm(b: GridFunction, w: ProductWeight, systems) -> float:
     """
     system1, system2 = _bmo_inputs(b, w, systems)
     weight_means = _rect_weight_means(w, system1, system2)
-    return _bmo_prod_rect(b.values, weight_means, system1, system2)
+    return float(_bmo_prod_rect(b.values, weight_means, system1, system2))
 
 
 def _rect_weight_means(w: ProductWeight, system1: DyadicSystem, system2: DyadicSystem):
@@ -452,24 +463,25 @@ def _rect_weight_means(w: ProductWeight, system1: DyadicSystem, system2: DyadicS
     return W, w.factor1.values.mean() * w.factor2.values.mean()
 
 
-def _bmo_prod_rect(B: np.ndarray, weight_means, system1, system2) -> float:
-    """:func:`bmo_prod_rect_norm` of the values ``B`` against a weight given
-    by its :func:`_rect_weight_means`; the caller has checked the axes."""
+def _bmo_prod_rect(B: np.ndarray, weight_means, system1, system2) -> np.ndarray:
+    """:func:`bmo_prod_rect_norm` of each value table on the last two axes of
+    ``B`` against a weight given by its :func:`_rect_weight_means`, one norm
+    per table (a 0-d array for one table); the caller has checked the axes."""
     W, full_mean = weight_means
-    Fc = haar_analyze(haar_analyze(B, system1, 0), system2, 1)
-    W = W[1 : Fc.shape[0], 1 : Fc.shape[1]]
+    Fc = haar_analyze(haar_analyze(B, system1, -2), system2, -1)
+    W = W[1 : Fc.shape[-2], 1 : Fc.shape[-1]]
     # coefficient**2 / weight mean per rectangle (heap column c at row c - 1),
     # carried to every ancestor: along the second axis, then the first, from
     # fine to coarse.  Cube c has children 2c and 2c + 1; every term is >= 0.
-    S = Fc[1:, 1:] ** 2 / W
-    for pos, system in ((1, system2), (0, system1)):
+    S = Fc[..., 1:, 1:] ** 2 / W
+    for pos, system in ((-1, system2), (-2, system1)):
         v = np.moveaxis(S, pos, 0)
         for k in range(system.axis.level - 2, -1, -1):
             c = 1 << k
             v[c - 1 : 2 * c - 1] += v[2 * c - 1 : 4 * c - 1 : 2] + v[2 * c : 4 * c - 1 : 2]
     levels = (column_cubes(np.arange(1, s.axis.n_cells), s)[0] for s in (system1, system2))
     w_omega = np.outer(*(2.0**-k for k in levels)) * W  # exact scaling
-    return float(np.sqrt(max(np.max(S / w_omega), S[0, 0] / full_mean)))
+    return np.sqrt(np.maximum(np.max(S / w_omega, axis=(-2, -1)), S[..., 0, 0] / full_mean))
 
 
 @dataclass(frozen=True)

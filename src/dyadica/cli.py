@@ -19,6 +19,7 @@ import csv
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -37,12 +38,7 @@ from .errors import ConfigurationError, DyadicaError
 from .fracops import maximal_table, verify_representation
 from .grid import _check_lambda, build_axis, grid_function, l2_norm, tabulate_midpoint
 from .haar import haar_expand, level_average, level_difference
-from .paracomm import (
-    BloomConfig,
-    bloom_experiment,
-    decompose_product,
-    shift_commutator_expand,
-)
+from .paracomm import BloomConfig, _decompose, _expand, _stacks, bloom_experiment
 from .weights import apq_characteristic, exponent_solve, power_weight
 
 __all__ = [
@@ -305,6 +301,14 @@ def _suite_rng(config: ExperimentConfig, suite: str) -> np.random.Generator:
     return np.random.default_rng((config.seed, SUITES.index(suite)))
 
 
+def _sample_pairs(rng: np.random.Generator, count: int, n: int):
+    """``count`` pairs of n x n value tables (b, f), drawn b then f pair by
+    pair, yielded as stacks: the first pair's index and the b and f stacks."""
+    for lo, hi in _stacks(count, n * n):
+        B, F = np.ascontiguousarray(rng.normal(size=(hi - lo, 2, n, n)).swapaxes(0, 1))
+        yield lo, B, F
+
+
 def _suite_haar_verify(config: ExperimentConfig):
     rng = _suite_rng(config, "haar-verify")
     records, rows = [], []
@@ -494,15 +498,12 @@ def _suite_decompose(config: ExperimentConfig):
         per = _per_axis(level)
         axis = build_axis(per)
         pair = (DyadicSystem(axis, 0), DyadicSystem(axis, 1 % axis.n_cells))
-        for s in range(config.samples):
-            shape = (axis.n_cells, axis.n_cells)
-            b = grid_function(rng.normal(size=shape), axis, axis)
-            f = grid_function(rng.normal(size=shape), axis, axis)
-            report = decompose_product(b, f, pair)
-            scale = float(np.max(np.abs(b.values * f.values)))
-            rel = report.residual / scale
-            worst = max(worst, rel)
-            rows.append(("decompose", f"L{per}x{per}-s{s}", rel))
+        for lo, B, F in _sample_pairs(rng, config.samples, axis.n_cells):
+            residual = _decompose(B, F, *pair)[2]
+            scale = np.max(np.abs(B * F), axis=(-2, -1))
+            for s, rel in enumerate((residual / scale).tolist(), lo):
+                worst = max(worst, rel)
+                rows.append(("decompose", f"L{per}x{per}-s{s}", rel))
     records.append(
         _check("decompose-product-residual", "nine-term-product-split", worst, 1e-12)
     )
@@ -527,15 +528,11 @@ def _suite_commutator(config: ExperimentConfig):
         for ci, (i, j, s_, t_) in enumerate(depth_cases):
             t1 = maximal_table(s1, i, j, lam1)
             t2 = maximal_table(s2, s_, t_, lam2)
-            for s in range(min(config.samples, 10)):
-                shape = (axis.n_cells, axis.n_cells)
-                b = grid_function(rng.normal(size=shape), axis, axis)
-                f = grid_function(rng.normal(size=shape), axis, axis)
-                expansion = shift_commutator_expand(b, f, t1, t2, (s1, s2))
-                worst = max(worst, expansion.residual)
-                rows.append(
-                    ("commutator", f"L{per}x{per}-c{ci}-s{s}", expansion.residual)
-                )
+            for lo, B, F in _sample_pairs(rng, min(config.samples, 10), axis.n_cells):
+                residual = _expand(B, F, t1, t2, s1, s2)[2]
+                for s, value in enumerate(residual.tolist(), lo):
+                    worst = max(worst, value)
+                    rows.append(("commutator", f"L{per}x{per}-c{ci}-s{s}", value))
     records.append(
         _check(
             "commutator-expansion-residual",
@@ -631,6 +628,8 @@ def _run_one(name: str, config: ExperimentConfig):
     except Exception as exc:  # one suite's crash must not lose the others' reports
         print(f"{name}: {type(exc).__name__}: {exc}", file=sys.stderr)
         kind = "contract-error" if isinstance(exc, DyadicaError) else "crash"
+        if kind == "crash":  # a library fault: say where it was raised
+            traceback.print_exc(file=sys.stderr)
         # one error raised against none allowed
         return [_check(f"{name}-{kind}", f"error-{type(exc).__name__}", 1.0, 0.0)], []
 

@@ -99,13 +99,17 @@ def column_cubes(cols, system: DyadicSystem) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _along(a, system: DyadicSystem, pos: int):
-    """``a`` as floats, its shape before and after array axis ``pos`` and the
-    index prefix that reaches that axis; the axis must hold one entry per
-    cell of ``system``."""
+    """``a`` as floats, array axis ``pos`` counted from the front (a negative
+    ``pos`` counts from the back), the shape before and after that axis and
+    the index prefix that reaches it; the axis must hold one entry per cell
+    of ``system``."""
     a = np.asarray(a, dtype=float)
+    if not -a.ndim <= pos < a.ndim:
+        raise ShapeError(f"axis {pos} out of range for a {a.ndim}-axis array")
+    pos %= a.ndim
     if a.shape[pos] != system.axis.n_cells:
         raise ShapeError(f"axis {pos} has {a.shape[pos]} entries, not {system.axis.n_cells}")
-    return a, a.shape[:pos], a.shape[pos + 1 :], (slice(None),) * pos
+    return a, pos, a.shape[:pos], a.shape[pos + 1 :], (slice(None),) * pos
 
 
 def haar_analyze(values, system: DyadicSystem, pos: int = 0) -> np.ndarray:
@@ -115,7 +119,7 @@ def haar_analyze(values, system: DyadicSystem, pos: int = 0) -> np.ndarray:
 
     Level by level from the finest, each pair of sibling cube sums gives
     its parent's sum and, scaled, the parent's coefficient."""
-    v, lead, trail, at = _along(values, system, pos)
+    v, pos, lead, trail, at = _along(values, system, pos)
     if system.offset_cells:
         v = _shifted(v, -system.offset_cells, pos)  # the first cube at cell 0
     h = system.axis.h
@@ -136,7 +140,7 @@ def haar_synthesize(coeffs, system: DyadicSystem, pos: int = 0) -> np.ndarray:
 
     Level by level from the coarsest, each cube's value splits into its
     children's, plus and minus its scaled coefficient."""
-    c, lead, trail, at = _along(coeffs, system, pos)
+    c, pos, lead, trail, at = _along(coeffs, system, pos)
     a = c[at + (slice(0, 1),)]
     for k in range(system.axis.level):
         d = 2.0 ** (k / 2.0) * c[at + (slice(1 << k, 2 << k),)]
@@ -252,25 +256,27 @@ def _cube_means(vals: np.ndarray, system: DyadicSystem, pos: int) -> np.ndarray:
 
 
 def _pyramid(vals: np.ndarray, system1: DyadicSystem, system2: DyadicSystem) -> np.ndarray:
-    """``R[c1, c2]``, the mean over the rectangle at heap columns ``c1``,
-    ``c2`` (row and column 0 zero): :func:`rectangle_table` at the
-    rectangle's start cells, bit for bit."""
-    return _cube_means(_cube_means(vals, system1, 0), system2, 1)
+    """``R[..., c1, c2]``, the mean over the rectangle at heap columns ``c1``,
+    ``c2`` (row and column 0 zero) of each table on the last two axes of
+    ``vals``: :func:`rectangle_table` at the rectangle's start cells, bit for
+    bit."""
+    return _cube_means(_cube_means(vals, system1, -2), system2, -1)
 
 
 def _scale_views(R: np.ndarray) -> dict:
-    """The four scale views of a pyramid, keyed (first axis, second axis):
-    per axis, ``A`` at column ``c`` is the parent's mean ``R[c >> 1]`` and
-    ``D`` is ``R[c] - R[c >> 1]``.  Column 1's parent is the zero column 0,
-    so the whole-axis mean enters as a ``D``."""
-    up1, up2 = (np.arange(size) >> 1 for size in R.shape)
-    A1 = R[up1]
+    """The four scale views of pyramids on the last two axes of ``R``, keyed
+    (first axis, second axis): per axis, ``A`` at column ``c`` is the
+    parent's mean ``R[c >> 1]`` and ``D`` is ``R[c] - R[c >> 1]``.  Column
+    1's parent is the zero column 0, so the whole-axis mean enters as a
+    ``D``."""
+    up1, up2 = (np.arange(size) >> 1 for size in R.shape[-2:])
+    A1 = R[..., up1, :]
     D1 = R - A1
     return {
-        ("A", "A"): A1[:, up2],
-        ("A", "D"): A1 - A1[:, up2],
-        ("D", "A"): D1[:, up2],
-        ("D", "D"): D1 - D1[:, up2],
+        ("A", "A"): A1[..., up2],
+        ("A", "D"): A1 - A1[..., up2],
+        ("D", "A"): D1[..., up2],
+        ("D", "D"): D1 - D1[..., up2],
     }
 
 

@@ -23,6 +23,13 @@ shift's matrix is the shift applied to the identity, and the leftover
 reads b's pyramid for every pair of table entries in one gather.  The
 four terms of the iterated commutator are written once, in
 ``_commutator_terms``, for both commutators and the paraproduct groups.
+
+Sample ensembles are evaluated as stacks: every private helper reads its
+value tables on the last two array axes, so one numpy call serves a whole
+stack of samples.  A stack holds at most ``_STACK_CELLS`` grid cells
+(``_stacks`` splits an ensemble), so the samples of small grids share
+stacks and a grid of that size or more is a stack of one.  The public
+single-sample functions call the same helpers on one table.
 """
 
 from __future__ import annotations
@@ -34,11 +41,11 @@ from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
-from .analysis import _bmo_prod_rect, _rect_weight_means, _system_pair, mixed_norm
+from .analysis import _bmo_prod_rect, _mixed_norms, _rect_weight_means, _system_pair
 from .dyadic import DyadicCube, DyadicSystem, ancestor
 from .errors import ContractError, ParameterError, ShapeError, SystemMismatchError
 from .fracops import ShiftCoefficientTable, _route, _smooth
-from .grid import GridFunction, build_axis, grid_function
+from .grid import GridFunction, build_axis
 from .haar import _chain_sum, _cube_means, _pyramid, _scale_views, basis_column, column_cubes
 from .haar import haar_analyze, haar_synthesize
 from .weights import apq_characteristic, bloom_weight, exponent_solve, power_weight
@@ -74,6 +81,19 @@ _TAG_KINDS = {
 }
 PARAPRODUCT_TAGS = tuple(_TAG_KINDS)
 
+# most grid cells one sample stack holds: a stack's working arrays take
+# up to 100 floats per cell, so 16 x 16 grids go in stacks of 4 samples and
+# a grid of 32 x 32 or more is a stack of one
+_STACK_CELLS = 1 << 10
+
+
+def _stacks(count: int, cells: int):
+    """Bounds ``(lo, hi)`` of the consecutive stacks that cover ``count``
+    samples of ``cells`` grid cells each, at most ``_STACK_CELLS`` cells (and
+    at least one sample) per stack."""
+    size = max(1, _STACK_CELLS // cells)
+    return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
+
 
 def _shared_pair(b: GridFunction, f: GridFunction, systems):
     """The system pair of a bilinear form in (b, f), checked against both
@@ -92,9 +112,13 @@ def _shared_pair(b: GridFunction, f: GridFunction, systems):
 
 def _products(views_b, g: np.ndarray, sys1, sys2, tags) -> np.ndarray:
     """Per tag in ``tags``, the product of its view of b with its view of
-    the rectangle pyramid of ``g``, stacked on a leading axis."""
+    the rectangle pyramids of ``g`` (tables on the last two axes), stacked
+    on a new leading axis."""
     views_g = _scale_views(_pyramid(g, sys1, sys2))
-    return np.stack([views_b[kb] * views_g[kg] for kb, kg in map(_TAG_KINDS.get, tags)])
+    P = np.empty((len(tags),) + views_g["A", "A"].shape)
+    for out, (kb, kg) in zip(P, map(_TAG_KINDS.get, tags)):
+        np.multiply(views_b[kb], views_g[kg], out=out)
+    return P
 
 
 def paraproduct(tag: str, b: GridFunction, f: GridFunction, systems) -> GridFunction:
@@ -120,19 +144,28 @@ class DecompositionReport:
     residual: float
 
 
+def _decompose(B: np.ndarray, F: np.ndarray, sys1, sys2):
+    """:func:`decompose_product` of each pair of value tables on the last two
+    axes of ``B`` and ``F``: the nine parts on a new leading axis in tag
+    order, the mean bucket, and each product's residual."""
+    views_b = _scale_views(_pyramid(B, sys1, sys2))
+    P = _products(views_b, F, sys1, sys2, PARAPRODUCT_TAGS)
+    edges = P.sum(axis=0)
+    edges[..., 2:, 2:] = 0.0  # row and column 1: a whole-axis mean on some axis
+    axes = ((-2, sys1), (-1, sys2))
+    parts = _chain_sum(P, axes)
+    mean = _chain_sum(edges, axes, first=1)
+    residual = np.max(np.abs(B * F - (sum(parts) + mean)), axis=(-2, -1))
+    return parts, mean, residual
+
+
 def decompose_product(b: GridFunction, f: GridFunction, systems) -> DecompositionReport:
     """Split b*f into the nine tagged parts plus the mean bucket; exact."""
     sys1, sys2 = _shared_pair(b, f, systems)
-    views_b = _scale_views(_pyramid(b.values, sys1, sys2))
-    P = _products(views_b, f.values, sys1, sys2, PARAPRODUCT_TAGS)
-    edges = P.sum(axis=0)
-    edges[2:, 2:] = 0.0  # row and column 1: a whole-axis mean on some axis
-    axes = ((-2, sys1), (-1, sys2))
-    parts = dict(zip(PARAPRODUCT_TAGS, map(b.with_values, _chain_sum(P, axes))))
-    parts["mean"] = b.with_values(_chain_sum(edges, axes, first=1))
-    total = sum(p.values for p in parts.values())
-    residual = float(np.max(np.abs(b.values * f.values - total)))
-    return DecompositionReport(parts=parts, residual=residual)
+    parts, mean, residual = _decompose(b.values, f.values, sys1, sys2)
+    named = dict(zip(PARAPRODUCT_TAGS, map(b.with_values, parts)))
+    named["mean"] = b.with_values(mean)
+    return DecompositionReport(parts=named, residual=float(residual))
 
 
 # -- commutators with the positive smoothing operators --------------------
@@ -157,6 +190,11 @@ def _iterated_commutator(b, f, t1, t2):
     return functools.reduce(operator.add, terms)
 
 
+def _smoothing(axis, lam, pos: int):
+    """The order-``lam`` smoothing operator along array axis ``pos``."""
+    return lambda x: _smooth(x, axis, float(lam), pos)
+
+
 def commutator(b: GridFunction, f: GridFunction, recipe: Mapping) -> GridFunction:
     """Inner commutator [b, T2]f or iterated commutator [T1, [b, T2]]f,
     where Ti is the order-lam_i smoothing operator on axis i.
@@ -166,16 +204,12 @@ def commutator(b: GridFunction, f: GridFunction, recipe: Mapping) -> GridFunctio
     if b.ndim != 2 or f.ndim != 2 or b.axes != f.axes:
         raise ShapeError("commutator needs two-axis functions on one grid")
     keys = set(recipe)
-
-    def smoothing(pos, lam):
-        return lambda x: _smooth(x, b.axes[pos], float(lam), pos)
-
     if keys == {"inner"}:
-        t2 = smoothing(1, recipe["inner"])
+        t2 = _smoothing(b.axes[1], recipe["inner"], -1)
         return b.with_values(b.values * t2(f.values) - t2(b.values * f.values))
     if keys == {"iterated"}:
         lam1, lam2 = recipe["iterated"]
-        t1, t2 = smoothing(0, lam1), smoothing(1, lam2)
+        t1, t2 = _smoothing(b.axes[0], lam1, -2), _smoothing(b.axes[1], lam2, -1)
         return b.with_values(_iterated_commutator(b.values, f.values, t1, t2))
     raise ParameterError("recipe must be {'inner': lam2} or {'iterated': (lam1, lam2)}")
 
@@ -230,28 +264,60 @@ def _table_cubes(table: ShiftCoefficientTable, depth: int, axes) -> np.ndarray:
     return np.arange(1 << depth, rows << depth).reshape(shape)
 
 
-def _leftover_term(Rb, f, table1, table2, sys1, sys2) -> np.ndarray:
+def _leftover_term(Rb, F, table1, table2, sys1, sys2) -> np.ndarray:
     """Quadruple sum with the alternating rectangle averages of b, read
-    from its rectangle pyramid ``Rb`` at heap columns.
+    from its rectangle pyramids ``Rb`` at heap columns, against the value
+    tables ``F`` (both on the last two axes).
 
     For each source/target pair of each axis shift, the symbol enters only
     through -<b>_{IxS} + <b>_{IxT} + <b>_{JxS} - <b>_{JxT}.  Every entry
     pair is one element of arrays on the axes (K1, dJ, dI, K2, dT, dS); a
     target sums over its sources dI, dS."""
-    Fc = haar_analyze(haar_analyze(f.values, sys1, 0), sys2, 1)
+    Fc = haar_analyze(haar_analyze(F, sys1, -2), sys2, -1)
     I = _table_cubes(table1, table1.i, (0, 2))
     J = _table_cubes(table1, table1.j, (0, 1))
     S = _table_cubes(table2, table2.i, (3, 5))
     T = _table_cubes(table2, table2.j, (3, 4))
     a = table1.coeffs[1:, :, :, None, None, None] * table2.coeffs[1:]
-    terms = a * (-Rb[I, S] + Rb[I, T] + Rb[J, S] - Rb[J, T]) * Fc[I, S]
+    alternating = -Rb[..., I, S] + Rb[..., I, T] + Rb[..., J, S] - Rb[..., J, T]
+    terms = a * alternating * Fc[..., I, S]
     rows1, rows2 = table1.coeffs.shape[0], table2.coeffs.shape[0]
     j, t = table1.j, table2.j
+    # the gathers put a stack's axes innermost; in C order each table's
+    # terms are summed in the same order as one table's
+    sums = np.ascontiguousarray(terms).sum(axis=(-4, -1))
     Ecoef = np.zeros_like(Fc)
-    Ecoef[1 << j : rows1 << j, 1 << t : rows2 << t] = terms.sum(axis=(2, 5)).reshape(
-        (rows1 - 1) << j, (rows2 - 1) << t
+    Ecoef[..., 1 << j : rows1 << j, 1 << t : rows2 << t] = sums.reshape(
+        Fc.shape[:-2] + ((rows1 - 1) << j, (rows2 - 1) << t)
     )
-    return haar_synthesize(haar_synthesize(Ecoef, sys1, 0), sys2, 1)
+    return haar_synthesize(haar_synthesize(Ecoef, sys1, -2), sys2, -1)
+
+
+def _expand(B: np.ndarray, F: np.ndarray, table1, table2, sys1, sys2):
+    """:func:`shift_commutator_expand` of each pair of value tables on the
+    last two axes of ``B`` and ``F``: the leftover term, the eight groups on
+    a new leading axis in tag order, and each pair's residual."""
+    M1 = _shift_matrix(sys1, table1)
+    M2 = _shift_matrix(sys2, table2)
+
+    def s1(x):
+        return M1 @ x
+
+    def s2(x):
+        return x @ M2.T
+
+    direct = _iterated_commutator(B, F, s1, s2)
+    Rb = _pyramid(B, sys1, sys2)
+    views_b = _scale_views(Rb)
+    tags = PARAPRODUCT_TAGS[:-1]  # A1..A8; W is the leftover
+    # per commutator term, b's product replaced by the eight tags' parts
+    groups = 0.0
+    for outer, inner in _commutator_terms(s1, s2):
+        P = _products(views_b, inner(F), sys1, sys2, tags)
+        groups = groups + outer(_chain_sum(P, ((-2, sys1), (-1, sys2))))
+    e_term = _leftover_term(Rb, F, table1, table2, sys1, sys2)
+    residual = np.max(np.abs(direct - (e_term + sum(groups))), axis=(-2, -1))
+    return e_term, groups, residual
 
 
 def shift_commutator_expand(
@@ -269,30 +335,11 @@ def shift_commutator_expand(
     rounding noise).
     """
     sys1, sys2 = _shared_pair(b, f, systems)
-    M1 = _shift_matrix(sys1, table1)
-    M2 = _shift_matrix(sys2, table2)
-
-    def s1(x):
-        return M1 @ x
-
-    def s2(x):
-        return x @ M2.T
-
-    direct = _iterated_commutator(b.values, f.values, s1, s2)
-    Rb = _pyramid(b.values, sys1, sys2)
-    views_b = _scale_views(Rb)
-    tags = PARAPRODUCT_TAGS[:-1]  # A1..A8; W is the leftover
-    # per commutator term, b's product replaced by the eight tags' parts
-    sums = 0.0
-    for outer, inner in _commutator_terms(s1, s2):
-        P = _products(views_b, inner(f.values), sys1, sys2, tags)
-        sums = sums + outer(_chain_sum(P, ((-2, sys1), (-1, sys2))))
-    groups = dict(zip(tags, map(b.with_values, sums)))
-    e_term = b.with_values(_leftover_term(Rb, f, table1, table2, sys1, sys2))
-    total = e_term.values + sum(g.values for g in groups.values())
-    residual = float(np.max(np.abs(direct - total)))
+    e_term, groups, residual = _expand(b.values, f.values, table1, table2, sys1, sys2)
     return CommutatorExpansion(
-        e_term=e_term, paraproduct_terms=groups, residual=residual
+        e_term=b.with_values(e_term),
+        paraproduct_terms=dict(zip(PARAPRODUCT_TAGS[:-1], map(b.with_values, groups))),
+        residual=float(residual),
     )
 
 
@@ -353,7 +400,9 @@ class BloomReport:
 
 
 def _refine(base: np.ndarray, factor: int) -> np.ndarray:
-    return np.kron(base, np.ones((factor, factor)))
+    """Each table on the last two axes of ``base`` with every cell split
+    into ``factor`` x ``factor`` cells of its value."""
+    return base.repeat(factor, -2).repeat(factor, -1)
 
 
 def _coarse_sample(rng, nb: int, kind: int):
@@ -395,56 +444,59 @@ def bloom_experiment(config: BloomConfig) -> BloomReport:
     discretization varies.  Samples whose restricted symbol norm vanishes
     are skipped and counted.
     """
-    q1 = exponent_solve(config.p1, config.lam1).q
-    q2 = exponent_solve(config.p2, config.lam2).q
+    p1, p2 = config.p1, config.p2
+    q1 = exponent_solve(p1, config.lam1).q
+    q2 = exponent_solve(p2, config.lam2).q
     if any(level < config.base_level for level in config.levels):
         raise ParameterError("levels must be at least the base level")
     nb = 1 << config.base_level
-    # a sample's seed does not involve the level: draw each once
-    samples = [
+    quads, count = config.weight_quads, config.n_samples
+    exps = ((p1, q1), (p1, q1), (p2, q2), (p2, q2))  # per weight of a quad
+    # a sample's seed does not involve the level: draw each once, as
+    # coarse[quad, sample] = (b, f)
+    coarse = np.array(
         [
-            _coarse_sample(np.random.default_rng((config.seed, qi, idx)), nb, idx % 3)
-            for idx in range(config.n_samples)
+            [
+                _coarse_sample(np.random.default_rng((config.seed, qi, idx)), nb, idx % 3)
+                for idx in range(count)
+            ]
+            for qi in range(len(quads))
         ]
-        for qi in range(len(config.weight_quads))
-    ]
+    ).reshape(len(quads), count, 2, nb, nb)
     level_results = []
     for level in config.levels:
         axis = build_axis(level)
         factor = axis.n_cells // nb
         pair = (DyadicSystem(axis, 0), DyadicSystem(axis, 0))
+        t1 = _smoothing(axis, config.lam1, -2)
+        t2 = _smoothing(axis, config.lam2, -1)
+        # quads share weights: build each and take its characteristic once
+        keys = dict.fromkeys((d, p, q) for quad in quads for d, (p, q) in zip(quad, exps))
+        weight = {d: power_weight(axis, *d) for d, _, _ in keys}
+        char = {key: apq_characteristic(weight[key[0]], *key[1:]) for key in keys}
         quad_results = []
-        for qi, quad in enumerate(config.weight_quads):
-            mu1, sg1, mu2, sg2 = (power_weight(axis, a, c) for a, c in quad)
-            chars = (
-                apq_characteristic(mu1, config.p1, q1),
-                apq_characteristic(sg1, config.p1, q1),
-                apq_characteristic(mu2, config.p2, q2),
-                apq_characteristic(sg2, config.p2, q2),
-            )
-            nu = bloom_weight(mu1, sg1, mu2, sg2)
-            nu_means = _rect_weight_means(nu, *pair)  # read by every sample
-            w_num1, w_num2 = mu1.power(config.p1), mu2.power(config.p2)
-            w_den1, w_den2 = sg1.power(q1), sg2.power(q2)
-            ratios = []
-            skipped = 0
-            for bvals, fvals in samples[qi]:
-                bfun = grid_function(_refine(bvals, factor), axis, axis)
-                ffun = grid_function(_refine(fvals, factor), axis, axis)
-                bmo = _bmo_prod_rect(bfun.values, nu_means, *pair)
-                if bmo <= 0.0:
+        for qi, quad in enumerate(quads):
+            mu1, sg1, mu2, sg2 = (weight[d] for d in quad)
+            # read by every sample of the quad; one quad's at a time
+            means = _rect_weight_means(bloom_weight(mu1, sg1, mu2, sg2), *pair)
+            w_com, w_src = (sg1.power(q1), sg2.power(q2)), (mu1.power(p1), mu2.power(p2))
+            bmo, num, src = [], [], []
+            for lo, hi in _stacks(count, axis.n_cells**2):
+                B, F = (_refine(coarse[qi, lo:hi, k], factor) for k in (0, 1))
+                com = _iterated_commutator(B, F, t1, t2)
+                bmo += _bmo_prod_rect(B, means, *pair).tolist()
+                num += _mixed_norms(com, (axis, axis), q1, q2, *w_com).tolist()
+                src += _mixed_norms(F, (axis, axis), p1, p2, *w_src).tolist()
+            ratios, skipped = [], 0
+            for b, n, f in zip(bmo, num, src):
+                if b <= 0.0:
                     skipped += 1
                     continue
-                com = commutator(
-                    bfun, ffun, {"iterated": (config.lam1, config.lam2)}
-                )
-                num = mixed_norm(com, q1, q2, w_den1, w_den2)
-                den = bmo * mixed_norm(ffun, config.p1, config.p2, w_num1, w_num2)
-                ratios.append(num / den)
+                ratios.append(n / (b * f))
             quad_results.append(
                 BloomQuadResult(
                     quad=quad,
-                    characteristics=chars,
+                    characteristics=tuple(char[d, p, q] for d, (p, q) in zip(quad, exps)),
                     ratios=tuple(ratios),
                     max_ratio=max(ratios) if ratios else 0.0,
                     skipped=skipped,

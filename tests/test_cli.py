@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dyadica import cli
@@ -253,6 +254,88 @@ def test_numerical_crash_keeps_the_other_suites(tmp_path, monkeypatch, error):
     with outcome.samples_path.open(encoding="utf-8") as fh:
         sampled = {row["suite"] for row in csv.DictReader(fh)}
     assert sampled == set(cli.SUITES) - {"norms"}
+
+
+def test_only_a_crash_prints_its_traceback(tmp_path, monkeypatch, capsys):
+    def overflowing_norm_step(config):
+        raise ValueError("overflow encountered in power")
+
+    def misconfigured(config):
+        raise ConfigurationError("synthetic contract failure")
+
+    reports = []
+    for suite, expect_trace in ((overflowing_norm_step, True), (misconfigured, False)):
+        monkeypatch.setitem(cli._SUITE_FUNCTIONS, "norms", suite)
+        out = tmp_path / suite.__name__
+        run_suite(ExperimentConfig(suite="norms", seed=1, out=str(out)))
+        err = capsys.readouterr().err
+        if expect_trace:
+            assert err.startswith("norms: ValueError: overflow encountered in power\n")
+            assert "Traceback" in err and "overflowing_norm_step" in err
+        else:
+            assert err == "norms: ConfigurationError: synthetic contract failure\n"
+        reports.append(json.loads((out / "report.json").read_text(encoding="utf-8")))
+    # the report carries the record only, never the traceback
+    assert [r["checks"] for r in reports] == [
+        [{"name": "norms-crash", "paper_anchor": "error-ValueError",
+          "value": 1.0, "threshold": 0.0, "pass": False}],
+        [{"name": "norms-contract-error", "paper_anchor": "error-ConfigurationError",
+          "value": 1.0, "threshold": 0.0, "pass": False}],
+    ]
+
+
+def _two_axis_rows_by_public_calls(config, suite):
+    """The decompose or commutator suite's sample rows from one public
+    single-sample call per sample, b and f drawn in turn."""
+    from dyadica.dyadic import DyadicSystem
+    from dyadica.fracops import maximal_table
+    from dyadica.grid import build_axis, grid_function
+    from dyadica.paracomm import decompose_product, shift_commutator_expand
+
+    rng = cli._suite_rng(config, suite)
+    rows = []
+    for level in config.levels:
+        per = cli._per_axis(level)
+        axis = build_axis(per)
+        n = axis.n_cells
+
+        def draw():
+            return (grid_function(rng.normal(size=(n, n)), axis, axis) for _ in range(2))
+
+        if suite == "decompose":
+            pair = (DyadicSystem(axis, 0), DyadicSystem(axis, 1 % n))
+            for s in range(config.samples):
+                b, f = draw()
+                report = decompose_product(b, f, pair)
+                rel = report.residual / float(np.max(np.abs(b.values * f.values)))
+                rows.append(("decompose", f"L{per}x{per}-s{s}", rel))
+            continue
+        s1, s2 = DyadicSystem(axis, 0), DyadicSystem(axis, n // 2)
+        cases = [c for c in [(1, 0, 0, 1), (0, 0, 1, 1), (1, 1, 1, 0)] if max(c) < per]
+        for ci, (i, j, s_, t_) in enumerate(cases):
+            t1 = maximal_table(s1, i, j, config.lambdas[0])
+            t2 = maximal_table(s2, s_, t_, config.lambdas[-1])
+            for s in range(min(config.samples, 10)):
+                b, f = draw()
+                residual = shift_commutator_expand(b, f, t1, t2, (s1, s2)).residual
+                rows.append(("commutator", f"L{per}x{per}-c{ci}-s{s}", residual))
+    return rows
+
+
+@pytest.mark.parametrize("suite", ("decompose", "commutator"))
+@pytest.mark.parametrize("cap", (None, 3 * 256))
+def test_stacked_suites_match_single_sample_calls_bitwise(monkeypatch, suite, cap):
+    # at 16 x 16 the default cap splits 10 samples into stacks of 4, 4 and
+    # 2, a cap of 3 * 256 cells into stacks of 3, 3, 3 and 1
+    import dyadica.paracomm as paracomm
+
+    if cap is not None:
+        monkeypatch.setattr(paracomm, "_STACK_CELLS", cap)
+    config = ExperimentConfig(suite=suite, seed=3, levels=(6, 4), samples=10)
+    records, rows = cli._SUITE_FUNCTIONS[suite](config)
+    want = _two_axis_rows_by_public_calls(config, suite)
+    assert rows == want
+    assert records[0].value == max(value for _, _, value in want)
 
 
 def test_strict_mode_promotes_stability_warnings(tmp_path, monkeypatch):

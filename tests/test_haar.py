@@ -138,6 +138,23 @@ def test_transform_rejects_length_mismatch():
         haar.haar_synthesize(np.zeros(16), sys)
 
 
+@pytest.mark.parametrize("off", (0, 5))
+def test_transform_negative_position_counts_from_the_back(off):
+    # a 4 x 8 array along -1 used to reach numpy's reshape ValueError
+    sys = dyadic.DyadicSystem(grid.build_axis(3), off)
+    short = dyadic.DyadicSystem(grid.build_axis(2), off % 4)
+    x = np.random.default_rng(off).normal(size=(4, 8))
+    stack = np.random.default_rng(off + 1).normal(size=(2, 8, 8))
+    for transform in (haar.haar_analyze, haar.haar_synthesize):
+        assert np.array_equal(transform(x, sys, -1), transform(x, sys, 1))
+        assert np.array_equal(transform(x.T, sys, -2), transform(x.T, sys, 0))
+        assert np.array_equal(transform(x, short, -2), transform(x, short, 0))
+        assert np.array_equal(transform(stack, sys, -2), transform(stack, sys, 1))
+        for pos in (2, -3):
+            with pytest.raises(errors.ShapeError):
+                transform(x, sys, pos)
+
+
 # ---------------------------------------------------------------------------
 # expansion: one parameter
 

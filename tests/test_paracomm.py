@@ -197,6 +197,24 @@ def test_decomposition_exact_for_any_offsets(seed, off1, off2):
     assert report.residual <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("L1, L2, off1, off2", ((4, 4, 0, 1), (3, 5, 7, 31), (5, 2, 3, 0)))
+def test_stacked_decomposition_matches_single_samples_bitwise(L1, L2, off1, off2):
+    from dyadica.paracomm import _decompose
+
+    s1, s2 = DyadicSystem(build_axis(L1), off1), DyadicSystem(build_axis(L2), off2)
+    rng = np.random.default_rng(L1 + L2)
+    B, F = rng.normal(size=(2, 10, s1.axis.n_cells, s2.axis.n_cells))
+    parts, mean, residual = _decompose(B, F, s1, s2)
+    assert parts.shape == (len(PARAPRODUCT_TAGS),) + B.shape and residual.shape == (10,)
+    for k in range(10):
+        b, f = (grid_function(x[k], s1.axis, s2.axis) for x in (B, F))
+        report = decompose_product(b, f, (s1, s2))
+        for t, tag in enumerate(PARAPRODUCT_TAGS):
+            assert np.array_equal(parts[t, k], report.parts[tag].values)
+        assert np.array_equal(mean[k], report.parts["mean"].values)
+        assert residual[k] == report.residual
+
+
 # -- commutators ----------------------------------------------------------
 
 
@@ -365,7 +383,7 @@ def test_shift_tables_match_entry_oracles(L1, L2, depths, off1, off2, seed):
 
     b, f = rand_f(rng, s1, s2), rand_f(rng, s1, s2)
     Tb = rectangle_table(b, s1, s2)
-    got = _leftover_term(_pyramid(b.values, s1, s2), f, t1, t2, s1, s2)
+    got = _leftover_term(_pyramid(b.values, s1, s2), f.values, t1, t2, s1, s2)
     assert within(got, leftover_term_brute(Tb, f.values, t1, t2, s1, s2), 1e-13)
 
 
@@ -454,6 +472,34 @@ def test_shift_expansion_holds_one_factor_table_at_a_time():
     assert peak <= 14 * 2**20
 
 
+@pytest.mark.parametrize(
+    "level, offsets, depths",
+    (
+        (4, (0, 8), ((1, 0), (0, 1))),
+        (4, (3, 11), ((1, 1), (1, 0))),  # two sources per target on each axis
+        (5, (0, 16), ((2, 1), (0, 2))),
+        (3, (5, 2), ((0, 0), (0, 0))),
+    ),
+)
+def test_stacked_expansion_matches_single_samples_bitwise(level, offsets, depths):
+    from dyadica.paracomm import _expand
+
+    s1, s2 = system_pair(level, *offsets)
+    (i, j), (s_, t_) = depths
+    t1, t2 = maximal_table(s1, i, j, 0.5), maximal_table(s2, s_, t_, 0.3)
+    n = s1.axis.n_cells
+    B, F = np.random.default_rng(level).normal(size=(2, 10, n, n))
+    e_term, groups, residual = _expand(B, F, t1, t2, s1, s2)
+    assert groups.shape == (8,) + B.shape and residual.shape == (10,)
+    for k in range(10):
+        b, f = (grid_function(x[k], s1.axis, s2.axis) for x in (B, F))
+        expansion = shift_commutator_expand(b, f, t1, t2, (s1, s2))
+        assert np.array_equal(e_term[k], expansion.e_term.values)
+        for t, tag in enumerate(PARAPRODUCT_TAGS[:-1]):
+            assert np.array_equal(groups[t, k], expansion.paraproduct_terms[tag].values)
+        assert residual[k] == expansion.residual
+
+
 def test_shift_expansion_contract_checks():
     s1, s2 = system_pair(3)
     rng = np.random.default_rng(15)
@@ -532,18 +578,20 @@ def test_bloom_experiment_draws_each_sample_once(monkeypatch):
 
 def test_bloom_experiment_bmo_matches_public_norm_bitwise(monkeypatch):
     # the weight's rectangle means are built once per (level, quad) and
-    # shared by the samples; each sample's norm must keep the public bits
+    # shared by the samples, which reach the norm as stacks; each sample's
+    # norm must keep the public bits
     import dyadica.paracomm as paracomm
     from dyadica.analysis import bmo_prod_rect_norm
     from dyadica.weights import bloom_weight, power_weight
 
-    seen, builds = [], []
+    seen, builds, stacks = [], [], []
     norm, build = paracomm._bmo_prod_rect, paracomm._rect_weight_means
 
     def recorded(B, weight_means, *pair):
-        value = norm(B, weight_means, *pair)
-        seen.append((B, pair, value))
-        return value
+        values = norm(B, weight_means, *pair)
+        stacks.append(len(B))
+        seen.extend((b, pair, value) for b, value in zip(B, values))
+        return values
 
     def counted(*args):
         builds.append(args)
@@ -561,11 +609,94 @@ def test_bloom_experiment_bmo_matches_public_norm_bitwise(monkeypatch):
     )
     bloom_experiment(config)
     assert len(builds) == 2 * 2 and len(seen) == 2 * 2 * 3
+    assert stacks == [3] * 4  # one stack per (level, quad)
     for i, (B, pair, value) in enumerate(seen):
         quad = config.weight_quads[i // 3 % 2]
         axis = pair[0].axis
         nu = bloom_weight(*(power_weight(axis, a, c) for a, c in quad))
         assert value == bmo_prod_rect_norm(grid_function(B, axis, axis), nu, pair)
+
+
+def _bloom_by_public_calls(config):
+    """Per level and quad, the ratios and characteristics of
+    :func:`bloom_experiment` from one public single-sample call per norm
+    and commutator, samples refined with ``np.kron``."""
+    import dyadica.paracomm as paracomm
+    from dyadica.analysis import bmo_prod_rect_norm, mixed_norm
+    from dyadica.weights import apq_characteristic, bloom_weight, exponent_solve, power_weight
+
+    p1, p2 = config.p1, config.p2
+    q1, q2 = exponent_solve(p1, config.lam1).q, exponent_solve(p2, config.lam2).q
+    nb = 1 << config.base_level
+    out = []
+    for level in config.levels:
+        axis = build_axis(level)
+        pair = (DyadicSystem(axis, 0), DyadicSystem(axis, 0))
+        ones = np.ones((axis.n_cells // nb,) * 2)
+        for qi, quad in enumerate(config.weight_quads):
+            mu1, sg1, mu2, sg2 = (power_weight(axis, a, c) for a, c in quad)
+            chars = (
+                apq_characteristic(mu1, p1, q1),
+                apq_characteristic(sg1, p1, q1),
+                apq_characteristic(mu2, p2, q2),
+                apq_characteristic(sg2, p2, q2),
+            )
+            nu = bloom_weight(mu1, sg1, mu2, sg2)
+            ratios = []
+            for idx in range(config.n_samples):
+                rng = np.random.default_rng((config.seed, qi, idx))
+                b, f = (
+                    grid_function(np.kron(x, ones), axis, axis)
+                    for x in paracomm._coarse_sample(rng, nb, idx % 3)
+                )
+                bmo = bmo_prod_rect_norm(b, nu, pair)
+                if bmo <= 0.0:
+                    continue
+                com = commutator(b, f, {"iterated": (config.lam1, config.lam2)})
+                num = mixed_norm(com, q1, q2, sg1.power(q1), sg2.power(q2))
+                ratios.append(num / (bmo * mixed_norm(f, p1, p2, mu1.power(p1), mu2.power(p2))))
+            out.append((level, qi, chars, tuple(ratios)))
+    return out
+
+
+@pytest.mark.parametrize("cap", (None, 7 * 64))
+def test_stacked_bloom_matches_single_sample_calls_bitwise(monkeypatch, cap):
+    # cap 7 * 64 cells: at level 3 each quad's 10 samples go in stacks of
+    # 7 and 3; from level 4 a stack holds one sample
+    import dyadica.paracomm as paracomm
+
+    if cap is not None:
+        monkeypatch.setattr(paracomm, "_STACK_CELLS", cap)
+    config = BloomConfig(levels=(3, 4, 5), n_samples=10, seed=1)
+    report = bloom_experiment(config)
+    got = [
+        (lr.level, qi, q.characteristics, q.ratios)
+        for lr in report.levels
+        for qi, q in enumerate(lr.quads)
+    ]
+    assert got == _bloom_by_public_calls(config)
+
+
+def test_bloom_takes_each_distinct_characteristic_once(monkeypatch):
+    # the default quads name 8 distinct (weight, p, q) keys among their 12
+    # weights: quad 0 repeats (0.0, 0.5), and quad 1 ends with it
+    import dyadica.paracomm as paracomm
+
+    calls = []
+    characteristic = paracomm.apq_characteristic
+
+    def counted(w, p, q):
+        calls.append((p, q))
+        return characteristic(w, p, q)
+
+    monkeypatch.setattr(paracomm, "apq_characteristic", counted)
+    config = BloomConfig(levels=(3, 4, 5), n_samples=2)
+    report = bloom_experiment(config)
+    assert len(calls) == 8 * 3
+    want = {(level, qi): chars for level, qi, chars, _ in _bloom_by_public_calls(config)}
+    for lr in report.levels:
+        for qi, q in enumerate(lr.quads):
+            assert q.characteristics == want[lr.level, qi]
 
 
 def test_bloom_and_rect_norm_never_form_the_weight(monkeypatch):
