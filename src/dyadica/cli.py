@@ -37,8 +37,9 @@ from .dyadic import DyadicSystem, GoodParams, default_gamma
 from .errors import ConfigurationError, DyadicaError
 from .fracops import maximal_table, verify_representation
 from .grid import _check_lambda, build_axis, grid_function, l2_norm, tabulate_midpoint
-from .haar import haar_expand, level_average, level_difference
-from .paracomm import BloomConfig, _decompose, _expand, _stacks, bloom_experiment
+from .haar import _chain_sum, _cube_means, haar_analyze, haar_synthesize
+from .paracomm import _DECOMPOSE_FLOATS, _EXPAND_FLOATS, BloomConfig, _decompose
+from .paracomm import _expansion, _stacks, bloom_experiment
 from .weights import apq_characteristic, exponent_solve, power_weight
 
 __all__ = [
@@ -102,6 +103,16 @@ def _checked(name: str, rule, *args):
         _fail(name, str(exc))
 
 
+def _distinct(name: str, values, label) -> None:
+    """Fail the first entry of ``values`` whose record label ``label(value)``
+    repeats an earlier entry's: two records of one name cannot both stand."""
+    seen = {}
+    for idx, value in enumerate(values):
+        first = seen.setdefault(label(value), idx)
+        if first != idx:
+            _fail(f"{name}[{idx}]", f"gives the label {label(value)!r} of {name}[{first}]")
+
+
 def _floats(values) -> tuple:
     return tuple(float(v) for v in values)
 
@@ -125,12 +136,14 @@ def _config_from_mapping(data: Mapping) -> ExperimentConfig:
         _fail("levels", "must be non-empty")
     for idx, lv in enumerate(levels):
         _checked(f"levels[{idx}]", build_axis, lv)
+    _distinct("levels", levels, str)
 
     lambdas = _parse("lambdas", _floats, data["lambdas"])
     if not lambdas:
         _fail("lambdas", "must be non-empty")
     for idx, lam in enumerate(lambdas):
         _checked(f"lambdas[{idx}]", _check_lambda, lam)
+    _distinct("lambdas", lambdas, lambda lam: f"{lam:g}")
 
     exponents = _parse("exponents", lambda v: tuple(map(_floats, v)), data["exponents"])
     if not exponents:
@@ -301,36 +314,53 @@ def _suite_rng(config: ExperimentConfig, suite: str) -> np.random.Generator:
     return np.random.default_rng((config.seed, SUITES.index(suite)))
 
 
-def _sample_pairs(rng: np.random.Generator, count: int, n: int):
+def _sample_pairs(rng: np.random.Generator, count: int, n: int, footprint: int):
     """``count`` pairs of n x n value tables (b, f), drawn b then f pair by
-    pair, yielded as stacks: the first pair's index and the b and f stacks."""
-    for lo, hi in _stacks(count, n * n):
+    pair, yielded as stacks for a helper of ``footprint`` floats per cell:
+    the first pair's index and the b and f stacks."""
+    for lo, hi in _stacks(count, n * n, footprint):
         B, F = np.ascontiguousarray(rng.normal(size=(hi - lo, 2, n, n)).swapaxes(0, 1))
         yield lo, B, F
 
 
+# haar-verify's work on a stack of samples, per offset: the transform pair,
+# the cube means and the chain sum: 10 to 12 floats per grid cell of a sample,
+# so at L=6 all 20 samples share one stack and at L=14 each is a stack of one
+_HAAR_VERIFY_FLOATS = 12
+
+
 def _suite_haar_verify(config: ExperimentConfig):
+    """Per sample and offset, the residual of the Haar expansion and of the
+    telescoped martingale differences, for a stack of samples drawn at once.
+    The transform pair runs along the stack's cell axis, which keeps each
+    sample's bits.  The telescoping sums, coarse to fine, each cube's step
+    from its parent's mean (:func:`~dyadica.haar._chain_sum`); the means of a
+    level are ``level_average``'s bit for bit, so the steps are
+    ``level_difference``'s, and each sample's cube means are reduced alone,
+    in the order of one sample's."""
     rng = _suite_rng(config, "haar-verify")
     records, rows = [], []
     for level in config.levels:
         axis = build_axis(level)
         n = axis.n_cells
         offsets = sorted({0, 1, n // 2})
+        parent = np.arange(2 * n) >> 1
         worst_recon = 0.0
         worst_tel = 0.0
-        for s in range(config.samples):
-            f = grid_function(rng.normal(size=n), axis)
+        for lo, hi in _stacks(config.samples, n, _HAAR_VERIFY_FLOATS):
+            X = rng.normal(size=(hi - lo, n))
+            recon = []
             for off in offsets:
                 system = DyadicSystem(axis, off)
-                recon = haar_expand(f, system).reconstruct()
-                res = float(np.max(np.abs(recon.values - f.values)))
-                worst_recon = max(worst_recon, res)
-                total = level_average(f, system, 0).values.copy()
-                for k in range(level):
-                    total += level_difference(f, system, k).values
-                tel = float(np.max(np.abs(total - f.values)))
-                worst_tel = max(worst_tel, tel)
-                rows.append(("haar-verify", f"L{level}-off{off}-s{s}", res))
+                back = haar_synthesize(haar_analyze(X, system, 1), system, 1)
+                recon.append(np.max(np.abs(back - X), axis=1).tolist())
+                R = np.stack([_cube_means(x, system, 0) for x in X])
+                total = _chain_sum(R - R[:, parent], ((1, system),), first=1)
+                worst_tel = max(worst_tel, float(np.max(np.abs(total - X))))
+            for s, values in enumerate(zip(*recon), lo):
+                worst_recon = max(worst_recon, *values)
+                for off, value in zip(offsets, values):
+                    rows.append(("haar-verify", f"L{level}-off{off}-s{s}", value))
         records.append(
             _check(
                 f"haar-verify-reconstruction-L{level}",
@@ -498,7 +528,7 @@ def _suite_decompose(config: ExperimentConfig):
         per = _per_axis(level)
         axis = build_axis(per)
         pair = (DyadicSystem(axis, 0), DyadicSystem(axis, 1 % axis.n_cells))
-        for lo, B, F in _sample_pairs(rng, config.samples, axis.n_cells):
+        for lo, B, F in _sample_pairs(rng, config.samples, axis.n_cells, _DECOMPOSE_FLOATS):
             residual = _decompose(B, F, *pair)[2]
             scale = np.max(np.abs(B * F), axis=(-2, -1))
             for s, rel in enumerate((residual / scale).tolist(), lo):
@@ -528,8 +558,10 @@ def _suite_commutator(config: ExperimentConfig):
         for ci, (i, j, s_, t_) in enumerate(depth_cases):
             t1 = maximal_table(s1, i, j, lam1)
             t2 = maximal_table(s2, s_, t_, lam2)
-            for lo, B, F in _sample_pairs(rng, min(config.samples, 10), axis.n_cells):
-                residual = _expand(B, F, t1, t2, s1, s2)[2]
+            expand = _expansion(t1, t2, s1, s2)
+            count = min(config.samples, 10)
+            for lo, B, F in _sample_pairs(rng, count, axis.n_cells, _EXPAND_FLOATS):
+                residual = expand(B, F)[2]
                 for s, value in enumerate(residual.tolist(), lo):
                     worst = max(worst, value)
                     rows.append(("commutator", f"L{per}x{per}-c{ci}-s{s}", value))

@@ -26,10 +26,11 @@ four terms of the iterated commutator are written once, in
 
 Sample ensembles are evaluated as stacks: every private helper reads its
 value tables on the last two array axes, so one numpy call serves a whole
-stack of samples.  A stack holds at most ``_STACK_CELLS`` grid cells
-(``_stacks`` splits an ensemble), so the samples of small grids share
-stacks and a grid of that size or more is a stack of one.  The public
-single-sample functions call the same helpers on one table.
+stack of samples.  Stacks share one budget of ``_STACK_FLOATS`` working
+floats: each stacked helper states its footprint in floats per grid cell of
+one sample, and ``_stacks`` splits an ensemble into stacks that fit, so the
+samples of small grids share stacks and a large grid is a stack of one.
+The public single-sample functions call the same helpers on one table.
 """
 
 from __future__ import annotations
@@ -81,17 +82,25 @@ _TAG_KINDS = {
 }
 PARAPRODUCT_TAGS = tuple(_TAG_KINDS)
 
-# most grid cells one sample stack holds: a stack's working arrays take
-# up to 100 floats per cell, so 16 x 16 grids go in stacks of 4 samples and
-# a grid of 32 x 32 or more is a stack of one
-_STACK_CELLS = 1 << 10
+# working floats one sample stack may hold (1 MiB): a helper's stack size is
+# this budget over its footprint, its peak traced allocation (tracemalloc) in
+# floats per grid cell of one sample, inputs included
+_STACK_FLOATS = 1 << 17
+# an _expansion stack peaks near 120 floats per cell and a _decompose stack
+# near 100; both are charged 128, so 16 x 16 grids go in stacks of 4 samples
+# and a grid of 32 x 32 or more is a stack of one
+_EXPAND_FLOATS = _DECOMPOSE_FLOATS = 128
+# bloom's refined samples, iterated commutator and norms: near 9.5 floats per
+# cell, so a quad's 10 samples share one stack up to 32 x 32
+_BLOOM_FLOATS = 10
 
 
-def _stacks(count: int, cells: int):
+def _stacks(count: int, cells: int, footprint: int):
     """Bounds ``(lo, hi)`` of the consecutive stacks that cover ``count``
-    samples of ``cells`` grid cells each, at most ``_STACK_CELLS`` cells (and
-    at least one sample) per stack."""
-    size = max(1, _STACK_CELLS // cells)
+    samples of ``cells`` grid cells each, for a helper that holds
+    ``footprint`` floats per cell: at most ``_STACK_FLOATS`` floats (and at
+    least one sample) per stack."""
+    size = max(1, _STACK_FLOATS // (cells * footprint))
     return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
@@ -293,10 +302,12 @@ def _leftover_term(Rb, F, table1, table2, sys1, sys2) -> np.ndarray:
     return haar_synthesize(haar_synthesize(Ecoef, sys1, -2), sys2, -1)
 
 
-def _expand(B: np.ndarray, F: np.ndarray, table1, table2, sys1, sys2):
-    """:func:`shift_commutator_expand` of each pair of value tables on the
-    last two axes of ``B`` and ``F``: the leftover term, the eight groups on
-    a new leading axis in tag order, and each pair's residual."""
+def _expansion(table1, table2, sys1, sys2):
+    """:func:`shift_commutator_expand` of one pair of shift tables as a
+    function of stacks: ``expand(B, F)`` gives, for each pair of value tables
+    on the last two axes of ``B`` and ``F``, the leftover term, the eight
+    groups on a new leading axis in tag order, and the pair's residual.  The
+    two shift matrices are built once, here, for every stack."""
     M1 = _shift_matrix(sys1, table1)
     M2 = _shift_matrix(sys2, table2)
 
@@ -306,18 +317,21 @@ def _expand(B: np.ndarray, F: np.ndarray, table1, table2, sys1, sys2):
     def s2(x):
         return x @ M2.T
 
-    direct = _iterated_commutator(B, F, s1, s2)
-    Rb = _pyramid(B, sys1, sys2)
-    views_b = _scale_views(Rb)
-    tags = PARAPRODUCT_TAGS[:-1]  # A1..A8; W is the leftover
-    # per commutator term, b's product replaced by the eight tags' parts
-    groups = 0.0
-    for outer, inner in _commutator_terms(s1, s2):
-        P = _products(views_b, inner(F), sys1, sys2, tags)
-        groups = groups + outer(_chain_sum(P, ((-2, sys1), (-1, sys2))))
-    e_term = _leftover_term(Rb, F, table1, table2, sys1, sys2)
-    residual = np.max(np.abs(direct - (e_term + sum(groups))), axis=(-2, -1))
-    return e_term, groups, residual
+    def expand(B: np.ndarray, F: np.ndarray):
+        direct = _iterated_commutator(B, F, s1, s2)
+        Rb = _pyramid(B, sys1, sys2)
+        views_b = _scale_views(Rb)
+        tags = PARAPRODUCT_TAGS[:-1]  # A1..A8; W is the leftover
+        # per commutator term, b's product replaced by the eight tags' parts
+        groups = 0.0
+        for outer, inner in _commutator_terms(s1, s2):
+            P = _products(views_b, inner(F), sys1, sys2, tags)
+            groups = groups + outer(_chain_sum(P, ((-2, sys1), (-1, sys2))))
+        e_term = _leftover_term(Rb, F, table1, table2, sys1, sys2)
+        residual = np.max(np.abs(direct - (e_term + sum(groups))), axis=(-2, -1))
+        return e_term, groups, residual
+
+    return expand
 
 
 def shift_commutator_expand(
@@ -335,7 +349,8 @@ def shift_commutator_expand(
     rounding noise).
     """
     sys1, sys2 = _shared_pair(b, f, systems)
-    e_term, groups, residual = _expand(b.values, f.values, table1, table2, sys1, sys2)
+    expand = _expansion(table1, table2, sys1, sys2)
+    e_term, groups, residual = expand(b.values, f.values)
     return CommutatorExpansion(
         e_term=b.with_values(e_term),
         paraproduct_terms=dict(zip(PARAPRODUCT_TAGS[:-1], map(b.with_values, groups))),
@@ -481,7 +496,7 @@ def bloom_experiment(config: BloomConfig) -> BloomReport:
             means = _rect_weight_means(bloom_weight(mu1, sg1, mu2, sg2), *pair)
             w_com, w_src = (sg1.power(q1), sg2.power(q2)), (mu1.power(p1), mu2.power(p2))
             bmo, num, src = [], [], []
-            for lo, hi in _stacks(count, axis.n_cells**2):
+            for lo, hi in _stacks(count, axis.n_cells**2, _BLOOM_FLOATS):
                 B, F = (_refine(coarse[qi, lo:hi, k], factor) for k in (0, 1))
                 com = _iterated_commutator(B, F, t1, t2)
                 bmo += _bmo_prod_rect(B, means, *pair).tolist()

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +90,25 @@ def test_config_validation_errors(tmp_path):
         path = write_config(tmp_path, data)
         with pytest.raises(ConfigurationError, match=needle):
             load_config(path)
+
+
+@pytest.mark.parametrize(
+    "field, values, entry, why",
+    [
+        # two haar-verify-reconstruction-L4 records
+        ("levels", [4, 6, 4], "levels[2]", "gives the label '4' of levels[0]"),
+        # two represent-identity-lam0.5 records: 0.5000001 prints as 0.5
+        ("lambdas", [0.5, 0.5000001], "lambdas[1]", "gives the label '0.5' of lambdas[0]"),
+    ],
+    ids=("levels", "lambdas"),
+)
+def test_entries_that_repeat_a_record_name_exit_2(tmp_path, capsys, field, values, entry, why):
+    path = write_config(tmp_path, {"suite": "all", "seed": 1, field: values})
+    with pytest.raises(ConfigurationError, match=re.escape(f"{entry!r}: {why}")):
+        load_config(path)
+    assert main(["all", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert f"invalid field {entry!r}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -323,19 +343,83 @@ def _two_axis_rows_by_public_calls(config, suite):
 
 
 @pytest.mark.parametrize("suite", ("decompose", "commutator"))
-@pytest.mark.parametrize("cap", (None, 3 * 256))
-def test_stacked_suites_match_single_sample_calls_bitwise(monkeypatch, suite, cap):
-    # at 16 x 16 the default cap splits 10 samples into stacks of 4, 4 and
-    # 2, a cap of 3 * 256 cells into stacks of 3, 3, 3 and 1
+@pytest.mark.parametrize("cells", (None, 3 * 256))
+def test_stacked_suites_match_single_sample_calls_bitwise(monkeypatch, suite, cells):
+    # at 16 x 16 the default budget splits 10 samples into stacks of 4, 4
+    # and 2, a budget of 3 * 256 cells' floats into stacks of 3, 3, 3 and 1
     import dyadica.paracomm as paracomm
 
-    if cap is not None:
-        monkeypatch.setattr(paracomm, "_STACK_CELLS", cap)
+    if cells is not None:
+        monkeypatch.setattr(paracomm, "_STACK_FLOATS", cells * paracomm._EXPAND_FLOATS)
     config = ExperimentConfig(suite=suite, seed=3, levels=(6, 4), samples=10)
     records, rows = cli._SUITE_FUNCTIONS[suite](config)
     want = _two_axis_rows_by_public_calls(config, suite)
     assert rows == want
     assert records[0].value == max(value for _, _, value in want)
+
+
+def test_commutator_suite_builds_each_shift_matrix_once_per_depth_case(monkeypatch):
+    # 10 samples at 16 x 16 are three stacks per depth case; the case's two
+    # shift matrices serve all three
+    import dyadica.paracomm as paracomm
+
+    builds = []
+    build = paracomm._shift_matrix
+
+    def counted(system, table):
+        builds.append((system.offset_cells, table.i, table.j))
+        return build(system, table)
+
+    monkeypatch.setattr(paracomm, "_shift_matrix", counted)
+    config = ExperimentConfig(suite="commutator", seed=3, levels=(6,), samples=10)
+    _, rows = cli._SUITE_FUNCTIONS["commutator"](config)
+    assert builds == [(0, 1, 0), (8, 0, 1), (0, 0, 0), (8, 1, 1), (0, 1, 1), (8, 1, 0)]
+    monkeypatch.setattr(paracomm, "_shift_matrix", build)
+    assert rows == _two_axis_rows_by_public_calls(config, "commutator")
+
+
+def _haar_verify_by_public_calls(config):
+    """The haar-verify suite's worst values per level and sample rows from
+    public single-sample calls, one draw per sample."""
+    from dyadica.dyadic import DyadicSystem
+    from dyadica.grid import build_axis, grid_function
+    from dyadica.haar import haar_expand, level_average, level_difference
+
+    rng = cli._suite_rng(config, "haar-verify")
+    worst, rows = {}, []
+    for level in config.levels:
+        axis = build_axis(level)
+        n = axis.n_cells
+        recon_tel = [0.0, 0.0]
+        for s in range(config.samples):
+            f = grid_function(rng.normal(size=n), axis)
+            for off in sorted({0, 1, n // 2}):
+                system = DyadicSystem(axis, off)
+                res = float(np.max(np.abs(haar_expand(f, system).reconstruct().values - f.values)))
+                total = level_average(f, system, 0).values.copy()
+                for k in range(level):
+                    total += level_difference(f, system, k).values
+                tel = float(np.max(np.abs(total - f.values)))
+                recon_tel = [max(recon_tel[0], res), max(recon_tel[1], tel)]
+                rows.append(("haar-verify", f"L{level}-off{off}-s{s}", res))
+        worst[f"haar-verify-reconstruction-L{level}"] = recon_tel[0]
+        worst[f"haar-verify-telescoping-L{level}"] = recon_tel[1]
+    return worst, rows
+
+
+@pytest.mark.parametrize("cells", (None, 3 * 64))
+def test_haar_verify_matches_single_sample_calls_bitwise(monkeypatch, cells):
+    # by default each level's 7 samples share one stack; a budget of 3 * 64
+    # cells' floats splits them 3, 3 and 1 at level 6 and 1 by 1 at level 8
+    import dyadica.paracomm as paracomm
+
+    if cells is not None:
+        monkeypatch.setattr(paracomm, "_STACK_FLOATS", cells * cli._HAAR_VERIFY_FLOATS)
+    config = ExperimentConfig(suite="haar-verify", seed=4, levels=(6, 3, 8), samples=7)
+    records, rows = cli._SUITE_FUNCTIONS["haar-verify"](config)
+    worst, want = _haar_verify_by_public_calls(config)
+    assert rows == want
+    assert {r.name: r.value for r in records} == worst
 
 
 def test_strict_mode_promotes_stability_warnings(tmp_path, monkeypatch):

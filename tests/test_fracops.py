@@ -576,9 +576,7 @@ def test_scan_system_classes_agree_with_classify_pair(gamma):
         n = 1 << L
         sys = dyadic.DyadicSystem(grid.build_axis(L), 21 % n)
         ones = np.ones((n, 1))
-        _, counts, _, _ = fracops._scan_lattice(
-            sys.axis, 0.5, params, np.ones((n, L)), ones, ones
-        )
+        _, counts, _, _ = fracops._scan_lattice(sys.axis, 0.5, params, ones, ones)
         want = dict.fromkeys(counts, 0)
         for kI in range(L):
             for mI in range(1 << kI):
@@ -590,6 +588,42 @@ def test_scan_system_classes_agree_with_classify_pair(gamma):
                         J = sys.cube(kJ, mJ)
                         want[fracops.classify_pair(I, J, params).tag] += 1
         assert counts == want
+
+
+def test_representation_classes_are_measured_once_per_key(monkeypatch):
+    # the first call of a key measures the classes in its one block walk,
+    # later calls walk the blocks for the pairings only; every report equals
+    # an uncached one, and its class mappings are its own
+    L, lam, params = 6, 0.4, dyadic.GoodParams(r=4, gamma=31 / 64)
+    ax = grid.build_axis(L)
+    systems = [dyadic.DyadicSystem(ax, off) for off in (0, 5, 32)]
+    rng = np.random.default_rng(8)
+    inputs = [(mean_zero(rng, 64, ax), mean_zero(rng, 64, ax)) for _ in range(3)]
+    uncached = []
+    for f, g in inputs:
+        fracops._lattice_classes.cache_clear()
+        uncached.append(fracops.verify_representation(f, g, lam, params, systems))
+    assert all(uncached[0].class_profiles.values()) and all(uncached[0].class_counts.values())
+
+    walks, classed = [], []
+    join_level, pair_class = fracops._join_level, fracops._pair_class
+    monkeypatch.setattr(fracops, "_join_level", lambda *a: walks.append(a) or join_level(*a))
+    monkeypatch.setattr(fracops, "_pair_class", lambda *a: classed.append(a) or pair_class(*a))
+    fracops._lattice_classes.cache_clear()
+    blocks = []
+    for (f, g), want in zip(inputs, uncached):
+        walks.clear(), classed.clear()
+        rep = fracops.verify_representation(f, g, lam, params, systems)
+        blocks.append((len(walks), len(classed)))
+        assert rep.class_profiles == want.class_profiles
+        assert rep.class_counts == want.class_counts
+        assert rep.class_constants == want.class_constants
+        assert rep.pair_energies == want.pair_energies
+        assert rep.residuals == want.residuals
+        rep.class_profiles["near"].clear()  # must not reach the next report
+        del rep.class_profiles["out"]
+        rep.class_counts["deep_in"] = -1
+    assert blocks == [(L * L, L * (L + 1) // 2), (L * L, 0), (L * L, 0)]
 
 
 def test_representation_coefficients_match_scalar_op(rng):

@@ -482,14 +482,14 @@ def test_shift_expansion_holds_one_factor_table_at_a_time():
     ),
 )
 def test_stacked_expansion_matches_single_samples_bitwise(level, offsets, depths):
-    from dyadica.paracomm import _expand
+    from dyadica.paracomm import _expansion
 
     s1, s2 = system_pair(level, *offsets)
     (i, j), (s_, t_) = depths
     t1, t2 = maximal_table(s1, i, j, 0.5), maximal_table(s2, s_, t_, 0.3)
     n = s1.axis.n_cells
     B, F = np.random.default_rng(level).normal(size=(2, 10, n, n))
-    e_term, groups, residual = _expand(B, F, t1, t2, s1, s2)
+    e_term, groups, residual = _expansion(t1, t2, s1, s2)(B, F)
     assert groups.shape == (8,) + B.shape and residual.shape == (10,)
     for k in range(10):
         b, f = (grid_function(x[k], s1.axis, s2.axis) for x in (B, F))
@@ -659,14 +659,15 @@ def _bloom_by_public_calls(config):
     return out
 
 
-@pytest.mark.parametrize("cap", (None, 7 * 64))
-def test_stacked_bloom_matches_single_sample_calls_bitwise(monkeypatch, cap):
-    # cap 7 * 64 cells: at level 3 each quad's 10 samples go in stacks of
-    # 7 and 3; from level 4 a stack holds one sample
+@pytest.mark.parametrize("cells", (None, 7 * 64))
+def test_stacked_bloom_matches_single_sample_calls_bitwise(monkeypatch, cells):
+    # by default each quad's 10 samples share one stack up to level 5; a
+    # budget of 7 * 64 cells' floats splits them 7 and 3 at level 3, and
+    # from level 4 a stack holds one sample
     import dyadica.paracomm as paracomm
 
-    if cap is not None:
-        monkeypatch.setattr(paracomm, "_STACK_CELLS", cap)
+    if cells is not None:
+        monkeypatch.setattr(paracomm, "_STACK_FLOATS", cells * paracomm._BLOOM_FLOATS)
     config = BloomConfig(levels=(3, 4, 5), n_samples=10, seed=1)
     report = bloom_experiment(config)
     got = [
