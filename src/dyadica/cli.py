@@ -334,9 +334,9 @@ def _suite_haar_verify(config: ExperimentConfig):
     telescoped martingale differences, for a stack of samples drawn at once.
     The transform pair runs along the stack's cell axis, which keeps each
     sample's bits.  The telescoping sums, coarse to fine, each cube's step
-    from its parent's mean (:func:`~dyadica.haar._chain_sum`); the means of a
-    level are ``level_average``'s bit for bit, so the steps are
-    ``level_difference``'s, and each sample's cube means are reduced alone,
+    from its parent's mean (:func:`~dyadica.haar._chain_sum`); the means are
+    the cube means ``level_average`` and ``level_difference`` spread, so the
+    steps are theirs by construction; each sample's means are reduced alone,
     in the order of one sample's."""
     rng = _suite_rng(config, "haar-verify")
     records, rows = [], []
@@ -524,8 +524,8 @@ def _suite_decompose(config: ExperimentConfig):
     rng = _suite_rng(config, "decompose")
     records, rows = [], []
     worst = 0.0
-    for level in config.levels:
-        per = _per_axis(level)
+    # each distinct per-axis level once: a repeat would repeat its labels
+    for per in dict.fromkeys(map(_per_axis, config.levels)):
         axis = build_axis(per)
         pair = (DyadicSystem(axis, 0), DyadicSystem(axis, 1 % axis.n_cells))
         for lo, B, F in _sample_pairs(rng, config.samples, axis.n_cells, _DECOMPOSE_FLOATS):
@@ -546,8 +546,8 @@ def _suite_commutator(config: ExperimentConfig):
     lam1 = config.lambdas[0]
     lam2 = config.lambdas[-1]
     worst = 0.0
-    for level in config.levels:
-        per = _per_axis(level)
+    # each distinct per-axis level once: a repeat would repeat its labels
+    for per in dict.fromkeys(map(_per_axis, config.levels)):
         axis = build_axis(per)
         s1 = DyadicSystem(axis, 0)
         s2 = DyadicSystem(axis, axis.n_cells // 2)

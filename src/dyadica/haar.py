@@ -10,15 +10,15 @@ Coefficient tables are arrays in :func:`basis_column` order per axis
 (:func:`column_cubes` decodes columns back to cubes);
 :func:`haar_matrix`, the synthesized identity, is the dense reference.
 
-Martingale calculus rests on one primitive: block means along one axis,
-one cyclic shift and one reshape and block sum per level.  One per cube in
-:func:`basis_column` order they are the engine every library path reads:
-2n cube means per axis, over two axes the pyramid R[c1, c2] of 4 n1 n2
-means; a column's step from its parent is a martingale difference, and a
-chain sum (or max) folds each cell's columns into its value.  Spread over
-the cells they are the expectation stack E_0 .. E_L behind the public level
-operators.  Block operators restrict a difference to one cube, or to one
-rectangle by composing the factors.
+Martingale calculus rests on one primitive, the one block-mean reducer
+:func:`_cube_means`: one cyclic shift and one reshape and block sum per
+level give one mean per cube in :func:`basis_column` order, 2n per axis,
+over two axes the pyramid R[c1, c2] of 4 n1 n2 means.  Every path reads
+them: a column's step from its parent is a martingale difference, a chain
+sum (or max) folds each cell's columns into its value, and spread back
+over the cells they are the expectation stack E_0 .. E_L, the public level
+operators and the rectangle table.  Block operators restrict a difference
+to one cube, or to one rectangle by composing the factors.
 """
 
 from __future__ import annotations
@@ -195,26 +195,6 @@ def _axis_position(f: GridFunction, system: DyadicSystem, axis_index) -> int:
 # -- averaging and differences --------------------------------------------
 
 
-def _stack(vals: np.ndarray, pos: int, offset: int, levels: range) -> np.ndarray:
-    """``E_k`` along array axis ``pos`` for ``k`` in ``levels``, stacked on a
-    new leading axis: one cyclic shift to put the lattice's first cube at
-    cell 0, one reshape and block sum per level, one shift back (no shifts
-    at offset 0).  Each level is reduced as a lone level would be, so its
-    bits do not depend on ``levels``."""
-    v = np.moveaxis(vals, pos, 0)
-    if offset:
-        v = _shifted(v, -offset, 0)
-    n = v.shape[0]
-    out = np.empty((len(levels),) + v.shape)
-    for i, level in enumerate(levels):
-        shape = (1 << level, n >> level) + v.shape[1:]
-        sums = np.add.reduce(v.reshape(shape), axis=1, keepdims=True)
-        out[i].reshape(shape)[...] = sums / (n >> level)
-    if offset:
-        out = _shifted(out, offset, 1)
-    return np.moveaxis(out, 1, pos + 1)
-
-
 def expectation_stack(
     f: GridFunction, system: DyadicSystem, axis_index=None
 ) -> np.ndarray:
@@ -223,7 +203,7 @@ def expectation_stack(
     ``level_average(f, system, k, axis_index).values``; consecutive
     differences along the first axis are the martingale differences."""
     pos = _axis_position(f, system, axis_index)
-    return _stack(f.values, pos, system.offset_cells, range(system.axis.level + 1))
+    return _spread(f.values, system, pos, range(system.axis.level + 1))
 
 
 def rectangle_table(
@@ -232,27 +212,42 @@ def rectangle_table(
     """Rectangle averages of a two-axis function at every level pair:
     ``T[k1, k2]`` is the level-``k1`` average in the first variable, then
     the level-``k2`` average in the second, bit for bit the nested
-    :func:`level_average` calls; shape ``(L1 + 1, L2 + 1, n1, n2)``.  No
-    library path reads it: it is the reference for :func:`_pyramid`."""
+    :func:`level_average` calls; shape ``(L1 + 1, L2 + 1, n1, n2)``: the
+    means of :func:`_pyramid`, spread over the cells."""
     first = expectation_stack(f, system1, 1)
     _axis_position(f, system2, 2)
-    both = _stack(first, 2, system2.offset_cells, range(system2.axis.level + 1))
+    both = _spread(first, system2, 2, range(system2.axis.level + 1))
     return np.ascontiguousarray(both.swapaxes(0, 1))
 
 
-def _cube_means(vals: np.ndarray, system: DyadicSystem, pos: int) -> np.ndarray:
+def _cube_means(vals: np.ndarray, system: DyadicSystem, pos: int, levels=None) -> np.ndarray:
     """Cube means along array axis ``pos``, one per :func:`basis_column`:
-    that axis grows to ``2n`` entries, entry 0 (no cube) zero.  Each level
-    is reduced as :func:`_stack` reduces it, so the bits are its bits."""
+    that axis grows to ``2n`` entries, entry 0 (no cube) zero, and so do the
+    columns of levels not in ``levels`` (default every level).  Each level
+    is reduced alone, so its bits do not depend on ``levels``."""
     v = np.moveaxis(vals, pos, 0)
     if system.offset_cells:
         v = _shifted(v, -system.offset_cells, 0)
     n = v.shape[0]
     out = np.zeros((2 * n,) + v.shape[1:])
-    for level in range(system.axis.level + 1):
+    for level in range(system.axis.level + 1) if levels is None else levels:
         blocks = v.reshape((1 << level, n >> level) + v.shape[1:])
         out[1 << level : 2 << level] = np.add.reduce(blocks, axis=1) / (n >> level)
     return np.moveaxis(out, 0, pos)
+
+
+def _spread(vals: np.ndarray, system: DyadicSystem, pos: int, levels: range) -> np.ndarray:
+    """``E_k`` along array axis ``pos`` for ``k`` in ``levels``, stacked on a
+    new leading axis: each cell takes the :func:`_cube_means` entry of its
+    level-``k`` cube."""
+    means = np.moveaxis(_cube_means(vals, system, pos, levels), pos, 0)
+    n, rest = system.axis.n_cells, means.shape[1:]
+    out = np.empty((len(levels), n) + rest)
+    for i, level in enumerate(levels):
+        out[i].reshape((1 << level, n >> level) + rest)[...] = means[1 << level : 2 << level, None]
+    if system.offset_cells:
+        out = _shifted(out, system.offset_cells, 1)
+    return np.moveaxis(out, 1, pos + 1)
 
 
 def _pyramid(vals: np.ndarray, system1: DyadicSystem, system2: DyadicSystem) -> np.ndarray:
@@ -283,13 +278,16 @@ def _scale_views(R: np.ndarray) -> dict:
 def _chain_sum(P: np.ndarray, axes, first: int = 2, op=np.add) -> np.ndarray:
     """Cell values of ``P``, heap-indexed along each (array axis, system) in
     ``axes``: per axis, coarse to fine, each cell folds with ``op`` (``np.add``
-    or ``np.maximum``) ``P`` at its cubes' columns ``>= first``.  Overwrites ``P``."""
+    or ``np.maximum``) ``P`` at its cubes' columns ``>= first``.  Overwrites ``P``;
+    at offset 0 the result is a view of it."""
     for pos, system in axes:
         v = np.moveaxis(P, pos, 0)
         for k in range(first.bit_length(), system.axis.level + 1):
             fine = v[1 << k : 2 << k]
             op(fine, np.repeat(v[1 << (k - 1) : 1 << k], 2, axis=0), out=fine)
-        cells = _shifted(v[system.axis.n_cells :], system.offset_cells, 0)
+        cells = v[system.axis.n_cells :]
+        if system.offset_cells:
+            cells = _shifted(cells, system.offset_cells, 0)
         P = np.moveaxis(cells, 0, pos)
     return P
 
@@ -306,7 +304,7 @@ def level_average(
         raise ResolutionError(
             f"level {level} outside [0, {system.axis.level}]"
         )
-    (avg,) = _stack(f.values, pos, system.offset_cells, range(level, level + 1))
+    (avg,) = _spread(f.values, system, pos, range(level, level + 1))
     return f.with_values(avg)
 
 
@@ -321,7 +319,7 @@ def level_difference(
         raise ResolutionError(
             f"difference level {level} outside [0, {system.axis.level})"
         )
-    coarse, fine = _stack(f.values, pos, system.offset_cells, range(level, level + 2))
+    coarse, fine = _spread(f.values, system, pos, range(level, level + 2))
     return f.with_values(fine - coarse)
 
 

@@ -1,6 +1,7 @@
 """Tests for config loading, suite orchestration, and report emission."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -314,8 +315,7 @@ def _two_axis_rows_by_public_calls(config, suite):
 
     rng = cli._suite_rng(config, suite)
     rows = []
-    for level in config.levels:
-        per = cli._per_axis(level)
+    for per in dict.fromkeys(cli._per_axis(level) for level in config.levels):
         axis = build_axis(per)
         n = axis.n_cells
 
@@ -356,6 +356,20 @@ def test_stacked_suites_match_single_sample_calls_bitwise(monkeypatch, suite, ce
     want = _two_axis_rows_by_public_calls(config, suite)
     assert rows == want
     assert records[0].value == max(value for _, _, value in want)
+
+
+@pytest.mark.parametrize("suite", ("decompose", "commutator"))
+def test_levels_with_one_per_axis_level_write_each_label_once(tmp_path, suite):
+    # levels 6 and 7 both give 4 levels per axis: the suite runs them once,
+    # on the stream of a config with level 6 alone
+    data = {"suite": suite, "seed": 1, "levels": [6, 7], "samples": 3}
+    config = load_config(write_config(tmp_path, data))
+    _, rows = cli._SUITE_FUNCTIONS[suite](config)
+    labels = [label for _, label, _ in rows]
+    assert labels and len(labels) == len(set(labels))
+    assert all(label.startswith("L4x4-") for label in labels)
+    _, alone = cli._SUITE_FUNCTIONS[suite](dataclasses.replace(config, levels=(6,)))
+    assert rows == alone
 
 
 def test_commutator_suite_builds_each_shift_matrix_once_per_depth_case(monkeypatch):

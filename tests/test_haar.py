@@ -370,9 +370,14 @@ def test_pyramid_matches_rectangle_table_at_start_cells(L1, L2, kind1, kind2, se
     assert R.shape == (2 * a1.n_cells, 2 * a2.n_cells)
     assert not R[0].any() and not R[:, 0].any()
     T = haar.rectangle_table(grid.grid_function(vals, a1, a2), s1, s2)
+    # the reference table, nested stacks with the second axis's levels leading
+    ref = oracles.expectation_stack_reference(vals, 0, s1.offset_cells, range(L1 + 1))
+    ref = oracles.expectation_stack_reference(ref, 2, s2.offset_cells, range(L2 + 1))
+    ref = ref.swapaxes(0, 1)
+    assert np.array_equal(T, ref)
     level1, start1 = haar.column_cubes(np.arange(1, 2 * a1.n_cells), s1)
     level2, start2 = haar.column_cubes(np.arange(1, 2 * a2.n_cells), s2)
-    want = T[level1[:, None], level2, start1[:, None], start2]
+    want = ref[level1[:, None], level2, start1[:, None], start2]
     assert np.array_equal(R[1:, 1:], want)
 
 
@@ -388,8 +393,9 @@ def test_stack_matches_rolled_mean_bitwise(n, other, pos):
     # a stack of two, as rectangle_table passes the first axis's stack
     cases = ((vals, pos), (np.stack((vals, -vals)), pos + 1))
     for (v, p), offset in itertools.product(cases, (0, 1, n - 1)):
+        system = dyadic.DyadicSystem(grid.build_axis(L), offset)
         for levels in (range(L + 1), range(L, L + 1), range(0, 1), range(1, L)):
-            got = haar._stack(v, p, offset, levels)
+            got = haar._spread(v, system, p, levels)
             want = oracles.expectation_stack_reference(v, p, offset, levels)
             assert np.array_equal(got, want), (v.ndim, offset, levels)
 
