@@ -113,8 +113,15 @@ def _distinct(name: str, values, label) -> None:
             _fail(f"{name}[{idx}]", f"gives the label {label(value)!r} of {name}[{first}]")
 
 
+def _number(value) -> float:
+    """A JSON number as a float; a string, boolean or null has the wrong type."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
 def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
+    return tuple(_number(v) for v in values)
 
 
 def _config_from_mapping(data: Mapping) -> ExperimentConfig:
@@ -169,7 +176,7 @@ def _config_from_mapping(data: Mapping) -> ExperimentConfig:
     _checked("r", GoodParams, r)
     gamma = data["gamma"]
     if gamma is not None:
-        gamma = _parse("gamma", float, gamma)
+        gamma = _parse("gamma", _number, gamma)
         _checked("gamma", GoodParams, r, gamma)
 
     samples = data["samples"]

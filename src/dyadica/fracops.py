@@ -5,7 +5,7 @@ exactly at cell resolution: ``_smooth`` is its one home, a circular
 convolution with the kernel profile of exact cell-pair integrals, and no
 library path forms the dense kernel matrix, the representation harness
 included: it reads the kernel in the Haar basis from L smoothed Haar
-steps, one per level (see :func:`_kernel_block`).  On top of it this
+steps, one per level (see :func:`_blocks`).  On top of it this
 module provides the coefficient machinery used to analyse the operator
 in a shifted lattice: raw and normalized Haar coefficients, the
 four-way positional classification of cube pairs, coefficient tables for
@@ -19,12 +19,12 @@ synthesize (see :class:`ShiftCoefficientTable`).
 
 The harness does the offset-free work (Haar-basis kernel columns, goodness,
 pair classes) once, on the offset-0 lattice; each system adds only its
-column of Haar coefficients (see :func:`verify_representation`).  The class
-half of that work, profiles and counts, depends on nothing but (axis,
-lambda, goodness parameters): the first scan of a key measures it during its
-block walk and caches it, and later scans of the key walk the blocks for
-the pairings and energies only.  One function, ``_pair_class``, classes one
-pair (:func:`classify_pair`) or a block of pairs (the scan).
+column of Haar coefficients (see :func:`verify_representation`).  The
+generator ``_blocks`` walks the kernel's size-ordered level-pair blocks for
+two consumers: the class census ``_lattice_classes``, cached per (axis,
+lambda, goodness parameters), and the per-input walk ``_scan_lattice``,
+which applies each block and its transpose.  One function, ``_pair_class``,
+classes one pair (:func:`classify_pair`) or a block of pairs (the census).
 """
 
 from __future__ import annotations
@@ -362,112 +362,96 @@ def _kernel_columns(axis: Axis, lam: float) -> np.ndarray:
     return haar_analyze(_smooth(haar_synthesize(first, lattice), axis, lam), lattice)
 
 
-def _level_windows(C: np.ndarray) -> list:
-    """Per level k, the windows ``W[l, b, j] = c[l, (b + 1 + j) mod 2**k]``
-    over the level-k rows of the kernel columns ``C``
-    (:func:`_kernel_columns`), stored as one doubled line ``c[l]`` per
-    column: about 2nL floats over all levels, every block a view of them."""
-    windows = []
-    for k in range(C.shape[1]):
-        c = C[1 << k : 2 << k].T
-        windows.append(sliding_window_view(np.concatenate((c, c), axis=1)[:, 1:], 1 << k, axis=1))
-    return windows
+def _blocks(axis: Axis, lam: float):
+    """Every size-ordered block ``M[(kI, a), (kJ, b)]``, ``kI >= kJ``, of the
+    Haar-basis kernel: yields ``(kI, kJ, block, kK)`` with ``block`` a
+    read-only ``2**kI`` by ``2**kJ`` view of the kernel columns
+    (:func:`_kernel_columns`) and ``kK`` the join levels of its pairs, for
+    kI = 0 .. L-1 and, within each, kJ = 0 .. kI.
 
-
-def _kernel_block(windows: list, kI: int, kJ: int) -> np.ndarray:
-    """Block ``M[(kJ, b), (kI, a)]`` of the Haar-basis kernel, a read-only
-    view of the level windows of its columns (:func:`_level_windows`).
-
-    For ``kI <= kJ`` a circulant G shifts both cubes by ``a`` level-kI
-    widths, so the entry is ``C[2**kJ + (b - a s) mod 2**kJ, kI]`` with
-    ``s = 2**(kJ - kI)``: row b reads ``c[b], c[b - s], c[b - 2s], ...`` of
-    that column's level-kJ rows c, every s-th entry of a reversed window.
-    G is symmetric, so a block with ``kI > kJ`` is the transpose of its
-    mirror (the non-standard form of Beylkin, Coifman and Rokhlin)."""
-    if kI > kJ:
-        return _kernel_block(windows, kJ, kI).T
-    return windows[kJ][kI, :, (1 << kJ) - 1 :: -(1 << (kJ - kI))]
+    A circulant G shifts both cubes by ``b`` level-kJ widths, so the entry
+    is ``C[2**kI + (a - b s) mod 2**kI, kJ]`` with ``s = 2**(kI - kJ)``: row
+    a reads ``c[a], c[a - s], c[a - 2s], ...`` of that column's level-kI
+    rows c, every s-th entry of a reversed window of the doubled line
+    ``c, c``.  G is symmetric, so the block of the mirror pair (kJ, kI) is
+    the transpose (the non-standard form of Beylkin, Coifman and Rokhlin).
+    """
+    C = _kernel_columns(axis, lam)
+    for kI in range(C.shape[1]):
+        c = C[1 << kI : 2 << kI].T
+        windows = sliding_window_view(np.concatenate((c, c), axis=1)[:, 1:], 1 << kI, axis=1)
+        a = np.arange(1 << kI)[:, None]
+        for kJ in range(kI + 1):
+            block = windows[kJ, :, (1 << kI) - 1 :: -(1 << (kI - kJ))]
+            yield kI, kJ, block, _join_level(kI, a, kJ, np.arange(1 << kJ))
 
 
 @lru_cache(maxsize=64)
-def _lattice_classes(axis: Axis, lam: float, params: GoodParams) -> dict:
-    """The slot that caches the class profiles and counts of the offset-0
-    lattice per (axis, lambda, params): empty until the first
-    :func:`_scan_lattice` of the key fills it during its block walk."""
-    return {}
+def _lattice_classes(axis: Axis, lam: float, params: GoodParams) -> Tuple[dict, Dict[str, int]]:
+    """Class profiles and counts of the offset-0 lattice per (axis, lambda,
+    params), from one walk of its size-ordered blocks (:func:`_blocks`).
+
+    Classes count and profile size-ordered pairs whose smaller cube is good;
+    a profile keeps an entry only above ``1e-12`` of its class's largest,
+    since smaller ones are rounding noise of entries that vanish in exact
+    arithmetic.  The mappings are cached: callers copy them.
+    """
+    L = axis.level
+    width = (L + 1) ** 2
+    lattice = DyadicSystem(axis, 0)
+    good = [~bad_mask(lattice, k, params) for k in range(L)]
+    counts = np.zeros(len(_TAGS), dtype=np.int64)
+    peaks = np.zeros(len(_TAGS) * width)
+    for kI, kJ, block, kK in _blocks(axis, lam):
+        rows = good[kI]  # the pairs whose smaller cube, at level kI, is good
+        a, kK = np.arange(1 << kI)[rows, None], kK[rows]
+        flat = (kI * (L + 1) + kJ) - (L + 2) * kK
+        normalized = np.abs(block[rows]) * 2.0 ** (0.5 * (kI + kJ)) * 2.0 ** (-lam * kK)
+        tag = _pair_class(axis, kI, a, kJ, np.arange(1 << kJ), kK, params)
+        counts += np.bincount(tag.ravel(), minlength=len(_TAGS))
+        np.maximum.at(peaks, (tag * width + flat).ravel(), normalized.ravel())
+
+    peaks = peaks.reshape(len(_TAGS), width)
+    kept = peaks > 1e-12 * peaks.max(axis=1, keepdims=True)
+    profiles = {tag: {} for tag in _TAGS}
+    for t, label in zip(*np.nonzero(kept)):
+        profiles[_TAGS[t]][divmod(int(label), L + 1)] = float(peaks[t, label])
+    return profiles, dict(zip(_TAGS, counts.tolist()))
 
 
 def _scan_lattice(
-    axis: Axis,
-    lam: float,
-    params: GoodParams,
-    CF: np.ndarray,
-    CG: np.ndarray,
-) -> Tuple[dict, Dict[str, int], dict, np.ndarray]:
-    """Class profiles and counts of the offset-0 lattice, and depth-pair
-    energies and Haar-side pairings of a batch of systems, one level-pair
-    block at a time.
+    axis: Axis, lam: float, CF: np.ndarray, CG: np.ndarray
+) -> Tuple[dict, np.ndarray]:
+    """Depth-pair energies and Haar-side pairings of a batch of systems,
+    ``CF``/``CG`` holding one column of Haar coefficients per system.
 
-    The blocks are read from the kernel's Haar-basis columns
-    (:func:`_kernel_columns`), ``CF``/``CG`` hold one column of Haar
-    coefficients per system.  The energy of depth pair (i, j) sums
-    ``|cg_J M_JI cf_I|`` over systems and over the cube pairs (I, J) lying i
-    and j levels below their join; the pairing of a system is ``cg . M cf``
-    over the Haar steps, summed from the same blocks.  Classes count and
-    profile size-ordered pairs whose smaller cube is good; a profile keeps an
-    entry only above ``1e-12`` of its class's largest, since smaller ones are
-    rounding noise of entries that vanish in exact arithmetic.  The classes
-    are measured on the first scan of (axis, lam, params) only and then read
-    from :func:`_lattice_classes`; the mappings returned are fresh copies.
+    The energy of depth pair (i, j) sums ``|cg_J M_JI cf_I|`` over systems
+    and over the cube pairs (I, J) lying i and j levels below their join;
+    the pairing of a system is ``cg . M cf`` over the Haar steps.  Each
+    size-ordered block (:func:`_blocks`) serves both orientations of its
+    level pair, itself and its transpose, so each level of ``M cf`` sums its
+    source levels in the order 0 .. L-1.
     """
     L = axis.level
     width = (L + 1) ** 2
     energy = np.zeros(width)
     aF, aG = np.abs(CF), np.abs(CG)
     MCF = np.zeros(CF.shape)
-    windows = _level_windows(_kernel_columns(axis, lam))
-    lattice = DyadicSystem(axis, 0)
-    classes = _lattice_classes(axis, lam, params)
-    measure = not classes
-    counts = np.zeros(len(_TAGS), dtype=np.int64)
-    peaks = np.zeros(len(_TAGS) * width)
-
-    for kI in range(L):
-        a = np.arange(1 << kI)  # I index, along block columns
-        colI = slice(1 << kI, 2 << kI)
-        if measure:
-            good_I = ~bad_mask(lattice, kI, params)
-        for kJ in range(L):
-            b = np.arange(1 << kJ)[:, None]  # J index, along block rows
-            colJ = slice(1 << kJ, 2 << kJ)
-            kK = _join_level(kI, a, kJ, b)
-            flat = (kI - kK) * (L + 1) + (kJ - kK)
-            block = _kernel_block(windows, kI, kJ)
-            MCF[colJ] += block @ CF[colI]
-            raw = np.abs(block)
-            contrib = raw * (aG[colJ] @ aF[colI].T)
+    for kI, kJ, block, kK in _blocks(axis, lam):
+        rows, cols = slice(1 << kI, 2 << kI), slice(1 << kJ, 2 << kJ)
+        MCF[rows] += block @ CF[cols]
+        contrib = aG[rows] @ aF[cols].T
+        contrib *= np.abs(block)
+        flat = (kJ * (L + 1) + kI) - (L + 2) * kK  # source kJ, target kI
+        energy += np.bincount(flat.ravel(), contrib.ravel(), minlength=width)
+        if kJ < kI:
+            MCF[cols] += block.T @ CF[rows]
+            contrib = aF[rows] @ aG[cols].T
+            contrib *= np.abs(block)
+            flat = (kI * (L + 1) + kJ) - (L + 2) * kK  # source kI, target kJ
             energy += np.bincount(flat.ravel(), contrib.ravel(), minlength=width)
-
-            if not measure or kI < kJ:
-                continue  # classes are measured on size-ordered pairs only
-
-            normalized = raw * 2.0 ** (0.5 * (kI + kJ)) * 2.0 ** (-lam * kK)
-            tag = _pair_class(axis, kI, a, kJ, b, kK, params)
-            sel = np.broadcast_to(good_I, tag.shape)
-            counts += np.bincount(tag[sel], minlength=len(_TAGS))
-            np.maximum.at(peaks, tag[sel] * width + flat[sel], normalized[sel])
-
-    if measure:
-        peaks = peaks.reshape(len(_TAGS), width)
-        kept = peaks > 1e-12 * peaks.max(axis=1, keepdims=True)
-        profiles = {tag: {} for tag in _TAGS}
-        for t, label in zip(*np.nonzero(kept)):
-            profiles[_TAGS[t]][divmod(int(label), L + 1)] = float(peaks[t, label])
-        classes.update(profiles=profiles, counts=dict(zip(_TAGS, counts.tolist())))
     energies = {divmod(int(idx), L + 1): float(energy[idx]) for idx in np.nonzero(energy)[0]}
-    pairings = (CG[1:] * MCF[1:]).sum(axis=0)
-    profiles = {tag: dict(profile) for tag, profile in classes["profiles"].items()}
-    return profiles, dict(classes["counts"]), energies, pairings
+    return energies, (CG[1:] * MCF[1:]).sum(axis=0)
 
 
 def verify_representation(
@@ -493,12 +477,13 @@ def verify_representation(
     profiles and counts come from the offset-0 lattice, exact up to
     rounding (counts times the number of systems).  That kernel is never
     formed: its L columns at the first cube of each level hold every entry
-    (:func:`_kernel_block`), and the scan reads it block by block.  Class
-    profiles and counts depend only on (axis, ``lam``, ``params``): they are
-    measured in the first call's scan of that key and cached, so later calls
-    with the key skip the classes; each report holds its own copies of
-    them.  Each system's coefficients ``h H_0.T f[(c + o) mod n]`` come from
-    one batched transform.  Systems are validated before any work.
+    (:func:`_blocks`).  The class census (:func:`_lattice_classes`) depends
+    only on (axis, ``lam``, ``params``), so it runs once per key and is
+    cached; each report holds its own copies of its profiles and counts.
+    The per-input walk (:func:`_scan_lattice`) reads each size-ordered block
+    once for both orientations.  Each system's coefficients
+    ``h H_0.T f[(c + o) mod n]`` come from one batched transform.  Systems
+    are validated before any work.
     """
     _check_lambda(lam)
     if len(f.axes) != 1 or len(g.axes) != 1 or f.axes != g.axes:
@@ -522,9 +507,11 @@ def verify_representation(
         cells = (np.arange(n)[:, None] + [s.offset_cells for s in systems]) % n
         CF = haar_analyze(f.values[cells], lattice)
         CG = haar_analyze(g.values[cells], lattice)
-        profiles, counts, energies, pairings = _scan_lattice(axis, lam, params, CF, CG)
+        energies, pairings = _scan_lattice(axis, lam, CF, CG)
         residuals = np.abs(inner_product(g, frac_integral(f, lam)) - pairings)
-        counts = {tag: c * len(systems) for tag, c in counts.items()}
+        cached_profiles, cached_counts = _lattice_classes(axis, lam, params)
+        profiles = {tag: dict(profile) for tag, profile in cached_profiles.items()}
+        counts = {tag: c * len(systems) for tag, c in cached_counts.items()}
 
     constants = {}
     for tag, prof in profiles.items():

@@ -341,6 +341,23 @@ def haar_vector(n, level, index, offset_cells):
     return v
 
 
+def haar_matrix_brute(system):
+    """Cell-value matrix of the constant and every Haar step of ``system``,
+    built cube by cube from the definition: column ``2**k + m`` holds
+    ``+2**(k/2)`` on the first half of the cells of cube (k, m) and
+    ``-2**(k/2)`` on the second half."""
+    n = system.axis.n_cells
+    H = np.zeros((n, n))
+    H[:, 0] = 1.0
+    for k in range(system.axis.level):
+        scale = 2.0 ** (k / 2.0)
+        for m in range(1 << k):
+            cells = DyadicCube(system, k, m).cells()
+            H[cells[: cells.size // 2], (1 << k) + m] = scale
+            H[cells[cells.size // 2 :], (1 << k) + m] = -scale
+    return H
+
+
 def bmo_prod_brute(b_values, w_values, offset1, offset2, shapes):
     """Restricted-family product BMO norm by direct summation.
 

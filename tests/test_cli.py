@@ -120,6 +120,11 @@ def test_entries_that_repeat_a_record_name_exit_2(tmp_path, capsys, field, value
         ("exponents", [1.5], "exponents"),
         ("weights", [["a", 0.5]], "weights"),
         ("gamma", "x", "gamma"),
+        # JSON strings and booleans that float() would accept
+        ("lambdas", ["0.5"], "lambdas"),
+        ("gamma", "0.3", "gamma"),
+        ("weights", [[False, "0.5"]], "weights"),
+        ("exponents", [["1.5", 0.5]], "exponents"),
     ],
 )
 def test_config_field_of_wrong_type_exits_2(tmp_path, capsys, field, value, needle):

@@ -442,22 +442,30 @@ def test_haar_basis_kernel_and_goodness_are_offset_invariant(lam):
 
 @pytest.mark.parametrize("lam", (0.05, 0.5, 0.95))
 def test_haar_kernel_blocks_match_the_dense_haar_basis_kernel(lam):
-    # every level-pair block read from the L columns equals H.T G H; blocks
-    # that vanish in exact arithmetic hold rounding noise on both sides, so
-    # the bound is relative to the kernel's largest entry
+    # every size-ordered block read from the L columns, and its transpose,
+    # equals H.T G H, so all L**2 level-pair blocks are checked; blocks that
+    # vanish in exact arithmetic hold rounding noise on both sides, so the
+    # bound is relative to the kernel's largest entry
     for L in (1, 2, 3, 6, 9):
         ax = grid.build_axis(L)
-        H = haar.haar_matrix(offset0(L))
+        lattice = offset0(L)
+        H = haar.haar_matrix(lattice)
         M = H.T @ grid.kernel_matrix(ax, lam) @ H
-        C = fracops._kernel_columns(ax, lam)
-        assert C.shape == (ax.n_cells, L)
-        windows = fracops._level_windows(C)
-        for kI in range(L):
-            for kJ in range(L):
-                block = fracops._kernel_block(windows, kI, kJ)
-                want = M[1 << kJ : 2 << kJ, 1 << kI : 2 << kI]
-                assert block.shape == want.shape
-                assert np.max(np.abs(block - want)) <= 1e-13 * np.max(np.abs(M))
+        assert fracops._kernel_columns(ax, lam).shape == (ax.n_cells, L)
+        bound = 1e-13 * np.max(np.abs(M))
+        pairs = []
+        for kI, kJ, block, kK in fracops._blocks(ax, lam):
+            pairs.append((kI, kJ))
+            assert not block.flags.writeable
+            rows, cols = slice(1 << kI, 2 << kI), slice(1 << kJ, 2 << kJ)
+            assert block.shape == kK.shape == (1 << kI, 1 << kJ)
+            assert np.max(np.abs(block - M[rows, cols])) <= bound
+            assert np.max(np.abs(block.T - M[cols, rows])) <= bound
+            if L <= 6:
+                for a, b in np.ndindex(kK.shape):
+                    join = dyadic.join(lattice.cube(kI, a), lattice.cube(kJ, b))
+                    assert kK[a, b] == join.level
+        assert pairs == [(kI, kJ) for kI in range(L) for kJ in range(kI + 1)]
 
 
 @pytest.mark.parametrize("lam", (0.3, 0.5, 0.7))
@@ -569,14 +577,13 @@ def test_representation_class_profiles_sane(rng):
 
 @pytest.mark.parametrize("gamma", (7 / 16, dyadic.default_gamma(0.3), 1 / 3, 5 / 17))
 def test_scan_system_classes_agree_with_classify_pair(gamma):
-    # the vectorized class scan counts exactly the pairs classify_pair tags
+    # the vectorized class census counts exactly the pairs classify_pair tags
     # r = 5 leaves both near and out pairs with a good smaller cube
     params = dyadic.GoodParams(r=5, gamma=gamma)
     for L in (7, 8):
         n = 1 << L
         sys = dyadic.DyadicSystem(grid.build_axis(L), 21 % n)
-        ones = np.ones((n, 1))
-        _, counts, _, _ = fracops._scan_lattice(sys.axis, 0.5, params, ones, ones)
+        _, counts = fracops._lattice_classes(sys.axis, 0.5, params)
         want = dict.fromkeys(counts, 0)
         for kI in range(L):
             for mI in range(1 << kI):
@@ -591,9 +598,10 @@ def test_scan_system_classes_agree_with_classify_pair(gamma):
 
 
 def test_representation_classes_are_measured_once_per_key(monkeypatch):
-    # the first call of a key measures the classes in its one block walk,
-    # later calls walk the blocks for the pairings only; every report equals
-    # an uncached one, and its class mappings are its own
+    # the first call of a key runs the class census and the per-input walk,
+    # each over the L(L+1)/2 size-ordered blocks; later calls run the walk
+    # only; every report equals an uncached one, and its class mappings are
+    # its own
     L, lam, params = 6, 0.4, dyadic.GoodParams(r=4, gamma=31 / 64)
     ax = grid.build_axis(L)
     systems = [dyadic.DyadicSystem(ax, off) for off in (0, 5, 32)]
@@ -623,7 +631,8 @@ def test_representation_classes_are_measured_once_per_key(monkeypatch):
         rep.class_profiles["near"].clear()  # must not reach the next report
         del rep.class_profiles["out"]
         rep.class_counts["deep_in"] = -1
-    assert blocks == [(L * L, L * (L + 1) // 2), (L * L, 0), (L * L, 0)]
+    half = L * (L + 1) // 2
+    assert blocks == [(2 * half, half), (half, 0), (half, 0)]
 
 
 def test_representation_coefficients_match_scalar_op(rng):

@@ -61,6 +61,22 @@ def test_haar_matches_oracle(rng):
         assert np.array_equal(got, want)
 
 
+def test_haar_matrix_brute_matches_haar_function():
+    # the transform tests' oracle, pinned bit for bit to the Haar steps and
+    # to the library's dense reference at every level up to L = 10
+    for L in range(1, 11):
+        n = 1 << L
+        for off in sorted({0, 1, n - 1, (n // 3) | 1}):
+            sys = dyadic.DyadicSystem(grid.build_axis(L), off)
+            H = oracles.haar_matrix_brute(sys)
+            assert np.array_equal(H[:, 0], np.ones(n))
+            for k in range(L):
+                for m in range(1 << k):
+                    want = haar.haar_function(sys.cube(k, m)).values
+                    assert np.array_equal(H[:, (1 << k) + m], want)
+            assert np.array_equal(haar.haar_matrix.__wrapped__(sys), H)
+
+
 def test_haar_matrix_orthonormal():
     for L, off in [(3, 0), (5, 9), (8, 100)]:
         sys = dyadic.DyadicSystem(grid.build_axis(L), off)
@@ -112,8 +128,8 @@ def test_transform_pair_matches_dense_haar_matrix(L, off, two_axis, pos, seed):
     x = np.random.default_rng(seed).standard_normal(shape)
     kept = x.copy()
     x.setflags(write=False)
-    # the uncached dense reference: L=10 matrices would crowd the cache
-    H = haar.haar_matrix.__wrapped__(sys)
+    # the dense reference built cube by cube, not from the transforms
+    H = oracles.haar_matrix_brute(sys)
     h = sys.axis.h
     if pos == 0:
         want_a, want_s = h * (H.T @ x), H @ x
