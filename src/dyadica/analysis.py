@@ -17,6 +17,10 @@ The product-BMO norm is a maximum over a finite family of shapes, each a
 union of cells; on the discrete mesh every such union is admissible
 because single cells are themselves dyadic rectangles.  The value is a
 lower bound for the full supremum and is monotone in the family.
+
+Every function here that takes dyadic systems checks them with
+:func:`dyadica.dyadic._placed`, and the modes of :func:`square_function`
+and :func:`dyadic_maximal` are one table, ``_MODES``.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .dyadic import DyadicSystem
-from .errors import DegenerateInputError, ParameterError, ShapeError, SystemMismatchError
+from .dyadic import DyadicSystem, _placed
+from .errors import DegenerateInputError, ParameterError, ShapeError
 from .fracops import _frac_scales, frac_integral
 from .grid import GridFunction, _check_lambda, _shifted, inner_product
 from .haar import _axis_position, _chain_sum, _cube_means, _pyramid, column_cubes
@@ -154,20 +158,17 @@ def strong_maximal(f: GridFunction) -> GridFunction:
 # -- dyadic maximal functions ---------------------------------------------
 
 
-def _system_pair(systems) -> Tuple[DyadicSystem, Optional[DyadicSystem]]:
-    if isinstance(systems, DyadicSystem):
-        return systems, None
-    pair = tuple(systems)
-    if len(pair) == 2 and all(isinstance(s, DyadicSystem) for s in pair):
-        return pair
-    raise ParameterError("systems must be a DyadicSystem or a pair of them")
+# the modes of square_function and dyadic_maximal: the function's axes and the
+# (array axis, index into the systems) of each system that acts, for
+# dyadica.dyadic._placed; index -1 is the second of a pair, or the one system
+_MODES = {"sole": (1, ((0, 0),)), "axis1": (2, ((0, 0),)), "axis2": (2, ((1, -1),))}
+_MODES["rect"] = _MODES["biparameter"] = (2, ((0, 0), (1, 1)))
 
 
-def _level_max(f: GridFunction, system: DyadicSystem, axis_index, scales):
-    """Max over levels k of the level-k average of |f| times its scale: each
-    heap column's cube mean times ``scales`` there, chain max from column 1."""
-    pos = _axis_position(f, system, axis_index)
-    means = _cube_means(np.abs(f.values), system, pos)
+def _level_max(a: np.ndarray, system: DyadicSystem, pos: int, scales):
+    """Max over levels k of the level-k average of ``a`` along array axis ``pos``
+    times its scale: heap cube means times ``scales``, chain max from column 1."""
+    means = _cube_means(a, system, pos)
     np.moveaxis(means, pos, -1)[..., 1:] *= scales
     return _chain_sum(means, ((pos, system),), first=1, op=np.maximum)
 
@@ -200,20 +201,13 @@ def dyadic_maximal(f: GridFunction, systems, mode: str) -> GridFunction:
     the named axis), or ``"biparameter"`` (rectangles of a lattice pair).
     Always pointwise between |f| and the strong maximal function.
     """
-    if f.ndim != 2:
-        raise ShapeError("dyadic maximal needs a two-axis function")
-    first, second = _system_pair(systems)
-    if mode in ("axis1", "axis2"):
-        axis_index = 1 if mode == "axis1" else 2
-        system = first if mode == "axis1" or second is None else second
-        return f.with_values(_level_max(f, system, axis_index, 1.0))
+    if mode not in ("axis1", "axis2", "biparameter"):
+        raise ParameterError(f"unknown mode {mode!r}")
+    axes = _placed(f, systems, *_MODES[mode])
     if mode == "biparameter":
-        if second is None:
-            raise ParameterError("biparameter mode needs a pair of systems")
-        if first.axis != f.axes[0] or second.axis != f.axes[1]:
-            raise ShapeError("system axes do not match the function axes")
-        return f.with_values(_dyadic_rect_maximal(np.abs(f.values), first, second))
-    raise ParameterError(f"unknown mode {mode!r}")
+        return f.with_values(_dyadic_rect_maximal(np.abs(f.values), *(s for _, s in axes)))
+    ((pos, system),) = axes
+    return f.with_values(_level_max(np.abs(f.values), system, pos, 1.0))
 
 
 def frac_maximal(
@@ -224,8 +218,9 @@ def frac_maximal(
     Acts along one axis; pointwise dominated by the smoothing operator of
     the same order applied to |f| (see :func:`frac_maximal_domination`).
     """
+    pos = _axis_position(f, system, axis_index)
     scales = _frac_scales(_check_lambda(lam), system.axis.level)
-    return f.with_values(_level_max(f, system, axis_index, scales))
+    return f.with_values(_level_max(np.abs(f.values), system, pos, scales))
 
 
 def frac_maximal_domination(f: GridFunction, system: DyadicSystem, lam: float) -> float:
@@ -235,11 +230,9 @@ def frac_maximal_domination(f: GridFunction, system: DyadicSystem, lam: float) -
     discrete form of the pointwise domination of the maximal function by
     the positive smoothing operator.
     """
-    if f.ndim != 1:
-        raise ShapeError("domination ratio is a one-axis diagnostic")
+    m = frac_maximal(f, system, lam).values  # checks f, its system and lam
     if not np.any(f.values):
         raise DegenerateInputError("f vanishes identically")
-    m = frac_maximal(f, system, lam).values
     smooth = frac_integral(f.with_values(np.abs(f.values)), lam).values
     return float(np.max(m / smooth))
 
@@ -255,23 +248,14 @@ def square_function(f: GridFunction, systems, mode: str) -> GridFunction:
     the cube means along its axes (the pyramid for ``"rect"``), one parent
     step per axis, and the chain sum of the squares from column 2.
     """
-    first, second = _system_pair(systems)
-    axes = {
-        "sole": ((0, first),),
-        "axis1": ((0, first),),
-        "axis2": ((1, first if second is None else second),),
-        "rect": ((0, first), (1, second)),
-    }.get(mode)
-    if f.ndim != (1 if mode == "sole" else 2):
-        raise ShapeError(f"mode {mode!r} does not fit a {f.ndim}-axis function")
-    if axes is None or axes[-1][1] is None:
-        raise ParameterError(f"mode {mode!r} is unknown or needs a pair of systems")
-    if any(f.axes[pos] != system.axis for pos, system in axes):
-        raise SystemMismatchError("system axes do not match the function axes")
+    if mode not in ("sole", "axis1", "axis2", "rect"):
+        raise ParameterError(f"unknown mode {mode!r}")
+    axes = _placed(f, systems, *_MODES[mode])
     (pos, system), *_ = axes
-    diffs = (
-        _pyramid(f.values, first, second) if mode == "rect" else _cube_means(f.values, system, pos)
-    )
+    if mode == "rect":
+        diffs = _pyramid(f.values, system, axes[1][1])
+    else:
+        diffs = _cube_means(f.values, system, pos)
     for pos, _ in axes:
         diffs = diffs - np.take(diffs, np.arange(diffs.shape[pos]) >> 1, axis=pos)
     return f.with_values(np.sqrt(_chain_sum(diffs**2, axes)))
@@ -393,21 +377,6 @@ def _haar_rectangles(b: GridFunction, weight_vals, system1, system2):
     return out
 
 
-def _bmo_inputs(b: GridFunction, w: ProductWeight, systems):
-    """The system pair of a product-BMO norm, with it and the weight's
-    factor axes checked against the grid of ``b``."""
-    if b.ndim != 2:
-        raise ShapeError("product BMO needs a two-axis function")
-    system1, system2 = _system_pair(systems)
-    if system2 is None:
-        raise ParameterError("product BMO needs a pair of systems")
-    if system1.axis != b.axes[0] or system2.axis != b.axes[1]:
-        raise ShapeError("system axes do not match the function axes")
-    if (w.factor1.axis, w.factor2.axis) != b.axes:
-        raise ShapeError("weight axes do not match the function axes")
-    return system1, system2
-
-
 def bmo_prod_norm(
     b: GridFunction,
     w: ProductWeight,
@@ -420,7 +389,8 @@ def bmo_prod_norm(
     rectangles inside the shape, of coefficient**2 / rectangle weight mean.
     Monotone nondecreasing under family enlargement.
     """
-    system1, system2 = _bmo_inputs(b, w, systems)
+    weight_axes = (w.factor1.axis, w.factor2.axis)
+    (_, system1), (_, system2) = _placed(b, systems, 2, grids=(weight_axes,))
     if family is None:
         family = default_omega_family(system1, system2)
     wv = w.evaluate().values
@@ -447,7 +417,8 @@ def bmo_prod_rect_norm(b: GridFunction, w: ProductWeight, systems) -> float:
     the energy inside each rectangle is the sum over its descendants,
     carried from fine levels to coarse ones by one heap sweep per axis.
     """
-    system1, system2 = _bmo_inputs(b, w, systems)
+    weight_axes = (w.factor1.axis, w.factor2.axis)
+    (_, system1), (_, system2) = _placed(b, systems, 2, grids=(weight_axes,))
     weight_means = _rect_weight_means(w, system1, system2)
     return float(_bmo_prod_rect(b.values, weight_means, system1, system2))
 
@@ -509,9 +480,7 @@ def duality_check(
     mean-type components the restricted family cannot see; that is flagged
     rather than raised.
     """
-    system1, system2 = _system_pair(systems)
-    if system2 is None:
-        raise ParameterError("duality check needs a pair of systems")
+    (_, system1), (_, system2) = _placed(phi, systems, 2)
     s = square_function(phi, (system1, system2), "rect")
     square_l1 = inner_product(s, w.evaluate())
     pairing = inner_product(b, phi)

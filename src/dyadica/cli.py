@@ -159,6 +159,7 @@ def _config_from_mapping(data: Mapping) -> ExperimentConfig:
         if len(pair) != 2:
             _fail(f"exponents[{idx}]", f"must be a [p, lambda] pair, got {pair!r}")
         _checked(f"exponents[{idx}]", exponent_solve, *pair)
+    _distinct("exponents", exponents, lambda pair: f"p{pair[0]:g}")
 
     weights = _parse("weights", lambda v: tuple(map(_floats, v)), data["weights"])
     if not weights:

@@ -22,7 +22,9 @@ deterministically.
 
 Each rule has one home, for one cube or an index array alike: goodness is
 ``_bad``, the level of a join ``_join_level``, the gap between arcs
-``_arc_gap_cells`` and the power-law threshold ``_within_threshold``.
+``_arc_gap_cells`` and the power-law threshold ``_within_threshold``.  The
+axis contract of every entry point that takes systems, system k on axis k
+of the function, is ``_placed``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .errors import (
     ContractError,
     LevelUnderflowError,
     ParameterError,
+    ShapeError,
     SystemMismatchError,
 )
 from .grid import Axis, GridFunction
@@ -76,6 +79,47 @@ class DyadicSystem:
 
     def cubes_at_level(self, level: int):
         return [DyadicCube(self, level, m) for m in range(1 << level)]
+
+
+def _placed(f: GridFunction, systems, ndim, picks=None, grids=()):
+    """The axis contract, its one home: system k lives on axis k of ``f``.
+
+    ``systems`` is a DyadicSystem or a pair of them, else ParameterError.
+    ``picks`` holds the (array axis, index into ``systems``) of each system
+    that acts, by default system k on axis k for every axis of an
+    ``ndim``-axis function (1 or 2) and every system; a pick of a missing
+    second system is a ParameterError.  ``f`` must have ``ndim`` axes
+    (``None``: any that hold the picks), and each axes tuple in ``grids``
+    (another factor's, a weight's) must be ``f.axes``, else ShapeError.  A
+    picked system off the function's axis at its position is a
+    SystemMismatchError.  Returns the (array axis, system) of each pick.
+    """
+    if isinstance(systems, DyadicSystem):
+        systems = (systems,)
+    else:
+        systems = tuple(systems) if np.iterable(systems) else ()
+        if len(systems) != 2 or not all(isinstance(s, DyadicSystem) for s in systems):
+            raise ParameterError("systems must be a DyadicSystem or a pair of them")
+    if picks is None:
+        picks = ((0, 0), (1, 1))[: max(ndim, len(systems))]
+    placed = []
+    for pos, k in picks:
+        if k >= len(systems):
+            raise ParameterError("a pair of dyadic systems is needed")
+        placed.append((pos, systems[k]))
+    axes = f.axes
+    if ndim is not None and len(axes) != ndim:
+        raise ShapeError(f"a {ndim}-axis function is needed, got {len(axes)} axes")
+    if any(pos >= len(axes) for pos, _ in picks):
+        raise ShapeError(f"a {len(axes)}-axis function has no axis {max(picks)[0] + 1}")
+    if any(other != axes for other in grids):
+        raise ShapeError("operands live on different grids")
+    for pos, system in placed:
+        if system.axis != axes[pos]:
+            raise SystemMismatchError(
+                f"system axis {system.axis} is not the function's axis {pos + 1}, {axes[pos]}"
+            )
+    return tuple(placed)
 
 
 @dataclass(frozen=True)

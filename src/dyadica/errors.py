@@ -30,15 +30,20 @@ class ConfigurationError(DyadicaError):
 
 
 class ShapeError(DyadicaError):
-    """Operands live on different grids, or have the wrong number of axes."""
+    """Operands live on different grids, or have the wrong number of axes:
+    in the axis contract (``dyadica.dyadic._placed``), the function's axis
+    count, another factor's grid or a weight's axis is wrong."""
 
 
 class ParameterError(DyadicaError):
-    """A numeric parameter (exponent, power, family) is outside its domain."""
+    """A numeric parameter (exponent, power, family) is outside its domain,
+    or a systems argument is not a DyadicSystem or a pair of them."""
 
 
 class SystemMismatchError(DyadicaError):
-    """Cubes from different dyadic systems were combined."""
+    """Cubes from different dyadic systems were combined, or, under the axis
+    contract (``dyadica.dyadic._placed``), a system's axis is not the
+    function's axis at its position."""
 
 
 class LevelUnderflowError(DyadicaError):

@@ -41,6 +41,7 @@ from .dyadic import (
     DyadicSystem,
     GoodParams,
     _join_level,
+    _placed,
     _within_threshold,
     bad_mask,
     join,
@@ -297,8 +298,7 @@ def apply_shift(
 ) -> GridFunction:
     """Apply the shift operator of a coefficient table: each entry routes
     the I Haar coefficient of ``f`` into the J Haar direction."""
-    if len(f.axes) != 1 or f.axes[0] != system.axis:
-        raise ShapeError("apply_shift needs a one-axis function on the system axis")
+    _placed(f, system, 1)
     table.validate(system)
     routed = _route(table, haar_analyze(f.values, system))
     return grid_function(haar_synthesize(routed, system), system.axis)
@@ -321,8 +321,7 @@ def domination_ratio(f: GridFunction, lam: float, system: DyadicSystem) -> float
     a constant multiple of the smoothing operator applied to |f|.
     """
     _check_lambda(lam)
-    if len(f.axes) != 1 or f.axes[0] != system.axis:
-        raise ShapeError("domination_ratio needs a one-axis function on the system axis")
+    _placed(f, system, 1)
     av = np.abs(f.values)
     if not np.any(av > 0.0):
         raise DegenerateInputError("domination_ratio needs a non-zero input")
@@ -486,24 +485,25 @@ def verify_representation(
     are validated before any work.
     """
     _check_lambda(lam)
-    if len(f.axes) != 1 or len(g.axes) != 1 or f.axes != g.axes:
-        raise ShapeError("verify_representation needs one-axis functions on one axis")
+    systems = list(systems)
+    lattice = DyadicSystem(f.axes[0], 0)  # the work runs on it
+    _placed(f, lattice, 1, grids=(g.axes,))
+    # the helper runs for the first system off the lattice's axis, and raises;
+    # a call per system would cost more than the checks at hundreds of systems
+    for system in systems:
+        if not (isinstance(system, DyadicSystem) and system.axis == lattice.axis):
+            _placed(f, system, 1)
     scale = max(l2_norm(f) * l2_norm(g), 1e-300)
     if any(abs(h.mean()) > 1e-12 * max(l2_norm(h), 1e-300) for h in (f, g)):
         raise ContractError(
             "verify_representation needs mean-zero inputs; subtract the cell "
             "mean (f - f.mean()) before calling"
         )
-    axis = f.axes[0]
-    systems = list(systems)
-    if any(system.axis != axis for system in systems):
-        raise SystemMismatchError("system axis does not match the functions")
 
     residuals, energies = np.zeros(0), {}
     profiles, counts = {tag: {} for tag in _TAGS}, dict.fromkeys(_TAGS, 0)
     if systems:
-        n = axis.n_cells
-        lattice = DyadicSystem(axis, 0)
+        axis, n = lattice.axis, lattice.axis.n_cells
         cells = (np.arange(n)[:, None] + [s.offset_cells for s in systems]) % n
         CF = haar_analyze(f.values[cells], lattice)
         CG = haar_analyze(g.values[cells], lattice)

@@ -19,6 +19,9 @@ sum (or max) folds each cell's columns into its value, and spread back
 over the cells they are the expectation stack E_0 .. E_L, the public level
 operators and the rectangle table.  Block operators restrict a difference
 to one cube, or to one rectangle by composing the factors.
+
+Every entry point checks its systems with :func:`dyadica.dyadic._placed`,
+through ``_axis_position`` where an axis selector names the array axis.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .dyadic import DyadicCube, DyadicSystem
-from .errors import ParameterError, ResolutionError, ShapeError, SystemMismatchError
+from .dyadic import DyadicCube, DyadicSystem, _placed
+from .errors import ParameterError, ResolutionError, ShapeError
 from .grid import GridFunction, _shifted, grid_function
 
 __all__ = [
@@ -170,25 +173,13 @@ def haar_matrix(system: DyadicSystem) -> np.ndarray:
 # -- axis resolution ------------------------------------------------------
 
 
-def _axis_position(f: GridFunction, system: DyadicSystem, axis_index) -> int:
-    """Map an axis selector (1, 2, or None for a sole axis) to an array axis,
-    checking that the system lives on that axis."""
-    if axis_index is None:
-        if len(f.axes) != 1:
-            raise ShapeError("axis_index is required for a two-axis function")
-        pos = 0
-    elif axis_index in (1, 2):
-        pos = axis_index - 1
-        if pos >= len(f.axes):
-            raise ShapeError(
-                f"axis_index {axis_index} out of range for {len(f.axes)}-axis function"
-            )
-    else:
+def _axis_position(f: GridFunction, system: DyadicSystem, axis_index, ndim=None) -> int:
+    """The array axis of a selector (1, 2, or None for a sole axis) after
+    :func:`dyadica.dyadic._placed`; ``ndim`` fixes the axes of ``f`` for 1, 2."""
+    if axis_index not in (None, 1, 2):
         raise ParameterError(f"axis_index must be 1, 2 or None, got {axis_index!r}")
-    if f.axes[pos] != system.axis:
-        raise SystemMismatchError(
-            f"function axis {f.axes[pos]} does not match system axis {system.axis}"
-        )
+    pos = 0 if axis_index is None else axis_index - 1
+    _placed(f, system, 1 if axis_index is None else ndim, ((pos, 0),))
     return pos
 
 
@@ -214,8 +205,8 @@ def rectangle_table(
     the level-``k2`` average in the second, bit for bit the nested
     :func:`level_average` calls; shape ``(L1 + 1, L2 + 1, n1, n2)``: the
     means of :func:`_pyramid`, spread over the cells."""
-    first = expectation_stack(f, system1, 1)
-    _axis_position(f, system2, 2)
+    _placed(f, (system1, system2), 2)
+    first = _spread(f.values, system1, 0, range(system1.axis.level + 1))
     both = _spread(first, system2, 2, range(system2.axis.level + 1))
     return np.ascontiguousarray(both.swapaxes(0, 1))
 
@@ -363,8 +354,7 @@ def rect_block(
     """Bi-parameter rectangle block: the depth-``i`` block below ``K`` in the
     first variable composed with the depth-``j`` block below ``V`` in the
     second.  With ``i = j = 0`` this is the rectangle martingale difference."""
-    if len(f.axes) != 2:
-        raise ShapeError("rect_block needs a two-axis function")
+    _placed(f, (K.system, V.system), 2)
     g = martingale_block(f, K, i, axis_index=1)
     return martingale_block(g, V, j, axis_index=2)
 
@@ -372,9 +362,7 @@ def rect_block(
 def partial_pairing(f: GridFunction, cube: DyadicCube, axis_index) -> GridFunction:
     """Pair a two-axis function with the Haar step of ``cube`` in one
     variable, leaving a one-axis function of the other variable."""
-    if len(f.axes) != 2:
-        raise ShapeError("partial_pairing needs a two-axis function")
-    pos = _axis_position(f, cube.system, axis_index)
+    pos = _axis_position(f, cube.system, axis_index, ndim=2)
     hv = haar_function(cube).values
     other = 1 - pos
     if pos == 0:
@@ -425,13 +413,10 @@ def haar_expand(
 ) -> HaarCoefficientMap:
     """Expand ``f`` over the Haar bases of the given system(s), constant
     directions included."""
-    systems = (system1,) if system2 is None else (system1, system2)
-    if len(f.axes) != len(systems):
-        raise ShapeError(f"a {len(f.axes)}-axis function takes one system per axis")
-    if f.axes != tuple(system.axis for system in systems):
-        raise SystemMismatchError("function axes do not match the systems")
+    systems = system1 if system2 is None else (system1, system2)
+    placed = _placed(f, systems, 1 if system2 is None else 2)
     coeffs = f.values
-    for pos, system in enumerate(systems):
+    for pos, system in placed:
         coeffs = haar_analyze(coeffs, system, pos)
     coeffs.setflags(write=False)
-    return HaarCoefficientMap(systems, coeffs)
+    return HaarCoefficientMap(tuple(system for _, system in placed), coeffs)

@@ -30,7 +30,9 @@ stack of samples.  Stacks share one budget of ``_STACK_FLOATS`` working
 floats: each stacked helper states its footprint in floats per grid cell of
 one sample, and ``_stacks`` splits an ensemble into stacks that fit, so the
 samples of small grids share stacks and a large grid is a stack of one.
-The public single-sample functions call the same helpers on one table.
+The public single-sample functions call the same helpers on one table,
+after the axis contract of both factors and the system pair
+(:func:`dyadica.dyadic._placed`); the stacked helpers check nothing.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
-from .analysis import _bmo_prod_rect, _mixed_norms, _rect_weight_means, _system_pair
-from .dyadic import DyadicCube, DyadicSystem, ancestor
+from .analysis import _bmo_prod_rect, _mixed_norms, _rect_weight_means
+from .dyadic import DyadicCube, DyadicSystem, _placed, ancestor
 from .errors import ContractError, ParameterError, ShapeError, SystemMismatchError
 from .fracops import ShiftCoefficientTable, _route, _smooth
 from .grid import GridFunction, build_axis
@@ -104,21 +106,6 @@ def _stacks(count: int, cells: int, footprint: int):
     return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
-def _shared_pair(b: GridFunction, f: GridFunction, systems):
-    """The system pair of a bilinear form in (b, f), checked against both
-    factors' grids."""
-    sys1, sys2 = _system_pair(systems)
-    if sys2 is None:
-        raise ParameterError("paraproducts need a pair of dyadic systems")
-    if b.ndim != 2 or f.ndim != 2:
-        raise ShapeError("paraproducts need two-axis functions")
-    if b.axes != f.axes:
-        raise ShapeError("factors live on different grids")
-    if sys1.axis != b.axes[0] or sys2.axis != b.axes[1]:
-        raise SystemMismatchError("system axes do not match the function axes")
-    return sys1, sys2
-
-
 def _products(views_b, g: np.ndarray, sys1, sys2, tags) -> np.ndarray:
     """Per tag in ``tags``, the product of its view of b with its view of
     the rectangle pyramids of ``g`` (tables on the last two axes), stacked
@@ -138,7 +125,7 @@ def paraproduct(tag: str, b: GridFunction, f: GridFunction, systems) -> GridFunc
     """
     if tag not in _TAG_KINDS:
         raise ParameterError(f"unknown paraproduct tag {tag!r}")
-    sys1, sys2 = _shared_pair(b, f, systems)
+    (_, sys1), (_, sys2) = _placed(b, systems, 2, grids=(f.axes,))
     views_b = _scale_views(_pyramid(b.values, sys1, sys2))
     P = _products(views_b, f.values, sys1, sys2, (tag,))
     return b.with_values(_chain_sum(P, ((-2, sys1), (-1, sys2)))[0])
@@ -170,7 +157,7 @@ def _decompose(B: np.ndarray, F: np.ndarray, sys1, sys2):
 
 def decompose_product(b: GridFunction, f: GridFunction, systems) -> DecompositionReport:
     """Split b*f into the nine tagged parts plus the mean bucket; exact."""
-    sys1, sys2 = _shared_pair(b, f, systems)
+    (_, sys1), (_, sys2) = _placed(b, systems, 2, grids=(f.axes,))
     parts, mean, residual = _decompose(b.values, f.values, sys1, sys2)
     named = dict(zip(PARAPRODUCT_TAGS, map(b.with_values, parts)))
     named["mean"] = b.with_values(mean)
@@ -231,8 +218,7 @@ def telescope_terms(
 ) -> Tuple[float, ...]:
     """Per-depth averaged martingale differences whose sum telescopes the
     difference of averages <b>_I - <b>_K exactly."""
-    if b.ndim != 1 or b.axes[0] != system.axis:
-        raise ShapeError("telescoping needs a one-axis function on the system axis")
+    _placed(b, system, 1)
     if I.system != system or K.system != system:
         raise SystemMismatchError("cubes come from a different system")
     depth = I.level - K.level
@@ -348,7 +334,7 @@ def shift_commutator_expand(
     directly computed commutator (a finite identity, so the residual is
     rounding noise).
     """
-    sys1, sys2 = _shared_pair(b, f, systems)
+    (_, sys1), (_, sys2) = _placed(b, systems, 2, grids=(f.axes,))
     expand = _expansion(table1, table2, sys1, sys2)
     e_term, groups, residual = expand(b.values, f.values)
     return CommutatorExpansion(

@@ -287,7 +287,7 @@ def test_dyadic_maximal_mode_validation():
     with pytest.raises(ShapeError):
         dyadic_maximal(constant_function(1.0, axis), (sys1, sys1), "axis1")
     other = DyadicSystem(build_axis(4), 0)
-    with pytest.raises(ShapeError):
+    with pytest.raises(SystemMismatchError):
         dyadic_maximal(f, (other, sys1), "biparameter")
 
 
@@ -633,7 +633,7 @@ def test_bmo_prod_rect_norm_validation():
     w = ProductWeight(ones_weight(ax3), ones_weight(ax3))
     with pytest.raises(ShapeError):
         bmo_prod_rect_norm(constant_function(1.0, ax3), w, pair)
-    with pytest.raises(ShapeError):
+    with pytest.raises(SystemMismatchError):
         bmo_prod_rect_norm(b, w, (DyadicSystem(ax4, 0), pair[1]))
     with pytest.raises(ParameterError):
         bmo_prod_rect_norm(b, w, pair[0])

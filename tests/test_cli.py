@@ -100,8 +100,15 @@ def test_config_validation_errors(tmp_path):
         ("levels", [4, 6, 4], "levels[2]", "gives the label '4' of levels[0]"),
         # two represent-identity-lam0.5 records: 0.5000001 prints as 0.5
         ("lambdas", [0.5, 0.5000001], "lambdas[1]", "gives the label '0.5' of lambdas[0]"),
+        # two weights rows w0-p1.5-char: the label reads p alone
+        (
+            "exponents",
+            [[1.5, 0.5], [1.25, 0.5], [1.5, 0.6]],
+            "exponents[2]",
+            "gives the label 'p1.5' of exponents[0]",
+        ),
     ],
-    ids=("levels", "lambdas"),
+    ids=("levels", "lambdas", "exponents"),
 )
 def test_entries_that_repeat_a_record_name_exit_2(tmp_path, capsys, field, values, entry, why):
     path = write_config(tmp_path, {"suite": "all", "seed": 1, field: values})

@@ -361,6 +361,18 @@ def test_stack_and_table_match_nested_level_average_bitwise(L1, L2, o1, o2, seed
             assert np.array_equal(table[k1, k2], ref)
 
 
+def test_rectangle_table_checks_both_systems_before_any_stack(monkeypatch):
+    s = offset0(3)
+    f = grid.grid_function(np.ones((8, 8)), s.axis, s.axis)
+
+    def no_work(*args):
+        raise AssertionError("a stack was built before the second system was checked")
+
+    monkeypatch.setattr(haar, "_spread", no_work)
+    with pytest.raises(errors.SystemMismatchError):
+        haar.rectangle_table(f, s, offset0(4))
+
+
 def _offset(kind, n):
     return {"zero": 0, "one": 1 % n, "last": n - 1, "half": n // 2}[kind]
 
