@@ -3,15 +3,18 @@ product-BMO norm.
 
 The strong maximal function scans every grid-aligned (wrap-aware) arc
 rectangle: the mean of every window, then per cell the largest mean of a
-window containing it, spread along the second axis sixteen column widths
-at a time and along the first by a running max that doubles its span per
-shift.  Up to 256 cells the means come from one view of the wrapped grid:
-per shape, its windows are copied into one contiguous block, the layout a
-gather of every rectangle would give, and reduced like a naive block mean,
-so they are bit-reproducible against a loop over rectangles.  Larger grids
-carry the window sums of |f| across widths, which agree to rounding and
-keep one-cell windows exact.  The bi-parameter dyadic maximal function
-gathers its rectangles at every size.
+window containing it.  Window sums of |f| are carried across widths; every
+term is >= 0, so each carried mean is within ``_carry_gap`` of the naive
+block mean, and a one-cell window is exact.  Above 256 cells the carried
+means are the answer, spread along the second axis sixteen column widths at
+a time and along the first by a running max that doubles its span per
+shift.  Up to 256 cells each mean is the block mean a loop over rectangles
+gives (the window's cells gathered C-ordered, reduced by ``mean()``), bit
+for bit: the carried means, folded many windows per array, put every
+cell's maximum within two gaps, and only the windows that can still reach
+it are gathered, about one per cell on most grids and every window where
+the means tie.  The bi-parameter dyadic maximal function gathers its
+rectangles at every size.
 
 The product-BMO norm is a maximum over a finite family of shapes, each a
 union of cells; on the discrete mesh every such union is admissible
@@ -54,10 +57,12 @@ __all__ = [
     "strong_maximal",
 ]
 
-# up to this many cells, copy out every window (bit-exact; about cells**3 / 4
-# values copied per call, one block copy per window shape)
+# up to this many cells, each window's mean is its gathered C-ordered mean(),
+# the bits of a loop over rectangles; only the windows that can set a cell's
+# bits are gathered (about one per cell on most grids, all where means tie)
 _GATHER_CELLS = 256
-# widths spread together: holds this many window-mean arrays at once
+# widths spread together (this many window-mean arrays held at once), and
+# row widths folded together on the gathered path
 _SPREAD_CHUNK = 16
 
 
@@ -70,30 +75,11 @@ def _arc_count(n: int, width: int) -> int:
     return n if width < n else 1
 
 
-def _gathered_means(a: np.ndarray):
-    """Per row width, the window means of every column width: each shape's
-    windows copied out of one view of the wrapped grid into a contiguous
-    block and reduced like a naive block ``mean()`` (the bits of a loop over
-    rectangles)."""
-    n1, n2 = a.shape
-    wrapped = np.concatenate((a, a[: n1 - 1]), 0)
-    wrapped = np.concatenate((wrapped, wrapped[:, : n2 - 1]), 1)
-    # windows[s1, s2, i, j] = a[(s1 + i) % n1, (s2 + j) % n2]
-    windows = np.lib.stride_tricks.sliding_window_view(wrapped, (n1, n2))
-    for w1 in range(1, n1 + 1):
-        rows = windows[: _arc_count(n1, w1), :, :w1]
-        # each copy is C-ordered, as a gather is, and freed once reduced
-        yield [
-            rows[:, : _arc_count(n2, w2), :, :w2].copy().mean(axis=(2, 3))
-            for w2 in range(1, n2 + 1)
-        ]
-
-
 def _carried_means(a: np.ndarray):
     """Per row width, the window means of every column width (read each row
     before the next: it reads the running sums), from window sums carried
-    across widths: all terms are >= 0, so the relative error is about
-    (w1 + w2) * eps at most, and a one-cell window is exact."""
+    across widths: all terms are >= 0, so a mean is off by at most
+    :func:`_carry_gap`, and a one-cell window is exact."""
     n1, n2 = a.shape
 
     def row(R, w1):
@@ -106,6 +92,153 @@ def _carried_means(a: np.ndarray):
     for w1 in range(1, n1 + 1):
         R += _shifted(a, 1 - w1, 0)
         yield row(R, w1)
+
+
+def _carry_gap(a: np.ndarray) -> float:
+    """A bound on |carried - gathered| for the mean of each window of
+    ``a >= 0``, while no window sum nears overflow.
+
+    A window of w1 x w2 cells has N = w1 w2 of them, exact sum S and mean
+    mu = S / N; u = eps / 2 and gamma_k = k u / (1 - k u).  With gradual
+    underflow a sum of floats rounds with relative error at most u and never
+    underflows; a quotient may also lose 2**-1075 to underflow.  Every term
+    is >= 0, so (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2002, sec. 4.2 and Lemma 3.3):
+
+    - the carried sum adds the w1 cells of each column, then the w2 column
+      sums, one at a time: relative error gamma_(w1 + w2 - 2), and with the
+      division the mean's is gamma_(w1 + w2 - 1), plus 2**-1075;
+    - ``mean()`` adds the N cells along a tree of N - 1 additions, each cell
+      through at most N - 1 of them, and divides: gamma_N, plus 2**-1075.
+
+    So |carried - gathered| <= (gamma_(w1 + w2 - 1) + gamma_N) mu + 2**-1074
+    <= gamma_(n1 n2 + n1 + n2) max(a) + 2**-1074, and gamma_k <= (k eps / 2)
+    (1 + k eps).  The bound returned, (n1 n2 + n1 + n2 + 2) (eps max(a) +
+    2**-1074), is about twice that: room for the rounding of the tests that
+    use it."""
+    n1, n2 = a.shape
+    return (a.size + n1 + n2 + 2) * (np.finfo(float).eps * a.max() + 2.0**-1074)
+
+
+def _window_folds(a: np.ndarray, op):
+    """``op`` folded over every window of ``a`` in the order of
+    :func:`_carried_means` (the cells of each column of the window in order,
+    then the columns), by groups of ``_SPREAD_CHUNK`` row widths from the
+    narrowest.  Per group, ``(lo, folds)``: ``folds`` yields, per column
+    width w2 from 1, the running array ``F[w1 - 1 - lo, s1, s2]`` of the
+    w1 x w2 windows at lower corner (s1, s2).  Read each before the next.
+    The full circle appears at every start."""
+    n1, n2 = a.shape
+
+    def columns(R):
+        F = R.copy()
+        twice = np.concatenate((R, R), 2)  # twice[..., j] = R[..., j % n2]
+        for w2 in range(1, n2 + 1):
+            if w2 > 1:
+                op(F, twice[..., w2 - 1 : w2 - 1 + n2], out=F)
+            yield F
+
+    R = None
+    for lo in range(0, n1, _SPREAD_CHUNK):
+        ahead = np.arange(lo, min(lo + _SPREAD_CHUNK, n1))[:, None] + np.arange(n1)
+        fresh = a[ahead % n1]  # fresh[k, s1] = row s1 + lo + k
+        if R is not None:
+            op(R[-1], fresh[0], out=fresh[0])
+        R = op.accumulate(fresh, axis=0)  # R[k, s1]: rows s1 .. s1 + lo + k
+        yield lo, columns(R)
+
+
+def _spread_folds(groups, shape) -> np.ndarray:
+    """Per cell, the largest value of a window containing it, from window
+    arrays grouped as :func:`_window_folds` yields them: along the second
+    axis width by width, then along the first."""
+    n1, n2 = shape
+
+    def rows():
+        for lo, folds in groups:
+            spread = np.zeros((min(_SPREAD_CHUNK, n1 - lo), n1, n2))  # [w1 - 1 - lo, s1, x2]
+            for w2, V in enumerate(folds, 1):
+                np.maximum(spread, _trailing_max(V, w2, 2), out=spread)
+            yield from spread
+
+    return _widest_containing(rows(), 0, shape)
+
+
+def _gathered(windows, flip: bool, lo: int, w2: int, keep: np.ndarray) -> np.ndarray:
+    """The C-ordered ``mean()`` of each w1 x w2 window that
+    ``keep[w1 - 1 - lo, s1, s2]`` marks, 0 for the others.  ``windows[s1,
+    s2, i, j] = a[s1 + i, s2 + j]`` views the grid; with ``flip`` the frame
+    of ``keep`` is its transpose."""
+    out = np.zeros(keep.shape)
+    m1, m2 = keep.shape[1:]
+    c2 = _arc_count(m2, w2)
+    for k in np.flatnonzero(keep.any(axis=(1, 2))):
+        c1 = _arc_count(m1, lo + k + 1)
+        if keep[k, :c1, :c2].all():  # the shape at every start: one block
+            starts = (slice(c1), slice(c2))
+        else:
+            starts = np.nonzero(keep[k])
+        corner, size = starts, (lo + k + 1, w2)
+        if flip:
+            corner, size = corner[::-1], size[::-1]
+        # each window copied C-ordered, as a gather of it is, and freed once reduced
+        view = windows[corner + (slice(size[0]), slice(size[1]))]
+        means = np.ascontiguousarray(view).mean(axis=(-2, -1))
+        out[(k,) + starts] = means.T if flip else means
+    return out
+
+
+def _gathered_maximal(a: np.ndarray) -> np.ndarray:
+    """The strong maximal function of ``a >= 0``, each window mean the
+    C-ordered ``mean()`` of its gathered cells, gathering only the windows
+    that can set a cell's bits.
+
+    The carried means give ``approx``, within delta = :func:`_carry_gap` of
+    the exact maximum M at every cell.  Let W attain M(x) at a cell x in it.
+    Then carried(W) >= M(x) - delta >= approx(x) - 2 delta >= min over W of
+    approx - 2 delta, so W passes the test that picks the windows to gather.
+    No other window exceeds M at its cells and every mean is >= 0, so the 0
+    of a window left out changes no cell's maximum.  If a carried mean
+    reaches max_float / (4 n1 n2), some window sum might overflow (to the
+    inf that ``with_values`` refuses) in one order and not the other, so
+    every window is gathered; below it, every exact sum is under about
+    max_float / 4 and neither order overflows.
+
+    The folds run on the transpose of a wide grid, so each array holds at
+    most ``_SPREAD_CHUNK`` n1 n2 windows and a thin grid takes few steps;
+    the gathers read ``a`` itself.
+    """
+    n1, n2 = a.shape
+    wrapped = np.concatenate((a, a[: n1 - 1]), 0)
+    wrapped = np.concatenate((wrapped, wrapped[:, : n2 - 1]), 1)
+    # windows[s1, s2, i, j] = a[(s1 + i) % n1, (s2 + j) % n2]
+    windows = np.lib.stride_tricks.sliding_window_view(wrapped, (n1, n2))
+    flip = n2 > n1
+    b = a.T if flip else a
+    m1, m2 = b.shape
+    # cells[w2 - 1, w1 - 1]: the cells of a w1 x w2 window
+    cells = np.multiply.outer(np.arange(1.0, m2 + 1), np.arange(1.0, m1 + 1))[..., None, None]
+
+    def means():
+        for lo, folds in _window_folds(b, np.add):
+            yield lo, map(np.divide, folds, cells[:, lo : lo + _SPREAD_CHUNK])
+
+    approx = _spread_folds(means(), b.shape)
+    margin = 2 * _carry_gap(a)
+    gather_all = approx.max() >= np.finfo(float).max / (4 * a.size)
+
+    def exact(lo, means, lows):
+        for w2, (m, low) in enumerate(zip(means, lows), 1):
+            keep = gather_all | (m >= low - margin)
+            if lo + len(keep) == m1:
+                keep[-1, 1:] = False  # the full circle counts once
+            if w2 == m2:
+                keep[:, :, 1:] = False
+            yield _gathered(windows, flip, lo, w2, keep)
+
+    groups = zip(means(), _window_folds(approx, np.minimum))
+    out = _spread_folds(((lo, exact(lo, m, low)) for (lo, m), (_, low) in groups), b.shape)
+    return out.T if flip else out
 
 
 def _trailing_max(m: np.ndarray, w: int, axis: int) -> np.ndarray:
@@ -145,9 +278,10 @@ def strong_maximal(f: GridFunction) -> GridFunction:
     if f.ndim != 2:
         raise ShapeError("strong maximal needs a two-axis function")
     a = np.abs(f.values)
-    means_by_row_width = _gathered_means if a.size <= _GATHER_CELLS else _carried_means
+    if a.size <= _GATHER_CELLS:
+        return f.with_values(_gathered_maximal(a))
     out = np.zeros_like(a)
-    for w1, row_means in enumerate(means_by_row_width(a), 1):
+    for w1, row_means in enumerate(_carried_means(a), 1):
         # spread each window's mean over its cells: along the second axis for
         # every column width, then along the first once (the max commutes)
         rows = _widest_containing(row_means, 1, a.shape)

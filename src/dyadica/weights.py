@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .dyadic import DyadicSystem
-from .errors import InfeasibleExponentError, ParameterError, ShapeError
+from .errors import InfeasibleExponentError, ParameterError, ShapeError, SystemMismatchError
 from .grid import Axis, GridFunction, _check_lambda, grid_function
 
 __all__ = [
@@ -178,8 +178,16 @@ FamilySelector = Union[str, Iterable[DyadicSystem]]
 
 def _systems(family: FamilySelector):
     """A family name as it is, and systems as a tuple, taken where a family
-    enters: a generator of systems can be read only once."""
-    return family if isinstance(family, str) else tuple(family)
+    enters: a generator of systems can be read only once.  Anything else,
+    a lone DyadicSystem too, is a ParameterError."""
+    if isinstance(family, str):
+        return family
+    if isinstance(family, DyadicSystem) or not np.iterable(family):
+        raise ParameterError("a cube family is 'intervals' or an iterable of DyadicSystems")
+    systems = tuple(family)
+    if not all(isinstance(system, DyadicSystem) for system in systems):
+        raise ParameterError("every member of a cube family must be a DyadicSystem")
+    return systems
 
 
 def _family_means(axis: Axis, family: FamilySelector, *tables: np.ndarray):
@@ -196,8 +204,11 @@ def _family_means(axis: Axis, family: FamilySelector, *tables: np.ndarray):
         raise ParameterError(f"unknown cube family {family!r}; use 'intervals' or systems")
     if systems == ():
         raise ParameterError("empty cube family")
-    if any(system.axis != axis for system in systems or ()):
-        raise ShapeError("cube-family system lives on a different axis")
+    for system in systems or ():
+        if system.axis != axis:
+            raise SystemMismatchError(
+                f"cube-family system axis {system.axis} is not the weight's axis {axis}"
+            )
     starts = np.arange(n)
     sums = [np.zeros(n) for _ in tables]
     for width in range(1, n + 1):

@@ -222,11 +222,29 @@ def strong_maximal_brute(values):
     for s1, w1 in all_arcs(n1):
         rows = arc_cells(n1, s1, w1)
         for s2, w2 in all_arcs(n2):
-            cols = arc_cells(n2, s2, w2)
-            m = f[np.ix_(rows, cols)].mean()
-            sub = out[np.ix_(rows, cols)]
-            out[np.ix_(rows, cols)] = np.maximum(sub, m)
+            cells = np.ix_(rows, arc_cells(n2, s2, w2))
+            out[cells] = np.maximum(out[cells], f[cells].mean())
     return out
+
+
+def gathered_means(values):
+    """Per (w1, w2), the means ``[s1, s2]`` of the w1 x w2 arc rectangles at
+    every counted start (the full circle once), each gathered C-ordered and
+    reduced by ``mean()``: the bits of :func:`strong_maximal_brute`'s
+    rectangle means, one block copy per shape."""
+    a = np.abs(np.asarray(values, dtype=float))
+    n1, n2 = a.shape
+    wrapped = np.concatenate((a, a[: n1 - 1]), 0)
+    wrapped = np.concatenate((wrapped, wrapped[:, : n2 - 1]), 1)
+    # windows[s1, s2, i, j] = a[(s1 + i) % n1, (s2 + j) % n2]
+    windows = np.lib.stride_tricks.sliding_window_view(wrapped, (n1, n2))
+    means = {}
+    for w1 in range(1, n1 + 1):
+        for w2 in range(1, n2 + 1):
+            c1, c2 = (n1 if w1 < n1 else 1), (n2 if w2 < n2 else 1)
+            block = windows[:c1, :c2, :w1, :w2].copy()
+            means[w1, w2] = block.mean(axis=(2, 3))
+    return means
 
 
 def trailing_max_brute(m, w, axis):

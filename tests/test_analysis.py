@@ -5,13 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dyadica import analysis
 from dyadica.analysis import (
     OmegaFamily,
     _carried_means,
-    _gathered_means,
+    _carry_gap,
     _rect_weight_means,
     _trailing_max,
     _widest_containing,
+    _window_folds,
     bmo_prod_norm,
     default_omega_family,
     duality_check,
@@ -41,6 +43,7 @@ from oracles import (
     bmo_prod_brute,
     cube_cells,
     dyadic_rect_maximal_brute,
+    gathered_means,
     level_scale_reference,
     square_function_reference,
     strong_maximal_brute,
@@ -137,14 +140,113 @@ def test_strong_maximal_matches_brute_force_at_view_edges(levels):
     assert np.array_equal(strong_maximal(f).values, strong_maximal_brute(f.values))
 
 
+# every power-of-two shape of the gathered path (<= 256 cells)
+SMALL_SHAPES = [(1 << k1, 1 << k2) for k1 in range(9) for k2 in range(9 - k1)]
+
+
+def exactness_grids(shape, rng):
+    """Random, heavy-tailed, tie-heavy and subnormal values on ``shape``."""
+    return {
+        "random": rng.normal(size=shape),
+        "heavy-tailed": rng.standard_cauchy(size=shape) ** 3,
+        "tie-heavy": rng.choice((0.1, 0.2, 0.3), size=shape),
+        "subnormal": rng.choice((0.0, 5e-324, 1e-310, 3e-310), size=shape),
+    }
+
+
 def test_strong_maximal_carried_sums_agree_with_gather():
+    # the small-grid path picks the windows to gather by this bound: every
+    # carried window mean is within _carry_gap of its gathered mean()
     rng = np.random.default_rng(3)
-    a = np.abs(rng.normal(size=(16, 16)))
-    rows = zip(_gathered_means(a), _carried_means(a))
-    for w1, (gathered, carried) in enumerate(rows, 1):
-        for w2, (g, c) in enumerate(zip(gathered, carried), 1):
-            assert g.shape == c.shape, (w1, w2)
-            assert np.max(np.abs(c - g)) <= 1e-12 * np.max(g)
+    for shape in SMALL_SHAPES:
+        for kind, values in exactness_grids(shape, rng).items():
+            a = np.abs(values)
+            gathered, gap = gathered_means(a), _carry_gap(a)
+            for w1, row in enumerate(_carried_means(a), 1):
+                for w2, carried in enumerate(row, 1):
+                    g = gathered[w1, w2]
+                    assert g.shape == carried.shape, (shape, kind, w1, w2)
+                    assert np.max(np.abs(carried - g)) <= gap, (shape, kind, w1, w2)
+
+
+@pytest.mark.parametrize("shape", ((4, 8), (32, 4), (1, 16)))
+def test_window_folds_are_carried_sums_and_window_minima(shape):
+    # per row-width group and column width, the sums of _window_folds are
+    # _carried_means' sums and its minima the minimum over each window
+    a = np.abs(np.random.default_rng(6).normal(size=shape))
+    carried = [list(row) for row in _carried_means(a)]
+    seen = 0
+    for (lo, sums), (_, lows) in zip(_window_folds(a, np.add), _window_folds(a, np.minimum)):
+        for w2, (S, L) in enumerate(zip(sums, lows), 1):
+            for k, (s, low) in enumerate(zip(S, L)):
+                w1 = lo + k + 1
+                want = carried[w1 - 1][w2 - 1]
+                c1, c2 = want.shape
+                assert np.array_equal(s[:c1, :c2] / (w1 * w2), want), (w1, w2)
+                cells = itertools.product(range(w1), range(w2))
+                window_min = np.min([np.roll(a, (-i, -j), (0, 1)) for i, j in cells], axis=0)
+                assert np.array_equal(low, window_min), (w1, w2)
+                seen += 1
+    assert seen == a.size
+
+
+def _grid(values):
+    return grid_function(values, *(Axis(n.bit_length() - 1) for n in values.shape))
+
+
+def _one_dip(shape):
+    # 0.3 everywhere but one 0.1: at the dip the widest window wins, the
+    # full circle on a one-cell axis
+    values = np.full(shape, 0.3)
+    values[tuple(n // 3 for n in shape)] = 0.1
+    return values
+
+
+TIE_RNG = np.random.default_rng(11)
+EXTREME_GRIDS = {
+    "constant-0.1": np.full((16, 16), 0.1),
+    "constant-1e-310": np.full((8, 16), 1e-310),
+    "ties-0.1-0.2-0.3": TIE_RNG.choice((0.1, 0.2, 0.3), size=(16, 16)),
+    "ties-0.1-0.2-0.3-wide": TIE_RNG.choice((0.1, 0.2, 0.3), size=(4, 32)),
+    "single-spike": np.where(np.arange(128).reshape(16, 8) == 45, 1.0, 0.0),
+    "one-dip-1x256": _one_dip((1, 256)),
+    "one-dip-256x1": _one_dip((256, 1)),
+    "one-dip-8x8": _one_dip((8, 8)),
+    # some rows keep the full-width window at start 0 only: a rotated copy
+    # of it sums in another order
+    "random-2x16": np.random.default_rng(13).normal(size=(2, 16)),
+    # every window is gathered: a carried mean nears max_float / (4 n1 n2)
+    "near-overflow": TIE_RNG.uniform(1e306, 2e306, size=(8, 8)),
+}
+
+
+@pytest.mark.parametrize("kind", EXTREME_GRIDS)
+def test_strong_maximal_matches_brute_force_on_ties_and_extremes(kind):
+    values = EXTREME_GRIDS[kind]
+    assert np.array_equal(strong_maximal(_grid(values)).values, strong_maximal_brute(values))
+
+
+def test_strong_maximal_refuses_an_overflowing_window_mean():
+    # the 16 x 16 sum overflows to inf in mean(), and with_values refuses
+    # the inf, as when every window was gathered
+    values = np.full((16, 16), 1e307)
+    values[3, 9] = 1.7e308
+    with np.errstate(over="ignore"), pytest.raises(ShapeError, match="finite"):
+        strong_maximal(_grid(values))
+
+
+def test_strong_maximal_gathers_few_windows_on_a_normal_grid(monkeypatch):
+    gathered = []
+
+    def counting(windows, flip, lo, w2, keep):
+        gathered.append(int(keep.sum()))
+        return real(windows, flip, lo, w2, keep)
+
+    real = analysis._gathered
+    monkeypatch.setattr(analysis, "_gathered", counting)
+    f = rand_f(np.random.default_rng(12), build_axis(4), build_axis(4))
+    strong_maximal(f)
+    assert 0 < sum(gathered) <= 1024
 
 
 def test_strong_maximal_deficit_is_zero_on_64x64():

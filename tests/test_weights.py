@@ -4,7 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyadica.dyadic import DyadicSystem
-from dyadica.errors import InfeasibleExponentError, ParameterError, ShapeError
+from dyadica.errors import (
+    InfeasibleExponentError,
+    ParameterError,
+    ShapeError,
+    SystemMismatchError,
+)
 from dyadica.grid import build_axis, constant_function, grid_function
 from dyadica.weights import (
     ExponentTriple,
@@ -253,10 +258,28 @@ def test_ap_characteristic_family_validation():
         ap_characteristic(w, 2.0, family="rectangles")
     with pytest.raises(ParameterError):
         ap_characteristic(w, 2.0, family=[])
-    with pytest.raises(ShapeError):
+    with pytest.raises(SystemMismatchError):
         ap_characteristic(w, 2.0, family=[DyadicSystem(build_axis(4), 0)])
     with pytest.raises(ParameterError):
         ap_characteristic(w, 1.0)
+
+
+def test_a_lone_system_is_not_a_cube_family():
+    axis = build_axis(3)
+    w = Weight(constant_function(1.0, axis))
+    with pytest.raises(ParameterError, match="iterable of DyadicSystems"):
+        ap_characteristic(w, 2.0, family=DyadicSystem(axis, 0))
+    with pytest.raises(ParameterError, match="iterable of DyadicSystems"):
+        derived_class_check(w, 2.0, 3.0, family=DyadicSystem(axis, 0))
+
+
+def test_every_member_of_a_cube_family_is_a_system():
+    axis = build_axis(3)
+    w = Weight(constant_function(1.0, axis))
+    with pytest.raises(ParameterError, match="must be a DyadicSystem"):
+        ap_characteristic(w, 2.0, family=[DyadicSystem(axis, 0), axis])
+    with pytest.raises(ParameterError, match="must be a DyadicSystem"):
+        product_ap_characteristic(ProductWeight(w, w), 2.0, family=[0])
 
 
 def test_apq_characteristic_matches_brute_force_bitwise():
