@@ -3,17 +3,17 @@ product-BMO norm.
 
 The strong maximal function scans every grid-aligned (wrap-aware) arc
 rectangle: the mean of every window, then per cell the largest mean of a
-window containing it.  Window sums of |f| are carried across widths; every
-term is >= 0, so each carried mean is within ``_carry_gap`` of the naive
-block mean, and a one-cell window is exact.  Above 256 cells the carried
-means are the answer, spread along the second axis sixteen column widths at
-a time and along the first by a running max that doubles its span per
-shift.  Up to 256 cells each mean is the block mean a loop over rectangles
-gives (the window's cells gathered C-ordered, reduced by ``mean()``), bit
-for bit: the carried means, folded many windows per array, put every
-cell's maximum within two gaps, and only the windows that can still reach
-it are gathered, about one per cell on most grids and every window where
-the means tie.  The bi-parameter dyadic maximal function gathers its
+window containing it.  One engine serves every size: ``_window_folds``
+carries window sums of |f| across widths, a group of row widths per array,
+and ``_spread_folds`` spreads each group's window values to the cells.
+Every term is >= 0, so each carried mean is within ``_carry_gap`` of the
+naive block mean, and a one-cell window is exact; the full circle counts
+once.  Above 256 cells the spread carried means are the answer.  Up to 256
+cells each mean is the block mean a loop over rectangles gives (the
+window's cells gathered C-ordered, reduced by ``mean()``), bit for bit:
+only the windows whose carried means can still reach a cell's maximum are
+gathered, about one per cell on most grids and every window where the
+means tie.  The bi-parameter dyadic maximal function gathers its
 rectangles at every size.
 
 The product-BMO norm is a maximum over a finite family of shapes, each a
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .dyadic import DyadicSystem, _placed
 from .errors import DegenerateInputError, ParameterError, ShapeError
@@ -59,10 +60,11 @@ __all__ = [
 
 # up to this many cells, each window's mean is its gathered C-ordered mean(),
 # the bits of a loop over rectangles; only the windows that can set a cell's
-# bits are gathered (about one per cell on most grids, all where means tie)
+# bits are gathered (about one per cell on most grids, all where means tie).
+# Above it, the carried means are the answer
 _GATHER_CELLS = 256
-# widths spread together (this many window-mean arrays held at once), and
-# row widths folded together on the gathered path
+# window-mean arrays spread together along an axis; a fold array holds at most
+# _SPREAD_CHUNK * _GATHER_CELLS windows
 _SPREAD_CHUNK = 16
 
 
@@ -75,23 +77,16 @@ def _arc_count(n: int, width: int) -> int:
     return n if width < n else 1
 
 
-def _carried_means(a: np.ndarray):
-    """Per row width, the window means of every column width (read each row
-    before the next: it reads the running sums), from window sums carried
-    across widths: all terms are >= 0, so a mean is off by at most
-    :func:`_carry_gap`, and a one-cell window is exact."""
-    n1, n2 = a.shape
-
-    def row(R, w1):
-        C = np.zeros_like(a)  # C[s1, s2]: the window with lower corner (s1, s2)
-        for w2 in range(1, n2 + 1):
-            C += _shifted(R, 1 - w2, 1)
-            yield C[: _arc_count(n1, w1), : _arc_count(n2, w2)] / (w1 * w2)
-
-    R = np.zeros_like(a)  # R[s1]: rows s1 .. s1 + w1 - 1 summed
-    for w1 in range(1, n1 + 1):
-        R += _shifted(a, 1 - w1, 0)
-        yield row(R, w1)
+def _counted(V: np.ndarray, lo: int, w2: int) -> np.ndarray:
+    """``V[w1 - 1 - lo, s1, s2]`` per w1 x w2 window, set to 0 (False) in place
+    past :func:`_arc_count`'s starts; only a group's widest w1 can be full."""
+    n1, n2 = V.shape[1:]
+    c1, c2 = _arc_count(n1, lo + len(V)), _arc_count(n2, w2)
+    if c1 < n1:
+        V[-1, c1:] = 0
+    if c2 < n2:
+        V[..., c2:] = 0
+    return V
 
 
 def _carry_gap(a: np.ndarray) -> float:
@@ -105,9 +100,10 @@ def _carry_gap(a: np.ndarray) -> float:
     is >= 0, so (Higham, *Accuracy and Stability of Numerical Algorithms*,
     2002, sec. 4.2 and Lemma 3.3):
 
-    - the carried sum adds the w1 cells of each column, then the w2 column
-      sums, one at a time: relative error gamma_(w1 + w2 - 2), and with the
-      division the mean's is gamma_(w1 + w2 - 1), plus 2**-1075;
+    - the carried sum of :func:`_window_folds` adds the w1 cells of each
+      column, then the w2 column sums, one at a time: relative error
+      gamma_(w1 + w2 - 2), and with the division the mean's is
+      gamma_(w1 + w2 - 1), plus 2**-1075;
     - ``mean()`` adds the N cells along a tree of N - 1 additions, each cell
       through at most N - 1 of them, and divides: gamma_N, plus 2**-1075.
 
@@ -121,47 +117,61 @@ def _carry_gap(a: np.ndarray) -> float:
 
 
 def _window_folds(a: np.ndarray, op):
-    """``op`` folded over every window of ``a`` in the order of
-    :func:`_carried_means` (the cells of each column of the window in order,
-    then the columns), by groups of ``_SPREAD_CHUNK`` row widths from the
-    narrowest.  Per group, ``(lo, folds)``: ``folds`` yields, per column
-    width w2 from 1, the running array ``F[w1 - 1 - lo, s1, s2]`` of the
-    w1 x w2 windows at lower corner (s1, s2).  Read each before the next.
-    The full circle appears at every start."""
+    """``op`` folded over every window of ``a``: the cells of each column of
+    the window in order, then the columns in order.  Row widths go in groups
+    from the narrowest, each small enough that a fold array holds at most
+    ``_SPREAD_CHUNK * _GATHER_CELLS`` windows (``_SPREAD_CHUNK`` row widths
+    up to that many cells).  Per group, ``(lo, folds)``: ``folds`` yields,
+    per column width w2 from 1, the running array ``F[w1 - 1 - lo, s1, s2]``
+    of the w1 x w2 windows at lower corner (s1, s2).  Read each before the
+    next.  The full circle appears at every start."""
     n1, n2 = a.shape
+    group = max(1, min(_SPREAD_CHUNK, _SPREAD_CHUNK * _GATHER_CELLS // a.size))
 
-    def columns(R):
-        F = R.copy()
-        twice = np.concatenate((R, R), 2)  # twice[..., j] = R[..., j % n2]
+    def columns(F):
+        twice = np.concatenate((F, F), 2)  # twice[..., j] = F[..., j % n2] at w2 = 1
         for w2 in range(1, n2 + 1):
             if w2 > 1:
                 op(F, twice[..., w2 - 1 : w2 - 1 + n2], out=F)
             yield F
 
-    R = None
-    for lo in range(0, n1, _SPREAD_CHUNK):
-        ahead = np.arange(lo, min(lo + _SPREAD_CHUNK, n1))[:, None] + np.arange(n1)
-        fresh = a[ahead % n1]  # fresh[k, s1] = row s1 + lo + k
-        if R is not None:
-            op(R[-1], fresh[0], out=fresh[0])
-        R = op.accumulate(fresh, axis=0)  # R[k, s1]: rows s1 .. s1 + lo + k
-        yield lo, columns(R)
+    last = None  # the widest row width of the group before
+    for lo in range(0, n1, group):
+        ahead = np.arange(lo, min(lo + group, n1))[:, None] + np.arange(n1)
+        F = a[ahead % n1]  # F[k, s1] = row s1 + lo + k
+        if last is not None:
+            op(last, F[0], out=F[0])
+        op.accumulate(F, axis=0, out=F)  # F[k, s1]: rows s1 .. s1 + lo + k
+        last = F[-1].copy()
+        yield lo, columns(F)
 
 
-def _spread_folds(groups, shape) -> np.ndarray:
+def _fold_means(a: np.ndarray):
+    """The carried window means of ``a >= 0``, in :func:`_window_folds`' order:
+    per group ``(lo, means)``, and ``means`` yields a new array per column
+    width, :func:`_counted`.  Each mean is within :func:`_carry_gap` of its
+    window's ``mean()``, and a one-cell window's is exact."""
+    n1, n2 = a.shape
+    # cells[w2 - 1, w1 - 1]: the cells of a w1 x w2 window
+    cells = np.multiply.outer(np.arange(1.0, n2 + 1), np.arange(1.0, n1 + 1))[..., None, None]
+
+    def means(lo, folds):
+        for w2, F in enumerate(folds, 1):
+            yield _counted(F / cells[w2 - 1, lo : lo + len(F)], lo, w2)
+
+    for lo, folds in _window_folds(a, np.add):
+        yield lo, means(lo, folds)
+
+
+def _spread_folds(groups) -> np.ndarray:
     """Per cell, the largest value of a window containing it, from window
     arrays grouped as :func:`_window_folds` yields them: along the second
-    axis width by width, then along the first."""
-    n1, n2 = shape
-
-    def rows():
-        for lo, folds in groups:
-            spread = np.zeros((min(_SPREAD_CHUNK, n1 - lo), n1, n2))  # [w1 - 1 - lo, s1, x2]
-            for w2, V in enumerate(folds, 1):
-                np.maximum(spread, _trailing_max(V, w2, 2), out=spread)
-            yield from spread
-
-    return _widest_containing(rows(), 0, shape)
+    axis, then along the first within the group."""
+    out = None
+    for lo, folds in groups:
+        rows = _widest_containing(folds, 2)  # rows[w1 - 1 - lo, s1, x2]
+        out = _widest_containing(rows, 0, lo + 1, out)
+    return out
 
 
 def _gathered(windows, flip: bool, lo: int, w2: int, keep: np.ndarray) -> np.ndarray:
@@ -173,18 +183,19 @@ def _gathered(windows, flip: bool, lo: int, w2: int, keep: np.ndarray) -> np.nda
     m1, m2 = keep.shape[1:]
     c2 = _arc_count(m2, w2)
     for k in np.flatnonzero(keep.any(axis=(1, 2))):
-        c1 = _arc_count(m1, lo + k + 1)
-        if keep[k, :c1, :c2].all():  # the shape at every start: one block
-            starts = (slice(c1), slice(c2))
+        c1 = _arc_count(m1, w1 := lo + k + 1)
+        if keep[k, :c1, :c2].all():  # the shape at every start: blocks of rows of
+            # starts, each copy at most four fold arrays (128 KiB) next to the spread
+            rows = max(1, 4 * _SPREAD_CHUNK * _GATHER_CELLS // (c2 * w1 * w2))
+            parts = [(slice(r, min(r + rows, c1)), slice(c2)) for r in range(0, c1, rows)]
         else:
-            starts = np.nonzero(keep[k])
-        corner, size = starts, (lo + k + 1, w2)
-        if flip:
-            corner, size = corner[::-1], size[::-1]
-        # each window copied C-ordered, as a gather of it is, and freed once reduced
-        view = windows[corner + (slice(size[0]), slice(size[1]))]
-        means = np.ascontiguousarray(view).mean(axis=(-2, -1))
-        out[(k,) + starts] = means.T if flip else means
+            parts = [np.nonzero(keep[k])]
+        size = (slice(w2), slice(w1)) if flip else (slice(w1), slice(w2))
+        for starts in parts:
+            # each window copied C-ordered, as a gather of it is, and freed once reduced
+            view = windows[(starts[::-1] if flip else starts) + size]
+            means = np.ascontiguousarray(view).mean(axis=(-2, -1))
+            out[(k,) + starts] = means.T if flip else means
     return out
 
 
@@ -193,51 +204,39 @@ def _gathered_maximal(a: np.ndarray) -> np.ndarray:
     C-ordered ``mean()`` of its gathered cells, gathering only the windows
     that can set a cell's bits.
 
-    The carried means give ``approx``, within delta = :func:`_carry_gap` of
-    the exact maximum M at every cell.  Let W attain M(x) at a cell x in it.
-    Then carried(W) >= M(x) - delta >= approx(x) - 2 delta >= min over W of
-    approx - 2 delta, so W passes the test that picks the windows to gather.
-    No other window exceeds M at its cells and every mean is >= 0, so the 0
-    of a window left out changes no cell's maximum.  If a carried mean
-    reaches max_float / (4 n1 n2), some window sum might overflow (to the
-    inf that ``with_values`` refuses) in one order and not the other, so
-    every window is gathered; below it, every exact sum is under about
-    max_float / 4 and neither order overflows.
+    The spread of the carried means, ``approx``, is within delta =
+    :func:`_carry_gap` of the exact maximum M at every cell.  Let W attain
+    M(x) at a cell x in it.  Then carried(W) >= M(x) - delta >= approx(x) -
+    2 delta >= min over W of approx - 2 delta, so W passes the test that
+    picks the windows to gather.  No other window exceeds M at its cells and
+    every mean is >= 0, so the 0 of a window left out changes no cell's
+    maximum.  If a carried mean reaches max_float / (4 n1 n2), some window
+    sum might overflow (to the inf that ``with_values`` refuses) in one
+    order and not the other, so every window is gathered; below it, every
+    exact sum is under about max_float / 4 and neither order overflows.
 
-    The folds run on the transpose of a wide grid, so each array holds at
-    most ``_SPREAD_CHUNK`` n1 n2 windows and a thin grid takes few steps;
-    the gathers read ``a`` itself.
+    The folds run on the transpose of a wide grid, so a thin grid takes few
+    steps; the gathers read ``a`` itself.
     """
     n1, n2 = a.shape
     wrapped = np.concatenate((a, a[: n1 - 1]), 0)
     wrapped = np.concatenate((wrapped, wrapped[:, : n2 - 1]), 1)
-    # windows[s1, s2, i, j] = a[(s1 + i) % n1, (s2 + j) % n2]
-    windows = np.lib.stride_tricks.sliding_window_view(wrapped, (n1, n2))
+    # windows[s1, s2, i, j] = a[(s1 + i) % n1, (s2 + j) % n2], read-only, without
+    # sliding_window_view's checks (a tenth of a 2 x 2 call)
+    windows = as_strided(wrapped, (n1, n2) * 2, wrapped.strides * 2, writeable=False)
     flip = n2 > n1
     b = a.T if flip else a
-    m1, m2 = b.shape
-    # cells[w2 - 1, w1 - 1]: the cells of a w1 x w2 window
-    cells = np.multiply.outer(np.arange(1.0, m2 + 1), np.arange(1.0, m1 + 1))[..., None, None]
-
-    def means():
-        for lo, folds in _window_folds(b, np.add):
-            yield lo, map(np.divide, folds, cells[:, lo : lo + _SPREAD_CHUNK])
-
-    approx = _spread_folds(means(), b.shape)
+    approx = _spread_folds(_fold_means(b))
     margin = 2 * _carry_gap(a)
     gather_all = approx.max() >= np.finfo(float).max / (4 * a.size)
 
     def exact(lo, means, lows):
         for w2, (m, low) in enumerate(zip(means, lows), 1):
-            keep = gather_all | (m >= low - margin)
-            if lo + len(keep) == m1:
-                keep[-1, 1:] = False  # the full circle counts once
-            if w2 == m2:
-                keep[:, :, 1:] = False
+            keep = _counted(gather_all | (m >= low - margin), lo, w2)
             yield _gathered(windows, flip, lo, w2, keep)
 
-    groups = zip(means(), _window_folds(approx, np.minimum))
-    out = _spread_folds(((lo, exact(lo, m, low)) for (lo, m), (_, low) in groups), b.shape)
+    groups = zip(_fold_means(b), _window_folds(approx, np.minimum))
+    out = _spread_folds((lo, exact(lo, m, low)) for (lo, m), (_, low) in groups)
     return out.T if flip else out
 
 
@@ -251,42 +250,41 @@ def _trailing_max(m: np.ndarray, w: int, axis: int) -> np.ndarray:
     return m
 
 
-def _widest_containing(means, axis: int, shape) -> np.ndarray:
-    """Per cell, the largest ``means[w - 1][s]`` over the windows ``s .. s +
-    w - 1`` along ``axis`` that contain it, wrap-around; ``means`` may be a
-    generator in width order.  Per chunk of widths, from its widest width
-    down, the running max over widths above ``t`` is shifted by ``t``; the
-    shifts below the chunk's narrowest width take the chunk's max at once.
-    Max is exact, so the order changes no bits."""
-    out = np.zeros(shape)
+def _widest_containing(means, axis: int, lo: int = 1, out=None) -> np.ndarray:
+    """Per cell, the largest ``means[w - lo][s]`` over the windows ``s .. s +
+    w - 1`` along ``axis`` that contain it, wrap-around, and ``out``'s value
+    if given (updated in place); ``means`` may be a generator of same-shape
+    arrays in width order from ``lo``.  Per chunk of widths, from its widest
+    width down, the running max over widths above ``t`` is shifted by ``t``;
+    the shifts below the chunk's narrowest width take the chunk's max at
+    once.  Max is exact, so the order changes no bits."""
     means = iter(means)
-    lo = 1  # the chunk's narrowest width
     while chunk := list(itertools.islice(means, _SPREAD_CHUNK)):
-        wider = np.zeros(shape)
+        wider = chunk[-1].copy()
+        if out is None:
+            out = np.zeros(wider.shape)
         for t in range(lo + len(chunk) - 2, lo - 1, -1):
-            np.maximum(wider, chunk[t + 1 - lo], out=wider)
             np.maximum(out, _shifted(wider, t, axis), out=out)
-        np.maximum(wider, chunk[0], out=wider)
+            np.maximum(wider, chunk[t - lo], out=wider)
         np.maximum(out, _trailing_max(wider, lo, axis), out=out)
-        lo += len(chunk)
+        lo += len(chunk)  # the next chunk's narrowest width
     return out
 
 
 def strong_maximal(f: GridFunction) -> GridFunction:
     """Exact max over all grid-aligned rectangles of the rectangle average
-    of |f|, evaluated at every cell the rectangle covers."""
+    of |f|, evaluated at every cell the rectangle covers.
+
+    Up to ``_GATHER_CELLS`` = 256 cells each window's mean is its block
+    ``mean()``, the bits of a loop over rectangles; above it each is a
+    carried mean, within :func:`_carry_gap` of that, and a one-cell window's
+    is exact."""
     if f.ndim != 2:
         raise ShapeError("strong maximal needs a two-axis function")
     a = np.abs(f.values)
     if a.size <= _GATHER_CELLS:
         return f.with_values(_gathered_maximal(a))
-    out = np.zeros_like(a)
-    for w1, row_means in enumerate(_carried_means(a), 1):
-        # spread each window's mean over its cells: along the second axis for
-        # every column width, then along the first once (the max commutes)
-        rows = _widest_containing(row_means, 1, a.shape)
-        np.maximum(out, _trailing_max(rows, w1, 0), out=out)
-    return f.with_values(out)
+    return f.with_values(_spread_folds(_fold_means(a)))
 
 
 # -- dyadic maximal functions ---------------------------------------------

@@ -27,10 +27,17 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate
 
+# The library names the oracles build on, and the test that pins each on its own:
+#   _within_threshold  test_dyadic::test_goodness_census_matches_rational_oracle, via bad_mask
+#   bad_mask, is_good  test_dyadic::test_goodness_census_matches_rational_oracle
+#   RepresentationReport  none: a frozen record, it computes nothing
+#   kernel_matrix  test_grid::test_kernel_matrix_entries_read_the_profile
+#   basis_column  test_haar::test_haar_matrix_columns_match_functions
+#   haar_synthesize  test_haar::test_transform_pair_matches_dense_haar_matrix
 from dyadica.dyadic import DyadicCube, DyadicSystem, _within_threshold, bad_mask, is_good
-from dyadica.fracops import RepresentationReport, frac_integral
-from dyadica.grid import inner_product, kernel_matrix, l2_norm
-from dyadica.haar import basis_column, haar_matrix, haar_synthesize
+from dyadica.fracops import RepresentationReport
+from dyadica.grid import kernel_matrix
+from dyadica.haar import basis_column, haar_synthesize
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +251,27 @@ def gathered_means(values):
             c1, c2 = (n1 if w1 < n1 else 1), (n2 if w2 < n2 else 1)
             block = windows[:c1, :c2, :w1, :w2].copy()
             means[w1, w2] = block.mean(axis=(2, 3))
+    return means
+
+
+def carried_means_reference(values):
+    """Per (w1, w2), the means ``[s1, s2]`` of the w1 x w2 arc rectangles at
+    every counted start (the full circle once), each summed as a carried
+    sum is: the cells of each column in order, then the column sums in
+    order, and the total divided by w1 w2."""
+    a = np.abs(np.asarray(values, dtype=float))
+    n1, n2 = a.shape
+    means = {}
+    column = a  # column[s1, s2]: cells s1 .. s1 + w1 - 1 of column s2
+    for w1 in range(1, n1 + 1):
+        if w1 > 1:
+            column = column + np.roll(a, 1 - w1, 0)
+        total = column  # total[s1, s2]: those sums of columns s2 .. s2 + w2 - 1
+        for w2 in range(1, n2 + 1):
+            if w2 > 1:
+                total = total + np.roll(column, 1 - w2, 1)
+            c1, c2 = (n1 if w1 < n1 else 1), (n2 if w2 < n2 else 1)
+            means[w1, w2] = total[:c1, :c2] / (w1 * w2)
     return means
 
 
@@ -632,9 +660,9 @@ def verify_representation_brute(f, g, lam, params, systems):
     Haar matrix H, its own ``M = H.T G H``, its own coefficients and its own
     class scan, and the per-system results are accumulated."""
     axis = f.axes[0]
-    scale = max(l2_norm(f) * l2_norm(g), 1e-300)
+    scale = max(axis.h * np.sqrt(np.sum(f.values**2) * np.sum(g.values**2)), 1e-300)
     G = kernel_matrix(axis, lam)
-    lhs = inner_product(g, frac_integral(f, lam))
+    lhs = g.values @ G @ f.values  # <g, I_lam f>: h sum g (G f / h)
 
     residuals = []
     relatives = []
@@ -645,7 +673,7 @@ def verify_representation_brute(f, g, lam, params, systems):
     n_systems = 0
     for system in systems:
         n_systems += 1
-        H = haar_matrix(system)
+        H = haar_matrix_brute(system)
         M = H.T @ G @ H
         cf = axis.h * (H.T @ f.values)
         cg = axis.h * (H.T @ g.values)
@@ -731,7 +759,7 @@ def route_brute(table, system, cf):
 def apply_shift_brute(values, system, table):
     """The shift of a table applied to cell values through the dense Haar
     matrix: ``H route(h H.T v)``."""
-    H = haar_matrix(system)
+    H = haar_matrix_brute(system)
     return H @ route_brute(table, system, system.axis.h * H.T @ values)
 
 
@@ -749,7 +777,8 @@ def leftover_term_brute(Tb, f_values, table1, table2, sys1, sys2):
     """Leftover term of the shift commutator expansion, one pair of table
     entries at a time, the symbol read from its rectangle table ``Tb`` at
     each rectangle's start cells."""
-    Fc = sys1.axis.h * sys2.axis.h * (haar_matrix(sys1).T @ f_values @ haar_matrix(sys2))
+    H1, H2 = haar_matrix_brute(sys1), haar_matrix_brute(sys2)
+    Fc = sys1.axis.h * sys2.axis.h * (H1.T @ f_values @ H2)
     Ecoef = np.zeros_like(Fc)
     entries2 = list(shift_entries(table2, sys2))
     for I, J, _K, a1 in shift_entries(table1, sys1):
@@ -763,7 +792,7 @@ def leftover_term_brute(Tb, f_values, table1, table2, sys1, sys2):
             Ecoef[basis_column(J), basis_column(T)] += (
                 a1 * a2 * (-b_is + b_it + b_js - b_jt) * Fc[basis_column(I), basis_column(S)]
             )
-    return haar_matrix(sys1) @ Ecoef @ haar_matrix(sys2).T
+    return H1 @ Ecoef @ H2.T
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from dyadica import analysis
 from dyadica.analysis import (
     OmegaFamily,
-    _carried_means,
     _carry_gap,
+    _fold_means,
     _rect_weight_means,
     _trailing_max,
     _widest_containing,
@@ -41,6 +41,7 @@ from dyadica.weights import ProductWeight, Weight, power_weight
 
 from oracles import (
     bmo_prod_brute,
+    carried_means_reference,
     cube_cells,
     dyadic_rect_maximal_brute,
     gathered_means,
@@ -156,31 +157,35 @@ def exactness_grids(shape, rng):
 
 def test_strong_maximal_carried_sums_agree_with_gather():
     # the small-grid path picks the windows to gather by this bound: every
-    # carried window mean is within _carry_gap of its gathered mean()
+    # carried window mean of the fold engine is within _carry_gap of its
+    # gathered mean(), and the starts past the full circle's first read 0
     rng = np.random.default_rng(3)
     for shape in SMALL_SHAPES:
         for kind, values in exactness_grids(shape, rng).items():
             a = np.abs(values)
             gathered, gap = gathered_means(a), _carry_gap(a)
-            for w1, row in enumerate(_carried_means(a), 1):
-                for w2, carried in enumerate(row, 1):
-                    g = gathered[w1, w2]
-                    assert g.shape == carried.shape, (shape, kind, w1, w2)
-                    assert np.max(np.abs(carried - g)) <= gap, (shape, kind, w1, w2)
+            for lo, means in _fold_means(a):
+                for w2, M in enumerate(means, 1):
+                    for k, carried in enumerate(M):
+                        g = gathered[lo + k + 1, w2]
+                        c1, c2 = g.shape
+                        assert np.max(np.abs(carried[:c1, :c2] - g)) <= gap, (shape, kind, w2)
+                        assert not carried[c1:].any() and not carried[:, c2:].any()
 
 
-@pytest.mark.parametrize("shape", ((4, 8), (32, 4), (1, 16)))
+@pytest.mark.parametrize("shape", ((4, 8), (32, 4), (1, 16), (20, 16)))
 def test_window_folds_are_carried_sums_and_window_minima(shape):
     # per row-width group and column width, the sums of _window_folds are
-    # _carried_means' sums and its minima the minimum over each window
+    # the reference's carried sums and its minima the minimum over each
+    # window; 20 x 16 folds its row widths twelve at a time
     a = np.abs(np.random.default_rng(6).normal(size=shape))
-    carried = [list(row) for row in _carried_means(a)]
+    carried = carried_means_reference(a)
     seen = 0
     for (lo, sums), (_, lows) in zip(_window_folds(a, np.add), _window_folds(a, np.minimum)):
         for w2, (S, L) in enumerate(zip(sums, lows), 1):
             for k, (s, low) in enumerate(zip(S, L)):
                 w1 = lo + k + 1
-                want = carried[w1 - 1][w2 - 1]
+                want = carried[w1, w2]
                 c1, c2 = want.shape
                 assert np.array_equal(s[:c1, :c2] / (w1 * w2), want), (w1, w2)
                 cells = itertools.product(range(w1), range(w2))
@@ -188,6 +193,18 @@ def test_window_folds_are_carried_sums_and_window_minima(shape):
                 assert np.array_equal(low, window_min), (w1, w2)
                 seen += 1
     assert seen == a.size
+
+
+@pytest.mark.parametrize(
+    "shape, group", (((16, 16), 16), ((1, 256), 16), ((32, 32), 4), ((64, 64), 1), ((512, 1), 8))
+)
+def test_window_folds_hold_at_most_4096_windows(shape, group):
+    # sixteen row widths a group up to 256 cells, then fewer: a fold array
+    # holds at most _SPREAD_CHUNK * _GATHER_CELLS windows
+    a = np.zeros(shape)
+    groups = [(lo, next(folds).shape) for lo, folds in _window_folds(a, np.add)]
+    assert [lo for lo, _ in groups] == list(range(0, shape[0], group))
+    assert groups[0][1] == (min(group, shape[0]),) + shape
 
 
 def _grid(values):
@@ -215,6 +232,9 @@ EXTREME_GRIDS = {
     # some rows keep the full-width window at start 0 only: a rotated copy
     # of it sums in another order
     "random-2x16": np.random.default_rng(13).normal(size=(2, 16)),
+    # every shape is kept at every start and copied in blocks of rows of
+    # starts: the full circle's block stops at its one start
+    "random-2x2": np.random.default_rng(1).normal(size=(2, 2)),
     # every window is gathered: a carried mean nears max_float / (4 n1 n2)
     "near-overflow": TIE_RNG.uniform(1e306, 2e306, size=(8, 8)),
 }
@@ -227,12 +247,14 @@ def test_strong_maximal_matches_brute_force_on_ties_and_extremes(kind):
 
 
 def test_strong_maximal_refuses_an_overflowing_window_mean():
-    # the 16 x 16 sum overflows to inf in mean(), and with_values refuses
-    # the inf, as when every window was gathered
-    values = np.full((16, 16), 1e307)
-    values[3, 9] = 1.7e308
-    with np.errstate(over="ignore"), pytest.raises(ShapeError, match="finite"):
-        strong_maximal(_grid(values))
+    # the full sum overflows to inf: in mean() at 16 x 16, as when every
+    # window was gathered, and in the carried sums at 32 x 32; with_values
+    # refuses the inf
+    for n in (16, 32):
+        values = np.full((n, n), 1e307)
+        values[3, 9] = 1.7e308
+        with np.errstate(over="ignore"), pytest.raises(ShapeError, match="finite"):
+            strong_maximal(_grid(values))
 
 
 def test_strong_maximal_gathers_few_windows_on_a_normal_grid(monkeypatch):
@@ -257,20 +279,42 @@ def test_strong_maximal_deficit_is_zero_on_64x64():
     assert np.max(np.abs(f.values) - strong_maximal(f).values) <= 0.0
 
 
+LARGE_RNG = np.random.default_rng(5)
+LARGE_GRIDS = {
+    "random-16x32": LARGE_RNG.normal(size=(16, 32)),
+    "random-32x16": LARGE_RNG.normal(size=(32, 16)),
+    # a rotated copy of a full circle sums in another order: at 4 x 128 one
+    # of them rounds above the start-0 copy at a cell it sets
+    "ties-0.1-0.2-0.3-8x128": LARGE_RNG.choice((0.1, 0.2, 0.3), size=(8, 128)),
+    "ties-0.1-0.2-0.3-128x8": LARGE_RNG.choice((0.1, 0.2, 0.3), size=(128, 8)),
+    "ties-0.1-0.2-0.3-4x128": LARGE_RNG.choice((0.1, 0.2, 0.3), size=(4, 128)),
+    "one-dip-1x512": _one_dip((1, 512)),
+    "one-dip-512x1": _one_dip((512, 1)),
+    "constant-0.1-32x32": np.full((32, 32), 0.1),
+}
+
+
+def _window_max(m, w, axis):
+    """``out[x] = max m[x - w + 1 .. x]`` along ``axis`` with wrap-around, as
+    the max of each length-w window of a wrapped copy."""
+    pad = [(0, 0)] * m.ndim
+    pad[axis] = (w - 1, 0)
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(m, pad, "wrap"), w, axis)
+    return windows.max(axis=-1)
+
+
 def test_strong_maximal_above_gather_size_matches_per_shape_spread():
-    # 16 x 32 takes the carried means; spreading each shape's means on its
-    # own, along both axes, must give the same bits as the per-row-width
-    # spread (the oracle itself is too slow at this size)
-    ax1, ax2 = build_axis(4), build_axis(5)
-    f = rand_f(np.random.default_rng(5), ax1, ax2)
-    a = np.abs(f.values)
-    want = np.zeros_like(a)
-    for w1, row_means in enumerate(_carried_means(a), 1):
-        for w2, means in enumerate(row_means, 1):
+    # above 256 cells the carried means are the answer; spreading each
+    # shape's reference means on its own, along both axes, must give the
+    # same bits as the engine's grouped spread (strong_maximal_brute is too
+    # slow at these sizes)
+    for kind, values in LARGE_GRIDS.items():
+        a = np.abs(values)
+        want = np.zeros_like(a)
+        for (w1, w2), means in carried_means_reference(a).items():
             scores = np.broadcast_to(means, a.shape)
-            spread = trailing_max_brute(trailing_max_brute(scores, w2, 1), w1, 0)
-            np.maximum(want, spread, out=want)
-    assert np.array_equal(strong_maximal(f).values, want)
+            np.maximum(want, _window_max(_window_max(scores, w2, 1), w1, 0), out=want)
+        assert np.array_equal(strong_maximal(_grid(values)).values, want), kind
 
 
 @settings(max_examples=25, deadline=None)
@@ -299,21 +343,25 @@ def test_trailing_max_matches_rolled_max(shape, axis_index, repeat_axis, seed):
     other=st.integers(1, 6),
     axis_index=st.sampled_from([0, 1]),
     seed=st.integers(0, 2**32 - 1),
+    first=st.integers(1, 20),
 )
-@example(n=5, other=1, axis_index=1, seed=0)
-@example(n=33, other=3, axis_index=0, seed=0)
-def test_widest_containing_matches_per_width_rolled_max(n, other, axis_index, seed):
-    # up to 40 widths: two full chunks of widths and a partial one
+@example(n=5, other=1, axis_index=1, seed=0, first=1)
+@example(n=33, other=3, axis_index=0, seed=0, first=1)
+@example(n=40, other=2, axis_index=1, seed=0, first=7)
+def test_widest_containing_matches_per_width_rolled_max(n, other, axis_index, seed, first):
+    # widths first .. n, up to 40 of them: two full chunks of widths and a
+    # partial one, or a group of row widths that starts past width 1
+    first = min(first, n)
     shape = (n, other) if axis_index == 0 else (other, n)
     rng = np.random.default_rng(seed)
-    means = [rng.uniform(size=shape) for _ in range(n)]
-    # the full-width means have one start, broadcast like the window means
-    means[-1] = means[-1][:1] if axis_index == 0 else means[-1][:, :1]
+    means = [rng.uniform(size=shape) for _ in range(first, n + 1)]
+    # the full-width means count one start, the others read 0, as the fold
+    # means do
+    np.moveaxis(means[-1], axis_index, 0)[1:] = 0
     want = np.zeros(shape)
-    for w, m in enumerate(means, 1):
-        scores = np.broadcast_to(m, shape)
-        np.maximum(want, trailing_max_brute(scores, w, axis_index), out=want)
-    assert np.array_equal(_widest_containing(iter(means), axis_index, shape), want)
+    for w, m in enumerate(means, first):
+        np.maximum(want, trailing_max_brute(m, w, axis_index), out=want)
+    assert np.array_equal(_widest_containing(iter(means), axis_index, first), want)
 
 
 def test_strong_maximal_rejects_one_axis():
