@@ -281,7 +281,10 @@ def cube_distance_cells(I: DyadicCube, J: DyadicCube) -> int:
 # the power-law threshold  dist <= 2**-kj * (2**-depth)**gamma
 
 
+@lru_cache(maxsize=64)
 def _gamma_ratio(gamma: float, max_den: int = 256):
+    """``(a, b)`` with gamma = a/b (within 1e-12) and b <= ``max_den``, else
+    ``None``; cached per gamma, since every level's threshold asks."""
     frac = Fraction(gamma).limit_denominator(max_den)
     if abs(float(frac) - gamma) < 1e-12:
         return frac.numerator, frac.denominator

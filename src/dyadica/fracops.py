@@ -17,13 +17,14 @@ A shift table is one array with a row per cube K in heap order, so
 applying a shift is analyze, one contraction along the array axis,
 synthesize (see :class:`ShiftCoefficientTable`).
 
-The harness does the offset-free work (Haar-basis kernel columns, goodness,
-pair classes) once, on the offset-0 lattice; each system adds only its
-column of Haar coefficients (see :func:`verify_representation`).  The
-generator ``_blocks`` walks the kernel's size-ordered level-pair blocks for
-two consumers: the class census ``_lattice_classes``, cached per (axis,
-lambda, goodness parameters), and the per-input walk ``_scan_lattice``,
-which applies each block and its transpose.  One function, ``_pair_class``,
+The harness does the offset-free work (Haar-basis kernel columns, cached
+per (axis, lambda), goodness, pair classes) once, on the offset-0 lattice;
+each system adds only its column of Haar coefficients (see
+:func:`verify_representation`).  The generator ``_blocks`` walks the
+kernel's size-ordered level-pair blocks for two consumers: the class
+census ``_lattice_classes``, cached per (axis, lambda, goodness
+parameters), and the per-input walk ``_scan_lattice``, which applies each
+block and its transpose.  One function, ``_pair_class``,
 classes one pair (:func:`classify_pair`) or a block of pairs (the census).
 """
 
@@ -34,7 +35,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .dyadic import (
     DyadicCube,
@@ -350,39 +351,57 @@ class RepresentationReport:
     class_counts: Mapping[str, int]
 
 
+@lru_cache(maxsize=16)  # one entry is n * L floats, 1.8 MiB at L=14
 def _kernel_columns(axis: Axis, lam: float) -> np.ndarray:
     """Columns ``C[:, k]`` of the Haar-basis kernel ``M = H.T G H`` of the
     offset-0 lattice at the first cube of each level k = 0 .. L-1: the
-    smoothing operator applied to those L Haar steps, analyzed."""
+    smoothing operator applied to those L Haar steps, analyzed.  Cached per
+    (axis, lambda) and read-only, so a key's census and walks smooth the L
+    steps once."""
     L = axis.level
     lattice = DyadicSystem(axis, 0)
     first = np.zeros((axis.n_cells, L))
     first[1 << np.arange(L), np.arange(L)] = 1.0
-    return haar_analyze(_smooth(haar_synthesize(first, lattice), axis, lam), lattice)
+    columns = haar_analyze(_smooth(haar_synthesize(first, lattice), axis, lam), lattice)
+    columns.setflags(write=False)
+    return columns
 
 
 def _blocks(axis: Axis, lam: float):
     """Every size-ordered block ``M[(kI, a), (kJ, b)]``, ``kI >= kJ``, of the
     Haar-basis kernel: yields ``(kI, kJ, block, kK)`` with ``block`` a
     read-only ``2**kI`` by ``2**kJ`` view of the kernel columns
-    (:func:`_kernel_columns`) and ``kK`` the join levels of its pairs, for
-    kI = 0 .. L-1 and, within each, kJ = 0 .. kI.
+    (:func:`_kernel_columns`, cached per key) and ``kK`` the join levels of
+    its pairs, for kI = 0 .. L-1 and, within each, kJ = 0 .. kI.
 
     A circulant G shifts both cubes by ``b`` level-kJ widths, so the entry
     is ``C[2**kI + (a - b s) mod 2**kI, kJ]`` with ``s = 2**(kI - kJ)``: row
     a reads ``c[a], c[a - s], c[a - 2s], ...`` of that column's level-kI
     rows c, every s-th entry of a reversed window of the doubled line
-    ``c, c``.  G is symmetric, so the block of the mirror pair (kJ, kI) is
-    the transpose (the non-standard form of Beylkin, Coifman and Rokhlin).
+    ``c, c``.  Each kI builds one strided view of those windows for all kJ.
+    G is symmetric, so the block of the mirror pair (kJ, kI) is the
+    transpose (the non-standard form of Beylkin, Coifman and Rokhlin).
+
+    The pair's join lies ``bitlength(x)`` levels above kJ, with
+    ``x = (a >> (kI - kJ)) ^ b < 2**kJ``, so a walk reads ``kK`` from one
+    table per level kJ, indexed by x and built from one ``frexp`` of x's
+    range.
     """
     C = _kernel_columns(axis, lam)
-    for kI in range(C.shape[1]):
+    L = C.shape[1]
+    bits = np.frexp(np.arange(1 << max(L - 1, 0)))[1]  # frexp's exponent is the bit length
+    joins = [kJ - bits[: 1 << kJ] for kJ in range(L)]
+    for kI in range(L):
         c = C[1 << kI : 2 << kI].T
-        windows = sliding_window_view(np.concatenate((c, c), axis=1)[:, 1:], 1 << kI, axis=1)
+        doubled = np.concatenate((c, c), axis=1)[:, 1:]
+        # every column's windows in one view, without sliding_window_view's checks
+        windows = as_strided(
+            doubled, (L, 1 << kI, 1 << kI), doubled.strides + doubled.strides[1:], writeable=False
+        )
         a = np.arange(1 << kI)[:, None]
         for kJ in range(kI + 1):
             block = windows[kJ, :, (1 << kI) - 1 :: -(1 << (kI - kJ))]
-            yield kI, kJ, block, _join_level(kI, a, kJ, np.arange(1 << kJ))
+            yield kI, kJ, block, joins[kJ][(a >> (kI - kJ)) ^ np.arange(1 << kJ)]
 
 
 @lru_cache(maxsize=64)
@@ -393,19 +412,22 @@ def _lattice_classes(axis: Axis, lam: float, params: GoodParams) -> Tuple[dict, 
     Classes count and profile size-ordered pairs whose smaller cube is good;
     a profile keeps an entry only above ``1e-12`` of its class's largest,
     since smaller ones are rounding noise of entries that vanish in exact
-    arithmetic.  The mappings are cached: callers copy them.
+    arithmetic.  Goodness per level and the decay ``2**(-lam k)`` per join
+    level k are built once per key.  The mappings are cached: callers copy
+    them.
     """
     L = axis.level
     width = (L + 1) ** 2
     lattice = DyadicSystem(axis, 0)
     good = [~bad_mask(lattice, k, params) for k in range(L)]
+    decay = 2.0 ** (-lam * np.arange(L))
     counts = np.zeros(len(_TAGS), dtype=np.int64)
     peaks = np.zeros(len(_TAGS) * width)
     for kI, kJ, block, kK in _blocks(axis, lam):
         rows = good[kI]  # the pairs whose smaller cube, at level kI, is good
         a, kK = np.arange(1 << kI)[rows, None], kK[rows]
         flat = (kI * (L + 1) + kJ) - (L + 2) * kK
-        normalized = np.abs(block[rows]) * 2.0 ** (0.5 * (kI + kJ)) * 2.0 ** (-lam * kK)
+        normalized = np.abs(block[rows]) * 2.0 ** (0.5 * (kI + kJ)) * decay[kK]
         tag = _pair_class(axis, kI, a, kJ, np.arange(1 << kJ), kK, params)
         counts += np.bincount(tag.ravel(), minlength=len(_TAGS))
         np.maximum.at(peaks, (tag * width + flat).ravel(), normalized.ravel())
@@ -429,7 +451,10 @@ def _scan_lattice(
     the pairing of a system is ``cg . M cf`` over the Haar steps.  Each
     size-ordered block (:func:`_blocks`) serves both orientations of its
     level pair, itself and its transpose, so each level of ``M cf`` sums its
-    source levels in the order 0 .. L-1.
+    source levels in the order 0 .. L-1.  A block's pairs that join at one
+    level form one depth pair per orientation, so its energies are summed
+    per join level (a ``bincount`` of ``kK``) and added at that level's depth
+    pair, with no index formed per entry.
     """
     L = axis.level
     width = (L + 1) ** 2
@@ -438,17 +463,19 @@ def _scan_lattice(
     MCF = np.zeros(CF.shape)
     for kI, kJ, block, kK in _blocks(axis, lam):
         rows, cols = slice(1 << kI, 2 << kI), slice(1 << kJ, 2 << kJ)
+        # a pair joining at level k <= kJ lies (kI - k, kJ - k) below its join
+        kK, shift = kK.ravel(), (L + 2) * np.arange(kJ + 1)
         MCF[rows] += block @ CF[cols]
         contrib = aG[rows] @ aF[cols].T
         contrib *= np.abs(block)
-        flat = (kJ * (L + 1) + kI) - (L + 2) * kK  # source kJ, target kI
-        energy += np.bincount(flat.ravel(), contrib.ravel(), minlength=width)
+        # source kJ, target kI
+        energy[kJ * (L + 1) + kI - shift] += np.bincount(kK, contrib.ravel(), minlength=kJ + 1)
         if kJ < kI:
             MCF[cols] += block.T @ CF[rows]
             contrib = aF[rows] @ aG[cols].T
             contrib *= np.abs(block)
-            flat = (kI * (L + 1) + kJ) - (L + 2) * kK  # source kI, target kJ
-            energy += np.bincount(flat.ravel(), contrib.ravel(), minlength=width)
+            # source kI, target kJ
+            energy[kI * (L + 1) + kJ - shift] += np.bincount(kK, contrib.ravel(), minlength=kJ + 1)
     energies = {divmod(int(idx), L + 1): float(energy[idx]) for idx in np.nonzero(energy)[0]}
     return energies, (CG[1:] * MCF[1:]).sum(axis=0)
 
@@ -476,11 +503,14 @@ def verify_representation(
     profiles and counts come from the offset-0 lattice, exact up to
     rounding (counts times the number of systems).  That kernel is never
     formed: its L columns at the first cube of each level hold every entry
-    (:func:`_blocks`).  The class census (:func:`_lattice_classes`) depends
-    only on (axis, ``lam``, ``params``), so it runs once per key and is
-    cached; each report holds its own copies of its profiles and counts.
-    The per-input walk (:func:`_scan_lattice`) reads each size-ordered block
-    once for both orientations.  Each system's coefficients
+    (:func:`_blocks`), and they are cached per (axis, ``lam``), so a key's
+    census and walks smooth the L Haar steps once.  A walk builds one
+    window view per level and reads the join levels of every block from
+    one table of bit lengths.  The class census (:func:`_lattice_classes`)
+    depends only on (axis, ``lam``, ``params``), so it runs once per key
+    and is cached; each report holds its own copies of its profiles and
+    counts.  The per-input walk (:func:`_scan_lattice`) reads each
+    size-ordered block once for both orientations.  Each system's coefficients
     ``h H_0.T f[(c + o) mod n]`` come from one batched transform.  Systems
     are validated before any work.
     """

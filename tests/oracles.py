@@ -34,8 +34,11 @@ from scipy import integrate
 #   kernel_matrix  test_grid::test_kernel_matrix_entries_read_the_profile
 #   basis_column  test_haar::test_haar_matrix_columns_match_functions
 #   haar_synthesize  test_haar::test_transform_pair_matches_dense_haar_matrix
-from dyadica.dyadic import DyadicCube, DyadicSystem, _within_threshold, bad_mask, is_good
-from dyadica.fracops import RepresentationReport
+#   _join_level  test_dyadic::test_join_against_brute_force, via join
+#   _kernel_columns  test_fracops::test_haar_kernel_blocks_match_the_dense_haar_basis_kernel
+#   _pair_class  test_fracops::test_classify_partition_exhaustive, via classify_pair
+from dyadica.dyadic import DyadicCube, DyadicSystem, _join_level, _within_threshold, bad_mask, is_good
+from dyadica.fracops import RepresentationReport, _kernel_columns, _pair_class
 from dyadica.grid import kernel_matrix
 from dyadica.haar import basis_column, haar_synthesize
 
@@ -653,6 +656,40 @@ def _scan_system_brute(system, lam, params, profiles, counts, energies, cf, cg, 
                     val = float(normalized[block].max())
                     if val > prof.get(key, 0.0):
                         prof[key] = val
+
+
+def lattice_classes_reference(axis, lam, params):
+    """The class census of the offset-0 lattice, ``(profiles, counts)``,
+    block by block and per entry, where ``fracops._lattice_classes`` reads
+    per-level tables: each size-ordered block gathered entry by entry from
+    the kernel columns, ``C[2**kI + (a - b s) mod 2**kI, kJ]``, its join
+    levels from ``_join_level`` and its decay ``2**(-lam kK)`` per entry."""
+    tags = ("out", "near", "shallow_in", "deep_in")  # _pair_class's order
+    L = axis.level
+    lattice = DyadicSystem(axis, 0)
+    C = _kernel_columns(axis, lam)
+    peaks = {tag: {} for tag in tags}
+    counts = dict.fromkeys(tags, 0)
+    for kI in range(L):
+        good = ~bad_mask(lattice, kI, params)
+        a = np.arange(1 << kI)[good, None]
+        for kJ in range(kI + 1):
+            b = np.arange(1 << kJ)
+            block = C[(1 << kI) + (a - b * (1 << (kI - kJ))) % (1 << kI), kJ]
+            kK = _join_level(kI, a, kJ, b)
+            normalized = np.abs(block) * 2.0 ** (0.5 * (kI + kJ)) * 2.0 ** (-lam * kK)
+            tag = _pair_class(axis, kI, a, kJ, b, kK, params)
+            for t, label in enumerate(tags):
+                sel = tag == t
+                counts[label] += int(sel.sum())
+                for key in {(kI - int(k), kJ - int(k)) for k in kK[sel]}:
+                    top = float(normalized[sel & (kK == kI - key[0])].max())
+                    peaks[label][key] = max(peaks[label].get(key, 0.0), top)
+    profiles = {}
+    for label, prof in peaks.items():
+        top = max(prof.values(), default=0.0)
+        profiles[label] = {key: v for key, v in prof.items() if v > 1e-12 * top}
+    return profiles, counts
 
 
 def verify_representation_brute(f, g, lam, params, systems):

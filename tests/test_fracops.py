@@ -613,16 +613,23 @@ def test_representation_classes_are_measured_once_per_key(monkeypatch):
         uncached.append(fracops.verify_representation(f, g, lam, params, systems))
     assert all(uncached[0].class_profiles.values()) and all(uncached[0].class_counts.values())
 
-    walks, classed = [], []
-    join_level, pair_class = fracops._join_level, fracops._pair_class
-    monkeypatch.setattr(fracops, "_join_level", lambda *a: walks.append(a) or join_level(*a))
+    walks, classed = [], []  # blocks yielded per _blocks walk; _pair_class calls
+    blocks_of, pair_class = fracops._blocks, fracops._pair_class
+
+    def counted_blocks(*a):
+        walks.append(0)
+        for block in blocks_of(*a):
+            walks[-1] += 1
+            yield block
+
+    monkeypatch.setattr(fracops, "_blocks", counted_blocks)
     monkeypatch.setattr(fracops, "_pair_class", lambda *a: classed.append(a) or pair_class(*a))
     fracops._lattice_classes.cache_clear()
     blocks = []
     for (f, g), want in zip(inputs, uncached):
         walks.clear(), classed.clear()
         rep = fracops.verify_representation(f, g, lam, params, systems)
-        blocks.append((len(walks), len(classed)))
+        blocks.append((list(walks), len(classed)))
         assert rep.class_profiles == want.class_profiles
         assert rep.class_counts == want.class_counts
         assert rep.class_constants == want.class_constants
@@ -632,7 +639,28 @@ def test_representation_classes_are_measured_once_per_key(monkeypatch):
         del rep.class_profiles["out"]
         rep.class_counts["deep_in"] = -1
     half = L * (L + 1) // 2
-    assert blocks == [(2 * half, half), (half, 0), (half, 0)]
+    assert blocks == [([half, half], half), ([half], 0), ([half], 0)]
+
+
+@pytest.mark.parametrize("lam", (0.05, 1 / 3, 0.5, 0.95))
+def test_lattice_classes_match_the_per_block_reference(lam):
+    # the census with per-level join tables and decay powers counts and
+    # profiles bit for bit what the per-entry census does; gamma = 1/pi has
+    # no small rational form, so _within_threshold takes its float branch;
+    # at r >= 4 good cubes lie below the coarse levels, and at L=9 the last
+    # two keys populate all four classes
+    for L in range(1, 10):
+        ax = grid.build_axis(L)
+        assert not fracops._kernel_columns(ax, lam).flags.writeable
+        for params in (dyadic.GoodParams(4, dyadic.default_gamma(lam)),
+                       dyadic.GoodParams(5, 7 / 16),
+                       dyadic.GoodParams(5, 1 / np.pi)):
+            profiles, counts = fracops._lattice_classes(ax, lam, params)
+            want_profiles, want_counts = oracles.lattice_classes_reference(ax, lam, params)
+            assert counts == want_counts
+            assert profiles == want_profiles
+            if L == 9 and params.r == 5:
+                assert all(counts.values()) and all(profiles.values())
 
 
 def test_representation_coefficients_match_scalar_op(rng):
