@@ -18,14 +18,17 @@ applying a shift is analyze, one contraction along the array axis,
 synthesize (see :class:`ShiftCoefficientTable`).
 
 The harness does the offset-free work (Haar-basis kernel columns, cached
-per (axis, lambda), goodness, pair classes) once, on the offset-0 lattice;
-each system adds only its column of Haar coefficients (see
+per (axis, lambda), goodness, pair classes) once, on the offset-0
+lattice.  One stationary Haar table per input holds every
+lattice's coefficients, and ``_pairings`` reads the pairings of all
+offsets from the two tables with a few FFTs (see
 :func:`verify_representation`).  The generator ``_blocks`` walks the
 kernel's size-ordered level-pair blocks for two consumers: the class
 census ``_lattice_classes``, cached per (axis, lambda, goodness
-parameters), and the per-input walk ``_scan_lattice``, which applies each
-block and its transpose.  One function, ``_pair_class``,
-classes one pair (:func:`classify_pair`) or a block of pairs (the census).
+parameters), which walks the rows of good cubes only, and the per-input
+energy walk ``_scan_lattice``, which reads each block and its transpose.
+One function, ``_pair_class``, classes one pair (:func:`classify_pair`)
+or a block of pairs (the census).
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from .grid import (
     kernel_profile,
     l2_norm,
 )
-from .haar import _chain_sum, _cube_means, column_cubes, haar_function
+from .haar import _chain_sum, _cube_means, _stationary_analyze, column_cubes, haar_function
 from .haar import haar_analyze, haar_synthesize
 
 __all__ = [
@@ -367,12 +370,55 @@ def _kernel_columns(axis: Axis, lam: float) -> np.ndarray:
     return columns
 
 
-def _blocks(axis: Axis, lam: float):
+def _pairings(axis: Axis, lam: float, UV: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The Haar-side pairing ``cg . M cf`` of the lattice at each offset, from
+    the stationary coefficients ``U, V = UV`` of f and g
+    (:func:`~dyadica.haar._stationary_analyze`), at a cost that does not
+    depend on the number of offsets.
+
+    Block (kI, kJ), kI >= kJ, has entry ``c[(a - b s) mod 2**kI]``
+    (:func:`_blocks`), so with ``w = n >> kI`` its pairing at offset o is
+    ``sum_b (U[kJ] z)(o + b (n >> kJ))``, where
+    ``z(x) = sum_t c[t] V[kI, x + t w]`` is a circular correlation of
+    ``V[kI]`` with c upsampled by w: a fold of period ``n >> kJ`` of the
+    product, read at ``o mod (n >> kJ)``.  The mirror block (kJ, kI),
+    kJ < kI, swaps U and V.
+
+    In frequency the correlations of one kJ sum over kI.  The length-n
+    spectrum of c upsampled by w is the ``2**kI``-point FFT of c, tiled, so
+    frequency ``xi`` reads its entry ``xi & (2**kI - 1)``.  A call makes one
+    ``rfft`` and one ``irfft`` of both tables, one FFT per level kI of the
+    level-kI rows of kernel columns 0 .. kI, L(L+1)/2 multiply-adds and
+    L - 1 halvings for the L folds.
+    """
+    n, L = axis.n_cells, axis.level
+    C = _kernel_columns(axis, lam)
+    Uhat, Vhat = np.fft.rfft(UV, axis=-1)
+    xi = np.arange(n // 2 + 1)
+    # Z[0, kJ] is read against U[kJ]; Z[1, kJ], the mirror, against V[kJ]
+    Z = np.zeros((2, L, n // 2 + 1), dtype=complex)
+    for kI in range(L):
+        spectrum = np.conj(np.fft.fft(C[1 << kI : 2 << kI, : kI + 1].T, axis=-1))
+        tiled = spectrum[:, xi & ((1 << kI) - 1)]
+        Z[0, : kI + 1] += tiled * Vhat[kI]
+        Z[1, :kI] += tiled[:kI] * Uhat[kI]
+    products = (UV * np.fft.irfft(Z, n, axis=-1)).sum(axis=0)
+    # halving rows kJ >= t at step t leaves row kJ's fold in its first n >> kJ
+    for t in range(1, L):
+        w = n >> t
+        products[t:, :w] += products[t:, w : 2 * w]
+    periods = n >> np.arange(L)[:, None]
+    return products[np.arange(L)[:, None], offsets % periods].sum(axis=0)
+
+
+def _blocks(axis: Axis, lam: float, rows=None):
     """Every size-ordered block ``M[(kI, a), (kJ, b)]``, ``kI >= kJ``, of the
     Haar-basis kernel: yields ``(kI, kJ, block, kK)`` with ``block`` a
     read-only ``2**kI`` by ``2**kJ`` view of the kernel columns
     (:func:`_kernel_columns`, cached per key) and ``kK`` the join levels of
-    its pairs, for kI = 0 .. L-1 and, within each, kJ = 0 .. kI.
+    its pairs, for kI = 0 .. L-1 and, within each, kJ = 0 .. kI.  Given
+    ``rows``, one index array of rows a per level kI, the block (a copy)
+    and ``kK`` hold those rows only, and no other row's join is read.
 
     A circulant G shifts both cubes by ``b`` level-kJ widths, so the entry
     is ``C[2**kI + (a - b s) mod 2**kI, kJ]`` with ``s = 2**(kI - kJ)``: row
@@ -398,10 +444,12 @@ def _blocks(axis: Axis, lam: float):
         windows = as_strided(
             doubled, (L, 1 << kI, 1 << kI), doubled.strides + doubled.strides[1:], writeable=False
         )
-        a = np.arange(1 << kI)[:, None]
+        a = np.arange(1 << kI) if rows is None else rows[kI]
         for kJ in range(kI + 1):
             block = windows[kJ, :, (1 << kI) - 1 :: -(1 << (kI - kJ))]
-            yield kI, kJ, block, joins[kJ][(a >> (kI - kJ)) ^ np.arange(1 << kJ)]
+            if rows is not None:
+                block = block[a]
+            yield kI, kJ, block, joins[kJ][(a[:, None] >> (kI - kJ)) ^ np.arange(1 << kJ)]
 
 
 @lru_cache(maxsize=64)
@@ -413,22 +461,22 @@ def _lattice_classes(axis: Axis, lam: float, params: GoodParams) -> Tuple[dict, 
     a profile keeps an entry only above ``1e-12`` of its class's largest,
     since smaller ones are rounding noise of entries that vanish in exact
     arithmetic.  Goodness per level and the decay ``2**(-lam k)`` per join
-    level k are built once per key.  The mappings are cached: callers copy
-    them.
+    level k are built once per key, and the walk reads the blocks' rows of
+    good smaller cubes only, so no other row's join level is gathered.  The
+    mappings are cached: callers copy them.
     """
     L = axis.level
     width = (L + 1) ** 2
     lattice = DyadicSystem(axis, 0)
-    good = [~bad_mask(lattice, k, params) for k in range(L)]
+    # the pairs whose smaller cube, at level kI, is good
+    good = [np.flatnonzero(~bad_mask(lattice, k, params)) for k in range(L)]
     decay = 2.0 ** (-lam * np.arange(L))
     counts = np.zeros(len(_TAGS), dtype=np.int64)
     peaks = np.zeros(len(_TAGS) * width)
-    for kI, kJ, block, kK in _blocks(axis, lam):
-        rows = good[kI]  # the pairs whose smaller cube, at level kI, is good
-        a, kK = np.arange(1 << kI)[rows, None], kK[rows]
+    for kI, kJ, block, kK in _blocks(axis, lam, good):
         flat = (kI * (L + 1) + kJ) - (L + 2) * kK
-        normalized = np.abs(block[rows]) * 2.0 ** (0.5 * (kI + kJ)) * decay[kK]
-        tag = _pair_class(axis, kI, a, kJ, np.arange(1 << kJ), kK, params)
+        normalized = np.abs(block) * 2.0 ** (0.5 * (kI + kJ)) * decay[kK]
+        tag = _pair_class(axis, kI, good[kI][:, None], kJ, np.arange(1 << kJ), kK, params)
         counts += np.bincount(tag.ravel(), minlength=len(_TAGS))
         np.maximum.at(peaks, (tag * width + flat).ravel(), normalized.ravel())
 
@@ -440,44 +488,36 @@ def _lattice_classes(axis: Axis, lam: float, params: GoodParams) -> Tuple[dict, 
     return profiles, dict(zip(_TAGS, counts.tolist()))
 
 
-def _scan_lattice(
-    axis: Axis, lam: float, CF: np.ndarray, CG: np.ndarray
-) -> Tuple[dict, np.ndarray]:
-    """Depth-pair energies and Haar-side pairings of a batch of systems,
-    ``CF``/``CG`` holding one column of Haar coefficients per system.
+def _scan_lattice(axis: Axis, lam: float, aF: np.ndarray, aG: np.ndarray) -> dict:
+    """Depth-pair energies of a batch of systems, ``aF``/``aG`` holding one
+    column of absolute Haar coefficients of f and g per system (row 0, the
+    constant, is not read).
 
     The energy of depth pair (i, j) sums ``|cg_J M_JI cf_I|`` over systems
-    and over the cube pairs (I, J) lying i and j levels below their join;
-    the pairing of a system is ``cg . M cf`` over the Haar steps.  Each
-    size-ordered block (:func:`_blocks`) serves both orientations of its
-    level pair, itself and its transpose, so each level of ``M cf`` sums its
-    source levels in the order 0 .. L-1.  A block's pairs that join at one
-    level form one depth pair per orientation, so its energies are summed
-    per join level (a ``bincount`` of ``kK``) and added at that level's depth
-    pair, with no index formed per entry.
+    and over the cube pairs (I, J) lying i and j levels below their join.
+    Each size-ordered block (:func:`_blocks`) serves both orientations of
+    its level pair, itself and its transpose.  A block's pairs that join at
+    one level form one depth pair per orientation, so its energies are
+    summed per join level (a ``bincount`` of ``kK``) and added at that
+    level's depth pair, with no index formed per entry.
     """
     L = axis.level
     width = (L + 1) ** 2
     energy = np.zeros(width)
-    aF, aG = np.abs(CF), np.abs(CG)
-    MCF = np.zeros(CF.shape)
     for kI, kJ, block, kK in _blocks(axis, lam):
         rows, cols = slice(1 << kI, 2 << kI), slice(1 << kJ, 2 << kJ)
         # a pair joining at level k <= kJ lies (kI - k, kJ - k) below its join
         kK, shift = kK.ravel(), (L + 2) * np.arange(kJ + 1)
-        MCF[rows] += block @ CF[cols]
         contrib = aG[rows] @ aF[cols].T
         contrib *= np.abs(block)
         # source kJ, target kI
         energy[kJ * (L + 1) + kI - shift] += np.bincount(kK, contrib.ravel(), minlength=kJ + 1)
         if kJ < kI:
-            MCF[cols] += block.T @ CF[rows]
             contrib = aF[rows] @ aG[cols].T
             contrib *= np.abs(block)
             # source kI, target kJ
             energy[kI * (L + 1) + kJ - shift] += np.bincount(kK, contrib.ravel(), minlength=kJ + 1)
-    energies = {divmod(int(idx), L + 1): float(energy[idx]) for idx in np.nonzero(energy)[0]}
-    return energies, (CG[1:] * MCF[1:]).sum(axis=0)
+    return {divmod(int(idx), L + 1): float(energy[idx]) for idx in np.nonzero(energy)[0]}
 
 
 def verify_representation(
@@ -504,15 +544,20 @@ def verify_representation(
     rounding (counts times the number of systems).  That kernel is never
     formed: its L columns at the first cube of each level hold every entry
     (:func:`_blocks`), and they are cached per (axis, ``lam``), so a key's
-    census and walks smooth the L Haar steps once.  A walk builds one
-    window view per level and reads the join levels of every block from
-    one table of bit lengths.  The class census (:func:`_lattice_classes`)
-    depends only on (axis, ``lam``, ``params``), so it runs once per key
-    and is cached; each report holds its own copies of its profiles and
-    counts.  The per-input walk (:func:`_scan_lattice`) reads each
-    size-ordered block once for both orientations.  Each system's coefficients
-    ``h H_0.T f[(c + o) mod n]`` come from one batched transform.  Systems
-    are validated before any work.
+    census and walks smooth the L Haar steps once.
+
+    Every system's coefficients ``h H_0.T f[(c + o) mod n]`` are entries of
+    one stationary Haar table per input
+    (:func:`~dyadica.haar._stationary_analyze`).  The pairings of all
+    systems come from the two tables and the kernel columns with a few FFTs
+    (:func:`_pairings`), at a cost that does not depend on the number of
+    systems.  The per-input walk (:func:`_scan_lattice`) computes the
+    energies only: it reads each size-ordered block once for both
+    orientations, against the absolute coefficients gathered from the
+    tables.  The class census (:func:`_lattice_classes`) depends only on
+    (axis, ``lam``, ``params``), so it runs once per key and is cached; each
+    report holds its own copies of its profiles and counts.  Systems are
+    validated before any work.
     """
     _check_lambda(lam)
     systems = list(systems)
@@ -534,10 +579,20 @@ def verify_representation(
     profiles, counts = {tag: {} for tag in _TAGS}, dict.fromkeys(_TAGS, 0)
     if systems:
         axis, n = lattice.axis, lattice.axis.n_cells
-        cells = (np.arange(n)[:, None] + [s.offset_cells for s in systems]) % n
-        CF = haar_analyze(f.values[cells], lattice)
-        CG = haar_analyze(g.values[cells], lattice)
-        energies, pairings = _scan_lattice(axis, lam, CF, CG)
+        offsets = np.array([s.offset_cells for s in systems])
+        UV = _stationary_analyze(np.stack((f.values, g.values)), axis)
+        pairings = _pairings(axis, lam, UV, offsets)
+        # column 2**k + a of the lattice at offset o is U[k, (o + a (n >> k)) mod n];
+        # column 0 has level -1 and reads the zero row L
+        level, start = column_cubes(np.arange(n), lattice)
+        cells = (start[:, None] + offsets) % n
+        absolute = np.zeros((2, axis.level + 1, n))
+        np.abs(UV, out=absolute[:, :-1])
+        # one table at a time, so each is C-contiguous: a gather over both lays
+        # the pair out innermost, and the walk's products would round differently
+        aF, aG = (table[level[:, None], cells] for table in absolute)
+        del UV, absolute  # the tables need not live through the walk's peak
+        energies = _scan_lattice(axis, lam, aF, aG)
         residuals = np.abs(inner_product(g, frac_integral(f, lam)) - pairings)
         cached_profiles, cached_counts = _lattice_classes(axis, lam, params)
         profiles = {tag: dict(profile) for tag, profile in cached_profiles.items()}

@@ -9,6 +9,9 @@ pyramid, one pairwise sum and one difference per level, O(n) per line.
 Coefficient tables are arrays in :func:`basis_column` order per axis
 (:func:`column_cubes` decodes columns back to cubes);
 :func:`haar_matrix`, the synthesized identity, is the dense reference.
+The stationary table :func:`_stationary_analyze` holds the coefficient of
+the cube of each level that starts at each cell, so one ``(L, n)`` table
+per line serves every shifted lattice at once (cycle spinning).
 
 Martingale calculus rests on one primitive, the one block-mean reducer
 :func:`_cube_means`: one cyclic shift and one reshape and block sum per
@@ -34,7 +37,7 @@ import numpy as np
 
 from .dyadic import DyadicCube, DyadicSystem, _placed
 from .errors import ParameterError, ResolutionError, ShapeError
-from .grid import GridFunction, _shifted, grid_function
+from .grid import Axis, GridFunction, _shifted, grid_function
 
 __all__ = [
     "HaarCoefficientMap",
@@ -133,6 +136,27 @@ def haar_analyze(values, system: DyadicSystem, pos: int = 0) -> np.ndarray:
         out[at + (slice(1 << k, 2 << k),)] = h * 2.0 ** (k / 2.0) * (left - right)
         v = left + right
     out[at + (slice(0, 1),)] = h * v
+    return out
+
+
+def _stationary_analyze(values: np.ndarray, axis: Axis) -> np.ndarray:
+    """Stationary Haar coefficients of lines of cell values along the last
+    array axis: ``U[..., k, x]`` is the coefficient of the level-``k`` cube
+    that starts at cell ``x``, for every ``x``, so one ``(L, n)`` table per
+    line holds every lattice's coefficients:
+    ``haar_analyze(line, DyadicSystem(axis, o))`` at column ``2**k + a`` is
+    ``U[k, (o + a * (n >> k)) mod n]``, bit for bit.
+
+    Level by level from the finest, each cell's sum over the cube starting
+    there adds the sum of the cube to its right, with the additions of
+    :func:`haar_analyze` (cycle spinning, after Coifman and Donoho)."""
+    sums = np.asarray(values, dtype=float)
+    n, h, last = axis.n_cells, axis.h, sums.ndim - 1
+    out = np.empty(sums.shape[:-1] + (axis.level, n))
+    for k in range(axis.level - 1, -1, -1):
+        right = _shifted(sums, -(n >> (k + 1)), last)
+        out[..., k, :] = h * 2.0 ** (k / 2.0) * (sums - right)
+        sums = sums + right
     return out
 
 

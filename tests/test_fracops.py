@@ -414,6 +414,8 @@ def test_representation_validates_every_system_before_any_work(rng, monkeypatch)
 
     monkeypatch.setattr(fracops, "_smooth", no_work)
     monkeypatch.setattr(fracops, "haar_analyze", no_work)
+    monkeypatch.setattr(fracops, "_stationary_analyze", no_work)
+    monkeypatch.setattr(fracops, "_pairings", no_work)
     with pytest.raises(errors.SystemMismatchError):
         fracops.verify_representation(f, f, 0.5, dyadic.GoodParams(), systems)
 
@@ -466,6 +468,41 @@ def test_haar_kernel_blocks_match_the_dense_haar_basis_kernel(lam):
                     join = dyadic.join(lattice.cube(kI, a), lattice.cube(kJ, b))
                     assert kK[a, b] == join.level
         assert pairs == [(kI, kJ) for kI in range(L) for kJ in range(kI + 1)]
+
+
+@pytest.mark.parametrize("lam", (0.05, 0.5, 0.95))
+def test_pairings_match_the_dense_haar_basis_kernel_per_offset(lam):
+    # the pairing of each lattice, from the stationary coefficients and the
+    # kernel column spectra, is cg . (H.T G H) cf with H built cube by cube;
+    # FFT rounding scales with the sizes of the terms, not with their sum,
+    # so each difference is bounded by 1e-13 of |cg| . |M| |cf|
+    rng = np.random.default_rng(27)
+    for L in range(1, 11):
+        ax = grid.build_axis(L)
+        n = ax.n_cells
+        f, g = mean_zero(rng, n, ax).values, mean_zero(rng, n, ax).values
+        H = oracles.haar_matrix_brute(offset0(L))
+        M = H.T @ grid.kernel_matrix(ax, lam) @ H
+        UV = haar._stationary_analyze(np.stack((f, g)), ax)
+        subset = rng.choice(n, size=min(n, 6), replace=False)
+        # the lattice at offset o has H_o[(c + o) mod n] = H[c]
+        for o in subset[:2]:
+            assert np.array_equal(
+                oracles.haar_matrix_brute(dyadic.DyadicSystem(ax, int(o))),
+                np.roll(H, o, axis=0),
+            )
+        for offsets in (
+            np.arange(n),
+            subset,
+            np.concatenate([subset, subset[:3], subset[:1]]),
+        ):
+            got = fracops._pairings(ax, lam, UV, offsets)
+            assert got.shape == (len(offsets),)
+            cells = (np.arange(n)[:, None] + offsets) % n
+            cf, cg = ((ax.h * (H.T @ v[cells]))[1:] for v in (f, g))
+            want = (cg * (M[1:, 1:] @ cf)).sum(axis=0)
+            scale = (np.abs(cg) * (np.abs(M[1:, 1:]) @ np.abs(cf))).sum(axis=0)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 @pytest.mark.parametrize("lam", (0.3, 0.5, 0.7))

@@ -171,6 +171,27 @@ def test_transform_negative_position_counts_from_the_back(off):
                 transform(x, sys, pos)
 
 
+def test_stationary_table_holds_every_lattice_bit_for_bit():
+    # U[k, x] is the coefficient of the level-k cube starting at cell x, from
+    # the same additions as the transform, so every lattice's coefficients
+    # are a strided read of the one table
+    rng = np.random.default_rng(27)
+    for L in range(1, 11):
+        ax = grid.build_axis(L)
+        n = ax.n_cells
+        x = rng.standard_normal(n)
+        U = haar._stationary_analyze(x, ax)
+        assert U.shape == (L, n)
+        # lines stacked on leading axes are transformed one by one
+        assert np.array_equal(haar._stationary_analyze(np.stack((-x, x)), ax)[1], U)
+        offsets = range(n) if L <= 8 else [1, n - 1, *rng.choice(n, 12, replace=False)]
+        for off in offsets:
+            coeffs = haar.haar_analyze(x, dyadic.DyadicSystem(ax, int(off)))
+            for k in range(L):
+                cells = (off + np.arange(1 << k) * (n >> k)) % n
+                assert np.array_equal(coeffs[1 << k : 2 << k], U[k, cells])
+
+
 # ---------------------------------------------------------------------------
 # expansion: one parameter
 
