@@ -25,8 +25,9 @@ offsets from the two tables with a few FFTs (see
 :func:`verify_representation`).  The generator ``_blocks`` walks the
 kernel's size-ordered level-pair blocks for two consumers: the class
 census ``_lattice_classes``, cached per (axis, lambda, goodness
-parameters), which walks the rows of good cubes only, and the per-input
-energy walk ``_scan_lattice``, which reads each block and its transpose.
+parameters), which walks the rows of good cubes only, and the energy
+walk ``_scan_lattice``, which reads each block and its transpose in one
+loop body against the absolute stationary tables, gathered per level.
 One function, ``_pair_class``, classes one pair (:func:`classify_pair`)
 or a block of pairs (the census).
 """
@@ -488,35 +489,34 @@ def _lattice_classes(axis: Axis, lam: float, params: GoodParams) -> Tuple[dict, 
     return profiles, dict(zip(_TAGS, counts.tolist()))
 
 
-def _scan_lattice(axis: Axis, lam: float, aF: np.ndarray, aG: np.ndarray) -> dict:
-    """Depth-pair energies of a batch of systems, ``aF``/``aG`` holding one
-    column of absolute Haar coefficients of f and g per system (row 0, the
-    constant, is not read).
+def _scan_lattice(axis: Axis, lam: float, absolute: np.ndarray, offsets: np.ndarray) -> dict:
+    """Depth-pair energies of the lattices at ``offsets``, from the absolute
+    stationary Haar tables of f and g (:func:`_pairings` reads them signed).
 
     The energy of depth pair (i, j) sums ``|cg_J M_JI cf_I|`` over systems
     and over the cube pairs (I, J) lying i and j levels below their join.
-    Each size-ordered block (:func:`_blocks`) serves both orientations of
-    its level pair, itself and its transpose.  A block's pairs that join at
-    one level form one depth pair per orientation, so its energies are
-    summed per join level (a ``bincount`` of ``kK``) and added at that
-    level's depth pair, with no index formed per entry.
+    Level k of the lattice at offset o, ``U[k, (o + a (n >> k)) mod n]`` for
+    cubes a, is gathered into one ``2**k`` by systems table per input.  One
+    loop body reads each size-ordered block (:func:`_blocks`) for both
+    orientations of its level pair.  Pairs joining at one level form one
+    depth pair per orientation, so the energies are summed per join level
+    (a ``bincount`` of ``kK``) with no index formed per entry.
     """
-    L = axis.level
-    width = (L + 1) ** 2
-    energy = np.zeros(width)
+    L, n = axis.level, axis.n_cells
+    energy = np.zeros((L + 1) ** 2)
+    cells = [(offsets + np.arange(0, n, n >> k)[:, None]) % n for k in range(L)]
+    # one input at a time, so each level is C-contiguous: a gather over both
+    # lays the pair out innermost, and the products would round differently
+    aF, aG = ([table[k][c] for k, c in enumerate(cells)] for table in absolute)
     for kI, kJ, block, kK in _blocks(axis, lam):
-        rows, cols = slice(1 << kI, 2 << kI), slice(1 << kJ, 2 << kJ)
         # a pair joining at level k <= kJ lies (kI - k, kJ - k) below its join
         kK, shift = kK.ravel(), (L + 2) * np.arange(kJ + 1)
-        contrib = aG[rows] @ aF[cols].T
-        contrib *= np.abs(block)
-        # source kJ, target kI
-        energy[kJ * (L + 1) + kI - shift] += np.bincount(kK, contrib.ravel(), minlength=kJ + 1)
-        if kJ < kI:
-            contrib = aF[rows] @ aG[cols].T
-            contrib *= np.abs(block)
-            # source kI, target kJ
-            energy[kI * (L + 1) + kJ - shift] += np.bincount(kK, contrib.ravel(), minlength=kJ + 1)
+        # the block reads g at target kI and f at source kJ; its transpose swaps them
+        for X, Y, tgt, src in ((aG, aF, kI, kJ), (aF, aG, kJ, kI))[: 1 + (kJ < kI)]:
+            contrib = X[kI] @ Y[kJ].T
+            contrib *= block
+            np.abs(contrib, out=contrib)  # |x y| = |x| |y|, and X, Y >= 0
+            energy[src * (L + 1) + tgt - shift] += np.bincount(kK, contrib.ravel(), minlength=kJ + 1)
     return {divmod(int(idx), L + 1): float(energy[idx]) for idx in np.nonzero(energy)[0]}
 
 
@@ -551,13 +551,13 @@ def verify_representation(
     (:func:`~dyadica.haar._stationary_analyze`).  The pairings of all
     systems come from the two tables and the kernel columns with a few FFTs
     (:func:`_pairings`), at a cost that does not depend on the number of
-    systems.  The per-input walk (:func:`_scan_lattice`) computes the
-    energies only: it reads each size-ordered block once for both
-    orientations, against the absolute coefficients gathered from the
-    tables.  The class census (:func:`_lattice_classes`) depends only on
-    (axis, ``lam``, ``params``), so it runs once per key and is cached; each
-    report holds its own copies of its profiles and counts.  Systems are
-    validated before any work.
+    systems.  The energy walk (:func:`_scan_lattice`) then reads the same
+    tables, made absolute in place: it gathers each level's coefficients
+    of every system once per input and reads each size-ordered block once
+    for both orientations.  The class census (:func:`_lattice_classes`)
+    depends only on (axis, ``lam``, ``params``), so it runs once per key
+    and is cached; each report holds its own copies of its profiles and
+    counts.  Systems are validated before any work.
     """
     _check_lambda(lam)
     systems = list(systems)
@@ -578,21 +578,11 @@ def verify_representation(
     residuals, energies = np.zeros(0), {}
     profiles, counts = {tag: {} for tag in _TAGS}, dict.fromkeys(_TAGS, 0)
     if systems:
-        axis, n = lattice.axis, lattice.axis.n_cells
+        axis = lattice.axis
         offsets = np.array([s.offset_cells for s in systems])
         UV = _stationary_analyze(np.stack((f.values, g.values)), axis)
         pairings = _pairings(axis, lam, UV, offsets)
-        # column 2**k + a of the lattice at offset o is U[k, (o + a (n >> k)) mod n];
-        # column 0 has level -1 and reads the zero row L
-        level, start = column_cubes(np.arange(n), lattice)
-        cells = (start[:, None] + offsets) % n
-        absolute = np.zeros((2, axis.level + 1, n))
-        np.abs(UV, out=absolute[:, :-1])
-        # one table at a time, so each is C-contiguous: a gather over both lays
-        # the pair out innermost, and the walk's products would round differently
-        aF, aG = (table[level[:, None], cells] for table in absolute)
-        del UV, absolute  # the tables need not live through the walk's peak
-        energies = _scan_lattice(axis, lam, aF, aG)
+        energies = _scan_lattice(axis, lam, np.abs(UV, out=UV), offsets)
         residuals = np.abs(inner_product(g, frac_integral(f, lam)) - pairings)
         cached_profiles, cached_counts = _lattice_classes(axis, lam, params)
         profiles = {tag: dict(profile) for tag, profile in cached_profiles.items()}

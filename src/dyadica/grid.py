@@ -7,8 +7,10 @@ every operator in the package acts exactly on a finite-dimensional space.
 
 Distances use the wrap-around metric ``d(x, y) = min_k |x - y + k|``.  The
 double integral of the power kernel ``d(x, y)**(-lam)`` over any cell pair
-has an elementary closed form (see :func:`kernel_cell_integral`); the
-singular diagonal is never touched by quadrature.
+has an elementary closed form, a second difference of the kernel's second
+antiderivative: :func:`kernel_profile` evaluates it once per cell distance,
+and :func:`kernel_cell_integral` reads one pair from it.  The singular
+diagonal is never touched by quadrature.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "inner_product",
     "kernel_cell_integral",
     "l2_norm",
-    "line_pair_integral",
     "tabulate_midpoint",
 ]
 
@@ -255,31 +256,6 @@ def _antider_torus(u, lam):
     return out
 
 
-def _second_difference(antider, delta, h, lam):
-    """The three-term formula above for the second antiderivative
-    ``antider`` of a kernel and cells of width ``h``."""
-    return (
-        antider(abs(delta + h), lam)
-        - 2.0 * antider(abs(delta), lam)
-        + antider(abs(delta - h), lam)
-    )
-
-
-def line_pair_integral(width: float, separation: float, lam: float) -> float:
-    """Exact ``iint |x - y|**(-lam)`` over two width-``width`` intervals.
-
-    The intervals live on the real line (no wrap) with centers separated by
-    ``separation``.  No library code calls it: it is a closed-form
-    cross-check, equal to :func:`kernel_cell_integral` for cell pairs whose
-    integral never wraps.
-    """
-    lam = _check_lambda(lam)
-    w = float(width)
-    if w <= 0.0:
-        raise ParameterError(f"width must be positive, got {width}")
-    return float(_second_difference(_antider_line, abs(float(separation)), w, lam))
-
-
 def kernel_cell_integral(axis: Axis, cell_a: int, cell_b: int, lam: float) -> float:
     """Exact double integral of the wrapped kernel over a cell pair.
 
@@ -317,8 +293,13 @@ def kernel_profile(axis: Axis, lam: float) -> np.ndarray:
     n = axis.n_cells
     h = axis.h
     m = np.arange(n)
-    m = np.minimum(m, n - m)
-    g = _second_difference(_antider_torus, m * h, h, lam)
+    delta = np.minimum(m, n - m) * h
+    # the three-term formula above
+    g = (
+        _antider_torus(abs(delta + h), lam)
+        - 2.0 * _antider_torus(abs(delta), lam)
+        + _antider_torus(abs(delta - h), lam)
+    )
     g.setflags(write=False)
     return g
 

@@ -53,24 +53,19 @@ def torus_dist(t: float) -> float:
     return min(t, 1.0 - t)
 
 
-def pair_integral_quad(width, delta, lam, wrap=True, tol=1e-11):
+def pair_integral_quad(width, delta, lam, tol=1e-11):
     """iint K(x - y) dx dy over two width-`width` intervals, centers `delta`
-    apart, via the overlap-hat reduction:
+    apart, for the torus kernel K(t) = d(t)**(-lam), via the overlap-hat
+    reduction:
 
         iint_{A x B} K(x - y) = int K(t) * hat(t - delta) dt,
 
-    hat(u) = max(width - |u|, 0).  `wrap=True` uses the torus kernel
-    d(t)**(-lam); `wrap=False` the line kernel |t|**(-lam).
+    hat(u) = max(width - |u|, 0).
     """
     w = float(width)
 
-    if wrap:
-        kern = lambda t: torus_dist(t) ** (-lam)
-    else:
-        kern = lambda t: abs(t) ** (-lam)
-
     def integrand(t):
-        return kern(t) * max(w - abs(t - delta), 0.0)
+        return torus_dist(t) ** (-lam) * max(w - abs(t - delta), 0.0)
 
     lo, hi = delta - w, delta + w
     # breakpoints: kernel singularities/kinks and the hat kink

@@ -115,18 +115,15 @@ def test_inner_product_zero_iff_zero():
 # kernel cell integrals
 
 
-def test_full_interval_line_integral_closed_form():
-    # double integral of |x-y|**-0.5 over the unit square = 8/3
-    val = grid.line_pair_integral(1.0, 0.0, 0.5)
-    assert val == pytest.approx(8.0 / 3.0, abs=1e-14)
-    ref = oracles.pair_integral_quad(1.0, 0.0, 0.5, wrap=False)
-    assert val == pytest.approx(ref, rel=1e-8)
-
-
 def test_diagonal_cell_scaling():
-    ax = grid.build_axis(6)
-    val = grid.kernel_cell_integral(ax, 5, 5, 0.5)
-    assert val == pytest.approx((8.0 / 3.0) * ax.h ** 1.5, rel=1e-13)
+    # a cell's self-integral of |x-y|**-lam: 2 h**(2-lam) / ((1-lam)(2-lam)),
+    # 8/3 h**1.5 at lam = 0.5
+    for L in (1, 6, 14):
+        ax = grid.build_axis(L)
+        for lam in (0.05, 0.3, 0.5, 0.95):
+            val = grid.kernel_cell_integral(ax, 1, 1, lam)
+            exact = 2.0 * ax.h ** (2.0 - lam) / ((1.0 - lam) * (2.0 - lam))
+            assert val == pytest.approx(exact, rel=1e-13), (L, lam)
 
 
 def test_kernel_symmetry():
@@ -162,9 +159,7 @@ def test_kernel_against_quadrature():
         for lam in (0.3, 0.7):
             for a, b in [(0, 0), (0, 1), (0, n // 2), (1, n - 1), (2, n - 2)]:
                 mine = grid.kernel_cell_integral(ax, a, b, lam)
-                ref = oracles.pair_integral_quad(
-                    ax.h, ((a - b) % n) * ax.h, lam, wrap=True
-                )
+                ref = oracles.pair_integral_quad(ax.h, ((a - b) % n) * ax.h, lam)
                 assert mine == pytest.approx(ref, rel=1e-8)
 
 
