@@ -22,14 +22,18 @@ per (axis, lambda), goodness, pair classes) once, on the offset-0
 lattice.  One stationary Haar table per input holds every
 lattice's coefficients, and ``_pairings`` reads the pairings of all
 offsets from the two tables with a few FFTs (see
-:func:`verify_representation`).  The generator ``_blocks`` walks the
-kernel's size-ordered level-pair blocks for two consumers: the class
-census ``_lattice_classes``, cached per (axis, lambda, goodness
-parameters), which walks the rows of good cubes only, and the energy
-walk ``_scan_lattice``, which reads each block and its transpose in one
-loop body against the absolute stationary tables, gathered per level.
-One function, ``_pair_class``, classes one pair (:func:`classify_pair`)
-or a block of pairs (the census).
+:func:`verify_representation`).  The energies split the offsets by
+multiplicity: q copies of every offset, q the smallest multiplicity, come
+from one strided correlation per level and orientation of the absolute
+tables and a cached table of join counts (``_every_offset_energies``),
+with no block walked, and the excess goes through the energy walk of
+``_scan_lattice``.  The generator ``_blocks`` walks the kernel's
+size-ordered level-pair blocks for two consumers: the class census
+``_lattice_classes``, cached per (axis, lambda, goodness parameters),
+which walks the rows of good cubes only, and that energy walk, which
+reads each block and its transpose in one loop body against the absolute
+stationary tables, gathered per level.  One function, ``_pair_class``,
+classes one pair (:func:`classify_pair`) or a block of pairs (the census).
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from .errors import (
     SystemMismatchError,
 )
 from .grid import (
+    MAX_LEVEL,
     Axis,
     GridFunction,
     _check_lambda,
@@ -489,12 +494,84 @@ def _lattice_classes(axis: Axis, lam: float, params: GoodParams) -> Tuple[dict, 
     return profiles, dict(zip(_TAGS, counts.tolist()))
 
 
+_WINDOW_FLOATS = 1 << 17  # floats of window rows multiplied at once, 1 MiB
+
+
+@lru_cache(maxsize=MAX_LEVEL)
+def _join_counts(k: int) -> np.ndarray:
+    """``N[h, tau]``, the number of level-k cubes b whose join with the
+    level-k cube ``(tau + b) mod 2**k`` lies h levels above level k, that is
+    ``bitlength(((tau + b) mod 2**k) ^ b) == h``, for h = 0 .. k.  Integers
+    that do not depend on the data, built one bit at a time from
+    ``[[1]]`` at k = 0 and cached per level, read-only."""
+    if k == 0:
+        counts = np.ones((1, 1), dtype=np.int64)
+    else:
+        prev = _join_counts(k - 1)
+        counts = np.zeros((k + 1, 1 << k), dtype=np.int64)
+        # b = 2 b' + beta.  Even tau = 2 tau': both beta give tau' with a low
+        # zero appended, so h >= 1 moves up by one and h = 0 stays
+        counts[0, ::2] = 2 * prev[0]
+        counts[2:, ::2] = 2 * prev[1:]
+        # odd tau: beta = 0 reads tau', beta = 1 carries into tau' + 1, and the
+        # XOR gains a low one, so every h moves up by one
+        counts[1:, 1::2] = prev + np.roll(prev, -1, axis=1)
+    counts.setflags(write=False)
+    return counts
+
+
+def _every_offset_energies(axis: Axis, lam: float, absolute: np.ndarray) -> np.ndarray:
+    """Depth-pair energies of the lattices at every offset, each taken once,
+    from the absolute stationary Haar tables ``aF, aG = absolute``, as
+    ``_scan_lattice``'s flat ``(L + 1)**2`` array, with no block walked.
+
+    Summed over every offset o, the product
+    ``aG[kI, o + a wI] aF[kJ, o + b wJ]`` of block (kI, kJ), ``wI = n >> kI``,
+    depends only on ``t = (a - b 2**(kI - kJ)) mod 2**kI``, and so does the
+    block's kernel entry ``|c[t]|`` (:func:`_blocks`): it is
+    ``corr[t, kJ] = sum_y aG[kI, y + t wI] aF[kJ, y]``.  One product of the
+    strided window ``W[t, y] = aG[kI, y + t wI]`` with ``aF[0 .. kI].T``, in
+    chunks of rows under ``_WINDOW_FLOATS``, gives every kJ of a level; the
+    mirror swaps the tables.  The join of a pair with a given t lies
+    ``bitlength(((tau + b) mod 2**kJ) ^ b)`` levels above kJ, with
+    ``tau = t >> (kI - kJ)``, so the energies per join level are
+    ``_join_counts(kJ)`` times ``|c| corr`` summed over t per tau.
+    """
+    L, n = axis.level, axis.n_cells
+    columns = np.abs(_kernel_columns(axis, lam))
+    energy = np.zeros((L + 1) ** 2)
+    rows = max(1, _WINDOW_FLOATS // n)
+    aF, aG = absolute
+    for kI in range(L):
+        c = columns[1 << kI : 2 << kI]
+        # a pair joining h levels above kJ lies h + kI - kJ levels below its
+        # join on the kI side: in j (unit 1) when the window reads g at target
+        # kI against f at sources kJ <= kI, in i (unit L + 1) in the mirror
+        for X, Y, levels, unit in ((aG, aF, kI + 1, 1), (aF, aG, kI, L + 1)):
+            doubled = np.concatenate((X[kI], X[kI]))
+            step = doubled.strides[0]
+            window = as_strided(doubled, (1 << kI, n), (step * (n >> kI), step), writeable=False)
+            corr = np.empty((1 << kI, levels))
+            for r in range(0, 1 << kI, rows):
+                corr[r : r + rows] = window[r : r + rows] @ Y[:levels].T
+            corr *= c[:, :levels]
+            for kJ in range(levels):
+                per_tau = corr[:, kJ].reshape(1 << kJ, -1).sum(axis=1)
+                energy[(L + 2) * np.arange(kJ + 1) + (kI - kJ) * unit] += _join_counts(kJ) @ per_tau
+    return energy
+
+
 def _scan_lattice(axis: Axis, lam: float, absolute: np.ndarray, offsets: np.ndarray) -> dict:
     """Depth-pair energies of the lattices at ``offsets``, from the absolute
     stationary Haar tables of f and g (:func:`_pairings` reads them signed).
 
     The energy of depth pair (i, j) sums ``|cg_J M_JI cf_I|`` over systems
     and over the cube pairs (I, J) lying i and j levels below their join.
+    With q the smallest multiplicity of an offset, q copies of every offset
+    add q times :func:`_every_offset_energies`, and the block walk takes the
+    excess; with q = 0, when some offset is missing, it takes ``offsets``
+    as given, and the energies keep the bits of the walk alone.
+
     Level k of the lattice at offset o, ``U[k, (o + a (n >> k)) mod n]`` for
     cubes a, is gathered into one ``2**k`` by systems table per input.  One
     loop body reads each size-ordered block (:func:`_blocks`) for both
@@ -504,19 +581,25 @@ def _scan_lattice(axis: Axis, lam: float, absolute: np.ndarray, offsets: np.ndar
     """
     L, n = axis.level, axis.n_cells
     energy = np.zeros((L + 1) ** 2)
-    cells = [(offsets + np.arange(0, n, n >> k)[:, None]) % n for k in range(L)]
-    # one input at a time, so each level is C-contiguous: a gather over both
-    # lays the pair out innermost, and the products would round differently
-    aF, aG = ([table[k][c] for k, c in enumerate(cells)] for table in absolute)
-    for kI, kJ, block, kK in _blocks(axis, lam):
-        # a pair joining at level k <= kJ lies (kI - k, kJ - k) below its join
-        kK, shift = kK.ravel(), (L + 2) * np.arange(kJ + 1)
-        # the block reads g at target kI and f at source kJ; its transpose swaps them
-        for X, Y, tgt, src in ((aG, aF, kI, kJ), (aF, aG, kJ, kI))[: 1 + (kJ < kI)]:
-            contrib = X[kI] @ Y[kJ].T
-            contrib *= block
-            np.abs(contrib, out=contrib)  # |x y| = |x| |y|, and X, Y >= 0
-            energy[src * (L + 1) + tgt - shift] += np.bincount(kK, contrib.ravel(), minlength=kJ + 1)
+    multiplicity = np.bincount(offsets, minlength=n)
+    q = multiplicity.min()
+    if q:
+        energy += q * _every_offset_energies(axis, lam, absolute)
+        offsets = np.repeat(np.arange(n), multiplicity - q)
+    if len(offsets):
+        cells = [(offsets + np.arange(0, n, n >> k)[:, None]) % n for k in range(L)]
+        # one input at a time, so each level is C-contiguous: a gather over both
+        # lays the pair out innermost, and the products would round differently
+        aF, aG = ([table[k][c] for k, c in enumerate(cells)] for table in absolute)
+        for kI, kJ, block, kK in _blocks(axis, lam):
+            # a pair joining at level k <= kJ lies (kI - k, kJ - k) below its join
+            kK, shift = kK.ravel(), (L + 2) * np.arange(kJ + 1)
+            # the block reads g at target kI and f at source kJ; its transpose swaps them
+            for X, Y, tgt, src in ((aG, aF, kI, kJ), (aF, aG, kJ, kI))[: 1 + (kJ < kI)]:
+                contrib = X[kI] @ Y[kJ].T
+                contrib *= block
+                np.abs(contrib, out=contrib)  # |x y| = |x| |y|, and X, Y >= 0
+                energy[src * (L + 1) + tgt - shift] += np.bincount(kK, contrib.ravel(), minlength=kJ + 1)
     return {divmod(int(idx), L + 1): float(energy[idx]) for idx in np.nonzero(energy)[0]}
 
 
@@ -551,10 +634,16 @@ def verify_representation(
     (:func:`~dyadica.haar._stationary_analyze`).  The pairings of all
     systems come from the two tables and the kernel columns with a few FFTs
     (:func:`_pairings`), at a cost that does not depend on the number of
-    systems.  The energy walk (:func:`_scan_lattice`) then reads the same
-    tables, made absolute in place: it gathers each level's coefficients
-    of every system once per input and reads each size-ordered block once
-    for both orientations.  The class census (:func:`_lattice_classes`)
+    systems.  The energies (:func:`_scan_lattice`) then read the same
+    tables, made absolute in place.  Summed over every offset, a block's
+    products depend only on the kernel entry's index, so q copies of every
+    offset, q the smallest multiplicity, cost one strided correlation per
+    level and orientation and no block
+    (:func:`_every_offset_energies`); a sweep of every offset once walks no
+    block at a cached key.  The excess offsets, or all of them when some
+    offset is missing, go through the block walk: it gathers each level's
+    coefficients of those systems once per input and reads each
+    size-ordered block once for both orientations.  The class census (:func:`_lattice_classes`)
     depends only on (axis, ``lam``, ``params``), so it runs once per key
     and is cached; each report holds its own copies of its profiles and
     counts.  Systems are validated before any work.

@@ -534,14 +534,18 @@ def _assert_close_maps(got, want, rel):
     st.sampled_from((0.3, 0.5, 0.7)),
     st.sampled_from((7 / 16, dyadic.default_gamma(0.3), 1 / 3)),
     st.integers(1, 4),
-    st.sampled_from(("subset", "duplicates", "lone", "generator", "empty")),
+    st.sampled_from(("subset", "duplicates", "lone", "generator", "empty", "every", "every-plus")),
     st.integers(0, 2**32 - 1),
 )
 @example(7, 0.5, 7 / 16, 3, "duplicates", 11)
 @example(7, 0.3, dyadic.default_gamma(0.3), 1, "generator", 12)
+@example(7, 0.7, 1 / 3, 2, "every", 13)
+@example(7, 0.5, dyadic.default_gamma(0.5), 3, "every-plus", 14)
 def test_representation_matches_per_system_reference(L, lam, gamma, r, kind, seed):
     # the offset-0 scan with batched coefficients reports what the
-    # system-by-system loop reports
+    # system-by-system loop reports; "every" takes each offset once, and
+    # "every-plus" every offset twice plus the subset, so the energies come
+    # from the every-offset sums alone and from them plus the block walk
     ax = grid.build_axis(L)
     n = ax.n_cells
     rng = np.random.default_rng(seed)
@@ -554,6 +558,8 @@ def test_representation_matches_per_system_reference(L, lam, gamma, r, kind, see
         "lone": [int(rng.integers(1, n))],
         "generator": subset,
         "empty": [],
+        "every": np.arange(n),
+        "every-plus": np.concatenate([np.arange(n), subset, np.arange(n)]),
     }[kind]
 
     def make():
@@ -677,6 +683,53 @@ def test_representation_classes_are_measured_once_per_key(monkeypatch):
         rep.class_counts["deep_in"] = -1
     half = L * (L + 1) // 2
     assert blocks == [([half, half], half), ([half], 0), ([half], 0)]
+
+    # every offset once: the energies walk no block, so a cached key walks
+    # none and a cold key the census's only
+    every = list(dyadic.enumerate_systems(ax))
+    f, g = inputs[0]
+    for cold in (False, True):
+        if cold:
+            fracops._lattice_classes.cache_clear()
+        walks.clear(), classed.clear()
+        rep = fracops.verify_representation(f, g, lam, params, every)
+        assert (walks, len(classed)) == (([half], half) if cold else ([], 0))
+        assert rep.class_profiles == uncached[0].class_profiles
+
+
+def test_join_counts_match_per_entry_join_levels():
+    # N[h, tau] counts the level-kJ cubes b whose join with (tau + b) mod
+    # 2**kJ lies h levels up, as dyadic._join_level reads them entry by entry
+    for kJ in range(11):
+        b = np.arange(1 << kJ)
+        tau = b[:, None]
+        h = kJ - dyadic._join_level(kJ, (tau + b) % (1 << kJ), kJ, b)
+        want = np.zeros((kJ + 1, 1 << kJ), dtype=np.int64)
+        np.add.at(want, (h, np.broadcast_to(tau, h.shape)), 1)
+        got = fracops._join_counts(kJ)
+        assert got.dtype.kind == "i" and not got.flags.writeable
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("L", (5, 6))
+def test_every_offset_energies_keep_exact_zeros(L):
+    # inputs whose Haar tables hold exact zeros: every-offset energies keep
+    # exactly the depth pairs the per-system reference finds nonzero
+    ax = grid.build_axis(L)
+    n = ax.n_cells
+    spike = np.full(n, -1.0 / n)
+    spike[5] += 1.0
+    comb = np.zeros(n)
+    comb[:: n // 4] = 1.0
+    comb[n // 8 :: n // 4] = -1.0
+    step = haar.haar_function(dyadic.DyadicSystem(ax, 3).cube(2, 1))
+    params = dyadic.GoodParams(3, 7 / 16)
+    every = list(dyadic.enumerate_systems(ax))
+    for f, g in ((step, grid.grid_function(spike, ax)), (grid.grid_function(comb, ax), step)):
+        got = fracops.verify_representation(f, g, 0.5, params, every)
+        want = oracles.verify_representation_brute(f, g, 0.5, params, every)
+        assert set(got.pair_energies) == set(want.pair_energies)
+        _assert_close_maps(got.pair_energies, want.pair_energies, 1e-12)
 
 
 @pytest.mark.parametrize("lam", (0.05, 1 / 3, 0.5, 0.95))
