@@ -33,9 +33,9 @@ from .analysis import (
     square_function,
     strong_maximal,
 )
-from .dyadic import DyadicSystem, GoodParams, default_gamma
+from .dyadic import DyadicSystem
 from .errors import ConfigurationError, DyadicaError
-from .fracops import maximal_table, verify_representation
+from .fracops import _residuals, maximal_table
 from .grid import _check_lambda, build_axis, grid_function, l2_norm, tabulate_midpoint
 from .haar import _chain_sum, _cube_means, haar_analyze, haar_synthesize
 from .paracomm import _DECOMPOSE_FLOATS, _EXPAND_FLOATS, BloomConfig, _decompose
@@ -67,8 +67,6 @@ class ExperimentConfig:
     lambdas: Tuple[float, ...] = (0.5,)
     exponents: Tuple[Tuple[float, float], ...] = ((4.0 / 3.0, 0.5),)
     weights: Tuple[Tuple[float, float], ...] = ((0.3, 0.5), (-0.25, 0.25))
-    r: int = 3
-    gamma: Optional[float] = None  # None means 1 / (2 (lambda + 1))
     samples: int = 20
     out: str = "reports"
     format: str = "json"
@@ -173,13 +171,6 @@ def _config_from_mapping(data: Mapping) -> ExperimentConfig:
         if not 0.0 <= center < 1.0:
             _fail(f"weights[{idx}]", f"center must lie in [0, 1), got {center!r}")
 
-    r = data["r"]
-    _checked("r", GoodParams, r)
-    gamma = data["gamma"]
-    if gamma is not None:
-        gamma = _parse("gamma", _number, gamma)
-        _checked("gamma", GoodParams, r, gamma)
-
     samples = data["samples"]
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
         _fail("samples", f"must be a positive integer, got {samples!r}")
@@ -197,8 +188,6 @@ def _config_from_mapping(data: Mapping) -> ExperimentConfig:
         lambdas=lambdas,
         exponents=exponents,
         weights=weights,
-        r=r,
-        gamma=gamma,
         samples=samples,
         out=out,
         format=fmt,
@@ -394,12 +383,11 @@ def _suite_represent(config: ExperimentConfig):
     level = max(config.levels)
     axis = build_axis(level)
     n = axis.n_cells
-    systems = [DyadicSystem(axis, off) for off in sorted({0, 1, n // 2})]
+    offsets = np.array(sorted({0, 1, n // 2}))
     n_pairs = min(config.samples, 5)
     subtracted = 0
     total_inputs = 0
     for lam in config.lambdas:
-        params = GoodParams(config.r, config.gamma or default_gamma(lam))
         worst = 0.0
         for s in range(n_pairs):
             f = grid_function(rng.normal(size=n), axis)
@@ -410,8 +398,7 @@ def _suite_represent(config: ExperimentConfig):
                     subtracted += 1
             f = f.with_values(f.values - f.mean())
             g = g.with_values(g.values - g.mean())
-            report = verify_representation(f, g, lam, params, systems)
-            rel = max(report.relative_residuals)
+            rel = float(_residuals(f, g, lam, offsets)[1].max())
             worst = max(worst, rel)
             rows.append(("represent", f"lam{lam:g}-s{s}", rel))
         records.append(

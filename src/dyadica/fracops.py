@@ -21,18 +21,19 @@ The harness does the offset-free work (Haar-basis kernel columns, cached
 per (axis, lambda), goodness, pair classes) once, on the offset-0
 lattice.  One stationary Haar table per input holds every
 lattice's coefficients, and ``_pairings`` reads the pairings of all
-offsets from the two tables with a few FFTs (see
-:func:`verify_representation`).  The energies split the offsets by
-multiplicity: q copies of every offset, q the smallest multiplicity, come
-from one strided correlation per level and orientation of the absolute
-tables and a cached table of join counts (``_every_offset_energies``),
-with no block walked, and the excess goes through the energy walk of
-``_scan_lattice``.  The generator ``_blocks`` walks the kernel's
-size-ordered level-pair blocks for two consumers: the class census
-``_lattice_classes``, cached per (axis, lambda, goodness parameters),
-which walks the rows of good cubes only, and that energy walk, which
-reads each block and its transpose in one loop body against the absolute
-stationary tables, gathered per level.  One function, ``_pair_class``,
+offsets from the two tables with a few FFTs; ``_residuals`` turns them
+into the identity's residuals, for the harness and for a caller that
+reads residuals only (see :func:`verify_representation`).  The energies
+split the offsets by multiplicity: q copies of every offset, q the
+smallest multiplicity, come from one strided correlation per level and
+orientation of the absolute tables and a cached table of join counts
+(``_every_offset_energies``), with no block walked, and the excess goes
+through the energy walk of ``_scan_lattice``.  The generator ``_blocks``
+walks the kernel's size-ordered level-pair blocks for two consumers: the
+class census ``_lattice_classes``, which walks the rows of good cubes
+only, once per call, and that energy walk, which reads each block and
+its transpose in one loop body against the absolute stationary tables,
+gathered per level.  One function, ``_pair_class``,
 classes one pair (:func:`classify_pair`) or a block of pairs (the census).
 """
 
@@ -458,7 +459,6 @@ def _blocks(axis: Axis, lam: float, rows=None):
             yield kI, kJ, block, joins[kJ][(a[:, None] >> (kI - kJ)) ^ np.arange(1 << kJ)]
 
 
-@lru_cache(maxsize=64)
 def _lattice_classes(axis: Axis, lam: float, params: GoodParams) -> Tuple[dict, Dict[str, int]]:
     """Class profiles and counts of the offset-0 lattice per (axis, lambda,
     params), from one walk of its size-ordered blocks (:func:`_blocks`).
@@ -467,9 +467,8 @@ def _lattice_classes(axis: Axis, lam: float, params: GoodParams) -> Tuple[dict, 
     a profile keeps an entry only above ``1e-12`` of its class's largest,
     since smaller ones are rounding noise of entries that vanish in exact
     arithmetic.  Goodness per level and the decay ``2**(-lam k)`` per join
-    level k are built once per key, and the walk reads the blocks' rows of
-    good smaller cubes only, so no other row's join level is gathered.  The
-    mappings are cached: callers copy them.
+    level k are built once per call, and the walk reads the blocks' rows of
+    good smaller cubes only, so no other row's join level is gathered.
     """
     L = axis.level
     width = (L + 1) ** 2
@@ -603,6 +602,19 @@ def _scan_lattice(axis: Axis, lam: float, absolute: np.ndarray, offsets: np.ndar
     return {divmod(int(idx), L + 1): float(energy[idx]) for idx in np.nonzero(energy)[0]}
 
 
+def _residuals(f: GridFunction, g: GridFunction, lam: float, offsets: np.ndarray):
+    """``(residuals, relative, UV)``: the absolute residual of the bilinear
+    identity on the lattice at each offset, the same over
+    ``max(||f|| ||g||, 1e-300)``, and the stationary Haar tables ``UV`` of
+    f and g (:func:`~dyadica.haar._stationary_analyze`) the pairings were
+    read from (:func:`_pairings`).  f and g are mean-zero one-axis
+    functions on one axis; nothing is checked here."""
+    axis = f.axes[0]
+    UV = _stationary_analyze(np.stack((f.values, g.values)), axis)
+    residuals = np.abs(inner_product(g, frac_integral(f, lam)) - _pairings(axis, lam, UV, offsets))
+    return residuals, residuals / max(l2_norm(f) * l2_norm(g), 1e-300), UV
+
+
 def verify_representation(
     f: GridFunction,
     g: GridFunction,
@@ -633,20 +645,19 @@ def verify_representation(
     one stationary Haar table per input
     (:func:`~dyadica.haar._stationary_analyze`).  The pairings of all
     systems come from the two tables and the kernel columns with a few FFTs
-    (:func:`_pairings`), at a cost that does not depend on the number of
+    (:func:`_residuals`), at a cost that does not depend on the number of
     systems.  The energies (:func:`_scan_lattice`) then read the same
     tables, made absolute in place.  Summed over every offset, a block's
     products depend only on the kernel entry's index, so q copies of every
     offset, q the smallest multiplicity, cost one strided correlation per
     level and orientation and no block
-    (:func:`_every_offset_energies`); a sweep of every offset once walks no
-    block at a cached key.  The excess offsets, or all of them when some
+    (:func:`_every_offset_energies`); in a sweep of every offset once, only
+    the census walks blocks.  The excess offsets, or all of them when some
     offset is missing, go through the block walk: it gathers each level's
     coefficients of those systems once per input and reads each
-    size-ordered block once for both orientations.  The class census (:func:`_lattice_classes`)
-    depends only on (axis, ``lam``, ``params``), so it runs once per key
-    and is cached; each report holds its own copies of its profiles and
-    counts.  Systems are validated before any work.
+    size-ordered block once for both orientations.  The class census
+    (:func:`_lattice_classes`) depends only on (axis, ``lam``, ``params``)
+    and runs once per call.  Systems are validated before any work.
     """
     _check_lambda(lam)
     systems = list(systems)
@@ -657,25 +668,22 @@ def verify_representation(
     for system in systems:
         if not (isinstance(system, DyadicSystem) and system.axis == lattice.axis):
             _placed(f, system, 1)
-    scale = max(l2_norm(f) * l2_norm(g), 1e-300)
     if any(abs(h.mean()) > 1e-12 * max(l2_norm(h), 1e-300) for h in (f, g)):
         raise ContractError(
             "verify_representation needs mean-zero inputs; subtract the cell "
             "mean (f - f.mean()) before calling"
         )
 
-    residuals, energies = np.zeros(0), {}
+    residuals = relative = np.zeros(0)
+    energies = {}
     profiles, counts = {tag: {} for tag in _TAGS}, dict.fromkeys(_TAGS, 0)
     if systems:
         axis = lattice.axis
         offsets = np.array([s.offset_cells for s in systems])
-        UV = _stationary_analyze(np.stack((f.values, g.values)), axis)
-        pairings = _pairings(axis, lam, UV, offsets)
+        residuals, relative, UV = _residuals(f, g, lam, offsets)
         energies = _scan_lattice(axis, lam, np.abs(UV, out=UV), offsets)
-        residuals = np.abs(inner_product(g, frac_integral(f, lam)) - pairings)
-        cached_profiles, cached_counts = _lattice_classes(axis, lam, params)
-        profiles = {tag: dict(profile) for tag, profile in cached_profiles.items()}
-        counts = {tag: c * len(systems) for tag, c in cached_counts.items()}
+        profiles, counts = _lattice_classes(axis, lam, params)
+        counts = {tag: c * len(systems) for tag, c in counts.items()}
 
     constants = {}
     for tag, prof in profiles.items():
@@ -693,7 +701,7 @@ def verify_representation(
         params=params,
         n_systems=len(systems),
         residuals=tuple(residuals.tolist()),
-        relative_residuals=tuple((residuals / scale).tolist()),
+        relative_residuals=tuple(relative.tolist()),
         pair_energies=energies,
         class_profiles=profiles,
         class_constants=constants,

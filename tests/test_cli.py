@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dyadica import cli
+from dyadica import cli, fracops
 from dyadica.cli import (
     CheckRecord,
     ExperimentConfig,
@@ -40,8 +40,6 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert config.suite == "haar-verify"
     assert config.seed == 1
     assert config.levels == (6,)
-    assert config.r == 3
-    assert config.gamma is None
     assert config.samples == 20
     assert config.format == "json"
 
@@ -82,7 +80,7 @@ def test_config_validation_errors(tmp_path):
         ({"suite": "norms", "seed": 1, "levels": [4, 20]}, r"levels\[1\]"),
         ({"suite": "norms", "seed": 1, "lambdas": [1.5]}, r"lambdas\[0\]"),
         ({"suite": "norms", "seed": 1, "weights": [[1.5, 0.0]]}, r"weights\[0\]"),
-        ({"suite": "norms", "seed": 1, "gamma": 0.9}, "gamma"),
+        ({"suite": "norms", "seed": 1, "r": 3}, "unknown field 'r'"),
         ({"suite": "norms", "seed": 1, "samples": 0}, "samples"),
         ({"suite": "norms", "seed": 1, "format": "xml"}, "format"),
         ({"suite": "norms", "seed": 1, "bogus": 2}, "bogus"),
@@ -126,10 +124,11 @@ def test_entries_that_repeat_a_record_name_exit_2(tmp_path, capsys, field, value
         ("lambdas", "ab", "lambdas"),
         ("exponents", [1.5], "exponents"),
         ("weights", [["a", 0.5]], "weights"),
-        ("gamma", "x", "gamma"),
+        # goodness parameters are not config fields: no suite's report reads them
+        ("r", 3, "unknown field 'r'"),
         # JSON strings and booleans that float() would accept
         ("lambdas", ["0.5"], "lambdas"),
-        ("gamma", "0.3", "gamma"),
+        ("gamma", None, "unknown field 'gamma'"),
         ("weights", [[False, "0.5"]], "weights"),
         ("exponents", [["1.5", 0.5]], "exponents"),
     ],
@@ -251,6 +250,18 @@ def test_represent_suite_flags_mean_subtraction(tmp_path):
     assert outcome.exit_code == 0
     names = [r.name for r in outcome.records]
     assert "represent-mean-subtraction" in names
+
+
+def test_represent_suite_walks_no_block_and_runs_no_census(tmp_path, monkeypatch):
+    # the suite reports residuals only, so it takes the pairing path alone
+    def forbidden(*args):
+        raise AssertionError("the represent suite reached a block walk or the census")
+
+    for name in ("_blocks", "_scan_lattice", "_lattice_classes"):
+        monkeypatch.setattr(fracops, name, forbidden)
+    assert main(["represent", "--level", "10", "--seed", "1", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert all(check["pass"] for check in report["checks"])
 
 
 def test_contract_error_becomes_failing_record(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -640,21 +642,20 @@ def test_scan_system_classes_agree_with_classify_pair(gamma):
         assert counts == want
 
 
-def test_representation_classes_are_measured_once_per_key(monkeypatch):
-    # the first call of a key runs the class census and the per-input walk,
-    # each over the L(L+1)/2 size-ordered blocks; later calls run the walk
-    # only; every report equals an uncached one, and its class mappings are
-    # its own
+def test_representation_walks_census_and_energies_on_every_call(monkeypatch):
+    # every call with 3 offsets runs the class census and the energy walk,
+    # each over the L(L+1)/2 size-ordered blocks, whether or not an earlier
+    # call used the same key; an every-offset call walks the census's blocks
+    # only; every report equals the first one of its inputs, and its class
+    # mappings are its own
     L, lam, params = 6, 0.4, dyadic.GoodParams(r=4, gamma=31 / 64)
     ax = grid.build_axis(L)
     systems = [dyadic.DyadicSystem(ax, off) for off in (0, 5, 32)]
     rng = np.random.default_rng(8)
     inputs = [(mean_zero(rng, 64, ax), mean_zero(rng, 64, ax)) for _ in range(3)]
-    uncached = []
-    for f, g in inputs:
-        fracops._lattice_classes.cache_clear()
-        uncached.append(fracops.verify_representation(f, g, lam, params, systems))
-    assert all(uncached[0].class_profiles.values()) and all(uncached[0].class_counts.values())
+    first = [fracops.verify_representation(f, g, lam, params, systems) for f, g in inputs]
+    assert all(first[0].class_profiles.values()) and all(first[0].class_counts.values())
+    first = [dataclasses.asdict(rep) for rep in first]  # deep copies
 
     walks, classed = [], []  # blocks yielded per _blocks walk; _pair_class calls
     blocks_of, pair_class = fracops._blocks, fracops._pair_class
@@ -667,34 +668,46 @@ def test_representation_classes_are_measured_once_per_key(monkeypatch):
 
     monkeypatch.setattr(fracops, "_blocks", counted_blocks)
     monkeypatch.setattr(fracops, "_pair_class", lambda *a: classed.append(a) or pair_class(*a))
-    fracops._lattice_classes.cache_clear()
     blocks = []
-    for (f, g), want in zip(inputs, uncached):
+    for (f, g), want in zip(inputs, first):
         walks.clear(), classed.clear()
         rep = fracops.verify_representation(f, g, lam, params, systems)
         blocks.append((list(walks), len(classed)))
-        assert rep.class_profiles == want.class_profiles
-        assert rep.class_counts == want.class_counts
-        assert rep.class_constants == want.class_constants
-        assert rep.pair_energies == want.pair_energies
-        assert rep.residuals == want.residuals
+        assert dataclasses.asdict(rep) == want
         rep.class_profiles["near"].clear()  # must not reach the next report
         del rep.class_profiles["out"]
         rep.class_counts["deep_in"] = -1
     half = L * (L + 1) // 2
-    assert blocks == [([half, half], half), ([half], 0), ([half], 0)]
+    assert blocks == [([half, half], half)] * 3
 
-    # every offset once: the energies walk no block, so a cached key walks
-    # none and a cold key the census's only
+    # every offset once: the energies walk no block, so each call walks the
+    # census's blocks alone, the second of one key as the first
     every = list(dyadic.enumerate_systems(ax))
     f, g = inputs[0]
-    for cold in (False, True):
-        if cold:
-            fracops._lattice_classes.cache_clear()
+    for _ in range(2):
         walks.clear(), classed.clear()
         rep = fracops.verify_representation(f, g, lam, params, every)
-        assert (walks, len(classed)) == (([half], half) if cold else ([], 0))
-        assert rep.class_profiles == uncached[0].class_profiles
+        assert (walks, len(classed)) == ([half], half)
+        assert rep.class_profiles == first[0]["class_profiles"]
+
+
+@pytest.mark.parametrize("lam", (0.05, 0.5, 0.95))
+def test_residuals_are_the_reports_bit_for_bit(lam):
+    # the residual path the represent suite reads is verify_representation's:
+    # the suite's offsets, every offset, and a multiset with duplicates
+    rng = np.random.default_rng(30)
+    params = dyadic.GoodParams(3, dyadic.default_gamma(lam))
+    for L in range(1, 11):
+        ax = grid.build_axis(L)
+        n = ax.n_cells
+        f, g = mean_zero(rng, n, ax), mean_zero(rng, n, ax)
+        for offsets in (sorted({0, 1, n // 2}), range(n), [1, n - 1, 1, 0, n - 1, 1]):
+            offsets = np.array(offsets)
+            systems = [dyadic.DyadicSystem(ax, int(o)) for o in offsets]
+            rep = fracops.verify_representation(f, g, lam, params, systems)
+            residuals, relative, _ = fracops._residuals(f, g, lam, offsets)
+            assert np.array_equal(residuals, rep.residuals)
+            assert np.array_equal(relative, rep.relative_residuals)
 
 
 def test_join_counts_match_per_entry_join_levels():
