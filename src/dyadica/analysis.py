@@ -8,13 +8,14 @@ carries window sums of |f| across widths, a group of row widths per array,
 and ``_spread_folds`` spreads each group's window values to the cells.
 Every term is >= 0, so each carried mean is within ``_carry_gap`` of the
 naive block mean, and a one-cell window is exact; the full circle counts
-once.  Above 256 cells the spread carried means are the answer.  Up to 256
-cells each mean is the block mean a loop over rectangles gives (the
-window's cells gathered C-ordered, reduced by ``mean()``), bit for bit:
-only the windows whose carried means can still reach a cell's maximum are
-gathered, about one per cell on most grids and every window where the
-means tie.  The bi-parameter dyadic maximal function gathers its
-rectangles at every size.
+once.  Every call spreads the carried means once, in the grid's own frame,
+and above 256 cells that is the answer.  Up to 256 cells each mean is the
+block mean a loop over rectangles gives (the window's cells gathered
+C-ordered, reduced by ``mean()``), bit for bit: only the windows whose
+carried means can still reach a cell's maximum are gathered, about one per
+cell on most grids and every window where the means tie, by one rule, the
+kept starts of each shape in chunks of bounded size.  The bi-parameter
+dyadic maximal function gathers its rectangles at every size.
 
 The product-BMO norm is a maximum over a finite family of shapes, each a
 union of cells; on the discrete mesh every such union is admissible
@@ -174,37 +175,30 @@ def _spread_folds(groups) -> np.ndarray:
     return out
 
 
-def _gathered(windows, flip: bool, lo: int, w2: int, keep: np.ndarray) -> np.ndarray:
+def _gathered(windows, lo: int, w2: int, keep: np.ndarray) -> np.ndarray:
     """The C-ordered ``mean()`` of each w1 x w2 window that
     ``keep[w1 - 1 - lo, s1, s2]`` marks, 0 for the others.  ``windows[s1,
-    s2, i, j] = a[s1 + i, s2 + j]`` views the grid; with ``flip`` the frame
-    of ``keep`` is its transpose."""
+    s2, i, j] = a[s1 + i, s2 + j]`` views the grid.  The kept starts of each
+    row width go in chunks, each copy at most four fold arrays (128 KiB)."""
     out = np.zeros(keep.shape)
-    m1, m2 = keep.shape[1:]
-    c2 = _arc_count(m2, w2)
     for k in np.flatnonzero(keep.any(axis=(1, 2))):
-        c1 = _arc_count(m1, w1 := lo + k + 1)
-        if keep[k, :c1, :c2].all():  # the shape at every start: blocks of rows of
-            # starts, each copy at most four fold arrays (128 KiB) next to the spread
-            rows = max(1, 4 * _SPREAD_CHUNK * _GATHER_CELLS // (c2 * w1 * w2))
-            parts = [(slice(r, min(r + rows, c1)), slice(c2)) for r in range(0, c1, rows)]
-        else:
-            parts = [np.nonzero(keep[k])]
-        size = (slice(w2), slice(w1)) if flip else (slice(w1), slice(w2))
-        for starts in parts:
+        w1 = lo + k + 1
+        s1, s2 = np.nonzero(keep[k])
+        chunk = 4 * _SPREAD_CHUNK * _GATHER_CELLS // (w1 * w2)
+        for c in range(0, len(s1), chunk):
+            part = s1[c : c + chunk], s2[c : c + chunk]
             # each window copied C-ordered, as a gather of it is, and freed once reduced
-            view = windows[(starts[::-1] if flip else starts) + size]
-            means = np.ascontiguousarray(view).mean(axis=(-2, -1))
-            out[(k,) + starts] = means.T if flip else means
+            index = part + (slice(w1), slice(w2))
+            out[(k,) + part] = np.ascontiguousarray(windows[index]).mean(axis=(-2, -1))
     return out
 
 
-def _gathered_maximal(a: np.ndarray) -> np.ndarray:
+def _gathered_maximal(a: np.ndarray, approx: np.ndarray) -> np.ndarray:
     """The strong maximal function of ``a >= 0``, each window mean the
     C-ordered ``mean()`` of its gathered cells, gathering only the windows
     that can set a cell's bits.
 
-    The spread of the carried means, ``approx``, is within delta =
+    ``approx``, the spread of the carried means, is within delta =
     :func:`_carry_gap` of the exact maximum M at every cell.  Let W attain
     M(x) at a cell x in it.  Then carried(W) >= M(x) - delta >= approx(x) -
     2 delta >= min over W of approx - 2 delta, so W passes the test that
@@ -214,9 +208,6 @@ def _gathered_maximal(a: np.ndarray) -> np.ndarray:
     sum might overflow (to the inf that ``with_values`` refuses) in one
     order and not the other, so every window is gathered; below it, every
     exact sum is under about max_float / 4 and neither order overflows.
-
-    The folds run on the transpose of a wide grid, so a thin grid takes few
-    steps; the gathers read ``a`` itself.
     """
     n1, n2 = a.shape
     wrapped = np.concatenate((a, a[: n1 - 1]), 0)
@@ -224,20 +215,16 @@ def _gathered_maximal(a: np.ndarray) -> np.ndarray:
     # windows[s1, s2, i, j] = a[(s1 + i) % n1, (s2 + j) % n2], read-only, without
     # sliding_window_view's checks (a tenth of a 2 x 2 call)
     windows = as_strided(wrapped, (n1, n2) * 2, wrapped.strides * 2, writeable=False)
-    flip = n2 > n1
-    b = a.T if flip else a
-    approx = _spread_folds(_fold_means(b))
     margin = 2 * _carry_gap(a)
     gather_all = approx.max() >= np.finfo(float).max / (4 * a.size)
 
     def exact(lo, means, lows):
         for w2, (m, low) in enumerate(zip(means, lows), 1):
             keep = _counted(gather_all | (m >= low - margin), lo, w2)
-            yield _gathered(windows, flip, lo, w2, keep)
+            yield _gathered(windows, lo, w2, keep)
 
-    groups = zip(_fold_means(b), _window_folds(approx, np.minimum))
-    out = _spread_folds((lo, exact(lo, m, low)) for (lo, m), (_, low) in groups)
-    return out.T if flip else out
+    groups = zip(_fold_means(a), _window_folds(approx, np.minimum))
+    return _spread_folds((lo, exact(lo, m, low)) for (lo, m), (_, low) in groups)
 
 
 def _trailing_max(m: np.ndarray, w: int, axis: int) -> np.ndarray:
@@ -275,16 +262,18 @@ def strong_maximal(f: GridFunction) -> GridFunction:
     """Exact max over all grid-aligned rectangles of the rectangle average
     of |f|, evaluated at every cell the rectangle covers.
 
-    Up to ``_GATHER_CELLS`` = 256 cells each window's mean is its block
-    ``mean()``, the bits of a loop over rectangles; above it each is a
-    carried mean, within :func:`_carry_gap` of that, and a one-cell window's
-    is exact."""
+    The carried means are spread once.  Above ``_GATHER_CELLS`` = 256 cells
+    that is the answer: each window's mean is within :func:`_carry_gap` of
+    its block ``mean()``, and a one-cell window's is exact.  Up to 256 cells
+    :func:`_gathered_maximal` refines it to the block ``mean()``, the bits
+    of a loop over rectangles."""
     if f.ndim != 2:
         raise ShapeError("strong maximal needs a two-axis function")
     a = np.abs(f.values)
-    if a.size <= _GATHER_CELLS:
-        return f.with_values(_gathered_maximal(a))
-    return f.with_values(_spread_folds(_fold_means(a)))
+    approx = _spread_folds(_fold_means(a))
+    if a.size > _GATHER_CELLS:
+        return f.with_values(approx)
+    return f.with_values(_gathered_maximal(a, approx))
 
 
 # -- dyadic maximal functions ---------------------------------------------
