@@ -5,11 +5,12 @@ The strong maximal function scans every grid-aligned (wrap-aware) arc
 rectangle: the mean of every window, then per cell the largest mean of a
 window containing it.  One engine serves every size: ``_window_folds``
 carries window sums of |f| across widths, a group of row widths per array,
-and ``_spread_folds`` spreads each group's window values to the cells.
-Every term is >= 0, so each carried mean is within ``_carry_gap`` of the
-naive block mean, and a one-cell window is exact; the full circle counts
-once.  Every call spreads the carried means once, in the grid's own frame,
-and above 256 cells that is the answer.  Up to 256 cells each mean is the
+its columns through the weights' carried arc sum (``grid._arc_folds``), and
+``_spread_folds`` spreads each group's window values to the cells.  Every
+term is >= 0, so each carried mean is within ``_carry_gap`` of the naive
+block mean, and a one-cell window is exact; the full circle counts once.
+Every call spreads the carried means once, in the grid's own frame, and
+above 256 cells that is the answer.  Up to 256 cells each mean is the
 block mean a loop over rectangles gives (the window's cells gathered
 C-ordered, reduced by ``mean()``), bit for bit: only the windows whose
 carried means can still reach a cell's maximum are gathered, about one per
@@ -39,8 +40,8 @@ from numpy.lib.stride_tricks import as_strided
 from .dyadic import DyadicSystem, _placed
 from .errors import DegenerateInputError, ParameterError, ShapeError
 from .fracops import _frac_scales, frac_integral
-from .grid import GridFunction, _check_lambda, _shifted, inner_product
-from .haar import _axis_position, _chain_sum, _cube_means, _pyramid, column_cubes
+from .grid import GridFunction, _arc_folds, _check_lambda, _shifted, inner_product
+from .haar import _axis_position, _chain_sum, _cube_means, _level_fold, _pyramid, column_cubes
 from .haar import haar_analyze, haar_function
 from .weights import ProductWeight, Weight
 
@@ -122,20 +123,13 @@ def _window_folds(a: np.ndarray, op):
     the window in order, then the columns in order.  Row widths go in groups
     from the narrowest, each small enough that a fold array holds at most
     ``_SPREAD_CHUNK * _GATHER_CELLS`` windows (``_SPREAD_CHUNK`` row widths
-    up to that many cells).  Per group, ``(lo, folds)``: ``folds`` yields,
-    per column width w2 from 1, the running array ``F[w1 - 1 - lo, s1, s2]``
-    of the w1 x w2 windows at lower corner (s1, s2).  Read each before the
+    up to that many cells).  Per group, ``(lo, folds)``: ``folds``, the
+    :func:`dyadica.grid._arc_folds` of the group's row folds, yields per
+    column width w2 from 1 the running array ``F[w1 - 1 - lo, s1, s2]`` of
+    the w1 x w2 windows at lower corner (s1, s2).  Read each before the
     next.  The full circle appears at every start."""
-    n1, n2 = a.shape
+    n1 = a.shape[0]
     group = max(1, min(_SPREAD_CHUNK, _SPREAD_CHUNK * _GATHER_CELLS // a.size))
-
-    def columns(F):
-        twice = np.concatenate((F, F), 2)  # twice[..., j] = F[..., j % n2] at w2 = 1
-        for w2 in range(1, n2 + 1):
-            if w2 > 1:
-                op(F, twice[..., w2 - 1 : w2 - 1 + n2], out=F)
-            yield F
-
     last = None  # the widest row width of the group before
     for lo in range(0, n1, group):
         ahead = np.arange(lo, min(lo + group, n1))[:, None] + np.arange(n1)
@@ -144,7 +138,7 @@ def _window_folds(a: np.ndarray, op):
             op(last, F[0], out=F[0])
         op.accumulate(F, axis=0, out=F)  # F[k, s1]: rows s1 .. s1 + lo + k
         last = F[-1].copy()
-        yield lo, columns(F)
+        yield lo, _arc_folds(F, op)
 
 
 def _fold_means(a: np.ndarray):
@@ -286,14 +280,6 @@ _MODES = {"sole": (1, ((0, 0),)), "axis1": (2, ((0, 0),)), "axis2": (2, ((1, -1)
 _MODES["rect"] = _MODES["biparameter"] = (2, ((0, 0), (1, 1)))
 
 
-def _level_max(a: np.ndarray, system: DyadicSystem, pos: int, scales):
-    """Max over levels k of the level-k average of ``a`` along array axis ``pos``
-    times its scale: heap cube means times ``scales``, chain max from column 1."""
-    means = _cube_means(a, system, pos)
-    np.moveaxis(means, pos, -1)[..., 1:] *= scales
-    return _chain_sum(means, ((pos, system),), first=1, op=np.maximum)
-
-
 def _cubes(system: DyadicSystem, k: int):
     """Cells of the level-k cubes (row m is cube m) and each cell's cube."""
     n = system.axis.n_cells
@@ -328,7 +314,7 @@ def dyadic_maximal(f: GridFunction, systems, mode: str) -> GridFunction:
     if mode == "biparameter":
         return f.with_values(_dyadic_rect_maximal(np.abs(f.values), *(s for _, s in axes)))
     ((pos, system),) = axes
-    return f.with_values(_level_max(np.abs(f.values), system, pos, 1.0))
+    return f.with_values(_level_fold(np.abs(f.values), system, pos, 1.0, np.maximum))
 
 
 def frac_maximal(
@@ -341,7 +327,7 @@ def frac_maximal(
     """
     pos = _axis_position(f, system, axis_index)
     scales = _frac_scales(_check_lambda(lam), system.axis.level)
-    return f.with_values(_level_max(np.abs(f.values), system, pos, scales))
+    return f.with_values(_level_fold(np.abs(f.values), system, pos, scales, np.maximum))
 
 
 def frac_maximal_domination(f: GridFunction, system: DyadicSystem, lam: float) -> float:

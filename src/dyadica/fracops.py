@@ -74,7 +74,7 @@ from .grid import (
     kernel_profile,
     l2_norm,
 )
-from .haar import _chain_sum, _cube_means, _stationary_analyze, column_cubes, haar_function
+from .haar import _level_fold, _stationary_analyze, column_cubes, haar_function
 from .haar import haar_analyze, haar_synthesize
 
 __all__ = [
@@ -336,9 +336,7 @@ def domination_ratio(f: GridFunction, lam: float, system: DyadicSystem) -> float
     av = np.abs(f.values)
     if not np.any(av > 0.0):
         raise DegenerateInputError("domination_ratio needs a non-zero input")
-    means = _cube_means(av, system, 0)
-    means[1:] *= _frac_scales(lam, system.axis.level)
-    majorant = _chain_sum(means, ((0, system),), first=1)
+    majorant = _level_fold(av, system, 0, _frac_scales(lam, system.axis.level), np.add)
     smoothed = frac_integral(f.with_values(av), lam).values
     return float(np.max(majorant / smoothed))
 

@@ -10,7 +10,8 @@ double integral of the power kernel ``d(x, y)**(-lam)`` over any cell pair
 has an elementary closed form, a second difference of the kernel's second
 antiderivative: :func:`kernel_profile` evaluates it once per cell distance,
 and :func:`kernel_cell_integral` reads one pair from it.  The singular
-diagonal is never touched by quadrature.
+diagonal is never touched by quadrature.  Arc sums, for the weights and
+the strong maximal function alike, are carried in one place, ``_arc_folds``.
 """
 
 from __future__ import annotations
@@ -168,6 +169,18 @@ def _shifted(m: np.ndarray, s: int, axis: int) -> np.ndarray:
     s %= m.shape[axis]
     lead = (slice(None),) * axis
     return np.concatenate((m[lead + (slice(-s, None),)], m[lead + (slice(-s),)]), axis)
+
+
+def _arc_folds(F: np.ndarray, op):
+    """Yields ``F``, overwritten, per width w from 1: ``F[..., s]`` is then
+    ``op`` folded over cells s .. s + w - 1 of the last axis, wrapping, one
+    cell at a time in order.  Read each width before the next."""
+    n = F.shape[-1]
+    twice = np.concatenate((F, F), -1)  # twice[..., j] = F[..., j % n] at w = 1
+    for w in range(1, n + 1):
+        if w > 1:
+            op(F, twice[..., w - 1 : w - 1 + n], out=F)
+        yield F
 
 
 def midpoints(axis: Axis) -> np.ndarray:

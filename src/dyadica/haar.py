@@ -307,6 +307,15 @@ def _chain_sum(P: np.ndarray, axes, first: int = 2, op=np.add) -> np.ndarray:
     return P
 
 
+def _level_fold(a: np.ndarray, system: DyadicSystem, pos: int, scales, op) -> np.ndarray:
+    """Each cell's level-k averages of ``a`` along array axis ``pos``, times
+    their scales, folded with ``op`` over every level k: heap cube means times
+    ``scales`` (one per column from 1), then :func:`_chain_sum` from column 1."""
+    means = _cube_means(a, system, pos)
+    np.moveaxis(means, pos, -1)[..., 1:] *= scales
+    return _chain_sum(means, ((pos, system),), first=1, op=op)
+
+
 def level_average(
     f: GridFunction, system: DyadicSystem, level: int, axis_index=None
 ) -> GridFunction:

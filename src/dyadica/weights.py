@@ -3,11 +3,11 @@
 Weights are strictly positive one-axis cell tables.  Characteristics are
 exact maxima over a finite cube family — either every grid-aligned arc of
 the axis or the cubes of chosen shifted lattices; the finite-family value
-is a lower bound for the continuum supremum; both families read one carry
-of arc sums (``_family_means``).  Negative powers are taken entrywise on
-the cell averages, the standard discrete surrogate.  The module also
-solves the smoothing-exponent relation and builds the two-weight ratio
-used by the commutator experiments.
+is a lower bound for the continuum supremum; both families read the one
+carried arc sum, ``grid._arc_folds``.  Powers are taken entrywise on the
+cell averages (:meth:`Weight.power`), the standard discrete surrogate.
+The module also solves the smoothing-exponent relation and builds the
+two-weight ratio used by the commutator experiments.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .dyadic import DyadicSystem
 from .errors import InfeasibleExponentError, ParameterError, ShapeError, SystemMismatchError
-from .grid import Axis, GridFunction, _check_lambda, grid_function
+from .grid import Axis, GridFunction, _arc_folds, _check_lambda, grid_function
 
 __all__ = [
     "DerivedClassReport",
@@ -60,11 +60,14 @@ class Weight:
         return self.base.values
 
     def power(self, exponent: float) -> "Weight":
-        """Entrywise power (the discrete surrogate for pointwise powers)."""
+        """Entrywise power (the discrete surrogate for pointwise powers); a
+        power that overflows or underflows to 0 is a ParameterError."""
         with np.errstate(over="ignore"):
             vals = self.values**exponent
         if not np.all(np.isfinite(vals)):
             raise ParameterError(f"w**{exponent!r} is not finite: the power overflows")
+        if not np.all(vals > 0.0):
+            raise ParameterError(f"w**{exponent!r} is not positive: the power underflows to 0")
         return Weight(self.base.with_values(vals))
 
 
@@ -190,14 +193,20 @@ def _systems(family: FamilySelector):
     return systems
 
 
-def _family_means(axis: Axis, family: FamilySelector, *tables: np.ndarray):
-    """Yield, per batch of family arcs, each table's arc means.  Every arc
-    is summed cell by cell in order, so the bits match a per-arc loop (a
-    plain ``mean`` would not: numpy regroups sums of eight or more terms).
-    The sums of the arcs at every start are carried from width w to w + 1:
-    same cells, same order.  Intervals read every width, a system the
-    widths of its cubes at its lattice's starts, one batch per level.
-    """
+def _family_label(family: FamilySelector) -> str:
+    if isinstance(family, str):
+        return family
+    return "dyadic[" + ",".join(str(s.offset_cells) for s in family) + "]"
+
+
+def _char_over_family(
+    num: np.ndarray, den: np.ndarray, den_exp: float, axis: Axis, family: FamilySelector
+) -> float:
+    """Exact max over the family of mean(num) * mean(den)**den_exp.  Arc
+    sums are carried cell by cell in order (``grid._arc_folds``), so the bits
+    match a per-arc loop (a plain ``mean`` would not: numpy regroups sums of
+    eight or more terms).  Intervals read every width, a system the widths
+    of its cubes at its lattice's starts, one batch per level."""
     n = axis.n_cells
     systems = None if family == "intervals" else _systems(family)
     if isinstance(systems, str):
@@ -209,32 +218,16 @@ def _family_means(axis: Axis, family: FamilySelector, *tables: np.ndarray):
             raise SystemMismatchError(
                 f"cube-family system axis {system.axis} is not the weight's axis {axis}"
             )
-    starts = np.arange(n)
-    sums = [np.zeros(n) for _ in tables]
-    for width in range(1, n + 1):
-        cells = (starts + width - 1) % n
-        sums = [acc + v[cells] for acc, v in zip(sums, tables)]
-        if systems is None:
-            yield [acc / width for acc in sums]
-        elif width & (width - 1) == 0:
-            for system in systems:
-                cubes = (system.offset_cells + np.arange(0, n, width)) % n
-                yield [acc[cubes] / width for acc in sums]
-
-
-def _family_label(family: FamilySelector) -> str:
-    if isinstance(family, str):
-        return family
-    return "dyadic[" + ",".join(str(s.offset_cells) for s in family) + "]"
-
-
-def _char_over_family(
-    num: np.ndarray, den: np.ndarray, den_exp: float, axis: Axis, family: FamilySelector
-) -> float:
-    """Exact max over the family of mean(num) * mean(den)**den_exp."""
     best = -np.inf
-    for mn, md in _family_means(axis, family, num, den):
-        best = max(best, float(np.max(mn * md**den_exp)))
+    for width, sums in enumerate(_arc_folds(np.array((num, den)), np.add), 1):
+        if systems is None:
+            batches = [sums]
+        elif width & (width - 1) == 0:
+            batches = [sums[:, (s.offset_cells + np.arange(0, n, width)) % n] for s in systems]
+        else:
+            continue
+        for mn, md in batches:
+            best = max(best, float(np.max(mn / width * (md / width) ** den_exp)))
     return best
 
 
@@ -250,7 +243,7 @@ def ap_characteristic(w: Weight, p: float, family: FamilySelector = "intervals")
     """
     _check_exponents(p)
     p_dual = p / (p - 1.0)
-    dual = w.values ** (1.0 - p_dual)
+    dual = w.power(1.0 - p_dual).values
     return _char_over_family(w.values, dual, p - 1.0, w.axis, family)
 
 
@@ -260,8 +253,7 @@ def apq_characteristic(
     """Exact maximum over the family of mean(w**q) * mean(w**(-p'))**(q/p')."""
     _check_exponents(p, q)
     p_dual = p / (p - 1.0)
-    num = w.values**q
-    den = w.values ** (-p_dual)
+    num, den = w.power(q).values, w.power(-p_dual).values
     return _char_over_family(num, den, q / p_dual, w.axis, family)
 
 

@@ -10,12 +10,11 @@ from dyadica.errors import (
     ShapeError,
     SystemMismatchError,
 )
-from dyadica.grid import build_axis, constant_function, grid_function
+from dyadica.grid import _arc_folds, build_axis, constant_function, grid_function
 from dyadica.weights import (
     ExponentTriple,
     ProductWeight,
     Weight,
-    _family_means,
     ap_characteristic,
     apq_characteristic,
     bloom_weight,
@@ -71,6 +70,20 @@ def test_weight_power_overflow_names_the_exponent():
     w = Weight(grid_function(np.full(8, 1e10), axis))
     with pytest.raises(ParameterError, match=r"w\*\*40\.0 is not finite"):
         w.power(40.0)
+
+
+def test_characteristics_reject_powers_that_leave_the_float_range():
+    # unchecked, w**4 = 0 and w**-4 = inf make every batch NaN and the
+    # characteristic -inf; one cell at 1e100 makes it inf
+    axis = build_axis(3)
+    tiny = Weight(grid_function(np.full(8, 1e-100), axis))
+    with pytest.raises(ParameterError, match=r"w\*\*4\.0 is not positive"):
+        apq_characteristic(tiny, 4.0 / 3.0, 4.0)
+    huge = Weight(grid_function(np.r_[1e100, np.ones(7)], axis))
+    with pytest.raises(ParameterError, match=r"w\*\*4\.0 is not finite"):
+        apq_characteristic(huge, 4.0 / 3.0, 4.0)
+    with pytest.raises(ParameterError, match=r"w\*\*-4\.0 is not finite"):
+        ap_characteristic(tiny, 1.25)
 
 
 def test_product_weight_evaluates_to_outer_product():
@@ -215,9 +228,9 @@ def test_interval_means_carried_across_widths_match_per_width_batches(level):
     n = axis.n_cells
     v = np.random.default_rng(level).uniform(0.2, 5.0, n)
     widths = {1, 2, 3, 7, 8, 9, n // 2 + 1, n - 1, n} & set(range(1, n + 1))
-    for width, (means,) in enumerate(_family_means(axis, "intervals", v), 1):
+    for width, (sums,) in enumerate(_arc_folds(v[None].copy(), np.add), 1):
         if n <= 32 or width in widths:
-            assert np.array_equal(means, arc_mean_batch(v, np.arange(n), width)), width
+            assert np.array_equal(sums / width, arc_mean_batch(v, np.arange(n), width)), width
 
 
 def test_ap_characteristic_power_profile_matches_brute_force():
