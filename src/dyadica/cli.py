@@ -246,12 +246,18 @@ def _check(
     return CheckRecord(name, anchor, value, threshold, value <= threshold, hard)
 
 
+def _json_number(x: float):
+    """``x``, or for a non-finite number the text ``samples.csv`` writes
+    (``"nan"``, ``"inf"``, ``"-inf"``): JSON has no such numbers."""
+    return x if np.isfinite(x) else repr(float(x))
+
+
 def _record_dict(record: CheckRecord) -> Dict:
     return {
         "name": record.name,
         "paper_anchor": record.anchor,
-        "value": record.value,
-        "threshold": record.threshold,
+        "value": _json_number(record.value),
+        "threshold": _json_number(record.threshold),
         "pass": record.passed,
     }
 
@@ -269,7 +275,7 @@ def emit_report(records: Sequence[CheckRecord], format: str, path, meta=None) ->
                 "meta": full_meta,
                 "checks": [_record_dict(r) for r in records],
             }
-            out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+            out.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
         elif format == "csv":
             with out.open("w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)

@@ -68,10 +68,13 @@ class DyadicSystem:
     offset_cells: int
 
     def __post_init__(self):
-        if not 0 <= self.offset_cells < self.axis.n_cells:
+        off = self.offset_cells
+        if isinstance(off, bool) or not isinstance(off, (int, np.integer)):
+            raise ParameterError(f"offset_cells must be an integer, got {off!r}")
+        if not 0 <= off < self.axis.n_cells:
             raise ParameterError(
                 f"offset_cells must lie in [0, {self.axis.n_cells}), "
-                f"got {self.offset_cells}"
+                f"got {off}"
             )
 
     def cube(self, level: int, index: int) -> "DyadicCube":

@@ -31,10 +31,11 @@ orientation of the absolute tables and a cached table of join counts
 through the energy walk of ``_scan_lattice``.  The generator ``_blocks``
 walks the kernel's size-ordered level-pair blocks for two consumers: the
 class census ``_lattice_classes``, which walks the rows of good cubes
-only, once per call, and that energy walk, which reads each block and
-its transpose in one loop body against the absolute stationary tables,
-gathered per level.  One function, ``_pair_class``,
-classes one pair (:func:`classify_pair`) or a block of pairs (the census).
+only, once per call, and skips the levels with none, and that energy
+walk, which reads each block and its transpose in one loop body against
+the absolute stationary tables, gathered per level.  One function,
+``_pair_class``, classes one pair (:func:`classify_pair`) or a block of
+pairs (the census).
 """
 
 from __future__ import annotations
@@ -423,7 +424,8 @@ def _blocks(axis: Axis, lam: float, rows=None):
     (:func:`_kernel_columns`, cached per key) and ``kK`` the join levels of
     its pairs, for kI = 0 .. L-1 and, within each, kJ = 0 .. kI.  Given
     ``rows``, one index array of rows a per level kI, the block (a copy)
-    and ``kK`` hold those rows only, and no other row's join is read.
+    and ``kK`` hold those rows only, and no other row's join is read; a
+    level with no rows yields no block, and its windows are not built.
 
     A circulant G shifts both cubes by ``b`` level-kJ widths, so the entry
     is ``C[2**kI + (a - b s) mod 2**kI, kJ]`` with ``s = 2**(kI - kJ)``: row
@@ -443,13 +445,15 @@ def _blocks(axis: Axis, lam: float, rows=None):
     bits = np.frexp(np.arange(1 << max(L - 1, 0)))[1]  # frexp's exponent is the bit length
     joins = [kJ - bits[: 1 << kJ] for kJ in range(L)]
     for kI in range(L):
+        a = np.arange(1 << kI) if rows is None else rows[kI]
+        if not len(a):
+            continue
         c = C[1 << kI : 2 << kI].T
         doubled = np.concatenate((c, c), axis=1)[:, 1:]
         # every column's windows in one view, without sliding_window_view's checks
         windows = as_strided(
             doubled, (L, 1 << kI, 1 << kI), doubled.strides + doubled.strides[1:], writeable=False
         )
-        a = np.arange(1 << kI) if rows is None else rows[kI]
         for kJ in range(kI + 1):
             block = windows[kJ, :, (1 << kI) - 1 :: -(1 << (kI - kJ))]
             if rows is not None:
@@ -466,7 +470,9 @@ def _lattice_classes(axis: Axis, lam: float, params: GoodParams) -> Tuple[dict, 
     since smaller ones are rounding noise of entries that vanish in exact
     arithmetic.  Goodness per level and the decay ``2**(-lam k)`` per join
     level k are built once per call, and the walk reads the blocks' rows of
-    good smaller cubes only, so no other row's join level is gathered.
+    good smaller cubes only, so no other row's join level is gathered, and
+    only the levels that hold a good smaller cube: a level with none
+    yields no block and no ``_pair_class`` call.
     """
     L = axis.level
     width = (L + 1) ** 2
@@ -655,7 +661,8 @@ def verify_representation(
     coefficients of those systems once per input and reads each
     size-ordered block once for both orientations.  The class census
     (:func:`_lattice_classes`) depends only on (axis, ``lam``, ``params``)
-    and runs once per call.  Systems are validated before any work.
+    and runs once per call, over the levels that hold a good smaller cube
+    only.  Systems are validated before any work.
     """
     _check_lambda(lam)
     systems = list(systems)

@@ -191,6 +191,24 @@ def test_single_record_round_trips_through_json(tmp_path):
     ]
 
 
+def test_non_finite_values_are_written_as_strict_json(tmp_path):
+    # JSON has no NaN or Infinity: they are written as samples.csv's text
+    path = tmp_path / "report.json"
+    records = [
+        CheckRecord("a", "x", float("nan"), 1.0, False),
+        CheckRecord("b", "y", float("inf"), float("-inf"), False),
+        CheckRecord("c", "z", np.float64(0.5), np.inf, True),
+    ]
+    emit_report(records, "json", path)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    data = json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+    got = [(c["value"], c["threshold"]) for c in data["checks"]]
+    assert got == [("nan", 1.0), ("inf", "-inf"), (0.5, "inf")]
+
+
 def test_single_record_makes_one_csv_row(tmp_path):
     path = tmp_path / "report.csv"
     emit_report([sample_record(passed=False)], "csv", path)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dyadica import dyadic, grid
+from dyadica import dyadic, grid, haar
 from dyadica.errors import (
     ContractError,
     LevelUnderflowError,
@@ -48,6 +48,21 @@ def test_offset_distribution_uniform():
     # 99.9% quantile of chi-square with 7 dof (deterministic seeds, so this
     # is a fixed value; observed ~18.4)
     assert chi2 < 24.32
+
+
+@pytest.mark.parametrize("offset", (1.5, 2.0, True, "1"))
+def test_system_rejects_non_integer_offsets(offset):
+    with pytest.raises(ParameterError, match="offset_cells must be an integer"):
+        dyadic.DyadicSystem(grid.build_axis(3), offset)
+
+
+def test_system_accepts_numpy_integer_offsets():
+    ax = grid.build_axis(3)
+    sys, plain = dyadic.DyadicSystem(ax, np.int64(3)), dyadic.DyadicSystem(ax, 3)
+    assert sys == plain
+    assert [c.cells()[0] for c in sys.cubes_at_level(1)] == [3, 7]
+    v = np.arange(8.0)
+    assert np.array_equal(haar.haar_analyze(v, sys), haar.haar_analyze(v, plain))
 
 
 def test_cube_cells_wrap():

@@ -644,12 +644,15 @@ def test_scan_system_classes_agree_with_classify_pair(gamma):
 
 def test_representation_walks_census_and_energies_on_every_call(monkeypatch):
     # every call with 3 offsets runs the class census and the energy walk,
-    # each over the L(L+1)/2 size-ordered blocks, whether or not an earlier
-    # call used the same key; an every-offset call walks the census's blocks
-    # only; every report equals the first one of its inputs, and its class
-    # mappings are its own
+    # whether or not an earlier call used the same key: the walk reads the
+    # L(L+1)/2 size-ordered blocks, the census the kI + 1 blocks of each
+    # level kI that holds a good cube; an every-offset call walks the
+    # census's blocks only; every report equals the first one of its
+    # inputs, and its class mappings are its own
     L, lam, params = 6, 0.4, dyadic.GoodParams(r=4, gamma=31 / 64)
     ax = grid.build_axis(L)
+    lattice = dyadic.DyadicSystem(ax, 0)
+    census = sum(k + 1 for k in range(L) if not dyadic.bad_mask(lattice, k, params).all())
     systems = [dyadic.DyadicSystem(ax, off) for off in (0, 5, 32)]
     rng = np.random.default_rng(8)
     inputs = [(mean_zero(rng, 64, ax), mean_zero(rng, 64, ax)) for _ in range(3)]
@@ -678,7 +681,8 @@ def test_representation_walks_census_and_energies_on_every_call(monkeypatch):
         del rep.class_profiles["out"]
         rep.class_counts["deep_in"] = -1
     half = L * (L + 1) // 2
-    assert blocks == [([half, half], half)] * 3
+    assert census == half  # every level of this key holds a good cube
+    assert blocks == [([half, census], census)] * 3
 
     # every offset once: the energies walk no block, so each call walks the
     # census's blocks alone, the second of one key as the first
@@ -687,8 +691,46 @@ def test_representation_walks_census_and_energies_on_every_call(monkeypatch):
     for _ in range(2):
         walks.clear(), classed.clear()
         rep = fracops.verify_representation(f, g, lam, params, every)
-        assert (walks, len(classed)) == ([half], half)
+        assert (walks, len(classed)) == ([census], census)
         assert rep.class_profiles == first[0]["class_profiles"]
+
+
+@pytest.mark.parametrize("lam", (0.3, 0.5, 0.7))
+def test_census_walks_only_the_levels_that_hold_a_good_cube(lam, monkeypatch):
+    # at L=8 and r=3 good cubes lie at levels 0-2 only (1, 2 and 4 of them),
+    # so an every-offset call walks the census's 1 + 2 + 3 blocks of those
+    # levels, classes each once and walks no block of levels 3-7; its
+    # profiles and counts are the per-entry census's, bit for bit.  Levels
+    # without a good cube form a suffix here; no key with L <= 10, r <= L and
+    # gamma = 0.01, 0.02, .., 0.49 has one below a populated level
+    L, params = 8, dyadic.GoodParams(3, dyadic.default_gamma(lam))
+    ax = grid.build_axis(L)
+    lattice = dyadic.DyadicSystem(ax, 0)
+    good = [int((~dyadic.bad_mask(lattice, k, params)).sum()) for k in range(L)]
+    assert good == [1, 2, 4, 0, 0, 0, 0, 0]
+
+    rng = np.random.default_rng(33)
+    f, g = mean_zero(rng, ax.n_cells, ax), mean_zero(rng, ax.n_cells, ax)
+    walks, classed = [], []
+    blocks_of, pair_class = fracops._blocks, fracops._pair_class
+
+    def counted_blocks(*a):
+        walks.append([])
+        for block in blocks_of(*a):
+            walks[-1].append(block[:2])
+            yield block
+
+    monkeypatch.setattr(fracops, "_blocks", counted_blocks)
+    monkeypatch.setattr(fracops, "_pair_class", lambda *a: classed.append(a) or pair_class(*a))
+    rep = fracops.verify_representation(f, g, lam, params, dyadic.enumerate_systems(ax))
+    assert walks == [[(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]]
+    assert len(classed) == 6
+    monkeypatch.undo()
+
+    profiles, counts = oracles.lattice_classes_reference(ax, lam, params)
+    assert rep.class_profiles == profiles
+    assert rep.class_counts == {tag: c * ax.n_cells for tag, c in counts.items()}
+    assert fracops._lattice_classes(ax, lam, params) == (profiles, counts)
 
 
 @pytest.mark.parametrize("lam", (0.05, 0.5, 0.95))
