@@ -16,7 +16,9 @@ C-ordered, reduced by ``mean()``), bit for bit: only the windows whose
 carried means can still reach a cell's maximum are gathered, about one per
 cell on most grids and every window where the means tie, by one rule, the
 kept starts of each shape in chunks of bounded size.  The bi-parameter
-dyadic maximal function gathers its rectangles at every size.
+dyadic maximal function reduces each rectangle's cells, copied in C order,
+by ``mean()`` into a heap-ordered table and folds it to the cells with
+``haar._chain_sum``, like the one-axis modes.
 
 The product-BMO norm is a maximum over a finite family of shapes, each a
 union of cells; on the discrete mesh every such union is admissible
@@ -38,8 +40,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .dyadic import DyadicSystem, _placed
-from .errors import DegenerateInputError, ParameterError, ShapeError
-from .fracops import _frac_scales, frac_integral
+from .errors import ParameterError, ShapeError
+from .fracops import _frac_scales, _scale_fold_ratio
 from .grid import GridFunction, _arc_folds, _check_lambda, _shifted, inner_product
 from .haar import _axis_position, _chain_sum, _cube_means, _level_fold, _pyramid, column_cubes
 from .haar import haar_analyze, haar_function
@@ -280,41 +282,29 @@ _MODES = {"sole": (1, ((0, 0),)), "axis1": (2, ((0, 0),)), "axis2": (2, ((1, -1)
 _MODES["rect"] = _MODES["biparameter"] = (2, ((0, 0), (1, 1)))
 
 
-def _cubes(system: DyadicSystem, k: int):
-    """Cells of the level-k cubes (row m is cube m) and each cell's cube."""
-    n = system.axis.n_cells
-    cells = (system.offset_cells + np.arange(n).reshape(1 << k, n >> k)) % n
-    owner = ((np.arange(n) - system.offset_cells) % n) // (n >> k)
-    return cells, owner
-
-
-def _dyadic_rect_maximal(a: np.ndarray, sys1: DyadicSystem, sys2: DyadicSystem):
-    """Each cell takes the max mean of its own rectangle per level pair; the
-    block means are reduced like a naive ``mean()`` over each rectangle."""
-    out = np.zeros_like(a)
-    for k1 in range(sys1.axis.level + 1):
-        rows, owner1 = _cubes(sys1, k1)
-        for k2 in range(sys2.axis.level + 1):
-            cols, owner2 = _cubes(sys2, k2)
-            means = a[rows[:, None, :, None], cols[None, :, None, :]].mean(axis=(2, 3))
-            np.maximum(out, means[owner1[:, None], owner2[None, :]], out=out)
-    return out
-
-
 def dyadic_maximal(f: GridFunction, systems, mode: str) -> GridFunction:
     """Max of |f| averages over dyadic cubes (one axis) or rectangles.
 
     ``mode`` is ``"axis1"``, ``"axis2"`` (cubes of one lattice, acting on
     the named axis), or ``"biparameter"`` (rectangles of a lattice pair).
-    Always pointwise between |f| and the strong maximal function.
+    Always pointwise between |f| and the strong maximal function.  A
+    rectangle's mean is its cells' C-ordered ``mean()``, a loop's bits.
     """
     if mode not in ("axis1", "axis2", "biparameter"):
         raise ParameterError(f"unknown mode {mode!r}")
     axes = _placed(f, systems, *_MODES[mode])
-    if mode == "biparameter":
-        return f.with_values(_dyadic_rect_maximal(np.abs(f.values), *(s for _, s in axes)))
-    ((pos, system),) = axes
-    return f.with_values(_level_fold(np.abs(f.values), system, pos, 1.0, np.maximum))
+    a = np.abs(f.values)
+    if mode != "biparameter":
+        ((pos, system),) = axes
+        return f.with_values(_level_fold(a, system, pos, 1.0, np.maximum))
+    (_, sys1), (_, sys2) = axes
+    v = _shifted(_shifted(a, -sys1.offset_cells, 0), -sys2.offset_cells, 1)
+    (n1, n2), L1, L2 = v.shape, sys1.axis.level, sys2.axis.level
+    R = np.zeros((2 * n1, 2 * n2))
+    for k1, k2 in itertools.product(range(L1 + 1), range(L2 + 1)):
+        blocks = v.reshape(1 << k1, n1 >> k1, 1 << k2, n2 >> k2).swapaxes(1, 2)
+        R[1 << k1 : 2 << k1, 1 << k2 : 2 << k2] = np.ascontiguousarray(blocks).mean(axis=(2, 3))
+    return f.with_values(_chain_sum(R, axes, first=1, op=np.maximum))
 
 
 def frac_maximal(
@@ -337,11 +327,7 @@ def frac_maximal_domination(f: GridFunction, system: DyadicSystem, lam: float) -
     discrete form of the pointwise domination of the maximal function by
     the positive smoothing operator.
     """
-    m = frac_maximal(f, system, lam).values  # checks f, its system and lam
-    if not np.any(f.values):
-        raise DegenerateInputError("f vanishes identically")
-    smooth = frac_integral(f.with_values(np.abs(f.values)), lam).values
-    return float(np.max(m / smooth))
+    return _scale_fold_ratio(f, system, lam, np.maximum)
 
 
 # -- square functions -----------------------------------------------------
@@ -593,12 +579,8 @@ def duality_check(
     pairing = inner_product(b, phi)
     bmo = bmo_prod_norm(b, w, (system1, system2), family)
     denom = bmo * square_l1
-    if denom > 0.0:
-        ratio = abs(pairing) / denom
-        flagged = False
-    else:
-        flagged = abs(pairing) > 1e-14
-        ratio = np.inf if flagged else 0.0
+    flagged = not denom > 0.0 and abs(pairing) > 1e-14
+    ratio = abs(pairing) / denom if denom > 0.0 else (np.inf if flagged else 0.0)
     return DualityReport(
         pairing=pairing,
         bmo_norm=bmo,

@@ -196,6 +196,11 @@ def _config_from_mapping(data: Mapping) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Read and validate a JSON experiment config; defaults filled."""
+    return _config_from_mapping(_read_config(path))
+
+
+def _read_config(path) -> dict:
+    """The JSON object of a config file, not yet validated."""
     p = Path(path)
     if not p.is_file():
         raise ConfigurationError(f"config file not found: {p}")
@@ -211,7 +216,7 @@ def load_config(path) -> ExperimentConfig:
         ) from exc
     if not isinstance(data, dict):
         raise ConfigurationError("config must be a JSON object")
-    return _config_from_mapping(data)
+    return data
 
 
 def _plain(value):
@@ -675,15 +680,11 @@ def run_suite(config: ExperimentConfig, strict: bool = False) -> SuiteOutcome:
     """
     names = list(SUITES) if config.suite == "all" else [config.suite]
     cap = _thread_cap()
-    results: Dict[str, Tuple[List[CheckRecord], List]] = {}
     if cap > 1 and len(names) > 1:
         with ThreadPoolExecutor(max_workers=min(cap, len(names))) as pool:
-            futures = {name: pool.submit(_run_one, name, config) for name in names}
-            for name, fut in futures.items():
-                results[name] = fut.result()
+            results = dict(zip(names, pool.map(lambda name: _run_one(name, config), names)))
     else:
-        for name in names:
-            results[name] = _run_one(name, config)
+        results = {name: _run_one(name, config) for name in names}
 
     records: List[CheckRecord] = []
     rows: List[Tuple[str, str, float]] = []
@@ -737,10 +738,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.config:
-            data = config_to_dict(load_config(args.config))
-        else:
-            data = {}
+        data = {}
+        if args.config:  # the subcommand and --seed fill what the file leaves out
+            data = {"suite": args.suite, **_read_config(args.config)}
+            if args.seed is not None:
+                data.setdefault("seed", args.seed)
+            data = config_to_dict(_config_from_mapping(data))
         data["suite"] = args.suite
         if args.seed is not None:
             data["seed"] = args.seed

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
+from numbers import Real
 
 import numpy as np
 
@@ -134,6 +135,9 @@ class DyadicCube:
     index: int
 
     def __post_init__(self):
+        for name, value in (("level", self.level), ("index", self.index)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"cube {name} must be an integer, got {value!r}")
         if not 0 <= self.level <= self.system.axis.level:
             raise ParameterError(
                 f"cube level must lie in [0, {self.system.axis.level}], "
@@ -185,8 +189,9 @@ class GoodParams:
         r = self.r
         if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
             raise ParameterError(f"r must be a positive integer, got {r!r}")
-        if not 0.0 < self.gamma < 0.5:
-            raise ParameterError(f"gamma must lie in (0, 1/2), got {self.gamma}")
+        g = self.gamma
+        if isinstance(g, bool) or not isinstance(g, Real) or not 0.0 < g < 0.5:
+            raise ParameterError(f"gamma must be a real number in (0, 1/2), got {g!r}")
 
 
 def default_gamma(lam: float) -> float:

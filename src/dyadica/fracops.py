@@ -325,6 +325,18 @@ def _frac_scales(lam: float, level: int) -> np.ndarray:
     return np.repeat(per_level, 1 << np.arange(level + 1))
 
 
+def _scale_fold_ratio(f: GridFunction, system: DyadicSystem, lam: float, op) -> float:
+    """Grid max of the ratio (|f|'s cube averages times ``|I|**(1 - lam)``,
+    folded over the levels with ``op``) / (smoothing of |f|)."""
+    _check_lambda(lam)
+    _placed(f, system, 1)
+    av = np.abs(f.values)
+    if not np.any(av):
+        raise DegenerateInputError("f vanishes identically")
+    folded = _level_fold(av, system, 0, _frac_scales(lam, system.axis.level), op)
+    return float(np.max(folded / frac_integral(f.with_values(av), lam).values))
+
+
 def domination_ratio(f: GridFunction, lam: float, system: DyadicSystem) -> float:
     """Grid maximum of the scale-sum majorant against the smoothed |f|.
 
@@ -332,14 +344,7 @@ def domination_ratio(f: GridFunction, lam: float, system: DyadicSystem) -> float
     (all levels of the system down to single cells); the theory bounds it by
     a constant multiple of the smoothing operator applied to |f|.
     """
-    _check_lambda(lam)
-    _placed(f, system, 1)
-    av = np.abs(f.values)
-    if not np.any(av > 0.0):
-        raise DegenerateInputError("domination_ratio needs a non-zero input")
-    majorant = _level_fold(av, system, 0, _frac_scales(lam, system.axis.level), np.add)
-    smoothed = frac_integral(f.with_values(av), lam).values
-    return float(np.max(majorant / smoothed))
+    return _scale_fold_ratio(f, system, lam, np.add)
 
 
 # -- representation verification ------------------------------------------

@@ -20,8 +20,10 @@ over two axes the pyramid R[c1, c2] of 4 n1 n2 means.  Every path reads
 them: a column's step from its parent is a martingale difference, a chain
 sum (or max) folds each cell's columns into its value, and spread back
 over the cells they are the expectation stack E_0 .. E_L, the public level
-operators and the rectangle table.  Block operators restrict a difference
-to one cube, or to one rectangle by composing the factors.
+operators and the rectangle table.  The chain fold reads one other heap
+table, the bi-parameter dyadic maximal function's rectangle means, whose
+bits are each rectangle's C-ordered ``mean()``.  Block operators restrict
+a difference to one cube, or to one rectangle by composing the factors.
 
 Every entry point checks its systems with :func:`dyadica.dyadic._placed`,
 through ``_axis_position`` where an axis selector names the array axis.
@@ -294,7 +296,8 @@ def _chain_sum(P: np.ndarray, axes, first: int = 2, op=np.add) -> np.ndarray:
     """Cell values of ``P``, heap-indexed along each (array axis, system) in
     ``axes``: per axis, coarse to fine, each cell folds with ``op`` (``np.add``
     or ``np.maximum``) ``P`` at its cubes' columns ``>= first``.  Overwrites ``P``;
-    at offset 0 the result is a view of it."""
+    at offset 0 the result is a view of it.  ``P`` is :func:`_cube_means` or :func:`_pyramid`
+    output, or ``dyadic_maximal``'s rectangle means, whose bits are C-ordered ``mean()``s."""
     for pos, system in axes:
         v = np.moveaxis(P, pos, 0)
         for k in range(first.bit_length(), system.axis.level + 1):

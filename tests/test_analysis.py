@@ -416,8 +416,14 @@ def test_dyadic_maximal_below_strong_maximal():
 def test_dyadic_maximal_biparameter_matches_brute_force_bitwise():
     axis = build_axis(3)
     rng = np.random.default_rng(5)
-    for off1, off2 in ((0, 0), (3, 6)):
-        f = rand_f(rng, axis, axis)
+    normal = rng.normal(size=(8, 8))
+    # zero on rows 0..3: at offset 0 only rectangles spanning the whole of
+    # axis 1 reach those cells
+    half = np.where(np.arange(8)[:, None] < 4, 0.0, normal)
+    grids = (normal, rng.choice([0.1, 0.2, 0.3], (8, 8)), np.full((8, 8), 0.7),
+             1e300 * normal, 3e-323 * normal, half)
+    for vals, off1, off2 in itertools.product(grids, (0, 3), (0, 6)):
+        f = grid_function(vals, axis, axis)
         pair = (DyadicSystem(axis, off1), DyadicSystem(axis, off2))
         mine = dyadic_maximal(f, pair, "biparameter").values
         ref = dyadic_rect_maximal_brute(f.values, off1, off2)
@@ -514,6 +520,16 @@ def test_frac_maximal_domination_rejects_zero():
     axis = build_axis(3)
     with pytest.raises(DegenerateInputError):
         frac_maximal_domination(constant_function(0.0, axis), DyadicSystem(axis, 0), 0.5)
+
+
+def test_frac_maximal_domination_is_the_grid_max_of_its_ratio():
+    axis = build_axis(5)
+    f = rand_f(np.random.default_rng(9), axis)
+    smooth = frac_integral(f.with_values(np.abs(f.values)), 0.4).values
+    for offset in _offsets(axis.n_cells):
+        system = DyadicSystem(axis, offset)
+        want = np.max(frac_maximal(f, system, 0.4).values / smooth)
+        assert frac_maximal_domination(f, system, 0.4) == want
 
 
 # -- square functions -----------------------------------------------------

@@ -586,6 +586,28 @@ def test_main_overrides_config(tmp_path, capsys):
     assert all(name.startswith("haar-verify") for name in names)
 
 
+def _readme_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+
+
+def test_main_fills_suite_and_seed_into_a_config_file(tmp_path, capsys):
+    # the README's example gives no suite: the subcommand names it
+    data = {**_readme_config(), "levels": [3], "out": str(tmp_path / "readme")}
+    assert "suite" not in data
+    assert main(["all", "--config", str(write_config(tmp_path, data))]) == 0
+    del data["seed"]
+    path = write_config(tmp_path, {**data, "out": str(tmp_path / "seeded")}, "noseed.json")
+    assert main(["norms", "--config", str(path), "--seed", "3"]) == 0
+    report = json.loads((tmp_path / "seeded" / "report.json").read_text(encoding="utf-8"))
+    assert report["meta"]["seed"] == 3
+    capsys.readouterr()
+    assert main(["norms", "--config", str(path)]) == 2
+    assert "'seed'" in capsys.readouterr().err
+    with pytest.raises(ConfigurationError, match="suite"):
+        load_config(path)
+
+
 def test_main_reports_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

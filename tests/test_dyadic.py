@@ -65,6 +65,14 @@ def test_system_accepts_numpy_integer_offsets():
     assert np.array_equal(haar.haar_analyze(v, sys), haar.haar_analyze(v, plain))
 
 
+def test_cube_rejects_non_integer_level_and_index():
+    sys = dyadic.DyadicSystem(grid.build_axis(3), 0)
+    for level, index in ((True, 0), (1, 1.0), (1.5, 0), (1, "0"), (1, False)):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            sys.cube(level, index)
+    assert sys.cube(np.int64(1), np.int32(1)) == sys.cube(1, 1)
+
+
 def test_cube_cells_wrap():
     sys = dyadic.DyadicSystem(grid.build_axis(3), 5)
     c = sys.cube(1, 1)  # starts at cell (5 + 4) % 8 = 1 ... wait: w=4
@@ -166,6 +174,13 @@ def test_good_params_r_must_be_a_positive_integer():
         with pytest.raises(ParameterError, match="r must be a positive integer"):
             dyadic.GoodParams(r)
     assert dyadic.GoodParams(np.int64(2)).r == 2
+
+
+def test_good_params_gamma_must_be_real():
+    for gamma in ("0.3", None, True, 0.3j):
+        with pytest.raises(ParameterError, match="gamma must be a real number"):
+            dyadic.GoodParams(3, gamma)
+    assert dyadic.GoodParams(3, np.float64(0.3)) == dyadic.GoodParams(3, 0.3)
 
 
 def test_coarse_cubes_are_good():
