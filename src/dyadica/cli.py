@@ -720,18 +720,17 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dyadica",
         description="Verification suites for the bi-parameter dyadic toolkit.",
     )
-    sub = parser.add_subparsers(dest="suite", required=True, metavar="SUITE")
-    for name in SUITES + ("all",):
-        p = sub.add_parser(name, help=f"run the {name} suite")
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="override the seed")
-        p.add_argument("--level", type=int, help="override the level list")
-        p.add_argument("--out", help="override the output directory")
-        p.add_argument(
-            "--strict",
-            action="store_true",
-            help="stability warnings also fail the run",
-        )
+    names = SUITES + ("all",)
+    parser.add_argument("suite", choices=names, metavar="SUITE", help=f"one of: {', '.join(names)}")
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--seed", type=int, help="override the seed")
+    parser.add_argument("--level", type=int, help="override the level list")
+    parser.add_argument("--out", help="override the output directory")
+    parser.add_argument(
+        "--strict",
+        action="store_true",
+        help="stability warnings also fail the run",
+    )
     return parser
 
 
@@ -739,7 +738,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         data = {}
-        if args.config:  # the subcommand and --seed fill what the file leaves out
+        if args.config:  # the suite argument and --seed fill what the file leaves out
             data = {"suite": args.suite, **_read_config(args.config)}
             if args.seed is not None:
                 data.setdefault("seed", args.seed)

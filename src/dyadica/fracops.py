@@ -3,11 +3,13 @@
 The smoothing operator convolves against the periodic kernel d(x-y)**-lam
 exactly at cell resolution: ``_smooth`` is its one home, a circular
 convolution with the kernel profile of exact cell-pair integrals, and no
-library path forms the dense kernel matrix, the representation harness
-included: it reads the kernel in the Haar basis from L smoothed Haar
-steps, one per level (see :func:`_blocks`).  On top of it this
-module provides the coefficient machinery used to analyse the operator
-in a shifted lattice: raw and normalized Haar coefficients, the
+library path forms the dense kernel matrix.  Every smoothed Haar step
+comes from one cached table of L, the first cube's per level
+(``_smoothed_steps``), shifted by circulance: the concentric pairings
+read it, and the raw coefficients and the representation harness read
+the kernel in the Haar basis from its analysis (see :func:`_blocks`).  On
+top of it this module provides the coefficient machinery used to analyse
+the operator in a shifted lattice: raw and normalized Haar coefficients, the
 four-way positional classification of cube pairs, coefficient tables for
 shift operators with the canonical size bound, the pointwise domination
 scan, and a verification harness that checks the bilinear expansion
@@ -55,13 +57,13 @@ from .dyadic import (
     _placed,
     _within_threshold,
     bad_mask,
-    join,
 )
 from .errors import (
     ContractError,
     DegenerateInputError,
     InvariantError,
     ParameterError,
+    ResolutionError,
     ShapeError,
     SystemMismatchError,
 )
@@ -75,7 +77,7 @@ from .grid import (
     kernel_profile,
     l2_norm,
 )
-from .haar import _level_fold, _stationary_analyze, column_cubes, haar_function
+from .haar import _level_fold, _stationary_analyze, column_cubes
 from .haar import haar_analyze, haar_synthesize
 
 __all__ = [
@@ -146,27 +148,46 @@ def partial_frac_integral(f: GridFunction, lam: float, axis_index: int) -> GridF
 # -- coefficients ---------------------------------------------------------
 
 
+@lru_cache(maxsize=16)  # one entry is n * L floats, 1.8 MiB at L=14
+def _smoothed_steps(axis: Axis, lam: float) -> np.ndarray:
+    """``S[:, k]``, the smoothed Haar step of the offset-0 lattice's first
+    level-k cube, k < L: the one place a Haar step is smoothed.  G is
+    circulant, so any cube's smoothed step is its level's column shifted to
+    the cube's start.  Cached per (axis, lambda) and read-only."""
+    L = axis.level
+    first = np.zeros((axis.n_cells, L))
+    first[1 << np.arange(L), np.arange(L)] = 1.0
+    steps = _smooth(haar_synthesize(first, DyadicSystem(axis, 0)), axis, lam)
+    steps.setflags(write=False)
+    return steps
+
+
 def shift_coefficient(I: DyadicCube, J: DyadicCube, lam: float) -> Tuple[float, float]:
     """Raw and normalized Haar coefficient of the smoothing operator.
 
     raw = pairing of the J Haar step against the operator applied to the I
     Haar step; normalized multiplies by ``|K|**lam / (|I| |J|)**(1/2)`` with
     K the join of the pair, the scale against which all class bounds are
-    stated.
+    stated.  raw is an entry of the kernel columns (:func:`_kernel_columns`)
+    by :func:`_blocks`' rule, in offset-relative indices, read with the
+    larger (level, index) first, so raw(I, J) and raw(J, I) are one entry.
     """
     _check_lambda(lam)
     if I.system != J.system:
         raise SystemMismatchError("shift_coefficient requires cubes of one system")
-    smoothed = _smooth(haar_function(I).values, I.axis, lam) * I.axis.h
-    raw = float(haar_function(J).values @ smoothed)
-    K = join(I, J)
-    normalized = raw * 2.0 ** (0.5 * I.level + 0.5 * J.level - lam * K.level)
-    return raw, normalized
+    if max(I.level, J.level) == I.axis.level:
+        raise ResolutionError(f"a cube at mesh level {I.axis.level} has no Haar step")
+    (kI, a), (kJ, b) = sorted([(I.level, I.index), (J.level, J.index)], reverse=True)
+    raw = float(_kernel_columns(I.axis, lam)[(1 << kI) + (a - (b << (kI - kJ))) % (1 << kI), kJ])
+    kK = int(_join_level(kI, a, kJ, b))
+    return raw, raw * 2.0 ** (0.5 * I.level + 0.5 * J.level - lam * kK)
 
 
 def concentric_indicator_pairing(I: DyadicCube, extra_cells: int, lam: float) -> float:
     """Pairing of the indicator of the arc concentric with ``I`` (widened by
-    ``extra_cells`` on each side) against the smoothed Haar step of ``I``.
+    ``extra_cells`` on each side) against the smoothed Haar step of ``I``:
+    its level's column of :func:`_smoothed_steps`, read from cell
+    ``-extra_cells`` with no offset or index.
 
     Vanishes identically: the kernel is even, the Haar step is odd about
     the common center, and the widened arc is symmetric about it.
@@ -177,9 +198,10 @@ def concentric_indicator_pairing(I: DyadicCube, extra_cells: int, lam: float) ->
     n = I.axis.n_cells
     if I.width_cells + 2 * extra_cells > n:
         raise ParameterError("widened arc exceeds the torus")
-    smoothed = _smooth(haar_function(I).values, I.axis, lam) * I.axis.h
-    cells = (I.start_cell - extra_cells + np.arange(I.width_cells + 2 * extra_cells)) % n
-    return float(smoothed[cells].sum())
+    if I.level == I.axis.level:
+        raise ResolutionError(f"a cube at mesh level {I.axis.level} has no Haar step")
+    cells = (np.arange(I.width_cells + 2 * extra_cells) - extra_cells) % n
+    return float(I.axis.h * _smoothed_steps(I.axis, lam)[cells, I.level].sum())
 
 
 # -- positional classification -------------------------------------------
@@ -333,8 +355,11 @@ def _scale_fold_ratio(f: GridFunction, system: DyadicSystem, lam: float, op) -> 
     av = np.abs(f.values)
     if not np.any(av):
         raise DegenerateInputError("f vanishes identically")
+    smoothed = frac_integral(f.with_values(av), lam).values
+    if not np.all(smoothed > 0):
+        raise DegenerateInputError("the smoothing of |f| underflows to 0")
     folded = _level_fold(av, system, 0, _frac_scales(lam, system.axis.level), op)
-    return float(np.max(folded / frac_integral(f.with_values(av), lam).values))
+    return float(np.max(folded / smoothed))
 
 
 def domination_ratio(f: GridFunction, lam: float, system: DyadicSystem) -> float:
@@ -369,14 +394,9 @@ class RepresentationReport:
 def _kernel_columns(axis: Axis, lam: float) -> np.ndarray:
     """Columns ``C[:, k]`` of the Haar-basis kernel ``M = H.T G H`` of the
     offset-0 lattice at the first cube of each level k = 0 .. L-1: the
-    smoothing operator applied to those L Haar steps, analyzed.  Cached per
-    (axis, lambda) and read-only, so a key's census and walks smooth the L
-    steps once."""
-    L = axis.level
-    lattice = DyadicSystem(axis, 0)
-    first = np.zeros((axis.n_cells, L))
-    first[1 << np.arange(L), np.arange(L)] = 1.0
-    columns = haar_analyze(_smooth(haar_synthesize(first, lattice), axis, lam), lattice)
+    smoothed Haar steps (:func:`_smoothed_steps`) analyzed.  Cached per
+    (axis, lambda) and read-only."""
+    columns = haar_analyze(_smoothed_steps(axis, lam), DyadicSystem(axis, 0))
     columns.setflags(write=False)
     return columns
 

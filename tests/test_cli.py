@@ -592,7 +592,7 @@ def _readme_config():
 
 
 def test_main_fills_suite_and_seed_into_a_config_file(tmp_path, capsys):
-    # the README's example gives no suite: the subcommand names it
+    # the README's example gives no suite: the suite argument names it
     data = {**_readme_config(), "levels": [3], "out": str(tmp_path / "readme")}
     assert "suite" not in data
     assert main(["all", "--config", str(write_config(tmp_path, data))]) == 0
@@ -639,7 +639,7 @@ def test_import_loads_no_scipy():
 
 
 def test_python_dash_m_runs_the_command(tmp_path):
-    env = _src_env()
+    env = {**_src_env(), "COLUMNS": "80"}  # the help's width
 
     def run(*args):
         return subprocess.run(
@@ -653,5 +653,11 @@ def test_python_dash_m_runs_the_command(tmp_path):
     proc = run("--help")
     assert proc.returncode == 0, proc.stderr
     assert "usage" in proc.stdout
+    assert all(name in proc.stdout for name in cli.SUITES + ("all",))
+    # argparse rejects a missing or unknown suite with its own exit 2
+    for args in ((), ("nope",), ("--seed", "1")):
+        proc = run(*args)
+        assert proc.returncode == 2
+        assert "SUITE" in proc.stderr
     # the exit code of main() is the process's
     assert run("norms", "--config", str(tmp_path / "absent.json")).returncode == 2

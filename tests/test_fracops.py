@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,27 @@ def test_smoothing_reads_a_cached_read_only_spectrum(rng, L, lam):
 
 
 @pytest.mark.parametrize("lam", (0.05, 0.5, 0.95))
+def test_smoothed_steps_shift_to_every_cube(lam):
+    # the kernel is circulant: the table's level-k column, rolled to a cube's
+    # start, is that cube's smoothed Haar step on any lattice
+    for L in range(1, 7):
+        ax = grid.build_axis(L)
+        n = ax.n_cells
+        S = fracops._smoothed_steps(ax, lam)
+        assert S is fracops._smoothed_steps(ax, lam)
+        assert not S.flags.writeable and S.shape == (n, L)
+        assert np.array_equal(fracops._kernel_columns(ax, lam), haar.haar_analyze(S, offset0(L)))
+        for offset in {0, 1, 17 % n, n - 1}:
+            system = dyadic.DyadicSystem(ax, offset)
+            for k in range(L):
+                for m in range(1 << k):
+                    cube = system.cube(k, m)
+                    want = fracops._smooth(haar.haar_function(cube).values, ax, lam)
+                    got = np.roll(S[:, k], cube.start_cell)
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("lam", (0.05, 0.5, 0.95))
 def test_frac_integral_matches_the_dense_kernel_matrix(rng, lam):
     for L in range(1, 13):
         ax = grid.build_axis(L)
@@ -190,7 +212,16 @@ def test_shift_coefficient_symmetric(rng):
         J = sys.cube(kJ, int(rng.integers(1 << kJ)))
         rij, _ = fracops.shift_coefficient(I, J, 0.3)
         rji, _ = fracops.shift_coefficient(J, I, 0.3)
-        assert rij == pytest.approx(rji, abs=1e-15)
+        assert rij == rji
+    # at one level, (a, b) and (b, a) are kernel entries at t and -t, which
+    # differ in their last bits: the pair is read in one order
+    for k in range(1, 6):
+        for a in range(1 << k):
+            for b in range(a):
+                I, J = sys.cube(k, a), sys.cube(k, b)
+                rij, _ = fracops.shift_coefficient(I, J, 0.3)
+                rji, _ = fracops.shift_coefficient(J, I, 0.3)
+                assert rij == rji
 
 
 def test_shift_coefficient_system_mismatch():
@@ -199,6 +230,19 @@ def test_shift_coefficient_system_mismatch():
     b = dyadic.DyadicSystem(ax, 3).cube(1, 0)
     with pytest.raises(errors.SystemMismatchError):
         fracops.shift_coefficient(a, b, 0.5)
+
+
+def test_shift_coefficient_errors_in_order():
+    # lambda, then the systems, then a finest-level cube, which has no Haar step
+    sys = dyadic.DyadicSystem(grid.build_axis(4), 3)
+    fine, coarse = sys.cube(4, 5), sys.cube(2, 1)
+    for I, J in ((fine, coarse), (coarse, fine), (fine, fine)):
+        with pytest.raises(errors.ResolutionError):
+            fracops.shift_coefficient(I, J, 0.5)
+    with pytest.raises(errors.ParameterError):
+        fracops.shift_coefficient(fine, fine, 1.5)
+    with pytest.raises(errors.SystemMismatchError):
+        fracops.shift_coefficient(fine, offset0(4).cube(2, 1), 0.5)
 
 
 def test_concentric_pairing_vanishes():
@@ -224,6 +268,13 @@ def test_concentric_pairing_argument_errors():
         fracops.concentric_indicator_pairing(I, -1, 0.5)
     with pytest.raises(errors.ParameterError):
         fracops.concentric_indicator_pairing(I, 16, 0.5)
+    fine = sys.cube(4, 3)
+    with pytest.raises(errors.ResolutionError):
+        fracops.concentric_indicator_pairing(fine, 1, 0.5)
+    with pytest.raises(errors.ParameterError):
+        fracops.concentric_indicator_pairing(fine, 1, 1.5)
+    with pytest.raises(errors.ParameterError):
+        fracops.concentric_indicator_pairing(fine, 8, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +424,26 @@ def test_domination_ratio_zero_input():
         fracops.domination_ratio(grid.constant_function(0.0, sys.axis), 0.5, sys)
 
 
+def test_domination_ratios_reject_an_underflowing_smoothing():
+    # one subnormal cell is a nonzero input whose smoothing is 0 at every
+    # cell: both ratios name the underflow, where a 0/0 gave NaN; at 1e-300
+    # the smoothing is normal and both keep their values, with no warning
+    sys = offset0(4)
+    v = np.zeros(16)
+    v[5] = 1.5e-323
+    tiny = grid.grid_function(v, sys.axis)
+    for ratio in (lambda f: analysis.frac_maximal_domination(f, sys, 0.5),
+                  lambda f: fracops.domination_ratio(f, 0.5, sys)):
+        with pytest.raises(errors.DegenerateInputError, match="underflow"):
+            ratio(tiny)
+    v[5] = 1e-300
+    small = grid.grid_function(v, sys.axis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert analysis.frac_maximal_domination(small, sys, 0.5) == 0.7885745629033443
+        assert fracops.domination_ratio(small, 0.5, sys) == 1.639245128834865
+
+
 # ---------------------------------------------------------------------------
 # representation verification
 
@@ -449,7 +520,10 @@ def test_haar_kernel_blocks_match_the_dense_haar_basis_kernel(lam):
     # every size-ordered block read from the L columns, and its transpose,
     # equals H.T G H, so all L**2 level-pair blocks are checked; blocks that
     # vanish in exact arithmetic hold rounding noise on both sides, so the
-    # bound is relative to the kernel's largest entry
+    # bound is relative to the kernel's largest entry.  shift_coefficient
+    # reads the same entries for any lattice: every pair up to L=3, sampled
+    # pairs at L=6, against each lattice's own H
+    rng = np.random.default_rng(35)
     for L in (1, 2, 3, 6, 9):
         ax = grid.build_axis(L)
         lattice = offset0(L)
@@ -470,6 +544,20 @@ def test_haar_kernel_blocks_match_the_dense_haar_basis_kernel(lam):
                     join = dyadic.join(lattice.cube(kI, a), lattice.cube(kJ, b))
                     assert kK[a, b] == join.level
         assert pairs == [(kI, kJ) for kI in range(L) for kJ in range(kI + 1)]
+        if L > 6:
+            continue
+        cubes = [(k, m) for k in range(L) for m in range(1 << k)]
+        cube_pairs = [(p, q) for p in cubes for q in cubes]
+        if L == 6:
+            cube_pairs = [cube_pairs[t] for t in rng.choice(len(cube_pairs), 200)]
+        for offset in (0, 1, ax.n_cells - 1):
+            system = dyadic.DyadicSystem(ax, offset)
+            H = haar.haar_matrix(system)
+            M = H.T @ grid.kernel_matrix(ax, lam) @ H
+            for p, q in cube_pairs:
+                I, J = system.cube(*p), system.cube(*q)
+                raw, _ = fracops.shift_coefficient(I, J, lam)
+                assert abs(raw - M[haar.basis_column(J), haar.basis_column(I)]) <= bound
 
 
 @pytest.mark.parametrize("lam", (0.05, 0.5, 0.95))
