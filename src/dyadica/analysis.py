@@ -5,7 +5,7 @@ The strong maximal function scans every grid-aligned (wrap-aware) arc
 rectangle: the mean of every window, then per cell the largest mean of a
 window containing it.  One engine serves every size: ``_window_folds``
 carries window sums of |f| across widths, a group of row widths per array,
-its columns through the weights' carried arc sum (``grid._arc_folds``), and
+rows and columns alike through the weights' arc sum (``grid._arc_folds``), and
 ``_spread_folds`` spreads each group's window values to the cells.  Every
 term is >= 0, so each carried mean is within ``_carry_gap`` of the naive
 block mean, and a one-cell window is exact; the full circle counts once.
@@ -43,8 +43,8 @@ from .dyadic import DyadicSystem, _placed
 from .errors import ParameterError, ShapeError
 from .fracops import _frac_scales, _scale_fold_ratio
 from .grid import GridFunction, _arc_folds, _check_lambda, _shifted, inner_product
-from .haar import _axis_position, _chain_sum, _cube_means, _level_fold, _pyramid, column_cubes
-from .haar import haar_analyze, haar_function
+from .haar import _axis_position, _chain_sum, _cube_means, _level_fold, _parents, _pyramid
+from .haar import column_cubes, haar_analyze, haar_function
 from .weights import ProductWeight, Weight
 
 __all__ = [
@@ -122,24 +122,20 @@ def _carry_gap(a: np.ndarray) -> float:
 
 def _window_folds(a: np.ndarray, op):
     """``op`` folded over every window of ``a``: the cells of each column of
-    the window in order, then the columns in order.  Row widths go in groups
-    from the narrowest, each small enough that a fold array holds at most
+    the window in order, then the columns in order, both carried by
+    :func:`dyadica.grid._arc_folds`.  Row widths go in groups from the
+    narrowest, each small enough that a fold array holds at most
     ``_SPREAD_CHUNK * _GATHER_CELLS`` windows (``_SPREAD_CHUNK`` row widths
-    up to that many cells).  Per group, ``(lo, folds)``: ``folds``, the
-    :func:`dyadica.grid._arc_folds` of the group's row folds, yields per
-    column width w2 from 1 the running array ``F[w1 - 1 - lo, s1, s2]`` of
-    the w1 x w2 windows at lower corner (s1, s2).  Read each before the
-    next.  The full circle appears at every start."""
-    n1 = a.shape[0]
+    up to that many cells).  Per group, ``(lo, folds)``: ``folds``, the column
+    carry of the group's row folds, yields per column width w2 from 1 the
+    running array ``F[w1 - 1 - lo, s1, s2]`` of the w1 x w2 windows at lower
+    corner (s1, s2).  Read each before the next.  The full circle appears at
+    every start."""
     group = max(1, min(_SPREAD_CHUNK, _SPREAD_CHUNK * _GATHER_CELLS // a.size))
-    last = None  # the widest row width of the group before
-    for lo in range(0, n1, group):
-        ahead = np.arange(lo, min(lo + group, n1))[:, None] + np.arange(n1)
-        F = a[ahead % n1]  # F[k, s1] = row s1 + lo + k
-        if last is not None:
-            op(last, F[0], out=F[0])
-        op.accumulate(F, axis=0, out=F)  # F[k, s1]: rows s1 .. s1 + lo + k
-        last = F[-1].copy()
+    rows = _arc_folds(a.T.copy(), op)  # per w1, [s2, s1]: rows s1 .. s1 + w1 - 1
+    for lo in range(0, len(a), group):
+        # each row fold copied before _arc_folds overwrites it with the next
+        F = np.array([R.T.copy() for R in itertools.islice(rows, group)])
         yield lo, _arc_folds(F, op)
 
 
@@ -350,7 +346,7 @@ def square_function(f: GridFunction, systems, mode: str) -> GridFunction:
     else:
         diffs = _cube_means(f.values, system, pos)
     for pos, _ in axes:
-        diffs = diffs - np.take(diffs, np.arange(diffs.shape[pos]) >> 1, axis=pos)
+        diffs = diffs - _parents(diffs, pos)
     return f.with_values(np.sqrt(_chain_sum(diffs**2, axes)))
 
 

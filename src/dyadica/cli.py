@@ -37,7 +37,7 @@ from .dyadic import DyadicSystem
 from .errors import ConfigurationError, DyadicaError
 from .fracops import _residuals, maximal_table
 from .grid import _check_lambda, build_axis, grid_function, l2_norm, tabulate_midpoint
-from .haar import _chain_sum, _cube_means, haar_analyze, haar_synthesize
+from .haar import _chain_sum, _cube_means, _parents, haar_analyze, haar_synthesize
 from .paracomm import _DECOMPOSE_FLOATS, _EXPAND_FLOATS, BloomConfig, _decompose
 from .paracomm import _expansion, _stacks, bloom_experiment
 from .weights import apq_characteristic, exponent_solve, power_weight
@@ -352,7 +352,6 @@ def _suite_haar_verify(config: ExperimentConfig):
         axis = build_axis(level)
         n = axis.n_cells
         offsets = sorted({0, 1, n // 2})
-        parent = np.arange(2 * n) >> 1
         worst_recon = 0.0
         worst_tel = 0.0
         for lo, hi in _stacks(config.samples, n, _HAAR_VERIFY_FLOATS):
@@ -363,7 +362,7 @@ def _suite_haar_verify(config: ExperimentConfig):
                 back = haar_synthesize(haar_analyze(X, system, 1), system, 1)
                 recon.append(np.max(np.abs(back - X), axis=1).tolist())
                 R = np.stack([_cube_means(x, system, 0) for x in X])
-                total = _chain_sum(R - R[:, parent], ((1, system),), first=1)
+                total = _chain_sum(R - _parents(R, 1), ((1, system),), first=1)
                 worst_tel = max(worst_tel, float(np.max(np.abs(total - X))))
             for s, values in enumerate(zip(*recon), lo):
                 worst_recon = max(worst_recon, *values)

@@ -44,7 +44,7 @@ from .errors import (
     ShapeError,
     SystemMismatchError,
 )
-from .grid import Axis, GridFunction
+from .grid import Axis, GridFunction, _check_integers, _is_integer
 
 __all__ = [
     "DyadicCube",
@@ -70,7 +70,7 @@ class DyadicSystem:
 
     def __post_init__(self):
         off = self.offset_cells
-        if isinstance(off, bool) or not isinstance(off, (int, np.integer)):
+        if not _is_integer(off):
             raise ParameterError(f"offset_cells must be an integer, got {off!r}")
         if not 0 <= off < self.axis.n_cells:
             raise ParameterError(
@@ -136,7 +136,7 @@ class DyadicCube:
 
     def __post_init__(self):
         for name, value in (("level", self.level), ("index", self.index)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise ParameterError(f"cube {name} must be an integer, got {value!r}")
         if not 0 <= self.level <= self.system.axis.level:
             raise ParameterError(
@@ -187,7 +187,7 @@ class GoodParams:
 
     def __post_init__(self):
         r = self.r
-        if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
+        if not _is_integer(r) or r < 1:
             raise ParameterError(f"r must be a positive integer, got {r!r}")
         g = self.gamma
         if isinstance(g, bool) or not isinstance(g, Real) or not 0.0 < g < 0.5:
@@ -220,6 +220,7 @@ def enumerate_systems(axis: Axis) -> list[DyadicSystem]:
 
 def ancestor(cube: DyadicCube, i: int) -> DyadicCube:
     """The unique cube ``i`` levels above; ``ancestor(c, 0) == c``."""
+    _check_integers(i=i)
     if i < 0:
         raise ParameterError(f"ancestor depth must be >= 0, got {i}")
     if i > cube.level:
@@ -355,6 +356,7 @@ def _bad(axis: Axis, level: int, index, params: GoodParams):
 
 def bad_mask(system: DyadicSystem, level: int, params: GoodParams) -> np.ndarray:
     """Boolean badness flags for every index at one level (vectorized)."""
+    _check_integers(level=level)
     return _bad(system.axis, level, np.arange(1 << level), params)
 
 
@@ -380,6 +382,7 @@ def estimate_pgood(axis: Axis, params: GoodParams, level_k: int, trials: int,
     estimate is then exact and the halfwidth zero); otherwise offsets are
     sampled and a binomial 95% halfwidth is reported.
     """
+    _check_integers(level_k=level_k, trials=trials)
     if not params.r <= level_k <= axis.level:
         raise ContractError(
             f"level_k must lie in [r, L] = [{params.r}, {axis.level}]"

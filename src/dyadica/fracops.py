@@ -71,7 +71,9 @@ from .grid import (
     MAX_LEVEL,
     Axis,
     GridFunction,
+    _check_integers,
     _check_lambda,
+    _is_integer,
     grid_function,
     inner_product,
     kernel_profile,
@@ -139,7 +141,7 @@ def partial_frac_integral(f: GridFunction, lam: float, axis_index: int) -> GridF
     _check_lambda(lam)
     if len(f.axes) != 2:
         raise ShapeError("partial_frac_integral needs a two-axis function")
-    if axis_index not in (1, 2):
+    if not (_is_integer(axis_index) and axis_index in (1, 2)):
         raise ParameterError(f"axis_index must be 1 or 2, got {axis_index!r}")
     axis = f.axes[axis_index - 1]
     return f.with_values(_smooth(f.values, axis, lam, axis_index - 1))
@@ -192,6 +194,7 @@ def concentric_indicator_pairing(I: DyadicCube, extra_cells: int, lam: float) ->
     Vanishes identically: the kernel is even, the Haar step is odd about
     the common center, and the widened arc is symmetric about it.
     """
+    _check_integers(extra_cells=extra_cells)
     _check_lambda(lam)
     if extra_cells < 0:
         raise ParameterError(f"extra_cells must be >= 0, got {extra_cells}")
@@ -279,6 +282,7 @@ class ShiftCoefficientTable:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        _check_integers(i=self.i, j=self.j)
         if self.i < 0 or self.j < 0:
             raise ParameterError("shift depths must be non-negative")
         coeffs = np.array(self.coeffs, dtype=float)
@@ -307,6 +311,7 @@ def maximal_table(
 ) -> ShiftCoefficientTable:
     """The extremal admissible table: every coefficient sits at its size
     bound ``(|I| |J|)**(1/2) / |K|**lam``."""
+    _check_integers(i=i, j=j)
     _check_lambda(lam)
     L = system.axis.level
     if not (0 <= i <= L and 0 <= j <= L):

@@ -55,6 +55,19 @@ class Axis:
         return 2.0 ** (-self.level)
 
 
+def _is_integer(value) -> bool:
+    """The integer-parameter predicate: a Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_integers(**params) -> None:
+    """Raise ParameterError naming the first of ``params`` that fails
+    :func:`_is_integer`."""
+    for name, value in params.items():
+        if not _is_integer(value):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def build_axis(level: int) -> Axis:
     """Create an :class:`Axis` with ``2**level`` cells.
 
@@ -68,7 +81,7 @@ def build_axis(level: int) -> Axis:
     ConfigurationError
         If the level is not an integer in range.
     """
-    if not isinstance(level, (int, np.integer)) or isinstance(level, bool):
+    if not _is_integer(level):
         raise ConfigurationError(f"axis level must be an integer, got {level!r}")
     if not 1 <= level <= MAX_LEVEL:
         raise ConfigurationError(
@@ -286,6 +299,7 @@ def kernel_cell_integral(axis: Axis, cell_a: int, cell_b: int, lam: float) -> fl
         ``iint_{A x B} d(x, y)**(-lam) dx dy``, strictly positive and
         symmetric in the two cells.
     """
+    _check_integers(cell_a=cell_a, cell_b=cell_b)
     n = axis.n_cells
     a = int(cell_a)
     b = int(cell_b)

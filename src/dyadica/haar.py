@@ -20,10 +20,12 @@ over two axes the pyramid R[c1, c2] of 4 n1 n2 means.  Every path reads
 them: a column's step from its parent is a martingale difference, a chain
 sum (or max) folds each cell's columns into its value, and spread back
 over the cells they are the expectation stack E_0 .. E_L, the public level
-operators and the rectangle table.  The chain fold reads one other heap
-table, the bi-parameter dyadic maximal function's rectangle means, whose
-bits are each rectangle's C-ordered ``mean()``.  Block operators restrict
-a difference to one cube, or to one rectangle by composing the factors.
+operators and the rectangle table.  Column c's parent is column c >> 1 by
+one rule: ``_parents`` reads it, and the chain fold broadcasts it over its
+children's sibling pairs.  The chain fold reads one other heap table, the
+bi-parameter dyadic maximal function's rectangle means, whose bits are
+each rectangle's C-ordered ``mean()``.  Block operators restrict a
+difference to one cube, or to one rectangle by composing the factors.
 
 Every entry point checks its systems with :func:`dyadica.dyadic._placed`,
 through ``_axis_position`` where an axis selector names the array axis.
@@ -39,7 +41,7 @@ import numpy as np
 
 from .dyadic import DyadicCube, DyadicSystem, _placed
 from .errors import ParameterError, ResolutionError, ShapeError
-from .grid import Axis, GridFunction, _shifted, grid_function
+from .grid import Axis, GridFunction, _check_integers, _is_integer, _shifted, grid_function
 
 __all__ = [
     "HaarCoefficientMap",
@@ -202,7 +204,7 @@ def haar_matrix(system: DyadicSystem) -> np.ndarray:
 def _axis_position(f: GridFunction, system: DyadicSystem, axis_index, ndim=None) -> int:
     """The array axis of a selector (1, 2, or None for a sole axis) after
     :func:`dyadica.dyadic._placed`; ``ndim`` fixes the axes of ``f`` for 1, 2."""
-    if axis_index not in (None, 1, 2):
+    if not (axis_index is None or _is_integer(axis_index) and axis_index in (1, 2)):
         raise ParameterError(f"axis_index must be 1, 2 or None, got {axis_index!r}")
     pos = 0 if axis_index is None else axis_index - 1
     _placed(f, system, 1 if axis_index is None else ndim, ((pos, 0),))
@@ -275,34 +277,35 @@ def _pyramid(vals: np.ndarray, system1: DyadicSystem, system2: DyadicSystem) -> 
     return _cube_means(_cube_means(vals, system1, -2), system2, -1)
 
 
+def _parents(R: np.ndarray, pos: int) -> np.ndarray:
+    """``R[..., c >> 1, ...]`` along heap axis ``pos``: its first half, each entry twice."""
+    return np.repeat(np.split(R, 2, axis=pos)[0], 2, axis=pos)
+
+
 def _scale_views(R: np.ndarray) -> dict:
     """The four scale views of pyramids on the last two axes of ``R``, keyed
-    (first axis, second axis): per axis, ``A`` at column ``c`` is the
-    parent's mean ``R[c >> 1]`` and ``D`` is ``R[c] - R[c >> 1]``.  Column
-    1's parent is the zero column 0, so the whole-axis mean enters as a
-    ``D``."""
-    up1, up2 = (np.arange(size) >> 1 for size in R.shape[-2:])
-    A1 = R[..., up1, :]
+    (first axis, second axis): per axis, ``A`` is the parent's mean
+    (:func:`_parents`) and ``D`` is ``R[c] - R[c >> 1]``.  Column 1's parent
+    is the zero column 0, so the whole-axis mean enters as a ``D``."""
+    A1 = _parents(R, -2)
     D1 = R - A1
-    return {
-        ("A", "A"): A1[..., up2],
-        ("A", "D"): A1 - A1[..., up2],
-        ("D", "A"): D1[..., up2],
-        ("D", "D"): D1 - D1[..., up2],
-    }
+    AA, DA = _parents(A1, -1), _parents(D1, -1)
+    return {("A", "A"): AA, ("A", "D"): A1 - AA, ("D", "A"): DA, ("D", "D"): D1 - DA}
 
 
 def _chain_sum(P: np.ndarray, axes, first: int = 2, op=np.add) -> np.ndarray:
     """Cell values of ``P``, heap-indexed along each (array axis, system) in
     ``axes``: per axis, coarse to fine, each cell folds with ``op`` (``np.add``
-    or ``np.maximum``) ``P`` at its cubes' columns ``>= first``.  Overwrites ``P``;
-    at offset 0 the result is a view of it.  ``P`` is :func:`_cube_means` or :func:`_pyramid`
-    output, or ``dyadic_maximal``'s rectangle means, whose bits are C-ordered ``mean()``s."""
+    or ``np.maximum``) ``P`` at its cubes' columns ``>= first``, each level in
+    place into the view of its children's sibling pairs, copying no parent.
+    Overwrites ``P``; at offset 0 the result is a view of it.  ``P`` is
+    :func:`_cube_means` or :func:`_pyramid` output, or ``dyadic_maximal``'s
+    rectangle means, whose bits are C-ordered ``mean()``s."""
     for pos, system in axes:
         v = np.moveaxis(P, pos, 0)
         for k in range(first.bit_length(), system.axis.level + 1):
-            fine = v[1 << k : 2 << k]
-            op(fine, np.repeat(v[1 << (k - 1) : 1 << k], 2, axis=0), out=fine)
+            pairs = v[1 << k : 2 << k].reshape((1 << (k - 1), 2) + v.shape[1:])
+            op(pairs, v[1 << (k - 1) : 1 << k, None], out=pairs)
         cells = v[system.axis.n_cells :]
         if system.offset_cells:
             cells = _shifted(cells, system.offset_cells, 0)
@@ -326,6 +329,7 @@ def level_average(
     level-``level`` cube of ``system`` the function is replaced by its
     average there.  ``level`` equal to the mesh level is the identity;
     ``level`` 0 averages over the whole circle."""
+    _check_integers(level=level)
     pos = _axis_position(f, system, axis_index)
     if not 0 <= level <= system.axis.level:
         raise ResolutionError(
@@ -341,6 +345,7 @@ def level_difference(
     """Martingale difference between consecutive averaging scales in one
     variable: ``level_average(level + 1) - level_average(level)``.  Summing
     over all levels telescopes to ``f`` minus its axis mean."""
+    _check_integers(level=level)
     pos = _axis_position(f, system, axis_index)
     if not 0 <= level < system.axis.level:
         raise ResolutionError(
@@ -368,6 +373,7 @@ def martingale_block(
     descendants of ``K``: the consecutive-scale difference at level
     ``K.level + i`` restricted to ``K``.  ``i = 0`` is the plain martingale
     difference of ``K`` itself."""
+    _check_integers(i=i)
     if i < 0:
         raise ParameterError(f"block depth must be non-negative, got {i}")
     pos = _axis_position(f, K.system, axis_index)
@@ -390,6 +396,7 @@ def rect_block(
     """Bi-parameter rectangle block: the depth-``i`` block below ``K`` in the
     first variable composed with the depth-``j`` block below ``V`` in the
     second.  With ``i = j = 0`` this is the rectangle martingale difference."""
+    _check_integers(i=i, j=j)
     _placed(f, (K.system, V.system), 2)
     g = martingale_block(f, K, i, axis_index=1)
     return martingale_block(g, V, j, axis_index=2)

@@ -88,9 +88,9 @@ PARAPRODUCT_TAGS = tuple(_TAG_KINDS)
 # this budget over its footprint, its peak traced allocation (tracemalloc) in
 # floats per grid cell of one sample, inputs included
 _STACK_FLOATS = 1 << 17
-# an _expansion stack peaks near 120 floats per cell and a _decompose stack
-# near 100; both are charged 128, so 16 x 16 grids go in stacks of 4 samples
-# and a grid of 32 x 32 or more is a stack of one
+# an _expansion stack peaks near 113 floats per cell and a _decompose stack
+# near 93 (71 from 128 x 128 up); both are charged 128, so 16 x 16 grids go in
+# stacks of 4 samples and a grid of 32 x 32 or more is a stack of one
 _EXPAND_FLOATS = _DECOMPOSE_FLOATS = 128
 # bloom's refined samples, iterated commutator and norms: near 9.5 floats per
 # cell, so a quad's 10 samples share one stack up to 32 x 32

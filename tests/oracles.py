@@ -516,6 +516,34 @@ def level_scale_reference(vals, pos, offset, scales, op):
     return functools.reduce(op, np.reshape(scales, (-1,) + (1,) * vals.ndim) * stack)
 
 
+def chain_sum_reference(P, axes, first=2, op=np.add):
+    """``haar._chain_sum`` by its earlier form: per (array axis, system) in
+    ``axes``, each parent level copied twice over by ``np.repeat``, then
+    folded with ``op`` into its children in place; the cells rolled back by
+    the system's offset."""
+    for pos, system in axes:
+        v = np.moveaxis(P, pos, 0)
+        for k in range(first.bit_length(), system.axis.level + 1):
+            fine = v[1 << k : 2 << k]
+            op(fine, np.repeat(v[1 << (k - 1) : 1 << k], 2, axis=0), out=fine)
+        P = np.moveaxis(np.roll(v[system.axis.n_cells :], system.offset_cells, 0), 0, pos)
+    return P
+
+
+def scale_views_reference(R):
+    """``haar._scale_views`` by its earlier form: each parent read gathered
+    by fancy indexing with ``arange >> 1`` on both of the last two axes."""
+    up1, up2 = (np.arange(size) >> 1 for size in R.shape[-2:])
+    A1 = R[..., up1, :]
+    D1 = R - A1
+    return {
+        ("A", "A"): A1[..., up2],
+        ("A", "D"): A1 - A1[..., up2],
+        ("D", "A"): D1[..., up2],
+        ("D", "D"): D1 - D1[..., up2],
+    }
+
+
 def level_difference_brute(values, axis, level, offset_cells):
     return level_average_brute(values, axis, level + 1, offset_cells) - (
         level_average_brute(values, axis, level, offset_cells)

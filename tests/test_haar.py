@@ -449,6 +449,54 @@ def test_stack_matches_rolled_mean_bitwise(n, other, pos):
             assert np.array_equal(got, want), (v.ndim, offset, levels)
 
 
+# heap tables of (L1 = 3 at offset 5, L2 = 5 at offset 17) on both axes of a
+# stack, on one axis of a stack, and alone, each as (shape, axes)
+_S1 = dyadic.DyadicSystem(grid.build_axis(3), 5)
+_S2 = dyadic.DyadicSystem(grid.build_axis(5), 17)
+_HEAP_LAYOUTS = {
+    "stacked-both": ((3, 16, 64), ((-2, _S1), (-1, _S2))),
+    "stacked-one": ((4, 64), ((1, _S2),)),
+    "sole": ((16,), ((0, _S1),)),
+}
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("op", (np.add, np.maximum))
+@pytest.mark.parametrize("first", (1, 2))
+@pytest.mark.parametrize("layout", sorted(_HEAP_LAYOUTS))
+def test_chain_sum_matches_repeat_reference_bitwise(layout, first, op):
+    # the in-place fold through each level's sibling pairs is the fold of
+    # a repeated copy of its parent level, operand for operand
+    shape, axes = _HEAP_LAYOUTS[layout]
+    P = np.random.default_rng(len(shape) + first).normal(size=shape)
+    got = haar._chain_sum(P.copy(), axes, first, op)
+    assert _same_bits(got, oracles.chain_sum_reference(P.copy(), axes, first, op))
+
+
+@pytest.mark.parametrize("layout", sorted(_HEAP_LAYOUTS))
+def test_chain_sum_at_offset_zero_overwrites_its_input(layout):
+    shape, axes = _HEAP_LAYOUTS[layout]
+    axes = tuple((pos, dyadic.DyadicSystem(s.axis, 0)) for pos, s in axes)
+    P = np.random.default_rng(0).normal(size=shape)
+    want = oracles.chain_sum_reference(P.copy(), axes)
+    got = haar._chain_sum(P, axes)
+    assert np.shares_memory(got, P)
+    assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("stack", ((), (2,), (2, 3)))
+def test_scale_views_match_fancy_index_reference_bitwise(stack):
+    vals = np.random.default_rng(len(stack)).normal(size=stack + (8, 32))
+    R = haar._pyramid(vals, _S1, _S2)
+    got, want = haar._scale_views(R), oracles.scale_views_reference(R)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert _same_bits(got[key], want[key]), key
+
+
 def test_block_depth0_matches_oracle(rng):
     ax = grid.build_axis(5)
     for _ in range(10):
