@@ -8,7 +8,7 @@ carries window sums of |f| across widths, a group of row widths per array,
 rows and columns alike through the weights' arc sum (``grid._arc_folds``), and
 ``_spread_folds`` spreads each group's window values to the cells.  Every
 term is >= 0, so each carried mean is within ``_carry_gap`` of the naive
-block mean, and a one-cell window is exact; the full circle counts once.
+block mean, and a one-cell window is exact; arcs count by ``grid._arc_count``.
 Every call spreads the carried means once, in the grid's own frame, and
 above 256 cells that is the answer.  Up to 256 cells each mean is the
 block mean a loop over rectangles gives (the window's cells gathered
@@ -42,7 +42,7 @@ from numpy.lib.stride_tricks import as_strided
 from .dyadic import DyadicSystem, _placed
 from .errors import ParameterError, ShapeError
 from .fracops import _frac_scales, _scale_fold_ratio
-from .grid import GridFunction, _arc_folds, _check_lambda, _shifted, inner_product
+from .grid import GridFunction, _arc_count, _arc_folds, _check_lambda, _shifted, inner_product
 from .haar import _axis_position, _chain_sum, _cube_means, _level_fold, _parents, _pyramid
 from .haar import column_cubes, haar_analyze, haar_function
 from .weights import ProductWeight, Weight
@@ -73,12 +73,6 @@ _SPREAD_CHUNK = 16
 
 
 # -- strong maximal function ----------------------------------------------
-
-
-def _arc_count(n: int, width: int) -> int:
-    """Starts 0 .. count-1 of the width-``width`` arcs on Z_n: every start,
-    except that the full circle counts once."""
-    return n if width < n else 1
 
 
 def _counted(V: np.ndarray, lo: int, w2: int) -> np.ndarray:
@@ -134,8 +128,9 @@ def _window_folds(a: np.ndarray, op):
     group = max(1, min(_SPREAD_CHUNK, _SPREAD_CHUNK * _GATHER_CELLS // a.size))
     rows = _arc_folds(a.T.copy(), op)  # per w1, [s2, s1]: rows s1 .. s1 + w1 - 1
     for lo in range(0, len(a), group):
-        # each row fold copied before _arc_folds overwrites it with the next
-        F = np.array([R.T.copy() for R in itertools.islice(rows, group)])
+        F = np.empty((min(group, len(a) - lo),) + a.shape)
+        for out, R in zip(F, rows):  # copied once, before _arc_folds overwrites it
+            out[...] = R.T
         yield lo, _arc_folds(F, op)
 
 

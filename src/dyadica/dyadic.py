@@ -44,7 +44,7 @@ from .errors import (
     ShapeError,
     SystemMismatchError,
 )
-from .grid import Axis, GridFunction, _check_integers, _is_integer
+from .grid import MAX_LEVEL, Axis, GridFunction, _check_integers, _is_integer
 
 __all__ = [
     "DyadicCube",
@@ -258,31 +258,36 @@ def join(I: DyadicCube, J: DyadicCube) -> DyadicCube:
     return DyadicCube(I.system, k, I.index >> (I.level - k))
 
 
+@lru_cache(maxsize=MAX_LEVEL + 1)
+def _join_table(lo: int) -> np.ndarray:
+    """``lo`` minus the bit length (frexp's exponent) of each x < 2**lo."""
+    return lo - np.frexp(np.arange(1 << lo))[1]
+
+
 def _join_level(level_a: int, a, level_b: int, b):
     """Level of the smallest cube holding the level-``level_a`` cube ``a``
     and the level-``level_b`` cube ``b`` of one lattice (indices are ints
-    or broadcasting integer arrays)."""
+    or broadcasting integer arrays), read from :func:`_join_table`."""
     lo = min(level_a, level_b)
-    x = (a >> (level_a - lo)) ^ (b >> (level_b - lo))
-    return lo - np.frexp(x)[1]  # frexp's exponent is x's bit length
+    return _join_table(lo)[(a >> (level_a - lo)) ^ (b >> (level_b - lo))]
 
 
 # ---------------------------------------------------------------------------
 # distances (integer cell units; exact)
 
 
-def _arc_gap_cells(n: int, s1: int, w1: int, s2: int, w2: int) -> int:
-    """Torus distance in cells between two arcs; 0 when they intersect."""
-    if (s2 - s1) % n < w1 or (s1 - s2) % n < w2:
-        return 0
-    return min((s2 - (s1 + w1)) % n, (s1 - (s2 + w2)) % n)
+def _arc_gap_cells(n: int, s1, w1, s2, w2):
+    """Torus distance in cells between two arcs (starts and widths are ints
+    or broadcasting integer arrays); 0 when they intersect."""
+    apart = ((s2 - s1) % n >= w1) & ((s1 - s2) % n >= w2)
+    return np.where(apart, np.minimum((s2 - (s1 + w1)) % n, (s1 - (s2 + w2)) % n), 0)
 
 
 def cube_distance_cells(I: DyadicCube, J: DyadicCube) -> int:
     if I.axis != J.axis:
         raise SystemMismatchError("distance requires cubes on one axis")
-    return _arc_gap_cells(
-        I.axis.n_cells, I.start_cell, I.width_cells, J.start_cell, J.width_cells
+    return int(
+        _arc_gap_cells(I.axis.n_cells, I.start_cell, I.width_cells, J.start_cell, J.width_cells)
     )
 
 

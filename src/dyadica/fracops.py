@@ -53,6 +53,7 @@ from .dyadic import (
     DyadicCube,
     DyadicSystem,
     GoodParams,
+    _arc_gap_cells,
     _join_level,
     _placed,
     _within_threshold,
@@ -63,7 +64,6 @@ from .errors import (
     DegenerateInputError,
     InvariantError,
     ParameterError,
-    ResolutionError,
     ShapeError,
     SystemMismatchError,
 )
@@ -79,7 +79,7 @@ from .grid import (
     kernel_profile,
     l2_norm,
 )
-from .haar import _level_fold, _stationary_analyze, column_cubes
+from .haar import _check_step, _level_fold, _stationary_analyze, column_cubes
 from .haar import haar_analyze, haar_synthesize
 
 __all__ = [
@@ -177,8 +177,7 @@ def shift_coefficient(I: DyadicCube, J: DyadicCube, lam: float) -> Tuple[float, 
     _check_lambda(lam)
     if I.system != J.system:
         raise SystemMismatchError("shift_coefficient requires cubes of one system")
-    if max(I.level, J.level) == I.axis.level:
-        raise ResolutionError(f"a cube at mesh level {I.axis.level} has no Haar step")
+    _check_step(I, J)
     (kI, a), (kJ, b) = sorted([(I.level, I.index), (J.level, J.index)], reverse=True)
     raw = float(_kernel_columns(I.axis, lam)[(1 << kI) + (a - (b << (kI - kJ))) % (1 << kI), kJ])
     kK = int(_join_level(kI, a, kJ, b))
@@ -201,8 +200,7 @@ def concentric_indicator_pairing(I: DyadicCube, extra_cells: int, lam: float) ->
     n = I.axis.n_cells
     if I.width_cells + 2 * extra_cells > n:
         raise ParameterError("widened arc exceeds the torus")
-    if I.level == I.axis.level:
-        raise ResolutionError(f"a cube at mesh level {I.axis.level} has no Haar step")
+    _check_step(I)
     cells = (np.arange(I.width_cells + 2 * extra_cells) - extra_cells) % n
     return float(I.axis.h * _smoothed_steps(I.axis, lam)[cells, I.level].sum())
 
@@ -243,12 +241,12 @@ def classify_pair(I: DyadicCube, J: DyadicCube, params: GoodParams) -> SigmaClas
 def _pair_class(axis: Axis, kI: int, a, kJ: int, b, kK, params: GoodParams):
     """``_TAGS`` index of the pairs of level-kI cubes ``a`` and level-kJ cubes
     ``b`` (``kI >= kJ``; offset-relative indices, ints or arrays) of one
-    lattice whose join lies at level ``kK``.  Such cubes are nested or
-    disjoint, so the gap needs no intersection test."""
+    lattice whose join lies at level ``kK``; their gap is
+    :func:`dyadica.dyadic._arc_gap_cells`."""
     n = axis.n_cells
     wI, wJ = n >> kI, n >> kJ
     depth = kI - kJ
-    gap = np.minimum((b * wJ - a * wI - wI) % n, (a * wI - b * wJ - wJ) % n)
+    gap = _arc_gap_cells(n, a * wI, wI, b * wJ, wJ)
     near = _within_threshold(gap, axis.level, kJ, depth, params.gamma)
     return np.where(kK == kJ, 2 + int(depth > params.r), near.astype(int))
 
@@ -464,16 +462,11 @@ def _blocks(axis: Axis, lam: float, rows=None):
     ``c, c``.  Each kI builds one strided view of those windows for all kJ.
     G is symmetric, so the block of the mirror pair (kJ, kI) is the
     transpose (the non-standard form of Beylkin, Coifman and Rokhlin).
-
-    The pair's join lies ``bitlength(x)`` levels above kJ, with
-    ``x = (a >> (kI - kJ)) ^ b < 2**kJ``, so a walk reads ``kK`` from one
-    table per level kJ, indexed by x and built from one ``frexp`` of x's
-    range.
+    ``kK`` is :func:`dyadica.dyadic._join_level` of the block's rows and
+    columns.
     """
     C = _kernel_columns(axis, lam)
     L = C.shape[1]
-    bits = np.frexp(np.arange(1 << max(L - 1, 0)))[1]  # frexp's exponent is the bit length
-    joins = [kJ - bits[: 1 << kJ] for kJ in range(L)]
     for kI in range(L):
         a = np.arange(1 << kI) if rows is None else rows[kI]
         if not len(a):
@@ -488,7 +481,7 @@ def _blocks(axis: Axis, lam: float, rows=None):
             block = windows[kJ, :, (1 << kI) - 1 :: -(1 << (kI - kJ))]
             if rows is not None:
                 block = block[a]
-            yield kI, kJ, block, joins[kJ][(a[:, None] >> (kI - kJ)) ^ np.arange(1 << kJ)]
+            yield kI, kJ, block, _join_level(kI, a[:, None], kJ, np.arange(1 << kJ))
 
 
 def _lattice_classes(axis: Axis, lam: float, params: GoodParams) -> Tuple[dict, Dict[str, int]]:

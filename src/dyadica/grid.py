@@ -10,8 +10,8 @@ double integral of the power kernel ``d(x, y)**(-lam)`` over any cell pair
 has an elementary closed form, a second difference of the kernel's second
 antiderivative: :func:`kernel_profile` evaluates it once per cell distance,
 and :func:`kernel_cell_integral` reads one pair from it.  The singular
-diagonal is never touched by quadrature.  Arc sums, for the weights and
-the strong maximal function alike, are carried in one place, ``_arc_folds``.
+diagonal is never touched by quadrature.  Arc sums (``_arc_folds``) and
+counts (``_arc_count``) serve the weights and the strong maximal function.
 """
 
 from __future__ import annotations
@@ -194,6 +194,11 @@ def _arc_folds(F: np.ndarray, op):
         if w > 1:
             op(F, twice[..., w - 1 : w - 1 + n], out=F)
         yield F
+
+
+def _arc_count(n: int, width: int) -> int:
+    """Starts of the width-``width`` arcs on Z_n: all n, but the full circle once."""
+    return n if width < n else 1
 
 
 def midpoints(axis: Axis) -> np.ndarray:

@@ -64,6 +64,13 @@ __all__ = [
 # -- basis ----------------------------------------------------------------
 
 
+def _check_step(*cubes: DyadicCube) -> None:
+    """ResolutionError unless every cube has a Haar step: children on the mesh."""
+    for cube in cubes:
+        if cube.level >= cube.axis.level:
+            raise ResolutionError(f"a cube at mesh level {cube.axis.level} has no Haar step")
+
+
 def haar_function(cube: DyadicCube) -> GridFunction:
     """The L2-normalized Haar step of ``cube``: ``+|I|**-1/2`` on the left
     half, ``-|I|**-1/2`` on the right half, zero elsewhere.
@@ -73,18 +80,14 @@ def haar_function(cube: DyadicCube) -> GridFunction:
     ResolutionError
         If the cube sits at the finest level (its halves are not mesh cells).
     """
-    axis = cube.system.axis
-    if cube.level >= axis.level:
-        raise ResolutionError(
-            f"cube at level {cube.level} has no children at mesh level {axis.level}"
-        )
+    _check_step(cube)
     cells = cube.cells()
     half = cells.size // 2
     scale = 2.0 ** (cube.level / 2.0)
-    vals = np.zeros(axis.n_cells)
+    vals = np.zeros(cube.axis.n_cells)
     vals[cells[:half]] = scale
     vals[cells[half:]] = -scale
-    return grid_function(vals, axis)
+    return grid_function(vals, cube.axis)
 
 
 def basis_column(cube: DyadicCube) -> int:
@@ -279,7 +282,8 @@ def _pyramid(vals: np.ndarray, system1: DyadicSystem, system2: DyadicSystem) -> 
 
 def _parents(R: np.ndarray, pos: int) -> np.ndarray:
     """``R[..., c >> 1, ...]`` along heap axis ``pos``: its first half, each entry twice."""
-    return np.repeat(np.split(R, 2, axis=pos)[0], 2, axis=pos)
+    pos %= R.ndim
+    return np.repeat(R[(slice(None),) * pos + (slice(R.shape[pos] // 2),)], 2, axis=pos)
 
 
 def _scale_views(R: np.ndarray) -> dict:
@@ -404,15 +408,11 @@ def rect_block(
 
 def partial_pairing(f: GridFunction, cube: DyadicCube, axis_index) -> GridFunction:
     """Pair a two-axis function with the Haar step of ``cube`` in one
-    variable, leaving a one-axis function of the other variable."""
+    variable: along it, column :func:`basis_column` of :func:`haar_analyze`."""
     pos = _axis_position(f, cube.system, axis_index, ndim=2)
-    hv = haar_function(cube).values
-    other = 1 - pos
-    if pos == 0:
-        vals = f.axes[0].h * hv @ f.values
-    else:
-        vals = f.axes[1].h * f.values @ hv
-    return grid_function(vals, f.axes[other])
+    _check_step(cube)
+    vals = np.take(haar_analyze(f.values, cube.system, pos), basis_column(cube), axis=pos)
+    return grid_function(vals, f.axes[1 - pos])
 
 
 # -- coefficient expansion ------------------------------------------------

@@ -1,11 +1,11 @@
 """Positive weights and their Muckenhoupt-type bookkeeping.
 
 Weights are strictly positive one-axis cell tables.  Characteristics are
-exact maxima over a finite cube family — either every grid-aligned arc of
-the axis or the cubes of chosen shifted lattices; the finite-family value
-is a lower bound for the continuum supremum; both families read the one
-carried arc sum, ``grid._arc_folds``.  Powers are taken entrywise on the
-cell averages (:meth:`Weight.power`), the standard discrete surrogate.
+exact maxima over a finite cube family, every grid-aligned arc of the axis
+(the full circle once, ``grid._arc_count``) or the cubes of chosen shifted
+lattices, a lower bound for the continuum supremum; both read the one
+carried arc sum, ``grid._arc_folds``.  Powers are numpy's, of arrays, taken
+entrywise on the cell averages (:meth:`Weight.power`), a discrete surrogate.
 The module also solves the smoothing-exponent relation and builds the
 two-weight ratio used by the commutator experiments.
 """
@@ -19,7 +19,7 @@ import numpy as np
 
 from .dyadic import DyadicSystem
 from .errors import InfeasibleExponentError, ParameterError, ShapeError, SystemMismatchError
-from .grid import Axis, GridFunction, _arc_folds, _check_lambda, grid_function
+from .grid import Axis, GridFunction, _arc_count, _arc_folds, _check_lambda, grid_function
 
 __all__ = [
     "DerivedClassReport",
@@ -205,8 +205,9 @@ def _char_over_family(
     """Exact max over the family of mean(num) * mean(den)**den_exp.  Arc
     sums are carried cell by cell in order (``grid._arc_folds``), so the bits
     match a per-arc loop (a plain ``mean`` would not: numpy regroups sums of
-    eight or more terms).  Intervals read every width, a system the widths
-    of its cubes at its lattice's starts, one batch per level."""
+    eight or more terms).  Intervals read every width at ``grid._arc_count``'s
+    starts, a system the widths of its cubes at its lattice's starts, one
+    batch per level, each raised to ``den_exp`` as one array."""
     n = axis.n_cells
     systems = None if family == "intervals" else _systems(family)
     if isinstance(systems, str):
@@ -221,7 +222,7 @@ def _char_over_family(
     best = -np.inf
     for width, sums in enumerate(_arc_folds(np.array((num, den)), np.add), 1):
         if systems is None:
-            batches = [sums]
+            batches = [sums[:, : _arc_count(n, width)]]
         elif width & (width - 1) == 0:
             batches = [sums[:, (s.offset_cells + np.arange(0, n, width)) % n] for s in systems]
         else:

@@ -37,6 +37,7 @@ from scipy import integrate
 #   _join_level  test_dyadic::test_join_against_brute_force, via join
 #   _kernel_columns  test_fracops::test_haar_kernel_blocks_match_the_dense_haar_basis_kernel
 #   _pair_class  test_fracops::test_classify_partition_exhaustive, via classify_pair
+#   _arc_gap_cells  test_dyadic::test_arc_gap_matches_the_oracle_for_every_pair_of_arcs, via _pair_class
 from dyadica.dyadic import DyadicCube, DyadicSystem, _join_level, _within_threshold, bad_mask, is_good
 from dyadica.fracops import RepresentationReport, _kernel_columns, _pair_class
 from dyadica.grid import kernel_matrix
@@ -138,6 +139,14 @@ def arc_mean(values, start, width):
 # weight characteristics
 
 
+def array_power(x, e):
+    """``x ** e`` as numpy raises an array to it: a SIMD build's power of an
+    array can differ from its scalar power in the last bit, and the library
+    raises arrays of means (``test_weights`` pins that a one-element array
+    gets the bits of a long one)."""
+    return np.power([x], e)[0]
+
+
 def ap_brute(values, p, arcs=None):
     """[w]_{A_p} over grid arcs by direct double loop."""
     values = np.asarray(values, dtype=float)
@@ -147,7 +156,7 @@ def ap_brute(values, p, arcs=None):
     for start, width in arcs if arcs is not None else all_arcs(n):
         m1 = arc_mean(values, start, width)
         m2 = arc_mean(dual, start, width)
-        best = max(best, m1 * m2 ** (p - 1.0))
+        best = max(best, m1 * array_power(m2, p - 1.0))
     return best
 
 
@@ -162,7 +171,7 @@ def apq_brute(values, p, q, arcs=None):
     for start, width in arcs if arcs is not None else all_arcs(n):
         m1 = arc_mean(wq, start, width)
         m2 = arc_mean(wmp, start, width)
-        best = max(best, m1 * m2 ** (q / pprime))
+        best = max(best, m1 * array_power(m2, q / pprime))
     return best
 
 
@@ -182,7 +191,8 @@ def char_over_family_batches(num, den, den_exp, offsets=None):
     per-width batch of arcs at a time."""
     n = len(num)
     if offsets is None:
-        batches = [(np.arange(n), width) for width in range(1, n + 1)]
+        # every start, and the full circle once
+        batches = [(np.arange(n if width < n else 1), width) for width in range(1, n + 1)]
     else:
         batches = [
             ((o + np.arange(1 << k) * (n >> k)) % n, n >> k)

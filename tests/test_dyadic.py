@@ -445,6 +445,16 @@ def test_majorant_needs_matched_exponent():
 # distances
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+def test_arc_gap_matches_the_oracle_for_every_pair_of_arcs(n):
+    arcs = [(s, w) for w in range(1, n + 1) for s in range(n)]
+    want = np.array([[oracles.arc_gap_cells(n, *I, *J) for J in arcs] for I in arcs])
+    ints = [[dyadic._arc_gap_cells(n, *I, *J) for J in arcs] for I in arcs]
+    assert np.array_equal(ints, want)
+    s, w = np.array(arcs).T
+    assert np.array_equal(dyadic._arc_gap_cells(n, s[:, None], w[:, None], s, w), want)
+
+
 def test_cube_distance_wraps():
     sys = offset0(4)
     a = sys.cube(4, 0)
@@ -452,4 +462,5 @@ def test_cube_distance_wraps():
     assert dyadic.cube_distance_cells(a, b) == 0  # adjacent across the seam
     c = sys.cube(4, 8)
     assert dyadic.cube_distance_cells(a, c) == 7
+    assert type(dyadic.cube_distance_cells(a, c)) is int
 

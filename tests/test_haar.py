@@ -632,6 +632,24 @@ def test_partial_pairing_fubini(rng):
     assert abs(twice - cmap.coeffs[haar.basis_column(I), haar.basis_column(J)]) < 1e-13
 
 
+def test_partial_pairing_reads_the_haar_analysis_column(rng):
+    sys1 = dyadic.DyadicSystem(grid.build_axis(4), 5)
+    sys2 = dyadic.DyadicSystem(grid.build_axis(3), 3)
+    f = grid.grid_function(rng.standard_normal((16, 8)), sys1.axis, sys2.axis)
+    for pos, system in enumerate((sys1, sys2)):
+        coeffs = haar.haar_analyze(f.values, system, pos)
+        for k in range(system.axis.level):
+            for m in range(1 << k):
+                cube = system.cube(k, m)
+                out = haar.partial_pairing(f, cube, axis_index=pos + 1).values
+                assert np.array_equal(out, np.take(coeffs, haar.basis_column(cube), axis=pos))
+                hv = system.axis.h * haar.haar_function(cube).values
+                dense = hv @ f.values if pos == 0 else f.values @ hv
+                assert np.max(np.abs(out - dense)) < 1e-13
+        with pytest.raises(errors.ResolutionError):
+            haar.partial_pairing(f, system.cube(system.axis.level, 1), axis_index=pos + 1)
+
+
 def test_partial_pairing_needs_two_axes():
     sys = offset0(3)
     f = grid.constant_function(1.0, sys.axis)

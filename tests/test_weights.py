@@ -28,6 +28,7 @@ from oracles import (
     ap_brute,
     apq_brute,
     arc_mean_batch,
+    array_power,
     char_over_family_batches,
     power_cell_average_quad,
     product_ap_brute,
@@ -192,6 +193,49 @@ def test_ap_characteristic_matches_brute_force_bitwise():
         for _ in range(5):
             w = random_weight(axis, rng)
             assert ap_characteristic(w, p) == ap_brute(w.values, p)
+
+
+# the (p, q) pairs of the bitwise characteristic tests, criterion 11's included
+BITWISE_PQ = ((4.0 / 3.0, 4.0), (2.0, 4.0), (1.5, 2.5), (2.0, 3.0), (4.0 / 3.0, 8.0 / 3.0), (3.0, 6.0))
+
+
+def test_one_element_array_powers_match_the_power_of_a_long_array():
+    # the per-arc oracles raise each mean as a one-element array, the library
+    # a whole batch of means at once; on a SIMD build numpy's scalar power
+    # can differ from both in the last bit, but these two must agree
+    x = 10.0 ** np.random.default_rng(2026).uniform(-3.0, 3.0, 10_000)
+    exponents = {p - 1.0 for p, _ in BITWISE_PQ} | {q / (p / (p - 1.0)) for p, q in BITWISE_PQ}
+    for e in sorted(exponents):
+        batch = x**e
+        single = np.array([array_power(v, e) for v in x])
+        assert np.array_equal(single, batch), e
+
+
+def test_characteristics_match_per_arc_loops_across_seeds():
+    # criterion 11's weights block, at 20 seeds of its generator besides its own
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        for idx in range(20):
+            axis = build_axis(3 + idx % 2)
+            vals = rng.uniform(0.3, 3.0, axis.n_cells)
+            w = Weight(grid_function(vals, axis))
+            p, q = BITWISE_PQ[idx % 3]
+            assert ap_characteristic(w, p) == ap_brute(vals, p), (seed, idx)
+            assert apq_characteristic(w, p, q) == apq_brute(vals, p, q), (seed, idx)
+
+
+def test_the_full_circle_counts_once():
+    # a high-contrast weight: the sums of the full circle from its eight starts
+    # differ in the last bits, and the largest of them set the maximum when
+    # every start counted; the one arc of width n starts at 0
+    vals = np.array([
+        0.12288277926669501, 0.12300917789803263, 11.367131198344214, 11.353236387295263,
+        0.12287034356801908, 11.359858340238073, 0.12286636540691245, 0.12306087700539851,
+    ])
+    w = Weight(grid_function(vals, build_axis(3)))
+    want = ap_brute(vals, 3.0)
+    assert want == char_over_family_batches(vals, vals**-0.5, 2.0)
+    assert ap_characteristic(w, 3.0) == want
 
 
 @settings(max_examples=12, deadline=None)
