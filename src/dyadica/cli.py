@@ -19,8 +19,6 @@ import csv
 import json
 import os
 import sys
-import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -666,6 +664,8 @@ def _run_one(name: str, config: ExperimentConfig):
         print(f"{name}: {type(exc).__name__}: {exc}", file=sys.stderr)
         kind = "contract-error" if isinstance(exc, DyadicaError) else "crash"
         if kind == "crash":  # a library fault: say where it was raised
+            import traceback
+
             traceback.print_exc(file=sys.stderr)
         # one error raised against none allowed
         return [_check(f"{name}-{kind}", f"error-{type(exc).__name__}", 1.0, 0.0)], []
@@ -680,6 +680,8 @@ def run_suite(config: ExperimentConfig, strict: bool = False) -> SuiteOutcome:
     names = list(SUITES) if config.suite == "all" else [config.suite]
     cap = _thread_cap()
     if cap > 1 and len(names) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=min(cap, len(names))) as pool:
             results = dict(zip(names, pool.map(lambda name: _run_one(name, config), names)))
     else:

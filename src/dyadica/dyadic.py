@@ -21,10 +21,10 @@ is (within 1e-12) a small rational, so boundary ties are classified
 deterministically.
 
 Each rule has one home, for one cube or an index array alike: goodness is
-``_bad``, the level of a join ``_join_level``, the gap between arcs
-``_arc_gap_cells`` and the power-law threshold ``_within_threshold``.  The
-axis contract of every entry point that takes systems, system k on axis k
-of the function, is ``_placed``.
+``_bad``, the bit length of an index ``_bit_length``, the level of a join
+``_join_level``, the gap between arcs ``_arc_gap_cells`` and the power-law
+threshold ``_within_threshold``.  The axis contract of every entry point
+that takes systems, system k on axis k of the function, is ``_placed``.
 """
 
 from __future__ import annotations
@@ -258,10 +258,15 @@ def join(I: DyadicCube, J: DyadicCube) -> DyadicCube:
     return DyadicCube(I.system, k, I.index >> (I.level - k))
 
 
+def _bit_length(x) -> np.ndarray:
+    """Bit length of each integer 0 <= x < 2**53 (frexp's exponent)."""
+    return np.frexp(np.asarray(x, dtype=float))[1]
+
+
 @lru_cache(maxsize=MAX_LEVEL + 1)
 def _join_table(lo: int) -> np.ndarray:
-    """``lo`` minus the bit length (frexp's exponent) of each x < 2**lo."""
-    return lo - np.frexp(np.arange(1 << lo))[1]
+    """``lo`` minus the bit length of each x < 2**lo."""
+    return lo - _bit_length(np.arange(1 << lo))
 
 
 def _join_level(level_a: int, a, level_b: int, b):

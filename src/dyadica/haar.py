@@ -7,7 +7,8 @@ functions and through one transform pair along an array axis,
 :func:`haar_analyze` and its inverse :func:`haar_synthesize`: Mallat's
 pyramid, one pairwise sum and one difference per level, O(n) per line.
 Coefficient tables are arrays in :func:`basis_column` order per axis
-(:func:`column_cubes` decodes columns back to cubes);
+(:func:`column_cubes` decodes columns back to cubes, a column's level by
+the bit-length rule of :mod:`dyadica.dyadic`);
 :func:`haar_matrix`, the synthesized identity, is the dense reference.
 The stationary table :func:`_stationary_analyze` holds the coefficient of
 the cube of each level that starts at each cell, so one ``(L, n)`` table
@@ -39,7 +40,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .dyadic import DyadicCube, DyadicSystem, _placed
+from .dyadic import DyadicCube, DyadicSystem, _bit_length, _placed
 from .errors import ParameterError, ResolutionError, ShapeError
 from .grid import Axis, GridFunction, _check_integers, _is_integer, _shifted, grid_function
 
@@ -105,7 +106,7 @@ def column_cubes(cols, system: DyadicSystem) -> Tuple[np.ndarray, np.ndarray]:
     :func:`basis_column` inverted, elementwise.  Column 0, the constant,
     gets level -1 and the start cell of the whole axis."""
     cols = np.asarray(cols, dtype=np.int64)
-    level = np.frexp(cols.astype(float))[1] - 1  # exact below 2**53
+    level = _bit_length(cols) - 1
     k = np.maximum(level, 0)
     n = system.axis.n_cells
     return level, (system.offset_cells + (cols - (1 << k)) * (n >> k)) % n

@@ -109,6 +109,15 @@ def test_column_cubes_inverts_basis_column():
                 assert (level[col], cell[col]) == (k, cube.start_cell)
 
 
+def test_column_levels_and_join_table_share_the_bit_length_rule():
+    L = 14
+    cols = np.arange(1 << L)
+    bits = np.array([int(c).bit_length() for c in cols])
+    level, _ = haar.column_cubes(cols, dyadic.DyadicSystem(grid.build_axis(L), 0))
+    assert np.array_equal(level, bits - 1)  # column 0, the constant, at -1
+    assert np.array_equal(dyadic._join_table(L), L - bits)
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     L=st.integers(1, 10),

@@ -1,11 +1,72 @@
-"""The package namespace is the union of its modules' ``__all__`` lists."""
+"""The package namespace is the union of its modules' ``__all__`` lists,
+and ``import dyadica`` loads the one-parameter core only."""
 
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import dyadica
 from dyadica import analysis, cli, dyadic, errors, fracops, grid, haar, paracomm, weights
 
 MODULES = (errors, grid, dyadic, haar, fracops, weights, analysis, paracomm, cli)
+UPPER = ("dyadica.weights", "dyadica.analysis", "dyadica.paracomm", "dyadica.cli")
+
+
+def _fresh(code):
+    """What ``code`` prints as JSON, run in a new interpreter on this tree."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+LOADED = "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"
+
+
+def test_import_of_the_core_loads_no_upper_layer():
+    loaded = set(_fresh("import dyadica.fracops" + LOADED))
+    assert "dyadica.haar" in loaded
+    assert not loaded & {*UPPER, "argparse", "csv", "concurrent.futures"}
+
+
+def test_import_of_the_cli_loads_every_layer_and_no_rare_path_module():
+    loaded = set(_fresh("import dyadica.cli" + LOADED))
+    assert set(UPPER) <= loaded
+    assert not loaded & {"concurrent.futures", "traceback"}
+
+
+def test_star_import_binds_the_union_of_the_module_lists():
+    code = "import json\nbefore = set(globals())\nfrom dyadica import *\n"
+    code += "print(json.dumps(sorted(set(globals()) - before - {'before'})))"
+    assert _fresh(code) == sorted(name for module in MODULES for name in module.__all__)
+
+
+@pytest.mark.parametrize(
+    "first_use",
+    [
+        "import dyadica, sys; ok = dyadica.cli is sys.modules['dyadica.cli']",
+        "import dyadica; w = dyadica.Weight; from dyadica.weights import Weight; ok = w is Weight",
+        "from dyadica import strong_maximal as s; from dyadica.analysis import strong_maximal;"
+        " ok = s is strong_maximal",
+    ],
+)
+def test_an_upper_layer_name_resolves_to_its_defining_module(first_use):
+    assert _fresh(first_use + "\nimport json; print(json.dumps(ok))") is True
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dyadica.no_such_name
+    assert not hasattr(dyadica, "no_such_name")
 
 
 def test_package_exports_each_module_api_once():
