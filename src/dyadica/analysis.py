@@ -23,7 +23,9 @@ by ``mean()`` into a heap-ordered table and folds it to the cells with
 The product-BMO norm is a maximum over a finite family of shapes, each a
 union of cells; on the discrete mesh every such union is admissible
 because single cells are themselves dyadic rectangles.  The value is a
-lower bound for the full supremum and is monotone in the family.
+lower bound for the full supremum and is monotone in the family.  On the
+torus the whole square is itself a dyadic rectangle, the product of the
+two level-0 cubes, so the default family counts it once, among the rest.
 
 Every function here that takes dyadic systems checks them with
 :func:`dyadica.dyadic._placed`, and the modes of :func:`square_function`
@@ -428,13 +430,13 @@ def default_omega_family(
     lshapes: int = 0,
     seed: int = 0,
 ) -> OmegaFamily:
-    """Every coefficient-carrying rectangle of the pair, the full square,
-    and optionally some two-rectangle unions (random, reproducible)."""
+    """Every coefficient-carrying rectangle of the pair, the whole square
+    (the level-(0, 0) rectangle) among them, and optionally some
+    two-rectangle unions (random, reproducible)."""
     n1, n2 = system1.axis.n_cells, system2.axis.n_cells
     cols = [J.cells() for J in _carrying_cubes(system2)]
     rects = [(I.cells(), c) for I in _carrying_cubes(system1) for c in cols]
     shapes = [_rect_mask(n1, n2, rows, cols) for rows, cols in rects]
-    shapes.append(np.ones((n1, n2), dtype=bool))
     rng = np.random.default_rng(seed)
     for _ in range(lshapes):
         i, j = rng.integers(0, len(rects), size=2)
@@ -494,8 +496,9 @@ def bmo_prod_norm(
 
 
 def bmo_prod_rect_norm(b: GridFunction, w: ProductWeight, systems) -> float:
-    """Product-BMO lower bound over single-rectangle shapes plus the full
-    square, with the weight's rectangle means taken from its factors.
+    """Product-BMO lower bound over single-rectangle shapes (the whole
+    square is the level-(0, 0) one), with the weight's rectangle means
+    taken from its factors.
 
     Fast equivalent of :func:`bmo_prod_norm` with the default shape family:
     the energy inside each rectangle is the sum over its descendants,
@@ -503,26 +506,24 @@ def bmo_prod_rect_norm(b: GridFunction, w: ProductWeight, systems) -> float:
     """
     weight_axes = (w.factor1.axis, w.factor2.axis)
     (_, system1), (_, system2) = _placed(b, systems, 2, grids=(weight_axes,))
-    weight_means = _rect_weight_means(w, system1, system2)
-    return float(_bmo_prod_rect(b.values, weight_means, system1, system2))
+    W = _rect_weight_means(w, system1, system2)
+    return float(_bmo_prod_rect(b.values, W, system1, system2))
 
 
 def _rect_weight_means(w: ProductWeight, system1: DyadicSystem, system2: DyadicSystem):
     """The weight's means over every dyadic rectangle, ``W[c1, c2]`` at
-    heap columns (row and column 0 zero), and its mean over the whole
-    square: everything :func:`_bmo_prod_rect` reads of the weight.  The
-    weight is a tensor product, so each is a product of cube means."""
-    W = np.outer(
+    heap columns (row and column 0 zero, ``W[1, 1]`` the whole square):
+    everything :func:`_bmo_prod_rect` reads of the weight.  The weight is a
+    tensor product, so each is a product of cube means."""
+    return np.outer(
         _cube_means(w.factor1.values, system1, 0), _cube_means(w.factor2.values, system2, 0)
     )
-    return W, w.factor1.values.mean() * w.factor2.values.mean()
 
 
-def _bmo_prod_rect(B: np.ndarray, weight_means, system1, system2) -> np.ndarray:
+def _bmo_prod_rect(B: np.ndarray, W: np.ndarray, system1, system2) -> np.ndarray:
     """:func:`bmo_prod_rect_norm` of each value table on the last two axes of
-    ``B`` against a weight given by its :func:`_rect_weight_means`, one norm
-    per table (a 0-d array for one table); the caller has checked the axes."""
-    W, full_mean = weight_means
+    ``B`` against a weight's :func:`_rect_weight_means` ``W``, one norm per
+    table (a 0-d array for one table); the caller has checked the axes."""
     Fc = haar_analyze(haar_analyze(B, system1, -2), system2, -1)
     W = W[1 : Fc.shape[-2], 1 : Fc.shape[-1]]
     # coefficient**2 / weight mean per rectangle (heap column c at row c - 1),
@@ -536,7 +537,7 @@ def _bmo_prod_rect(B: np.ndarray, weight_means, system1, system2) -> np.ndarray:
             v[c - 1 : 2 * c - 1] += v[2 * c - 1 : 4 * c - 1 : 2] + v[2 * c : 4 * c - 1 : 2]
     levels = (column_cubes(np.arange(1, s.axis.n_cells), s)[0] for s in (system1, system2))
     w_omega = np.outer(*(2.0**-k for k in levels)) * W  # exact scaling
-    return np.sqrt(np.maximum(np.max(S / w_omega, axis=(-2, -1)), S[..., 0, 0] / full_mean))
+    return np.sqrt(np.max(S / w_omega, axis=(-2, -1)))
 
 
 @dataclass(frozen=True)

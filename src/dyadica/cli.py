@@ -265,6 +265,15 @@ def _record_dict(record: CheckRecord) -> Dict:
     }
 
 
+def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    """``header`` and then each of ``rows`` as one CSV line of ``path``;
+    an ``OSError`` reaches the caller, which names the file's role."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def emit_report(records: Sequence[CheckRecord], format: str, path, meta=None) -> None:
     """Write check records as JSON ({meta, checks}) or CSV; stable ordering."""
     out = Path(path)
@@ -280,14 +289,12 @@ def emit_report(records: Sequence[CheckRecord], format: str, path, meta=None) ->
             }
             out.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
         elif format == "csv":
-            with out.open("w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["check", "anchor", "value", "threshold", "pass"])
-                for r in records:
-                    writer.writerow(
-                        [r.name, r.anchor, repr(r.value), repr(r.threshold),
-                         "true" if r.passed else "false"]
-                    )
+            rows = (
+                [r.name, r.anchor, repr(r.value), repr(r.threshold),
+                 "true" if r.passed else "false"]
+                for r in records
+            )
+            _write_csv(out, ["check", "anchor", "value", "threshold", "pass"], rows)
         else:
             raise ConfigurationError(f"unknown report format {format!r}")
     except OSError as exc:
@@ -297,11 +304,8 @@ def emit_report(records: Sequence[CheckRecord], format: str, path, meta=None) ->
 def _write_samples(rows: Sequence[Tuple[str, str, float]], path) -> None:
     out = Path(path)
     try:
-        with out.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["suite", "sample", "value"])
-            for suite, label, value in rows:
-                writer.writerow([suite, label, repr(value)])
+        rows = ((suite, label, repr(value)) for suite, label, value in rows)
+        _write_csv(out, ["suite", "sample", "value"], rows)
     except OSError as exc:
         raise ConfigurationError(f"cannot write samples {out}: {exc}") from exc
 

@@ -230,16 +230,6 @@ def ancestor(cube: DyadicCube, i: int) -> DyadicCube:
     return DyadicCube(cube.system, cube.level - i, cube.index >> i)
 
 
-def children(cube: DyadicCube) -> tuple[DyadicCube, DyadicCube]:
-    if cube.level >= cube.axis.level:
-        raise LevelUnderflowError("finest-level cubes have no mesh children")
-    k = cube.level + 1
-    return (
-        DyadicCube(cube.system, k, 2 * cube.index),
-        DyadicCube(cube.system, k, 2 * cube.index + 1),
-    )
-
-
 def contains(outer: DyadicCube, inner: DyadicCube) -> bool:
     """Whether ``inner`` is a (weak) descendant of ``outer``."""
     if outer.system != inner.system:
@@ -301,10 +291,10 @@ def cube_distance_cells(I: DyadicCube, J: DyadicCube) -> int:
 
 
 @lru_cache(maxsize=64)
-def _gamma_ratio(gamma: float, max_den: int = 256):
-    """``(a, b)`` with gamma = a/b (within 1e-12) and b <= ``max_den``, else
+def _gamma_ratio(gamma: float):
+    """``(a, b)`` with gamma = a/b (within 1e-12) and b <= 256, else
     ``None``; cached per gamma, since every level's threshold asks."""
-    frac = Fraction(gamma).limit_denominator(max_den)
+    frac = Fraction(gamma).limit_denominator(256)
     if abs(float(frac) - gamma) < 1e-12:
         return frac.numerator, frac.denominator
     return None

@@ -710,6 +710,48 @@ def test_mixed_norm_validation():
 # -- product BMO ----------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "mask", (np.ones((8, 8), dtype=int), np.ones(8, dtype=bool)), ids=("int", "one-axis")
+)
+def test_omega_family_takes_two_axis_boolean_masks_only(mask):
+    with pytest.raises(ParameterError, match="shapes must be two-axis boolean masks"):
+        OmegaFamily((mask,))
+
+
+def test_bmo_prod_rejects_a_mask_of_another_grid():
+    axis = build_axis(3)
+    pair = (DyadicSystem(axis, 0), DyadicSystem(axis, 0))
+    w = ProductWeight(ones_weight(axis), ones_weight(axis))
+    family = OmegaFamily((np.ones((4, 4), dtype=bool),))
+    with pytest.raises(ShapeError, match="shape mask does not match the grid"):
+        bmo_prod_norm(constant_function(1.0, axis, axis), w, pair, family)
+
+
+@pytest.mark.parametrize("L1, L2", ((1, 1), (3, 2), (2, 4)))
+def test_default_family_holds_the_whole_square_once(L1, L2):
+    # the whole square is the rectangle of the two level-0 cubes, one of the
+    # coefficient-carrying rectangles, and is not added a second time
+    pair = (DyadicSystem(build_axis(L1), 1), DyadicSystem(build_axis(L2), 0))
+    shapes = default_omega_family(*pair).shapes
+    assert len(shapes) == ((1 << L1) - 1) * ((1 << L2) - 1)
+    assert sum(mask.all() for mask in shapes) == 1
+    assert len(default_omega_family(*pair, lshapes=3).shapes) == len(shapes) + 3
+
+
+def test_omega_family_extended_appends_shapes():
+    axis = build_axis(3)
+    pair = (DyadicSystem(axis, 2), DyadicSystem(axis, 5))
+    w = ProductWeight(ones_weight(axis), ones_weight(axis))
+    b = rand_f(np.random.default_rng(16), axis, axis)
+    base = default_omega_family(*pair)
+    extra = np.zeros((8, 8), dtype=bool)
+    extra[2:5, 1:7] = True
+    bigger = base.extended(extra)
+    assert len(bigger.shapes) == len(base.shapes) + 1
+    assert all(x is y for x, y in zip(bigger.shapes, base.shapes + (extra,)))
+    assert bmo_prod_norm(b, w, pair, base) <= bmo_prod_norm(b, w, pair, bigger)
+
+
 def test_bmo_prod_constant_is_zero():
     axis = build_axis(3)
     pair = (DyadicSystem(axis, 0), DyadicSystem(axis, 5))
@@ -842,8 +884,8 @@ def test_rect_weight_means_match_brute_rectangle_means(powers):
         W = np.outer(w.factor1.values, w.factor2.values)
         for off1, off2 in ((0, 0), (1, n2 - 1), (n1 - 1, 1)):
             pair = (DyadicSystem(ax1, off1), DyadicSystem(ax2, off2))
-            means, full = _rect_weight_means(w, *pair)
-            assert abs(full - W.mean()) <= 1e-14 * W.mean()
+            means = _rect_weight_means(w, *pair)
+            assert abs(means[1, 1] - W.mean()) <= 1e-14 * W.mean()
             assert means.shape == (2 * n1, 2 * n2)
             for k1 in range(L1):
                 for k2 in range(L2):

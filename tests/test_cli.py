@@ -84,6 +84,23 @@ def test_config_validation_errors(tmp_path):
         ({"suite": "norms", "seed": 1, "samples": 0}, "samples"),
         ({"suite": "norms", "seed": 1, "format": "xml"}, "format"),
         ({"suite": "norms", "seed": 1, "bogus": 2}, "bogus"),
+        ({"suite": "norms", "seed": 1, "levels": []}, "'levels': must be non-empty"),
+        ({"suite": "norms", "seed": 1, "lambdas": []}, "'lambdas': must be non-empty"),
+        ({"suite": "norms", "seed": 1, "exponents": []}, "'exponents': must be non-empty"),
+        ({"suite": "norms", "seed": 1, "weights": []}, "'weights': must be non-empty"),
+        (
+            {"suite": "norms", "seed": 1, "exponents": [[1.5, 0.5, 2.0]]},
+            r"'exponents\[0\]': must be a \[p, lambda\] pair",
+        ),
+        (
+            {"suite": "norms", "seed": 1, "weights": [[0.1, 0.5, 0.2]]},
+            r"'weights\[0\]': must be an \[alpha, center\] pair",
+        ),
+        (
+            {"suite": "norms", "seed": 1, "weights": [[0.1, 1.0]]},
+            r"'weights\[0\]': center must lie in \[0, 1\), got 1.0",
+        ),
+        ({"suite": "norms", "seed": 1, "out": ""}, "'out': must be a non-empty path string"),
     ]
     for data, needle in cases:
         path = write_config(tmp_path, data)
@@ -151,6 +168,19 @@ def test_parse_error_reports_the_line(tmp_path):
 def test_missing_config_file(tmp_path):
     with pytest.raises(ConfigurationError, match="not found"):
         load_config(tmp_path / "absent.json")
+
+
+def test_config_of_invalid_utf8_cannot_be_read(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"suite": "norms", "seed": 1, "out": "\xe9"}')
+    with pytest.raises(ConfigurationError, match="cannot read config .*utf-8"):
+        load_config(path)
+
+
+def test_config_must_be_a_json_object(tmp_path):
+    path = write_config(tmp_path, [{"suite": "norms", "seed": 1}])
+    with pytest.raises(ConfigurationError, match="config must be a JSON object"):
+        load_config(path)
 
 
 # -- report emission ------------------------------------------------------
@@ -221,6 +251,14 @@ def test_single_record_makes_one_csv_row(tmp_path):
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ConfigurationError):
         emit_report([], "xml", tmp_path / "report.xml")
+
+
+@pytest.mark.parametrize("format", ("json", "csv"))
+def test_report_path_taken_by_a_directory_is_a_configuration_error(tmp_path, format):
+    path = tmp_path / f"report.{format}"
+    path.mkdir()
+    with pytest.raises(ConfigurationError, match=f"cannot write report {re.escape(str(path))}"):
+        emit_report([sample_record()], format, path)
 
 
 # -- suite runs -----------------------------------------------------------
@@ -606,6 +644,26 @@ def test_main_fills_suite_and_seed_into_a_config_file(tmp_path, capsys):
     assert "'seed'" in capsys.readouterr().err
     with pytest.raises(ConfigurationError, match="suite"):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "taken, message",
+    (
+        ("out", "cannot create output dir"),
+        ("out/samples.csv", "cannot write samples"),
+    ),
+)
+def test_main_exits_2_when_an_output_path_is_taken(tmp_path, capsys, taken, message):
+    # a regular file where the output directory goes, or a directory where a
+    # file goes: permission bits do not stop a process run as root
+    target = tmp_path / taken
+    if taken == "out":
+        target.write_text("", encoding="utf-8")
+    else:
+        target.mkdir(parents=True)
+    code = main(["weights", "--seed", "3", "--level", "3", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"error: {message} {target}" in capsys.readouterr().err
 
 
 def test_main_reports_config_errors(tmp_path, capsys):

@@ -73,6 +73,26 @@ def test_cube_rejects_non_integer_level_and_index():
     assert sys.cube(np.int64(1), np.int32(1)) == sys.cube(1, 1)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda s: dyadic.DyadicSystem(s.axis, 8), r"offset_cells must lie in \[0, 8\), got 8"),
+        (lambda s: s.cube(4, 0), r"cube level must lie in \[0, 3\], got 4"),
+        (lambda s: s.cube(2, 4), r"cube index must lie in \[0, 2\*\*2\), got 4"),
+        (lambda s: dyadic.ancestor(s.cube(2, 1), -1), "ancestor depth must be >= 0, got -1"),
+    ],
+    ids=("offset", "level", "index", "ancestor-depth"),
+)
+def test_out_of_range_integers_are_rejected(build, message):
+    with pytest.raises(ParameterError, match=message):
+        build(offset0(3))
+
+
+def test_cube_start_is_its_start_cell_in_torus_units():
+    sys = dyadic.DyadicSystem(grid.build_axis(3), 5)
+    assert [c.start for c in sys.cubes_at_level(1)] == [5 / 8, 1 / 8]
+
+
 def test_cube_cells_wrap():
     sys = dyadic.DyadicSystem(grid.build_axis(3), 5)
     c = sys.cube(1, 1)  # starts at cell (5 + 4) % 8 = 1 ... wait: w=4
@@ -441,6 +461,49 @@ def test_majorant_needs_matched_exponent():
     assert rep.lhs == 1.0 and rep.rhs == 0.5
 
 
+def test_majorant_rejects_an_overlapping_pair_with_a_good_smaller_cube():
+    sys = offset0(6)
+    params = dyadic.GoodParams(r=3, gamma=0.25)
+    I = sys.cube(2, 1)
+    assert dyadic.is_good(I, params)
+    with pytest.raises(ContractError, match="requires disjoint cubes"):
+        dyadic.majorant_check(I, dyadic.ancestor(I, 1), params, 0.5)
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (dyadic.contains, "containment requires a shared system"),
+        (
+            lambda a, b: dyadic.majorant_check(a, b, dyadic.GoodParams(r=3, gamma=0.25), 0.5),
+            "majorant check requires one system",
+        ),
+    ],
+    ids=("contains", "majorant"),
+)
+def test_pairs_from_two_systems_are_rejected(check, message):
+    ax = grid.build_axis(3)
+    a, b = dyadic.DyadicSystem(ax, 0).cube(1, 0), dyadic.DyadicSystem(ax, 1).cube(1, 0)
+    with pytest.raises(SystemMismatchError, match=message):
+        check(a, b)
+
+
+def test_majorant_far_case_compares_floats_when_gamma_is_not_a_small_fraction():
+    # gamma = 1/(2 (lam + 1)) has no denominator <= 256 for this lam, so the
+    # far-case bound falls back to comparing its two sides as floats
+    lam = 0.123456789
+    assert dyadic._gamma_ratio(dyadic.default_gamma(lam)) is None
+    sys = offset0(4)
+    params = dyadic.GoodParams(r=5, gamma=dyadic.default_gamma(lam))
+    cases = {"near": 0, "far": 0}
+    for I, J in _qualifying_pairs(sys, params, max_level=4):
+        rep = dyadic.majorant_check(I, J, params, lam)
+        assert rep.holds
+        assert rep.case == "near" or rep.lhs <= rep.rhs
+        cases[rep.case] += 1
+    assert cases == {"near": 210, "far": 312}
+
+
 # ---------------------------------------------------------------------------
 # distances
 
@@ -453,6 +516,12 @@ def test_arc_gap_matches_the_oracle_for_every_pair_of_arcs(n):
     assert np.array_equal(ints, want)
     s, w = np.array(arcs).T
     assert np.array_equal(dyadic._arc_gap_cells(n, s[:, None], w[:, None], s, w), want)
+
+
+def test_cube_distance_needs_one_axis():
+    a, b = offset0(3).cube(1, 0), offset0(4).cube(1, 0)
+    with pytest.raises(SystemMismatchError, match="distance requires cubes on one axis"):
+        dyadic.cube_distance_cells(a, b)
 
 
 def test_cube_distance_wraps():

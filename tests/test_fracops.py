@@ -309,6 +309,13 @@ def test_classify_order_contract():
         fracops.classify_pair(sys.cube(1, 0), sys.cube(2, 0), dyadic.GoodParams())
 
 
+def test_classify_pair_needs_one_system():
+    ax = grid.build_axis(4)
+    a, b = (dyadic.DyadicSystem(ax, off).cube(1, 0) for off in (0, 3))
+    with pytest.raises(errors.SystemMismatchError, match="requires cubes of one system"):
+        fracops.classify_pair(a, b, dyadic.GoodParams())
+
+
 def test_classify_partition_exhaustive():
     # every size-ordered pair gets exactly one tag, and the tag agrees with
     # a from-scratch evaluation of the defining conditions
@@ -379,6 +386,26 @@ def test_apply_shift_bound_violation():
     f = grid.constant_function(1.0, sys.axis)
     with pytest.raises(errors.InvariantError):
         fracops.apply_shift(f, sys, table)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda s: fracops.ShiftCoefficientTable(-1, 0, 0.5, np.zeros((8, 1, 1))),
+            "shift depths must be non-negative",
+        ),
+        (
+            lambda s: fracops.maximal_table(s, 4, 0, 0.5),
+            r"shift depths \(4, 0\) must lie in \[0, 3\]",
+        ),
+        (lambda s: fracops.maximal_table(s, 0, -1, 0.5), r"shift depths \(0, -1\) must lie in"),
+    ],
+    ids=("table", "maximal-i", "maximal-j"),
+)
+def test_shift_depths_out_of_range_are_rejected(build, message):
+    with pytest.raises(errors.ParameterError, match=message):
+        build(offset0(3))
 
 
 def test_maximal_table_is_admissible_and_dominated(rng):

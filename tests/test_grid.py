@@ -54,6 +54,32 @@ def test_arithmetic_checks_axes():
         _ = f + g
 
 
+def test_arithmetic_is_entrywise():
+    ax = grid.build_axis(2)
+    f = grid.grid_function(np.array([1.0, -2.0, 0.5, 4.0]), ax)
+    g = grid.grid_function(np.array([3.0, 0.25, -1.0, 2.0]), ax)
+    for got, want in (
+        (f + 1.5, f.values + 1.5),
+        (1.5 + f, f.values + 1.5),
+        (f * g, f.values * g.values),
+        (-f, -f.values),
+    ):
+        assert got.axes == f.axes
+        assert np.array_equal(got.values, want)
+
+
+@pytest.mark.parametrize("count", (0, 3))
+def test_tabulate_midpoint_takes_one_or_two_axes(count):
+    with pytest.raises(ShapeError, match="supports one or two axes"):
+        grid.tabulate_midpoint(lambda *x: 0.0, *[grid.build_axis(2)] * count)
+
+
+@pytest.mark.parametrize("a, b", ((8, 0), (0, -1)))
+def test_kernel_cell_integral_rejects_cells_off_the_axis(a, b):
+    with pytest.raises(ParameterError, match=rf"cell indices must lie in \[0, 8\), got {a}, {b}"):
+        grid.kernel_cell_integral(grid.build_axis(3), a, b, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # inner product
 

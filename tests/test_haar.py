@@ -555,6 +555,33 @@ def test_block_consistency_with_descendant_sum(rng):
             assert np.max(np.abs(got.values - acc)) < 1e-13
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda f, s: haar.level_average(f, s, 4),
+            errors.ResolutionError,
+            r"level 4 outside \[0, 3\]",
+        ),
+        (
+            lambda f, s: haar.level_difference(f, s, 3),
+            errors.ResolutionError,
+            r"difference level 3 outside \[0, 3\)",
+        ),
+        (
+            lambda f, s: haar.martingale_block(f, s.cube(1, 0), -1),
+            errors.ParameterError,
+            "block depth must be non-negative, got -1",
+        ),
+    ],
+    ids=("average", "difference", "block"),
+)
+def test_levels_and_depths_out_of_range_are_rejected(call, error, message):
+    sys = offset0(3)
+    with pytest.raises(error, match=message):
+        call(grid.constant_function(1.0, sys.axis), sys)
+
+
 def test_block_depth_overflow():
     sys = offset0(4)
     f = grid.constant_function(1.0, sys.axis)

@@ -1,6 +1,8 @@
 """The package namespace is the union of its modules' ``__all__`` lists,
-and ``import dyadica`` loads the one-parameter core only."""
+``import dyadica`` loads the one-parameter core only, and every module-level
+definition outside those lists is read somewhere."""
 
+import ast
 import json
 import os
 import pkgutil
@@ -105,3 +107,37 @@ def test_benchmark_names_are_live_layer_functions(monkeypatch):
         assert obj.__module__ == module.__name__, qname
         assert qname not in run.CACHES or hasattr(obj, "cache_info"), qname
     assert run.SUITES == cli.SUITES
+
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _reads(path):
+    """(name, the module-level definition it sits in or None) for every name
+    the file reads, as a ``Name`` or as an ``Attribute``."""
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = top.name if isinstance(top, _DEFINITIONS) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner
+
+
+def test_every_private_module_level_definition_is_reached():
+    # a function or class outside its module's __all__ must be read somewhere
+    # in the library, the tests or the benchmark, outside its own body; names
+    # are matched as AST nodes, so a word in a docstring does not count
+    root = Path(__file__).resolve().parents[1]
+    readers = {}
+    for path in (p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py")):
+        for name, owner in _reads(path):
+            readers.setdefault(name, set()).add((path, owner))
+    unreached = []
+    for module in MODULES:
+        path = Path(module.__file__).resolve()
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, _DEFINITIONS) and top.name not in module.__all__:
+                if not readers.get(top.name, set()) - {(path, top.name)}:
+                    unreached.append(f"{module.__name__}.{top.name}")
+    assert unreached == []

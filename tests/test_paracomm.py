@@ -552,6 +552,27 @@ def test_bloom_experiment_deterministic():
     assert first.levels[0].quads[0].ratios == second.levels[0].quads[0].ratios
 
 
+def test_bloom_experiment_skips_a_sample_whose_symbol_vanishes(monkeypatch):
+    import dyadica.paracomm as paracomm
+
+    draw = paracomm._coarse_sample
+
+    def zero_symbol_of_kind_0(rng, nb, kind):
+        b, f = draw(rng, nb, kind)
+        return (np.zeros_like(b) if kind == 0 else b), f
+
+    monkeypatch.setattr(paracomm, "_coarse_sample", zero_symbol_of_kind_0)
+    config = BloomConfig(
+        levels=(3,),
+        n_samples=4,
+        weight_quads=(((0.1, 0.5), (0.0, 0.5), (-0.1, 0.25), (0.0, 0.5)),),
+        seed=3,
+    )
+    quad = bloom_experiment(config).levels[0].quads[0]
+    assert quad.skipped == 2  # samples 0 and 3 draw kind 0
+    assert len(quad.ratios) == 2 and all(r > 0.0 for r in quad.ratios)
+
+
 def test_bloom_experiment_draws_each_sample_once(monkeypatch):
     import dyadica.paracomm as paracomm
 

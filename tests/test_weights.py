@@ -113,6 +113,13 @@ def test_exponent_solve_infeasible_when_smoothing_too_weak():
         exponent_solve(2.0, 0.5)
 
 
+def test_exponent_solve_rejects_a_target_that_rounds_to_p():
+    # one ulp below lam = 1, 1/q = lam - 1 + 1/p rounds to 1/p for this p,
+    # so the finite target is not larger than p
+    with pytest.raises(InfeasibleExponentError, match="q=1.25 does not exceed p=1.25"):
+        exponent_solve(1.25, np.nextafter(1.0, 0.0))
+
+
 def test_exponent_solve_argument_validation():
     with pytest.raises(ParameterError):
         exponent_solve(1.0, 0.5)
