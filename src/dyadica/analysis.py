@@ -248,12 +248,13 @@ def _widest_containing(means, axis: int, lo: int = 1, out=None) -> np.ndarray:
 
 
 def strong_maximal(f: GridFunction) -> GridFunction:
-    """Exact max over all grid-aligned rectangles of the rectangle average
-    of |f|, evaluated at every cell the rectangle covers.
+    """Max over all grid-aligned rectangles of the rectangle average of |f|
+    at every cell the rectangle covers: exact up to ``_GATHER_CELLS`` = 256
+    cells, and above them within :func:`_carry_gap` of exact.
 
-    The carried means are spread once.  Above ``_GATHER_CELLS`` = 256 cells
-    that is the answer: each window's mean is within :func:`_carry_gap` of
-    its block ``mean()``, and a one-cell window's is exact.  Up to 256 cells
+    The carried means are spread once.  Above 256 cells that is the answer:
+    each window's mean is within :func:`_carry_gap` of its block ``mean()``,
+    and a one-cell window's is exact.  Up to 256 cells
     :func:`_gathered_maximal` refines it to the block ``mean()``, the bits
     of a loop over rectangles."""
     if f.ndim != 2:

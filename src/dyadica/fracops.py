@@ -25,17 +25,10 @@ lattice.  One stationary Haar table per input holds every
 lattice's coefficients, and ``_pairings`` reads the pairings of all
 offsets from the two tables with a few FFTs; ``_residuals`` turns them
 into the identity's residuals, for the harness and for a caller that
-reads residuals only (see :func:`verify_representation`).  The energies
-split the offsets by multiplicity: q copies of every offset, q the
-smallest multiplicity, come from one strided correlation per level and
-orientation of the absolute tables and a cached table of join counts
-(``_every_offset_energies``), with no block walked, and the excess goes
-through the energy walk of ``_scan_lattice``.  The generator ``_blocks``
-walks the kernel's size-ordered level-pair blocks for two consumers: the
+reads residuals only (see :func:`verify_representation`).  The generator
+``_blocks`` walks the kernel's size-ordered level-pair blocks for the
 class census ``_lattice_classes``, which walks the rows of good cubes
-only, once per call, and skips the levels with none, and that energy
-walk, which reads each block and its transpose in one loop body against
-the absolute stationary tables, gathered per level.  One function,
+only, once per call, and skips the levels with none.  One function,
 ``_pair_class``, classes one pair (:func:`classify_pair`) or a block of
 pairs (the census).
 """
@@ -68,7 +61,6 @@ from .errors import (
     SystemMismatchError,
 )
 from .grid import (
-    MAX_LEVEL,
     Axis,
     GridFunction,
     _check_integers,
@@ -387,7 +379,6 @@ class RepresentationReport:
     n_systems: int
     residuals: Tuple[float, ...]
     relative_residuals: Tuple[float, ...]
-    pair_energies: Mapping[Tuple[int, int], float]
     class_profiles: Mapping[str, Mapping[Tuple[int, int], float]]
     class_constants: Mapping[str, float]
     class_counts: Mapping[str, int]
@@ -520,126 +511,17 @@ def _lattice_classes(axis: Axis, lam: float, params: GoodParams) -> Tuple[dict, 
     return profiles, dict(zip(_TAGS, counts.tolist()))
 
 
-_WINDOW_FLOATS = 1 << 17  # floats of window rows multiplied at once, 1 MiB
-
-
-@lru_cache(maxsize=MAX_LEVEL)
-def _join_counts(k: int) -> np.ndarray:
-    """``N[h, tau]``, the number of level-k cubes b whose join with the
-    level-k cube ``(tau + b) mod 2**k`` lies h levels above level k, that is
-    ``bitlength(((tau + b) mod 2**k) ^ b) == h``, for h = 0 .. k.  Integers
-    that do not depend on the data, built one bit at a time from
-    ``[[1]]`` at k = 0 and cached per level, read-only."""
-    if k == 0:
-        counts = np.ones((1, 1), dtype=np.int64)
-    else:
-        prev = _join_counts(k - 1)
-        counts = np.zeros((k + 1, 1 << k), dtype=np.int64)
-        # b = 2 b' + beta.  Even tau = 2 tau': both beta give tau' with a low
-        # zero appended, so h >= 1 moves up by one and h = 0 stays
-        counts[0, ::2] = 2 * prev[0]
-        counts[2:, ::2] = 2 * prev[1:]
-        # odd tau: beta = 0 reads tau', beta = 1 carries into tau' + 1, and the
-        # XOR gains a low one, so every h moves up by one
-        counts[1:, 1::2] = prev + np.roll(prev, -1, axis=1)
-    counts.setflags(write=False)
-    return counts
-
-
-def _every_offset_energies(axis: Axis, lam: float, absolute: np.ndarray) -> np.ndarray:
-    """Depth-pair energies of the lattices at every offset, each taken once,
-    from the absolute stationary Haar tables ``aF, aG = absolute``, as
-    ``_scan_lattice``'s flat ``(L + 1)**2`` array, with no block walked.
-
-    Summed over every offset o, the product
-    ``aG[kI, o + a wI] aF[kJ, o + b wJ]`` of block (kI, kJ), ``wI = n >> kI``,
-    depends only on ``t = (a - b 2**(kI - kJ)) mod 2**kI``, and so does the
-    block's kernel entry ``|c[t]|`` (:func:`_blocks`): it is
-    ``corr[t, kJ] = sum_y aG[kI, y + t wI] aF[kJ, y]``.  One product of the
-    strided window ``W[t, y] = aG[kI, y + t wI]`` with ``aF[0 .. kI].T``, in
-    chunks of rows under ``_WINDOW_FLOATS``, gives every kJ of a level; the
-    mirror swaps the tables.  The join of a pair with a given t lies
-    ``bitlength(((tau + b) mod 2**kJ) ^ b)`` levels above kJ, with
-    ``tau = t >> (kI - kJ)``, so the energies per join level are
-    ``_join_counts(kJ)`` times ``|c| corr`` summed over t per tau.
-    """
-    L, n = axis.level, axis.n_cells
-    columns = np.abs(_kernel_columns(axis, lam))
-    energy = np.zeros((L + 1) ** 2)
-    rows = max(1, _WINDOW_FLOATS // n)
-    aF, aG = absolute
-    for kI in range(L):
-        c = columns[1 << kI : 2 << kI]
-        # a pair joining h levels above kJ lies h + kI - kJ levels below its
-        # join on the kI side: in j (unit 1) when the window reads g at target
-        # kI against f at sources kJ <= kI, in i (unit L + 1) in the mirror
-        for X, Y, levels, unit in ((aG, aF, kI + 1, 1), (aF, aG, kI, L + 1)):
-            doubled = np.concatenate((X[kI], X[kI]))
-            step = doubled.strides[0]
-            window = as_strided(doubled, (1 << kI, n), (step * (n >> kI), step), writeable=False)
-            corr = np.empty((1 << kI, levels))
-            for r in range(0, 1 << kI, rows):
-                corr[r : r + rows] = window[r : r + rows] @ Y[:levels].T
-            corr *= c[:, :levels]
-            for kJ in range(levels):
-                per_tau = corr[:, kJ].reshape(1 << kJ, -1).sum(axis=1)
-                energy[(L + 2) * np.arange(kJ + 1) + (kI - kJ) * unit] += _join_counts(kJ) @ per_tau
-    return energy
-
-
-def _scan_lattice(axis: Axis, lam: float, absolute: np.ndarray, offsets: np.ndarray) -> dict:
-    """Depth-pair energies of the lattices at ``offsets``, from the absolute
-    stationary Haar tables of f and g (:func:`_pairings` reads them signed).
-
-    The energy of depth pair (i, j) sums ``|cg_J M_JI cf_I|`` over systems
-    and over the cube pairs (I, J) lying i and j levels below their join.
-    With q the smallest multiplicity of an offset, q copies of every offset
-    add q times :func:`_every_offset_energies`, and the block walk takes the
-    excess; with q = 0, when some offset is missing, it takes ``offsets``
-    as given, and the energies keep the bits of the walk alone.
-
-    Level k of the lattice at offset o, ``U[k, (o + a (n >> k)) mod n]`` for
-    cubes a, is gathered into one ``2**k`` by systems table per input.  One
-    loop body reads each size-ordered block (:func:`_blocks`) for both
-    orientations of its level pair.  Pairs joining at one level form one
-    depth pair per orientation, so the energies are summed per join level
-    (a ``bincount`` of ``kK``) with no index formed per entry.
-    """
-    L, n = axis.level, axis.n_cells
-    energy = np.zeros((L + 1) ** 2)
-    multiplicity = np.bincount(offsets, minlength=n)
-    q = multiplicity.min()
-    if q:
-        energy += q * _every_offset_energies(axis, lam, absolute)
-        offsets = np.repeat(np.arange(n), multiplicity - q)
-    if len(offsets):
-        cells = [(offsets + np.arange(0, n, n >> k)[:, None]) % n for k in range(L)]
-        # one input at a time, so each level is C-contiguous: a gather over both
-        # lays the pair out innermost, and the products would round differently
-        aF, aG = ([table[k][c] for k, c in enumerate(cells)] for table in absolute)
-        for kI, kJ, block, kK in _blocks(axis, lam):
-            # a pair joining at level k <= kJ lies (kI - k, kJ - k) below its join
-            kK, shift = kK.ravel(), (L + 2) * np.arange(kJ + 1)
-            # the block reads g at target kI and f at source kJ; its transpose swaps them
-            for X, Y, tgt, src in ((aG, aF, kI, kJ), (aF, aG, kJ, kI))[: 1 + (kJ < kI)]:
-                contrib = X[kI] @ Y[kJ].T
-                contrib *= block
-                np.abs(contrib, out=contrib)  # |x y| = |x| |y|, and X, Y >= 0
-                energy[src * (L + 1) + tgt - shift] += np.bincount(kK, contrib.ravel(), minlength=kJ + 1)
-    return {divmod(int(idx), L + 1): float(energy[idx]) for idx in np.nonzero(energy)[0]}
-
-
 def _residuals(f: GridFunction, g: GridFunction, lam: float, offsets: np.ndarray):
-    """``(residuals, relative, UV)``: the absolute residual of the bilinear
-    identity on the lattice at each offset, the same over
-    ``max(||f|| ||g||, 1e-300)``, and the stationary Haar tables ``UV`` of
-    f and g (:func:`~dyadica.haar._stationary_analyze`) the pairings were
-    read from (:func:`_pairings`).  f and g are mean-zero one-axis
-    functions on one axis; nothing is checked here."""
+    """``(residuals, relative)``: the absolute residual of the bilinear
+    identity on the lattice at each offset, and the same over
+    ``max(||f|| ||g||, 1e-300)``, with the pairings read from the stationary
+    Haar tables of f and g (:func:`~dyadica.haar._stationary_analyze`,
+    :func:`_pairings`).  f and g are mean-zero one-axis functions on one
+    axis; nothing is checked here."""
     axis = f.axes[0]
     UV = _stationary_analyze(np.stack((f.values, g.values)), axis)
     residuals = np.abs(inner_product(g, frac_integral(f, lam)) - _pairings(axis, lam, UV, offsets))
-    return residuals, residuals / max(l2_norm(f) * l2_norm(g), 1e-300), UV
+    return residuals, residuals / max(l2_norm(f) * l2_norm(g), 1e-300)
 
 
 def verify_representation(
@@ -654,10 +536,10 @@ def verify_representation(
 
     For mean-zero inputs the pairing of ``g`` against the smoothed ``f``
     equals the double sum of Haar coefficients weighted by the operator's
-    coefficient table; the report carries the per-system residuals, the
-    per-depth-pair energy split, and for every positional class the largest
-    normalized coefficient over pairs whose smaller cube is good (classes
-    out and deep_in weighted by ``2**(max(i,j)/2)`` to expose their decay).
+    coefficient table; the report carries the per-system residuals and, for
+    every positional class, the largest normalized coefficient over pairs
+    whose smaller cube is good (classes out and deep_in weighted by
+    ``2**(max(i,j)/2)`` to expose their decay).
 
     Offset o shifts cells cyclically, ``H_o[(c + o) mod n] = H_0[c]``, and
     the kernel is circulant, so the Haar-basis kernel ``H_o.T G H_o`` does
@@ -666,26 +548,16 @@ def verify_representation(
     rounding (counts times the number of systems).  That kernel is never
     formed: its L columns at the first cube of each level hold every entry
     (:func:`_blocks`), and they are cached per (axis, ``lam``), so a key's
-    census and walks smooth the L Haar steps once.
+    census smooths the L Haar steps once.
 
     Every system's coefficients ``h H_0.T f[(c + o) mod n]`` are entries of
     one stationary Haar table per input
     (:func:`~dyadica.haar._stationary_analyze`).  The pairings of all
     systems come from the two tables and the kernel columns with a few FFTs
     (:func:`_residuals`), at a cost that does not depend on the number of
-    systems.  The energies (:func:`_scan_lattice`) then read the same
-    tables, made absolute in place.  Summed over every offset, a block's
-    products depend only on the kernel entry's index, so q copies of every
-    offset, q the smallest multiplicity, cost one strided correlation per
-    level and orientation and no block
-    (:func:`_every_offset_energies`); in a sweep of every offset once, only
-    the census walks blocks.  The excess offsets, or all of them when some
-    offset is missing, go through the block walk: it gathers each level's
-    coefficients of those systems once per input and reads each
-    size-ordered block once for both orientations.  The class census
-    (:func:`_lattice_classes`) depends only on (axis, ``lam``, ``params``)
-    and runs once per call, over the levels that hold a good smaller cube
-    only.  Systems are validated before any work.
+    systems.  The class census (:func:`_lattice_classes`) depends only on
+    (axis, ``lam``, ``params``) and runs once per call, over the levels that
+    hold a good smaller cube only.  Systems are validated before any work.
     """
     _check_lambda(lam)
     systems = list(systems)
@@ -703,14 +575,11 @@ def verify_representation(
         )
 
     residuals = relative = np.zeros(0)
-    energies = {}
     profiles, counts = {tag: {} for tag in _TAGS}, dict.fromkeys(_TAGS, 0)
     if systems:
-        axis = lattice.axis
         offsets = np.array([s.offset_cells for s in systems])
-        residuals, relative, UV = _residuals(f, g, lam, offsets)
-        energies = _scan_lattice(axis, lam, np.abs(UV, out=UV), offsets)
-        profiles, counts = _lattice_classes(axis, lam, params)
+        residuals, relative = _residuals(f, g, lam, offsets)
+        profiles, counts = _lattice_classes(lattice.axis, lam, params)
         counts = {tag: c * len(systems) for tag, c in counts.items()}
 
     constants = {}
@@ -730,7 +599,6 @@ def verify_representation(
         n_systems=len(systems),
         residuals=tuple(residuals.tolist()),
         relative_residuals=tuple(relative.tolist()),
-        pair_energies=energies,
         class_profiles=profiles,
         class_constants=constants,
         class_counts=counts,

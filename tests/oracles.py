@@ -625,9 +625,9 @@ def mean_corrections_brute(b, f, offset1, offset2):
 # representation identity
 
 
-def _scan_system_brute(system, lam, params, profiles, counts, energies, cf, cg, M):
-    """Accumulate class profiles, counts and energies from every ordered
-    cube pair of one system (vectorized per level pair)."""
+def _scan_system_brute(system, lam, params, profiles, counts, M):
+    """Accumulate class profiles and counts from every size-ordered cube
+    pair of one system (vectorized per level pair)."""
     L = system.axis.level
     n = system.axis.n_cells
     good = [~bad_mask(system, k, params) for k in range(L)]
@@ -635,30 +635,17 @@ def _scan_system_brute(system, lam, params, profiles, counts, energies, cf, cg, 
     for kI in range(L):
         wI = n >> kI
         mI = np.arange(1 << kI)
-        for kJ in range(L):
+        for kJ in range(kI + 1):
             wJ = n >> kJ
             mJ = np.arange(1 << kJ)
             A, B = np.meshgrid(mI, mJ, indexing="ij")
             A = A.ravel()
             B = B.ravel()
-            lo = min(kI, kJ)
-            x = (A >> (kI - lo)) ^ (B >> (kJ - lo))
-            kK = lo - np.frexp(x.astype(float))[1]
+            x = (A >> (kI - kJ)) ^ B
+            kK = kJ - np.frexp(x.astype(float))[1]
             i = kI - kK
             j = kJ - kK
-
-            colI = (1 << kI) + A
-            colJ = (1 << kJ) + B
-            raw = M[colJ, colI]
-            contrib = np.abs(cg[colJ] * raw * cf[colI])
-            flat = i * (L + 1) + j
-            sums = np.bincount(flat, weights=contrib, minlength=(L + 1) ** 2)
-            for idx in np.nonzero(sums)[0]:
-                key = (int(idx) // (L + 1), int(idx) % (L + 1))
-                energies[key] = energies.get(key, 0.0) + float(sums[idx])
-
-            if kI < kJ:
-                continue  # classes are measured on size-ordered pairs only
+            raw = M[(1 << kJ) + B, (1 << kI) + A]
 
             good_I = good[kI][A]
             contained = x == 0
@@ -738,7 +725,6 @@ def verify_representation_brute(f, g, lam, params, systems):
     relatives = []
     profiles = {"out": {}, "near": {}, "shallow_in": {}, "deep_in": {}}
     counts = {tag: 0 for tag in profiles}
-    energies = {}
 
     n_systems = 0
     for system in systems:
@@ -751,7 +737,7 @@ def verify_representation_brute(f, g, lam, params, systems):
         res = abs(lhs - total)
         residuals.append(res)
         relatives.append(res / scale)
-        _scan_system_brute(system, lam, params, profiles, counts, energies, cf, cg, M)
+        _scan_system_brute(system, lam, params, profiles, counts, M)
 
     # an entry at most 1e-12 of its class's largest is rounding noise of a
     # coefficient that vanishes in exact arithmetic
@@ -776,7 +762,6 @@ def verify_representation_brute(f, g, lam, params, systems):
         n_systems=n_systems,
         residuals=tuple(residuals),
         relative_residuals=tuple(relatives),
-        pair_energies=energies,
         class_profiles=profiles,
         class_constants=constants,
         class_counts=counts,

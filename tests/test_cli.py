@@ -313,7 +313,7 @@ def test_represent_suite_walks_no_block_and_runs_no_census(tmp_path, monkeypatch
     def forbidden(*args):
         raise AssertionError("the represent suite reached a block walk or the census")
 
-    for name in ("_blocks", "_scan_lattice", "_lattice_classes"):
+    for name in ("_blocks", "_lattice_classes"):
         monkeypatch.setattr(fracops, name, forbidden)
     assert main(["represent", "--level", "10", "--seed", "1", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))

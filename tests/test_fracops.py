@@ -661,8 +661,7 @@ def _assert_close_maps(got, want, rel):
 def test_representation_matches_per_system_reference(L, lam, gamma, r, kind, seed):
     # the offset-0 scan with batched coefficients reports what the
     # system-by-system loop reports; "every" takes each offset once, and
-    # "every-plus" every offset twice plus the subset, so the energies come
-    # from the every-offset sums alone and from them plus the block walk
+    # "every-plus" every offset twice plus the subset
     ax = grid.build_axis(L)
     n = ax.n_cells
     rng = np.random.default_rng(seed)
@@ -691,7 +690,6 @@ def test_representation_matches_per_system_reference(L, lam, gamma, r, kind, see
     for tag, prof in want.class_profiles.items():
         _assert_close_maps(got.class_profiles[tag], prof, 1e-12)
     _assert_close_maps(got.class_constants, want.class_constants, 1e-12)
-    _assert_close_maps(got.pair_energies, want.pair_energies, 1e-12)
     assert got.n_systems == want.n_systems == len(offsets)
     assert len(got.residuals) == len(got.relative_residuals) == len(want.residuals)
     assert all(rel <= 1e-12 for rel in got.relative_residuals)
@@ -704,18 +702,51 @@ def test_representation_rejects_nonzero_mean():
         fracops.verify_representation(f, f, 0.5, dyadic.GoodParams(), [offset0(4)])
 
 
-def test_representation_energies_cover_all_depth_pairs(rng):
-    ax = grid.build_axis(5)
-    f = mean_zero(rng, 32, ax)
-    g = mean_zero(rng, 32, ax)
-    rep = fracops.verify_representation(
-        f, g, 0.5, dyadic.GoodParams(), [offset0(5)]
+@pytest.mark.parametrize("L", (5, 6))
+def test_representation_classes_cover_every_good_size_ordered_pair(rng, L):
+    # the four class counts partition the size-ordered pairs (I, J) whose
+    # smaller cube I is good, the 2**(kI + 1) - 1 cubes J of levels 0 .. kI
+    # for each good I at level kI, once per system; profile keys are depth
+    # pairs below the join, i >= j since the smaller cube lies deeper
+    ax = grid.build_axis(L)
+    lattice = dyadic.DyadicSystem(ax, 0)
+    params = dyadic.GoodParams(3, 7 / 16)
+    f, g = mean_zero(rng, ax.n_cells, ax), mean_zero(rng, ax.n_cells, ax)
+    systems = [lattice, dyadic.DyadicSystem(ax, 3)]
+    rep = fracops.verify_representation(f, g, 0.5, params, systems)
+    pairs = sum(
+        int((~dyadic.bad_mask(lattice, kI, params)).sum()) * ((2 << kI) - 1) for kI in range(L)
     )
-    # energy keys are depth pairs below the join; depth 0 pairs exist (I = J)
-    assert (0, 0) in rep.pair_energies
-    assert all(i >= 0 and j >= 0 for i, j in rep.pair_energies)
-    total = sum(rep.pair_energies.values())
-    assert np.isfinite(total) and total > 0.0
+    assert pairs > 0
+    assert sum(rep.class_counts.values()) == len(systems) * pairs
+    for prof in rep.class_profiles.values():
+        assert all(L > i >= j >= 0 for i, j in prof)
+
+
+@pytest.mark.parametrize("L", (5, 6))
+def test_representation_of_inputs_with_exact_zero_coefficients(L):
+    # inputs whose Haar tables hold exact zeros: over every offset the
+    # stationary-table pairings keep the identity at rounding level, as the
+    # per-system dense reference does, and the census is the reference's
+    ax = grid.build_axis(L)
+    n = ax.n_cells
+    spike = np.full(n, -1.0 / n)
+    spike[5] += 1.0
+    comb = np.zeros(n)
+    comb[:: n // 4] = 1.0
+    comb[n // 8 :: n // 4] = -1.0
+    step = haar.haar_function(dyadic.DyadicSystem(ax, 3).cube(2, 1))
+    params = dyadic.GoodParams(3, 7 / 16)
+    every = list(dyadic.enumerate_systems(ax))
+    for f, g in ((step, grid.grid_function(spike, ax)), (grid.grid_function(comb, ax), step)):
+        got = fracops.verify_representation(f, g, 0.5, params, every)
+        want = oracles.verify_representation_brute(f, g, 0.5, params, every)
+        assert len(got.relative_residuals) == len(want.relative_residuals) == n
+        assert max(got.relative_residuals) <= 1e-12
+        assert max(want.relative_residuals) <= 1e-12
+        assert got.class_counts == want.class_counts
+        for tag, prof in want.class_profiles.items():
+            _assert_close_maps(got.class_profiles[tag], prof, 1e-12)
 
 
 def test_representation_class_profiles_sane(rng):
@@ -757,13 +788,12 @@ def test_scan_system_classes_agree_with_classify_pair(gamma):
         assert counts == want
 
 
-def test_representation_walks_census_and_energies_on_every_call(monkeypatch):
-    # every call with 3 offsets runs the class census and the energy walk,
-    # whether or not an earlier call used the same key: the walk reads the
-    # L(L+1)/2 size-ordered blocks, the census the kI + 1 blocks of each
-    # level kI that holds a good cube; an every-offset call walks the
-    # census's blocks only; every report equals the first one of its
-    # inputs, and its class mappings are its own
+def test_representation_walks_the_census_on_every_call(monkeypatch):
+    # every call runs the class census once, whether or not an earlier call
+    # used the same key, and walks no other block: the kI + 1 blocks of each
+    # level kI that holds a good cube, for 3 offsets as for every offset;
+    # every report equals the first one of its inputs, and its class
+    # mappings are its own
     L, lam, params = 6, 0.4, dyadic.GoodParams(r=4, gamma=31 / 64)
     ax = grid.build_axis(L)
     lattice = dyadic.DyadicSystem(ax, 0)
@@ -797,10 +827,10 @@ def test_representation_walks_census_and_energies_on_every_call(monkeypatch):
         rep.class_counts["deep_in"] = -1
     half = L * (L + 1) // 2
     assert census == half  # every level of this key holds a good cube
-    assert blocks == [([half, census], census)] * 3
+    assert blocks == [([census], census)] * 3
 
-    # every offset once: the energies walk no block, so each call walks the
-    # census's blocks alone, the second of one key as the first
+    # every offset once: each call walks the census's blocks alone, the
+    # second of one key as the first
     every = list(dyadic.enumerate_systems(ax))
     f, g = inputs[0]
     for _ in range(2):
@@ -862,44 +892,31 @@ def test_residuals_are_the_reports_bit_for_bit(lam):
             offsets = np.array(offsets)
             systems = [dyadic.DyadicSystem(ax, int(o)) for o in offsets]
             rep = fracops.verify_representation(f, g, lam, params, systems)
-            residuals, relative, _ = fracops._residuals(f, g, lam, offsets)
+            residuals, relative = fracops._residuals(f, g, lam, offsets)
             assert np.array_equal(residuals, rep.residuals)
             assert np.array_equal(relative, rep.relative_residuals)
 
 
-def test_join_counts_match_per_entry_join_levels():
-    # N[h, tau] counts the level-kJ cubes b whose join with (tau + b) mod
-    # 2**kJ lies h levels up, as dyadic._join_level reads them entry by entry
-    for kJ in range(11):
-        b = np.arange(1 << kJ)
-        tau = b[:, None]
-        h = kJ - dyadic._join_level(kJ, (tau + b) % (1 << kJ), kJ, b)
-        want = np.zeros((kJ + 1, 1 << kJ), dtype=np.int64)
-        np.add.at(want, (h, np.broadcast_to(tau, h.shape)), 1)
-        got = fracops._join_counts(kJ)
-        assert got.dtype.kind == "i" and not got.flags.writeable
-        assert np.array_equal(got, want)
+def test_representation_at_level_14_stays_under_64_mib():
+    # residuals and the class census only: 3 systems at L=14 peak near
+    # 23 MiB under tracemalloc, where a walk over every coefficient pair of
+    # the kernel's blocks held over 1 GiB
+    import tracemalloc
 
-
-@pytest.mark.parametrize("L", (5, 6))
-def test_every_offset_energies_keep_exact_zeros(L):
-    # inputs whose Haar tables hold exact zeros: every-offset energies keep
-    # exactly the depth pairs the per-system reference finds nonzero
-    ax = grid.build_axis(L)
+    ax = grid.build_axis(14)
     n = ax.n_cells
-    spike = np.full(n, -1.0 / n)
-    spike[5] += 1.0
-    comb = np.zeros(n)
-    comb[:: n // 4] = 1.0
-    comb[n // 8 :: n // 4] = -1.0
-    step = haar.haar_function(dyadic.DyadicSystem(ax, 3).cube(2, 1))
-    params = dyadic.GoodParams(3, 7 / 16)
-    every = list(dyadic.enumerate_systems(ax))
-    for f, g in ((step, grid.grid_function(spike, ax)), (grid.grid_function(comb, ax), step)):
-        got = fracops.verify_representation(f, g, 0.5, params, every)
-        want = oracles.verify_representation_brute(f, g, 0.5, params, every)
-        assert set(got.pair_energies) == set(want.pair_energies)
-        _assert_close_maps(got.pair_energies, want.pair_energies, 1e-12)
+    rng = np.random.default_rng(41)
+    f, g = mean_zero(rng, n, ax), mean_zero(rng, n, ax)
+    systems = [dyadic.DyadicSystem(ax, o) for o in (0, 1, n // 2)]
+    params = dyadic.GoodParams(3, dyadic.default_gamma(0.5))
+    tracemalloc.start()
+    try:
+        rep = fracops.verify_representation(f, g, 0.5, params, systems)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(rep.relative_residuals) <= 1e-12
+    assert peak < 64 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("lam", (0.05, 1 / 3, 0.5, 0.95))
