@@ -249,6 +249,12 @@ def _check(
     return CheckRecord(name, anchor, value, threshold, value <= threshold, hard)
 
 
+def _worst(values) -> float:
+    """The largest of ``values`` and 0.0 as a Python float; NaN if any value
+    is NaN, which Python's ``max`` would drop."""
+    return float(np.max(values, initial=0.0))
+
+
 def _json_number(x: float):
     """``x``, or for a non-finite number the text ``samples.csv`` writes
     (``"nan"``, ``"inf"``, ``"-inf"``): JSON has no such numbers."""
@@ -354,8 +360,7 @@ def _suite_haar_verify(config: ExperimentConfig):
         axis = build_axis(level)
         n = axis.n_cells
         offsets = sorted({0, 1, n // 2})
-        worst_recon = 0.0
-        worst_tel = 0.0
+        recons, tels = [], []
         for lo, hi in _stacks(config.samples, n, _HAAR_VERIFY_FLOATS):
             X = rng.normal(size=(hi - lo, n))
             recon = []
@@ -365,16 +370,16 @@ def _suite_haar_verify(config: ExperimentConfig):
                 recon.append(np.max(np.abs(back - X), axis=1).tolist())
                 R = np.stack([_cube_means(x, system, 0) for x in X])
                 total = _chain_sum(R - _parents(R, 1), ((1, system),), first=1)
-                worst_tel = max(worst_tel, float(np.max(np.abs(total - X))))
+                tels.append(np.max(np.abs(total - X)))
             for s, values in enumerate(zip(*recon), lo):
-                worst_recon = max(worst_recon, *values)
+                recons.extend(values)
                 for off, value in zip(offsets, values):
                     rows.append(("haar-verify", f"L{level}-off{off}-s{s}", value))
         records.append(
             _check(
                 f"haar-verify-reconstruction-L{level}",
                 "haar-orthonormal-expansion",
-                worst_recon,
+                _worst(recons),
                 1e-12,
             )
         )
@@ -382,7 +387,7 @@ def _suite_haar_verify(config: ExperimentConfig):
             _check(
                 f"haar-verify-telescoping-L{level}",
                 "martingale-telescoping",
-                worst_tel,
+                _worst(tels),
                 1e-12,
             )
         )
@@ -400,7 +405,7 @@ def _suite_represent(config: ExperimentConfig):
     subtracted = 0
     total_inputs = 0
     for lam in config.lambdas:
-        worst = 0.0
+        rels = []
         for s in range(n_pairs):
             f = grid_function(rng.normal(size=n), axis)
             g = grid_function(rng.normal(size=n), axis)
@@ -411,13 +416,13 @@ def _suite_represent(config: ExperimentConfig):
             f = f.with_values(f.values - f.mean())
             g = g.with_values(g.values - g.mean())
             rel = float(_residuals(f, g, lam, offsets)[1].max())
-            worst = max(worst, rel)
+            rels.append(rel)
             rows.append(("represent", f"lam{lam:g}-s{s}", rel))
         records.append(
             _check(
                 f"represent-identity-lam{lam:g}",
                 "fractional-representation-identity",
-                worst,
+                _worst(rels),
                 1e-8,
             )
         )
@@ -439,29 +444,28 @@ def _suite_weights(config: ExperimentConfig):
     level = max(config.levels)
     axis = build_axis(level)
     built = [power_weight(axis, a, c) for a, c in config.weights]
-    deficit = 0.0
-    duality = 0.0
+    deficits, dualities = [], []
     for wi, w in enumerate(built):
         for p, lam in config.exponents:
             q = exponent_solve(p, lam).q
             char = apq_characteristic(w, p, q)
-            deficit = max(deficit, max(0.0, 1.0 - char))
+            deficits.append(1.0 - char)
             p_dual = p / (p - 1.0)
             q_dual = q / (q - 1.0)
             dual_char = apq_characteristic(w.power(-1.0), q_dual, p_dual)
             target = char ** (p_dual / q)
-            duality = max(duality, abs(dual_char - target) / target)
+            dualities.append(abs(dual_char - target) / target)
             rows.append(("weights", f"w{wi}-p{p:g}-char", char))
     records.append(
         _check(
             "weights-characteristic-deficit",
             "characteristic-lower-bound",
-            deficit,
+            _worst(deficits),
             1e-12,
         )
     )
     records.append(
-        _check("weights-duality-identity", "characteristic-duality", duality, 1e-10)
+        _check("weights-duality-identity", "characteristic-duality", _worst(dualities), 1e-10)
     )
     return records, rows
 
@@ -471,8 +475,7 @@ def _suite_norms(config: ExperimentConfig):
     records, rows = [], []
     lam = config.lambdas[0]
 
-    plancherel = 0.0
-    deficit = 0.0
+    plancherels, gaps = [], []
     for level in config.levels:
         axis = build_axis(level)
         system = DyadicSystem(axis, 0)
@@ -481,7 +484,7 @@ def _suite_norms(config: ExperimentConfig):
             sq = square_function(f, system, mode="sole")
             centered = f.with_values(f.values - f.mean())
             rel = abs(l2_norm(sq) - l2_norm(centered)) / l2_norm(centered)
-            plancherel = max(plancherel, rel)
+            plancherels.append(rel)
             rows.append(("norms", f"L{level}-s{s}-plancherel", rel))
         per = _per_axis(level)
         baxis = build_axis(per)
@@ -490,16 +493,15 @@ def _suite_norms(config: ExperimentConfig):
                 rng.normal(size=(baxis.n_cells, baxis.n_cells)), baxis, baxis
             )
             m = strong_maximal(g)
-            gap = float(np.max(np.abs(g.values) - m.values))
-            deficit = max(deficit, max(0.0, gap))
+            gaps.append(np.max(np.abs(g.values) - m.values))
     records.append(
-        _check("norms-square-energy", "square-function-energy", plancherel, 1e-12)
+        _check("norms-square-energy", "square-function-energy", _worst(plancherels), 1e-12)
     )
     records.append(
         _check(
             "norms-maximal-domination-deficit",
             "maximal-pointwise-domination",
-            deficit,
+            _worst(gaps),
             1e-12,
         )
     )
@@ -530,7 +532,6 @@ def _suite_norms(config: ExperimentConfig):
 def _suite_decompose(config: ExperimentConfig):
     rng = _suite_rng(config, "decompose")
     records, rows = [], []
-    worst = 0.0
     # each distinct per-axis level once: a repeat would repeat its labels
     for per in dict.fromkeys(map(_per_axis, config.levels)):
         axis = build_axis(per)
@@ -539,8 +540,8 @@ def _suite_decompose(config: ExperimentConfig):
             residual = _decompose(B, F, *pair)[2]
             scale = np.max(np.abs(B * F), axis=(-2, -1))
             for s, rel in enumerate((residual / scale).tolist(), lo):
-                worst = max(worst, rel)
                 rows.append(("decompose", f"L{per}x{per}-s{s}", rel))
+    worst = _worst([value for _, _, value in rows])
     records.append(
         _check("decompose-product-residual", "nine-term-product-split", worst, 1e-12)
     )
@@ -552,7 +553,6 @@ def _suite_commutator(config: ExperimentConfig):
     records, rows = [], []
     lam1 = config.lambdas[0]
     lam2 = config.lambdas[-1]
-    worst = 0.0
     # each distinct per-axis level once: a repeat would repeat its labels
     for per in dict.fromkeys(map(_per_axis, config.levels)):
         axis = build_axis(per)
@@ -570,13 +570,12 @@ def _suite_commutator(config: ExperimentConfig):
             for lo, B, F in _sample_pairs(rng, count, axis.n_cells, _EXPAND_FLOATS):
                 residual = expand(B, F)[2]
                 for s, value in enumerate(residual.tolist(), lo):
-                    worst = max(worst, value)
                     rows.append(("commutator", f"L{per}x{per}-c{ci}-s{s}", value))
     records.append(
         _check(
             "commutator-expansion-residual",
             "shift-commutator-expansion",
-            worst,
+            _worst([value for _, _, value in rows]),
             1e-10,
         )
     )
@@ -595,13 +594,13 @@ def _suite_bloom(config: ExperimentConfig):
     )
     report = bloom_experiment(bloom)
     n_quads = len(report.levels[0].quads)
-    worst_char = 0.0
+    characteristics = []
     for qi in range(n_quads):
         maxima = []
         for level_result in report.levels:
             quad = level_result.quads[qi]
             maxima.append(quad.max_ratio)
-            worst_char = max(worst_char, max(quad.characteristics))
+            characteristics.extend(quad.characteristics)
             rows.append(("bloom", f"L{level_result.level}-quad{qi}", quad.max_ratio))
         low = min(maxima)
         variation = (max(maxima) - low) / low if low > 0.0 else float(max(maxima) > 0.0)
@@ -618,7 +617,7 @@ def _suite_bloom(config: ExperimentConfig):
         _check(
             "bloom-characteristic-budget",
             "characteristic-budget",
-            worst_char,
+            _worst(characteristics),
             10.0,
             hard=False,
         )
@@ -683,6 +682,11 @@ def run_suite(config: ExperimentConfig, strict: bool = False) -> SuiteOutcome:
     """
     names = list(SUITES) if config.suite == "all" else [config.suite]
     cap = _thread_cap()
+    out_dir = Path(config.out)
+    try:  # before any suite runs: a path that cannot be a directory fails at once
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output dir {out_dir}: {exc}") from exc
     if cap > 1 and len(names) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -698,11 +702,6 @@ def run_suite(config: ExperimentConfig, strict: bool = False) -> SuiteOutcome:
         records.extend(sorted(suite_records, key=lambda r: r.name))
         rows.extend(suite_rows)
 
-    out_dir = Path(config.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot create output dir {out_dir}: {exc}") from exc
     report_path = out_dir / ("report.json" if config.format == "json" else "report.csv")
     samples_path = out_dir / "samples.csv"
     meta = {"seed": config.seed, "levels": list(config.levels)}

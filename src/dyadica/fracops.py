@@ -7,7 +7,7 @@ library path forms the dense kernel matrix.  Every smoothed Haar step
 comes from one cached table of L, the first cube's per level
 (``_smoothed_steps``), shifted by circulance: the concentric pairings
 read it, and the raw coefficients and the representation harness read
-the kernel in the Haar basis from its analysis (see :func:`_blocks`).  On
+the kernel in the Haar basis from its analysis (see :func:`_entries`).  On
 top of it this module provides the coefficient machinery used to analyse
 the operator in a shifted lattice: raw and normalized Haar coefficients, the
 four-way positional classification of cube pairs, coefficient tables for
@@ -25,10 +25,11 @@ lattice.  One stationary Haar table per input holds every
 lattice's coefficients, and ``_pairings`` reads the pairings of all
 offsets from the two tables with a few FFTs; ``_residuals`` turns them
 into the identity's residuals, for the harness and for a caller that
-reads residuals only (see :func:`verify_representation`).  The generator
-``_blocks`` walks the kernel's size-ordered level-pair blocks for the
-class census ``_lattice_classes``, which walks the rows of good cubes
-only, once per call, and skips the levels with none.  One function,
+reads residuals only (see :func:`verify_representation`).  One rule,
+``_entries``, reads any entry of the kernel in the Haar basis from its
+columns: ``shift_coefficient`` reads one pair by it, and the class census
+``_lattice_classes`` the size-ordered level-pair blocks, over the rows of
+good cubes only, once per call, skipping the levels with none.  One function,
 ``_pair_class``, classes one pair (:func:`classify_pair`) or a block of
 pairs (the census).
 """
@@ -40,7 +41,6 @@ from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .dyadic import (
     DyadicCube,
@@ -163,15 +163,15 @@ def shift_coefficient(I: DyadicCube, J: DyadicCube, lam: float) -> Tuple[float, 
     Haar step; normalized multiplies by ``|K|**lam / (|I| |J|)**(1/2)`` with
     K the join of the pair, the scale against which all class bounds are
     stated.  raw is an entry of the kernel columns (:func:`_kernel_columns`)
-    by :func:`_blocks`' rule, in offset-relative indices, read with the
-    larger (level, index) first, so raw(I, J) and raw(J, I) are one entry.
+    read by :func:`_entries`, in offset-relative indices, with the larger
+    (level, index) first, so raw(I, J) and raw(J, I) are one entry.
     """
     _check_lambda(lam)
     if I.system != J.system:
         raise SystemMismatchError("shift_coefficient requires cubes of one system")
     _check_step(I, J)
     (kI, a), (kJ, b) = sorted([(I.level, I.index), (J.level, J.index)], reverse=True)
-    raw = float(_kernel_columns(I.axis, lam)[(1 << kI) + (a - (b << (kI - kJ))) % (1 << kI), kJ])
+    raw = float(_entries(_kernel_columns(I.axis, lam), kI, a, kJ, b))
     kK = int(_join_level(kI, a, kJ, b))
     return raw, raw * 2.0 ** (0.5 * I.level + 0.5 * J.level - lam * kK)
 
@@ -402,7 +402,7 @@ def _pairings(axis: Axis, lam: float, UV: np.ndarray, offsets: np.ndarray) -> np
     depend on the number of offsets.
 
     Block (kI, kJ), kI >= kJ, has entry ``c[(a - b s) mod 2**kI]``
-    (:func:`_blocks`), so with ``w = n >> kI`` its pairing at offset o is
+    (:func:`_entries`), so with ``w = n >> kI`` its pairing at offset o is
     ``sum_b (U[kJ] z)(o + b (n >> kJ))``, where
     ``z(x) = sum_t c[t] V[kI, x + t w]`` is a circular correlation of
     ``V[kI]`` with c upsampled by w: a fold of period ``n >> kJ`` of the
@@ -436,72 +436,53 @@ def _pairings(axis: Axis, lam: float, UV: np.ndarray, offsets: np.ndarray) -> np
     return products[np.arange(L)[:, None], offsets % periods].sum(axis=0)
 
 
-def _blocks(axis: Axis, lam: float, rows=None):
-    """Every size-ordered block ``M[(kI, a), (kJ, b)]``, ``kI >= kJ``, of the
-    Haar-basis kernel: yields ``(kI, kJ, block, kK)`` with ``block`` a
-    read-only ``2**kI`` by ``2**kJ`` view of the kernel columns
-    (:func:`_kernel_columns`, cached per key) and ``kK`` the join levels of
-    its pairs, for kI = 0 .. L-1 and, within each, kJ = 0 .. kI.  Given
-    ``rows``, one index array of rows a per level kI, the block (a copy)
-    and ``kK`` hold those rows only, and no other row's join is read; a
-    level with no rows yields no block, and its windows are not built.
+def _entries(C: np.ndarray, kI: int, a, kJ: int, b):
+    """Entries ``M[(kI, a), (kJ, b)]``, ``kI >= kJ``, of the Haar-basis kernel
+    from its columns ``C`` (:func:`_kernel_columns`), for level-kI cubes
+    ``a`` and level-kJ cubes ``b`` of the offset-0 lattice (ints or
+    broadcasting index arrays).
 
     A circulant G shifts both cubes by ``b`` level-kJ widths, so the entry
-    is ``C[2**kI + (a - b s) mod 2**kI, kJ]`` with ``s = 2**(kI - kJ)``: row
-    a reads ``c[a], c[a - s], c[a - 2s], ...`` of that column's level-kI
-    rows c, every s-th entry of a reversed window of the doubled line
-    ``c, c``.  Each kI builds one strided view of those windows for all kJ.
-    G is symmetric, so the block of the mirror pair (kJ, kI) is the
-    transpose (the non-standard form of Beylkin, Coifman and Rokhlin).
-    ``kK`` is :func:`dyadica.dyadic._join_level` of the block's rows and
-    columns.
+    is ``C[2**kI + (a - b s) mod 2**kI, kJ]`` with ``s = 2**(kI - kJ)``.  G
+    is symmetric, so the block of the mirror pair (kJ, kI) is the transpose
+    (the non-standard form of Beylkin, Coifman and Rokhlin).
     """
-    C = _kernel_columns(axis, lam)
-    L = C.shape[1]
-    for kI in range(L):
-        a = np.arange(1 << kI) if rows is None else rows[kI]
-        if not len(a):
-            continue
-        c = C[1 << kI : 2 << kI].T
-        doubled = np.concatenate((c, c), axis=1)[:, 1:]
-        # every column's windows in one view, without sliding_window_view's checks
-        windows = as_strided(
-            doubled, (L, 1 << kI, 1 << kI), doubled.strides + doubled.strides[1:], writeable=False
-        )
-        for kJ in range(kI + 1):
-            block = windows[kJ, :, (1 << kI) - 1 :: -(1 << (kI - kJ))]
-            if rows is not None:
-                block = block[a]
-            yield kI, kJ, block, _join_level(kI, a[:, None], kJ, np.arange(1 << kJ))
+    return C[(1 << kI) + (a - (b << (kI - kJ))) % (1 << kI), kJ]
 
 
 def _lattice_classes(axis: Axis, lam: float, params: GoodParams) -> Tuple[dict, Dict[str, int]]:
     """Class profiles and counts of the offset-0 lattice per (axis, lambda,
-    params), from one walk of its size-ordered blocks (:func:`_blocks`).
+    params), from one pass over its size-ordered blocks (:func:`_entries`).
 
     Classes count and profile size-ordered pairs whose smaller cube is good;
     a profile keeps an entry only above ``1e-12`` of its class's largest,
     since smaller ones are rounding noise of entries that vanish in exact
     arithmetic.  Goodness per level and the decay ``2**(-lam k)`` per join
-    level k are built once per call, and the walk reads the blocks' rows of
-    good smaller cubes only, so no other row's join level is gathered, and
-    only the levels that hold a good smaller cube: a level with none
-    yields no block and no ``_pair_class`` call.
+    level k are built once per call, and the pass reads the blocks' rows of
+    good smaller cubes only, so no other row's entry or join level is
+    gathered, and only the levels that hold a good smaller cube: a level
+    with none reads no block and makes no ``_pair_class`` call.
     """
     L = axis.level
     width = (L + 1) ** 2
+    C = _kernel_columns(axis, lam)
     lattice = DyadicSystem(axis, 0)
-    # the pairs whose smaller cube, at level kI, is good
-    good = [np.flatnonzero(~bad_mask(lattice, k, params)) for k in range(L)]
+    # each level's good cubes, a column of rows a against the blocks' columns b
+    good = [np.flatnonzero(~bad_mask(lattice, k, params))[:, None] for k in range(L)]
     decay = 2.0 ** (-lam * np.arange(L))
     counts = np.zeros(len(_TAGS), dtype=np.int64)
     peaks = np.zeros(len(_TAGS) * width)
-    for kI, kJ, block, kK in _blocks(axis, lam, good):
-        flat = (kI * (L + 1) + kJ) - (L + 2) * kK
-        normalized = np.abs(block) * 2.0 ** (0.5 * (kI + kJ)) * decay[kK]
-        tag = _pair_class(axis, kI, good[kI][:, None], kJ, np.arange(1 << kJ), kK, params)
-        counts += np.bincount(tag.ravel(), minlength=len(_TAGS))
-        np.maximum.at(peaks, (tag * width + flat).ravel(), normalized.ravel())
+    for kI, a in enumerate(good):
+        if not a.size:
+            continue
+        for kJ in range(kI + 1):
+            b = np.arange(1 << kJ)
+            block, kK = _entries(C, kI, a, kJ, b), _join_level(kI, a, kJ, b)
+            flat = (kI * (L + 1) + kJ) - (L + 2) * kK
+            normalized = np.abs(block) * 2.0 ** (0.5 * (kI + kJ)) * decay[kK]
+            tag = _pair_class(axis, kI, a, kJ, b, kK, params)
+            counts += np.bincount(tag.ravel(), minlength=len(_TAGS))
+            np.maximum.at(peaks, (tag * width + flat).ravel(), normalized.ravel())
 
     peaks = peaks.reshape(len(_TAGS), width)
     kept = peaks > 1e-12 * peaks.max(axis=1, keepdims=True)
@@ -547,7 +528,7 @@ def verify_representation(
     profiles and counts come from the offset-0 lattice, exact up to
     rounding (counts times the number of systems).  That kernel is never
     formed: its L columns at the first cube of each level hold every entry
-    (:func:`_blocks`), and they are cached per (axis, ``lam``), so a key's
+    (:func:`_entries`), and they are cached per (axis, ``lam``), so a key's
     census smooths the L Haar steps once.
 
     Every system's coefficients ``h H_0.T f[(c + o) mod n]`` are entries of

@@ -35,7 +35,7 @@ from scipy import integrate
 #   basis_column  test_haar::test_haar_matrix_columns_match_functions
 #   haar_synthesize  test_haar::test_transform_pair_matches_dense_haar_matrix
 #   _join_level  test_dyadic::test_join_against_brute_force, via join
-#   _kernel_columns  test_fracops::test_haar_kernel_blocks_match_the_dense_haar_basis_kernel
+#   _kernel_columns  test_fracops::test_haar_kernel_entries_match_the_dense_haar_basis_kernel, via _entries
 #   _pair_class  test_fracops::test_classify_partition_exhaustive, via classify_pair
 #   _arc_gap_cells  test_dyadic::test_arc_gap_matches_the_oracle_for_every_pair_of_arcs, via _pair_class
 from dyadica.dyadic import DyadicCube, DyadicSystem, _join_level, _within_threshold, bad_mask, is_good

@@ -311,9 +311,9 @@ def test_represent_suite_flags_mean_subtraction(tmp_path):
 def test_represent_suite_walks_no_block_and_runs_no_census(tmp_path, monkeypatch):
     # the suite reports residuals only, so it takes the pairing path alone
     def forbidden(*args):
-        raise AssertionError("the represent suite reached a block walk or the census")
+        raise AssertionError("the represent suite read a kernel block or ran the census")
 
-    for name in ("_blocks", "_lattice_classes"):
+    for name in ("_entries", "_lattice_classes"):
         monkeypatch.setattr(fracops, name, forbidden)
     assert main(["represent", "--level", "10", "--seed", "1", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
@@ -664,6 +664,53 @@ def test_main_exits_2_when_an_output_path_is_taken(tmp_path, capsys, taken, mess
     code = main(["weights", "--seed", "3", "--level", "3", "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"error: {message} {target}" in capsys.readouterr().err
+
+
+def test_an_output_path_that_is_a_file_fails_before_any_suite(tmp_path, capsys, monkeypatch):
+    # the output directory is made before the suites run, so an --out that
+    # names a regular file exits 2 without any suite's work
+    called = []
+    for name in cli.SUITES:
+        monkeypatch.setitem(
+            cli._SUITE_FUNCTIONS, name, lambda config, name=name: called.append(name) or ([], [])
+        )
+    target = tmp_path / "out"
+    target.write_text("", encoding="utf-8")
+    assert main(["all", "--seed", "1", "--level", "3", "--out", str(target)]) == 2
+    assert called == []
+    assert f"error: cannot create output dir {target}" in capsys.readouterr().err
+
+
+def test_worst_keeps_a_nan():
+    # Python's max(0.0, nan) is 0.0: a NaN sample would pass its record
+    assert cli._worst([]) == 0.0 and cli._worst([-1.0, -2.0]) == 0.0
+    assert cli._worst([3.0, 2.0]) == 3.0 and type(cli._worst([3.0])) is float
+    for values in ([np.nan], [1.0, np.nan, 2.0], [np.nan, 1.0], np.array([2.0, np.nan])):
+        worst = cli._worst(values)
+        assert type(worst) is float and np.isnan(worst)
+
+
+def test_a_nan_sample_fails_its_record_and_the_run(tmp_path, monkeypatch):
+    # NaN samples injected into the represent, decompose and haar-verify
+    # suites: each record that reads them fails with the value "nan"
+    def nan_residuals(f, g, lam, offsets):
+        return (np.full(len(offsets), np.nan),) * 2
+
+    monkeypatch.setattr(cli, "_residuals", nan_residuals)
+    monkeypatch.setattr(cli, "_decompose", lambda B, F, *pair: (None, None, np.full(len(B), np.nan)))
+    monkeypatch.setattr(cli, "haar_synthesize", lambda coeffs, *a: np.full_like(coeffs, np.nan))
+    assert main(["all", "--seed", "1", "--level", "4", "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    checks = {check["name"]: check for check in report["checks"]}
+    for name in (
+        "represent-identity-lam0.5",
+        "decompose-product-residual",
+        "haar-verify-reconstruction-L4",
+    ):
+        assert (checks[name]["value"], checks[name]["pass"]) == ("nan", False), name
+    with (tmp_path / "samples.csv").open(encoding="utf-8", newline="") as fh:
+        nan_rows = [row for row in csv.DictReader(fh) if row["value"] == "nan"]
+    assert {row["suite"] for row in nan_rows} == {"represent", "decompose", "haar-verify"}
 
 
 def test_main_reports_config_errors(tmp_path, capsys):

@@ -543,9 +543,10 @@ def test_haar_basis_kernel_and_goodness_are_offset_invariant(lam):
 
 
 @pytest.mark.parametrize("lam", (0.05, 0.5, 0.95))
-def test_haar_kernel_blocks_match_the_dense_haar_basis_kernel(lam):
-    # every size-ordered block read from the L columns, and its transpose,
-    # equals H.T G H, so all L**2 level-pair blocks are checked; blocks that
+def test_haar_kernel_entries_match_the_dense_haar_basis_kernel(lam):
+    # every size-ordered block read from the L columns by _entries over all
+    # rows, and its transpose, equals H.T G H, so all L**2 level-pair blocks
+    # are checked, and each join level is dyadic.join's; blocks that
     # vanish in exact arithmetic hold rounding noise on both sides, so the
     # bound is relative to the kernel's largest entry.  shift_coefficient
     # reads the same entries for any lattice: every pair up to L=3, sampled
@@ -558,19 +559,21 @@ def test_haar_kernel_blocks_match_the_dense_haar_basis_kernel(lam):
         M = H.T @ grid.kernel_matrix(ax, lam) @ H
         assert fracops._kernel_columns(ax, lam).shape == (ax.n_cells, L)
         bound = 1e-13 * np.max(np.abs(M))
-        pairs = []
-        for kI, kJ, block, kK in fracops._blocks(ax, lam):
-            pairs.append((kI, kJ))
-            assert not block.flags.writeable
-            rows, cols = slice(1 << kI, 2 << kI), slice(1 << kJ, 2 << kJ)
-            assert block.shape == kK.shape == (1 << kI, 1 << kJ)
-            assert np.max(np.abs(block - M[rows, cols])) <= bound
-            assert np.max(np.abs(block.T - M[cols, rows])) <= bound
-            if L <= 6:
-                for a, b in np.ndindex(kK.shape):
-                    join = dyadic.join(lattice.cube(kI, a), lattice.cube(kJ, b))
-                    assert kK[a, b] == join.level
-        assert pairs == [(kI, kJ) for kI in range(L) for kJ in range(kI + 1)]
+        C = fracops._kernel_columns(ax, lam)
+        for kI in range(L):
+            a = np.arange(1 << kI)[:, None]
+            for kJ in range(kI + 1):
+                b = np.arange(1 << kJ)
+                block = fracops._entries(C, kI, a, kJ, b)
+                kK = dyadic._join_level(kI, a, kJ, b)
+                rows, cols = slice(1 << kI, 2 << kI), slice(1 << kJ, 2 << kJ)
+                assert block.shape == kK.shape == (1 << kI, 1 << kJ)
+                assert np.max(np.abs(block - M[rows, cols])) <= bound
+                assert np.max(np.abs(block.T - M[cols, rows])) <= bound
+                if L <= 6:
+                    for i, j in np.ndindex(kK.shape):
+                        join = dyadic.join(lattice.cube(kI, i), lattice.cube(kJ, j))
+                        assert kK[i, j] == join.level
         if L > 6:
             continue
         cubes = [(k, m) for k in range(L) for m in range(1 << k)]
@@ -805,16 +808,21 @@ def test_representation_walks_the_census_on_every_call(monkeypatch):
     assert all(first[0].class_profiles.values()) and all(first[0].class_counts.values())
     first = [dataclasses.asdict(rep) for rep in first]  # deep copies
 
-    walks, classed = [], []  # blocks yielded per _blocks walk; _pair_class calls
-    blocks_of, pair_class = fracops._blocks, fracops._pair_class
+    walks, classed = [], []  # _entries blocks per _lattice_classes call; _pair_class calls
+    census_of, entries, pair_class = (
+        fracops._lattice_classes, fracops._entries, fracops._pair_class
+    )
 
-    def counted_blocks(*a):
+    def counted_census(*a):
         walks.append(0)
-        for block in blocks_of(*a):
-            walks[-1] += 1
-            yield block
+        return census_of(*a)
 
-    monkeypatch.setattr(fracops, "_blocks", counted_blocks)
+    def counted_entries(C, kI, a, kJ, b):
+        walks[-1] += 1
+        return entries(C, kI, a, kJ, b)
+
+    monkeypatch.setattr(fracops, "_lattice_classes", counted_census)
+    monkeypatch.setattr(fracops, "_entries", counted_entries)
     monkeypatch.setattr(fracops, "_pair_class", lambda *a: classed.append(a) or pair_class(*a))
     blocks = []
     for (f, g), want in zip(inputs, first):
@@ -856,16 +864,21 @@ def test_census_walks_only_the_levels_that_hold_a_good_cube(lam, monkeypatch):
 
     rng = np.random.default_rng(33)
     f, g = mean_zero(rng, ax.n_cells, ax), mean_zero(rng, ax.n_cells, ax)
-    walks, classed = [], []
-    blocks_of, pair_class = fracops._blocks, fracops._pair_class
+    walks, classed = [], []  # (kI, kJ) of the _entries blocks per census call
+    census_of, entries, pair_class = (
+        fracops._lattice_classes, fracops._entries, fracops._pair_class
+    )
 
-    def counted_blocks(*a):
+    def counted_census(*a):
         walks.append([])
-        for block in blocks_of(*a):
-            walks[-1].append(block[:2])
-            yield block
+        return census_of(*a)
 
-    monkeypatch.setattr(fracops, "_blocks", counted_blocks)
+    def counted_entries(C, kI, a, kJ, b):
+        walks[-1].append((kI, kJ))
+        return entries(C, kI, a, kJ, b)
+
+    monkeypatch.setattr(fracops, "_lattice_classes", counted_census)
+    monkeypatch.setattr(fracops, "_entries", counted_entries)
     monkeypatch.setattr(fracops, "_pair_class", lambda *a: classed.append(a) or pair_class(*a))
     rep = fracops.verify_representation(f, g, lam, params, dyadic.enumerate_systems(ax))
     assert walks == [[(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]]
