@@ -19,7 +19,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -34,7 +34,8 @@ from .analysis import (
 from .dyadic import DyadicSystem
 from .errors import ConfigurationError, DyadicaError
 from .fracops import _residuals, maximal_table
-from .grid import _check_lambda, build_axis, grid_function, l2_norm, tabulate_midpoint
+from .grid import _check_lambda, _is_integer, build_axis, grid_function, l2_norm
+from .grid import tabulate_midpoint
 from .haar import _chain_sum, _cube_means, _parents, haar_analyze, haar_synthesize
 from .paracomm import _DECOMPOSE_FLOATS, _EXPAND_FLOATS, BloomConfig, _decompose
 from .paracomm import _expansion, _stacks, bloom_experiment
@@ -57,7 +58,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; every field JSON-representable."""
+    """Experiment description; every field JSON-representable.
+
+    A config checks itself when it is built, from a file, by :func:`main` or
+    directly: a value the suites cannot run raises :class:`ConfigurationError`
+    naming its field, before any suite runs.  The list fields are stored as
+    tuples of their checked entries.
+    """
 
     suite: str
     seed: int
@@ -69,44 +76,65 @@ class ExperimentConfig:
     out: str = "reports"
     format: str = "json"
 
+    def __post_init__(self):
+        if self.suite not in SUITES + ("all",):
+            _fail("suite", f"must be one of {SUITES + ('all',)}, got {self.suite!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            _fail("seed", f"must be a non-negative integer, got {seed!r}")
+        for name, convert, check, label in (
+            # an integer level as an int, which the report's meta can write
+            ("levels", lambda lv: int(lv) if _is_integer(lv) else lv, build_axis, str),
+            ("lambdas", _number, _check_lambda, lambda lam: f"{lam:g}"),
+            ("exponents", _pair, _exponent_pair, lambda pair: f"p{pair[0]:g}"),
+            ("weights", _pair, _weight_pair, None),
+        ):
+            entries = _entry_list(name, getattr(self, name), convert, check, label)
+            object.__setattr__(self, name, entries)
+        samples = self.samples
+        if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+            _fail("samples", f"must be a positive integer, got {samples!r}")
+        if not isinstance(self.out, str) or not self.out:
+            _fail("out", f"must be a non-empty path string, got {self.out!r}")
+        if self.format not in ("json", "csv"):
+            _fail("format", f"must be 'json' or 'csv', got {self.format!r}")
+
 
 _CONFIG_FIELDS = tuple(field.name for field in fields(ExperimentConfig))
-_DEFAULTS = {
-    field.name: field.default
-    for field in fields(ExperimentConfig)
-    if field.default is not MISSING
-}
 
 
 def _fail(name: str, why: str):
     raise ConfigurationError(f"invalid field {name!r}: {why}")
 
 
-def _parse(name: str, convert, value):
-    """``convert(value)``; a value of the wrong JSON type fails the field."""
+def _entry_list(name: str, value, convert, check, label=None) -> tuple:
+    """List field ``name`` as the tuple of ``convert(entry)`` for each entry
+    of ``value``.  A value ``tuple`` cannot take fails the field, and so does
+    an empty one; an entry that ``convert`` refuses, that the library's
+    ``check`` rejects with a :class:`DyadicaError`, or whose record label
+    ``label(entry)`` repeats an earlier entry's fails the entry: two records
+    of one name cannot both stand."""
     try:
-        return convert(value)
-    except (TypeError, ValueError):
+        values = tuple(value)
+    except TypeError:
         _fail(name, f"has the wrong type: {value!r}")
-
-
-def _checked(name: str, rule, *args):
-    """``rule(*args)`` for the library's own check of a value; a
-    :class:`DyadicaError` it raises fails the field."""
-    try:
-        rule(*args)
-    except DyadicaError as exc:
-        _fail(name, str(exc))
-
-
-def _distinct(name: str, values, label) -> None:
-    """Fail the first entry of ``values`` whose record label ``label(value)``
-    repeats an earlier entry's: two records of one name cannot both stand."""
-    seen = {}
-    for idx, value in enumerate(values):
-        first = seen.setdefault(label(value), idx)
-        if first != idx:
-            _fail(f"{name}[{idx}]", f"gives the label {label(value)!r} of {name}[{first}]")
+    if not values:
+        _fail(name, "must be non-empty")
+    entries, seen = [], {}
+    for idx, raw in enumerate(values):
+        try:
+            entry = convert(raw)
+            check(entry)
+        except DyadicaError as exc:
+            _fail(f"{name}[{idx}]", str(exc))
+        except (TypeError, ValueError):
+            _fail(f"{name}[{idx}]", f"has the wrong type: {raw!r}")
+        if label is not None:
+            first = seen.setdefault(label(entry), idx)
+            if first != idx:
+                _fail(f"{name}[{idx}]", f"gives the label {label(entry)!r} of {name}[{first}]")
+        entries.append(entry)
+    return tuple(entries)
 
 
 def _number(value) -> float:
@@ -116,80 +144,35 @@ def _number(value) -> float:
     return float(value)
 
 
-def _floats(values) -> tuple:
-    return tuple(_number(v) for v in values)
+def _pair(value) -> tuple:
+    """A JSON list of numbers as floats; the entry's check reads its length."""
+    return tuple(map(_number, value))
+
+
+def _exponent_pair(pair) -> None:
+    if len(pair) != 2:
+        raise ConfigurationError(f"must be a [p, lambda] pair, got {pair!r}")
+    exponent_solve(*pair)
+
+
+def _weight_pair(pair) -> None:
+    if len(pair) != 2:
+        raise ConfigurationError(f"must be an [alpha, center] pair, got {pair!r}")
+    alpha, center = pair
+    if not abs(alpha) < 1.0:
+        raise ConfigurationError(f"|alpha| must be below 1, got {alpha!r}")
+    if not 0.0 <= center < 1.0:
+        raise ConfigurationError(f"center must lie in [0, 1), got {center!r}")
 
 
 def _config_from_mapping(data: Mapping) -> ExperimentConfig:
     for key in data:
         if key not in _CONFIG_FIELDS:
             raise ConfigurationError(f"unknown field {key!r}")
-    data = {**_DEFAULTS, **data}
-    suite = data.get("suite")
-    if suite not in SUITES + ("all",):
-        _fail("suite", f"must be one of {SUITES + ('all',)}, got {suite!r}")
-    if "seed" not in data:
-        _fail("seed", "a seed is mandatory")
-    seed = data["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        _fail("seed", f"must be a non-negative integer, got {seed!r}")
-
-    levels = _parse("levels", tuple, data["levels"])
-    if not levels:
-        _fail("levels", "must be non-empty")
-    for idx, lv in enumerate(levels):
-        _checked(f"levels[{idx}]", build_axis, lv)
-    _distinct("levels", levels, str)
-
-    lambdas = _parse("lambdas", _floats, data["lambdas"])
-    if not lambdas:
-        _fail("lambdas", "must be non-empty")
-    for idx, lam in enumerate(lambdas):
-        _checked(f"lambdas[{idx}]", _check_lambda, lam)
-    _distinct("lambdas", lambdas, lambda lam: f"{lam:g}")
-
-    exponents = _parse("exponents", lambda v: tuple(map(_floats, v)), data["exponents"])
-    if not exponents:
-        _fail("exponents", "must be non-empty")
-    for idx, pair in enumerate(exponents):
-        if len(pair) != 2:
-            _fail(f"exponents[{idx}]", f"must be a [p, lambda] pair, got {pair!r}")
-        _checked(f"exponents[{idx}]", exponent_solve, *pair)
-    _distinct("exponents", exponents, lambda pair: f"p{pair[0]:g}")
-
-    weights = _parse("weights", lambda v: tuple(map(_floats, v)), data["weights"])
-    if not weights:
-        _fail("weights", "must be non-empty")
-    for idx, pair in enumerate(weights):
-        if len(pair) != 2:
-            _fail(f"weights[{idx}]", f"must be an [alpha, center] pair, got {pair!r}")
-        alpha, center = pair
-        if not abs(alpha) < 1.0:
-            _fail(f"weights[{idx}]", f"|alpha| must be below 1, got {alpha!r}")
-        if not 0.0 <= center < 1.0:
-            _fail(f"weights[{idx}]", f"center must lie in [0, 1), got {center!r}")
-
-    samples = data["samples"]
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
-        _fail("samples", f"must be a positive integer, got {samples!r}")
-    out = data["out"]
-    if not isinstance(out, str) or not out:
-        _fail("out", f"must be a non-empty path string, got {out!r}")
-    fmt = data["format"]
-    if fmt not in ("json", "csv"):
-        _fail("format", f"must be 'json' or 'csv', got {fmt!r}")
-
-    return ExperimentConfig(
-        suite=suite,
-        seed=seed,
-        levels=levels,
-        lambdas=lambdas,
-        exponents=exponents,
-        weights=weights,
-        samples=samples,
-        out=out,
-        format=fmt,
-    )
+    for name in ("suite", "seed"):
+        if name not in data:
+            _fail(name, f"a {name} is mandatory")
+    return ExperimentConfig(**data)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -516,7 +499,8 @@ def _suite_norms(config: ExperimentConfig):
         ratio = frac_maximal_domination(f, DyadicSystem(axis, 0), lam)
         ratios.append(ratio)
         rows.append(("norms", f"L{level}-frac-domination", ratio))
-    variation = (max(ratios) - min(ratios)) / min(ratios)
+    low, high = float(np.min(ratios)), float(np.max(ratios))  # NaN if any ratio is
+    variation = (high - low) / low
     records.append(
         _check(
             "norms-frac-domination-variation",
@@ -602,8 +586,8 @@ def _suite_bloom(config: ExperimentConfig):
             maxima.append(quad.max_ratio)
             characteristics.extend(quad.characteristics)
             rows.append(("bloom", f"L{level_result.level}-quad{qi}", quad.max_ratio))
-        low = min(maxima)
-        variation = (max(maxima) - low) / low if low > 0.0 else float(max(maxima) > 0.0)
+        low, high = float(np.min(maxima)), float(np.max(maxima))  # NaN if any is
+        variation = float(high > 0.0) if low <= 0.0 else (high - low) / low
         records.append(
             _check(
                 f"bloom-ratio-variation-quad{qi}",
@@ -740,22 +724,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    flags = {
+        "suite": args.suite,
+        "seed": args.seed,
+        "levels": None if args.level is None else [args.level],
+        "out": args.out,
+    }
     try:
-        data = {}
-        if args.config:  # the suite argument and --seed fill what the file leaves out
-            data = {"suite": args.suite, **_read_config(args.config)}
-            if args.seed is not None:
-                data.setdefault("seed", args.seed)
-            data = config_to_dict(_config_from_mapping(data))
-        data["suite"] = args.suite
-        if args.seed is not None:
-            data["seed"] = args.seed
-        if args.level is not None:
-            data["levels"] = [args.level]
-        if args.out is not None:
-            data["out"] = args.out
-        config = _config_from_mapping(data)
-        outcome = run_suite(config, strict=args.strict)
+        # the file's fields, each overridden by the suite argument or a flag
+        data = _read_config(args.config) if args.config else {}
+        data.update((name, value) for name, value in flags.items() if value is not None)
+        outcome = run_suite(_config_from_mapping(data), strict=args.strict)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

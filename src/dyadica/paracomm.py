@@ -499,7 +499,7 @@ def bloom_experiment(config: BloomConfig) -> BloomReport:
                     quad=quad,
                     characteristics=tuple(char[d, p, q] for d, (p, q) in zip(quad, exps)),
                     ratios=tuple(ratios),
-                    max_ratio=max(ratios) if ratios else 0.0,
+                    max_ratio=float(np.max(ratios, initial=0.0)),  # NaN if any is
                     skipped=skipped,
                 )
             )
@@ -507,7 +507,7 @@ def bloom_experiment(config: BloomConfig) -> BloomReport:
             BloomLevelResult(
                 level=level,
                 quads=tuple(quad_results),
-                ensemble_max=max(q.max_ratio for q in quad_results),
+                ensemble_max=float(np.max([q.max_ratio for q in quad_results])),
             )
         )
     return BloomReport(q1=q1, q2=q2, levels=tuple(level_results))

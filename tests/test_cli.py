@@ -69,21 +69,23 @@ def test_config_round_trip(tmp_path):
     config = load_config(path)
     replay = write_config(tmp_path, config_to_dict(config), name="replay.json")
     assert load_config(replay) == config
+    # numpy integer levels are stored as ints, which the report's meta can write
+    built = ExperimentConfig(**{**config_to_dict(config), "levels": np.array([4, 6])})
+    assert built == config and all(type(level) is int for level in built.levels)
 
 
 def test_config_validation_errors(tmp_path):
+    # every field value fails alike from a file and in the constructor
     cases = [
         ({"suite": "nope", "seed": 1}, "suite"),
-        ({"suite": "norms"}, "seed"),
         ({"suite": "norms", "seed": True}, "seed"),
         ({"suite": "norms", "seed": -1}, "seed"),
         ({"suite": "norms", "seed": 1, "levels": [4, 20]}, r"levels\[1\]"),
+        ({"suite": "norms", "seed": 1, "levels": [99]}, r"'levels\[0\]': axis level must be in"),
         ({"suite": "norms", "seed": 1, "lambdas": [1.5]}, r"lambdas\[0\]"),
         ({"suite": "norms", "seed": 1, "weights": [[1.5, 0.0]]}, r"weights\[0\]"),
-        ({"suite": "norms", "seed": 1, "r": 3}, "unknown field 'r'"),
         ({"suite": "norms", "seed": 1, "samples": 0}, "samples"),
         ({"suite": "norms", "seed": 1, "format": "xml"}, "format"),
-        ({"suite": "norms", "seed": 1, "bogus": 2}, "bogus"),
         ({"suite": "norms", "seed": 1, "levels": []}, "'levels': must be non-empty"),
         ({"suite": "norms", "seed": 1, "lambdas": []}, "'lambdas': must be non-empty"),
         ({"suite": "norms", "seed": 1, "exponents": []}, "'exponents': must be non-empty"),
@@ -106,6 +108,17 @@ def test_config_validation_errors(tmp_path):
         path = write_config(tmp_path, data)
         with pytest.raises(ConfigurationError, match=needle):
             load_config(path)
+        with pytest.raises(ConfigurationError, match=needle):
+            ExperimentConfig(**data)
+    # a missing seed and an unknown field are the file's to name: the
+    # constructor has no such keyword
+    for data, needle in (
+        ({"suite": "norms"}, "'seed': a seed is mandatory"),
+        ({"suite": "norms", "seed": 1, "r": 3}, "unknown field 'r'"),
+        ({"suite": "norms", "seed": 1, "bogus": 2}, "bogus"),
+    ):
+        with pytest.raises(ConfigurationError, match=needle):
+            load_config(write_config(tmp_path, data))
 
 
 @pytest.mark.parametrize(
@@ -115,6 +128,7 @@ def test_config_validation_errors(tmp_path):
         ("levels", [4, 6, 4], "levels[2]", "gives the label '4' of levels[0]"),
         # two represent-identity-lam0.5 records: 0.5000001 prints as 0.5
         ("lambdas", [0.5, 0.5000001], "lambdas[1]", "gives the label '0.5' of lambdas[0]"),
+        ("lambdas", [0.5, 0.5], "lambdas[1]", "gives the label '0.5' of lambdas[0]"),
         # two weights rows w0-p1.5-char: the label reads p alone
         (
             "exponents",
@@ -123,12 +137,15 @@ def test_config_validation_errors(tmp_path):
             "gives the label 'p1.5' of exponents[0]",
         ),
     ],
-    ids=("levels", "lambdas", "exponents"),
+    ids=("levels", "lambdas", "lambdas-equal", "exponents"),
 )
 def test_entries_that_repeat_a_record_name_exit_2(tmp_path, capsys, field, values, entry, why):
-    path = write_config(tmp_path, {"suite": "all", "seed": 1, field: values})
+    data = {"suite": "all", "seed": 1, field: values}
+    path = write_config(tmp_path, data)
     with pytest.raises(ConfigurationError, match=re.escape(f"{entry!r}: {why}")):
         load_config(path)
+    with pytest.raises(ConfigurationError, match=re.escape(f"{entry!r}: {why}")):
+        ExperimentConfig(**data)
     assert main(["all", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert f"invalid field {entry!r}" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
@@ -151,9 +168,13 @@ def test_entries_that_repeat_a_record_name_exit_2(tmp_path, capsys, field, value
     ],
 )
 def test_config_field_of_wrong_type_exits_2(tmp_path, capsys, field, value, needle):
-    path = write_config(tmp_path, {"suite": "norms", "seed": 1, field: value})
+    data = {"suite": "norms", "seed": 1, field: value}
+    path = write_config(tmp_path, data)
     with pytest.raises(ConfigurationError, match=needle):
         load_config(path)
+    if field in cli._CONFIG_FIELDS:  # an unknown field is no keyword of the constructor
+        with pytest.raises(ConfigurationError, match=needle):
+            ExperimentConfig(**data)
     assert main(["norms", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
 
@@ -624,6 +645,20 @@ def test_main_overrides_config(tmp_path, capsys):
     assert all(name.startswith("haar-verify") for name in names)
 
 
+def test_a_flag_overrides_a_config_file_value_unchecked(tmp_path, capsys):
+    # the suite argument and the flags replace the file's suite, seed, levels
+    # and out before the one validation, so their file values are never read
+    data = {"suite": "bogus", "seed": -1, "levels": [99], "out": "", "samples": 2}
+    path = write_config(tmp_path, data)
+    argv = ["haar-verify", "--config", str(path), "--seed", "3", "--level", "3"]
+    assert main(argv + ["--out", str(tmp_path / "over")]) == 0
+    report = json.loads((tmp_path / "over" / "report.json").read_text(encoding="utf-8"))
+    assert (report["meta"]["seed"], report["meta"]["levels"]) == (3, [3])
+    capsys.readouterr()
+    assert main(argv) == 2  # the file's empty out is read, and fails
+    assert "error: invalid field 'out'" in capsys.readouterr().err
+
+
 def _readme_config():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     return json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
@@ -690,27 +725,87 @@ def test_worst_keeps_a_nan():
         assert type(worst) is float and np.isnan(worst)
 
 
-def test_a_nan_sample_fails_its_record_and_the_run(tmp_path, monkeypatch):
-    # NaN samples injected into the represent, decompose and haar-verify
-    # suites: each record that reads them fails with the value "nan"
+def _nan_samples(monkeypatch):
+    """Every sample of the represent, decompose and haar-verify suites NaN."""
+
     def nan_residuals(f, g, lam, offsets):
         return (np.full(len(offsets), np.nan),) * 2
 
     monkeypatch.setattr(cli, "_residuals", nan_residuals)
     monkeypatch.setattr(cli, "_decompose", lambda B, F, *pair: (None, None, np.full(len(B), np.nan)))
     monkeypatch.setattr(cli, "haar_synthesize", lambda coeffs, *a: np.full_like(coeffs, np.nan))
-    assert main(["all", "--seed", "1", "--level", "4", "--out", str(tmp_path)]) == 1
+
+
+def _nan_domination_ratio_at_level_5(monkeypatch):
+    """One NaN ratio of the norms suite's three, between two finite ones."""
+    ratio = cli.frac_maximal_domination
+    monkeypatch.setattr(
+        cli,
+        "frac_maximal_domination",
+        lambda f, system, lam: np.nan if system.axis.level == 5 else ratio(f, system, lam),
+    )
+
+
+def _nan_first_bloom_norm(monkeypatch):
+    """One NaN commutator norm: the first sample's of quad 0 at level 3."""
+    import dyadica.paracomm as paracomm
+
+    mixed_norms, calls = paracomm._mixed_norms, []
+
+    def one_nan(*args):
+        norms = mixed_norms(*args)
+        if not calls:
+            norms[0] = np.nan
+        calls.append(args)
+        return norms
+
+    monkeypatch.setattr(paracomm, "_mixed_norms", one_nan)
+
+
+@pytest.mark.parametrize(
+    "inject, data, strict, names, suites",
+    [
+        (
+            _nan_samples,
+            {"suite": "all", "levels": [4]},
+            False,
+            ("represent-identity-lam0.5", "decompose-product-residual",
+             "haar-verify-reconstruction-L4"),
+            {"represent", "decompose", "haar-verify"},
+        ),
+        # Python's max and min of [r4, nan, r6] drop the NaN
+        (
+            _nan_domination_ratio_at_level_5,
+            {"suite": "norms", "levels": [4, 5, 6]},
+            True,
+            ("norms-frac-domination-variation",),
+            {"norms"},
+        ),
+        # a NaN lowest maximum must not take the "no positive maximum" branch
+        (
+            _nan_first_bloom_norm,
+            {"suite": "bloom", "levels": [4]},
+            True,
+            ("bloom-ratio-variation-quad0",),
+            {"bloom"},
+        ),
+    ],
+    ids=("samples", "norms-variation", "bloom-variation"),
+)
+def test_a_nan_sample_fails_its_record_and_the_run(
+    tmp_path, monkeypatch, inject, data, strict, names, suites
+):
+    # each record that reads a NaN sample fails with the value "nan"
+    inject(monkeypatch)
+    path = write_config(tmp_path, {**data, "seed": 1, "out": str(tmp_path)})
+    assert main([data["suite"], "--config", str(path)] + ["--strict"] * strict) == 1
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     checks = {check["name"]: check for check in report["checks"]}
-    for name in (
-        "represent-identity-lam0.5",
-        "decompose-product-residual",
-        "haar-verify-reconstruction-L4",
-    ):
+    for name in names:
         assert (checks[name]["value"], checks[name]["pass"]) == ("nan", False), name
     with (tmp_path / "samples.csv").open(encoding="utf-8", newline="") as fh:
         nan_rows = [row for row in csv.DictReader(fh) if row["value"] == "nan"]
-    assert {row["suite"] for row in nan_rows} == {"represent", "decompose", "haar-verify"}
+    assert {row["suite"] for row in nan_rows} == suites
 
 
 def test_main_reports_config_errors(tmp_path, capsys):

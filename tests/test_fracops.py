@@ -910,12 +910,22 @@ def test_residuals_are_the_reports_bit_for_bit(lam):
             assert np.array_equal(relative, rep.relative_residuals)
 
 
-def test_representation_at_level_14_stays_under_64_mib():
+def test_representation_at_level_14_stays_under_64_mib(monkeypatch):
     # residuals and the class census only: 3 systems at L=14 peak near
     # 23 MiB under tracemalloc, where a walk over every coefficient pair of
-    # the kernel's blocks held over 1 GiB
+    # the kernel's blocks held over 1 GiB.  Levels 0, 1 and 2 hold 1, 2 and
+    # 4 good cubes and no deeper level holds one, so no block of the census
+    # reads more than 16 entries; a block of 2**12 fails before it is read,
+    # where a census over every row would allocate blocks of 2**26
     import tracemalloc
 
+    entries = fracops._entries
+
+    def bounded(C, kI, a, kJ, b):
+        assert np.size(a) << kJ < 2**12, (kI, kJ, np.size(a))
+        return entries(C, kI, a, kJ, b)
+
+    monkeypatch.setattr(fracops, "_entries", bounded)
     ax = grid.build_axis(14)
     n = ax.n_cells
     rng = np.random.default_rng(41)
