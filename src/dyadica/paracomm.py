@@ -51,7 +51,7 @@ from .fracops import ShiftCoefficientTable, _route, _smooth
 from .grid import GridFunction, build_axis
 from .haar import _chain_sum, _cube_means, _pyramid, _scale_views, basis_column, column_cubes
 from .haar import haar_analyze, haar_synthesize
-from .weights import apq_characteristic, bloom_weight, exponent_solve, power_weight
+from .weights import _apq_characteristics, bloom_weight, exponent_solve, power_weight
 
 __all__ = [
     "PARAPRODUCT_TAGS",
@@ -88,13 +88,16 @@ PARAPRODUCT_TAGS = tuple(_TAG_KINDS)
 # this budget over its footprint, its peak traced allocation (tracemalloc) in
 # floats per grid cell of one sample, inputs included
 _STACK_FLOATS = 1 << 17
-# an _expansion stack peaks near 113 floats per cell and a _decompose stack
-# near 93 (71 from 128 x 128 up); both are charged 128, so 16 x 16 grids go in
-# stacks of 4 samples and a grid of 32 x 32 or more is a stack of one
-_EXPAND_FLOATS = _DECOMPOSE_FLOATS = 128
-# bloom's refined samples, iterated commutator and norms: near 9.5 floats per
-# cell, so a quad's 10 samples share one stack up to 32 x 32
-_BLOOM_FLOATS = 10
+# an _expansion stack peaks near 93 floats per cell (96 in a stack of 4 at
+# 16 x 16), so 16 x 16 grids go in stacks of 5 samples; a _decompose stack
+# peaks near 93 (71 from 128 x 128 up) and is charged 128, stacks of 4 at
+# 16 x 16; a grid of 32 x 32 or more is a stack of one for both
+_EXPAND_FLOATS = 96
+_DECOMPOSE_FLOATS = 128
+# bloom's refined samples, iterated commutator and norms: 10.3 floats per
+# cell at 8 x 8, 9.5 at 16 x 16 and 9.2 at 32 x 32 in a stack of 10, so a
+# quad's 10 samples share one stack up to 32 x 32
+_BLOOM_FLOATS = 11
 
 
 def _stacks(count: int, cells: int, footprint: int):
@@ -313,6 +316,7 @@ def _expansion(table1, table2, sys1, sys2):
         for outer, inner in _commutator_terms(s1, s2):
             P = _products(views_b, inner(F), sys1, sys2, tags)
             groups = groups + outer(_chain_sum(P, ((-2, sys1), (-1, sys2))))
+            del P  # before the next term's table is formed
         e_term = _leftover_term(Rb, F, table1, table2, sys1, sys2)
         residual = np.max(np.abs(direct - (e_term + sum(groups))), axis=(-2, -1))
         return e_term, groups, residual
@@ -406,34 +410,40 @@ def _refine(base: np.ndarray, factor: int) -> np.ndarray:
     return base.repeat(factor, -2).repeat(factor, -1)
 
 
-def _coarse_sample(rng, nb: int, kind: int):
-    """Sample (b, f) as cell tables on the coarse mesh.
+def _coarse_samples(seed: int, qi: int, count: int, nb: int) -> np.ndarray:
+    """Samples 0 .. count - 1 of quad ``qi`` as (b, f) cell tables on the
+    coarse ``nb`` x ``nb`` mesh, shape ``(count, 2, nb, nb)``; sample ``idx``
+    draws from its own ``default_rng((seed, qi, idx))``.
 
-    Kinds rotate through heavy-tailed coefficient symbols against smooth
-    noise, indicator tensors, and a symbol aligned with the sample f.
+    Kinds rotate with ``idx`` through heavy-tailed coefficient symbols
+    against smooth noise, indicator tensors, and a symbol aligned with the
+    sample f.  The symbols' Haar transforms run on the whole stack.
     """
-    Lb = nb.bit_length() - 1
-    lattice = DyadicSystem(build_axis(Lb), 0)
+    lattice = DyadicSystem(build_axis(nb.bit_length() - 1), 0)
     decay = 2.0 ** (-0.5 * column_cubes(np.arange(nb), lattice)[0])
-    if kind == 1:
-        s1, w1 = rng.integers(nb), rng.integers(1, nb)
-        s2, w2 = rng.integers(nb), rng.integers(1, nb)
-        ind1 = np.zeros(nb)
-        ind1[[(s1 + u) % nb for u in range(w1)]] = 1.0
-        ind2 = np.zeros(nb)
-        ind2[[(s2 + u) % nb for u in range(w2)]] = 1.0
-        fvals = np.outer(ind1, ind2)
-    else:
-        fvals = rng.normal(size=(nb, nb))
-    if kind == 2:
-        Fc = haar_analyze(haar_analyze(fvals, lattice, 0), lattice, 1)
-        C = np.sign(Fc) * np.outer(decay, decay)
-    else:
-        C = rng.standard_t(df=2, size=(nb, nb)) * np.outer(decay, decay)
-    C[0, :] = 0.0
-    C[:, 0] = 0.0  # keep only the rectangle part of the symbol
-    bvals = haar_synthesize(haar_synthesize(C, lattice, 0), lattice, 1)
-    return bvals, fvals
+    decay = np.outer(decay, decay)
+    out = np.empty((count, 2, nb, nb))
+    C, F = out[:, 0], out[:, 1]  # C: the symbols' coefficients until synthesis
+    for idx in range(count):
+        rng = np.random.default_rng((seed, qi, idx))
+        if idx % 3 == 1:
+            s1, w1 = rng.integers(nb), rng.integers(1, nb)
+            s2, w2 = rng.integers(nb), rng.integers(1, nb)
+            ind1 = np.zeros(nb)
+            ind1[(s1 + np.arange(w1)) % nb] = 1.0
+            ind2 = np.zeros(nb)
+            ind2[(s2 + np.arange(w2)) % nb] = 1.0
+            F[idx] = np.outer(ind1, ind2)
+        else:
+            F[idx] = rng.normal(size=(nb, nb))
+        if idx % 3 != 2:
+            C[idx] = rng.standard_t(df=2, size=(nb, nb)) * decay
+    aligned = slice(2, count, 3)
+    C[aligned] = np.sign(haar_analyze(haar_analyze(F[aligned], lattice, -2), lattice, -1)) * decay
+    C[:, 0, :] = 0.0
+    C[:, :, 0] = 0.0  # keep only the rectangle part of the symbol
+    C[:] = haar_synthesize(haar_synthesize(C, lattice, -2), lattice, -1)
+    return out
 
 
 def bloom_experiment(config: BloomConfig) -> BloomReport:
@@ -455,15 +465,7 @@ def bloom_experiment(config: BloomConfig) -> BloomReport:
     exps = ((p1, q1), (p1, q1), (p2, q2), (p2, q2))  # per weight of a quad
     # a sample's seed does not involve the level: draw each once, as
     # coarse[quad, sample] = (b, f)
-    coarse = np.array(
-        [
-            [
-                _coarse_sample(np.random.default_rng((config.seed, qi, idx)), nb, idx % 3)
-                for idx in range(count)
-            ]
-            for qi in range(len(quads))
-        ]
-    ).reshape(len(quads), count, 2, nb, nb)
+    coarse = np.array([_coarse_samples(config.seed, qi, count, nb) for qi in range(len(quads))])
     level_results = []
     for level in config.levels:
         axis = build_axis(level)
@@ -471,10 +473,15 @@ def bloom_experiment(config: BloomConfig) -> BloomReport:
         pair = (DyadicSystem(axis, 0), DyadicSystem(axis, 0))
         t1 = _smoothing(axis, config.lam1, -2)
         t2 = _smoothing(axis, config.lam2, -1)
-        # quads share weights: build each and take its characteristic once
+        # quads share weights: build each and take its characteristic once,
+        # those of one exponent pair in one call
         keys = dict.fromkeys((d, p, q) for quad in quads for d, (p, q) in zip(quad, exps))
         weight = {d: power_weight(axis, *d) for d, _, _ in keys}
-        char = {key: apq_characteristic(weight[key[0]], *key[1:]) for key in keys}
+        char = {}
+        for pq in dict.fromkeys(key[1:] for key in keys):
+            same = [key for key in keys if key[1:] == pq]
+            values = _apq_characteristics([weight[d] for d, _, _ in same], *pq)
+            char.update(zip(same, values.tolist()))
         quad_results = []
         for qi, quad in enumerate(quads):
             mu1, sg1, mu2, sg2 = (weight[d] for d in quad)

@@ -4,7 +4,9 @@ Weights are strictly positive one-axis cell tables.  Characteristics are
 exact maxima over a finite cube family, every grid-aligned arc of the axis
 (the full circle once, ``grid._arc_count``) or the cubes of chosen shifted
 lattices, a lower bound for the continuum supremum; both read the one
-carried arc sum, ``grid._arc_folds``.  Powers are numpy's, of arrays, taken
+carried arc sum, ``grid._arc_folds``, and arcs take their means, powers and
+maximum a block of consecutive widths at a time, for several weights at
+once where a caller has them.  Powers are numpy's, of arrays, taken
 entrywise on the cell averages (:meth:`Weight.power`), a discrete surrogate.
 The module also solves the smoothing-exponent relation and builds the
 two-weight ratio used by the commutator experiments.
@@ -199,36 +201,62 @@ def _family_label(family: FamilySelector) -> str:
     return "dyadic[" + ",".join(str(s.offset_cells) for s in family) + "]"
 
 
+# floats one block of arc widths may hold: k widths of r weights on n cells
+# take 2 k r n (num's means, then den's), so one weight's widths go in blocks
+# of two or more up to L=11, and from L=12, where a block would outweigh the
+# per-width arrays it replaces, each width is read from the carried sums
+_BLOCK_FLOATS = 1 << 13
+
+
 def _char_over_family(
     num: np.ndarray, den: np.ndarray, den_exp: float, axis: Axis, family: FamilySelector
-) -> float:
-    """Exact max over the family of mean(num) * mean(den)**den_exp.  Arc
-    sums are carried cell by cell in order (``grid._arc_folds``), so the bits
-    match a per-arc loop (a plain ``mean`` would not: numpy regroups sums of
-    eight or more terms).  Intervals read every width at ``grid._arc_count``'s
-    starts, a system the widths of its cubes at its lattice's starts, one
-    batch per level, each raised to ``den_exp`` as one array."""
+) -> np.ndarray:
+    """Exact max over the family of mean(num) * mean(den)**den_exp, per row
+    of the tables ``num`` and ``den`` (one weight per row, cells on the last
+    axis).  Arc sums are carried cell by cell in order (``grid._arc_folds``),
+    so the bits match a per-arc loop (a plain ``mean`` would not: numpy
+    regroups sums of eight or more terms).  Intervals read every width at
+    ``grid._arc_count``'s starts, its means written into a block of
+    consecutive widths (the width-n row repeats the one full circle, from
+    start 0), and a system the widths of its cubes at its lattice's starts;
+    each block, or width where a block holds one, is raised to ``den_exp``,
+    multiplied and maximized as one array."""
     n = axis.n_cells
-    systems = None if family == "intervals" else _systems(family)
-    if isinstance(systems, str):
+    intervals = isinstance(family, str)  # before _systems: an array has no truth value
+    if intervals and family != "intervals":
         raise ParameterError(f"unknown cube family {family!r}; use 'intervals' or systems")
-    if systems == ():
+    systems = () if intervals else _systems(family)
+    if not (intervals or systems):
         raise ParameterError("empty cube family")
-    for system in systems or ():
+    for system in systems:
         if system.axis != axis:
             raise SystemMismatchError(
                 f"cube-family system axis {system.axis} is not the weight's axis {axis}"
             )
-    best = -np.inf
-    for width, sums in enumerate(_arc_folds(np.array((num, den)), np.add), 1):
-        if systems is None:
-            batches = [sums[:, : _arc_count(n, width)]]
-        elif width & (width - 1) == 0:
-            batches = [sums[:, (s.offset_cells + np.arange(0, n, width)) % n] for s in systems]
+    F = np.array((num, den))
+    best = np.full(F.shape[1:-1], -np.inf)
+
+    def fold(means):
+        # means[:, k] holds one width's means of num and den; den's are
+        # overwritten by their powers and num's by the products
+        np.power(means[1], den_exp, out=means[1])
+        np.multiply(means[0], means[1], out=means[0])
+        np.maximum(best, np.max(means[0], axis=(0, -1)), out=best)
+
+    size = min(n, _BLOCK_FLOATS // F[..., :1].size // n) if intervals else 1
+    block = np.empty((2, size) + F.shape[1:]) if size > 1 else None
+    for width, sums in enumerate(_arc_folds(F, np.add), 1):
+        if not intervals:
+            if width & (width - 1) == 0:
+                starts = [(s.offset_cells + np.arange(0, n, width)) % n for s in systems]
+                fold(sums[:, None, ..., np.concatenate(starts)] / width)
+        elif block is None:
+            fold(sums[:, None, ..., : _arc_count(n, width)] / width)
         else:
-            continue
-        for mn, md in batches:
-            best = max(best, float(np.max(mn / width * (md / width) ** den_exp)))
+            k = (width - 1) % size + 1
+            np.divide(sums[..., : _arc_count(n, width)], width, out=block[:, k - 1])
+            if k == size or width == n:
+                fold(block[:, :k])
     return best
 
 
@@ -245,17 +273,24 @@ def ap_characteristic(w: Weight, p: float, family: FamilySelector = "intervals")
     _check_exponents(p)
     p_dual = p / (p - 1.0)
     dual = w.power(1.0 - p_dual).values
-    return _char_over_family(w.values, dual, p - 1.0, w.axis, family)
+    return float(_char_over_family(w.values, dual, p - 1.0, w.axis, family))
 
 
 def apq_characteristic(
     w: Weight, p: float, q: float, family: FamilySelector = "intervals"
 ) -> float:
     """Exact maximum over the family of mean(w**q) * mean(w**(-p'))**(q/p')."""
+    return float(_apq_characteristics((w,), p, q, family)[0])
+
+
+def _apq_characteristics(ws, p: float, q: float, family: FamilySelector = "intervals"):
+    """:func:`apq_characteristic` of each weight of ``ws``, which share an
+    axis, as one array: the weights' powers are the rows of one call."""
     _check_exponents(p, q)
     p_dual = p / (p - 1.0)
-    num, den = w.power(q).values, w.power(-p_dual).values
-    return _char_over_family(num, den, q / p_dual, w.axis, family)
+    num = np.array([w.power(q).values for w in ws])
+    den = np.array([w.power(-p_dual).values for w in ws])
+    return _char_over_family(num, den, q / p_dual, ws[0].axis, family)
 
 
 def product_ap_characteristic(

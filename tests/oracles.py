@@ -33,15 +33,17 @@ from scipy import integrate
 #   RepresentationReport  none: a frozen record, it computes nothing
 #   kernel_matrix  test_grid::test_kernel_matrix_entries_read_the_profile
 #   basis_column  test_haar::test_haar_matrix_columns_match_functions
-#   haar_synthesize  test_haar::test_transform_pair_matches_dense_haar_matrix
+#   haar_analyze, haar_synthesize  test_haar::test_transform_pair_matches_dense_haar_matrix
+#   column_cubes  test_haar::test_column_cubes_inverts_basis_column
+#   build_axis  none: it builds the axis record, it computes nothing
 #   _join_level  test_dyadic::test_join_against_brute_force, via join
 #   _kernel_columns  test_fracops::test_haar_kernel_entries_match_the_dense_haar_basis_kernel, via _entries
 #   _pair_class  test_fracops::test_classify_partition_exhaustive, via classify_pair
 #   _arc_gap_cells  test_dyadic::test_arc_gap_matches_the_oracle_for_every_pair_of_arcs, via _pair_class
 from dyadica.dyadic import DyadicCube, DyadicSystem, _join_level, _within_threshold, bad_mask, is_good
 from dyadica.fracops import RepresentationReport, _kernel_columns, _pair_class
-from dyadica.grid import kernel_matrix
-from dyadica.haar import basis_column, haar_synthesize
+from dyadica.grid import build_axis, kernel_matrix
+from dyadica.haar import basis_column, column_cubes, haar_analyze, haar_synthesize
 
 
 # ---------------------------------------------------------------------------
@@ -864,3 +866,37 @@ def pgood_brute(axis, params, level_k, offsets, ref_cell):
         m = ((ref_cell - int(off)) % n) >> (axis.level - level_k)
         hits += is_good(DyadicCube(system, level_k, m), params)
     return hits
+
+
+# ---------------------------------------------------------------------------
+# Bloom's coarse samples
+# ---------------------------------------------------------------------------
+
+
+def coarse_sample(rng, nb: int, kind: int):
+    """One (b, f) sample on the coarse ``nb`` x ``nb`` mesh, drawn from
+    ``rng`` and transformed alone: the reference for the stacked
+    ``paracomm._coarse_samples``, whose sample idx is
+    ``coarse_sample(default_rng((seed, qi, idx)), nb, idx % 3)``."""
+    Lb = nb.bit_length() - 1
+    lattice = DyadicSystem(build_axis(Lb), 0)
+    decay = 2.0 ** (-0.5 * column_cubes(np.arange(nb), lattice)[0])
+    if kind == 1:
+        s1, w1 = rng.integers(nb), rng.integers(1, nb)
+        s2, w2 = rng.integers(nb), rng.integers(1, nb)
+        ind1 = np.zeros(nb)
+        ind1[[(s1 + u) % nb for u in range(w1)]] = 1.0
+        ind2 = np.zeros(nb)
+        ind2[[(s2 + u) % nb for u in range(w2)]] = 1.0
+        fvals = np.outer(ind1, ind2)
+    else:
+        fvals = rng.normal(size=(nb, nb))
+    if kind == 2:
+        Fc = haar_analyze(haar_analyze(fvals, lattice, 0), lattice, 1)
+        C = np.sign(Fc) * np.outer(decay, decay)
+    else:
+        C = rng.standard_t(df=2, size=(nb, nb)) * np.outer(decay, decay)
+    C[0, :] = 0.0
+    C[:, 0] = 0.0  # keep only the rectangle part of the symbol
+    bvals = haar_synthesize(haar_synthesize(C, lattice, 0), lattice, 1)
+    return bvals, fvals

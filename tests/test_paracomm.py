@@ -35,6 +35,7 @@ from dyadica.paracomm import (
 
 from oracles import (
     apply_shift_brute,
+    coarse_sample,
     leftover_term_brute,
     maximal_entries_brute,
     mean_corrections_brute,
@@ -472,6 +473,73 @@ def test_shift_expansion_holds_one_factor_table_at_a_time():
     assert peak <= 14 * 2**20
 
 
+def _traced_peak(run) -> int:
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_each_stack_charge_bounds_its_helpers_measured_peak(monkeypatch):
+    # a charge is a helper's traced peak in floats per grid cell of one
+    # sample, inputs included, in the stack that _stacks gives it; the
+    # expansion stack peaks near 93 with one commutator term's product table
+    # at a time, near 111 when a term's table outlives the next term's
+    import tracemalloc
+
+    import dyadica.paracomm as paracomm
+    from dyadica.paracomm import _decompose, _expansion, _stacks
+
+    axis = build_axis(4)
+    cells = axis.n_cells**2
+    rng = np.random.default_rng(45)
+    s1, s2 = DyadicSystem(axis, 0), DyadicSystem(axis, 8)
+    expand = _expansion(maximal_table(s1, 1, 0, 0.5), maximal_table(s2, 0, 1, 0.5), s1, s2)
+    pair = (DyadicSystem(axis, 0), DyadicSystem(axis, 1))
+    for helper, charge in (
+        (expand, paracomm._EXPAND_FLOATS),
+        (lambda B, F: _decompose(B, F, *pair), paracomm._DECOMPOSE_FLOATS),
+    ):
+        (lo, hi), *_ = _stacks(10, cells, charge)
+        B, F = rng.normal(size=(2, hi - lo, axis.n_cells, axis.n_cells))
+        helper(B, F)  # the caches it fills are not its stack's
+        floats = _traced_peak(lambda: helper(B, F)) / 8 + B.size + F.size
+        assert floats / B.size <= charge, (charge, floats / B.size)
+
+    # bloom's stack: from the first refined sample to the last norm
+    refine, norms = paracomm._refine, paracomm._mixed_norms
+    seen = {"refines": 0, "norms": 0}
+
+    def refined(base, factor):
+        if seen["refines"] % 2 == 0:  # b's stack, then f's
+            seen["start"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+        seen["refines"] += 1
+        return refine(base, factor)
+
+    def normed(*args):
+        values = norms(*args)
+        seen["norms"] += 1
+        if seen["norms"] % 2 == 0 and tracemalloc.is_tracing():  # the source norm
+            seen["peak"] = tracemalloc.get_traced_memory()[1] - seen["start"]
+        return values
+
+    monkeypatch.setattr(paracomm, "_refine", refined)
+    monkeypatch.setattr(paracomm, "_mixed_norms", normed)
+    for level in (3, 4, 5):
+        quads = BloomConfig.weight_quads[1:2]
+        config = BloomConfig(levels=(level,), n_samples=10, weight_quads=quads)
+        assert _stacks(10, 4**level, paracomm._BLOOM_FLOATS) == [(0, 10)]
+        bloom_experiment(config)
+        _traced_peak(lambda: bloom_experiment(config))
+        floats = seen["peak"] / 8 / (10 * 4**level)
+        assert floats <= paracomm._BLOOM_FLOATS, (level, floats)
+
+
 @pytest.mark.parametrize(
     "level, offsets, depths",
     (
@@ -555,13 +623,14 @@ def test_bloom_experiment_deterministic():
 def test_bloom_experiment_skips_a_sample_whose_symbol_vanishes(monkeypatch):
     import dyadica.paracomm as paracomm
 
-    draw = paracomm._coarse_sample
+    draw = paracomm._coarse_samples
 
-    def zero_symbol_of_kind_0(rng, nb, kind):
-        b, f = draw(rng, nb, kind)
-        return (np.zeros_like(b) if kind == 0 else b), f
+    def zero_symbol_of_kind_0(*args):
+        samples = draw(*args)
+        samples[::3, 0] = 0.0  # sample idx is of kind idx % 3
+        return samples
 
-    monkeypatch.setattr(paracomm, "_coarse_sample", zero_symbol_of_kind_0)
+    monkeypatch.setattr(paracomm, "_coarse_samples", zero_symbol_of_kind_0)
     config = BloomConfig(
         levels=(3,),
         n_samples=4,
@@ -573,17 +642,33 @@ def test_bloom_experiment_skips_a_sample_whose_symbol_vanishes(monkeypatch):
     assert len(quad.ratios) == 2 and all(r > 0.0 for r in quad.ratios)
 
 
+def test_coarse_samples_match_the_per_sample_oracle_bitwise():
+    from dyadica.paracomm import _coarse_samples
+
+    for seed in range(30):
+        for qi in range(3):
+            for nb in (4, 8, 16):
+                got = _coarse_samples(seed, qi, 10, nb)
+                want = np.array(
+                    [
+                        coarse_sample(np.random.default_rng((seed, qi, idx)), nb, idx % 3)
+                        for idx in range(10)
+                    ]
+                )
+                assert got.tobytes() == want.tobytes(), (seed, qi, nb)
+
+
 def test_bloom_experiment_draws_each_sample_once(monkeypatch):
     import dyadica.paracomm as paracomm
 
     calls = []
-    draw = paracomm._coarse_sample
+    draw = paracomm._coarse_samples
 
-    def counted(*args):
-        calls.append(args[1:])
-        return draw(*args)
+    def counted(seed, qi, count, nb):
+        calls.extend((qi, idx) for idx in range(count))
+        return draw(seed, qi, count, nb)
 
-    monkeypatch.setattr(paracomm, "_coarse_sample", counted)
+    monkeypatch.setattr(paracomm, "_coarse_samples", counted)
     config = BloomConfig(
         levels=(3, 4, 5),
         n_samples=3,
@@ -642,7 +727,6 @@ def _bloom_by_public_calls(config):
     """Per level and quad, the ratios and characteristics of
     :func:`bloom_experiment` from one public single-sample call per norm
     and commutator, samples refined with ``np.kron``."""
-    import dyadica.paracomm as paracomm
     from dyadica.analysis import bmo_prod_rect_norm, mixed_norm
     from dyadica.weights import apq_characteristic, bloom_weight, exponent_solve, power_weight
 
@@ -668,7 +752,7 @@ def _bloom_by_public_calls(config):
                 rng = np.random.default_rng((config.seed, qi, idx))
                 b, f = (
                     grid_function(np.kron(x, ones), axis, axis)
-                    for x in paracomm._coarse_sample(rng, nb, idx % 3)
+                    for x in coarse_sample(rng, nb, idx % 3)
                 )
                 bmo = bmo_prod_rect_norm(b, nu, pair)
                 if bmo <= 0.0:
@@ -705,13 +789,13 @@ def test_bloom_takes_each_distinct_characteristic_once(monkeypatch):
     import dyadica.paracomm as paracomm
 
     calls = []
-    characteristic = paracomm.apq_characteristic
+    characteristics = paracomm._apq_characteristics
 
-    def counted(w, p, q):
-        calls.append((p, q))
-        return characteristic(w, p, q)
+    def counted(ws, p, q):
+        calls.extend((p, q) for _ in ws)  # one row per weight
+        return characteristics(ws, p, q)
 
-    monkeypatch.setattr(paracomm, "apq_characteristic", counted)
+    monkeypatch.setattr(paracomm, "_apq_characteristics", counted)
     config = BloomConfig(levels=(3, 4, 5), n_samples=2)
     report = bloom_experiment(config)
     assert len(calls) == 8 * 3

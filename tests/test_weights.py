@@ -231,18 +231,59 @@ def test_characteristics_match_per_arc_loops_across_seeds():
             assert apq_characteristic(w, p, q) == apq_brute(vals, p, q), (seed, idx)
 
 
+FULL_CIRCLE_GRID = np.array([
+    0.12288277926669501, 0.12300917789803263, 11.367131198344214, 11.353236387295263,
+    0.12287034356801908, 11.359858340238073, 0.12286636540691245, 0.12306087700539851,
+])
+
+
 def test_the_full_circle_counts_once():
     # a high-contrast weight: the sums of the full circle from its eight starts
     # differ in the last bits, and the largest of them set the maximum when
     # every start counted; the one arc of width n starts at 0
-    vals = np.array([
-        0.12288277926669501, 0.12300917789803263, 11.367131198344214, 11.353236387295263,
-        0.12287034356801908, 11.359858340238073, 0.12286636540691245, 0.12306087700539851,
-    ])
+    vals = FULL_CIRCLE_GRID
     w = Weight(grid_function(vals, build_axis(3)))
     want = ap_brute(vals, 3.0)
     assert want == char_over_family_batches(vals, vals**-0.5, 2.0)
     assert ap_characteristic(w, 3.0) == want
+
+
+@pytest.mark.parametrize("widths", (1, 3, None))
+def test_characteristic_blocks_at_their_edges(monkeypatch, widths):
+    # the budget sets how many consecutive arc widths one block holds: one
+    # (read from the carried sums with no copy), three (a partial last block
+    # at every n here, the full circle in it) or all of them
+    import dyadica.weights as weights
+
+    def budget(rows, n):
+        monkeypatch.setattr(weights, "_BLOCK_FLOATS", 2 * rows * n * (widths or n))
+
+    rng = np.random.default_rng(45)
+    tables = [FULL_CIRCLE_GRID] + [rng.uniform(0.2, 5.0, 1 << lv) for lv in (1, 2, 3, 5)]
+    for vals in tables:
+        w = Weight(grid_function(vals, build_axis(len(vals).bit_length() - 1)))
+        budget(1, len(vals))
+        for p, q in BITWISE_PQ:
+            assert ap_characteristic(w, p) == ap_brute(vals, p), (len(vals), p)
+            assert apq_characteristic(w, p, q) == apq_brute(vals, p, q), (len(vals), p, q)
+    axis = build_axis(5)
+    ws = [random_weight(axis, rng) for _ in range(3)]
+    budget(len(ws), axis.n_cells)
+    for p, q in BITWISE_PQ:
+        stacked = weights._apq_characteristics(ws, p, q).tolist()
+        assert stacked == [apq_characteristic(w, p, q) for w in ws]
+
+
+def test_a_cube_family_may_be_an_array_of_systems():
+    axis = build_axis(3)
+    w = Weight(grid_function(np.linspace(0.5, 2.0, 8), axis))
+    systems = (DyadicSystem(axis, 0), DyadicSystem(axis, 1))
+    array = np.empty(2, dtype=object)
+    array[:] = systems
+    assert ap_characteristic(w, 2.0, array) == ap_characteristic(w, 2.0, systems) == 1.5625
+    assert apq_characteristic(w, 2.0, 3.0, array) == apq_characteristic(w, 2.0, 3.0, systems)
+    pw = ProductWeight(w, w)
+    assert product_ap_characteristic(pw, 2.0, array) == product_ap_characteristic(pw, 2.0, systems)
 
 
 @settings(max_examples=12, deadline=None)
