@@ -15,10 +15,9 @@ block mean a loop over rectangles gives (the window's cells gathered
 C-ordered, reduced by ``mean()``), bit for bit: only the windows whose
 carried means can still reach a cell's maximum are gathered, about one per
 cell on most grids and every window where the means tie, by one rule, the
-kept starts of each shape in chunks of bounded size.  The bi-parameter
-dyadic maximal function reduces each rectangle's cells, copied in C order,
-by ``mean()`` into a heap-ordered table and folds it to the cells with
-``haar._chain_sum``, like the one-axis modes.
+kept starts of each shape in chunks of bounded size.  The fractional
+maximal function folds heap-ordered cube means to the cells with
+``haar._chain_sum`` (``haar._level_fold``).
 
 The product-BMO norm is a maximum over a finite family of shapes, each a
 union of cells; on the discrete mesh every such union is admissible
@@ -29,7 +28,7 @@ two level-0 cubes, so the default family counts it once, among the rest.
 
 Every function here that takes dyadic systems checks them with
 :func:`dyadica.dyadic._placed`, and the modes of :func:`square_function`
-and :func:`dyadic_maximal` are one table, ``_MODES``.
+are one table, ``_MODES``.
 """
 
 from __future__ import annotations
@@ -44,19 +43,16 @@ from numpy.lib.stride_tricks import as_strided
 from .dyadic import DyadicSystem, _placed
 from .errors import ParameterError, ShapeError
 from .fracops import _frac_scales, _scale_fold_ratio
-from .grid import GridFunction, _arc_count, _arc_folds, _check_lambda, _shifted, inner_product
+from .grid import GridFunction, _arc_count, _arc_folds, _check_integers, _check_lambda, _shifted
 from .haar import _axis_position, _chain_sum, _cube_means, _level_fold, _parents, _pyramid
 from .haar import column_cubes, haar_analyze, haar_function
 from .weights import ProductWeight, Weight
 
 __all__ = [
-    "DualityReport",
     "OmegaFamily",
     "bmo_prod_norm",
     "bmo_prod_rect_norm",
     "default_omega_family",
-    "duality_check",
-    "dyadic_maximal",
     "frac_maximal",
     "frac_maximal_domination",
     "mixed_norm",
@@ -266,39 +262,7 @@ def strong_maximal(f: GridFunction) -> GridFunction:
     return f.with_values(_gathered_maximal(a, approx))
 
 
-# -- dyadic maximal functions ---------------------------------------------
-
-
-# the modes of square_function and dyadic_maximal: the function's axes and the
-# (array axis, index into the systems) of each system that acts, for
-# dyadica.dyadic._placed; index -1 is the second of a pair, or the one system
-_MODES = {"sole": (1, ((0, 0),)), "axis1": (2, ((0, 0),)), "axis2": (2, ((1, -1),))}
-_MODES["rect"] = _MODES["biparameter"] = (2, ((0, 0), (1, 1)))
-
-
-def dyadic_maximal(f: GridFunction, systems, mode: str) -> GridFunction:
-    """Max of |f| averages over dyadic cubes (one axis) or rectangles.
-
-    ``mode`` is ``"axis1"``, ``"axis2"`` (cubes of one lattice, acting on
-    the named axis), or ``"biparameter"`` (rectangles of a lattice pair).
-    Always pointwise between |f| and the strong maximal function.  A
-    rectangle's mean is its cells' C-ordered ``mean()``, a loop's bits.
-    """
-    if mode not in ("axis1", "axis2", "biparameter"):
-        raise ParameterError(f"unknown mode {mode!r}")
-    axes = _placed(f, systems, *_MODES[mode])
-    a = np.abs(f.values)
-    if mode != "biparameter":
-        ((pos, system),) = axes
-        return f.with_values(_level_fold(a, system, pos, 1.0, np.maximum))
-    (_, sys1), (_, sys2) = axes
-    v = _shifted(_shifted(a, -sys1.offset_cells, 0), -sys2.offset_cells, 1)
-    (n1, n2), L1, L2 = v.shape, sys1.axis.level, sys2.axis.level
-    R = np.zeros((2 * n1, 2 * n2))
-    for k1, k2 in itertools.product(range(L1 + 1), range(L2 + 1)):
-        blocks = v.reshape(1 << k1, n1 >> k1, 1 << k2, n2 >> k2).swapaxes(1, 2)
-        R[1 << k1 : 2 << k1, 1 << k2 : 2 << k2] = np.ascontiguousarray(blocks).mean(axis=(2, 3))
-    return f.with_values(_chain_sum(R, axes, first=1, op=np.maximum))
+# -- fractional maximal function ------------------------------------------
 
 
 def frac_maximal(
@@ -325,6 +289,17 @@ def frac_maximal_domination(f: GridFunction, system: DyadicSystem, lam: float) -
 
 
 # -- square functions -----------------------------------------------------
+
+
+# the modes of square_function: the function's axes and the (array axis, index
+# into the systems) of each system that acts, for dyadica.dyadic._placed;
+# index -1 is the second of a pair, or the one system
+_MODES = {
+    "sole": (1, ((0, 0),)),
+    "axis1": (2, ((0, 0),)),
+    "axis2": (2, ((1, -1),)),
+    "rect": (2, ((0, 0), (1, 1))),
+}
 
 
 def square_function(f: GridFunction, systems, mode: str) -> GridFunction:
@@ -434,6 +409,7 @@ def default_omega_family(
     """Every coefficient-carrying rectangle of the pair, the whole square
     (the level-(0, 0) rectangle) among them, and optionally some
     two-rectangle unions (random, reproducible)."""
+    _check_integers(lshapes=lshapes, seed=seed)
     n1, n2 = system1.axis.n_cells, system2.axis.n_cells
     cols = [J.cells() for J in _carrying_cubes(system2)]
     rects = [(I.cells(), c) for I in _carrying_cubes(system1) for c in cols]
@@ -539,45 +515,3 @@ def _bmo_prod_rect(B: np.ndarray, W: np.ndarray, system1, system2) -> np.ndarray
     levels = (column_cubes(np.arange(1, s.axis.n_cells), s)[0] for s in (system1, system2))
     w_omega = np.outer(*(2.0**-k for k in levels)) * W  # exact scaling
     return np.sqrt(np.max(S / w_omega, axis=(-2, -1)))
-
-
-@dataclass(frozen=True)
-class DualityReport:
-    """Pairing versus the product of the BMO lower bound and the weighted
-    L1 norm of the rectangular square function."""
-
-    pairing: float
-    bmo_norm: float
-    square_l1: float
-    ratio: float
-    family_too_small: bool
-
-
-def duality_check(
-    b: GridFunction,
-    phi: GridFunction,
-    w: ProductWeight,
-    systems,
-    family: Optional[OmegaFamily] = None,
-) -> DualityReport:
-    """Compare |<b, phi>| against bmo_norm(b) * ||S phi||_{L1(w)}.
-
-    A zero denominator with a nonzero pairing means b or phi lives in the
-    mean-type components the restricted family cannot see; that is flagged
-    rather than raised.
-    """
-    (_, system1), (_, system2) = _placed(phi, systems, 2)
-    s = square_function(phi, (system1, system2), "rect")
-    square_l1 = inner_product(s, w.evaluate())
-    pairing = inner_product(b, phi)
-    bmo = bmo_prod_norm(b, w, (system1, system2), family)
-    denom = bmo * square_l1
-    flagged = not denom > 0.0 and abs(pairing) > 1e-14
-    ratio = abs(pairing) / denom if denom > 0.0 else (np.inf if flagged else 0.0)
-    return DualityReport(
-        pairing=pairing,
-        bmo_norm=bmo,
-        square_l1=square_l1,
-        ratio=ratio,
-        family_too_small=flagged,
-    )

@@ -80,8 +80,9 @@ class ExperimentConfig:
         if self.suite not in SUITES + ("all",):
             _fail("suite", f"must be one of {SUITES + ('all',)}, got {self.suite!r}")
         seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        if not _is_integer(seed) or seed < 0:
             _fail("seed", f"must be a non-negative integer, got {seed!r}")
+        object.__setattr__(self, "seed", int(seed))  # a numpy integer as an int
         for name, convert, check, label in (
             # an integer level as an int, which the report's meta can write
             ("levels", lambda lv: int(lv) if _is_integer(lv) else lv, build_axis, str),
@@ -92,8 +93,9 @@ class ExperimentConfig:
             entries = _entry_list(name, getattr(self, name), convert, check, label)
             object.__setattr__(self, name, entries)
         samples = self.samples
-        if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+        if not _is_integer(samples) or samples < 1:
             _fail("samples", f"must be a positive integer, got {samples!r}")
+        object.__setattr__(self, "samples", int(samples))
         if not isinstance(self.out, str) or not self.out:
             _fail("out", f"must be a non-empty path string, got {self.out!r}")
         if self.format not in ("json", "csv"):

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import sqrt
 from numbers import Real
 
 import numpy as np
@@ -53,7 +52,6 @@ __all__ = [
     "bad_mask",
     "default_gamma",
     "enumerate_systems",
-    "estimate_pgood",
     "is_good",
     "join",
     "majorant_check",
@@ -82,6 +80,7 @@ class DyadicSystem:
         return DyadicCube(self, level, index)
 
     def cubes_at_level(self, level: int):
+        _check_integers(level=level)
         return [DyadicCube(self, level, m) for m in range(1 << level)]
 
 
@@ -174,11 +173,6 @@ class DyadicCube:
         n = self.axis.n_cells
         return (self.start_cell + np.arange(self.width_cells)) % n
 
-    def indicator(self) -> GridFunction:
-        vals = np.zeros(self.axis.n_cells)
-        vals[self.cells()] = 1.0
-        return GridFunction((self.axis,), vals)
-
 
 @dataclass(frozen=True)
 class GoodParams:
@@ -205,6 +199,7 @@ def default_gamma(lam: float) -> float:
 
 def sample_system(axis: Axis, seed: int) -> DyadicSystem:
     """Draw a system offset uniformly from the ``2**L`` cell multiples."""
+    _check_integers(seed=seed)
     rng = np.random.default_rng(seed)
     return DyadicSystem(axis, int(rng.integers(0, axis.n_cells)))
 
@@ -363,48 +358,6 @@ def bad_mask(system: DyadicSystem, level: int, params: GoodParams) -> np.ndarray
 def is_good(cube: DyadicCube, params: GoodParams) -> bool:
     """Exact goodness of a single cube (see the module docstring)."""
     return not _bad(cube.axis, cube.level, cube.index, params)
-
-
-@dataclass(frozen=True)
-class PgoodEstimate:
-    estimate: float
-    halfwidth: float
-    trials: int
-    exhaustive: bool
-
-
-def estimate_pgood(axis: Axis, params: GoodParams, level_k: int, trials: int,
-                   seed: int, ref_point: float = 0.0) -> PgoodEstimate:
-    """Fraction of systems in which the level-``level_k`` cube containing
-    ``ref_point`` is good.
-
-    With ``trials >= 2**L`` the offsets are enumerated exhaustively (the
-    estimate is then exact and the halfwidth zero); otherwise offsets are
-    sampled and a binomial 95% halfwidth is reported.
-    """
-    _check_integers(level_k=level_k, trials=trials)
-    if not params.r <= level_k <= axis.level:
-        raise ContractError(
-            f"level_k must lie in [r, L] = [{params.r}, {axis.level}]"
-        )
-    if trials < 1:
-        raise ContractError("trials must be >= 1")
-    n = axis.n_cells
-    ref_cell = int((ref_point % 1.0) * n) % n
-    exhaustive = trials >= n
-    if exhaustive:
-        offsets = np.arange(n)
-    else:
-        offsets = np.random.default_rng(seed).integers(0, n, size=trials)
-    # goodness is offset-relative: one census of the offset-0 lattice serves
-    # every offset, read at the index of the cube holding ref_cell
-    bad = bad_mask(DyadicSystem(axis, 0), level_k, params)
-    index = ((ref_cell - offsets) % n) >> (axis.level - level_k)
-    hits = int(np.count_nonzero(~bad[index]))
-    count = len(offsets)
-    p = hits / count
-    half = 0.0 if exhaustive else 1.96 * sqrt(max(p * (1.0 - p), 0.0) / count)
-    return PgoodEstimate(p, half, count, exhaustive)
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,17 @@ convolution with the kernel profile of exact cell-pair integrals, and no
 library path forms the dense kernel matrix.  Every smoothed Haar step
 comes from one cached table of L, the first cube's per level
 (``_smoothed_steps``), shifted by circulance: the concentric pairings
-read it, and the raw coefficients and the representation harness read
-the kernel in the Haar basis from its analysis (see :func:`_entries`).  On
-top of it this module provides the coefficient machinery used to analyse
-the operator in a shifted lattice: raw and normalized Haar coefficients, the
-four-way positional classification of cube pairs, coefficient tables for
-shift operators with the canonical size bound, the pointwise domination
-scan, and a verification harness that checks the bilinear expansion
-identity and measures per-class coefficient constants.
+read it, and the representation harness reads the kernel in the Haar
+basis from its analysis (see :func:`_entries`).  On top of it this module
+provides the coefficient machinery used to analyse the operator in a
+shifted lattice: the four-way positional classification of cube pairs,
+coefficient tables for shift operators with the canonical size bound, the
+pointwise domination scan, and a verification harness that checks the
+bilinear expansion identity and measures per-class coefficient constants.
 
 A shift table is one array with a row per cube K in heap order, so
-applying a shift is analyze, one contraction along the array axis,
-synthesize (see :class:`ShiftCoefficientTable`).
+routing Haar coefficients through a shift is one contraction along the
+array axis (see :class:`ShiftCoefficientTable`).
 
 The harness does the offset-free work (Haar-basis kernel columns, cached
 per (axis, lambda), goodness, pair classes) once, on the offset-0
@@ -27,11 +26,9 @@ offsets from the two tables with a few FFTs; ``_residuals`` turns them
 into the identity's residuals, for the harness and for a caller that
 reads residuals only (see :func:`verify_representation`).  One rule,
 ``_entries``, reads any entry of the kernel in the Haar basis from its
-columns: ``shift_coefficient`` reads one pair by it, and the class census
-``_lattice_classes`` the size-ordered level-pair blocks, over the rows of
-good cubes only, once per call, skipping the levels with none.  One function,
-``_pair_class``, classes one pair (:func:`classify_pair`) or a block of
-pairs (the census).
+columns: the class census ``_lattice_classes`` reads the size-ordered
+level-pair blocks by it, over the rows of good cubes only, once per call,
+skipping the levels with none, and classes each block with ``_pair_class``.
 """
 
 from __future__ import annotations
@@ -58,15 +55,12 @@ from .errors import (
     InvariantError,
     ParameterError,
     ShapeError,
-    SystemMismatchError,
 )
 from .grid import (
     Axis,
     GridFunction,
     _check_integers,
     _check_lambda,
-    _is_integer,
-    grid_function,
     inner_product,
     kernel_profile,
     l2_norm,
@@ -77,15 +71,10 @@ from .haar import haar_analyze, haar_synthesize
 __all__ = [
     "RepresentationReport",
     "ShiftCoefficientTable",
-    "SigmaClass",
-    "apply_shift",
-    "classify_pair",
     "concentric_indicator_pairing",
     "domination_ratio",
     "frac_integral",
     "maximal_table",
-    "partial_frac_integral",
-    "shift_coefficient",
     "verify_representation",
 ]
 
@@ -123,20 +112,8 @@ def frac_integral(f: GridFunction, lam: float) -> GridFunction:
     """
     _check_lambda(lam)
     if len(f.axes) != 1:
-        raise ShapeError("frac_integral acts on one-axis functions; "
-                         "use partial_frac_integral for two axes")
+        raise ShapeError("frac_integral acts on one-axis functions")
     return f.with_values(_smooth(f.values, f.axes[0], lam))
-
-
-def partial_frac_integral(f: GridFunction, lam: float, axis_index: int) -> GridFunction:
-    """Apply the smoothing operator in one variable of a two-axis function."""
-    _check_lambda(lam)
-    if len(f.axes) != 2:
-        raise ShapeError("partial_frac_integral needs a two-axis function")
-    if not (_is_integer(axis_index) and axis_index in (1, 2)):
-        raise ParameterError(f"axis_index must be 1 or 2, got {axis_index!r}")
-    axis = f.axes[axis_index - 1]
-    return f.with_values(_smooth(f.values, axis, lam, axis_index - 1))
 
 
 # -- coefficients ---------------------------------------------------------
@@ -154,26 +131,6 @@ def _smoothed_steps(axis: Axis, lam: float) -> np.ndarray:
     steps = _smooth(haar_synthesize(first, DyadicSystem(axis, 0)), axis, lam)
     steps.setflags(write=False)
     return steps
-
-
-def shift_coefficient(I: DyadicCube, J: DyadicCube, lam: float) -> Tuple[float, float]:
-    """Raw and normalized Haar coefficient of the smoothing operator.
-
-    raw = pairing of the J Haar step against the operator applied to the I
-    Haar step; normalized multiplies by ``|K|**lam / (|I| |J|)**(1/2)`` with
-    K the join of the pair, the scale against which all class bounds are
-    stated.  raw is an entry of the kernel columns (:func:`_kernel_columns`)
-    read by :func:`_entries`, in offset-relative indices, with the larger
-    (level, index) first, so raw(I, J) and raw(J, I) are one entry.
-    """
-    _check_lambda(lam)
-    if I.system != J.system:
-        raise SystemMismatchError("shift_coefficient requires cubes of one system")
-    _check_step(I, J)
-    (kI, a), (kJ, b) = sorted([(I.level, I.index), (J.level, J.index)], reverse=True)
-    raw = float(_entries(_kernel_columns(I.axis, lam), kI, a, kJ, b))
-    kK = int(_join_level(kI, a, kJ, b))
-    return raw, raw * 2.0 ** (0.5 * I.level + 0.5 * J.level - lam * kK)
 
 
 def concentric_indicator_pairing(I: DyadicCube, extra_cells: int, lam: float) -> float:
@@ -200,34 +157,7 @@ def concentric_indicator_pairing(I: DyadicCube, extra_cells: int, lam: float) ->
 # -- positional classification -------------------------------------------
 
 
-@dataclass(frozen=True)
-class SigmaClass:
-    """Positional class of an ordered cube pair (smaller-or-equal cube
-    first): ``out`` (disjoint, separated beyond the goodness threshold),
-    ``near`` (disjoint, close), ``shallow_in`` (contained, depth <= r),
-    ``deep_in`` (contained, depth > r)."""
-
-    tag: str
-
-
 _TAGS = ("out", "near", "shallow_in", "deep_in")
-
-
-def classify_pair(I: DyadicCube, J: DyadicCube, params: GoodParams) -> SigmaClass:
-    """Exactly one of the four positional classes for a size-ordered pair.
-
-    The near/out split compares the cube gap against
-    ``len(J) * (len(I)/len(J))**gamma`` with exact rational arithmetic.
-    """
-    if I.system != J.system:
-        raise SystemMismatchError("classify_pair requires cubes of one system")
-    if I.level < J.level:
-        raise ContractError(
-            "classify_pair expects len(I) <= len(J); swap the pair"
-        )
-    kK = _join_level(I.level, I.index, J.level, J.index)
-    tag = _pair_class(I.axis, I.level, I.index, J.level, J.index, kK, params)
-    return SigmaClass(_TAGS[int(tag)])
 
 
 def _pair_class(axis: Axis, kI: int, a, kJ: int, b, kK, params: GoodParams):
@@ -320,17 +250,6 @@ def _route(table: ShiftCoefficientTable, coeffs: np.ndarray) -> np.ndarray:
     routed = np.einsum("cji,ci...->cj...", table.coeffs[1:], src)
     out[1 << j : rows << j] = routed.reshape(((rows - 1) << j,) + coeffs.shape[1:])
     return out
-
-
-def apply_shift(
-    f: GridFunction, system: DyadicSystem, table: ShiftCoefficientTable
-) -> GridFunction:
-    """Apply the shift operator of a coefficient table: each entry routes
-    the I Haar coefficient of ``f`` into the J Haar direction."""
-    _placed(f, system, 1)
-    table.validate(system)
-    routed = _route(table, haar_analyze(f.values, system))
-    return grid_function(haar_synthesize(routed, system), system.axis)
 
 
 # -- pointwise domination -------------------------------------------------

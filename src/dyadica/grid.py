@@ -9,7 +9,7 @@ Distances use the wrap-around metric ``d(x, y) = min_k |x - y + k|``.  The
 double integral of the power kernel ``d(x, y)**(-lam)`` over any cell pair
 has an elementary closed form, a second difference of the kernel's second
 antiderivative: :func:`kernel_profile` evaluates it once per cell distance,
-and :func:`kernel_cell_integral` reads one pair from it.  The singular
+and the pair of cells a and b reads entry ``(a - b) mod n``.  The singular
 diagonal is never touched by quadrature.  Arc sums (``_arc_folds``) and
 counts (``_arc_count``) serve the weights and the strong maximal function.
 """
@@ -28,10 +28,8 @@ __all__ = [
     "Axis",
     "GridFunction",
     "build_axis",
-    "constant_function",
     "grid_function",
     "inner_product",
-    "kernel_cell_integral",
     "l2_norm",
     "tabulate_midpoint",
 ]
@@ -171,11 +169,6 @@ def grid_function(values, *axes: Axis) -> GridFunction:
     return GridFunction(tuple(axes), np.asarray(values, dtype=float))
 
 
-def constant_function(value: float, *axes: Axis) -> GridFunction:
-    shape = tuple(ax.n_cells for ax in axes)
-    return GridFunction(tuple(axes), np.full(shape, float(value)))
-
-
 def _shifted(m: np.ndarray, s: int, axis: int) -> np.ndarray:
     """``out[x] = m[x - s]`` along ``axis`` with wrap-around: ``np.roll``
     without its overhead."""
@@ -240,8 +233,21 @@ def inner_product(f: GridFunction, g: GridFunction) -> float:
     return float(np.sum(f.values * g.values)) * f.cell_volume
 
 
+# 2**450 squared is 2**900, so no sum of up to 2**120 squares overflows below it
+_L2_RESCALE_ABOVE = 2.0**450
+
+
 def l2_norm(f: GridFunction) -> float:
-    return float(np.sqrt(max(inner_product(f, f), 0.0)))
+    """``sqrt(inner_product(f, f))``.  Above ``_L2_RESCALE_ABOVE`` the squares
+    could overflow, so ``f`` is scaled by a power of two, exact, to a largest
+    value in [1/2, 1), and the norm scaled back; other inputs keep their bits."""
+    top = np.max(np.abs(f.values))
+    if not top > _L2_RESCALE_ABOVE:
+        return float(np.sqrt(max(inner_product(f, f), 0.0)))
+    e = int(np.frexp(top)[1])
+    scaled = f.with_values(np.ldexp(f.values, -e))
+    return float(np.ldexp(np.sqrt(inner_product(scaled, scaled)), e))
+
 
 
 # -- power-kernel cell integrals -----------------------------------------
@@ -287,36 +293,10 @@ def _antider_torus(u, lam):
     return out
 
 
-def kernel_cell_integral(axis: Axis, cell_a: int, cell_b: int, lam: float) -> float:
-    """Exact double integral of the wrapped kernel over a cell pair.
-
-    Parameters
-    ----------
-    axis : Axis
-    cell_a, cell_b : int
-        Cell indices on ``axis``.
-    lam : float
-        Kernel power, ``0 < lam < 1``.
-
-    Returns
-    -------
-    float
-        ``iint_{A x B} d(x, y)**(-lam) dx dy``, strictly positive and
-        symmetric in the two cells.
-    """
-    _check_integers(cell_a=cell_a, cell_b=cell_b)
-    n = axis.n_cells
-    a = int(cell_a)
-    b = int(cell_b)
-    if not (0 <= a < n and 0 <= b < n):
-        raise ParameterError(f"cell indices must lie in [0, {n}), got {a}, {b}")
-    return float(kernel_profile(axis, float(lam))[(a - b) % n])  # checks lam
-
-
 @lru_cache(maxsize=64)
 def kernel_profile(axis: Axis, lam: float) -> np.ndarray:
-    """Circulant profile ``g[m]``, the kernel's integral over cells m and 0;
-    :func:`kernel_cell_integral` reads every cell pair's value here.
+    """Circulant profile ``g[m]``, the kernel's integral over cells m and 0:
+    cells a and b read ``g[(a - b) mod n]``, strictly positive.
 
     Even by construction: ``g[m]`` is evaluated at the wrapped cell distance
     ``min(m, n - m)``, so ``g[m] == g[n - m]`` bit for bit and

@@ -20,13 +20,10 @@ level give one mean per cube in :func:`basis_column` order, 2n per axis,
 over two axes the pyramid R[c1, c2] of 4 n1 n2 means.  Every path reads
 them: a column's step from its parent is a martingale difference, a chain
 sum (or max) folds each cell's columns into its value, and spread back
-over the cells they are the expectation stack E_0 .. E_L, the public level
-operators and the rectangle table.  Column c's parent is column c >> 1 by
-one rule: ``_parents`` reads it, and the chain fold broadcasts it over its
-children's sibling pairs.  The chain fold reads one other heap table, the
-bi-parameter dyadic maximal function's rectangle means, whose bits are
-each rectangle's C-ordered ``mean()``.  Block operators restrict a
-difference to one cube, or to one rectangle by composing the factors.
+over the cells (``_spread``) they are the level operators
+:func:`level_average` and :func:`level_difference`.  Column c's parent is
+column c >> 1 by one rule: ``_parents`` reads it, and the chain fold
+broadcasts it over its children's sibling pairs.
 
 Every entry point checks its systems with :func:`dyadica.dyadic._placed`,
 through ``_axis_position`` where an axis selector names the array axis.
@@ -46,8 +43,6 @@ from .grid import Axis, GridFunction, _check_integers, _is_integer, _shifted, gr
 
 __all__ = [
     "HaarCoefficientMap",
-    "average_project",
-    "expectation_stack",
     "haar_analyze",
     "haar_expand",
     "haar_function",
@@ -55,21 +50,16 @@ __all__ = [
     "haar_synthesize",
     "level_average",
     "level_difference",
-    "martingale_block",
-    "partial_pairing",
-    "rect_block",
-    "rectangle_table",
 ]
 
 
 # -- basis ----------------------------------------------------------------
 
 
-def _check_step(*cubes: DyadicCube) -> None:
-    """ResolutionError unless every cube has a Haar step: children on the mesh."""
-    for cube in cubes:
-        if cube.level >= cube.axis.level:
-            raise ResolutionError(f"a cube at mesh level {cube.axis.level} has no Haar step")
+def _check_step(cube: DyadicCube) -> None:
+    """ResolutionError unless the cube has a Haar step: children on the mesh."""
+    if cube.level >= cube.axis.level:
+        raise ResolutionError(f"a cube at mesh level {cube.axis.level} has no Haar step")
 
 
 def haar_function(cube: DyadicCube) -> GridFunction:
@@ -117,6 +107,7 @@ def _along(a, system: DyadicSystem, pos: int):
     ``pos`` counts from the back), the shape before and after that axis and
     the index prefix that reaches it; the axis must hold one entry per cell
     of ``system``."""
+    _check_integers(pos=pos)
     a = np.asarray(a, dtype=float)
     if not -a.ndim <= pos < a.ndim:
         raise ShapeError(f"axis {pos} out of range for a {a.ndim}-axis array")
@@ -205,42 +196,17 @@ def haar_matrix(system: DyadicSystem) -> np.ndarray:
 # -- axis resolution ------------------------------------------------------
 
 
-def _axis_position(f: GridFunction, system: DyadicSystem, axis_index, ndim=None) -> int:
+def _axis_position(f: GridFunction, system: DyadicSystem, axis_index) -> int:
     """The array axis of a selector (1, 2, or None for a sole axis) after
-    :func:`dyadica.dyadic._placed`; ``ndim`` fixes the axes of ``f`` for 1, 2."""
+    :func:`dyadica.dyadic._placed`."""
     if not (axis_index is None or _is_integer(axis_index) and axis_index in (1, 2)):
         raise ParameterError(f"axis_index must be 1, 2 or None, got {axis_index!r}")
     pos = 0 if axis_index is None else axis_index - 1
-    _placed(f, system, 1 if axis_index is None else ndim, ((pos, 0),))
+    _placed(f, system, 1 if axis_index is None else None, ((pos, 0),))
     return pos
 
 
 # -- averaging and differences --------------------------------------------
-
-
-def expectation_stack(
-    f: GridFunction, system: DyadicSystem, axis_index=None
-) -> np.ndarray:
-    """Every conditional expectation of ``f`` in one variable: entry ``k``
-    of the ``(L + 1,) + f.values.shape`` result is, bit for bit,
-    ``level_average(f, system, k, axis_index).values``; consecutive
-    differences along the first axis are the martingale differences."""
-    pos = _axis_position(f, system, axis_index)
-    return _spread(f.values, system, pos, range(system.axis.level + 1))
-
-
-def rectangle_table(
-    f: GridFunction, system1: DyadicSystem, system2: DyadicSystem
-) -> np.ndarray:
-    """Rectangle averages of a two-axis function at every level pair:
-    ``T[k1, k2]`` is the level-``k1`` average in the first variable, then
-    the level-``k2`` average in the second, bit for bit the nested
-    :func:`level_average` calls; shape ``(L1 + 1, L2 + 1, n1, n2)``: the
-    means of :func:`_pyramid`, spread over the cells."""
-    _placed(f, (system1, system2), 2)
-    first = _spread(f.values, system1, 0, range(system1.axis.level + 1))
-    both = _spread(first, system2, 2, range(system2.axis.level + 1))
-    return np.ascontiguousarray(both.swapaxes(0, 1))
 
 
 def _cube_means(vals: np.ndarray, system: DyadicSystem, pos: int, levels=None) -> np.ndarray:
@@ -276,8 +242,8 @@ def _spread(vals: np.ndarray, system: DyadicSystem, pos: int, levels: range) -> 
 def _pyramid(vals: np.ndarray, system1: DyadicSystem, system2: DyadicSystem) -> np.ndarray:
     """``R[..., c1, c2]``, the mean over the rectangle at heap columns ``c1``,
     ``c2`` (row and column 0 zero) of each table on the last two axes of
-    ``vals``: :func:`rectangle_table` at the rectangle's start cells, bit for
-    bit."""
+    ``vals``: the level average along the first axis, then along the second,
+    at the rectangle's start cells, bit for bit."""
     return _cube_means(_cube_means(vals, system1, -2), system2, -1)
 
 
@@ -304,8 +270,7 @@ def _chain_sum(P: np.ndarray, axes, first: int = 2, op=np.add) -> np.ndarray:
     or ``np.maximum``) ``P`` at its cubes' columns ``>= first``, each level in
     place into the view of its children's sibling pairs, copying no parent.
     Overwrites ``P``; at offset 0 the result is a view of it.  ``P`` is
-    :func:`_cube_means` or :func:`_pyramid` output, or ``dyadic_maximal``'s
-    rectangle means, whose bits are C-ordered ``mean()``s."""
+    :func:`_cube_means` or :func:`_pyramid` output."""
     for pos, system in axes:
         v = np.moveaxis(P, pos, 0)
         for k in range(first.bit_length(), system.axis.level + 1):
@@ -358,62 +323,6 @@ def level_difference(
         )
     coarse, fine = _spread(f.values, system, pos, range(level, level + 2))
     return f.with_values(fine - coarse)
-
-
-def average_project(f: GridFunction, cube: DyadicCube, axis_index=None) -> GridFunction:
-    """Average of ``f`` over ``cube`` in the stated variable, carried on the
-    cube's indicator and zero outside it."""
-    pos = _axis_position(f, cube.system, axis_index)
-    cells = cube.cells()
-    v = np.moveaxis(f.values, pos, 0)
-    out = np.zeros_like(v)
-    out[cells] = v[cells].mean(axis=0)
-    return f.with_values(np.moveaxis(out, 0, pos))
-
-
-def martingale_block(
-    f: GridFunction, K: DyadicCube, i: int, axis_index=None
-) -> GridFunction:
-    """Sum of one-variable martingale differences over the depth-``i``
-    descendants of ``K``: the consecutive-scale difference at level
-    ``K.level + i`` restricted to ``K``.  ``i = 0`` is the plain martingale
-    difference of ``K`` itself."""
-    _check_integers(i=i)
-    if i < 0:
-        raise ParameterError(f"block depth must be non-negative, got {i}")
-    pos = _axis_position(f, K.system, axis_index)
-    axis = K.system.axis
-    if K.level + i >= axis.level:
-        raise ResolutionError(
-            f"block at level {K.level} + depth {i} has no children at mesh level {axis.level}"
-        )
-    diff = level_difference(f, K.system, K.level + i, axis_index)
-    v = np.moveaxis(diff.values, pos, 0)
-    out = np.zeros_like(v)
-    cells = K.cells()
-    out[cells] = v[cells]
-    return f.with_values(np.moveaxis(out, 0, pos))
-
-
-def rect_block(
-    f: GridFunction, K: DyadicCube, V: DyadicCube, i: int, j: int
-) -> GridFunction:
-    """Bi-parameter rectangle block: the depth-``i`` block below ``K`` in the
-    first variable composed with the depth-``j`` block below ``V`` in the
-    second.  With ``i = j = 0`` this is the rectangle martingale difference."""
-    _check_integers(i=i, j=j)
-    _placed(f, (K.system, V.system), 2)
-    g = martingale_block(f, K, i, axis_index=1)
-    return martingale_block(g, V, j, axis_index=2)
-
-
-def partial_pairing(f: GridFunction, cube: DyadicCube, axis_index) -> GridFunction:
-    """Pair a two-axis function with the Haar step of ``cube`` in one
-    variable: along it, column :func:`basis_column` of :func:`haar_analyze`."""
-    pos = _axis_position(f, cube.system, axis_index, ndim=2)
-    _check_step(cube)
-    vals = np.take(haar_analyze(f.values, cube.system, pos), basis_column(cube), axis=pos)
-    return grid_function(vals, f.axes[1 - pos])
 
 
 # -- coefficient expansion ------------------------------------------------

@@ -1,5 +1,5 @@
-"""Paraproducts, the exact product decomposition, commutators, the
-shift-level commutator expansion, and the two-weight ratio experiment.
+"""Paraproducts, the exact product decomposition, the shift-level expansion
+of the iterated commutator, and the two-weight ratio experiment.
 
 A product of two two-axis functions splits into nine bilinear parts, one
 for each way of pairing scales per axis (same scale, coarser on the left
@@ -22,7 +22,8 @@ heap-ordered arrays (:class:`dyadica.fracops.ShiftCoefficientTable`): a
 shift's matrix is the shift applied to the identity, and the leftover
 reads b's pyramid for every pair of table entries in one gather.  The
 four terms of the iterated commutator are written once, in
-``_commutator_terms``, for both commutators and the paraproduct groups.
+``_commutator_terms``, for the commutators of the shifts and of the
+smoothing operators and for the paraproduct groups.
 
 Sample ensembles are evaluated as stacks: every private helper reads its
 value tables on the last two array axes, so one numpy call serves a whole
@@ -40,16 +41,16 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from .analysis import _bmo_prod_rect, _mixed_norms, _rect_weight_means
-from .dyadic import DyadicCube, DyadicSystem, _placed, ancestor
-from .errors import ContractError, ParameterError, ShapeError, SystemMismatchError
+from .dyadic import DyadicSystem, _placed
+from .errors import ParameterError
 from .fracops import ShiftCoefficientTable, _route, _smooth
-from .grid import GridFunction, build_axis
-from .haar import _chain_sum, _cube_means, _pyramid, _scale_views, basis_column, column_cubes
+from .grid import GridFunction, _check_integers, build_axis
+from .haar import _chain_sum, _pyramid, _scale_views, column_cubes
 from .haar import haar_analyze, haar_synthesize
 from .weights import _apq_characteristics, bloom_weight, exponent_solve, power_weight
 
@@ -62,11 +63,9 @@ __all__ = [
     "CommutatorExpansion",
     "DecompositionReport",
     "bloom_experiment",
-    "commutator",
     "decompose_product",
     "paraproduct",
     "shift_commutator_expand",
-    "telescope_terms",
 ]
 
 # per tag: (scale pairing for the left factor, for the right factor), each
@@ -192,44 +191,6 @@ def _iterated_commutator(b, f, t1, t2):
 def _smoothing(axis, lam, pos: int):
     """The order-``lam`` smoothing operator along array axis ``pos``."""
     return lambda x: _smooth(x, axis, float(lam), pos)
-
-
-def commutator(b: GridFunction, f: GridFunction, recipe: Mapping) -> GridFunction:
-    """Inner commutator [b, T2]f or iterated commutator [T1, [b, T2]]f,
-    where Ti is the order-lam_i smoothing operator on axis i.
-
-    ``recipe`` is ``{"inner": lam2}`` or ``{"iterated": (lam1, lam2)}``.
-    """
-    if b.ndim != 2 or f.ndim != 2 or b.axes != f.axes:
-        raise ShapeError("commutator needs two-axis functions on one grid")
-    keys = set(recipe)
-    if keys == {"inner"}:
-        t2 = _smoothing(b.axes[1], recipe["inner"], -1)
-        return b.with_values(b.values * t2(f.values) - t2(b.values * f.values))
-    if keys == {"iterated"}:
-        lam1, lam2 = recipe["iterated"]
-        t1, t2 = _smoothing(b.axes[0], lam1, -2), _smoothing(b.axes[1], lam2, -1)
-        return b.with_values(_iterated_commutator(b.values, f.values, t1, t2))
-    raise ParameterError("recipe must be {'inner': lam2} or {'iterated': (lam1, lam2)}")
-
-
-# -- telescoping ----------------------------------------------------------
-
-
-def telescope_terms(
-    b: GridFunction, I: DyadicCube, K: DyadicCube, system: DyadicSystem
-) -> Tuple[float, ...]:
-    """Per-depth averaged martingale differences whose sum telescopes the
-    difference of averages <b>_I - <b>_K exactly."""
-    _placed(b, system, 1)
-    if I.system != system or K.system != system:
-        raise SystemMismatchError("cubes come from a different system")
-    depth = I.level - K.level
-    if depth < 0 or ancestor(I, depth) != K:
-        raise ContractError(f"{I} is not contained in {K}")
-    R = _cube_means(b.values, system, 0)
-    c = basis_column(I)
-    return tuple(float(R[c >> (r - 1)] - R[c >> r]) for r in range(1, depth + 1))
 
 
 # -- shift-level commutator expansion -------------------------------------
@@ -372,6 +333,9 @@ class BloomConfig:
     n_samples: int = 50
     seed: int = 0
     base_level: int = 3
+
+    def __post_init__(self):
+        _check_integers(n_samples=self.n_samples, seed=self.seed, base_level=self.base_level)
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,12 @@ from .errors import InfeasibleExponentError, ParameterError, ShapeError, SystemM
 from .grid import Axis, GridFunction, _arc_count, _arc_folds, _check_lambda, grid_function
 
 __all__ = [
-    "DerivedClassReport",
     "ExponentTriple",
     "ProductWeight",
     "Weight",
     "ap_characteristic",
     "apq_characteristic",
     "bloom_weight",
-    "derived_class_check",
     "exponent_solve",
     "power_weight",
     "product_ap_characteristic",
@@ -195,12 +193,6 @@ def _systems(family: FamilySelector):
     return systems
 
 
-def _family_label(family: FamilySelector) -> str:
-    if isinstance(family, str):
-        return family
-    return "dyadic[" + ",".join(str(s.offset_cells) for s in family) + "]"
-
-
 # floats one block of arc widths may hold: k widths of r weights on n cells
 # take 2 k r n (num's means, then den's), so one weight's widths go in blocks
 # of two or more up to L=11, and from L=12, where a block would outweigh the
@@ -304,35 +296,4 @@ def product_ap_characteristic(
     family = _systems(family)
     return ap_characteristic(pw.factor1, p, family) * ap_characteristic(
         pw.factor2, p, family
-    )
-
-
-@dataclass(frozen=True)
-class DerivedClassReport:
-    """The three derived-class characteristics implied by a finite
-    two-exponent characteristic, echoing the inputs for reproducibility."""
-
-    p: float
-    q: float
-    family: str
-    q_power: float        # [w**q] at exponent q
-    dual_p_power: float   # [w**(-p')] at exponent p'
-    dual_q_power: float   # [w**(-q')] at exponent q'
-
-
-def derived_class_check(
-    w: Weight, p: float, q: float, family: FamilySelector = "intervals"
-) -> DerivedClassReport:
-    """Characteristics of the three derived weights w**q, w**(-p'), w**(-q')."""
-    _check_exponents(p, q)
-    p_dual = p / (p - 1.0)
-    q_dual = q / (q - 1.0)
-    family = _systems(family)
-    return DerivedClassReport(
-        p=p,
-        q=q,
-        family=_family_label(family),
-        q_power=ap_characteristic(w.power(q), q, family),
-        dual_p_power=ap_characteristic(w.power(-p_dual), p_dual, family),
-        dual_q_power=ap_characteristic(w.power(-q_dual), q_dual, family),
     )

@@ -38,9 +38,10 @@ from scipy import integrate
 #   build_axis  none: it builds the axis record, it computes nothing
 #   _join_level  test_dyadic::test_join_against_brute_force, via join
 #   _kernel_columns  test_fracops::test_haar_kernel_entries_match_the_dense_haar_basis_kernel, via _entries
-#   _pair_class  test_fracops::test_classify_partition_exhaustive, via classify_pair
+#   _pair_class  test_fracops::test_classify_partition_exhaustive, via classify_pair below
 #   _arc_gap_cells  test_dyadic::test_arc_gap_matches_the_oracle_for_every_pair_of_arcs, via _pair_class
 from dyadica.dyadic import DyadicCube, DyadicSystem, _join_level, _within_threshold, bad_mask, is_good
+from dyadica.errors import ContractError, SystemMismatchError
 from dyadica.fracops import RepresentationReport, _kernel_columns, _pair_class
 from dyadica.grid import build_axis, kernel_matrix
 from dyadica.haar import basis_column, column_cubes, haar_analyze, haar_synthesize
@@ -291,25 +292,26 @@ def trailing_max_brute(m, w, axis):
     return np.max([np.roll(m, t, axis) for t in range(w)], axis=0)
 
 
-def dyadic_rect_maximal_brute(values, offset1, offset2):
-    """Bi-parameter dyadic maximal function by looping over all rectangles
-    of the (offset1, offset2) system pair."""
-    f = np.abs(np.asarray(values, dtype=float))
-    n1, n2 = f.shape
-    L1, L2 = n1.bit_length() - 1, n2.bit_length() - 1
-    out = np.zeros_like(f)
-    for k1 in range(L1 + 1):
-        w1 = n1 >> k1
-        for m1 in range(1 << k1):
-            rows = [(offset1 + m1 * w1 + j) % n1 for j in range(w1)]
-            for k2 in range(L2 + 1):
-                w2 = n2 >> k2
-                for m2 in range(1 << k2):
-                    cols = [(offset2 + m2 * w2 + j) % n2 for j in range(w2)]
-                    m = f[np.ix_(rows, cols)].mean()
-                    sub = out[np.ix_(rows, cols)]
-                    out[np.ix_(rows, cols)] = np.maximum(sub, m)
-    return out
+# ---------------------------------------------------------------------------
+# mixed norms
+
+
+def mixed_norm_brute(values, p1, p2, d1=None, d2=None):
+    """The L^p2(d2) norm over the second axis of the L^p1(d1) norms over the
+    first, by plain loops: ``values[i, j]`` sits at cell i of the first axis
+    and cell j of the second, and ``d1``, ``d2`` are the weights' cell
+    densities (Lebesgue measure if None)."""
+    v = np.asarray(values, dtype=float)
+    n1, n2 = v.shape
+    d1 = np.ones(n1) if d1 is None else d1
+    d2 = np.ones(n2) if d2 is None else d2
+    outer = 0.0
+    for j in range(n2):
+        inner = 0.0
+        for i in range(n1):
+            inner += abs(v[i, j]) ** p1 * d1[i]
+        outer += (inner / n1) ** (p2 / p1) * d2[j]
+    return (outer / n2) ** (1.0 / p2)
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +523,8 @@ def square_function_reference(vals, axes):
 def level_scale_reference(vals, pos, offset, scales, op):
     """``op`` (``np.add`` or ``np.maximum``) folded coarse to fine over the
     levels k of ``scales[k]`` (or a scalar) times E_k along array axis
-    ``pos``: the dyadic and fractional maximal functions and the scale-sum
-    majorant by the stack formulas."""
+    ``pos``: the fractional maximal function and the scale-sum majorant by
+    the stack formulas."""
     L = vals.shape[pos].bit_length() - 1
     stack = expectation_stack_reference(vals, pos, offset, range(L + 1))
     return functools.reduce(op, np.reshape(scales, (-1,) + (1,) * vals.ndim) * stack)
@@ -680,6 +682,19 @@ def _scan_system_brute(system, lam, params, profiles, counts, M):
                         prof[key] = val
 
 
+def classify_pair(I, J, params):
+    """The positional class of a size-ordered pair of cubes of one system,
+    ``I`` no larger than ``J``: ``fracops._pair_class`` at one pair, its join
+    level from ``_join_level``; the per-pair reference of the class census."""
+    if I.system != J.system:
+        raise SystemMismatchError("classify_pair requires cubes of one system")
+    if I.level < J.level:
+        raise ContractError("classify_pair expects len(I) <= len(J); swap the pair")
+    kK = _join_level(I.level, I.index, J.level, J.index)
+    tag = _pair_class(I.axis, I.level, I.index, J.level, J.index, kK, params)
+    return ("out", "near", "shallow_in", "deep_in")[int(tag)]
+
+
 def lattice_classes_reference(axis, lam, params):
     """The class census of the offset-0 lattice, ``(profiles, counts)``,
     block by block and per entry, where ``fracops._lattice_classes`` reads
@@ -830,10 +845,14 @@ def shift_matrix_brute(system, table):
     return system.axis.h * haar_synthesize(haar_synthesize(C, system, 0), system, 1)
 
 
-def leftover_term_brute(Tb, f_values, table1, table2, sys1, sys2):
+def leftover_term_brute(b_values, f_values, table1, table2, sys1, sys2):
     """Leftover term of the shift commutator expansion, one pair of table
-    entries at a time, the symbol read from its rectangle table ``Tb`` at
-    each rectangle's start cells."""
+    entries at a time, the symbol read from its rectangle table ``Tb``
+    (``Tb[k1, k2]``: the level-k1 average along the first axis, then the
+    level-k2 one along the second) at each rectangle's start cells."""
+    L1, L2 = sys1.axis.level, sys2.axis.level
+    Tb = expectation_stack_reference(b_values, 0, sys1.offset_cells, range(L1 + 1))
+    Tb = expectation_stack_reference(Tb, 2, sys2.offset_cells, range(L2 + 1)).swapaxes(0, 1)
     H1, H2 = haar_matrix_brute(sys1), haar_matrix_brute(sys2)
     Fc = sys1.axis.h * sys2.axis.h * (H1.T @ f_values @ H2)
     Ecoef = np.zeros_like(Fc)

@@ -4,8 +4,7 @@ System k lives on axis k of the function.  Each row calls one entry point
 three times with one fault each: a level-4 system against level-3 functions
 raises SystemMismatchError, a function with the wrong number of axes raises
 ShapeError, and a systems argument that is neither a DyadicSystem nor a pair
-of them raises ParameterError (rows whose systems come from cubes have no
-such argument).  The weight characteristics take a cube family of systems:
+of them raises ParameterError.  The weight characteristics take a cube family of systems:
 their rows pass ``[system]``, and their function is the weight's log.
 """
 
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 
 from dyadica import analysis, fracops, haar, paracomm, weights
-from dyadica.dyadic import DyadicSystem, GoodParams, ancestor
+from dyadica.dyadic import DyadicSystem, GoodParams
 from dyadica.errors import ParameterError, ShapeError, SystemMismatchError
 from dyadica.grid import build_axis, grid_function
 from dyadica.weights import ProductWeight, Weight
@@ -40,81 +39,48 @@ def _weight(f):
     return Weight(f.with_values(np.exp(f.values)))
 
 
-def _telescope(b, system):
-    """Cubes I and K of ``system`` (of S when it is none), K I's parent."""
-    I = (system if isinstance(system, DyadicSystem) else S).cube(2, 1)
-    return paracomm.telescope_terms(b, I, ancestor(I, 1), system)
-
-
-# id: (call(f, systems), the function's number of axes, systems kind, whether
-# a malformed systems argument applies)
+# id: (call(f, systems), the function's number of axes, systems kind)
 ROWS = {
-    "level_average": (lambda f, s: haar.level_average(f, s, 1), 1, ONE, True),
-    "level_average-axis2": (lambda f, s: haar.level_average(f, s, 1, 2), 2, ONE, True),
-    "level_difference": (lambda f, s: haar.level_difference(f, s, 1), 1, ONE, True),
-    "expectation_stack": (lambda f, s: haar.expectation_stack(f, s), 1, ONE, True),
-    "rectangle_table": (lambda f, s: haar.rectangle_table(f, *s), 2, PAIR, True),
-    "martingale_block": (lambda f, s: haar.martingale_block(f, s.cube(1, 0), 0), 1, ONE, False),
-    "average_project": (lambda f, s: haar.average_project(f, s.cube(1, 1)), 1, ONE, False),
-    "partial_pairing": (lambda f, s: haar.partial_pairing(f, s.cube(1, 0), 2), 2, ONE, False),
-    "rect_block": (
-        lambda f, s: haar.rect_block(f, s[0].cube(1, 0), s[1].cube(0, 0), 0, 1),
-        2,
-        PAIR,
-        False,
-    ),
-    "haar_expand": (lambda f, s: haar.haar_expand(f, s), 1, ONE, True),
-    "haar_expand-pair": (lambda f, s: haar.haar_expand(f, *s), 2, PAIR, True),
-    "dyadic_maximal-axis1": (lambda f, s: analysis.dyadic_maximal(f, s, "axis1"), 2, PAIR, True),
-    "dyadic_maximal-axis2": (lambda f, s: analysis.dyadic_maximal(f, s, "axis2"), 2, PAIR, True),
-    "dyadic_maximal-biparameter": (
-        lambda f, s: analysis.dyadic_maximal(f, s, "biparameter"),
-        2,
-        PAIR,
-        True,
-    ),
-    "frac_maximal": (lambda f, s: analysis.frac_maximal(f, s, 0.5), 1, ONE, True),
+    "level_average": (lambda f, s: haar.level_average(f, s, 1), 1, ONE),
+    "level_average-axis2": (lambda f, s: haar.level_average(f, s, 1, 2), 2, ONE),
+    "level_difference": (lambda f, s: haar.level_difference(f, s, 1), 1, ONE),
+    "level_difference-axis2": (lambda f, s: haar.level_difference(f, s, 1, 2), 2, ONE),
+    "haar_expand": (lambda f, s: haar.haar_expand(f, s), 1, ONE),
+    "haar_expand-pair": (lambda f, s: haar.haar_expand(f, *s), 2, PAIR),
+    "frac_maximal": (lambda f, s: analysis.frac_maximal(f, s, 0.5), 1, ONE),
     "frac_maximal_domination": (
         lambda f, s: analysis.frac_maximal_domination(f, s, 0.5),
         1,
         ONE,
-        True,
     ),
-    "square_function-sole": (lambda f, s: analysis.square_function(f, s, "sole"), 1, ONE, True),
-    "square_function-axis1": (lambda f, s: analysis.square_function(f, s, "axis1"), 2, PAIR, True),
-    "square_function-axis2": (lambda f, s: analysis.square_function(f, s, "axis2"), 2, PAIR, True),
-    "square_function-rect": (lambda f, s: analysis.square_function(f, s, "rect"), 2, PAIR, True),
-    "bmo_prod_norm": (lambda f, s: analysis.bmo_prod_norm(f, WEIGHT, s), 2, PAIR, True),
-    "bmo_prod_rect_norm": (lambda f, s: analysis.bmo_prod_rect_norm(f, WEIGHT, s), 2, PAIR, True),
-    "duality_check": (lambda f, s: analysis.duality_check(f, f, WEIGHT, s), 2, PAIR, True),
-    "apply_shift": (lambda f, s: fracops.apply_shift(f, s, TABLE), 1, ONE, True),
-    "domination_ratio": (lambda f, s: fracops.domination_ratio(f, 0.5, s), 1, ONE, True),
+    "square_function-sole": (lambda f, s: analysis.square_function(f, s, "sole"), 1, ONE),
+    "square_function-axis1": (lambda f, s: analysis.square_function(f, s, "axis1"), 2, PAIR),
+    "square_function-axis2": (lambda f, s: analysis.square_function(f, s, "axis2"), 2, PAIR),
+    "square_function-rect": (lambda f, s: analysis.square_function(f, s, "rect"), 2, PAIR),
+    "bmo_prod_norm": (lambda f, s: analysis.bmo_prod_norm(f, WEIGHT, s), 2, PAIR),
+    "bmo_prod_rect_norm": (lambda f, s: analysis.bmo_prod_rect_norm(f, WEIGHT, s), 2, PAIR),
+    "domination_ratio": (lambda f, s: fracops.domination_ratio(f, 0.5, s), 1, ONE),
     "verify_representation": (
         lambda f, s: fracops.verify_representation(f, f, 0.5, GoodParams(), [S, s]),
         1,
         ONE,
-        True,
     ),
-    "paraproduct": (lambda f, s: paracomm.paraproduct("A1", f, f, s), 2, PAIR, True),
-    "decompose_product": (lambda f, s: paracomm.decompose_product(f, f, s), 2, PAIR, True),
+    "paraproduct": (lambda f, s: paracomm.paraproduct("A1", f, f, s), 2, PAIR),
+    "decompose_product": (lambda f, s: paracomm.decompose_product(f, f, s), 2, PAIR),
     "shift_commutator_expand": (
         lambda f, s: paracomm.shift_commutator_expand(f, f, TABLE, TABLE, s),
         2,
         PAIR,
-        True,
     ),
-    "telescope_terms": (_telescope, 1, ONE, True),
     "ap_characteristic": (
         lambda f, s: weights.ap_characteristic(_weight(f), 2.0, [s]),
         1,
         ONE,
-        True,
     ),
     "apq_characteristic": (
         lambda f, s: weights.apq_characteristic(_weight(f), 2.0, 3.0, [s]),
         1,
         ONE,
-        True,
     ),
     "product_ap_characteristic": (
         lambda f, s: weights.product_ap_characteristic(
@@ -122,20 +88,18 @@ ROWS = {
         ),
         1,
         ONE,
-        True,
     ),
 }
 
 
 @pytest.mark.parametrize("row", ROWS)
 def test_each_violation_of_the_axis_contract_raises_its_error(row):
-    call, ndim, (right, wrong, malformed), has_malformed = ROWS[row]
+    call, ndim, (right, wrong, malformed) = ROWS[row]
     f = _function(ndim)
     call(f, right)  # the row itself is well formed
     with pytest.raises(SystemMismatchError):
         call(f, wrong)
     with pytest.raises(ShapeError):
         call(_function(3 - ndim), right)
-    if has_malformed:
-        with pytest.raises(ParameterError):
-            call(f, malformed)
+    with pytest.raises(ParameterError):
+        call(f, malformed)

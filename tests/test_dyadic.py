@@ -274,29 +274,21 @@ def test_goodness_monotone_in_r():
 
 
 # ---------------------------------------------------------------------------
-# pgood
+# good fractions: the share of systems in which the cube holding a point is
+# good, per system and cube (oracles.pgood_brute), against one level census
 
 
-def test_pgood_trivial_when_threshold_below_mesh():
-    # r large: every qualifying threshold is below one cell, and lattice
-    # points are never strictly inside a cube interior at depth <= ... use a
-    # configuration where badness cannot trigger except by touching:
-    ax = grid.build_axis(6)
-    params = dyadic.GoodParams(r=5, gamma=0.49)
-    est = dyadic.estimate_pgood(ax, params, level_k=5, trials=64, seed=0)
-    # threshold for (k=5, kJ=0) is 2**(-5*0.49) ~ 0.18 > h: not trivial.
-    # instead check determinism and exhaustiveness bookkeeping here:
-    assert est.exhaustive
-    assert est.halfwidth == 0.0
-    assert est.trials == 64
+def _census_good_fraction(axis, params, level_k):
+    return 1.0 - dyadic.bad_mask(dyadic.DyadicSystem(axis, 0), level_k, params).mean()
 
 
 def test_pgood_translation_invariance_exhaustive():
     ax = grid.build_axis(6)
     params = dyadic.GoodParams(r=3, gamma=0.25)
-    a = dyadic.estimate_pgood(ax, params, 5, trials=64, seed=1, ref_point=0.0)
-    b = dyadic.estimate_pgood(ax, params, 5, trials=64, seed=2, ref_point=0.37)
-    assert a.estimate == b.estimate
+    offsets = np.arange(ax.n_cells)
+    a = oracles.pgood_brute(ax, params, 5, offsets, 0)
+    b = oracles.pgood_brute(ax, params, 5, offsets, int(0.37 * ax.n_cells))
+    assert a == b
 
 
 def test_pgood_positive():
@@ -305,22 +297,17 @@ def test_pgood_positive():
     # boundary distance at each depth >= r).
     ax = grid.build_axis(10)
     params = dyadic.GoodParams(r=4, gamma=31 / 64)
-    est = dyadic.estimate_pgood(ax, params, 8, trials=1 << 10, seed=0)
-    assert est.exhaustive
-    assert est.estimate == 0.1875
-    assert est.halfwidth == 0.0
+    assert _census_good_fraction(ax, params, 8) == 0.1875
 
 
 def test_pgood_matches_census():
-    # exhaustive offset enumeration with a fixed reference point visits every
-    # relative cube position equally often, so the estimate must equal the
-    # good fraction of any single system's level census
+    # every offset with a fixed reference point visits every relative cube
+    # position equally often, so the share of good cubes holding the point
+    # must equal the good fraction of any single system's level census
     ax = grid.build_axis(9)
     params = dyadic.GoodParams(r=4, gamma=31 / 64)
-    est = dyadic.estimate_pgood(ax, params, 7, trials=1 << 9, seed=3)
-    census = 1.0 - dyadic.bad_mask(dyadic.DyadicSystem(ax, 0), 7, params).mean()
-    assert est.exhaustive
-    assert est.estimate == census
+    hits = oracles.pgood_brute(ax, params, 7, np.arange(ax.n_cells), 3)
+    assert hits / ax.n_cells == _census_good_fraction(ax, params, 7)
 
 
 def test_pgood_degenerate_combo_is_zero():
@@ -332,26 +319,7 @@ def test_pgood_degenerate_combo_is_zero():
     # (compare test_pgood_positive).
     ax = grid.build_axis(10)
     params = dyadic.GoodParams(r=3, gamma=0.25)
-    est = dyadic.estimate_pgood(ax, params, 8, trials=1 << 10, seed=0)
-    assert est.exhaustive
-    assert est.estimate == 0.0
-
-
-def test_pgood_monte_carlo_halfwidth():
-    ax = grid.build_axis(8)
-    params = dyadic.GoodParams(r=4, gamma=31 / 64)
-    est = dyadic.estimate_pgood(ax, params, 6, trials=40, seed=5)
-    assert not est.exhaustive
-    assert 0.0 < est.estimate < 1.0
-    assert est.halfwidth > 0.0
-
-
-def test_pgood_contract_errors():
-    ax = grid.build_axis(6)
-    params = dyadic.GoodParams(r=3, gamma=0.25)
-    for level_k, trials in ((2, 8), (7, 8), (5, 0)):  # below r, above L, no trials
-        with pytest.raises(ContractError):
-            dyadic.estimate_pgood(ax, params, level_k, trials=trials, seed=0)
+    assert _census_good_fraction(ax, params, 8) == 0.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -365,19 +333,18 @@ def test_pgood_contract_errors():
     st.data(),
 )
 def test_pgood_matches_per_offset_is_good_loop(L, r, gamma, ref_point, trials, seed, data):
+    # goodness is offset-relative: the offset-0 census, read at the index of
+    # the cube holding the reference cell in each system, is is_good there
     ax = grid.build_axis(L)
     params = dyadic.GoodParams(r=r, gamma=gamma)
     level_k = data.draw(st.integers(r, L))
-    est = dyadic.estimate_pgood(ax, params, level_k, trials, seed, ref_point)
     n = ax.n_cells
-    if trials >= n:
-        offsets = np.arange(n)
-    else:
-        offsets = np.random.default_rng(seed).integers(0, n, size=trials)
+    offsets = np.random.default_rng(seed).integers(0, n, size=min(trials, n))
     ref_cell = int((ref_point % 1.0) * n) % n
+    bad = dyadic.bad_mask(dyadic.DyadicSystem(ax, 0), level_k, params)
+    index = ((ref_cell - offsets) % n) >> (L - level_k)
     hits = oracles.pgood_brute(ax, params, level_k, offsets, ref_cell)
-    assert est.trials == len(offsets)
-    assert est.estimate == hits / len(offsets)
+    assert int(np.count_nonzero(~bad[index])) == hits
 
 
 # ---------------------------------------------------------------------------

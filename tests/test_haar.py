@@ -218,7 +218,7 @@ def test_expand_single_step():
 
 def test_expand_constant():
     sys = offset0(4)
-    cmap = haar.haar_expand(grid.constant_function(1.0, sys.axis), sys)
+    cmap = haar.haar_expand(grid.grid_function(np.ones(sys.axis.n_cells), sys.axis), sys)
     assert abs(cmap.mean - 1.0) < 1e-14
     assert all(abs(v) < 1e-14 for v in cmap.coeffs[1:])
 
@@ -235,17 +235,17 @@ def test_expand_plancherel_and_reconstruction(rng):
 
 def test_expand_system_mismatch():
     sys = offset0(4)
-    f = grid.constant_function(1.0, grid.build_axis(5))
+    f = grid.grid_function(np.ones(32), grid.build_axis(5))
     with pytest.raises(errors.SystemMismatchError):
         haar.haar_expand(f, sys)
 
 
 def test_expand_axis_count_mismatch():
     ax = grid.build_axis(3)
-    f2 = grid.constant_function(1.0, ax, ax)
+    f2 = grid.grid_function(np.ones((ax.n_cells, ax.n_cells)), ax, ax)
     with pytest.raises(errors.ShapeError):
         haar.haar_expand(f2, offset0(3))
-    f1 = grid.constant_function(1.0, ax)
+    f1 = grid.grid_function(np.ones(ax.n_cells), ax)
     with pytest.raises(errors.ShapeError):
         haar.haar_expand(f1, offset0(3), offset0(3))
 
@@ -317,20 +317,61 @@ def test_bi_expand_plancherel_and_reconstruction(rng):
 
 
 # ---------------------------------------------------------------------------
-# averaging projections
+# level operators, and their restrictions to one cube
+
+
+def _on(g, cube, pos=0):
+    """``g`` on the cells of ``cube`` along array axis ``pos``, zero elsewhere."""
+    v = np.moveaxis(g.values, pos, 0)
+    out = np.zeros_like(v)
+    out[cube.cells()] = v[cube.cells()]
+    return g.with_values(np.moveaxis(out, 0, pos))
+
+
+def _average_project(f, cube, axis_index=None):
+    """The average of ``f`` over ``cube`` in one variable, carried on the cube."""
+    pos = 0 if axis_index is None else axis_index - 1
+    return _on(haar.level_average(f, cube.system, cube.level, axis_index), cube, pos)
+
+
+def _martingale_block(f, K, i, axis_index=None):
+    """The depth-``i`` martingale block below ``K`` in one variable: the level
+    ``K.level + i`` difference restricted to ``K``."""
+    pos = 0 if axis_index is None else axis_index - 1
+    return _on(haar.level_difference(f, K.system, K.level + i, axis_index), K, pos)
+
+
+def _rect_block(f, K, V, i, j):
+    """The depth-``i`` block below ``K`` in the first variable composed with
+    the depth-``j`` block below ``V`` in the second."""
+    return _martingale_block(_martingale_block(f, K, i, 1), V, j, 2)
+
+
+def _partial_pairing(f, cube, axis_index):
+    """``f`` paired with the Haar step of ``cube`` in one variable: along it,
+    column :func:`haar.basis_column` of :func:`haar.haar_analyze`."""
+    pos = axis_index - 1
+    vals = np.take(haar.haar_analyze(f.values, cube.system, pos), haar.basis_column(cube), pos)
+    return grid.grid_function(vals, f.axes[1 - pos])
+
+
+def _indicator(cube):
+    vals = np.zeros(cube.axis.n_cells)
+    vals[cube.cells()] = 1.0
+    return vals
 
 
 def test_average_project_constant():
     sys = offset0(4)
     I = sys.cube(2, 1)
-    out = haar.average_project(grid.constant_function(1.0, sys.axis), I)
-    assert np.array_equal(out.values, I.indicator().values)
+    out = _average_project(grid.grid_function(np.ones(sys.axis.n_cells), sys.axis), I)
+    assert np.array_equal(out.values, _indicator(I))
 
 
 def test_average_project_kills_own_haar():
     sys = dyadic.DyadicSystem(grid.build_axis(5), 3)
     I = sys.cube(2, 2)
-    out = haar.average_project(haar.haar_function(I), I)
+    out = _average_project(haar.haar_function(I), I)
     assert np.max(np.abs(out.values)) == 0.0
 
 
@@ -338,7 +379,7 @@ def test_average_project_identity_on_half():
     ax = grid.build_axis(6)
     sys = offset0(6)
     f = grid.tabulate_midpoint(lambda x: x, ax)
-    out = haar.average_project(f, sys.cube(1, 0))
+    out = _average_project(f, sys.cube(1, 0))
     assert np.allclose(out.values[:32], 0.25)
     assert np.array_equal(out.values[32:], np.zeros(32))
 
@@ -352,10 +393,6 @@ def test_level_average_endpoints(rng):
     assert np.allclose(glob.values, f.values.mean())
 
 
-# ---------------------------------------------------------------------------
-# martingale blocks
-
-
 @settings(deadline=None, max_examples=30)
 @given(
     st.integers(1, 6),
@@ -367,22 +404,26 @@ def test_level_average_endpoints(rng):
 @example(6, 6, 63, 63, 0)
 @example(6, 2, 1, 3, 1)
 def test_stack_and_table_match_nested_level_average_bitwise(L1, L2, o1, o2, seed):
+    # the level operators are the cube means spread over the cells
+    # (haar._spread): its stack of every level, and the table of the nested
+    # stacks, hold each public call's bits
     a1, a2 = grid.build_axis(L1), grid.build_axis(L2)
     s1 = dyadic.DyadicSystem(a1, o1 % a1.n_cells)
     s2 = dyadic.DyadicSystem(a2, o2 % a2.n_cells)
     vals = np.random.default_rng(seed).normal(size=(a1.n_cells, a2.n_cells))
     f = grid.grid_function(vals, a1, a2)
     for axis_index, s in ((1, s1), (2, s2)):
-        stack = haar.expectation_stack(f, s, axis_index)
+        stack = haar._spread(vals, s, axis_index - 1, range(s.axis.level + 1))
         assert stack.shape == (s.axis.level + 1,) + vals.shape
         for k in range(s.axis.level + 1):
             ref = haar.level_average(f, s, k, axis_index).values
             assert np.array_equal(stack[k], ref)
     row = grid.grid_function(vals[:, 0], a1)
-    stack = haar.expectation_stack(row, s1)
+    stack = haar._spread(row.values, s1, 0, range(L1 + 1))
     for k in range(L1 + 1):
         assert np.array_equal(stack[k], haar.level_average(row, s1, k).values)
-    table = haar.rectangle_table(f, s1, s2)
+    first = haar._spread(vals, s1, 0, range(L1 + 1))
+    table = haar._spread(first, s2, 2, range(L2 + 1)).swapaxes(0, 1)
     assert table.shape == (L1 + 1, L2 + 1) + vals.shape
     for k1 in range(L1 + 1):
         g = haar.level_average(f, s1, k1, axis_index=1)
@@ -391,16 +432,16 @@ def test_stack_and_table_match_nested_level_average_bitwise(L1, L2, o1, o2, seed
             assert np.array_equal(table[k1, k2], ref)
 
 
-def test_rectangle_table_checks_both_systems_before_any_stack(monkeypatch):
+def test_two_axis_expansion_checks_both_systems_before_any_transform(monkeypatch):
     s = offset0(3)
     f = grid.grid_function(np.ones((8, 8)), s.axis, s.axis)
 
     def no_work(*args):
-        raise AssertionError("a stack was built before the second system was checked")
+        raise AssertionError("a transform ran before the second system was checked")
 
-    monkeypatch.setattr(haar, "_spread", no_work)
+    monkeypatch.setattr(haar, "_along", no_work)
     with pytest.raises(errors.SystemMismatchError):
-        haar.rectangle_table(f, s, offset0(4))
+        haar.haar_expand(f, s, offset0(4))
 
 
 def _offset(kind, n):
@@ -419,7 +460,7 @@ def _offset(kind, n):
 @example(1, 7, "one", "last", 1)
 def test_pyramid_matches_rectangle_table_at_start_cells(L1, L2, kind1, kind2, seed):
     # numpy picks its summation order from the layout, so the pyramid's
-    # block sums must be taken as the rectangle table takes them
+    # block sums must be taken as the nested level averages take them
     a1, a2 = grid.build_axis(L1), grid.build_axis(L2)
     s1 = dyadic.DyadicSystem(a1, _offset(kind1, a1.n_cells))
     s2 = dyadic.DyadicSystem(a2, _offset(kind2, a2.n_cells))
@@ -427,12 +468,10 @@ def test_pyramid_matches_rectangle_table_at_start_cells(L1, L2, kind1, kind2, se
     R = haar._pyramid(vals, s1, s2)
     assert R.shape == (2 * a1.n_cells, 2 * a2.n_cells)
     assert not R[0].any() and not R[:, 0].any()
-    T = haar.rectangle_table(grid.grid_function(vals, a1, a2), s1, s2)
-    # the reference table, nested stacks with the second axis's levels leading
+    # the rectangle table, nested stacks with the second axis's levels leading
     ref = oracles.expectation_stack_reference(vals, 0, s1.offset_cells, range(L1 + 1))
     ref = oracles.expectation_stack_reference(ref, 2, s2.offset_cells, range(L2 + 1))
     ref = ref.swapaxes(0, 1)
-    assert np.array_equal(T, ref)
     level1, start1 = haar.column_cubes(np.arange(1, 2 * a1.n_cells), s1)
     level2, start2 = haar.column_cubes(np.arange(1, 2 * a2.n_cells), s2)
     want = ref[level1[:, None], level2, start1[:, None], start2]
@@ -448,7 +487,7 @@ def test_stack_matches_rolled_mean_bitwise(n, other, pos):
     shape = (n, other) if pos == 0 else (other, n)
     vals = np.random.default_rng(n + other + pos).normal(size=shape)
     L = n.bit_length() - 1
-    # a stack of two, as rectangle_table passes the first axis's stack
+    # and a stack of two
     cases = ((vals, pos), (np.stack((vals, -vals)), pos + 1))
     for (v, p), offset in itertools.product(cases, (0, 1, n - 1)):
         system = dyadic.DyadicSystem(grid.build_axis(L), offset)
@@ -514,9 +553,25 @@ def test_block_depth0_matches_oracle(rng):
         f = grid.grid_function(rng.standard_normal(32), ax)
         k = int(rng.integers(4))
         m = int(rng.integers(1 << k))
-        got = haar.martingale_block(f, sys.cube(k, m), 0)
+        got = _martingale_block(f, sys.cube(k, m), 0)
         want = oracles.martingale_diff_brute(f.values, 32, k, m, off)
         assert np.max(np.abs(got.values - want)) < 1e-13
+
+
+def test_cube_means_telescope_along_a_chain_of_ancestors():
+    # heap column c's parent is c >> 1, so the differences of the cube means
+    # up a chain of columns sum to the gap between the ends' averages
+    s = dyadic.DyadicSystem(grid.build_axis(6), 3)
+    b = np.random.default_rng(10).normal(size=64)
+    R = haar._cube_means(b, s, 0)
+    I = s.cube(5, 17)
+    c = haar.basis_column(I)
+    for depth in (0, 1, 3, 5):
+        K = dyadic.ancestor(I, depth)
+        assert haar.basis_column(K) == c >> depth
+        terms = [R[c >> (r - 1)] - R[c >> r] for r in range(1, depth + 1)]
+        gap = b[I.cells()].mean() - b[K.cells()].mean()
+        assert abs(sum(terms) - gap) <= 1e-12
 
 
 def test_block_telescoping(rng):
@@ -534,7 +589,7 @@ def test_block_depth1_child_scale_average_vanishes(rng):
     sys = dyadic.DyadicSystem(ax, 21)
     f = grid.grid_function(rng.standard_normal(32), ax)
     K = sys.cube(1, 0)
-    blk = haar.martingale_block(f, K, 1)
+    blk = _martingale_block(f, K, 1)
     proj = haar.level_average(blk, sys, K.level + 1)
     assert np.max(np.abs(proj.values)) < 1e-13
 
@@ -546,12 +601,12 @@ def test_block_consistency_with_descendant_sum(rng):
     for k, i in [(0, 2), (1, 1), (2, 3), (3, 0)]:
         for m in range(1 << k):
             K = sys.cube(k, m)
-            got = haar.martingale_block(f, K, i)
+            got = _martingale_block(f, K, i)
             acc = np.zeros(64)
             width = 1 << i
             for d in range(width):
                 I = sys.cube(k + i, m * width + d)
-                acc += haar.martingale_block(f, I, 0).values
+                acc += _martingale_block(f, I, 0).values
             assert np.max(np.abs(got.values - acc)) < 1e-13
 
 
@@ -569,24 +624,29 @@ def test_block_consistency_with_descendant_sum(rng):
             r"difference level 3 outside \[0, 3\)",
         ),
         (
-            lambda f, s: haar.martingale_block(f, s.cube(1, 0), -1),
-            errors.ParameterError,
-            "block depth must be non-negative, got -1",
+            lambda f, s: haar.level_average(f, s, -1),
+            errors.ResolutionError,
+            r"level -1 outside \[0, 3\]",
+        ),
+        (
+            lambda f, s: haar.level_difference(f, s, -1),
+            errors.ResolutionError,
+            r"difference level -1 outside \[0, 3\)",
         ),
     ],
-    ids=("average", "difference", "block"),
+    ids=("average", "difference", "average-negative", "difference-negative"),
 )
 def test_levels_and_depths_out_of_range_are_rejected(call, error, message):
     sys = offset0(3)
     with pytest.raises(error, match=message):
-        call(grid.constant_function(1.0, sys.axis), sys)
+        call(grid.grid_function(np.ones(sys.axis.n_cells), sys.axis), sys)
 
 
 def test_block_depth_overflow():
     sys = offset0(4)
-    f = grid.constant_function(1.0, sys.axis)
+    f = grid.grid_function(np.ones(sys.axis.n_cells), sys.axis)
     with pytest.raises(errors.ResolutionError):
-        haar.martingale_block(f, sys.cube(2, 0), 2)
+        _martingale_block(f, sys.cube(2, 0), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +663,7 @@ def test_rect_block_reproduces_tensor_step():
     I = sys1.cube(2, 1)
     J = sys2.cube(1, 1)
     f = _tensor(sys1, sys2, haar.haar_function(I).values, haar.haar_function(J).values)
-    out = haar.rect_block(f, I, J, 0, 0)
+    out = _rect_block(f, I, J, 0, 0)
     assert np.max(np.abs(out.values - f.values)) < 1e-13
 
 
@@ -611,7 +671,7 @@ def test_rect_block_kills_constant_factor(rng):
     sys1 = offset0(3)
     sys2 = offset0(3)
     f = _tensor(sys1, sys2, np.ones(8), rng.standard_normal(8))
-    out = haar.rect_block(f, sys1.cube(1, 0), sys2.cube(1, 0), 0, 0)
+    out = _rect_block(f, sys1.cube(1, 0), sys2.cube(1, 0), 0, 0)
     assert np.max(np.abs(out.values)) < 1e-14
 
 
@@ -627,9 +687,7 @@ def test_rect_block_full_reconstruction(rng):
         for m1 in range(1 << k1):
             for k2 in range(4):
                 for m2 in range(1 << k2):
-                    total += haar.rect_block(
-                        f, sys1.cube(k1, m1), sys2.cube(k2, m2), 0, 0
-                    ).values
+                    total += _rect_block(f, sys1.cube(k1, m1), sys2.cube(k2, m2), 0, 0).values
     mean1 = haar.level_average(f, sys1, 0, axis_index=1)
     mean2 = haar.level_average(f, sys2, 0, axis_index=2)
     both = haar.level_average(mean1, sys2, 0, axis_index=2)
@@ -643,7 +701,7 @@ def test_partial_pairing_tensor(rng):
     I = sys1.cube(1, 0)
     g = rng.standard_normal(8)
     f = _tensor(sys1, sys2, haar.haar_function(I).values, g)
-    out = haar.partial_pairing(f, I, axis_index=1)
+    out = _partial_pairing(f, I, axis_index=1)
     assert out.axes == (sys2.axis,)
     assert np.max(np.abs(out.values - g)) < 1e-13
 
@@ -652,7 +710,7 @@ def test_partial_pairing_constant_factor(rng):
     sys1 = offset0(3)
     sys2 = offset0(3)
     f = _tensor(sys1, sys2, np.ones(8), rng.standard_normal(8))
-    out = haar.partial_pairing(f, sys1.cube(1, 1), axis_index=1)
+    out = _partial_pairing(f, sys1.cube(1, 1), axis_index=1)
     assert np.max(np.abs(out.values)) < 1e-14
 
 
@@ -663,42 +721,33 @@ def test_partial_pairing_fubini(rng):
     cmap = haar.haar_expand(f, sys1, sys2)
     I = sys1.cube(2, 3)
     J = sys2.cube(1, 0)
-    once = haar.partial_pairing(f, I, axis_index=1)
+    once = _partial_pairing(f, I, axis_index=1)
     twice = grid.inner_product(once, haar.haar_function(J))
     assert abs(twice - cmap.coeffs[haar.basis_column(I), haar.basis_column(J)]) < 1e-13
 
 
 def test_partial_pairing_reads_the_haar_analysis_column(rng):
+    # one analysis column along either axis is the pairing with the dense
+    # Haar step
     sys1 = dyadic.DyadicSystem(grid.build_axis(4), 5)
     sys2 = dyadic.DyadicSystem(grid.build_axis(3), 3)
     f = grid.grid_function(rng.standard_normal((16, 8)), sys1.axis, sys2.axis)
     for pos, system in enumerate((sys1, sys2)):
-        coeffs = haar.haar_analyze(f.values, system, pos)
         for k in range(system.axis.level):
             for m in range(1 << k):
                 cube = system.cube(k, m)
-                out = haar.partial_pairing(f, cube, axis_index=pos + 1).values
-                assert np.array_equal(out, np.take(coeffs, haar.basis_column(cube), axis=pos))
+                out = _partial_pairing(f, cube, axis_index=pos + 1).values
                 hv = system.axis.h * haar.haar_function(cube).values
                 dense = hv @ f.values if pos == 0 else f.values @ hv
                 assert np.max(np.abs(out - dense)) < 1e-13
-        with pytest.raises(errors.ResolutionError):
-            haar.partial_pairing(f, system.cube(system.axis.level, 1), axis_index=pos + 1)
-
-
-def test_partial_pairing_needs_two_axes():
-    sys = offset0(3)
-    f = grid.constant_function(1.0, sys.axis)
-    with pytest.raises(errors.ShapeError):
-        haar.partial_pairing(f, sys.cube(1, 0), axis_index=1)
 
 
 def test_axis_index_validation(rng):
     sys = offset0(3)
     f2 = grid.grid_function(rng.standard_normal((8, 8)), sys.axis, sys.axis)
     with pytest.raises(errors.ShapeError):
-        haar.martingale_block(f2, sys.cube(0, 0), 0)  # missing axis_index
-    f1 = grid.constant_function(1.0, sys.axis)
+        haar.level_average(f2, sys, 1)  # missing axis_index
+    f1 = grid.grid_function(np.ones(sys.axis.n_cells), sys.axis)
     with pytest.raises(errors.ShapeError):
         haar.level_average(f1, sys, 1, axis_index=2)
     with pytest.raises(errors.ParameterError):

@@ -2,12 +2,13 @@
 ``grid._is_integer``: a bool, a float (even an integral one) or a string
 raises ParameterError (``build_axis``, a configuration value, raises
 ConfigurationError), and a numpy integer gives the plain int's result.  An
-axis selector (``axis_index``) is an integer parameter too."""
+axis selector (``axis_index``, or the transforms' array axis ``pos``) is an
+integer parameter too, and so is each integer field of a configuration."""
 
 import numpy as np
 import pytest
 
-from dyadica import dyadic, fracops, grid, haar
+from dyadica import analysis, cli, dyadic, fracops, grid, haar, paracomm
 from dyadica.errors import ConfigurationError, ParameterError
 
 AX = grid.build_axis(3)
@@ -22,23 +23,26 @@ TABLE = np.ones((4, 1, 2))
 # (function.parameter): (the call with that parameter set to v, a valid int)
 CALLS = {
     "build_axis.level": (lambda v: grid.build_axis(v), 3),
-    "kernel_cell_integral.cell_a": (lambda v: grid.kernel_cell_integral(AX, v, 0, 0.5), 1),
-    "kernel_cell_integral.cell_b": (lambda v: grid.kernel_cell_integral(AX, 0, v, 0.5), 1),
+    "ExperimentConfig.seed": (lambda v: cli.ExperimentConfig("norms", v), 3),
+    "ExperimentConfig.levels": (lambda v: cli.ExperimentConfig("norms", 0, levels=(v,)), 3),
+    "ExperimentConfig.samples": (lambda v: cli.ExperimentConfig("norms", 0, samples=v), 3),
     "DyadicSystem.offset_cells": (lambda v: dyadic.DyadicSystem(AX, v), 2),
+    "DyadicSystem.cubes_at_level": (lambda v: S.cubes_at_level(v), 2),
+    "sample_system.seed": (lambda v: dyadic.sample_system(AX, v), 7),
     "DyadicCube.level": (lambda v: S.cube(v, 0), 2),
     "DyadicCube.index": (lambda v: S.cube(2, v), 2),
     "GoodParams.r": (lambda v: dyadic.GoodParams(r=v), 2),
     "ancestor.i": (lambda v: dyadic.ancestor(S.cube(2, 3), v), 2),
     "bad_mask.level": (lambda v: dyadic.bad_mask(S, v, PARAMS), 3),
-    "estimate_pgood.level_k": (lambda v: dyadic.estimate_pgood(AX, PARAMS, v, 4, 0), 3),
-    "estimate_pgood.trials": (lambda v: dyadic.estimate_pgood(AX, PARAMS, 3, v, 0), 2),
     "level_average.level": (lambda v: haar.level_average(F1, S, v), 2),
     "level_average.axis_index": (lambda v: haar.level_average(F2, S, 1, axis_index=v), 2),
-    "partial_frac_integral.axis_index": (lambda v: fracops.partial_frac_integral(F2, 0.5, v), 2),
     "level_difference.level": (lambda v: haar.level_difference(F1, S, v), 2),
-    "martingale_block.i": (lambda v: haar.martingale_block(F1, CUBE, v), 1),
-    "rect_block.i": (lambda v: haar.rect_block(F2, CUBE, CUBE, v, 0), 1),
-    "rect_block.j": (lambda v: haar.rect_block(F2, CUBE, CUBE, 0, v), 1),
+    "level_difference.axis_index": (
+        lambda v: haar.level_difference(F2, S, 1, axis_index=v),
+        2,
+    ),
+    "haar_analyze.pos": (lambda v: haar.haar_analyze(F2.values, S, v), 1),
+    "haar_synthesize.pos": (lambda v: haar.haar_synthesize(F2.values, S, v), 1),
     "maximal_table.i": (lambda v: fracops.maximal_table(S, v, 0, 0.5), 2),
     "maximal_table.j": (lambda v: fracops.maximal_table(S, 0, v, 0.5), 2),
     "ShiftCoefficientTable.i": (lambda v: fracops.ShiftCoefficientTable(v, 0, 0.5, TABLE), 1),
@@ -47,6 +51,11 @@ CALLS = {
         lambda v: fracops.concentric_indicator_pairing(CUBE, v, 0.5),
         1,
     ),
+    "default_omega_family.lshapes": (lambda v: analysis.default_omega_family(S, S, v), 2),
+    "default_omega_family.seed": (lambda v: analysis.default_omega_family(S, S, 2, v), 1),
+    "BloomConfig.n_samples": (lambda v: paracomm.BloomConfig(n_samples=v), 4),
+    "BloomConfig.seed": (lambda v: paracomm.BloomConfig(seed=v), 4),
+    "BloomConfig.base_level": (lambda v: paracomm.BloomConfig(base_level=v), 2),
 }
 
 
@@ -58,6 +67,8 @@ def _bits(result):
         return int(result.i), int(result.j), result.lam, result.coeffs.tobytes()
     if isinstance(result, np.ndarray):
         return result.tobytes()
+    if isinstance(result, analysis.OmegaFamily):
+        return tuple(mask.tobytes() for mask in result.shapes)
     return result
 
 
@@ -65,7 +76,8 @@ def _bits(result):
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_integer_parameters_reject_bools_and_non_integers(name, bad):
     call, _ = CALLS[name]
-    error = ConfigurationError if name == "build_axis.level" else ParameterError
+    configured = name == "build_axis.level" or name.startswith("ExperimentConfig.")
+    error = ConfigurationError if configured else ParameterError
     with pytest.raises(error, match="must be"):
         call(bad)
 
@@ -74,9 +86,3 @@ def test_integer_parameters_reject_bools_and_non_integers(name, bad):
 def test_integer_parameters_take_numpy_integers_as_plain_ints(name):
     call, value = CALLS[name]
     assert _bits(call(np.int64(value))) == _bits(call(value))
-
-
-def test_kernel_cell_integral_does_not_truncate():
-    with pytest.raises(ParameterError):
-        grid.kernel_cell_integral(AX, 1.9, 0, 0.5)
-    assert grid.kernel_cell_integral(AX, np.int32(1), 0, 0.5) == grid.kernel_cell_integral(AX, 1, 0, 0.5)

@@ -6,31 +6,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dyadica.dyadic import DyadicCube, DyadicSystem, ancestor
+from dyadica.dyadic import DyadicCube, DyadicSystem
 from dyadica.errors import (
-    ContractError,
     InvariantError,
     ParameterError,
     ShapeError,
     SystemMismatchError,
 )
-from dyadica.fracops import (
-    ShiftCoefficientTable,
-    apply_shift,
-    maximal_table,
-    partial_frac_integral,
-)
-from dyadica.grid import build_axis, constant_function, grid_function
+from dyadica.fracops import ShiftCoefficientTable, maximal_table
+from dyadica.grid import build_axis, grid_function
 from dyadica.haar import basis_column, haar_matrix
 from dyadica.paracomm import (
     PARAPRODUCT_TAGS,
+    _iterated_commutator,
+    _smoothing,
     BloomConfig,
     bloom_experiment,
-    commutator,
     decompose_product,
     paraproduct,
     shift_commutator_expand,
-    telescope_terms,
 )
 
 from oracles import (
@@ -92,7 +86,7 @@ def test_constant_symbol_kills_difference_tags():
     # every tag except W differentiates the symbol in some axis
     s1, s2 = system_pair(3)
     f = rand_f(np.random.default_rng(1), s1, s2)
-    b = constant_function(2.5, s1.axis, s2.axis)
+    b = grid_function(np.full((s1.axis.n_cells, s2.axis.n_cells), 2.5), s1.axis, s2.axis)
     for tag in PARAPRODUCT_TAGS[:-1]:
         assert np.all(paraproduct(tag, b, f, (s1, s2)).values == 0.0)
     assert np.max(np.abs(paraproduct("W", b, f, (s1, s2)).values)) > 0.0
@@ -102,7 +96,7 @@ def test_constant_input_leaves_only_the_smooth_tag():
     # every tag except A4 differentiates the second factor in some axis
     s1, s2 = system_pair(3, 2, 5)
     b = rand_f(np.random.default_rng(2), s1, s2)
-    f = constant_function(1.75, s1.axis, s2.axis)
+    f = grid_function(np.full((s1.axis.n_cells, s2.axis.n_cells), 1.75), s1.axis, s2.axis)
     for tag in PARAPRODUCT_TAGS:
         vals = paraproduct(tag, b, f, (s1, s2)).values
         if tag == "A4":
@@ -178,8 +172,8 @@ def test_decomposition_is_exact():
 
 def test_constant_product_sits_in_the_mean_bucket():
     s1, s2 = system_pair(3)
-    b = constant_function(1.5, s1.axis, s2.axis)
-    f = constant_function(-2.0, s1.axis, s2.axis)
+    b = grid_function(np.full((s1.axis.n_cells, s2.axis.n_cells), 1.5), s1.axis, s2.axis)
+    f = grid_function(np.full((s1.axis.n_cells, s2.axis.n_cells), -2.0), s1.axis, s2.axis)
     report = decompose_product(b, f, (s1, s2))
     for tag in PARAPRODUCT_TAGS:
         assert np.all(report.parts[tag].values == 0.0)
@@ -216,91 +210,47 @@ def test_stacked_decomposition_matches_single_samples_bitwise(L1, L2, off1, off2
         assert residual[k] == report.residual
 
 
-# -- commutators ----------------------------------------------------------
+# -- commutators with the smoothing operators ------------------------------
+
+
+def _smoothings(axis, lam1, lam2):
+    """Bloom's T1 along the first array axis and T2 along the second."""
+    return _smoothing(axis, lam1, -2), _smoothing(axis, lam2, -1)
 
 
 def test_commutator_constant_symbol_vanishes():
     s1, s2 = system_pair(4)
-    f = rand_f(np.random.default_rng(5), s1, s2)
-    b = constant_function(3.25, s1.axis, s2.axis)
-    inner = commutator(b, f, {"inner": 0.5})
-    assert np.max(np.abs(inner.values)) <= 1e-12
-    iterated = commutator(b, f, {"iterated": (0.3, 0.7)})
-    assert np.max(np.abs(iterated.values)) <= 1e-12
+    f = rand_f(np.random.default_rng(5), s1, s2).values
+    b = np.full(f.shape, 3.25)
+    iterated = _iterated_commutator(b, f, *_smoothings(s1.axis, 0.3, 0.7))
+    assert np.max(np.abs(iterated)) <= 1e-12
 
 
 def test_commutator_symbol_constant_in_the_acting_axis_vanishes():
+    # T2 acts along the second axis only, so a symbol of the first variable
+    # alone commutes with it
     s1, s2 = system_pair(4)
     rng = np.random.default_rng(6)
-    f = rand_f(rng, s1, s2)
-    beta = rng.normal(size=s1.axis.n_cells)
-    b = grid_function(np.outer(beta, np.ones(s2.axis.n_cells)), s1.axis, s2.axis)
-    inner = commutator(b, f, {"inner": 0.5})
-    assert np.max(np.abs(inner.values)) <= 1e-12
+    f = rand_f(rng, s1, s2).values
+    b = np.outer(rng.normal(size=s1.axis.n_cells), np.ones(s2.axis.n_cells))
+    _, t2 = _smoothings(s1.axis, 0.3, 0.5)
+    assert np.max(np.abs(b * t2(f) - t2(b * f))) <= 1e-12
 
 
 def test_iterated_commutator_matches_nested_inner():
+    # [T1, [b, T2]] f = T1 ([b, T2] f) - [b, T2] (T1 f), with the two orders
+    # lam1 != lam2 on their own axes
     s1, s2 = system_pair(3)
     rng = np.random.default_rng(7)
-    b, f = rand_f(rng, s1, s2), rand_f(rng, s1, s2)
-    full = commutator(b, f, {"iterated": (0.4, 0.6)})
+    b, f = rand_f(rng, s1, s2).values, rand_f(rng, s1, s2).values
+    t1, t2 = _smoothings(s1.axis, 0.4, 0.6)
+    full = _iterated_commutator(b, f, t1, t2)
 
     def inner(g):
-        return commutator(b, g, {"inner": 0.6})
+        return b * t2(g) - t2(b * g)
 
-    t1f = partial_frac_integral(f, 0.4, 1)
-    nested = partial_frac_integral(inner(f), 0.4, 1).values - inner(t1f).values
-    assert np.allclose(full.values, nested, atol=1e-11)
-
-
-def test_commutator_validation():
-    s1, s2 = system_pair(3)
-    f = rand_f(np.random.default_rng(8), s1, s2)
-    with pytest.raises(ParameterError):
-        commutator(f, f, {"wrong": 0.5})
-    with pytest.raises(ParameterError):
-        commutator(f, f, {"inner": 0.5, "iterated": (0.5, 0.5)})
-    one_axis = grid_function(np.ones(8), s1.axis)
-    with pytest.raises(ShapeError):
-        commutator(one_axis, one_axis, {"inner": 0.5})
-
-
-# -- telescoping ----------------------------------------------------------
-
-
-def test_telescope_depth_zero_is_empty():
-    s = DyadicSystem(build_axis(5), 0)
-    b = grid_function(np.random.default_rng(9).normal(size=32), s.axis)
-    I = s.cube(3, 5)
-    assert telescope_terms(b, I, I, s) == ()
-
-
-def test_telescope_sums_to_the_average_gap():
-    s = DyadicSystem(build_axis(6), 3)
-    b = grid_function(np.random.default_rng(10).normal(size=64), s.axis)
-    I = s.cube(5, 17)
-    for depth in (1, 3, 5):
-        K = ancestor(I, depth)
-        terms = telescope_terms(b, I, K, s)
-        assert len(terms) == depth
-        gap = b.values[I.cells()].mean() - b.values[K.cells()].mean()
-        assert abs(sum(terms) - gap) <= 1e-12
-
-
-def test_telescope_validation():
-    s = DyadicSystem(build_axis(4), 0)
-    b = grid_function(np.arange(16.0), s.axis)
-    I = s.cube(3, 2)
-    with pytest.raises(ContractError):
-        telescope_terms(b, I, s.cube(2, 3), s)  # not an ancestor
-    with pytest.raises(ContractError):
-        telescope_terms(b, s.cube(2, 1), I, s)  # deeper than I
-    other = DyadicSystem(build_axis(4), 5)
-    with pytest.raises(SystemMismatchError):
-        telescope_terms(b, other.cube(3, 2), other.cube(2, 1), s)
-    two_axis = grid_function(np.ones((16, 16)), s.axis, s.axis)
-    with pytest.raises(ShapeError):
-        telescope_terms(two_axis, I, ancestor(I, 1), s)
+    nested = t1(inner(f)) - inner(t1(f))
+    assert np.allclose(full, nested, atol=1e-11)
 
 
 # -- shift-level commutator expansion -------------------------------------
@@ -342,7 +292,7 @@ def within(got, want, rel):
 @example(2, 3, (2, 1, 1, 0), 3, 5, 1)  # the first axis has no cube K
 def test_shift_tables_match_entry_oracles(L1, L2, depths, off1, off2, seed):
     from dyadica.fracops import _route
-    from dyadica.haar import _pyramid, rectangle_table
+    from dyadica.haar import _pyramid
     from dyadica.paracomm import _leftover_term, _shift_matrix
 
     s1 = DyadicSystem(build_axis(L1), off1 % (1 << L1))
@@ -362,8 +312,6 @@ def test_shift_tables_match_entry_oracles(L1, L2, depths, off1, off2, seed):
         n = system.axis.n_cells
         v = rng.normal(size=n)
         assert within(_route(table, v), route_brute(table, system, v), 1e-13)
-        got = apply_shift(grid_function(v, system.axis), system, table)
-        assert within(got.values, apply_shift_brute(v, system, table), 1e-13)
         X = rng.normal(size=(n, 3))
         assert within(_route(table, X), route_brute(table, system, X), 1e-13)
 
@@ -383,9 +331,8 @@ def test_shift_tables_match_entry_oracles(L1, L2, depths, off1, off2, seed):
                 ShiftCoefficientTable(i, j, lam, coeffs).validate(system)
 
     b, f = rand_f(rng, s1, s2), rand_f(rng, s1, s2)
-    Tb = rectangle_table(b, s1, s2)
     got = _leftover_term(_pyramid(b.values, s1, s2), f.values, t1, t2, s1, s2)
-    assert within(got, leftover_term_brute(Tb, f.values, t1, t2, s1, s2), 1e-13)
+    assert within(got, leftover_term_brute(b.values, f.values, t1, t2, s1, s2), 1e-13)
 
 
 def test_two_axis_multiscale_memory_is_linear_in_cells():
@@ -432,7 +379,7 @@ def test_shift_expansion_residual_is_rounding_noise():
 def test_shift_expansion_constant_symbol():
     s1, s2 = system_pair(3)
     f = rand_f(np.random.default_rng(13), s1, s2)
-    b = constant_function(1.25, s1.axis, s2.axis)
+    b = grid_function(np.full((s1.axis.n_cells, s2.axis.n_cells), 1.25), s1.axis, s2.axis)
     t1 = maximal_table(s1, 1, 1, 0.5)
     t2 = maximal_table(s2, 0, 1, 0.5)
     expansion = shift_commutator_expand(b, f, t1, t2, (s1, s2))
@@ -725,8 +672,8 @@ def test_bloom_experiment_bmo_matches_public_norm_bitwise(monkeypatch):
 
 def _bloom_by_public_calls(config):
     """Per level and quad, the ratios and characteristics of
-    :func:`bloom_experiment` from one public single-sample call per norm
-    and commutator, samples refined with ``np.kron``."""
+    :func:`bloom_experiment` from one public single-sample call per norm and
+    one iterated commutator per sample, samples refined with ``np.kron``."""
     from dyadica.analysis import bmo_prod_rect_norm, mixed_norm
     from dyadica.weights import apq_characteristic, bloom_weight, exponent_solve, power_weight
 
@@ -757,7 +704,8 @@ def _bloom_by_public_calls(config):
                 bmo = bmo_prod_rect_norm(b, nu, pair)
                 if bmo <= 0.0:
                     continue
-                com = commutator(b, f, {"iterated": (config.lam1, config.lam2)})
+                t1, t2 = _smoothings(axis, config.lam1, config.lam2)
+                com = f.with_values(_iterated_commutator(b.values, f.values, t1, t2))
                 num = mixed_norm(com, q1, q2, sg1.power(q1), sg2.power(q2))
                 ratios.append(num / (bmo * mixed_norm(f, p1, p2, mu1.power(p1), mu2.power(p2))))
             out.append((level, qi, chars, tuple(ratios)))
@@ -828,3 +776,80 @@ def test_bloom_and_rect_norm_never_form_the_weight(monkeypatch):
 def test_bloom_experiment_rejects_levels_below_base():
     with pytest.raises(ParameterError):
         bloom_experiment(BloomConfig(levels=(2,)))
+
+
+# -- the off-diagonal case under a dense oracle ---------------------------
+
+
+@pytest.mark.parametrize(
+    "p1, p2, lam1, lam2",
+    (
+        (4 / 3, 4 / 3, 0.5, 0.5),
+        (4 / 3, 2.0, 0.5, 0.7),
+        (1.5, 1.25, 0.6, 0.4),
+        (2.5, 4 / 3, 0.8, 0.3),
+    ),
+    ids=("diagonal", "p1<p2", "p1>p2", "q2=20"),
+)
+def test_bloom_ratios_match_a_dense_oracle_off_diagonal(p1, p2, lam1, lam2):
+    # each axis with its own exponent, order and weights, and every piece
+    # formed densely: T_i as the kernel matrix over h (which no library path
+    # reads), [T1, [b, T2]] f as matrix products, the mixed norms by loops
+    # and the rectangle BMO norm over the default family by direct summation.
+    # Each smoothing is within 1e-13 of its largest entry
+    # (test_frac_integral_matches_the_dense_kernel_matrix), so, the kernels
+    # being positive, the commutator's error is within 1e-12 times the sum E
+    # of its four terms' moduli, cell by cell; a mixed norm is monotone and
+    # subadditive, so the numerator moves by at most 1e-12 of the norm of E.
+    # The norms' and the BMO sum's own rounding is (n + 8) eps relative each,
+    # under the 1e-12 added
+    from dyadica.analysis import default_omega_family
+    from dyadica.grid import kernel_matrix
+    from dyadica.weights import bloom_weight, exponent_solve, power_weight
+
+    from oracles import bmo_prod_brute, mixed_norm_brute
+
+    quads = (
+        ((0.2, 0.5), (-0.15, 0.25), (0.15, 0.75), (0.1, 0.3)),
+        ((0.1, 0.0), (0.1, 0.5), (-0.1, 0.3), (0.15, 0.7)),
+    )
+    config = BloomConfig(levels=(2, 3), p1=p1, p2=p2, lam1=lam1, lam2=lam2,
+                         weight_quads=quads, n_samples=6, seed=3, base_level=2)
+    report = bloom_experiment(config)
+    q1, q2 = exponent_solve(p1, lam1).q, exponent_solve(p2, lam2).q
+    assert (report.q1, report.q2) == (q1, q2)
+    nb = 1 << config.base_level
+    for result in report.levels:
+        axis = build_axis(result.level)
+        lattice = DyadicSystem(axis, 0)
+        shapes = list(default_omega_family(lattice, lattice).shapes)
+        A1, A2 = (kernel_matrix(axis, lam) / axis.h for lam in (lam1, lam2))
+        ones = np.ones((axis.n_cells // nb,) * 2)
+        for qi, (quad, got) in enumerate(zip(quads, result.quads)):
+            weights = [power_weight(axis, a, c) for a, c in quad]
+            mu1, sg1, mu2, sg2 = (w.values for w in weights)
+            nu = bloom_weight(*weights).evaluate().values
+            want, bounds = [], []
+            for idx in range(config.n_samples):
+                rng = np.random.default_rng((config.seed, qi, idx))
+                b, f = (np.kron(x, ones) for x in coarse_sample(rng, nb, idx % 3))
+                bmo = bmo_prod_brute(b, nu, 0, 0, shapes)
+                if bmo <= 0.0:
+                    continue
+
+                def inner(g):
+                    return b * (g @ A2) - (b * g) @ A2  # [b, T2] g, A2 symmetric
+
+                def envelope(g):
+                    return abs(b) * (abs(g) @ A2) + (abs(b) * abs(g)) @ A2
+
+                com = A1 @ inner(f) - inner(A1 @ f)
+                E = A1 @ envelope(f) + envelope(A1 @ abs(f))
+                num = mixed_norm_brute(com, q1, q2, sg1**q1, sg2**q2)
+                src = mixed_norm_brute(f, p1, p2, mu1**p1, mu2**p2)
+                want.append(num / (bmo * src))
+                E_norm = mixed_norm_brute(E, q1, q2, sg1**q1, sg2**q2)
+                bounds.append(1e-12 * E_norm / num + 1e-12)
+            assert len(got.ratios) == len(want) > 0
+            for g, w, bound in zip(got.ratios, want, bounds):
+                assert abs(g - w) <= bound * w

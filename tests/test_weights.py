@@ -10,7 +10,7 @@ from dyadica.errors import (
     ShapeError,
     SystemMismatchError,
 )
-from dyadica.grid import _arc_folds, build_axis, constant_function, grid_function
+from dyadica.grid import _arc_folds, build_axis, grid_function
 from dyadica.weights import (
     ExponentTriple,
     ProductWeight,
@@ -18,7 +18,6 @@ from dyadica.weights import (
     ap_characteristic,
     apq_characteristic,
     bloom_weight,
-    derived_class_check,
     exponent_solve,
     power_weight,
     product_ap_characteristic,
@@ -56,7 +55,7 @@ def test_weight_rejects_nonpositive_entries():
 def test_weight_rejects_two_axis_input():
     axis = build_axis(2)
     with pytest.raises(ShapeError):
-        Weight(constant_function(1.0, axis, axis))
+        Weight(grid_function(np.ones((axis.n_cells, axis.n_cells)), axis, axis))
 
 
 def test_weight_power_is_entrywise():
@@ -180,7 +179,7 @@ def test_power_weight_symmetry_about_center():
 
 def test_ap_characteristic_of_constant_is_one():
     axis = build_axis(4)
-    w = Weight(constant_function(3.0, axis))
+    w = Weight(grid_function(np.full(axis.n_cells, 3.0), axis))
     c = ap_characteristic(w, 2.0)
     assert abs(c - 1.0) <= 1e-12
 
@@ -358,7 +357,7 @@ def test_ap_characteristic_dyadic_family_is_lower_bound():
 
 def test_ap_characteristic_family_validation():
     axis = build_axis(3)
-    w = Weight(constant_function(1.0, axis))
+    w = Weight(grid_function(np.ones(axis.n_cells), axis))
     with pytest.raises(ParameterError):
         ap_characteristic(w, 2.0, family="rectangles")
     with pytest.raises(ParameterError):
@@ -369,18 +368,33 @@ def test_ap_characteristic_family_validation():
         ap_characteristic(w, 1.0)
 
 
+def test_derived_class_weights_have_finite_characteristics():
+    # a finite A_{p,q} characteristic puts w**q in A_q, w**(-p') in A_p' and
+    # w**(-q') in A_q' (p' and q' the dual exponents); on the intervals and
+    # on a dyadic family each characteristic is at least 1
+    axis = build_axis(5)
+    w = power_weight(axis, 0.25, 0.5)
+    p, q = 4.0 / 3.0, 4.0
+    assert np.isfinite(apq_characteristic(w, p, q))
+    p_dual, q_dual = p / (p - 1.0), q / (q - 1.0)
+    for family in ("intervals", [DyadicSystem(axis, 3)]):
+        for exponent, r in ((q, q), (-p_dual, p_dual), (-q_dual, q_dual)):
+            value = ap_characteristic(w.power(exponent), r, family)
+            assert np.isfinite(value) and value >= 1.0 - 1e-12
+
+
 def test_a_lone_system_is_not_a_cube_family():
     axis = build_axis(3)
-    w = Weight(constant_function(1.0, axis))
+    w = Weight(grid_function(np.ones(axis.n_cells), axis))
     with pytest.raises(ParameterError, match="iterable of DyadicSystems"):
         ap_characteristic(w, 2.0, family=DyadicSystem(axis, 0))
     with pytest.raises(ParameterError, match="iterable of DyadicSystems"):
-        derived_class_check(w, 2.0, 3.0, family=DyadicSystem(axis, 0))
+        apq_characteristic(w, 2.0, 3.0, family=DyadicSystem(axis, 0))
 
 
 def test_every_member_of_a_cube_family_is_a_system():
     axis = build_axis(3)
-    w = Weight(constant_function(1.0, axis))
+    w = Weight(grid_function(np.ones(axis.n_cells), axis))
     with pytest.raises(ParameterError, match="must be a DyadicSystem"):
         ap_characteristic(w, 2.0, family=[DyadicSystem(axis, 0), axis])
     with pytest.raises(ParameterError, match="must be a DyadicSystem"):
@@ -398,7 +412,7 @@ def test_apq_characteristic_matches_brute_force_bitwise():
 
 def test_apq_characteristic_requires_q_above_p():
     axis = build_axis(3)
-    w = Weight(constant_function(1.0, axis))
+    w = Weight(grid_function(np.ones(axis.n_cells), axis))
     with pytest.raises(ParameterError):
         apq_characteristic(w, 2.0, 2.0)
     with pytest.raises(ParameterError):
@@ -442,52 +456,22 @@ def test_apq_duality_joint_finiteness():
     assert abs(b - a ** (p_dual / q)) <= 1e-10 * b
 
 
-# -- derived classes ------------------------------------------------------
-
-
-def test_derived_class_check_reports_three_finite_characteristics():
-    axis = build_axis(5)
-    w = power_weight(axis, 0.25, 0.5)
-    report = derived_class_check(w, 4.0 / 3.0, 4.0)
-    assert report.p == 4.0 / 3.0 and report.q == 4.0
-    assert report.family == "intervals"
-    for value in (report.q_power, report.dual_p_power, report.dual_q_power):
-        assert np.isfinite(value)
-        assert value >= 1.0 - 1e-12
-
-
-def test_derived_class_check_echoes_dyadic_family():
-    axis = build_axis(4)
-    w = Weight(constant_function(2.0, axis))
-    systems = [DyadicSystem(axis, 3)]
-    report = derived_class_check(w, 2.0, 3.0, family=systems)
-    assert report.family == "dyadic[3]"
-    assert abs(report.q_power - 1.0) <= 1e-12
-
-
 def test_cube_family_may_be_a_generator():
     # a generator can be read once; each entry point reads its family once
     axis = build_axis(5)
     w = power_weight(axis, 0.25, 0.5)
     offsets = (0, 11)
     systems = [DyadicSystem(axis, o) for o in offsets]
-    want = derived_class_check(w, 2.0, 3.0, family=systems)
-    got = derived_class_check(w, 2.0, 3.0, family=(DyadicSystem(axis, o) for o in offsets))
-    assert got == want
-    assert got.family == "dyadic[0,11]"
+    for characteristic in (
+        lambda family: ap_characteristic(w, 2.0, family),
+        lambda family: apq_characteristic(w, 2.0, 3.0, family),
+    ):
+        generator = (DyadicSystem(axis, o) for o in offsets)
+        assert characteristic(generator) == characteristic(systems)
     pw = ProductWeight(w, w)
     assert product_ap_characteristic(
         pw, 2.0, (DyadicSystem(axis, o) for o in offsets)
     ) == product_ap_characteristic(pw, 2.0, systems)
-
-
-def test_derived_class_check_validates_exponents():
-    axis = build_axis(3)
-    w = Weight(constant_function(1.0, axis))
-    with pytest.raises(ParameterError):
-        derived_class_check(w, 1.0, 2.0)
-    with pytest.raises(ParameterError):
-        derived_class_check(w, 3.0, 2.0)
 
 
 # -- two-weight ratios ----------------------------------------------------
@@ -539,7 +523,7 @@ def test_bloom_product_characteristic_matches_brute_force():
 def test_product_ap_characteristic_of_constants_is_one():
     axis = build_axis(3)
     pw = ProductWeight(
-        Weight(constant_function(2.0, axis)), Weight(constant_function(0.5, axis))
+        Weight(grid_function(np.full(8, 2.0), axis)), Weight(grid_function(np.full(8, 0.5), axis))
     )
     assert abs(product_ap_characteristic(pw, 2.0) - 1.0) <= 1e-12
 
