@@ -1,5 +1,6 @@
 """The report bytes of ``dyadica all --seed 1`` at ``--level`` 6 and 8, kept
-under ``tests/golden/`` with the numpy version that wrote them.
+under ``tests/golden/`` with the numpy version that wrote them; at level 6
+also the ``report.csv`` of a ``"format": "csv"`` run.
 
     python tests/golden.py            # compare this tree with the files
     python tests/golden.py --update   # rewrite the files from this tree
@@ -14,6 +15,7 @@ moved row.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -24,6 +26,7 @@ import numpy as np
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 LEVELS = (6, 8)
+CSV_LEVEL = 6
 NUMPY = GOLDEN / "numpy-version.txt"
 
 
@@ -31,20 +34,27 @@ def produce(level: int, out: Path) -> dict:
     """``{file name: bytes}`` of one ``all --seed 1 --level`` run into ``out``."""
     from dyadica.cli import ExperimentConfig, run_suite
 
-    outcome = run_suite(ExperimentConfig(suite="all", seed=1, levels=(level,), out=str(out)))
-    return {
+    config = ExperimentConfig(suite="all", seed=1, levels=(level,), out=str(out))
+    outcome = run_suite(config)
+    files = {
         "report.json": outcome.report_path.read_bytes(),
         "samples.csv": outcome.samples_path.read_bytes(),
     }
+    if level == CSV_LEVEL:
+        csv_config = dataclasses.replace(config, out=str(out / "csv"), format="csv")
+        files["report.csv"] = run_suite(csv_config).report_path.read_bytes()
+    return files
 
 
 def _entries(name: str, blob: bytes) -> dict:
     """The named values of one file: each check's fields, or each samples row.
     A name given twice keeps its last value; the bytes still differ."""
     text = blob.decode("utf-8")
-    if name == "samples.csv":
-        rows = list(csv.reader(io.StringIO(text)))[1:]
-        return {f"row {suite},{sample}": value for suite, sample, value in rows}
+    if name.endswith(".csv"):
+        header, *rows = csv.reader(io.StringIO(text))
+        if name == "samples.csv":
+            return {f"row {suite},{sample}": value for suite, sample, value in rows}
+        return {f"check {row[0]} {k}": v for row in rows for k, v in zip(header, row)}
     payload = json.loads(text)
     entries = {f"meta {key}": value for key, value in payload["meta"].items()}
     for check in payload["checks"]:
