@@ -227,17 +227,70 @@ class CheckRecord:
     hard: bool = True
 
 
-def _check(
-    name: str, anchor: str, value: float, threshold: float, hard: bool = True
-) -> CheckRecord:
-    """A record that passes when ``value <= threshold`` (NaN fails)."""
-    return CheckRecord(name, anchor, value, threshold, value <= threshold, hard)
-
-
 def _worst(values) -> float:
     """The largest of ``values`` and 0.0 as a Python float; NaN if any value
     is NaN, which Python's ``max`` would drop."""
     return float(np.max(values, initial=0.0))
+
+
+def _variation(values) -> float:
+    """How far the highest of ``values`` lies above the lowest, relative to
+    the lowest; where the lowest is at most 0.0 no relative figure exists,
+    and the variation is 1.0 if the highest is above 0.0, else 0.0.  NaN if
+    any value is NaN."""
+    low, high = float(np.min(values)), float(np.max(values))
+    return float(high > 0.0) if low <= 0.0 else (high - low) / low
+
+
+class _Sink:
+    """One check's record, fed one sample at a time by :meth:`add`.
+
+    ``rule`` (:func:`_worst` or :func:`_variation`) reads the record's value
+    from the lowest and the highest sample so far, both NaN once any sample
+    is NaN; before the first sample the value is 0.0.  ``label`` is the label
+    of the first sample at which the value became what it is, or None while
+    it is still the 0.0 it started at.  The label is written to no file."""
+
+    def __init__(self, out: "_Output", name: str, anchor: str, threshold: float,
+                 hard: bool, rule):
+        self.name, self.anchor, self.threshold, self.hard = name, anchor, threshold, hard
+        self.rule, self._out = rule, out
+        self.value, self.label = 0.0, None
+        self._extremes = ()
+
+    def add(self, label: str, value: float, row: Optional[float] = None) -> None:
+        """Fold the sample ``value`` into the record; a ``row`` value goes to
+        the suite's samples rows under ``label``."""
+        if row is not None:
+            self._out.rows.append((self._out.suite, label, row))
+        if self._extremes and self._extremes[0] <= value <= self._extremes[1]:
+            return  # neither a new extreme nor a NaN: the value stands
+        seen = (*self._extremes, value)
+        self._extremes = (np.min(seen), np.max(seen))
+        value = self.rule(self._extremes)
+        if value != self.value and not (np.isnan(value) and np.isnan(self.value)):
+            self.value, self.label = value, label
+
+    def check(self) -> CheckRecord:
+        """The record; it passes when its value is at most its threshold (a
+        NaN fails)."""
+        return CheckRecord(self.name, self.anchor, self.value, self.threshold,
+                           self.value <= self.threshold, self.hard)
+
+
+class _Output:
+    """One suite's sinks, opened by :meth:`sink`, and the samples rows they
+    pass on, in call order."""
+
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.sinks: List[_Sink] = []
+        self.rows: List[Tuple[str, str, float]] = []
+
+    def sink(self, name: str, anchor: str, threshold: float, hard: bool = True,
+             rule=_worst) -> _Sink:
+        self.sinks.append(_Sink(self, name, anchor, threshold, hard, rule))
+        return self.sinks[-1]
 
 
 def _json_number(x: float):
@@ -330,7 +383,7 @@ def _sample_pairs(rng: np.random.Generator, count: int, n: int, footprint: int):
 _HAAR_VERIFY_FLOATS = 12
 
 
-def _suite_haar_verify(config: ExperimentConfig):
+def _suite_haar_verify(config: ExperimentConfig, out: _Output) -> None:
     """Per sample and offset, the residual of the Haar expansion and of the
     telescoped martingale differences, for a stack of samples drawn at once.
     The transform pair runs along the stack's cell axis, which keeps each
@@ -340,127 +393,79 @@ def _suite_haar_verify(config: ExperimentConfig):
     steps are theirs by construction; each sample's means are reduced alone,
     in the order of one sample's."""
     rng = _suite_rng(config, "haar-verify")
-    records, rows = [], []
     for level in config.levels:
         axis = build_axis(level)
         n = axis.n_cells
         offsets = sorted({0, 1, n // 2})
-        recons, tels = [], []
+        recon = out.sink(
+            f"haar-verify-reconstruction-L{level}", "haar-orthonormal-expansion", 1e-12
+        )
+        tel = out.sink(f"haar-verify-telescoping-L{level}", "martingale-telescoping", 1e-12)
         for lo, hi in _stacks(config.samples, n, _HAAR_VERIFY_FLOATS):
             X = rng.normal(size=(hi - lo, n))
-            recon = []
+            residuals = []  # per offset, the stack's two residuals per sample
             for off in offsets:
                 system = DyadicSystem(axis, off)
                 back = haar_synthesize(haar_analyze(X, system, 1), system, 1)
-                recon.append(np.max(np.abs(back - X), axis=1).tolist())
                 R = np.stack([_cube_means(x, system, 0) for x in X])
                 total = _chain_sum(R - _parents(R, 1), ((1, system),), first=1)
-                tels.append(np.max(np.abs(total - X)))
-            for s, values in enumerate(zip(*recon), lo):
-                recons.extend(values)
-                for off, value in zip(offsets, values):
-                    rows.append(("haar-verify", f"L{level}-off{off}-s{s}", value))
-        records.append(
-            _check(
-                f"haar-verify-reconstruction-L{level}",
-                "haar-orthonormal-expansion",
-                _worst(recons),
-                1e-12,
-            )
-        )
-        records.append(
-            _check(
-                f"haar-verify-telescoping-L{level}",
-                "martingale-telescoping",
-                _worst(tels),
-                1e-12,
-            )
-        )
-    return records, rows
+                residuals.append([np.max(np.abs(Y - X), axis=1) for Y in (back, total)])
+            for s, per_offset in enumerate(np.transpose(residuals, (2, 0, 1)).tolist(), lo):
+                for off, (res, tel_res) in zip(offsets, per_offset):
+                    label = f"L{level}-off{off}-s{s}"
+                    recon.add(label, res, row=res)
+                    tel.add(label, tel_res)
 
 
-def _suite_represent(config: ExperimentConfig):
+def _suite_represent(config: ExperimentConfig, out: _Output) -> None:
     rng = _suite_rng(config, "represent")
-    records, rows = [], []
     level = max(config.levels)
     axis = build_axis(level)
     n = axis.n_cells
     offsets = np.array(sorted({0, 1, n // 2}))
     n_pairs = min(config.samples, 5)
     subtracted = 0
-    total_inputs = 0
     for lam in config.lambdas:
-        rels = []
+        identity = out.sink(
+            f"represent-identity-lam{lam:g}", "fractional-representation-identity", 1e-8
+        )
         for s in range(n_pairs):
             f = grid_function(rng.normal(size=n), axis)
             g = grid_function(rng.normal(size=n), axis)
-            for h in (f, g):
-                total_inputs += 1
-                if abs(h.mean()) > 0.0:
-                    subtracted += 1
+            subtracted += sum(abs(h.mean()) > 0.0 for h in (f, g))
             f = f.with_values(f.values - f.mean())
             g = g.with_values(g.values - g.mean())
             rel = float(_residuals(f, g, lam, offsets)[1].max())
-            rels.append(rel)
-            rows.append(("represent", f"lam{lam:g}-s{s}", rel))
-        records.append(
-            _check(
-                f"represent-identity-lam{lam:g}",
-                "fractional-representation-identity",
-                _worst(rels),
-                1e-8,
-            )
-        )
-    frac = subtracted / total_inputs if total_inputs else 0.0
-    records.append(
-        _check(
-            "represent-mean-subtraction",
-            "input-normalization",
-            frac,
-            1.0,
-            hard=False,
-        )
-    )
-    return records, rows
+            identity.add(f"lam{lam:g}-s{s}", rel, row=rel)
+    inputs = 2 * n_pairs * len(config.lambdas)
+    normalized = out.sink("represent-mean-subtraction", "input-normalization", 1.0, hard=False)
+    normalized.add("inputs", subtracted / inputs)
 
 
-def _suite_weights(config: ExperimentConfig):
-    records, rows = [], []
-    level = max(config.levels)
-    axis = build_axis(level)
-    built = [power_weight(axis, a, c) for a, c in config.weights]
-    deficits, dualities = [], []
-    for wi, w in enumerate(built):
+def _suite_weights(config: ExperimentConfig, out: _Output) -> None:
+    axis = build_axis(max(config.levels))
+    deficit = out.sink("weights-characteristic-deficit", "characteristic-lower-bound", 1e-12)
+    duality = out.sink("weights-duality-identity", "characteristic-duality", 1e-10)
+    for wi, (alpha, center) in enumerate(config.weights):
+        w = power_weight(axis, alpha, center)
         for p, lam in config.exponents:
             q = exponent_solve(p, lam).q
             char = apq_characteristic(w, p, q)
-            deficits.append(1.0 - char)
+            deficit.add(f"w{wi}-p{p:g}-char", 1.0 - char, row=char)
             p_dual = p / (p - 1.0)
             q_dual = q / (q - 1.0)
             dual_char = apq_characteristic(w.power(-1.0), q_dual, p_dual)
             target = char ** (p_dual / q)
-            dualities.append(abs(dual_char - target) / target)
-            rows.append(("weights", f"w{wi}-p{p:g}-char", char))
-    records.append(
-        _check(
-            "weights-characteristic-deficit",
-            "characteristic-lower-bound",
-            _worst(deficits),
-            1e-12,
-        )
-    )
-    records.append(
-        _check("weights-duality-identity", "characteristic-duality", _worst(dualities), 1e-10)
-    )
-    return records, rows
+            duality.add(f"w{wi}-p{p:g}-duality", abs(dual_char - target) / target)
 
 
-def _suite_norms(config: ExperimentConfig):
+def _suite_norms(config: ExperimentConfig, out: _Output) -> None:
     rng = _suite_rng(config, "norms")
-    records, rows = [], []
     lam = config.lambdas[0]
-
-    plancherels, gaps = [], []
+    energy = out.sink("norms-square-energy", "square-function-energy", 1e-12)
+    domination = out.sink(
+        "norms-maximal-domination-deficit", "maximal-pointwise-domination", 1e-12
+    )
     for level in config.levels:
         axis = build_axis(level)
         system = DyadicSystem(axis, 0)
@@ -469,8 +474,7 @@ def _suite_norms(config: ExperimentConfig):
             sq = square_function(f, system, mode="sole")
             centered = f.with_values(f.values - f.mean())
             rel = abs(l2_norm(sq) - l2_norm(centered)) / l2_norm(centered)
-            plancherels.append(rel)
-            rows.append(("norms", f"L{level}-s{s}-plancherel", rel))
+            energy.add(f"L{level}-s{s}-plancherel", rel, row=rel)
         per = _per_axis(level)
         baxis = build_axis(per)
         for s in range(min(config.samples, 5)):
@@ -478,67 +482,40 @@ def _suite_norms(config: ExperimentConfig):
                 rng.normal(size=(baxis.n_cells, baxis.n_cells)), baxis, baxis
             )
             m = strong_maximal(g)
-            gaps.append(np.max(np.abs(g.values) - m.values))
-    records.append(
-        _check("norms-square-energy", "square-function-energy", _worst(plancherels), 1e-12)
-    )
-    records.append(
-        _check(
-            "norms-maximal-domination-deficit",
-            "maximal-pointwise-domination",
-            _worst(gaps),
-            1e-12,
-        )
-    )
+            domination.add(f"L{level}-s{s}-maximal", np.max(np.abs(g.values) - m.values))
 
     def profile(x):
         return 2.0 + np.sin(2.0 * np.pi * x)
 
-    ratios = []
+    variation = out.sink(
+        "norms-frac-domination-variation", "fractional-maximal-domination", 0.2,
+        hard=False, rule=_variation,
+    )
     for level in sorted(set(config.levels)):
         axis = build_axis(level)
         f = tabulate_midpoint(profile, axis)
         ratio = frac_maximal_domination(f, DyadicSystem(axis, 0), lam)
-        ratios.append(ratio)
-        rows.append(("norms", f"L{level}-frac-domination", ratio))
-    low, high = float(np.min(ratios)), float(np.max(ratios))  # NaN if any ratio is
-    variation = (high - low) / low
-    records.append(
-        _check(
-            "norms-frac-domination-variation",
-            "fractional-maximal-domination",
-            variation,
-            0.2,
-            hard=False,
-        )
-    )
-    return records, rows
+        variation.add(f"L{level}-frac-domination", ratio, row=ratio)
 
 
-def _suite_decompose(config: ExperimentConfig):
+def _suite_decompose(config: ExperimentConfig, out: _Output) -> None:
     rng = _suite_rng(config, "decompose")
-    records, rows = [], []
+    residual = out.sink("decompose-product-residual", "nine-term-product-split", 1e-12)
     # each distinct per-axis level once: a repeat would repeat its labels
     for per in dict.fromkeys(map(_per_axis, config.levels)):
         axis = build_axis(per)
         pair = (DyadicSystem(axis, 0), DyadicSystem(axis, 1 % axis.n_cells))
         for lo, B, F in _sample_pairs(rng, config.samples, axis.n_cells, _DECOMPOSE_FLOATS):
-            residual = _decompose(B, F, *pair)[2]
             scale = np.max(np.abs(B * F), axis=(-2, -1))
-            for s, rel in enumerate((residual / scale).tolist(), lo):
-                rows.append(("decompose", f"L{per}x{per}-s{s}", rel))
-    worst = _worst([value for _, _, value in rows])
-    records.append(
-        _check("decompose-product-residual", "nine-term-product-split", worst, 1e-12)
-    )
-    return records, rows
+            for s, rel in enumerate((_decompose(B, F, *pair)[2] / scale).tolist(), lo):
+                residual.add(f"L{per}x{per}-s{s}", rel, row=rel)
 
 
-def _suite_commutator(config: ExperimentConfig):
+def _suite_commutator(config: ExperimentConfig, out: _Output) -> None:
     rng = _suite_rng(config, "commutator")
-    records, rows = [], []
     lam1 = config.lambdas[0]
     lam2 = config.lambdas[-1]
+    residual = out.sink("commutator-expansion-residual", "shift-commutator-expansion", 1e-10)
     # each distinct per-axis level once: a repeat would repeat its labels
     for per in dict.fromkeys(map(_per_axis, config.levels)):
         axis = build_axis(per)
@@ -554,22 +531,11 @@ def _suite_commutator(config: ExperimentConfig):
             expand = _expansion(t1, t2, s1, s2)
             count = min(config.samples, 10)
             for lo, B, F in _sample_pairs(rng, count, axis.n_cells, _EXPAND_FLOATS):
-                residual = expand(B, F)[2]
-                for s, value in enumerate(residual.tolist(), lo):
-                    rows.append(("commutator", f"L{per}x{per}-c{ci}-s{s}", value))
-    records.append(
-        _check(
-            "commutator-expansion-residual",
-            "shift-commutator-expansion",
-            _worst([value for _, _, value in rows]),
-            1e-10,
-        )
-    )
-    return records, rows
+                for s, value in enumerate(expand(B, F)[2].tolist(), lo):
+                    residual.add(f"L{per}x{per}-c{ci}-s{s}", value, row=value)
 
 
-def _suite_bloom(config: ExperimentConfig):
-    records, rows = [], []
+def _suite_bloom(config: ExperimentConfig, out: _Output) -> None:
     p, lam = config.exponents[0]
     top = max(5, _per_axis(max(config.levels)))  # levels 3..5 up to --level 8
     bloom = BloomConfig(
@@ -579,36 +545,18 @@ def _suite_bloom(config: ExperimentConfig):
         seed=config.seed,
     )
     report = bloom_experiment(bloom)
-    n_quads = len(report.levels[0].quads)
-    characteristics = []
-    for qi in range(n_quads):
-        maxima = []
+    budget = out.sink("bloom-characteristic-budget", "characteristic-budget", 10.0, hard=False)
+    for qi in range(len(report.levels[0].quads)):
+        variation = out.sink(
+            f"bloom-ratio-variation-quad{qi}", "two-weight-ratio-stability", 0.5,
+            hard=False, rule=_variation,
+        )
         for level_result in report.levels:
             quad = level_result.quads[qi]
-            maxima.append(quad.max_ratio)
-            characteristics.extend(quad.characteristics)
-            rows.append(("bloom", f"L{level_result.level}-quad{qi}", quad.max_ratio))
-        low, high = float(np.min(maxima)), float(np.max(maxima))  # NaN if any is
-        variation = float(high > 0.0) if low <= 0.0 else (high - low) / low
-        records.append(
-            _check(
-                f"bloom-ratio-variation-quad{qi}",
-                "two-weight-ratio-stability",
-                variation,
-                0.5,
-                hard=False,
-            )
-        )
-    records.append(
-        _check(
-            "bloom-characteristic-budget",
-            "characteristic-budget",
-            _worst(characteristics),
-            10.0,
-            hard=False,
-        )
-    )
-    return records, rows
+            label = f"L{level_result.level}-quad{qi}"
+            variation.add(label, quad.max_ratio, row=quad.max_ratio)
+            for wi, char in enumerate(quad.characteristics):
+                budget.add(f"{label}-w{wi}", char)
 
 
 _SUITE_FUNCTIONS = {
@@ -645,10 +593,12 @@ def _thread_cap() -> int:
     return max(1, cap)
 
 
-def _run_one(name: str, config: ExperimentConfig):
-    """Run one suite; an error it raises becomes one failing record."""
+def _run_one(name: str, config: ExperimentConfig) -> _Output:
+    """Run one suite into its own output; an error it raises becomes one
+    failing record in place of the suite's records and rows."""
+    out = _Output(name)
     try:
-        return _SUITE_FUNCTIONS[name](config)
+        _SUITE_FUNCTIONS[name](config, out)
     except Exception as exc:  # one suite's crash must not lose the others' reports
         print(f"{name}: {type(exc).__name__}: {exc}", file=sys.stderr)
         kind = "contract-error" if isinstance(exc, DyadicaError) else "crash"
@@ -656,8 +606,10 @@ def _run_one(name: str, config: ExperimentConfig):
             import traceback
 
             traceback.print_exc(file=sys.stderr)
+        out = _Output(name)
         # one error raised against none allowed
-        return [_check(f"{name}-{kind}", f"error-{type(exc).__name__}", 1.0, 0.0)], []
+        out.sink(f"{name}-{kind}", f"error-{type(exc).__name__}", 0.0).add(type(exc).__name__, 1.0)
+    return out
 
 
 def run_suite(config: ExperimentConfig, strict: bool = False) -> SuiteOutcome:
@@ -677,16 +629,15 @@ def run_suite(config: ExperimentConfig, strict: bool = False) -> SuiteOutcome:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=min(cap, len(names))) as pool:
-            results = dict(zip(names, pool.map(lambda name: _run_one(name, config), names)))
+            outputs = list(pool.map(lambda name: _run_one(name, config), names))
     else:
-        results = {name: _run_one(name, config) for name in names}
+        outputs = [_run_one(name, config) for name in names]
 
     records: List[CheckRecord] = []
     rows: List[Tuple[str, str, float]] = []
-    for name in sorted(names):
-        suite_records, suite_rows = results[name]
-        records.extend(sorted(suite_records, key=lambda r: r.name))
-        rows.extend(suite_rows)
+    for out in sorted(outputs, key=lambda out: out.suite):
+        records.extend(sorted((sink.check() for sink in out.sinks), key=lambda r: r.name))
+        rows.extend(out.rows)
 
     report_path = out_dir / ("report.json" if config.format == "json" else "report.csv")
     samples_path = out_dir / "samples.csv"

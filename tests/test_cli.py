@@ -342,7 +342,7 @@ def test_represent_suite_walks_no_block_and_runs_no_census(tmp_path, monkeypatch
 
 
 def test_contract_error_becomes_failing_record(tmp_path, monkeypatch):
-    def broken(config):
+    def broken(config, out):
         raise ContractError("synthetic failure")
 
     monkeypatch.setitem(cli._SUITE_FUNCTIONS, "norms", broken)
@@ -357,7 +357,7 @@ def test_contract_error_becomes_failing_record(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("error", (FloatingPointError, ValueError))
 def test_numerical_crash_keeps_the_other_suites(tmp_path, monkeypatch, error):
-    def crashing(config):
+    def crashing(config, out):
         raise error("overflow encountered in power")
 
     monkeypatch.setitem(cli._SUITE_FUNCTIONS, "norms", crashing)
@@ -378,10 +378,10 @@ def test_numerical_crash_keeps_the_other_suites(tmp_path, monkeypatch, error):
 
 
 def test_only_a_crash_prints_its_traceback(tmp_path, monkeypatch, capsys):
-    def overflowing_norm_step(config):
+    def overflowing_norm_step(config, out):
         raise ValueError("overflow encountered in power")
 
-    def misconfigured(config):
+    def misconfigured(config, out):
         raise ConfigurationError("synthetic contract failure")
 
     reports = []
@@ -403,6 +403,12 @@ def test_only_a_crash_prints_its_traceback(tmp_path, monkeypatch, capsys):
         [{"name": "norms-contract-error", "paper_anchor": "error-ConfigurationError",
           "value": 1.0, "threshold": 0.0, "pass": False}],
     ]
+
+
+def _run(suite, config):
+    """One suite's records and samples rows, as ``run_suite`` takes them."""
+    out = cli._run_one(suite, config)
+    return [sink.check() for sink in out.sinks], out.rows
 
 
 def _two_axis_rows_by_public_calls(config, suite):
@@ -452,7 +458,7 @@ def test_stacked_suites_match_single_sample_calls_bitwise(monkeypatch, suite, ce
     if cells is not None:
         monkeypatch.setattr(paracomm, "_STACK_FLOATS", cells * paracomm._EXPAND_FLOATS)
     config = ExperimentConfig(suite=suite, seed=3, levels=(6, 4), samples=10)
-    records, rows = cli._SUITE_FUNCTIONS[suite](config)
+    records, rows = _run(suite, config)
     want = _two_axis_rows_by_public_calls(config, suite)
     assert rows == want
     assert records[0].value == max(value for _, _, value in want)
@@ -464,11 +470,11 @@ def test_levels_with_one_per_axis_level_write_each_label_once(tmp_path, suite):
     # on the stream of a config with level 6 alone
     data = {"suite": suite, "seed": 1, "levels": [6, 7], "samples": 3}
     config = load_config(write_config(tmp_path, data))
-    _, rows = cli._SUITE_FUNCTIONS[suite](config)
+    _, rows = _run(suite, config)
     labels = [label for _, label, _ in rows]
     assert labels and len(labels) == len(set(labels))
     assert all(label.startswith("L4x4-") for label in labels)
-    _, alone = cli._SUITE_FUNCTIONS[suite](dataclasses.replace(config, levels=(6,)))
+    _, alone = _run(suite, dataclasses.replace(config, levels=(6,)))
     assert rows == alone
 
 
@@ -486,7 +492,7 @@ def test_commutator_suite_builds_each_shift_matrix_once_per_depth_case(monkeypat
 
     monkeypatch.setattr(paracomm, "_shift_matrix", counted)
     config = ExperimentConfig(suite="commutator", seed=3, levels=(6,), samples=10)
-    _, rows = cli._SUITE_FUNCTIONS["commutator"](config)
+    _, rows = _run("commutator", config)
     assert builds == [(0, 1, 0), (8, 0, 1), (0, 0, 0), (8, 1, 1), (0, 1, 1), (8, 1, 0)]
     monkeypatch.setattr(paracomm, "_shift_matrix", build)
     assert rows == _two_axis_rows_by_public_calls(config, "commutator")
@@ -530,24 +536,15 @@ def test_haar_verify_matches_single_sample_calls_bitwise(monkeypatch, cells):
     if cells is not None:
         monkeypatch.setattr(paracomm, "_STACK_FLOATS", cells * cli._HAAR_VERIFY_FLOATS)
     config = ExperimentConfig(suite="haar-verify", seed=4, levels=(6, 3, 8), samples=7)
-    records, rows = cli._SUITE_FUNCTIONS["haar-verify"](config)
+    records, rows = _run("haar-verify", config)
     worst, want = _haar_verify_by_public_calls(config)
     assert rows == want
     assert {r.name: r.value for r in records} == worst
 
 
 def test_strict_mode_promotes_stability_warnings(tmp_path, monkeypatch):
-    soft_fail = CheckRecord(
-        name="norms-wobble",
-        anchor="stability",
-        value=0.9,
-        threshold=0.5,
-        passed=False,
-        hard=False,
-    )
-
-    def fake(config):
-        return [soft_fail], []
+    def fake(config, out):
+        out.sink("norms-wobble", "stability", 0.5, hard=False).add("s0", 0.9)
 
     monkeypatch.setitem(cli._SUITE_FUNCTIONS, "norms", fake)
     config = ExperimentConfig(suite="norms", seed=1, out=str(tmp_path))
@@ -707,7 +704,7 @@ def test_an_output_path_that_is_a_file_fails_before_any_suite(tmp_path, capsys, 
     called = []
     for name in cli.SUITES:
         monkeypatch.setitem(
-            cli._SUITE_FUNCTIONS, name, lambda config, name=name: called.append(name) or ([], [])
+            cli._SUITE_FUNCTIONS, name, lambda config, out, name=name: called.append(name)
         )
     target = tmp_path / "out"
     target.write_text("", encoding="utf-8")
@@ -723,6 +720,69 @@ def test_worst_keeps_a_nan():
     for values in ([np.nan], [1.0, np.nan, 2.0], [np.nan, 1.0], np.array([2.0, np.nan])):
         worst = cli._worst(values)
         assert type(worst) is float and np.isnan(worst)
+
+
+
+def test_variation_keeps_a_nan_and_reads_a_lowest_value_of_zero():
+    # the norms and Bloom variation records share this rule
+    for values in ([np.nan], [1.0, np.nan, 2.0], [np.nan, 0.0], np.array([0.0, np.nan])):
+        variation = cli._variation(values)
+        assert type(variation) is float and np.isnan(variation)
+    # no relative figure exists above a lowest value of 0.0: 1.0 for any rise
+    assert cli._variation([0.0, 3.0]) == 1.0 and cli._variation([2.0, 0.0, 5.0]) == 1.0
+    assert cli._variation([0.5, 0.5, 0.5]) == 0.0 and cli._variation([0.0, 0.0]) == 0.0
+    assert cli._variation([2.0, 3.0, 2.5]) == 0.5 and type(cli._variation([2.0])) is float
+
+
+_OWN_ROWS = (  # records whose samples rows hold their own sample values
+    "represent-identity-", "decompose-product-residual", "commutator-expansion-residual",
+    "haar-verify-reconstruction-", "norms-square-energy",
+)
+
+
+def test_each_sink_keeps_the_label_of_the_first_sample_to_reach_its_value(
+    tmp_path, monkeypatch
+):
+    # every sample each sink takes, in order, and every suite output of one run
+    taken, outputs = {}, []
+    add, output = cli._Sink.add, cli._Output
+
+    def logged(sink, label, value, row=None):
+        taken.setdefault(sink.name, []).append((label, float(value)))
+        add(sink, label, value, row)
+
+    class Kept(output):
+        def __init__(self, suite):
+            super().__init__(suite)
+            outputs.append(self)
+
+    monkeypatch.setattr(cli._Sink, "add", logged)
+    monkeypatch.setattr(cli, "_Output", Kept)
+    config = ExperimentConfig(suite="all", seed=1, levels=(4,), out=str(tmp_path))
+    outcome = run_suite(config)
+    assert outcome.exit_code == 0
+    with outcome.samples_path.open(encoding="utf-8", newline="") as fh:
+        rows = {(row["suite"], row["sample"]): row["value"] for row in csv.DictReader(fh)}
+    sinks = {sink.name: (out.suite, sink) for out in outputs for sink in out.sinks}
+    assert sorted(sinks) == sorted(record.name for record in outcome.records)
+    floors = set()
+    for record in outcome.records:
+        suite, sink = sinks[record.name]
+        labels, values = zip(*taken[record.name])
+        # the fewest samples, in order, whose rule reads the record's value;
+        # no sample at all reads 0.0
+        reads = [0.0] + [sink.rule(values[:k]) for k in range(1, len(values) + 1)]
+        first = reads.index(record.value)
+        assert sink.label == (labels[first - 1] if first else None), record.name
+        if first == 0:
+            floors.add(record.name)
+        if record.name.startswith(_OWN_ROWS):
+            assert rows[suite, sink.label] == repr(record.value), record.name
+    # deficits at most 0.0, and the variation over the one level 4
+    assert floors == {
+        "weights-characteristic-deficit", "norms-maximal-domination-deficit",
+        "norms-frac-domination-variation",
+    }
 
 
 def _nan_samples(monkeypatch):
