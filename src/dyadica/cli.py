@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
 import sys
@@ -345,6 +346,18 @@ def emit_report(records: Sequence[CheckRecord], format: str, path, meta=None) ->
         raise ConfigurationError(f"cannot write report {out}: {exc}") from exc
 
 
+def _check_writable(path: Path, role: str) -> None:
+    """Raise, before any suite runs, the ConfigurationError that writing
+    ``path`` as the run's ``role`` file would; creates and truncates nothing."""
+    if path.is_dir():
+        exc = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    elif not os.access(path if path.exists() else path.parent, os.W_OK):
+        exc = PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+    else:
+        return
+    raise ConfigurationError(f"cannot write {role} {path}: {exc}")
+
+
 def _write_samples(rows: Sequence[Tuple[str, str, float]], path) -> None:
     out = Path(path)
     try:
@@ -625,6 +638,10 @@ def run_suite(config: ExperimentConfig, strict: bool = False) -> SuiteOutcome:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(f"cannot create output dir {out_dir}: {exc}") from exc
+    report_path = out_dir / ("report.json" if config.format == "json" else "report.csv")
+    samples_path = out_dir / "samples.csv"
+    _check_writable(report_path, "report")
+    _check_writable(samples_path, "samples")
     if cap > 1 and len(names) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -639,8 +656,6 @@ def run_suite(config: ExperimentConfig, strict: bool = False) -> SuiteOutcome:
         records.extend(sorted((sink.check() for sink in out.sinks), key=lambda r: r.name))
         rows.extend(out.rows)
 
-    report_path = out_dir / ("report.json" if config.format == "json" else "report.csv")
-    samples_path = out_dir / "samples.csv"
     meta = {"seed": config.seed, "levels": list(config.levels)}
     emit_report(records, config.format, report_path, meta=meta)
     _write_samples(rows, samples_path)

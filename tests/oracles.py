@@ -150,20 +150,20 @@ def array_power(x, e):
     return np.power([x], e)[0]
 
 
-def ap_brute(values, p, arcs=None):
+def ap_brute(values, p):
     """[w]_{A_p} over grid arcs by direct double loop."""
     values = np.asarray(values, dtype=float)
     n = len(values)
     dual = values ** (1.0 - p / (p - 1.0))
     best = 0.0
-    for start, width in arcs if arcs is not None else all_arcs(n):
+    for start, width in all_arcs(n):
         m1 = arc_mean(values, start, width)
         m2 = arc_mean(dual, start, width)
         best = max(best, m1 * array_power(m2, p - 1.0))
     return best
 
 
-def apq_brute(values, p, q, arcs=None):
+def apq_brute(values, p, q):
     """[w]_{A_{p,q}} over grid arcs by direct double loop."""
     values = np.asarray(values, dtype=float)
     n = len(values)
@@ -171,7 +171,7 @@ def apq_brute(values, p, q, arcs=None):
     wq = values ** q
     wmp = values ** (-pprime)
     best = 0.0
-    for start, width in arcs if arcs is not None else all_arcs(n):
+    for start, width in all_arcs(n):
         m1 = arc_mean(wq, start, width)
         m2 = arc_mean(wmp, start, width)
         best = max(best, m1 * array_power(m2, q / pprime))
@@ -188,29 +188,20 @@ def arc_mean_batch(v, starts, width):
     return acc / width
 
 
-def char_over_family_batches(num, den, den_exp, offsets=None):
-    """Max of mean(num) * mean(den)**den_exp over every arc (``offsets``
-    None) or over the cubes of the lattices with these offsets, one
-    per-width batch of arcs at a time."""
+def char_over_family_batches(num, den, den_exp):
+    """Max of mean(num) * mean(den)**den_exp over every arc (every start,
+    and the full circle once), one per-width batch of arcs at a time."""
     n = len(num)
-    if offsets is None:
-        # every start, and the full circle once
-        batches = [(np.arange(n if width < n else 1), width) for width in range(1, n + 1)]
-    else:
-        batches = [
-            ((o + np.arange(1 << k) * (n >> k)) % n, n >> k)
-            for o in offsets
-            for k in range(n.bit_length())
-        ]
     best = -np.inf
-    for starts, width in batches:
+    for width in range(1, n + 1):
+        starts = np.arange(n if width < n else 1)
         mn = arc_mean_batch(num, starts, width)
         md = arc_mean_batch(den, starts, width)
         best = max(best, float(np.max(mn * md**den_exp)))
     return best
 
 
-def product_ap_brute(values1, values2, p, arcs1=None, arcs2=None):
+def product_ap_brute(values1, values2, p):
     """A_p characteristic of the tensor weight over all arc rectangles."""
     v1 = np.asarray(values1, dtype=float)
     v2 = np.asarray(values2, dtype=float)
@@ -218,9 +209,9 @@ def product_ap_brute(values1, values2, p, arcs1=None, arcs2=None):
     w = np.outer(v1, v2)
     dual = w ** (1.0 - p / (p - 1.0))
     best = 0.0
-    for s1, w1 in arcs1 if arcs1 is not None else all_arcs(n1):
+    for s1, w1 in all_arcs(n1):
         rows = arc_cells(n1, s1, w1)
-        for s2, w2 in arcs2 if arcs2 is not None else all_arcs(n2):
+        for s2, w2 in all_arcs(n2):
             cols = arc_cells(n2, s2, w2)
             block = w[np.ix_(rows, cols)]
             dblock = dual[np.ix_(rows, cols)]

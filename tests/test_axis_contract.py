@@ -4,14 +4,13 @@ System k lives on axis k of the function.  Each row calls one entry point
 three times with one fault each: a level-4 system against level-3 functions
 raises SystemMismatchError, a function with the wrong number of axes raises
 ShapeError, and a systems argument that is neither a DyadicSystem nor a pair
-of them raises ParameterError.  The weight characteristics take a cube family of systems:
-their rows pass ``[system]``, and their function is the weight's log.
+of them raises ParameterError.
 """
 
 import numpy as np
 import pytest
 
-from dyadica import analysis, fracops, haar, paracomm, weights
+from dyadica import analysis, fracops, haar, paracomm
 from dyadica.dyadic import DyadicSystem, GoodParams
 from dyadica.errors import ParameterError, ShapeError, SystemMismatchError
 from dyadica.grid import build_axis, grid_function
@@ -32,11 +31,6 @@ def _function(ndim: int):
     """A mean-zero function on ``ndim`` copies of the level-3 axis."""
     vals = np.random.default_rng(ndim).normal(size=(8,) * ndim)
     return grid_function(vals - vals.mean(), *(AX,) * ndim)
-
-
-def _weight(f):
-    """The weight exp(f); a weight is a one-axis function, else ShapeError."""
-    return Weight(f.with_values(np.exp(f.values)))
 
 
 # id: (call(f, systems), the function's number of axes, systems kind)
@@ -71,23 +65,6 @@ ROWS = {
         lambda f, s: paracomm.shift_commutator_expand(f, f, TABLE, TABLE, s),
         2,
         PAIR,
-    ),
-    "ap_characteristic": (
-        lambda f, s: weights.ap_characteristic(_weight(f), 2.0, [s]),
-        1,
-        ONE,
-    ),
-    "apq_characteristic": (
-        lambda f, s: weights.apq_characteristic(_weight(f), 2.0, 3.0, [s]),
-        1,
-        ONE,
-    ),
-    "product_ap_characteristic": (
-        lambda f, s: weights.product_ap_characteristic(
-            ProductWeight(_weight(f), _weight(f)), 2.0, [s]
-        ),
-        1,
-        ONE,
     ),
 }
 

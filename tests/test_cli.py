@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -711,6 +712,63 @@ def test_an_output_path_that_is_a_file_fails_before_any_suite(tmp_path, capsys, 
     assert main(["all", "--seed", "1", "--level", "3", "--out", str(target)]) == 2
     assert called == []
     assert f"error: cannot create output dir {target}" in capsys.readouterr().err
+
+
+def _record_suite_calls(monkeypatch):
+    """Replace every suite by one that only records its name."""
+    called = []
+    for name in cli.SUITES:
+        monkeypatch.setitem(
+            cli._SUITE_FUNCTIONS, name, lambda config, out, name=name: called.append(name)
+        )
+    return called
+
+
+@pytest.mark.parametrize(
+    "format, taken, role",
+    (("json", "report.json", "report"), ("csv", "report.csv", "report"),
+     ("json", "samples.csv", "samples")),
+)
+def test_an_output_file_that_cannot_be_written_fails_before_any_suite(
+    tmp_path, capsys, monkeypatch, format, taken, role
+):
+    # both output files are checked before the suites run: the run exits 2
+    # with no suite's work and creates neither file
+    called = _record_suite_calls(monkeypatch)
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    config = write_config(tmp_path, {"seed": 1, "levels": [3], "format": format, "out": str(out)})
+    assert main(["all", "--config", str(config)]) == 2
+    assert called == []
+    assert f"error: cannot write {role} {out / taken}" in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == [taken]
+
+
+def test_a_failed_output_check_leaves_an_earlier_report_as_it_was(tmp_path, monkeypatch):
+    # the report of an earlier run stays byte for byte when samples.csv
+    # cannot be written: the check opens no file
+    called = _record_suite_calls(monkeypatch)
+    (tmp_path / "samples.csv").mkdir()
+    report = tmp_path / "report.json"
+    report.write_text("earlier\n", encoding="utf-8")
+    assert main(["weights", "--seed", "1", "--level", "3", "--out", str(tmp_path)]) == 2
+    assert called == []
+    assert report.read_text(encoding="utf-8") == "earlier\n"
+
+
+@pytest.mark.parametrize("level", ("4", "6", "8"))
+def test_the_default_run_raises_no_numpy_warning(tmp_path, monkeypatch, capsys, level):
+    # every suite with numpy's floating-point errors and RuntimeWarnings
+    # raised: a suite that hit one would leave an error record
+    monkeypatch.setenv("DYADICA_THREADS", "1")
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["all", "--level", level, "--seed", "1", "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    names = [check["name"] for check in report["checks"]]
+    assert not [name for name in names if name.endswith(("-crash", "-contract-error"))]
+    assert capsys.readouterr().err == ""
 
 
 def test_worst_keeps_a_nan():

@@ -3,13 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dyadica.dyadic import DyadicSystem
-from dyadica.errors import (
-    InfeasibleExponentError,
-    ParameterError,
-    ShapeError,
-    SystemMismatchError,
-)
+from dyadica.errors import InfeasibleExponentError, ParameterError, ShapeError
 from dyadica.grid import _arc_folds, build_axis, grid_function
 from dyadica.weights import (
     ExponentTriple,
@@ -250,8 +244,8 @@ def test_the_full_circle_counts_once():
 @pytest.mark.parametrize("widths", (1, 3, None))
 def test_characteristic_blocks_at_their_edges(monkeypatch, widths):
     # the budget sets how many consecutive arc widths one block holds: one
-    # (read from the carried sums with no copy), three (a partial last block
-    # at every n here, the full circle in it) or all of them
+    # (the full circle's mean repeated across its row), three (a partial last
+    # block at every n here, the full circle in it) or all of them
     import dyadica.weights as weights
 
     def budget(rows, n):
@@ -273,44 +267,45 @@ def test_characteristic_blocks_at_their_edges(monkeypatch, widths):
         assert stacked == [apq_characteristic(w, p, q) for w in ws]
 
 
-def test_a_cube_family_may_be_an_array_of_systems():
-    axis = build_axis(3)
-    w = Weight(grid_function(np.linspace(0.5, 2.0, 8), axis))
-    systems = (DyadicSystem(axis, 0), DyadicSystem(axis, 1))
-    array = np.empty(2, dtype=object)
-    array[:] = systems
-    assert ap_characteristic(w, 2.0, array) == ap_characteristic(w, 2.0, systems) == 1.5625
-    assert apq_characteristic(w, 2.0, 3.0, array) == apq_characteristic(w, 2.0, 3.0, systems)
-    pw = ProductWeight(w, w)
-    assert product_ap_characteristic(pw, 2.0, array) == product_ap_characteristic(pw, 2.0, systems)
+@pytest.mark.parametrize("count, quotient", ((16, 1), (40, 0)))
+def test_many_weights_take_one_width_per_block_at_the_shipped_budget(count, quotient):
+    # 16 weights at L = 8 fill the budget with one width (8192 // 32 // 256),
+    # 40 overfill it and still take one; one weight alone takes blocks of 16
+    # widths; all match the batches
+    import dyadica.weights as weights
+
+    axis = build_axis(8)
+    rng = np.random.default_rng(48)
+    ws = [random_weight(axis, rng) for _ in range(count)]
+    assert weights._BLOCK_FLOATS // (2 * len(ws)) // axis.n_cells == quotient
+    p, q = 4.0 / 3.0, 4.0
+    p_dual = p / (p - 1.0)
+    stacked = weights._apq_characteristics(ws, p, q).tolist()
+    assert stacked == [apq_characteristic(w, p, q) for w in ws]
+    for idx in (0, 11):
+        v = ws[idx].values
+        assert stacked[idx] == char_over_family_batches(v**q, v ** (-p_dual), q / p_dual)
 
 
 @settings(max_examples=12, deadline=None)
 @given(
-    level=st.integers(1, 10),
+    level=st.integers(1, 8),
     p=st.sampled_from([4.0 / 3.0, 2.0, 3.0]),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(level=8, p=2.0, seed=0)
-@example(level=10, p=3.0, seed=0)
 def test_characteristics_match_per_width_batches_bitwise(level, p, seed):
-    # the per-width batches re-sum every arc (O(n**3) for intervals, about
-    # 25 s at L = 10), so intervals are compared up to L = 8 here and their
-    # carried means at L = 10 by the next test
+    # the per-width batches re-sum every arc (O(n**3), about 25 s at L = 10),
+    # so they are compared up to L = 8 here and the carried means at L = 10
+    # by the next test
     axis = build_axis(level)
-    rng = np.random.default_rng(seed)
-    w = random_weight(axis, rng)
-    offsets = [0, int(rng.integers(axis.n_cells))]
-    families = [([DyadicSystem(axis, o) for o in offsets], offsets)]
-    if level <= 8:
-        families.append(("intervals", None))
+    w = random_weight(axis, np.random.default_rng(seed))
     p_dual, q = p / (p - 1.0), 2.0 * p
     v = w.values
-    for family, offs in families:
-        want_ap = char_over_family_batches(v, v ** (1.0 - p_dual), p - 1.0, offs)
-        assert ap_characteristic(w, p, family) == want_ap
-        want_apq = char_over_family_batches(v**q, v ** (-p_dual), q / p_dual, offs)
-        assert apq_characteristic(w, p, q, family) == want_apq
+    want_ap = char_over_family_batches(v, v ** (1.0 - p_dual), p - 1.0)
+    assert ap_characteristic(w, p) == want_ap
+    want_apq = char_over_family_batches(v**q, v ** (-p_dual), q / p_dual)
+    assert apq_characteristic(w, p, q) == want_apq
 
 
 @pytest.mark.parametrize("level", [1, 5, 8, 10])
@@ -344,61 +339,25 @@ def test_ap_characteristic_scale_invariant():
     assert abs(a - b) <= 1e-12 * a
 
 
-def test_ap_characteristic_dyadic_family_is_lower_bound():
-    axis = build_axis(5)
-    rng = np.random.default_rng(13)
-    w = random_weight(axis, rng)
-    systems = [DyadicSystem(axis, 0), DyadicSystem(axis, 11)]
-    small = ap_characteristic(w, 2.0, family=systems)
-    full = ap_characteristic(w, 2.0, family="intervals")
-    assert small <= full + 1e-15
-    assert small >= 1.0 - 1e-12
-
-
 def test_ap_characteristic_family_validation():
     axis = build_axis(3)
     w = Weight(grid_function(np.ones(axis.n_cells), axis))
-    with pytest.raises(ParameterError):
-        ap_characteristic(w, 2.0, family="rectangles")
-    with pytest.raises(ParameterError):
-        ap_characteristic(w, 2.0, family=[])
-    with pytest.raises(SystemMismatchError):
-        ap_characteristic(w, 2.0, family=[DyadicSystem(build_axis(4), 0)])
     with pytest.raises(ParameterError):
         ap_characteristic(w, 1.0)
 
 
 def test_derived_class_weights_have_finite_characteristics():
     # a finite A_{p,q} characteristic puts w**q in A_q, w**(-p') in A_p' and
-    # w**(-q') in A_q' (p' and q' the dual exponents); on the intervals and
-    # on a dyadic family each characteristic is at least 1
+    # w**(-q') in A_q' (p' and q' the dual exponents); on the arcs each
+    # characteristic is at least 1
     axis = build_axis(5)
     w = power_weight(axis, 0.25, 0.5)
     p, q = 4.0 / 3.0, 4.0
     assert np.isfinite(apq_characteristic(w, p, q))
     p_dual, q_dual = p / (p - 1.0), q / (q - 1.0)
-    for family in ("intervals", [DyadicSystem(axis, 3)]):
-        for exponent, r in ((q, q), (-p_dual, p_dual), (-q_dual, q_dual)):
-            value = ap_characteristic(w.power(exponent), r, family)
-            assert np.isfinite(value) and value >= 1.0 - 1e-12
-
-
-def test_a_lone_system_is_not_a_cube_family():
-    axis = build_axis(3)
-    w = Weight(grid_function(np.ones(axis.n_cells), axis))
-    with pytest.raises(ParameterError, match="iterable of DyadicSystems"):
-        ap_characteristic(w, 2.0, family=DyadicSystem(axis, 0))
-    with pytest.raises(ParameterError, match="iterable of DyadicSystems"):
-        apq_characteristic(w, 2.0, 3.0, family=DyadicSystem(axis, 0))
-
-
-def test_every_member_of_a_cube_family_is_a_system():
-    axis = build_axis(3)
-    w = Weight(grid_function(np.ones(axis.n_cells), axis))
-    with pytest.raises(ParameterError, match="must be a DyadicSystem"):
-        ap_characteristic(w, 2.0, family=[DyadicSystem(axis, 0), axis])
-    with pytest.raises(ParameterError, match="must be a DyadicSystem"):
-        product_ap_characteristic(ProductWeight(w, w), 2.0, family=[0])
+    for exponent, r in ((q, q), (-p_dual, p_dual), (-q_dual, q_dual)):
+        value = ap_characteristic(w.power(exponent), r)
+        assert np.isfinite(value) and value >= 1.0 - 1e-12
 
 
 def test_apq_characteristic_matches_brute_force_bitwise():
@@ -454,24 +413,6 @@ def test_apq_duality_joint_finiteness():
     b = apq_characteristic(w.power(-1.0), q_dual, p_dual)
     assert np.isfinite(a) and np.isfinite(b)
     assert abs(b - a ** (p_dual / q)) <= 1e-10 * b
-
-
-def test_cube_family_may_be_a_generator():
-    # a generator can be read once; each entry point reads its family once
-    axis = build_axis(5)
-    w = power_weight(axis, 0.25, 0.5)
-    offsets = (0, 11)
-    systems = [DyadicSystem(axis, o) for o in offsets]
-    for characteristic in (
-        lambda family: ap_characteristic(w, 2.0, family),
-        lambda family: apq_characteristic(w, 2.0, 3.0, family),
-    ):
-        generator = (DyadicSystem(axis, o) for o in offsets)
-        assert characteristic(generator) == characteristic(systems)
-    pw = ProductWeight(w, w)
-    assert product_ap_characteristic(
-        pw, 2.0, (DyadicSystem(axis, o) for o in offsets)
-    ) == product_ap_characteristic(pw, 2.0, systems)
 
 
 # -- two-weight ratios ----------------------------------------------------
