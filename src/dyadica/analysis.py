@@ -340,8 +340,9 @@ def mixed_norm(
     """
     if f.ndim != 2:
         raise ShapeError("mixed norm needs a two-axis function")
-    if not (p1 >= 1.0 and p2 >= 1.0):
-        raise ParameterError(f"exponents must be >= 1, got p1={p1}, p2={p2}")
+    for name, p in (("p1", p1), ("p2", p2)):
+        if not 1.0 <= p < np.inf:
+            raise ParameterError(f"{name} must be finite and at least 1, got {p}")
     ax1, ax2 = f.axes
     for w, ax, name in ((w1, ax1, "w1"), (w2, ax2, "w2")):
         if w is not None and w.axis != ax:
@@ -384,9 +385,6 @@ class OmegaFamily:
                 raise ParameterError("shapes must be two-axis boolean masks")
             if not mask.any():
                 raise ParameterError("every shape needs positive measure")
-
-    def extended(self, *extra: np.ndarray) -> "OmegaFamily":
-        return OmegaFamily(self.shapes + tuple(extra))
 
 
 def _carrying_cubes(system: DyadicSystem):

@@ -47,7 +47,6 @@ __all__ = [
     "CheckRecord",
     "ExperimentConfig",
     "SuiteOutcome",
-    "config_to_dict",
     "emit_report",
     "load_config",
     "main",
@@ -201,16 +200,6 @@ def _read_config(path) -> dict:
     if not isinstance(data, dict):
         raise ConfigurationError("config must be a JSON object")
     return data
-
-
-def _plain(value):
-    """Tuples as (nested) lists, for JSON."""
-    return [_plain(v) for v in value] if isinstance(value, (tuple, list)) else value
-
-
-def config_to_dict(config: ExperimentConfig) -> Dict:
-    """JSON-ready mapping; ``load`` of a dump reproduces the config."""
-    return {name: _plain(getattr(config, name)) for name in _CONFIG_FIELDS}
 
 
 # -- records and reports --------------------------------------------------

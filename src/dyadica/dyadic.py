@@ -164,10 +164,6 @@ class DyadicCube:
         n = self.axis.n_cells
         return (self.system.offset_cells + self.index * self.width_cells) % n
 
-    @property
-    def start(self) -> float:
-        return self.start_cell * self.axis.h
-
     def cells(self) -> np.ndarray:
         """Indices of the finest cells the cube covers (wrap-aware)."""
         n = self.axis.n_cells

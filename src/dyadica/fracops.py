@@ -293,8 +293,6 @@ def domination_ratio(f: GridFunction, lam: float, system: DyadicSystem) -> float
 class RepresentationReport:
     """Outcome of the bilinear-identity and coefficient-class scan."""
 
-    lam: float
-    params: GoodParams
     n_systems: int
     residuals: Tuple[float, ...]
     relative_residuals: Tuple[float, ...]
@@ -494,8 +492,6 @@ def verify_representation(
             constants[tag] = max(prof.values())
 
     return RepresentationReport(
-        lam=lam,
-        params=params,
         n_systems=len(systems),
         residuals=tuple(residuals.tolist()),
         relative_residuals=tuple(relative.tolist()),

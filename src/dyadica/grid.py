@@ -94,7 +94,7 @@ class GridFunction:
 
     ``values`` has shape ``(n1,)`` for one axis or ``(n1, n2)`` for two,
     where ``n_i`` is the cell count of ``axes[i]``.  Instances are
-    immutable; arithmetic returns new objects.
+    immutable.
     """
 
     axes: tuple[Axis, ...]
@@ -133,31 +133,6 @@ class GridFunction:
     def _check_same_axes(self, other: "GridFunction") -> None:
         if self.axes != other.axes:
             raise ShapeError(f"axes mismatch: {self.axes} vs {other.axes}")
-
-    def __add__(self, other):
-        if isinstance(other, GridFunction):
-            self._check_same_axes(other)
-            return self.with_values(self.values + other.values)
-        return self.with_values(self.values + float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, GridFunction):
-            self._check_same_axes(other)
-            return self.with_values(self.values - other.values)
-        return self.with_values(self.values - float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, GridFunction):
-            self._check_same_axes(other)
-            return self.with_values(self.values * other.values)
-        return self.with_values(self.values * float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.with_values(-self.values)
 
     def mean(self) -> float:
         """Integral over the torus (equals the plain average of the table)."""
@@ -199,23 +174,14 @@ def midpoints(axis: Axis) -> np.ndarray:
     return (np.arange(axis.n_cells) + 0.5) * axis.h
 
 
-def tabulate_midpoint(fn, *axes: Axis) -> GridFunction:
-    """Sample ``fn`` at cell midpoints (midpoint-rule cell averages).
+def tabulate_midpoint(fn, axis: Axis) -> GridFunction:
+    """Sample ``fn`` at the cell midpoints of ``axis`` (midpoint-rule cell
+    averages).
 
     Exact for functions that are affine on every cell; for smooth profiles
     the error is O(h^2), good enough for the stability ensembles.
     """
-    if len(axes) == 1:
-        vals = np.asarray([fn(x) for x in midpoints(axes[0])], dtype=float)
-    elif len(axes) == 2:
-        x1 = midpoints(axes[0])
-        x2 = midpoints(axes[1])
-        vals = np.asarray(
-            [[fn(a, b) for b in x2] for a in x1], dtype=float
-        )
-    else:
-        raise ShapeError("tabulate_midpoint supports one or two axes")
-    return GridFunction(tuple(axes), vals)
+    return grid_function([fn(x) for x in midpoints(axis)], axis)
 
 
 def inner_product(f: GridFunction, g: GridFunction) -> float:

@@ -342,11 +342,6 @@ class HaarCoefficientMap:
     systems: Tuple[DyadicSystem, ...]
     coeffs: np.ndarray
 
-    @property
-    def mean(self) -> float:
-        """The coefficient against the normalized constant."""
-        return float(self.coeffs[(0,) * self.coeffs.ndim])
-
     def reconstruct(self) -> GridFunction:
         """Resum the expansion; exact up to roundoff."""
         vals = self.coeffs

@@ -357,15 +357,14 @@ class BloomLevelResult:
 @dataclass(frozen=True)
 class BloomReport:
     """Finite-ensemble lower-bound estimates of the commutator ratio
-    against the symbol norm, binned by weight characteristics."""
+    against the symbol norm, binned by weight characteristics.
+
+    A restricted-family lower bound: ratios use a finite shape family for
+    the symbol norm and finite ensembles for the operator norm."""
 
     q1: float
     q2: float
     levels: Tuple[BloomLevelResult, ...]
-    note: str = (
-        "restricted-family lower bound: ratios use a finite shape family "
-        "for the symbol norm and finite ensembles for the operator norm"
-    )
 
 
 def _refine(base: np.ndarray, factor: int) -> np.ndarray:

@@ -86,12 +86,12 @@ class ProductWeight:
 
 
 def _check_exponents(p: float, q: Optional[float] = None) -> None:
-    """The hypotheses on the exponents: p > 1 and, when q is given, q > p
-    (a NaN fails both)."""
-    if not p > 1.0:
-        raise ParameterError(f"p must exceed 1, got {p}")
-    if q is not None and not q > p:
-        raise ParameterError(f"need q > p, got p={p}, q={q}")
+    """The hypotheses on the exponents: 1 < p < inf and, when q is given,
+    p < q < inf (a NaN fails both)."""
+    if not 1.0 < p < np.inf:
+        raise ParameterError(f"p must be finite and exceed 1, got {p}")
+    if q is not None and not p < q < np.inf:
+        raise ParameterError(f"q must be finite and exceed p, got p={p}, q={q}")
 
 
 @dataclass(frozen=True)

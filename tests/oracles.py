@@ -765,8 +765,6 @@ def verify_representation_brute(f, g, lam, params, systems):
             constants[tag] = max(prof.values())
 
     return RepresentationReport(
-        lam=lam,
-        params=params,
         n_systems=n_systems,
         residuals=tuple(residuals),
         relative_residuals=tuple(relatives),

@@ -17,7 +17,6 @@ from dyadica import cli, fracops
 from dyadica.cli import (
     CheckRecord,
     ExperimentConfig,
-    config_to_dict,
     emit_report,
     load_config,
     main,
@@ -68,10 +67,10 @@ def test_config_round_trip(tmp_path):
         },
     )
     config = load_config(path)
-    replay = write_config(tmp_path, config_to_dict(config), name="replay.json")
+    replay = write_config(tmp_path, dataclasses.asdict(config), name="replay.json")
     assert load_config(replay) == config
     # numpy integer levels are stored as ints, which the report's meta can write
-    built = ExperimentConfig(**{**config_to_dict(config), "levels": np.array([4, 6])})
+    built = ExperimentConfig(**{**dataclasses.asdict(config), "levels": np.array([4, 6])})
     assert built == config and all(type(level) is int for level in built.levels)
 
 

@@ -88,11 +88,6 @@ def test_out_of_range_integers_are_rejected(build, message):
         build(offset0(3))
 
 
-def test_cube_start_is_its_start_cell_in_torus_units():
-    sys = dyadic.DyadicSystem(grid.build_axis(3), 5)
-    assert [c.start for c in sys.cubes_at_level(1)] == [5 / 8, 1 / 8]
-
-
 def test_cube_cells_wrap():
     sys = dyadic.DyadicSystem(grid.build_axis(3), 5)
     c = sys.cube(1, 1)  # starts at cell (5 + 4) % 8 = 1 ... wait: w=4

@@ -56,9 +56,9 @@ def test_frac_integral_linear(rng):
     ax = grid.build_axis(5)
     f = grid.grid_function(rng.standard_normal(32), ax)
     g = grid.grid_function(rng.standard_normal(32), ax)
-    lhs = fracops.frac_integral(2.0 * f + (-3.0) * g, 0.3)
-    rhs = 2.0 * fracops.frac_integral(f, 0.3) + (-3.0) * fracops.frac_integral(g, 0.3)
-    assert np.max(np.abs(lhs.values - rhs.values)) < 1e-12
+    lhs = fracops.frac_integral(f.with_values(2.0 * f.values + (-3.0) * g.values), 0.3)
+    rhs = 2.0 * fracops.frac_integral(f, 0.3).values + (-3.0) * fracops.frac_integral(g, 0.3).values
+    assert np.max(np.abs(lhs.values - rhs)) < 1e-12
 
 
 def test_frac_integral_positivity(rng):
@@ -131,7 +131,7 @@ def test_no_operator_path_forms_the_kernel_matrix(rng, monkeypatch):
     fracops.concentric_indicator_pairing(sys.cube(2, 1), 1, 0.5)
     analysis.frac_maximal_domination(one, sys, 0.5)
     fracops.domination_ratio(one, 0.5, sys)
-    mean_free = one - one.mean()
+    mean_free = one.with_values(one.values - one.mean())
     fracops.verify_representation(mean_free, mean_free, 0.5, dyadic.GoodParams(), [sys])
 
 
@@ -331,7 +331,7 @@ def test_diagonal_shift_scales_each_haar_coefficient(rng):
     for col in range(1, 16):
         a = table.coeffs[col, 0, 0]
         assert cout.coeffs[col] == pytest.approx(a * cin.coeffs[col], abs=1e-13)
-    assert cout.mean == pytest.approx(0.0, abs=1e-13)
+    assert cout.coeffs[0] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_shift_table_bound_violation():
@@ -396,7 +396,7 @@ def test_domination_ratio_homogeneous(rng):
     sys = dyadic.DyadicSystem(grid.build_axis(5), 3)
     f = grid.grid_function(rng.standard_normal(32), sys.axis)
     r1 = fracops.domination_ratio(f, 0.3, sys)
-    r2 = fracops.domination_ratio(2.0 * f, 0.3, sys)
+    r2 = fracops.domination_ratio(f.with_values(2.0 * f.values), 0.3, sys)
     assert r1 == pytest.approx(r2, rel=1e-12)
 
 

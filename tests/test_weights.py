@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dyadica.analysis import mixed_norm
 from dyadica.errors import InfeasibleExponentError, ParameterError, ShapeError
 from dyadica.grid import _arc_folds, build_axis, grid_function
 from dyadica.weights import (
@@ -118,6 +119,8 @@ def test_exponent_solve_argument_validation():
         exponent_solve(1.0, 0.5)
     with pytest.raises(ParameterError):
         exponent_solve(2.0, 1.5)
+    with pytest.raises(ParameterError, match="p must be finite"):
+        exponent_solve(np.inf, 0.5)  # not an InfeasibleExponentError
 
 
 def test_exponent_triple_rejects_bad_combinations():
@@ -130,6 +133,28 @@ def test_exponent_triple_rejects_bad_combinations():
 def test_exponent_triple_accepts_solved_pair():
     t = ExponentTriple(p=4.0 / 3.0, q=4.0, lam=0.5)
     assert t.q > t.p > 1.0
+
+
+_INFINITE_EXPONENT_CALLS = {
+    "mixed_norm-p1": (lambda f, w: mixed_norm(f, np.inf, 2.0), "p1"),
+    "mixed_norm-p2": (lambda f, w: mixed_norm(f, 2.0, np.inf), "p2"),
+    "ap_characteristic": (lambda f, w: ap_characteristic(w, np.inf), "p"),
+    "apq_characteristic": (lambda f, w: apq_characteristic(w, 2.0, np.inf), "q"),
+    "ExponentTriple": (lambda f, w: ExponentTriple(2.0, np.inf, 0.5), "q"),
+}
+
+
+@pytest.mark.parametrize("call", _INFINITE_EXPONENT_CALLS)
+def test_an_infinite_exponent_is_a_parameter_error_naming_it(call):
+    # the Bloom bound's exponents are finite, 1 < p < q < inf; unchecked, an
+    # infinite one gives mixed_norm 1.0 for any f and fails the
+    # characteristics on a power of the weight
+    axis = build_axis(3)
+    f = grid_function(np.random.default_rng(5).normal(size=(8, 8)), axis, axis)
+    w = random_weight(axis, np.random.default_rng(6))
+    run, name = _INFINITE_EXPONENT_CALLS[call]
+    with pytest.raises(ParameterError, match=rf"^{name} must be finite"):
+        run(f, w)
 
 
 # -- power-profile weights ------------------------------------------------
