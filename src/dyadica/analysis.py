@@ -438,12 +438,7 @@ def _haar_rectangles(b: GridFunction, weight_vals, system1, system2):
     return out
 
 
-def bmo_prod_norm(
-    b: GridFunction,
-    w: ProductWeight,
-    systems,
-    family: Optional[OmegaFamily] = None,
-) -> float:
+def bmo_prod_norm(b: GridFunction, w: ProductWeight, systems, family: OmegaFamily) -> float:
     """Restricted-family lower bound for the weighted product-BMO norm.
 
     Max over the family of sqrt of (1/weight(shape)) times the sum, over
@@ -452,8 +447,6 @@ def bmo_prod_norm(
     """
     weight_axes = (w.factor1.axis, w.factor2.axis)
     (_, system1), (_, system2) = _placed(b, systems, 2, grids=(weight_axes,))
-    if family is None:
-        family = default_omega_family(system1, system2)
     wv = w.evaluate().values
     vol = system1.axis.h * system2.axis.h
     rects = _haar_rectangles(b, wv, system1, system2)
@@ -475,7 +468,7 @@ def bmo_prod_rect_norm(b: GridFunction, w: ProductWeight, systems) -> float:
     square is the level-(0, 0) one), with the weight's rectangle means
     taken from its factors.
 
-    Fast equivalent of :func:`bmo_prod_norm` with the default shape family:
+    Fast equivalent of :func:`bmo_prod_norm` over :func:`default_omega_family`:
     the energy inside each rectangle is the sum over its descendants,
     carried from fine levels to coarse ones by one heap sweep per axis.
     """

@@ -570,7 +570,7 @@ _SUITE_FUNCTIONS = {
     "represent": _suite_represent,
     "weights": _suite_weights,
 }
-SUITES = tuple(_SUITE_FUNCTIONS)  # _suite_rng seeds from the position
+SUITES = tuple(_SUITE_FUNCTIONS)  # _suite_rng seeds from the position; reports keep the order
 
 
 # -- orchestration --------------------------------------------------------
@@ -582,17 +582,6 @@ class SuiteOutcome:
     records: Tuple[CheckRecord, ...]
     report_path: Path
     samples_path: Path
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("DYADICA_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"DYADICA_THREADS must be an integer, got {raw!r}"
-        ) from exc
-    return max(1, cap)
 
 
 def _run_one(name: str, config: ExperimentConfig) -> _Output:
@@ -620,8 +609,7 @@ def run_suite(config: ExperimentConfig, strict: bool = False) -> SuiteOutcome:
     Exit code 0 when all hard checks pass (and, in strict mode, all
     stability checks too), else 1.  Deterministic for a fixed config.
     """
-    names = list(SUITES) if config.suite == "all" else [config.suite]
-    cap = _thread_cap()
+    names = SUITES if config.suite == "all" else (config.suite,)
     out_dir = Path(config.out)
     try:  # before any suite runs: a path that cannot be a directory fails at once
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -631,17 +619,10 @@ def run_suite(config: ExperimentConfig, strict: bool = False) -> SuiteOutcome:
     samples_path = out_dir / "samples.csv"
     _check_writable(report_path, "report")
     _check_writable(samples_path, "samples")
-    if cap > 1 and len(names) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(cap, len(names))) as pool:
-            outputs = list(pool.map(lambda name: _run_one(name, config), names))
-    else:
-        outputs = [_run_one(name, config) for name in names]
-
     records: List[CheckRecord] = []
     rows: List[Tuple[str, str, float]] = []
-    for out in sorted(outputs, key=lambda out: out.suite):
+    for name in names:
+        out = _run_one(name, config)
         records.extend(sorted((sink.check() for sink in out.sinks), key=lambda r: r.name))
         rows.extend(out.rows)
 

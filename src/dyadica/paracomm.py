@@ -49,7 +49,7 @@ from .analysis import _bmo_prod_rect, _mixed_norms, _rect_weight_means
 from .dyadic import DyadicSystem, _placed
 from .errors import ParameterError
 from .fracops import ShiftCoefficientTable, _route, _smooth
-from .grid import GridFunction, _check_integers, build_axis
+from .grid import MAX_LEVEL, GridFunction, _check_integers, build_axis
 from .haar import _chain_sum, _pyramid, _scale_views, column_cubes
 from .haar import haar_analyze, haar_synthesize
 from .weights import _apq_characteristics, bloom_weight, exponent_solve, power_weight
@@ -317,7 +317,8 @@ class BloomConfig:
     """Deterministic configuration of the commutator ratio experiment.
 
     Weight quadruples are (exponent, center) descriptors of power-profile
-    weights, rebuilt at every resolution: (mu1, sigma1, mu2, sigma2).
+    weights, rebuilt at every resolution: (mu1, sigma1, mu2, sigma2).  A
+    config checks itself when built: a bad field raises ParameterError.
     """
 
     levels: Tuple[int, ...] = (3, 4, 5)
@@ -336,6 +337,15 @@ class BloomConfig:
 
     def __post_init__(self):
         _check_integers(n_samples=self.n_samples, seed=self.seed, base_level=self.base_level)
+        if self.n_samples < 1:
+            raise ParameterError(f"n_samples must be at least 1, got {self.n_samples}")
+        if not 1 <= self.base_level <= MAX_LEVEL:
+            raise ParameterError(f"base_level must be in [1, {MAX_LEVEL}], got {self.base_level}")
+        if {(len(quad), *map(len, quad)) for quad in self.weight_quads} != {(4, 2, 2, 2, 2)}:
+            raise ParameterError("weight_quads must be one or more quads of (alpha, center) pairs"
+                                 f" (mu1, sigma1, mu2, sigma2), got {self.weight_quads!r}")
+        if any(level < self.base_level for level in self.levels):
+            raise ParameterError("levels must be at least the base level")
 
 
 @dataclass(frozen=True)
@@ -421,8 +431,6 @@ def bloom_experiment(config: BloomConfig) -> BloomReport:
     p1, p2 = config.p1, config.p2
     q1 = exponent_solve(p1, config.lam1).q
     q2 = exponent_solve(p2, config.lam2).q
-    if any(level < config.base_level for level in config.levels):
-        raise ParameterError("levels must be at least the base level")
     nb = 1 << config.base_level
     quads, count = config.weight_quads, config.n_samples
     exps = ((p1, q1), (p1, q1), (p2, q2), (p2, q2))  # per weight of a quad

@@ -141,8 +141,10 @@ def exponent_solve(p: float, lam: float) -> ExponentTriple:
 
 def power_weight(axis: Axis, alpha: float, center: float) -> Weight:
     """Exact cell averages of the periodic power profile d(x - center)**alpha."""
-    if abs(alpha) >= 1.0:
+    if not abs(alpha) < 1.0:  # a NaN fails too
         raise ParameterError(f"|alpha| must be below 1, got {alpha}")
+    if not np.isfinite(center):
+        raise ParameterError(f"center must be finite, got {center}")
     n, h = axis.n_cells, axis.h
     e = 1.0 + alpha
 

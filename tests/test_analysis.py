@@ -689,7 +689,7 @@ def test_bmo_prod_constant_is_zero():
     pair = (DyadicSystem(axis, 0), DyadicSystem(axis, 5))
     w = ProductWeight(ones_weight(axis), ones_weight(axis))
     b = grid_function(np.full((axis.n_cells, axis.n_cells), 4.0), axis, axis)
-    assert bmo_prod_norm(b, w, pair) == 0.0
+    assert bmo_prod_norm(b, w, pair, default_omega_family(*pair)) == 0.0
 
 
 def test_bmo_prod_single_tensor_haar_closed_form():
@@ -701,7 +701,8 @@ def test_bmo_prod_single_tensor_haar_closed_form():
     k1, k2 = 1, 2
     b = tensor_haar(*pair, k1, 1, k2, 0)
     expected = 2.0 ** ((k1 + k2) / 2.0)
-    assert bmo_prod_norm(b, w, pair) == pytest.approx(expected, rel=1e-12)
+    family = default_omega_family(*pair)
+    assert bmo_prod_norm(b, w, pair, family) == pytest.approx(expected, rel=1e-12)
 
 
 def test_bmo_prod_family_missing_support_gives_zero():
@@ -773,10 +774,11 @@ def test_bmo_prod_validation():
         OmegaFamily(())
     with pytest.raises(ParameterError):
         OmegaFamily((np.zeros((8, 8), dtype=bool),))
+    family = default_omega_family(*pair)
     with pytest.raises(ShapeError):
-        bmo_prod_norm(grid_function(np.ones(axis.n_cells), axis), w, pair)
+        bmo_prod_norm(grid_function(np.ones(axis.n_cells), axis), w, pair, family)
     with pytest.raises(ParameterError):
-        bmo_prod_norm(b, w, pair[0])
+        bmo_prod_norm(b, w, pair[0], family)
 
 
 def test_bmo_prod_rect_norm_validation():
@@ -839,7 +841,8 @@ def test_rect_weight_means_match_brute_rectangle_means(powers):
 def _duality(b, phi, w, pair):
     """(pairing, bmo_norm, square_l1) of the duality inequality."""
     square_l1 = inner_product(square_function(phi, pair, "rect"), w.evaluate())
-    return inner_product(b, phi), bmo_prod_norm(b, w, pair), square_l1
+    bmo = bmo_prod_norm(b, w, pair, default_omega_family(*pair))
+    return inner_product(b, phi), bmo, square_l1
 
 
 def test_duality_single_tensor_haar_ratio_one():

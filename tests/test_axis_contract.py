@@ -21,6 +21,7 @@ S, T = DyadicSystem(AX, 5), DyadicSystem(AX, 2)
 WRONG = DyadicSystem(build_axis(4), 0)
 WEIGHT = ProductWeight(*(Weight(grid_function(np.ones(8), AX)) for _ in range(2)))
 TABLE = fracops.maximal_table(S, 1, 0, 0.5)
+FAMILY = analysis.OmegaFamily((np.ones((8, 8), dtype=bool),))
 
 # the three systems arguments of each kind: (right, on the wrong axis, malformed)
 ONE = (S, WRONG, AX)
@@ -51,7 +52,7 @@ ROWS = {
     "square_function-axis1": (lambda f, s: analysis.square_function(f, s, "axis1"), 2, PAIR),
     "square_function-axis2": (lambda f, s: analysis.square_function(f, s, "axis2"), 2, PAIR),
     "square_function-rect": (lambda f, s: analysis.square_function(f, s, "rect"), 2, PAIR),
-    "bmo_prod_norm": (lambda f, s: analysis.bmo_prod_norm(f, WEIGHT, s), 2, PAIR),
+    "bmo_prod_norm": (lambda f, s: analysis.bmo_prod_norm(f, WEIGHT, s, FAMILY), 2, PAIR),
     "bmo_prod_rect_norm": (lambda f, s: analysis.bmo_prod_rect_norm(f, WEIGHT, s), 2, PAIR),
     "domination_ratio": (lambda f, s: fracops.domination_ratio(f, 0.5, s), 1, ONE),
     "verify_representation": (

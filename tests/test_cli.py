@@ -552,36 +552,6 @@ def test_strict_mode_promotes_stability_warnings(tmp_path, monkeypatch):
     assert run_suite(config, strict=True).exit_code == 1
 
 
-def test_thread_cap_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("DYADICA_THREADS", "many")
-    config = ExperimentConfig(suite="weights", seed=1, out=str(tmp_path))
-    with pytest.raises(ConfigurationError, match="DYADICA_THREADS"):
-        run_suite(config)
-
-
-def test_parallel_and_serial_runs_agree(tmp_path, monkeypatch):
-    blobs = []
-    for tag, threads in (("serial", "1"), ("parallel", "4")):
-        monkeypatch.setenv("DYADICA_THREADS", threads)
-        config = ExperimentConfig(
-            suite="all",
-            seed=9,
-            levels=(3,),
-            samples=2,
-            out=str(tmp_path / tag),
-        )
-        outcome = run_suite(config)
-        blobs.append(
-            (
-                outcome.report_path.read_bytes(),
-                outcome.samples_path.read_bytes(),
-                outcome.exit_code,
-            )
-        )
-    assert blobs[0] == blobs[1]
-    assert blobs[0][2] == 0
-
-
 def test_bloom_suite_follows_the_level(tmp_path):
     # two-axis budget: levels 3 .. max(5, level // 2 + 1)
     config = ExperimentConfig(
@@ -756,10 +726,9 @@ def test_a_failed_output_check_leaves_an_earlier_report_as_it_was(tmp_path, monk
 
 
 @pytest.mark.parametrize("level", ("4", "6", "8"))
-def test_the_default_run_raises_no_numpy_warning(tmp_path, monkeypatch, capsys, level):
+def test_the_default_run_raises_no_numpy_warning(tmp_path, capsys, level):
     # every suite with numpy's floating-point errors and RuntimeWarnings
     # raised: a suite that hit one would leave an error record
-    monkeypatch.setenv("DYADICA_THREADS", "1")
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code = main(["all", "--level", level, "--seed", "1", "--out", str(tmp_path)])

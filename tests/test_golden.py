@@ -1,15 +1,12 @@
 """The report bytes of ``dyadica all --seed 1`` at levels 6 and 8 match the
-files under ``tests/golden/``, serial and on seven threads."""
+files under ``tests/golden/``."""
 
 import numpy as np
-import pytest
 
 import golden
 
 
-@pytest.mark.parametrize("threads", ["1", "7"])
-def test_report_bytes_match_the_golden_files(tmp_path, monkeypatch, threads):
-    monkeypatch.setenv("DYADICA_THREADS", threads)
+def test_report_bytes_match_the_golden_files(tmp_path):
     lines = golden.compare(tmp_path)
     assert not lines, "\n".join(lines)
 

@@ -88,6 +88,24 @@ def test_package_exports_each_module_api_once():
 
 
 
+def test_the_library_reads_no_environment_variable():
+    # a knob read from the environment selects code paths that the tests and
+    # the benchmark must then cover twice, once per setting; the library takes
+    # its settings from its arguments and the experiment config alone
+    reads = []
+    for path in sorted(Path(dyadica.__file__).resolve().parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                name = f"{node.value.id}.{node.attr}"
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                name = ", ".join(f"os.{alias.name}" for alias in node.names)
+            else:
+                continue
+            if "os.environ" in name or "os.getenv" in name:
+                reads.append(f"{path.name}:{node.lineno}: {name}")
+    assert reads == []
+
+
 def test_benchmark_names_are_live_layer_functions(monkeypatch):
     # the benchmark reads its per-layer metrics by these names; a deleted or
     # aliased one would raise KeyError there, not here

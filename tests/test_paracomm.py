@@ -777,6 +777,31 @@ def test_bloom_experiment_rejects_levels_below_base():
         bloom_experiment(BloomConfig(levels=(2,)))
 
 
+_PAIR = (0.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    (
+        ("n_samples", 0),
+        ("n_samples", -1),
+        ("base_level", -1),
+        ("base_level", 0),
+        ("base_level", 15),
+        ("weight_quads", ()),
+        ("weight_quads", ((_PAIR,) * 3,)),  # a quad of three weights
+        ("weight_quads", ((_PAIR,) * 3 + ((0.0, 0.5, 0.1),),)),  # a weight of three numbers
+        ("levels", (2, 3)),
+    ),
+    ids=("samples0", "samples-1", "base-1", "base0", "base15", "no-quad", "three-weights",
+         "three-numbers", "level2"),
+)
+def test_bloom_config_rejects_a_bad_field_when_built(field, value):
+    # the experiment would fail later, some fields only with a numpy error
+    with pytest.raises(ParameterError, match=field):
+        BloomConfig(**{field: value})
+
+
 # -- the off-diagonal case under a dense oracle ---------------------------
 
 

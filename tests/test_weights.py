@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -165,6 +167,13 @@ def test_power_weight_rejects_large_exponent():
     for alpha in (1.0, -1.0, 1.5):
         with pytest.raises(ParameterError):
             power_weight(axis, alpha, 0.5)
+    # a non-finite parameter is named, before any numpy warning
+    for alpha, center, name in ((np.nan, 0.5, "alpha"), (0.3, np.nan, "center"),
+                                (0.3, np.inf, "center")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=name):
+                power_weight(axis, alpha, center)
 
 
 @pytest.mark.parametrize("alpha", [0.5, -0.5, 0.3])
